@@ -1,11 +1,9 @@
 package memfp
 
 // Serving-throughput benchmarks: events/sec replayed through the online
-// engine at the bench scale, per production algorithm and shard count,
-// against the preserved pre-refactor sequential server (ReplayBaseline).
-// `make bench-quick` runs these and records BENCH_PR6.json; the PR 5
-// acceptance bar was ≥2× single-shard engine throughput over the
-// baseline for the LightGBM production model.
+// engine at the bench scale, per production algorithm and shard count.
+// (The pre-sharding sequential server these rows were once compared
+// against is now the test-only equivalence oracle in internal/mlops.)
 //
 // The FT-Transformer joins the grid as of PR 6: the grad-free inference
 // path in internal/ml/ftt (arena scratch, CLS-only last layer, SIMD
@@ -49,22 +47,14 @@ func servingFixture(b *testing.B, trainer string) (*mlops.Pipeline, *faultsim.Re
 }
 
 // benchReplay replays the fleet through a fresh engine per iteration and
-// reports events/sec. shards == -1 selects the pre-refactor baseline.
-func benchReplay(b *testing.B, trainer string, shards int, micro bool) {
+// reports events/sec.
+func benchReplay(b *testing.B, trainer string, shards int) {
 	pipe, res, events := servingFixture(b, trainer)
 	b.ResetTimer()
 	alarms := 0
 	for i := 0; i < b.N; i++ {
-		var n int
-		var err error
-		if shards < 0 {
-			s := mlops.NewServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil)
-			n, err = s.ReplayBaseline(context.Background(), res.Store, nil)
-		} else {
-			s := mlops.NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
-			s.MicroBatch = micro
-			n, err = s.Replay(context.Background(), res.Store, nil)
-		}
+		s := mlops.NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
+		n, err := s.Replay(context.Background(), res.Store, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,21 +64,17 @@ func benchReplay(b *testing.B, trainer string, shards int, micro bool) {
 	b.ReportMetric(float64(alarms), "alarms")
 }
 
-// LightGBM — the paper's best performer and the acceptance target.
-func BenchmarkServeBaselineLightGBM(b *testing.B) { benchReplay(b, model.NameGBDT, -1, false) }
-func BenchmarkServeLightGBMShards1(b *testing.B)  { benchReplay(b, model.NameGBDT, 1, true) }
-func BenchmarkServeLightGBMShardsN(b *testing.B)  { benchReplay(b, model.NameGBDT, 0, true) }
-
-// Micro-batching isolated: single shard with per-event scoring.
-func BenchmarkServeLightGBMShards1NoBatch(b *testing.B) { benchReplay(b, model.NameGBDT, 1, false) }
+// LightGBM — the paper's best performer.
+func BenchmarkServeLightGBMShards1(b *testing.B) { benchReplay(b, model.NameGBDT, 1) }
+func BenchmarkServeLightGBMShardsN(b *testing.B) { benchReplay(b, model.NameGBDT, 0) }
 
 // The remaining fast production algorithms, single shard.
-func BenchmarkServeRiskyCEShards1(b *testing.B)  { benchReplay(b, model.NameRiskyCE, 1, true) }
-func BenchmarkServeForestShards1(b *testing.B)   { benchReplay(b, model.NameForest, 1, true) }
-func BenchmarkServeLogisticShards1(b *testing.B) { benchReplay(b, model.NameLogistic, 1, true) }
+func BenchmarkServeRiskyCEShards1(b *testing.B)  { benchReplay(b, model.NameRiskyCE, 1) }
+func BenchmarkServeForestShards1(b *testing.B)   { benchReplay(b, model.NameForest, 1) }
+func BenchmarkServeLogisticShards1(b *testing.B) { benchReplay(b, model.NameLogistic, 1) }
 
 // FT-Transformer through the single-shard engine with micro-batching:
 // the batched ScoreBatch is exactly what the grad-free inference path
 // accelerates, so this row is the serving-side view of the PR 6 tensor
 // rebuild.
-func BenchmarkServeFTTShards1(b *testing.B) { benchReplay(b, model.NameFTT, 1, true) }
+func BenchmarkServeFTTShards1(b *testing.B) { benchReplay(b, model.NameFTT, 1) }

@@ -58,12 +58,12 @@ func main() {
 	fmt.Printf("cycle 1: %s v%d promoted=%v (%s) benchmark[%s]\n",
 		tr.Version.Name, tr.Version.Version, tr.Promoted, tr.Reason, tr.Benchmark)
 
-	// Online serving: replay the fleet's event stream through the sharded
-	// engine — each shard k-way-merges its own DIMMs' logs and scores due
-	// predictions in micro-batches; the alarm stream is identical for any
-	// -shards value.
+	// Online serving: replay the fleet's merged event stream through the
+	// sharded engine tick by tick — each shard scores a tick's due
+	// predictions as one micro-batch; the alarm stream is identical for
+	// any -shards value.
 	server := pipe.NewServer()
-	fmt.Printf("serving engine: %d shards, micro-batch=%v\n", server.Shards(), server.MicroBatch)
+	fmt.Printf("serving engine: %d shards\n", server.Shards())
 	var alarms []mlops.Alarm
 	n, err := server.Replay(context.Background(), res.Store, func(a mlops.Alarm) {
 		alarms = append(alarms, a)

@@ -6,8 +6,6 @@ import (
 	"net/http"
 
 	"memfp/internal/mlops"
-	"memfp/internal/platform"
-	"memfp/internal/trace"
 )
 
 // Wire types of the control-plane HTTP API (JSON bodies). Event batches
@@ -19,23 +17,12 @@ import (
 // hex-float headers — nothing on the wire can perturb the
 // byte-identical alarm invariant.
 
-// Forwarding headers (control plane → node, and artifact responses).
+// Artifact response headers.
 const (
-	// HeaderModelVersion pins the registry model version a forwarded tick
-	// must be served with: catch-up replay after a node rejoin re-serves
-	// history under the historically-correct model, so throttle and
-	// cooldown state rebuilds exactly.
 	HeaderModelVersion = "X-Memfp-Model-Version"
-	// HeaderTick carries the control plane's journal index for a
-	// forwarded tick, making delivery idempotent: a node that already
-	// served the tick replays its recorded response instead of
-	// double-ingesting.
-	HeaderTick = "X-Memfp-Tick"
-
-	// Artifact response headers.
-	HeaderModelName = "X-Memfp-Model-Name"
-	HeaderAlgorithm = "X-Memfp-Algorithm"
-	HeaderPlatform  = "X-Memfp-Platform"
+	HeaderModelName    = "X-Memfp-Model-Name"
+	HeaderAlgorithm    = "X-Memfp-Algorithm"
+	HeaderPlatform     = "X-Memfp-Platform"
 	// HeaderThreshold is the version's decision threshold as a hex float
 	// (strconv 'x' format) — exact, unlike any decimal rendering.
 	HeaderThreshold = "X-Memfp-Threshold"
@@ -60,15 +47,6 @@ func toWire(a mlops.Alarm) AlarmJSON {
 		Slot:     a.DIMM.Slot,
 		Score:    a.Score,
 		Model:    a.Model,
-	}
-}
-
-func fromWire(a AlarmJSON) mlops.Alarm {
-	return mlops.Alarm{
-		Time:  trace.Minutes(a.Time),
-		DIMM:  trace.DIMMID{Platform: platform.ID(a.Platform), Server: a.Server, Slot: a.Slot},
-		Score: a.Score,
-		Model: a.Model,
 	}
 }
 
@@ -158,7 +136,6 @@ type JoinResponse struct {
 	Model        string `json:"model"`
 	PredictEvery int64  `json:"predict_every"` // minutes
 	Cooldown     int64  `json:"cooldown"`      // minutes
-	MicroBatch   bool   `json:"micro_batch"`
 	MemoryBudget int64  `json:"memory_budget"`
 	Epoch        uint64 `json:"epoch"`
 	Version      int    `json:"version"` // current production version (0 = none yet)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"memfp/internal/eval"
@@ -304,7 +305,7 @@ func TestAPIDistributedGating(t *testing.T) {
 	if jr.SlotFrom != 0 || jr.SlotTo != 8 || jr.Nodes != 1 || jr.Version != 1 {
 		t.Errorf("join assignment = %+v", jr)
 	}
-	if jr.PredictEvery != 5 || !jr.MicroBatch {
+	if jr.PredictEvery != 5 || jr.Cooldown != int64(12*trace.Hour) {
 		t.Errorf("join serving params = %+v, want engine defaults", jr)
 	}
 	if _, err := dcl.Join(JoinRequest{Name: "n2", Addr: "http://x"}); err == nil ||
@@ -313,6 +314,62 @@ func TestAPIDistributedGating(t *testing.T) {
 	}
 	if hr, err := dcl.Heartbeat(HeartbeatRequest{Name: "n1"}); err != nil || hr.Version != 1 {
 		t.Errorf("heartbeat = %+v, %v", hr, err)
+	}
+}
+
+// TestAPINodeRefusingTicksLeavesPending: MFT1 on /ingest2 is the one node
+// protocol. A node answering 404 there is an ordinary delivery failure —
+// node marked dead with the error recorded, cursor rolled back, the tick
+// left pending and visible in /api/v1/status — never a downgrade to some
+// other wire.
+func TestAPINodeRefusingTicksLeavesPending(t *testing.T) {
+	f := fleet(t)
+	cp, err := New(Config{Pipeline: closurePipeline(t), ExpectNodes: 1, Slots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cp.Close)
+	ts := httptest.NewServer(cp.Handler())
+	t.Cleanup(ts.Close)
+	cl := NewClient(ts.URL)
+
+	var elsewhere atomic.Int32 // requests to any path but /ingest2
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/ingest2" {
+			elsewhere.Add(1)
+		}
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(node.Close)
+	if _, err := cl.Join(JoinRequest{Name: "n1", Addr: node.URL}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.IngestLines(encodeLines(f, 0, 200)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Flush() // returns once the delivery attempt has failed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pending != 1 || len(res.Alarms) != 0 {
+		t.Fatalf("flush = %d alarms, %d pending; want the one tick pending", len(res.Alarms), res.Pending)
+	}
+	st, err := cl.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pending != 1 || len(st.Nodes) != 1 || st.Nodes[0].Alive || st.Nodes[0].SentTicks != 0 {
+		t.Errorf("status = pending %d, nodes %+v; want 1 pending behind a dead node with its cursor rolled back",
+			st.Pending, st.Nodes)
+	}
+	cp.mu.Lock()
+	lastErr := cp.byName["n1"].lastErr
+	cp.mu.Unlock()
+	if lastErr == nil || !strings.Contains(lastErr.Error(), "404") {
+		t.Errorf("node lastErr = %v, want the 404 recorded", lastErr)
+	}
+	if n := elsewhere.Load(); n != 0 {
+		t.Errorf("control plane tried %d request(s) on other node endpoints after the 404", n)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"memfp/internal/mlops"
 )
@@ -186,19 +188,21 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	}
 }
 
-// TestDistributedTextFallback pins the binary wire's escape hatch: a
-// node that answers 404 on /ingest2 (an older daemon) flips the control
-// plane to the per-tick BMC text wire, and the alarm stream still
-// matches the single-process reference — the text codec remains a full
-// equivalence oracle for the binary one.
-func TestDistributedTextFallback(t *testing.T) {
+// TestDistributedRejoinServesWithoutHeartbeat is the regression test for
+// the rejoin 503 window: the control plane's sender may reach a rejoining
+// node the moment its join registers — before JoinOnce has built the
+// engine. The node must make that request wait, not refuse it: a refusal
+// marks the node dead and, with no heartbeat to revive it, strands every
+// pending tick. The test holds the join response back until the sender's
+// first batch has reached the fresh node and been either answered (the
+// refusal) or left waiting, so the window is hit on every run.
+func TestDistributedRejoinServesWithoutHeartbeat(t *testing.T) {
 	f := fleet(t)
 	const tick = 512
-	nTicks := 6
-	all := f.all[:min(nTicks*tick, len(f.all))]
+	all := f.all[:min(8*tick, len(f.all))]
+	killAt := len(all) / tick / 2
 
-	refPipe := mirror(t)
-	ref := refPipe.NewServer()
+	ref := mirror(t).NewServer()
 	for id, part := range f.parts {
 		ref.RegisterDIMM(id, part)
 	}
@@ -214,7 +218,7 @@ func TestDistributedTextFallback(t *testing.T) {
 		t.Fatal("reference replay emitted no alarms; fixture cannot discriminate")
 	}
 
-	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1, Slots: 8, Window: 4, CheckpointEvery: 3})
+	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1, Slots: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,37 +226,85 @@ func TestDistributedTextFallback(t *testing.T) {
 	for id, part := range f.parts {
 		cp.RegisterDIMM(id, part)
 	}
-	cpSrv := httptest.NewServer(cp.Handler())
+	var rejoining atomic.Bool
+	arrived := make(chan struct{}, 1)  // first tick batch reached the fresh node
+	answered := make(chan struct{}, 1) // ... and the node answered it
+	cpSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cp.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/api/v1/nodes/join" && rejoining.Load() {
+			// The join is registered but its response is still buffered:
+			// JoinOnce cannot have built the engine yet.
+			select {
+			case <-arrived:
+			case <-time.After(5 * time.Second):
+				t.Error("sender never reached the rejoining node")
+			}
+			// A node that refuses answers at once; one that waits for its
+			// engine cannot answer until this response is released.
+			select {
+			case <-answered:
+			case <-time.After(200 * time.Millisecond):
+			}
+		}
+	}))
 	t.Cleanup(cpSrv.Close)
 
 	n1 := NewNode("n1", cpSrv.URL)
-	n1.Shards = 2
-	// An "older daemon": same node, but without the batch endpoint.
-	legacy := http.NewServeMux()
-	legacy.HandleFunc("/ingest2", http.NotFound)
-	legacy.Handle("/", n1.Handler())
-	ts1 := httptest.NewServer(legacy)
-	t.Cleanup(ts1.Close)
+	ts1 := httptest.NewServer(n1.Handler())
 	if err := n1.JoinOnce(ts1.URL); err != nil {
 		t.Fatal(err)
 	}
-
 	var distAlarms []mlops.Alarm
-	for lo := 0; lo < len(all); lo += tick {
+	pending := 0
+	for ti, lo := 0, 0; lo < len(all); ti, lo = ti+1, lo+tick {
+		if ti == killAt {
+			res, err := cp.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			distAlarms = append(distAlarms, res.Alarms...)
+			ts1.Close() // the node dies; everything after this goes pending
+		}
 		res, err := cp.IngestTick(all[lo:min(lo+tick, len(all))])
 		if err != nil {
 			t.Fatal(err)
 		}
 		distAlarms = append(distAlarms, res.Alarms...)
+		pending = res.Pending
 	}
-	res, err := cp.Flush()
+	if pending == 0 {
+		t.Fatal("killing the node left no ticks pending; the rejoin has nothing to prove")
+	}
+
+	n1b := NewNode("n1", cpSrv.URL)
+	ts1b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		signal := func(ch chan struct{}) {
+			if r.URL.Path == "/ingest2" {
+				select {
+				case ch <- struct{}{}:
+				default:
+				}
+			}
+		}
+		signal(arrived)
+		n1b.Handler().ServeHTTP(w, r)
+		signal(answered)
+	}))
+	t.Cleanup(ts1b.Close)
+	rejoining.Store(true)
+	if err := n1b.JoinOnce(ts1b.URL); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cp.Flush() // no heartbeat anywhere in this test
 	if err != nil {
 		t.Fatal(err)
 	}
 	distAlarms = append(distAlarms, res.Alarms...)
-
+	if res.Pending != 0 {
+		t.Errorf("%d ticks still pending after the rejoin: the fresh node refused its first batch", res.Pending)
+	}
 	if got, want := renderAlarms(distAlarms), renderAlarms(refAlarms); got != want {
-		t.Errorf("text-fallback alarm stream diverges from reference:\n%s", firstDiff(got, want))
+		t.Errorf("alarm stream across kill + rejoin diverges from reference:\n%s", firstDiff(got, want))
 	}
 }
 

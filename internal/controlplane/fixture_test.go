@@ -172,3 +172,14 @@ func renderAlarms(as []mlops.Alarm) string {
 	}
 	return sb.String()
 }
+
+// fromWire inverts toWire, for tests comparing JSON alarm pages against
+// engine or binary-frame alarms.
+func fromWire(a AlarmJSON) mlops.Alarm {
+	return mlops.Alarm{
+		Time:  trace.Minutes(a.Time),
+		DIMM:  trace.DIMMID{Platform: platform.ID(a.Platform), Server: a.Server, Slot: a.Slot},
+		Score: a.Score,
+		Model: a.Model,
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
 
@@ -47,9 +46,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // binary MFA1 page (Pending rides the X-Memfp-Pending header) instead of
 // JSON.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	// Decode either codec into events with their part numbers alongside
+	// (and, for text, their line numbers for error messages).
 	var (
 		events []trace.Event
 		parts  []string
+		lines  []int
 	)
 	if r.Header.Get("Content-Type") == ContentTypeEvents {
 		body, err := io.ReadAll(r.Body)
@@ -61,19 +63,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
-		}
-		for i, e := range events {
-			s.mu.Lock()
-			_, known := s.parts[e.DIMM]
-			s.mu.Unlock()
-			if !known {
-				part, err := platform.PartByNumber(parts[i])
-				if err != nil {
-					httpError(w, http.StatusBadRequest, "event %d: %v", i, err)
-					return
-				}
-				s.RegisterDIMM(e.DIMM, part)
-			}
 		}
 	} else {
 		sc := bufio.NewScanner(r.Body)
@@ -90,23 +79,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusBadRequest, "line %d: %v", lineNo, err)
 				return
 			}
-			s.mu.Lock()
-			_, known := s.parts[e.DIMM]
-			s.mu.Unlock()
-			if !known {
-				part, err := platform.PartByNumber(pn)
-				if err != nil {
-					httpError(w, http.StatusBadRequest, "line %d: %v", lineNo, err)
-					return
-				}
-				s.RegisterDIMM(e.DIMM, part)
-			}
 			events = append(events, e)
+			parts = append(parts, pn)
+			lines = append(lines, lineNo)
 		}
 		if err := sc.Err(); err != nil {
 			httpError(w, http.StatusBadRequest, "read body: %v", err)
 			return
 		}
+	}
+	if i, err := s.registerUnknown(events, parts); err != nil {
+		if lines != nil {
+			httpError(w, http.StatusBadRequest, "line %d: %v", lines[i], err)
+		} else {
+			httpError(w, http.StatusBadRequest, "event %d: %v", i, err)
+		}
+		return
 	}
 	res, err := s.IngestTick(events)
 	if err != nil {

@@ -1,15 +1,12 @@
 package controlplane
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,7 +56,6 @@ type Node struct {
 func NewNode(name, controlPlaneURL string) *Node {
 	n := &Node{Name: name, client: NewClient(controlPlaneURL), lastTick: -1}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", n.handleIngest)
 	mux.HandleFunc("POST /ingest2", n.handleIngest2)
 	mux.HandleFunc("POST /checkpoint", n.handleCheckpoint)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
@@ -70,7 +66,8 @@ func NewNode(name, controlPlaneURL string) *Node {
 	return n
 }
 
-// Handler returns the node's HTTP surface (/ingest, /metrics, /healthz).
+// Handler returns the node's HTTP surface (/ingest2, /checkpoint,
+// /metrics, /healthz).
 func (n *Node) Handler() http.Handler { return n.mux }
 
 // JoinOnce registers with the control plane (selfURL is the base URL the
@@ -78,21 +75,23 @@ func (n *Node) Handler() http.Handler { return n.mux }
 // the returned parameters — mirroring the single-process engine exactly.
 // When the control plane holds a checkpoint for this node (a rejoin), the
 // snapshot restores into the fresh engine and the tick cursor starts at
-// the checkpoint instead of zero.
+// the checkpoint instead of zero. The node lock is held from before the
+// join request: the control plane's sender may reach this node the moment
+// the join registers, and /ingest2 and /checkpoint must wait for the
+// engine rather than refuse.
 func (n *Node) JoinOnce(selfURL string) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	resp, err := n.client.Join(JoinRequest{Name: n.Name, Addr: selfURL})
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.monitor = mlops.NewMonitor()
 	n.reg = mlops.NewRegistry()
 	n.modelName = resp.Model
 	n.engine = mlops.NewShardedServer(platform.ID(resp.Platform), mlops.NewFeatureStore(), n.reg, resp.Model, n.monitor, n.Shards)
 	n.engine.PredictEvery = trace.Minutes(resp.PredictEvery)
 	n.engine.Cooldown = trace.Minutes(resp.Cooldown)
-	n.engine.MicroBatch = resp.MicroBatch
 	n.engine.MemoryBudget = resp.MemoryBudget
 	n.engine.Spill = n.Spill
 	n.curVersion = 0
@@ -166,58 +165,6 @@ func (n *Node) ensureVersionLocked(v int) error {
 	}
 	n.curVersion = v
 	return nil
-}
-
-// handleIngest serves one forwarded tick: pin the tick's model version,
-// ingest the batch through the real engine, and return the alarms. The
-// journal index on the wire makes delivery idempotent — a tick this node
-// already served replays its recorded response instead of re-ingesting.
-func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
-	tick, err := strconv.Atoi(r.Header.Get(HeaderTick))
-	if err != nil || tick < 0 {
-		httpError(w, http.StatusBadRequest, "bad %s header %q", HeaderTick, r.Header.Get(HeaderTick))
-		return
-	}
-	version, err := strconv.Atoi(r.Header.Get(HeaderModelVersion))
-	if err != nil || version <= 0 {
-		httpError(w, http.StatusBadRequest, "bad %s header %q", HeaderModelVersion, r.Header.Get(HeaderModelVersion))
-		return
-	}
-
-	var events []trace.Event
-	var parts []string
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		e, pn, err := trace.DecodeEvent(line)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		events = append(events, e)
-		parts = append(parts, pn)
-	}
-	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.engine == nil {
-		httpError(w, http.StatusServiceUnavailable, "node has not joined a control plane")
-		return
-	}
-	alarms, err := n.serveTickLocked(tick, version, events, parts)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TickResponse{Alarms: toWireSlice(alarms)})
 }
 
 // serveTickLocked serves one forwarded tick through the engine — or

@@ -28,8 +28,8 @@
 //     order. A dead node stalls emission but never reorders it.
 //   - Pipelined fan-out: one sender goroutine per node streams batches
 //     of up to Window unserved ticks over persistent connections as
-//     MFT1 binary frames (falling back to per-tick BMC text lines if the
-//     node answers 404/405), decoding responses off the journal lock.
+//     MFT1 binary frames — the one node protocol — decoding responses
+//     off the journal lock.
 //     IngestTick only journals and applies backpressure, so the driver
 //     overlaps with delivery on every node.
 //   - Checkpointed truncation: every CheckpointEvery emitted ticks the
@@ -47,13 +47,10 @@ package controlplane
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -113,7 +110,6 @@ type nodeRec struct {
 	inflight bool
 	wantCkpt bool
 	ckptTick int // ticks < ckptTick are covered by the stored snapshot
-	textWire bool
 	alive    bool
 	lastBeat time.Time
 	lastErr  error
@@ -217,11 +213,35 @@ func (s *Server) Close() {
 // from the part numbers on forwarded frames.
 func (s *Server) RegisterDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.registerLocked(id, part)
+}
+
+func (s *Server) registerLocked(id trace.DIMMID, part platform.DIMMPart) {
 	s.parts[id] = part
-	s.mu.Unlock()
 	if s.engine != nil {
 		s.engine.RegisterDIMM(id, part)
 	}
+}
+
+// registerUnknown registers every DIMM in events the control plane has
+// not seen yet, from parts[i] — the part number recorded beside event i —
+// under one acquisition of the server lock for the whole tick. A bad part
+// number returns the offending event's index.
+func (s *Server) registerUnknown(events []trace.Event, parts []string) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, e := range events {
+		if _, known := s.parts[e.DIMM]; known {
+			continue
+		}
+		part, err := platform.PartByNumber(parts[i])
+		if err != nil {
+			return i, err
+		}
+		s.registerLocked(e.DIMM, part)
+	}
+	return 0, nil
 }
 
 // Ready reports whether ingest can proceed (local mode is always ready).
@@ -529,7 +549,7 @@ func (s *Server) emitLocked() {
 		if !ready {
 			break
 		}
-		merged := mergeAlarmSlices(t.res)
+		merged := mlops.MergeAlarms(t.res)
 		if mon := s.pipe.Monitor; mon != nil {
 			for _, a := range merged {
 				mon.CountAlarm(a)
@@ -588,29 +608,6 @@ func (s *Server) maybeTruncateLocked() {
 // encoding.
 func (s *Server) partNumberLocked(id trace.DIMMID) string {
 	return s.parts[id].PartNumber
-}
-
-// mergeAlarmSlices flattens per-node alarm slices into (Time, DIMM)
-// order — total, because at most one alarm exists per (Time, DIMM).
-func mergeAlarmSlices(per [][]mlops.Alarm) []mlops.Alarm {
-	n := 0
-	for _, as := range per {
-		n += len(as)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]mlops.Alarm, 0, n)
-	for _, as := range per {
-		out = append(out, as...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].DIMM.Less(out[j].DIMM)
-	})
-	return out
 }
 
 // senderWorkLocked reports whether node n's sender has anything to do.
@@ -718,18 +715,14 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 	prune := s.nextEmit
 	epoch := n.epoch
 	addr := n.addr
-	text := n.textWire
 	name := n.name
 	n.inflight = true
 	s.mu.Unlock()
-	res, fellBack, err := s.forwardBatch(name, addr, text, prune, batch, parts)
+	res, err := s.forwardFrame(name, addr, prune, batch, parts)
 	s.mu.Lock()
 	n.inflight = false
 	if epoch != n.epoch {
 		return // node rejoined; its cursor was reset to the checkpoint
-	}
-	if fellBack {
-		n.textWire = true
 	}
 	if err != nil {
 		n.alive = false
@@ -755,26 +748,8 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 	s.cond.Broadcast()
 }
 
-// forwardBatch delivers a tick batch to a node. The binary MFT1 frame is
-// the default; a node answering 404/405 (an older daemon) flips the
-// connection to per-tick BMC text lines, reported via fellBack. The
-// returned slice is parallel to batch.
-func (s *Server) forwardBatch(name, addr string, text bool, prune int, batch []wireTick,
-	parts map[trace.DIMMID]platform.DIMMPart) (res [][]mlops.Alarm, fellBack bool, err error) {
-	if !text {
-		res, err = s.forwardFrame(name, addr, prune, batch, parts)
-		if err == nil || !errors.Is(err, errNoBinaryWire) {
-			return res, false, err
-		}
-	}
-	res, err = s.forwardText(name, addr, batch, parts)
-	return res, !text, err
-}
-
-// errNoBinaryWire reports a node without the /ingest2 batch endpoint.
-var errNoBinaryWire = errors.New("node does not speak the binary tick wire")
-
-// forwardFrame posts one MFT1 batch to the node's /ingest2 endpoint.
+// forwardFrame posts one MFT1 batch to the node's /ingest2 endpoint and
+// returns the alarms per tick, parallel to batch.
 func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick,
 	parts map[trace.DIMMID]platform.DIMMPart) ([][]mlops.Alarm, error) {
 	buf := getWireBuf()
@@ -787,10 +762,6 @@ func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick,
 		return nil, fmt.Errorf("controlplane: node %s: %w", name, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		io.Copy(io.Discard, resp.Body)
-		return nil, errNoBinaryWire
-	}
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("controlplane: node %s: %s: %s", name, resp.Status, bytes.TrimSpace(b))
@@ -810,48 +781,6 @@ func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick,
 			return nil, fmt.Errorf("controlplane: node %s: response missing tick %d", name, wt.tick)
 		}
 		out[i] = as
-	}
-	return out, nil
-}
-
-// forwardText delivers a batch tick by tick as BMC text lines pinned to
-// each tick's model version and journal index — the pre-binary wire,
-// kept as the fallback and equivalence oracle.
-func (s *Server) forwardText(name, addr string, batch []wireTick,
-	parts map[trace.DIMMID]platform.DIMMPart) ([][]mlops.Alarm, error) {
-	out := make([][]mlops.Alarm, len(batch))
-	for i, wt := range batch {
-		var body bytes.Buffer
-		for _, e := range wt.events {
-			fmt.Fprintln(&body, trace.EncodeEvent(e, parts[e.DIMM]))
-		}
-		req, err := http.NewRequest(http.MethodPost, addr+"/ingest", &body)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		req.Header.Set(HeaderModelVersion, strconv.Itoa(wt.version))
-		req.Header.Set(HeaderTick, strconv.Itoa(wt.tick))
-		resp, err := s.client.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("controlplane: node %s: %w", name, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			return nil, fmt.Errorf("controlplane: node %s: %s: %s", name, resp.Status, bytes.TrimSpace(b))
-		}
-		var tr TickResponse
-		err = json.NewDecoder(resp.Body).Decode(&tr)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("controlplane: node %s: decode response: %w", name, err)
-		}
-		alarms := make([]mlops.Alarm, len(tr.Alarms))
-		for j, a := range tr.Alarms {
-			alarms[j] = fromWire(a)
-		}
-		out[i] = alarms
 	}
 	return out, nil
 }
@@ -877,7 +806,6 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 		n.epoch++ // invalidate any in-flight response from the old process
 		n.sent = n.ckptTick
 		n.alive = true
-		n.textWire = false
 		n.lastBeat = time.Now()
 		n.lastErr = nil
 		s.cond.Broadcast()
@@ -913,7 +841,6 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 	probe := s.pipe.NewServer()
 	resp.PredictEvery = int64(probe.PredictEvery)
 	resp.Cooldown = int64(probe.Cooldown)
-	resp.MicroBatch = probe.MicroBatch
 	resp.MemoryBudget = probe.MemoryBudget
 	if pv, err := s.pipe.Registry.Production(s.pipe.ModelName); err == nil {
 		resp.Version = pv.Version

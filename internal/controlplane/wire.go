@@ -26,8 +26,9 @@ import (
 //	         count, per tick uvarint journal index, length-prefixed MFA1
 //	         alarm frame.
 //
-// Content types negotiate the codec per request; the BMC text form and
-// JSON remain the fallback and the equivalence oracle.
+// Content types negotiate the codec per request on the control plane's
+// external API, where BMC text and JSON remain accepted (and are the
+// tests' equivalence oracle); the node fan-out speaks only MFT1/MFR1.
 const (
 	// ContentTypeEvents marks a request body holding one MFE1 binary
 	// event frame (trace.AppendEventFrame) instead of BMC text lines.
@@ -61,48 +62,25 @@ var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b
 func getWireBuf() *[]byte  { return wireBufs.Get().(*[]byte) }
 func putWireBuf(b *[]byte) { *b = (*b)[:0]; wireBufs.Put(b) }
 
-// internTable assigns frame-local string indices in first-appearance
-// order, exactly like the event frame's table.
-type internTable struct {
-	idx  map[string]uint64
-	list []string
-}
-
-func (t *internTable) ref(s string) uint64 {
-	if i, ok := t.idx[s]; ok {
-		return i
-	}
-	if t.idx == nil {
-		t.idx = map[string]uint64{}
-	}
-	i := uint64(len(t.list))
-	t.idx[s] = i
-	t.list = append(t.list, s)
-	return i
-}
-
 // AppendAlarmFrame encodes an alarm page into dst and returns the
 // extended buffer.
 func AppendAlarmFrame(dst []byte, alarms []mlops.Alarm) []byte {
-	var tab internTable
+	var tab trace.StringTable
 	body := trace.BinWriter{Buf: make([]byte, 0, 4+16*len(alarms))}
 	body.Uvarint(uint64(len(alarms)))
 	var prev int64
 	for _, a := range alarms {
 		body.Varint(int64(a.Time) - prev)
 		prev = int64(a.Time)
-		body.Uvarint(tab.ref(string(a.DIMM.Platform)))
+		body.Uvarint(tab.Ref(string(a.DIMM.Platform)))
 		body.Varint(int64(a.DIMM.Server))
 		body.Varint(int64(a.DIMM.Slot))
 		body.Float64(a.Score)
-		body.Uvarint(tab.ref(a.Model))
+		body.Uvarint(tab.Ref(a.Model))
 	}
 	w := trace.BinWriter{Buf: dst}
 	w.Raw([]byte(alarmFrameMagic))
-	w.Uvarint(uint64(len(tab.list)))
-	for _, s := range tab.list {
-		w.String(s)
-	}
+	tab.Encode(&w)
 	w.Raw(body.Buf)
 	return w.Buf
 }

@@ -10,12 +10,13 @@
 // cores while the emitted alarm stream stays byte-identical for every
 // shard count. Predictions reuse a per-DIMM features.ServeCursor (only
 // newly arrived events are folded in), resolve the production model
-// through a cache invalidated by the registry's promotion epoch, and —
-// in Replay/IngestBatch — score each shard's due predictions through a
-// single ScoreBatch call per tick. Replay feeds the shards by k-way
-// merging the store's already-sorted per-DIMM logs instead of
-// materializing and globally sorting the fleet stream; ReplayBaseline
-// preserves the sequential path as the equivalence oracle.
+// through a cache invalidated by the registry's promotion epoch, and
+// score each shard's due predictions through a single ScoreBatch call
+// per tick. IngestBatch is the one serving loop; Replay (a k-way merge of
+// the store's already-sorted per-DIMM logs) and ReplayStream (whole logs
+// from a lazy producer) only cut their streams into ticks for it. The
+// package's tests keep the pre-sharding sequential replay as the
+// equivalence oracle.
 package mlops
 
 import (

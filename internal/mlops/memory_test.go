@@ -22,7 +22,7 @@ func TestBoundedReplayMatchesUnbounded(t *testing.T) {
 		t.Skip("trains a model on a generated fleet")
 	}
 	pipe, res := trainedPipeline(t)
-	want := collectReplay(t, pipe, res, 1, true)
+	want := collectReplay(t, pipe, res, 1)
 	if len(want) == 0 {
 		t.Fatal("unbounded replay emitted no alarms; fixture proves nothing")
 	}
@@ -58,7 +58,7 @@ func TestReplayStreamMatchesReplay(t *testing.T) {
 		t.Skip("trains a model on a generated fleet")
 	}
 	pipe, res := trainedPipeline(t)
-	want := collectReplay(t, pipe, res, 1, true)
+	want := collectReplay(t, pipe, res, 1)
 	cfg := faultsim.Config{Platform: platform.Purley, Scale: 0.03, Seed: 31}
 	for _, tc := range []struct {
 		name   string

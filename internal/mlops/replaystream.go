@@ -2,8 +2,6 @@ package mlops
 
 import (
 	"context"
-	"sort"
-	"sync"
 
 	"memfp/internal/trace"
 )
@@ -11,146 +9,68 @@ import (
 // ReplayStream drains a lazily produced fleet through the engine without
 // ever materializing it: next yields one finished per-DIMM log at a time
 // (the shape faultsim.Stream produces) until it reports done or an error.
-// Alarms are delivered to onAlarm in (Time, DIMM) order after every shard
-// has drained, exactly like Replay — and because per-DIMM serving state
-// never reads another DIMM's, the emitted alarm stream is byte-identical
-// to Replay over the materialized store for every shard count (pinned by
-// TestReplayStreamMatchesReplay).
+// Whole logs are gathered into ticks of at least replayTick events and
+// served through IngestBatch in DIMM-major order — per-DIMM serving state
+// never reads another DIMM's, so only per-DIMM order is observable — and
+// each DIMM's state is released as soon as its tick has been served, so
+// peak resident state is one tick's DIMMs regardless of fleet size. Each
+// DIMM must be yielded at most once — a second log for the same identity
+// would serve against a fresh history.
 //
-// Each DIMM is served whole, on its shard's worker, and its serving state
-// is released as soon as its log drains; with the per-shard hand-off
-// buffers, peak resident state is O(shards) DIMMs regardless of fleet
-// size. Each DIMM must be yielded at most once — a second log for the
-// same identity would serve against a fresh history.
-//
-// The return value counts delivered alarms. On error (producer failure or
-// ctx cancellation) the alarms fired before the failure are still merged
-// and delivered ahead of the error.
+// Alarms are delivered to onAlarm in (Time, DIMM) order once the producer
+// has drained, byte-identical to Replay over the materialized store for
+// every shard count (pinned by TestReplayStreamMatchesReplay). The return
+// value counts delivered alarms. On error (producer failure or ctx
+// cancellation) the logs already gathered are still served — no DIMM is
+// left registered but unserved — and every alarm fired is merged and
+// delivered ahead of the error.
 func (s *Server) ReplayStream(ctx context.Context, next func() (*trace.DIMMLog, bool, error),
 	onAlarm func(Alarm)) (int, error) {
-	nsh := len(s.shards)
-	feeds := make([]chan *trace.DIMMLog, nsh)
-	alarms := make([][]Alarm, nsh)
-	errs := make([]error, nsh)
-	var wg sync.WaitGroup
-	for i := 0; i < nsh; i++ {
-		feeds[i] = make(chan *trace.DIMMLog, 2)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for l := range feeds[i] {
-				if errs[i] != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				out, err := s.serveStreamDIMM(ctx, s.shards[i], l)
-				alarms[i] = append(alarms[i], out...)
-				errs[i] = err
-			}
-		}(i)
+	var (
+		tick   []trace.Event
+		ids    []trace.DIMMID
+		alarms [][]Alarm
+	)
+	serve := func() error {
+		as, err := s.IngestBatch(tick)
+		alarms = append(alarms, as)
+		for _, id := range ids {
+			sh := s.shardFor(id)
+			sh.mu.Lock()
+			s.releaseLocked(sh, id) // the stream is final: nothing more to predict
+			sh.mu.Unlock()
+		}
+		tick, ids = tick[:0], ids[:0]
+		return err
 	}
-
-	var feedErr error
-	for feedErr == nil {
-		l, ok, err := next()
-		if err != nil {
-			feedErr = err
+	var err error
+	for err == nil {
+		if err = ctx.Err(); err != nil {
 			break
 		}
-		if !ok {
+		l, ok, nerr := next()
+		if nerr != nil || !ok {
+			err = nerr
 			break
 		}
-		if !l.Indexed() {
-			// The per-DIMM replay needs time-sorted input; sort a copy
-			// rather than mutating the producer's log (stable, matching the
-			// baseline's global stable sort on ties).
-			cp := &trace.DIMMLog{ID: l.ID, Part: l.Part, Events: append([]trace.Event(nil), l.Events...)}
-			sort.Stable(trace.ByTime(cp.Events))
-			l = cp
-		}
-		select {
-		case feeds[int(hashDIMM(l.ID)%uint32(nsh))] <- l:
-		case <-ctx.Done():
-			feedErr = ctx.Err()
+		s.RegisterDIMM(l.ID, l.Part)
+		tick = append(tick, timeSorted(l).Events...)
+		ids = append(ids, l.ID)
+		if len(tick) >= replayTick {
+			err = serve()
 		}
 	}
-	for _, ch := range feeds {
-		close(ch)
+	if len(ids) > 0 {
+		if serr := serve(); err == nil {
+			err = serr
+		}
 	}
-	wg.Wait()
-
-	merged := mergeAlarms(alarms)
 	n := 0
-	for _, a := range merged {
-		if s.monitor != nil {
-			s.monitor.CountAlarm(a)
-		}
+	for _, a := range MergeAlarms(alarms) {
 		if onAlarm != nil {
 			onAlarm(a)
 		}
 		n++
 	}
-	for _, err := range errs {
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, feedErr
-}
-
-// serveStreamDIMM replays one DIMM's full log through the serving path
-// and releases the DIMM's state afterwards — its stream is final, so
-// nothing more can be predicted for it. Scoring is identical to the
-// interleaved replay: per-DIMM serving state is independent, and within
-// one DIMM the events arrive in the same order with the same tick
-// boundaries.
-func (s *Server) serveStreamDIMM(ctx context.Context, sh *shard, l *trace.DIMMLog) ([]Alarm, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.dimms[l.ID]; !ok {
-		if _, frozen := sh.frozen[l.ID]; !frozen {
-			st := &dimmState{log: &trace.DIMMLog{ID: l.ID, Part: l.Part}}
-			sh.dimms[l.ID] = st
-			if s.MemoryBudget > 0 {
-				sh.account(st)
-			}
-		}
-	}
-	var out []Alarm
-	var pend []pendingPred
-	pendPtr := &pend
-	if !s.MicroBatch {
-		pendPtr = nil
-	}
-	var err error
-	curT := trace.Minutes(-1 << 62)
-	for n, e := range l.Events {
-		if n%1024 == 0 {
-			select {
-			case <-ctx.Done():
-				err = ctx.Err()
-			default:
-			}
-			if err != nil {
-				break
-			}
-		}
-		if e.Time != curT {
-			if err = s.flushPending(&pend, &out); err != nil {
-				break
-			}
-			curT = e.Time
-		}
-		var a *Alarm
-		if a, err = s.ingestLocked(sh, e, pendPtr); err != nil {
-			break
-		}
-		if a != nil {
-			out = append(out, *a)
-		}
-	}
-	if ferr := s.flushPending(&pend, &out); ferr != nil && err == nil {
-		err = ferr
-	}
-	s.releaseLocked(sh, l.ID)
-	return out, err
+	return n, err
 }

@@ -60,10 +60,12 @@ const (
 //     maintains the per-type query index incrementally for in-order
 //     streams instead of degrading it to linear scans.
 //
-// With MicroBatch enabled, Replay and IngestBatch additionally coalesce
-// the predictions that fall due together into one ScoreBatch call per
-// shard, amortizing per-call model overhead (decisive for batch-oriented
-// scorers like the FT-Transformer).
+// IngestBatch is the one way in: Ingest, Replay, ReplayStream and Resume
+// are tick sources in front of it. Within a tick, the vector predictions
+// that fall due on one shard are scored through a single ScoreBatch call,
+// amortizing per-call model overhead (decisive for batch-oriented scorers
+// like the FT-Transformer); every registered model scores batch rows
+// independently, so the scores equal per-event scoring.
 type Server struct {
 	Platform platform.ID
 	Store    *FeatureStore
@@ -75,11 +77,6 @@ type Server struct {
 	PredictEvery trace.Minutes
 	// Cooldown suppresses repeat alarms for the same DIMM.
 	Cooldown trace.Minutes
-	// MicroBatch scores predictions due in the same tick through a single
-	// ScoreBatch call per shard (Replay and IngestBatch only; a lone
-	// Ingest is always scored synchronously). Scores are unchanged —
-	// every registered model scores batch rows independently.
-	MicroBatch bool
 	// MemoryBudget bounds the engine's resident serving-state bytes
 	// (0 = unbounded). When set, logs are compacted behind each
 	// prediction's observation window and idle DIMM state is frozen under
@@ -172,7 +169,6 @@ func NewShardedServer(pf platform.ID, fs *FeatureStore, reg *Registry, model str
 		Model:        model,
 		PredictEvery: 5,
 		Cooldown:     12 * trace.Hour,
-		MicroBatch:   true,
 		shards:       make([]*shard, n),
 		monitor:      mon,
 	}
@@ -336,36 +332,22 @@ type pendingPred struct {
 	vec []float64
 }
 
-// Ingest processes one event and returns an alarm when the production
-// model fires. A nil alarm means no action. During a maintenance window
-// the event joins the hold queue like any batch traffic — per-event
-// callers do not serve through a pause. Safe for concurrent use; events
-// of one DIMM must be delivered by a single caller at a time.
+// Ingest processes one event — a tick of one — and returns an alarm when
+// the production model fires. A nil alarm means no action. Safe for
+// concurrent use; events of one DIMM must be delivered by a single caller
+// at a time.
 func (s *Server) Ingest(e trace.Event) (*Alarm, error) {
-	s.pauseMu.Lock()
-	if s.paused {
-		s.held = append(s.held, e)
-		s.pauseMu.Unlock()
-		return nil, nil
+	alarms, err := s.IngestBatch([]trace.Event{e})
+	if len(alarms) == 0 {
+		return nil, err
 	}
-	s.pauseMu.Unlock()
-	sh := s.shardFor(e.DIMM)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a, err := s.ingestLocked(sh, e, nil)
-	s.maybeEvict(sh, e.Time)
-	if a != nil && s.monitor != nil {
-		s.monitor.CountAlarm(*a)
-	}
-	return a, err
+	return &alarms[0], err
 }
 
 // ingestLocked runs the per-event serving path with the shard lock held.
-// When pend is non-nil, vector predictions are queued there (scored by
-// flushPending at tick end) instead of synchronously; alarms from that
-// path are emitted by the flush. Monitor alarm accounting is the
-// caller's responsibility — Replay counts alarms post-merge so the
-// monitor sees them in time order.
+// Vector predictions of artifact-backed models are queued on pend (scored
+// by flushPending at tick end, which emits their alarms); rule-based and
+// closure-registered models have no batch form and score synchronously.
 func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*Alarm, error) {
 	st, ok := sh.dimms[e.DIMM]
 	if !ok {
@@ -419,7 +401,7 @@ func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*A
 		st.cursor = s.Store.NewServeCursor(st.log)
 	}
 	vec := st.cursor.ExtractAt(e.Time)
-	if pend != nil && pc.mdl != nil {
+	if pc.mdl != nil {
 		*pend = append(*pend, pendingPred{st: st, e: e, vec: vec})
 		return nil, nil
 	}
@@ -491,13 +473,15 @@ func (s *Server) flushPending(pend *[]pendingPred, out *[]Alarm) error {
 
 // IngestBatch processes a micro-batch of events — the online engine's
 // tick. Events are routed to their shards and processed concurrently,
-// preserving arrival order within each shard; with MicroBatch enabled,
-// each shard's due predictions are scored through one ScoreBatch call.
-// Alarms are returned merged in (Time, DIMM) order and counted into the
-// monitor in that order. The alarm set is identical to calling Ingest
-// per event. On error the alarms that fired before the failure are
-// still returned (and counted) alongside it — cooldown state was
-// already advanced for them, so dropping them would lose them for good.
+// preserving arrival order within each shard, and each shard's due
+// predictions are scored through one ScoreBatch call. Alarms are returned
+// merged in (Time, DIMM) order and counted into the monitor in that
+// order; the alarm stream is the same for every way of cutting a
+// time-ordered event stream into ticks. During a maintenance window the
+// events join the hold queue instead. On error the alarms that fired
+// before the failure are still returned (and counted) alongside it —
+// cooldown state was already advanced for them, so dropping them would
+// lose them for good.
 func (s *Server) IngestBatch(events []trace.Event) ([]Alarm, error) {
 	return s.ingestBatch(events, false)
 }
@@ -544,12 +528,8 @@ func (s *Server) ingestBatch(events []trace.Event, requeueFront bool) ([]Alarm, 
 		defer sh.mu.Unlock()
 		var out []Alarm
 		var pend []pendingPred
-		pendPtr := &pend
-		if !s.MicroBatch {
-			pendPtr = nil
-		}
 		for _, e := range perShard[i] {
-			a, err := s.ingestLocked(sh, e, pendPtr)
+			a, err := s.ingestLocked(sh, e, &pend)
 			if err != nil {
 				errs[i] = err
 				break
@@ -560,7 +540,7 @@ func (s *Server) ingestBatch(events []trace.Event, requeueFront bool) ([]Alarm, 
 		}
 		// Flush even after an error: the queued predictions fell due
 		// before the failing event and their DIMMs' throttles already
-		// advanced — exactly what per-event Ingest would have scored.
+		// advanced — exactly what a tick ending before it would have scored.
 		if err := s.flushPending(&pend, &out); err != nil && errs[i] == nil {
 			errs[i] = err
 		}
@@ -573,7 +553,7 @@ func (s *Server) ingestBatch(events []trace.Event, requeueFront bool) ([]Alarm, 
 			s.monitor.ObserveIngestLatency(i, time.Since(tickStart))
 		}
 	})
-	merged := mergeAlarms(alarms)
+	merged := MergeAlarms(alarms)
 	if s.monitor != nil {
 		for _, a := range merged {
 			s.monitor.CountAlarm(a)
@@ -587,117 +567,75 @@ func (s *Server) ingestBatch(events []trace.Event, requeueFront bool) ([]Alarm, 
 	return merged, nil
 }
 
-// Replay streams a full store through the engine, invoking onAlarm for
-// each alarm in (Time, DIMM) order once every shard has drained; ctx
-// cancels early. It returns the alarm count. On error (cancellation
-// included) the alarms that fired before the failure are still
-// delivered, merged, ahead of the error — cooldown state was already
-// advanced for them. Instead of materializing and globally sorting the
-// fleet's event stream, each shard k-way-merges its own DIMMs'
-// already-sorted logs and serves them independently; shards run
-// concurrently on the worker pool. A store log left unsorted (bulk
-// appends with no SortAll) is merged through a sorted copy, so the
-// replay order never silently diverges from the sequential baseline.
+// replayTick is the tick size, in events, Replay and ReplayStream cut
+// their streams into before each IngestBatch call: large enough to
+// amortize the per-tick shard fan-out and to fill ScoreBatch, small
+// enough that alarms, cancellation and memory-budget enforcement keep
+// pace with the stream. The alarm stream does not depend on it.
+const replayTick = 2048
+
+// Replay streams a full store through the engine: it registers the
+// store's DIMMs, k-way-merges their already-sorted logs into the fleet's
+// global (Time, DIMM) stream without materializing it, and serves that
+// stream through IngestBatch one tick at a time, handing each tick's
+// alarms to onAlarm as they fire. Ticks emit in (Time, DIMM) order and
+// the merged stream is time-ordered, so onAlarm sees alarms in global
+// (Time, DIMM) order. ctx is checked between ticks. Replay returns the
+// alarm count; on error (cancellation included) the alarms delivered are
+// exactly the stream's prefix up to the failing tick.
 func (s *Server) Replay(ctx context.Context, st *trace.Store, onAlarm func(Alarm)) (int, error) {
-	perShard := make([][]*trace.DIMMLog, len(s.shards))
-	for _, l := range st.DIMMs() {
+	logs := st.DIMMs()
+	sorted := make([]*trace.DIMMLog, len(logs))
+	for i, l := range logs {
 		s.RegisterDIMM(l.ID, l.Part)
-		if !l.Indexed() {
-			// The merge needs time-sorted input; sort a copy rather than
-			// mutating the caller's store. Stable, matching the
-			// baseline's global stable sort on ties.
-			cp := &trace.DIMMLog{ID: l.ID, Part: l.Part, Events: append([]trace.Event(nil), l.Events...)}
-			sort.Stable(trace.ByTime(cp.Events))
-			l = cp
-		}
-		si := int(hashDIMM(l.ID) % uint32(len(s.shards)))
-		perShard[si] = append(perShard[si], l)
+		sorted[i] = timeSorted(l)
 	}
-	alarms := make([][]Alarm, len(s.shards))
-	errs := make([]error, len(s.shards))
-	par.ForEachN(0, len(s.shards), func(i int) {
-		alarms[i], errs[i] = s.replayShard(ctx, s.shards[i], perShard[i])
-	})
-	merged := mergeAlarms(alarms)
+	m := newLogMerge(sorted)
+	tick := make([]trace.Event, 0, replayTick)
 	n := 0
-	for _, a := range merged {
-		if s.monitor != nil {
-			s.monitor.CountAlarm(a)
+	for {
+		if err := ctx.Err(); err != nil {
+			return n, err
 		}
-		if onAlarm != nil {
-			onAlarm(a)
+		tick = tick[:0]
+		for len(tick) < replayTick {
+			e := m.pop()
+			if e == nil {
+				break
+			}
+			tick = append(tick, *e)
 		}
-		n++
-	}
-	for _, err := range errs {
+		if len(tick) == 0 {
+			return n, nil
+		}
+		alarms, err := s.IngestBatch(tick)
+		for _, a := range alarms {
+			if onAlarm != nil {
+				onAlarm(a)
+			}
+			n++
+		}
 		if err != nil {
 			return n, err
 		}
 	}
-	return n, nil
 }
 
-// replayShard drains one shard's logs through a k-way merge, returning
-// the alarms fired so far alongside any error. The shard lock is held
-// for the whole replay; live Ingest traffic for other shards proceeds
-// unhindered.
-func (s *Server) replayShard(ctx context.Context, sh *shard, logs []*trace.DIMMLog) ([]Alarm, error) {
-	if len(logs) == 0 {
-		return nil, nil
+// timeSorted returns l itself when its events are in time order, else a
+// stably sorted copy: a log left unsorted (bulk appends with no SortAll)
+// replays in the order a global stable sort of the fleet would give it,
+// and the caller's log is never mutated.
+func timeSorted(l *trace.DIMMLog) *trace.DIMMLog {
+	if l.Indexed() {
+		return l
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m := newLogMerge(logs)
-	var out []Alarm
-	var pend []pendingPred
-	pendPtr := &pend
-	if !s.MicroBatch {
-		pendPtr = nil
-	}
-	// fail flushes the predictions queued before the failure — their
-	// throttles already advanced, so per-event serving would have scored
-	// them — then reports the first error.
-	fail := func(err error) ([]Alarm, error) {
-		if ferr := s.flushPending(&pend, &out); ferr != nil && err == nil {
-			err = ferr
-		}
-		return out, err
-	}
-	curT := trace.Minutes(-1 << 62)
-	for n := 0; ; n++ {
-		if n%1024 == 0 {
-			select {
-			case <-ctx.Done():
-				return fail(ctx.Err())
-			default:
-			}
-		}
-		e, ok := m.pop()
-		if !ok {
-			break
-		}
-		if e.Time != curT {
-			// Tick boundary: score everything that fell due at curT, then
-			// enforce the budget (no pending pointers survive the flush).
-			if err := s.flushPending(&pend, &out); err != nil {
-				return out, err
-			}
-			s.maybeEvict(sh, e.Time)
-			curT = e.Time
-		}
-		a, err := s.ingestLocked(sh, e, pendPtr)
-		if err != nil {
-			return fail(err)
-		}
-		if a != nil {
-			out = append(out, *a)
-		}
-	}
-	return fail(nil)
+	cp := &trace.DIMMLog{ID: l.ID, Part: l.Part, Events: append([]trace.Event(nil), l.Events...)}
+	sort.Stable(trace.ByTime(cp.Events))
+	return cp
 }
 
-// logMerge is a k-way merge over per-DIMM time-sorted logs, yielding the
-// shard's events in global (Time, DIMM, Type) order without materializing
+// logMerge is a k-way merge over per-DIMM time-sorted logs, yielding
+// their events in global (Time, DIMM, Type) order without materializing
 // them. Per-log order is preserved for equal keys (each log holds one
 // heap slot), so equal-time events of one DIMM replay in log order.
 type logMerge struct {
@@ -719,7 +657,7 @@ func newLogMerge(logs []*trace.DIMMLog) *logMerge {
 	return m
 }
 
-func (m *logMerge) head(li int) trace.Event { return m.logs[li].Events[m.pos[li]] }
+func (m *logMerge) head(li int) *trace.Event { return &m.logs[li].Events[m.pos[li]] }
 
 func (m *logMerge) less(a, b int) bool {
 	ea, eb := m.head(m.heap[a]), m.head(m.heap[b])
@@ -749,10 +687,11 @@ func (m *logMerge) siftDown(i int) {
 	}
 }
 
-// pop yields the next event in merged order.
-func (m *logMerge) pop() (trace.Event, bool) {
+// pop yields the next event in merged order, nil once every log has
+// drained. The pointer aliases the source log.
+func (m *logMerge) pop() *trace.Event {
 	if len(m.heap) == 0 {
-		return trace.Event{}, false
+		return nil
 	}
 	li := m.heap[0]
 	e := m.head(li)
@@ -762,13 +701,14 @@ func (m *logMerge) pop() (trace.Event, bool) {
 		m.heap = m.heap[:len(m.heap)-1]
 	}
 	m.siftDown(0)
-	return e, true
+	return e
 }
 
-// mergeAlarms flattens per-shard alarm streams into (Time, DIMM) order.
-// At most one alarm exists per (Time, DIMM), so the order is total and
-// the merged stream is deterministic for every shard count.
-func mergeAlarms(perShard [][]Alarm) []Alarm {
+// MergeAlarms flattens alarm streams of disjoint DIMM sets — per shard,
+// per node, per streamed tick — into (Time, DIMM) order, the engine's one
+// emission order. At most one alarm exists per (Time, DIMM), so the order
+// is total and the merged stream is the same for every partition.
+func MergeAlarms(perShard [][]Alarm) []Alarm {
 	n := 0
 	for _, as := range perShard {
 		n += len(as)

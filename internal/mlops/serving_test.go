@@ -2,7 +2,9 @@ package mlops
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -49,10 +51,9 @@ func trainedPipeline(t *testing.T) (*Pipeline, *faultsim.Result) {
 
 // collectReplay replays the store through a fresh engine configuration
 // and returns the alarm stream.
-func collectReplay(t *testing.T, pipe *Pipeline, res *faultsim.Result, shards int, micro bool) []Alarm {
+func collectReplay(t *testing.T, pipe *Pipeline, res *faultsim.Result, shards int) []Alarm {
 	t.Helper()
 	s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
-	s.MicroBatch = micro
 	var alarms []Alarm
 	n, err := s.Replay(context.Background(), res.Store, func(a Alarm) { alarms = append(alarms, a) })
 	if err != nil {
@@ -64,11 +65,11 @@ func collectReplay(t *testing.T, pipe *Pipeline, res *faultsim.Result, shards in
 	return alarms
 }
 
-// TestServingShardedMatchesBaseline is the tentpole's safety net: for
-// shard counts 1, 4 and 16 — micro-batched and not — the engine's replay
-// must produce the byte-identical alarm stream (time, DIMM, score bits,
-// model label, order) that the preserved pre-refactor sequential path
-// produces on the same fleet and production model.
+// TestServingShardedMatchesBaseline is the engine's safety net: for
+// shard counts 1, 4 and 16 the engine's replay must produce the
+// byte-identical alarm stream (time, DIMM, score bits, model label,
+// order) that the preserved pre-refactor sequential path produces on the
+// same fleet and production model.
 func TestServingShardedMatchesBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
@@ -85,85 +86,197 @@ func TestServingShardedMatchesBaseline(t *testing.T) {
 		t.Fatal("baseline emitted no alarms; fixture too small to prove anything")
 	}
 	for _, shards := range []int{1, 4, 16} {
-		for _, micro := range []bool{true, false} {
-			got := collectReplay(t, pipe, res, shards, micro)
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d micro=%v: %d alarms, want %d", shards, micro, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d micro=%v: alarm %d differs:\n got %+v\nwant %+v",
-						shards, micro, i, got[i], want[i])
-				}
+		got := collectReplay(t, pipe, res, shards)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d alarms, want %d", shards, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d: alarm %d differs:\n got %+v\nwant %+v",
+					shards, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestIngestBatchMatchesIngest feeds the identical time-ordered stream
-// through per-event Ingest and through chunked IngestBatch ticks: the
-// alarm streams must match exactly (micro-batched scoring defers only
-// the ScoreBatch call, never the decision).
+// TestIngestBatchMatchesIngest is the driver-equivalence table: every way
+// into the engine — per-event Ingest, IngestBatch at tick sizes from one
+// event to the whole stream, Replay, ReplayStream — is only a way of
+// cutting the same stream into IngestBatch ticks, so at every shard count,
+// bounded or not, each must emit the sequential oracle's alarm stream
+// exactly (micro-batched scoring defers only the ScoreBatch call, never
+// the decision).
 func TestIngestBatchMatchesIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
 	}
 	pipe, res := trainedPipeline(t)
+	logs := res.Store.DIMMs()
 	var stream []trace.Event
-	for _, l := range res.Store.DIMMs() {
+	for _, l := range logs {
 		stream = append(stream, l.Events...)
 	}
-	sortSlice(stream, func(a, b trace.Event) bool {
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.DIMM != b.DIMM {
-			return a.DIMM.Less(b.DIMM)
-		}
-		return a.Type < b.Type
-	})
+	sort.Stable(trace.ByTime(stream))
 
-	mk := func(shards int) *Server {
-		s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
-		for _, l := range res.Store.DIMMs() {
-			s.RegisterDIMM(l.ID, l.Part)
-		}
-		return s
-	}
-	one := mk(1)
 	var want []Alarm
+	base := NewServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil)
+	if _, err := base.ReplayBaseline(context.Background(), res.Store, func(a Alarm) {
+		want = append(want, a)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("baseline emitted no alarms; fixture too small to prove anything")
+	}
+
+	// The fixture must exercise the two tick shapes that distinguish the
+	// drivers: a tick boundary falling inside one minute's events, and a
+	// tick long enough to queue two predictions for one DIMM before the
+	// first is scored.
+	const smallTick = 7
+	splits := false
+	for i := smallTick; i < len(stream) && !splits; i += smallTick {
+		splits = stream[i-1].Time == stream[i].Time
+	}
+	if !splits {
+		t.Fatalf("no %d-event tick boundary splits a minute; fixture proves nothing", smallTick)
+	}
+	twoDue := false
+	lastDue := map[trace.DIMMID]trace.Minutes{}
 	for _, e := range stream {
-		a, err := one.Ingest(e)
-		if err != nil {
-			t.Fatal(err)
+		if e.Type != trace.TypeCE || e.Time-lastDue[e.DIMM] < base.PredictEvery {
+			continue
 		}
-		if a != nil {
-			want = append(want, *a)
+		if _, seen := lastDue[e.DIMM]; seen {
+			twoDue = true
+			break
+		}
+		lastDue[e.DIMM] = e.Time
+	}
+	if !twoDue {
+		t.Fatal("no DIMM has two predictions due in the whole-stream tick; fixture proves nothing")
+	}
+
+	ticks := func(size int) func(*testing.T, *Server) []Alarm {
+		return func(t *testing.T, s *Server) []Alarm {
+			var got []Alarm
+			for lo := 0; lo < len(stream); lo += size {
+				hi := lo + size
+				if hi > len(stream) {
+					hi = len(stream)
+				}
+				as, err := s.IngestBatch(stream[lo:hi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, as...)
+			}
+			return got
 		}
 	}
-	batched := mk(4)
+	drivers := []struct {
+		name string
+		run  func(*testing.T, *Server) []Alarm
+	}{
+		{"Ingest", func(t *testing.T, s *Server) []Alarm {
+			var got []Alarm
+			for _, e := range stream {
+				a, err := s.Ingest(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a != nil {
+					got = append(got, *a)
+				}
+			}
+			return got
+		}},
+		{"IngestBatch-1", ticks(1)},
+		{"IngestBatch-7", ticks(smallTick)},
+		{"IngestBatch-1024", ticks(1024)},
+		{"IngestBatch-all", ticks(len(stream))},
+		{"Replay", func(t *testing.T, s *Server) []Alarm {
+			var got []Alarm
+			if _, err := s.Replay(context.Background(), res.Store, func(a Alarm) { got = append(got, a) }); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}},
+		{"ReplayStream", func(t *testing.T, s *Server) []Alarm {
+			var got []Alarm
+			i := 0
+			if _, err := s.ReplayStream(context.Background(), func() (*trace.DIMMLog, bool, error) {
+				if i == len(logs) {
+					return nil, false, nil
+				}
+				i++
+				return logs[i-1], true, nil
+			}, func(a Alarm) { got = append(got, a) }); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}},
+	}
+	for _, d := range drivers {
+		for _, shards := range []int{1, 4} {
+			for _, budget := range []int64{0, tinyBudget} {
+				t.Run(fmt.Sprintf("%s/shards%d/budget%d", d.name, shards, budget), func(t *testing.T) {
+					t.Parallel() // engines are independent; the per-event bounded rows are slow
+					s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
+					s.MemoryBudget = budget
+					for _, l := range logs {
+						s.RegisterDIMM(l.ID, l.Part)
+					}
+					got := d.run(t, s)
+					if len(got) != len(want) {
+						t.Fatalf("%d alarms, want %d", len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("alarm %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReplayCancelDeliversPrefix cancels a replay from inside onAlarm:
+// Replay must stop at the next tick boundary with ctx.Err(), and the
+// alarms already delivered must be an exact prefix of the full stream —
+// never a reordering, never an alarm out of a later tick.
+func TestReplayCancelDeliversPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model on a generated fleet")
+	}
+	pipe, res := trainedPipeline(t)
+	want := collectReplay(t, pipe, res, 2)
+	if len(want) < 4 {
+		t.Fatalf("only %d alarms; fixture too small to cancel mid-stream", len(want))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, 2)
 	var got []Alarm
-	for lo := 0; lo < len(stream); lo += 512 {
-		hi := lo + 512
-		if hi > len(stream) {
-			hi = len(stream)
+	n, err := s.Replay(ctx, res.Store, func(a Alarm) {
+		if got = append(got, a); len(got) == 2 {
+			cancel()
 		}
-		as, err := batched.IngestBatch(stream[lo:hi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, as...)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Replay returned %v, want context.Canceled", err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("IngestBatch emitted %d alarms, Ingest %d", len(got), len(want))
+	if n != len(got) {
+		t.Fatalf("alarm count %d != callback count %d", n, len(got))
+	}
+	if len(got) < 2 || len(got) >= len(want) {
+		t.Fatalf("delivered %d of %d alarms; cancellation should stop mid-stream", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("alarm %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
+			t.Fatalf("delivered alarm %d is not the stream's:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
-	}
-	if len(want) == 0 {
-		t.Fatal("stream emitted no alarms; fixture too small to prove anything")
 	}
 }
 
@@ -329,23 +442,18 @@ func TestIngestBatchDeliversAlarmsOnError(t *testing.T) {
 	}
 	good := trace.DIMMID{Platform: platform.Purley, Server: 1, Slot: 1}
 	unknown := trace.DIMMID{Platform: platform.Purley, Server: 99, Slot: 9}
-	// Inline scoring fires the alarm before the bad event; micro-batched
-	// scoring queues it and must still flush it despite the error.
-	for _, micro := range []bool{false, true} {
-		server := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
-		server.PredictEvery = 0
-		server.MicroBatch = micro
-		server.RegisterDIMM(good, part)
-		alarms, err := server.IngestBatch([]trace.Event{
-			{Time: 10, Type: trace.TypeCE, DIMM: good},
-			{Time: 11, Type: trace.TypeCE, DIMM: unknown},
-		})
-		if err == nil {
-			t.Fatalf("micro=%v: unregistered DIMM must error", micro)
-		}
-		if len(alarms) != 1 || alarms[0].DIMM != good {
-			t.Fatalf("micro=%v: fired alarm lost on error path: %+v", micro, alarms)
-		}
+	server := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
+	server.PredictEvery = 0
+	server.RegisterDIMM(good, part)
+	alarms, err := server.IngestBatch([]trace.Event{
+		{Time: 10, Type: trace.TypeCE, DIMM: good},
+		{Time: 11, Type: trace.TypeCE, DIMM: unknown},
+	})
+	if err == nil {
+		t.Fatal("unregistered DIMM must error")
+	}
+	if len(alarms) != 1 || alarms[0].DIMM != good {
+		t.Fatalf("fired alarm lost on error path: %+v", alarms)
 	}
 }
 

@@ -197,14 +197,16 @@ func (r *BinReader) Float64() float64 {
 // eventFrameMagic versions the binary event-batch frame.
 const eventFrameMagic = "MFE1"
 
-// stringTable interns strings for one frame, assigning indices in first-
-// appearance order.
-type stringTable struct {
+// StringTable interns strings for one binary frame, assigning indices in
+// first-appearance order — the one string-table layout every memfp frame
+// (MFE1 events, MFA1 alarms) shares. The zero value is ready to use.
+type StringTable struct {
 	idx  map[string]uint64
 	list []string
 }
 
-func (t *stringTable) ref(s string) uint64 {
+// Ref returns s's frame-local index, interning it on first sight.
+func (t *StringTable) Ref(s string) uint64 {
 	if i, ok := t.idx[s]; ok {
 		return i
 	}
@@ -217,12 +219,21 @@ func (t *stringTable) ref(s string) uint64 {
 	return i
 }
 
+// Encode writes the table as it precedes a frame's body: the string
+// count, then each string length-prefixed, in index order.
+func (t *StringTable) Encode(w *BinWriter) {
+	w.Uvarint(uint64(len(t.list)))
+	for _, s := range t.list {
+		w.String(s)
+	}
+}
+
 // AppendEventFrame encodes a batch of events into dst (which may be nil
 // or a recycled buffer) and returns the extended buffer. partOf resolves
 // each event's DIMM to the part number recorded alongside it, exactly as
 // the text log lines do.
 func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []byte {
-	var tab stringTable
+	var tab StringTable
 	// Body first: interning assigns string indices as events are walked,
 	// and the table must precede the events on the wire.
 	body := BinWriter{Buf: make([]byte, 0, 8+6*len(events))}
@@ -232,10 +243,10 @@ func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []
 		body.Varint(int64(e.Time - prev))
 		prev = e.Time
 		body.Byte(byte(e.Type))
-		body.Uvarint(tab.ref(string(e.DIMM.Platform)))
+		body.Uvarint(tab.Ref(string(e.DIMM.Platform)))
 		body.Varint(int64(e.DIMM.Server))
 		body.Varint(int64(e.DIMM.Slot))
-		body.Uvarint(tab.ref(partOf(e.DIMM)))
+		body.Uvarint(tab.Ref(partOf(e.DIMM)))
 		if e.Type == TypeCE || e.Type == TypeUE {
 			body.Varint(int64(e.Addr.Rank))
 			body.Varint(int64(e.Addr.Device))
@@ -250,10 +261,7 @@ func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []
 	}
 	w := BinWriter{Buf: dst}
 	w.Raw([]byte(eventFrameMagic))
-	w.Uvarint(uint64(len(tab.list)))
-	for _, s := range tab.list {
-		w.String(s)
-	}
+	tab.Encode(&w)
 	w.Raw(body.Buf)
 	return w.Buf
 }
