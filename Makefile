@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-cache bench-quick bench-check bounded-smoke test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
+.PHONY: all build test test-short vet fmt bench bench-cache bench-quick bench-check cross-check bounded-smoke test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
 
 all: build
 
@@ -113,6 +113,18 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# The paper is an X86-vs-ARM study and the FT-Transformer serves the ARM
+# fleet, but the CI box is amd64: cross-compile everything for arm64
+# (which is what compiles mm_generic.go), vet the model code there, and
+# run the tensor oracle suite and the infer≡forward test with the purego
+# tag, which takes the portable mmBlocked path arm64 would run in place
+# of the SSE2 micro-kernel. Both paths equalling the oracle is what makes
+# a model trained on one architecture score identically on the other.
+cross-check:
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/ml/...
+	$(GO) test -tags purego ./internal/ml/tensor/ ./internal/ml/ftt/
+
 # Small-scale bounded-replay equivalence smoke: the budgeted engine (log
 # compaction + idle-DIMM eviction active) and the streaming-replay path
 # must both reproduce the unbounded engine's alarm stream byte for byte.
@@ -175,4 +187,4 @@ scenario-smoke:
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
-ci: build vet fmt bench-check test-race fuzz-short examples-smoke scenario-smoke bounded-smoke daemon-smoke test
+ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke bounded-smoke daemon-smoke test

@@ -13,10 +13,14 @@ import (
 // side by side, returning [batch*T, H*dh]. Fusing the whole block keeps
 // the autodiff engine strictly 2-D.
 //
-// The post-softmax probabilities are retained in one pooled buffer only
-// when a parent requires gradients; the grad-free case streams a single
-// scratch row per worker instead (the serving path goes further and
-// skips the graph entirely — see infer.go).
+// The forward runs both contractions — Q·Kᵀ and probs·V — through the
+// package's matmul kernel over per-head panels, with the row softmax
+// streamed between them (attnForwardRange; AttentionInto shares it). The
+// post-softmax probabilities are retained in one pooled buffer only when
+// a parent requires gradients; the grad-free case reuses one pooled T×T
+// block per worker instead (the serving path goes further and skips the
+// graph entirely — see infer.go). The backward keeps its own
+// memory-seeded chains and does not use the matmul kernel.
 func Attention(q, k, v *Tensor, batch, T, heads int) *Tensor {
 	if q.Rows != batch*T || k.Rows != batch*T || v.Rows != batch*T {
 		panic(fmt.Sprintf("tensor: attention rows %d/%d/%d want %d", q.Rows, k.Rows, v.Rows, batch*T))

@@ -10,9 +10,11 @@ import (
 // exposed as plain slice-in/slice-out calls with no graph nodes, no
 // backward closures and no retained state, for callers (the ftt serving
 // fast path) that drive an arena of reused scratch buffers. All honor
-// the SetWorkers/Oracle toggles; with the default serving configuration
-// (workers pinned to 1) they run fully inline, so concurrent shard
-// goroutines can call them without oversubscribing the CPU.
+// the SetWorkers/Oracle toggles. Nothing outside tests calls SetWorkers,
+// so serving runs them at the GOMAXPROCS default: a call whose row count
+// spans more than one parallelRows chunk borrows idle workers from
+// internal/par's resident pool, from every shard goroutine at once; a
+// call that fits one chunk (a live tick's handful of rows) runs inline.
 
 // LinearInto writes dst = x·w (+ bias), where x is m×k, w is k×n and
 // bias (optional) is length n. dst must have m*n capacity ahead of len
@@ -24,20 +26,21 @@ func LinearInto(dst, x, w, bias []float32, m, k, n int) {
 	matmul(dst, x, w, m, k, n, false, false, bias, false)
 }
 
-// LayerNormInto writes dst = layernorm(x)·gamma + beta over rows×cols,
-// discarding the normalization statistics.
+// LayerNormInto writes dst = layernorm(x)·gamma + beta over rows×cols.
+// The normalization statistics are never stored: only the reference
+// kernel, which always writes them, is handed scratch to write into.
 func LayerNormInto(dst, x, gamma, beta []float32, rows, cols int, eps float64) {
-	xhat := getF32(rows * cols)
-	invstd := getF32(rows)
 	if Oracle {
+		xhat := getF32(rows * cols)
+		invstd := getF32(rows)
 		refLayerNormForward(dst, x, gamma, beta, xhat, invstd, rows, cols, eps)
-	} else {
-		parallelRows(rows, cols*8, func(lo, hi int) {
-			lnForwardRange(dst, x, gamma, beta, xhat, invstd, cols, eps, lo, hi)
-		})
+		putF32(xhat)
+		putF32(invstd)
+		return
 	}
-	putF32(xhat)
-	putF32(invstd)
+	parallelRows(rows, cols*8, func(lo, hi int) {
+		lnForwardRange(dst, x, gamma, beta, nil, nil, cols, eps, lo, hi)
+	})
 }
 
 // GELUInPlace applies the scalar GELU used by the training op to every
@@ -60,8 +63,10 @@ func AddInto(dst, a, b []float32) {
 // row-major with C = heads*dh columns). Tq < T is the truncated-query
 // form: the inference path scores only each sequence's CLS query, which
 // is exact for the CLS output rows because attention is independent per
-// query row. out receives batch*Tq rows; probabilities are streamed, not
-// retained.
+// query row. out receives batch*Tq rows. Scores and the value reduction
+// are two matmuls per (sequence, head) over gathered head panels — the
+// same kernel LinearInto runs — with the row softmax streamed between
+// them over a pooled Tq×T block; probabilities are not retained.
 func AttentionInto(out, q, k, v []float32, batch, Tq, T, heads, dh int) {
 	C := heads * dh
 	if len(out) < batch*Tq*C || len(q) < batch*Tq*C || len(k) < batch*T*C || len(v) < batch*T*C {

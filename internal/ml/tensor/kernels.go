@@ -26,11 +26,12 @@ func packTranspose(dst, src []float32, srcRows, srcCols int) {
 	})
 }
 
-// fastMatmul computes c (+)= op(a)·op(b) (+ bias). On amd64 it routes
-// through the SSE2 broadcast micro-kernel (mm_amd64.s); elsewhere — and
-// for shapes the kernel doesn't cover — it uses the packed-panel Go
-// kernel. Both produce the same bits: one ascending-p float32 chain per
-// output element.
+// fastMatmul computes c (+)= op(a)·op(b) (+ bias) for the linear layers,
+// their gradients and the attention forward's two contractions. On amd64
+// it routes through the SSE2 broadcast micro-kernel (mm_amd64.s);
+// elsewhere — and for shapes the kernel doesn't cover — it uses the
+// packed-panel Go kernel. Both produce the same bits: one ascending-p
+// float32 chain per output element.
 func fastMatmul(c, a, b []float32, m, k, n int, ta, tb bool, bias []float32, accum bool) {
 	if asmMM && m > 0 && k > 0 && n >= 4 {
 		fastMatmulBcast(c, a, b, m, k, n, ta, tb, bias, accum)
@@ -187,8 +188,10 @@ func mmBlocked(c, aR, bT []float32, k, n int, bias []float32, accum bool, lo, hi
 	}
 }
 
-// dot4 advances four independent dot-product chains (q against four key
-// rows) over the full head dimension, each chain in ascending d order.
+// dot4 advances four independent dot-product chains (one row against
+// four others) over the full head dimension, each chain in ascending d
+// order. With dot1/axpy4/axpy1 it serves attnBackwardRange only: the
+// attention forward's contractions are matmuls.
 func dot4(qi, k0, k1, k2, k3 []float32) (s0, s1, s2, s3 float32) {
 	d := 0
 	for ; d+4 <= len(qi); d += 4 {
@@ -251,16 +254,26 @@ func axpy1(dst []float32, w float32, r []float32) {
 }
 
 // attnForwardRange computes attention outputs for batch elements
-// [bLo, bHi) in one streaming pass per query row: scores, softmax and the
-// value reduction reuse a single row of scratch. Queries may be a
-// truncated sequence (Tq < T — the inference path scores only the CLS
-// query); keys/values always span T tokens. When probs is non-nil the
-// post-softmax rows are retained there for backward; otherwise a pooled
-// scratch row is used and nothing survives the call.
+// [bLo, bHi). Both contractions are the package's one matmul: per
+// (sequence, head) the head's strided q/k/v columns are gathered into
+// contiguous pooled panels, S = Qh·Khᵀ and Oh = softmax(S·scale)·Vh run
+// through fastMatmul with a nil bias — the same +0-seeded ascending
+// chain per element the reference spells out — and Oh is scattered back
+// into out's head columns. Only the row softmax between them is streamed
+// here. Queries may be a truncated sequence (Tq < T — the inference path
+// scores only the CLS query); keys/values always span T tokens. When
+// probs is non-nil S is that (b, h) pair's Tq×T block of it, so the
+// post-softmax rows are retained for backward; otherwise S is pooled
+// scratch and nothing survives the call.
 func attnForwardRange(out, q, k, v []float32, bLo, bHi, Tq, T, heads, dh, C int, scale float32, probs []float32) {
+	nq, nk := Tq*dh, T*dh
+	panels := getF32(2*nq + 2*nk)
+	defer putF32(panels)
+	qh, oh := panels[:nq], panels[nq:2*nq]
+	kh, vh := panels[2*nq:2*nq+nk], panels[2*nq+nk:]
 	var scratch []float32
 	if probs == nil {
-		scratch = getF32(T)
+		scratch = getF32(Tq * T)
 		defer putF32(scratch)
 	}
 	for b := bLo; b < bHi; b++ {
@@ -268,74 +281,62 @@ func attnForwardRange(out, q, k, v []float32, bLo, bHi, Tq, T, heads, dh, C int,
 			qbase := b*Tq*C + h*dh
 			kbase := b*T*C + h*dh
 			for i := 0; i < Tq; i++ {
-				a := scratch
-				if probs != nil {
-					a = probs[((b*heads+h)*Tq+i)*T : ((b*heads+h)*Tq+i+1)*T]
-				}
-				qi := q[qbase+i*C : qbase+i*C+dh]
-				// Scores: four key rows at a time, one accumulator chain
-				// per (i, j) element, d ascending.
-				j := 0
-				for ; j+4 <= T; j += 4 {
-					s0, s1, s2, s3 := dot4(qi,
-						k[kbase+(j+0)*C:kbase+(j+0)*C+dh],
-						k[kbase+(j+1)*C:kbase+(j+1)*C+dh],
-						k[kbase+(j+2)*C:kbase+(j+2)*C+dh],
-						k[kbase+(j+3)*C:kbase+(j+3)*C+dh])
-					a[j+0] = s0 * scale
-					a[j+1] = s1 * scale
-					a[j+2] = s2 * scale
-					a[j+3] = s3 * scale
-				}
-				for ; j < T; j++ {
-					a[j] = dot1(qi, k[kbase+j*C:kbase+j*C+dh]) * scale
-				}
-				// Softmax: subtract the row max, exponentiate through the
-				// frozen fexp32/fexp4, normalize by one reciprocal. The sum
-				// chain stays j ascending.
-				maxv := a[0]
-				for _, s := range a[1:] {
-					if s > maxv {
-						maxv = s
-					}
-				}
-				var sum float32
-				j = 0
-				for ; j+4 <= T; j += 4 {
-					e0, e1, e2, e3 := fexp4(a[j]-maxv, a[j+1]-maxv, a[j+2]-maxv, a[j+3]-maxv)
-					a[j], a[j+1], a[j+2], a[j+3] = e0, e1, e2, e3
-					sum += e0
-					sum += e1
-					sum += e2
-					sum += e3
-				}
-				for ; j < T; j++ {
-					e := fexp32(a[j] - maxv)
-					a[j] = e
-					sum += e
-				}
-				inv := 1 / sum
-				for jj := range a {
-					a[jj] *= inv
-				}
-				// Value reduction: out[i,d] accumulates j ascending.
-				orow := out[qbase+i*C : qbase+i*C+dh]
-				for d := range orow {
-					orow[d] = 0
-				}
-				j = 0
-				for ; j+4 <= T; j += 4 {
-					axpy4(orow, a[j], a[j+1], a[j+2], a[j+3],
-						v[kbase+(j+0)*C:kbase+(j+0)*C+dh],
-						v[kbase+(j+1)*C:kbase+(j+1)*C+dh],
-						v[kbase+(j+2)*C:kbase+(j+2)*C+dh],
-						v[kbase+(j+3)*C:kbase+(j+3)*C+dh])
-				}
-				for ; j < T; j++ {
-					axpy1(orow, a[j], v[kbase+j*C:kbase+j*C+dh])
-				}
+				copy(qh[i*dh:(i+1)*dh], q[qbase+i*C:qbase+i*C+dh])
+			}
+			for j := 0; j < T; j++ {
+				copy(kh[j*dh:(j+1)*dh], k[kbase+j*C:kbase+j*C+dh])
+				copy(vh[j*dh:(j+1)*dh], v[kbase+j*C:kbase+j*C+dh])
+			}
+			s := scratch
+			if probs != nil {
+				s = probs[(b*heads+h)*Tq*T : (b*heads+h+1)*Tq*T]
+			}
+			// Scores: one chain per (i, j) element, d ascending.
+			fastMatmul(s, qh, kh, Tq, dh, T, false, true, nil, false)
+			for i := 0; i < Tq; i++ {
+				softmaxRow(s[i*T:(i+1)*T], scale)
+			}
+			// Value reduction: out[i,d] accumulates j ascending.
+			fastMatmul(oh, s, vh, Tq, T, dh, false, false, nil, false)
+			for i := 0; i < Tq; i++ {
+				copy(out[qbase+i*C:qbase+i*C+dh], oh[i*dh:(i+1)*dh])
 			}
 		}
+	}
+}
+
+// softmaxRow turns one row of raw scores into probabilities in place:
+// scale, subtract the row max, exponentiate through the frozen
+// fexp32/fexp4, normalize by one reciprocal. The sum chain stays j
+// ascending.
+func softmaxRow(a []float32, scale float32) {
+	for j := range a {
+		a[j] *= scale
+	}
+	maxv := a[0]
+	for _, s := range a[1:] {
+		if s > maxv {
+			maxv = s
+		}
+	}
+	var sum float32
+	j := 0
+	for ; j+4 <= len(a); j += 4 {
+		e0, e1, e2, e3 := fexp4(a[j]-maxv, a[j+1]-maxv, a[j+2]-maxv, a[j+3]-maxv)
+		a[j], a[j+1], a[j+2], a[j+3] = e0, e1, e2, e3
+		sum += e0
+		sum += e1
+		sum += e2
+		sum += e3
+	}
+	for ; j < len(a); j++ {
+		e := fexp32(a[j] - maxv)
+		a[j] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for j := range a {
+		a[j] *= inv
 	}
 }
 
@@ -452,7 +453,9 @@ func attnBackwardRange(qG, kG, vG, outG, q, k, v, probs []float32, bLo, bHi, T, 
 // lnForwardRange normalizes rows [lo, hi): per-row mean/variance as
 // single float32 chains (j ascending), inverse stddev through float64
 // sqrt rounded once, then the affine transform. Four rows at a time so
-// the per-row chains overlap. xhat and invstd are retained for backward.
+// the per-row chains overlap. xhat and invstd are retained for backward;
+// the grad-free path passes both nil and only out is written (the out
+// expression does not read them, so its bits are the same either way).
 func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps float64, lo, hi int) {
 	nf := float32(cols)
 	i := lo
@@ -484,14 +487,17 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 		s1 := float32(1 / math.Sqrt(float64(v1/nf)+eps))
 		s2 := float32(1 / math.Sqrt(float64(v2/nf)+eps))
 		s3 := float32(1 / math.Sqrt(float64(v3/nf)+eps))
-		invstd[i+0] = s0
-		invstd[i+1] = s1
-		invstd[i+2] = s2
-		invstd[i+3] = s3
-		x0 := xhat[(i+0)*cols : (i+1)*cols]
-		x1 := xhat[(i+1)*cols : (i+2)*cols]
-		x2 := xhat[(i+2)*cols : (i+3)*cols]
-		x3 := xhat[(i+3)*cols : (i+4)*cols]
+		var x0, x1, x2, x3 []float32
+		if xhat != nil {
+			invstd[i+0] = s0
+			invstd[i+1] = s1
+			invstd[i+2] = s2
+			invstd[i+3] = s3
+			x0 = xhat[(i+0)*cols : (i+1)*cols]
+			x1 = xhat[(i+1)*cols : (i+2)*cols]
+			x2 = xhat[(i+2)*cols : (i+3)*cols]
+			x3 = xhat[(i+3)*cols : (i+4)*cols]
+		}
 		o0 := out[(i+0)*cols : (i+1)*cols]
 		o1 := out[(i+1)*cols : (i+2)*cols]
 		o2 := out[(i+2)*cols : (i+3)*cols]
@@ -502,10 +508,12 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 			h1 := (r1[j] - m1) * s1
 			h2 := (r2[j] - m2) * s2
 			h3 := (r3[j] - m3) * s3
-			x0[j] = h0
-			x1[j] = h1
-			x2[j] = h2
-			x3[j] = h3
+			if xhat != nil {
+				x0[j] = h0
+				x1[j] = h1
+				x2[j] = h2
+				x3[j] = h3
+			}
 			o0[j] = h0*g + bt
 			o1[j] = h1*g + bt
 			o2[j] = h2*g + bt
@@ -526,12 +534,17 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 		}
 		va /= nf
 		is := float32(1 / math.Sqrt(float64(va)+eps))
-		invstd[i] = is
-		xrow := xhat[i*cols : (i+1)*cols]
+		var xrow []float32
+		if xhat != nil {
+			invstd[i] = is
+			xrow = xhat[i*cols : (i+1)*cols]
+		}
 		orow := out[i*cols : (i+1)*cols]
 		for j, v := range row {
 			xh := (v - mu) * is
-			xrow[j] = xh
+			if xhat != nil {
+				xrow[j] = xh
+			}
 			orow[j] = xh*gamma[j] + beta[j]
 		}
 	}

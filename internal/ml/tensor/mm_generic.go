@@ -1,13 +1,15 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package tensor
 
-// Without the amd64 micro-kernel every matmul takes the packed-panel Go
-// path, which computes the same bits (one ascending-p float32 chain per
-// element), so models and tests behave identically across architectures.
+// Without the amd64 micro-kernel (any other architecture, or amd64 built
+// with -tags purego, which is how CI runs this path) every matmul takes
+// the packed-panel Go path, which computes the same bits (one
+// ascending-p float32 chain per element), so models and tests behave
+// identically across architectures.
 const asmMM = false
 
-// mmRowsBcast mirrors the amd64 kernel's contract for non-amd64 builds;
+// mmRowsBcast mirrors the amd64 kernel's contract for these builds;
 // unreachable while asmMM is false, kept so the package API is uniform.
 func mmRowsBcast(dst, a, b, bias []float32, k, n, rows, accum int) {
 	n4 := n &^ 3

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -145,6 +146,41 @@ func TestAttentionLayerNormOracleBitwise(t *testing.T) {
 		ref := runAttnGraph(s)
 		Oracle = false
 		bitsEqual(t, "fast vs oracle", fast, ref)
+	}
+}
+
+// TestAttentionIntoOracleBitwise pins the grad-free attention entry
+// point to the reference called directly, at the shapes that are served:
+// T = 50 (49 features + CLS, whose two-column n%4 tail the score matmul
+// finishes in scalar code), its CLS-only Tq = 1 last layer, the 12-feature
+// test shape in both forms, and head dims below the SIMD width — at
+// every pinned worker count.
+func TestAttentionIntoOracleBitwise(t *testing.T) {
+	shapes := []struct{ batch, Tq, T, heads, dh int }{
+		{3, 50, 50, 2, 8},
+		{3, 1, 50, 2, 8},
+		{2, 13, 13, 2, 8},
+		{2, 1, 13, 2, 8},
+		{2, 3, 3, 4, 2},
+		{2, 7, 7, 3, 5},
+		{1, 1, 1, 1, 1},
+	}
+	defer SetWorkers(SetWorkers(1))
+	for _, s := range shapes {
+		C := s.heads * s.dh
+		rng := xrand.New(41)
+		q := randFill(New(s.batch*s.Tq, C), rng).Data
+		k := randFill(New(s.batch*s.T, C), rng).Data
+		v := randFill(New(s.batch*s.T, C), rng).Data
+		want := make([]float32, s.batch*s.Tq*C)
+		scale := float32(1 / math.Sqrt(float64(s.dh)))
+		refAttnForward(want, q, k, v, s.batch, s.Tq, s.T, s.heads, s.dh, C, scale, nil)
+		for _, w := range []int{1, 2, 8} {
+			SetWorkers(w)
+			got := make([]float32, len(want))
+			AttentionInto(got, q, k, v, s.batch, s.Tq, s.T, s.heads, s.dh)
+			bitsEqual(t, fmt.Sprintf("%+v workers %d", s, w), bitsOf(got), bitsOf(want))
+		}
 	}
 }
 

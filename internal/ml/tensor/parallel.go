@@ -15,8 +15,9 @@ var workers atomic.Int32
 // Kernel results are bit-identical for every worker count — the oracle
 // tests pin {1, 2, 8} and compare bytes — so this knob only trades
 // parallelism, never numerics. With 1, kernels run fully inline with zero
-// synchronization (the grad-free serving path relies on this to nest
-// inside the engine's shard workers without oversubscription).
+// synchronization. Only tests and benchmarks call it: the serving path
+// leaves the default, so kernel calls made from the engine's shard
+// goroutines fan out over the shared pool at GOMAXPROCS.
 func SetWorkers(n int) int {
 	prev := int(workers.Swap(int32(n)))
 	return prev

@@ -7,21 +7,25 @@
 // # Kernels and the determinism recipe
 //
 // The hot operators (matmul, attention, layernorm) run through tiled
-// float32 kernels (kernels.go, with an SSE2 micro-kernel on amd64) built
-// on one floating-point specification: every output element is produced
+// float32 kernels (kernels.go, with an SSE2 micro-kernel on amd64; the
+// purego build tag selects the portable kernels there too) built on one
+// floating-point specification: every output element is produced
 // by a single float32 accumulation chain — seeded with the bias term
 // when the op has one — over its reduction index in ascending order,
 // followed by at most one rounding step per post-op (softmax scale,
 // gradient accumulate). Parallelism only ever splits work ACROSS output
 // elements — chunk boundaries depend on the problem shape alone
 // (parallel.go) — and tiling/register-blocking/SIMD lanes only reorder
-// independent elements, never an element's own chain. Nonlinearities go
-// through the frozen fexp32 / ftanh32 helpers (fexp.go) rather than
-// libm. Consequently kernel output is bit-identical for every worker
-// count and bit-identical between the fast kernels and the naive
-// reference implementations retained in reference.go; the oracle
-// property tests enforce both, and SetWorkers / Oracle are the knobs
-// they use.
+// independent elements, never an element's own chain. There is one
+// matmul: the linear layers, their gradients and the attention forward's
+// two contractions (scores and value reduction, over per-head panels)
+// all call it, so attention rides the micro-kernel wherever the linear
+// layers do. Nonlinearities go through the frozen fexp32 / ftanh32
+// helpers (fexp.go) rather than libm. Consequently kernel output is
+// bit-identical for every worker count and bit-identical between the
+// fast kernels and the naive reference implementations retained in
+// reference.go; the oracle property tests enforce both, and SetWorkers /
+// Oracle are the knobs they use.
 //
 // # Training vs inference
 //
