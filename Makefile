@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench bench-cache bench-quick bench-check cross-check bounded-smoke test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
+.PHONY: all build test test-short vet fmt bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
 
 all: build
 
@@ -24,86 +24,6 @@ vet:
 # Fails if any file needs gofmt.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 60m ./...
-
-# The FleetCache speedup benchmark on its own.
-bench-cache:
-	$(GO) test -run '^$$' -bench BenchmarkTableIIFleetCache -benchtime 2x -timeout 30m .
-
-# Per-phase benchmarks (generate / extract / train / eval), per-model
-# training benchmarks (forest / GBDT / FTT), per-algorithm artifact
-# benchmarks (envelope marshal / unmarshal / ScoreBatch throughput from
-# the predictor registry), serving-throughput benchmarks (events/sec
-# replayed through the sharded online engine per production algorithm,
-# shards 1 vs N; the pre-refactor sequential baseline row left with the
-# oracle it timed, now test-only in internal/mlops), and scenario
-# throughput with/without chaos, recorded as BENCH_PR10.json
-# so the perf trajectory stays machine-readable. BENCH_PR2..9.json are
-# earlier PRs' snapshots — keep them for comparison. The PR 8 rows
-# (BenchmarkServeBounded/Unbounded, BenchmarkServeScale05*) report
-# peak_bytes (sampled heap high-water mark) and bytes/dimm alongside
-# events/sec. PR 9 added BenchmarkInProcessIngest vs
-# BenchmarkControlPlaneIngest (engine direct vs HTTP control plane). PR
-# 10 splits that attribution further: ControlPlaneIngest now rides the
-# binary wire with ControlPlaneIngestText preserving the old text path,
-# CodecEventsText/CodecEventsBinary isolate pure codec cost from
-# transport, and DistributedIngest replays through two real HTTP node
-# daemons (pipelined fan-out + journal truncation) for the
-# distributed-vs-single-node parity number. The ingest group runs with
-# -count 3 and the JSON keeps each benchmark's best run: the 1-CPU CI
-# box schedules three servers' worth of goroutines on one core, so
-# single runs jitter ±10% and peak throughput is the stable statistic.
-# The sub-second phases run 5 iterations for stable numbers; the
-# FT-Transformer fit (~9s per iteration) runs once; the multi-second
-# replays and scenario runs run 3; the scale-0.5 demonstrations (tens of
-# seconds per replay, plus an untimed unbounded oracle pass inside the
-# bounded one) run once. TrainGBDT is an alias of Train (same body), so
-# the JSON entry is derived from the one measurement rather than fitting
-# the booster twice.
-bench-quick:
-	$(GO) test -run '^$$' -bench '^BenchmarkPhase(Generate|GenerateSequential|Extract|Train|TrainForest|Eval)$$' \
-		-benchtime 5x -timeout 30m . > BENCH_PR10.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkPhaseTrainFTT$$' -benchtime 1x -timeout 30m . \
-		>> BENCH_PR10.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkModel(Marshal|Unmarshal|ScoreBatch)$$' \
-		-benchtime 5x -timeout 30m ./internal/ml/model/ >> BENCH_PR10.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkServe(LightGBM|RiskyCE|Forest|Logistic|FTT|Bounded$$|Unbounded$$)' \
-		-benchtime 3x -timeout 60m . >> BENCH_PR10.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkServeScale05' -benchtime 1x -timeout 60m . \
-		>> BENCH_PR10.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkSimulate' -benchtime 3x -timeout 30m \
-		./internal/scenario/ >> BENCH_PR10.txt
-	$(GO) test -run '^$$' -bench '^Benchmark(InProcessIngest|ControlPlaneIngest|ControlPlaneIngestText|DistributedIngest|CodecEvents(Text|Binary))$$' \
-		-benchtime 3x -count 3 -timeout 30m ./internal/controlplane/ >> BENCH_PR10.txt
-	cat BENCH_PR10.txt
-	awk 'function emit(name) { \
-			if (n++) printf ","; \
-			printf "\n    \"%s\": { \"seconds\": %.6f", name, sec[name]; \
-			if (eps[name] != "") printf ", \"events_per_sec\": %.0f", eps[name]; \
-			if (peak[name] != "") printf ", \"peak_bytes\": %.0f", peak[name]; \
-			if (bpd[name] != "") printf ", \"bytes_per_dimm\": %.0f", bpd[name]; \
-			printf " }" } \
-		/^Benchmark(Phase|Model|Serve|Simulate|InProcess|ControlPlane|Distributed|Codec)/ { \
-			name=$$1; sub(/-[0-9]+$$/, "", name); \
-			s=""; e=""; p=""; d=""; \
-			for (i=2; i<=NF; i++) { \
-				if ($$(i) == "ns/op") s=$$(i-1)/1e9; \
-				if ($$(i) == "events/sec" || $$(i) == "events/s") e=$$(i-1); \
-				if ($$(i) == "peak_bytes") p=$$(i-1); \
-				if ($$(i) == "bytes/dimm") d=$$(i-1) } \
-			if (s == "") next; \
-			if (!(name in sec)) order[++m]=name; \
-			else if (e != "" ? e+0 <= eps[name]+0 : s+0 >= sec[name]+0) next; \
-			sec[name]=s; eps[name]=e; peak[name]=p; bpd[name]=d } \
-		END { print "{"; printf "  \"scale\": 0.02,\n  \"demo_scale\": 0.5,\n  \"benchmarks\": {"; n=0; \
-			for (k=1; k<=m; k++) { name=order[k]; emit(name); \
-				if (name == "BenchmarkPhaseTrain") \
-					printf ",\n    \"%sGBDT\": { \"seconds\": %.6f }", name, sec[name] } \
-			print "\n  }\n}" }' BENCH_PR10.txt > BENCH_PR10.json
-	@rm -f BENCH_PR10.txt
-	@echo "wrote BENCH_PR10.json"
 
 # The repo benchmark (bench/, run by BENCHMARK.json) is its own module,
 # so `go build ./...` and `go test ./...` never compile it: this target
@@ -125,30 +45,13 @@ cross-check:
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/ml/...
 	$(GO) test -tags purego ./internal/ml/tensor/ ./internal/ml/ftt/
 
-# Small-scale bounded-replay equivalence smoke: the budgeted engine (log
-# compaction + idle-DIMM eviction active) and the streaming-replay path
-# must both reproduce the unbounded engine's alarm stream byte for byte.
-bounded-smoke:
-	$(GO) test -run 'TestBoundedReplayMatchesUnbounded|TestReplayStreamMatchesReplay' \
-		-timeout 15m ./internal/mlops/
-
-# Race-detector pass over the concurrency-bearing packages: the worker
-# pool, the parallel fleet generator, the indexed trace store, sharded
-# feature extraction, the fleet cache / experiment pipeline, the parallel
-# model trainers (tree histograms, forest, GBDT), the tensor kernel layer
-# (parallelRows chunking + the oracle bitwise suite under the detector),
-# the FT-Transformer (training graph + arena'd inference), the predictor
-# registry, and the mlops serving engine (shard-local locking, concurrent
-# Ingest with mid-stream promotion through the epoch-cached production
-# model, hardened monitor counters, lazy scorer rehydration, and — new
-# in PR 8 — the streaming fleet generator's producer/consumer handoff
-# plus the memory-budget layer's compaction and freeze/thaw churn under
-# concurrent ingest). PR 9 adds the control plane (HTTP handlers against
-# the shared journal/registry state, node heartbeats, and the per-shard
-# atomic telemetry the /metrics endpoint reads concurrently with
-# ingest); PR 10 layers the per-node sender goroutines (pipelined tick
-# fan-out, checkpointing, journal truncation) on the same lock, so the
-# distributed tests now run the async delivery path under the detector.
+# Race-detector pass over the packages that share state between
+# goroutines: the worker pool and parallel generator, the indexed trace
+# store, sharded feature extraction, the fleet cache, the parallel
+# trainers and tensor kernels, the predictor registry, the serving engine
+# (shard locks, promotion under concurrent ingest, compaction and
+# freeze/thaw churn), the scenario runner and the control plane (handlers,
+# heartbeats and per-node senders on one journal lock).
 test-race:
 	$(GO) test -race -timeout 20m ./internal/par/ ./internal/faultsim/ \
 		./internal/trace/ ./internal/features/ ./internal/pipeline/ \
@@ -159,13 +62,15 @@ test-race:
 
 # Short fuzz passes: the bin mapper (the substrate every tree model bins
 # through), the scenario YAML-subset parser (user input — malformed
-# files must error, never panic), and the binary event-frame decoder
-# (untrusted wire input to the control plane's ingest endpoint); part of
-# ci so regressions in edge handling surface early.
+# files must error, never panic), the binary event-frame decoder
+# (untrusted wire input to the control plane's ingest endpoint) and the
+# engine-snapshot restore a rejoining node runs on bytes pulled over
+# HTTP; part of ci so regressions in edge handling surface early.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinMapper$$' -fuzztime 15s ./internal/ml/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseYAML$$' -fuzztime 15s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventFrame$$' -fuzztime 15s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 15s ./internal/mlops/
 
 # Build-and-run smoke over the examples at tiny scale: the quickstart
 # (fleet → train → evaluate) and the mlops walkthrough (train → gate →
@@ -174,10 +79,10 @@ examples-smoke:
 	$(GO) run ./examples/quickstart -scale 0.02 -seed 7 > /dev/null
 	$(GO) run ./examples/mlops -platform Intel_Purley -scale 0.03 -seed 31 > /dev/null
 
-# Validate and run every shipped chaos scenario through the real serving
-# stack; fails if any scenario misses its assertions.
+# Run every shipped chaos scenario through the real serving stack; fails
+# if any scenario misses its assertions. (TestShippedScenariosValidate
+# already parses and validates every shipped file.)
 scenario-smoke:
-	$(GO) run ./cmd/memfp simulate -validate scenarios/*.yaml
 	$(GO) run ./cmd/memfp simulate -o /tmp scenarios/*.yaml
 
 # Process-level distribution smoke: replay the same tiny fleet through
@@ -187,4 +92,4 @@ scenario-smoke:
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
-ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke bounded-smoke daemon-smoke test
+ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke daemon-smoke test

@@ -152,7 +152,15 @@ func runNode(ctx context.Context, o *options) error {
 		return err
 	}
 	fmt.Print(n.Dashboard())
+	printMemory(n.Stats().MemoryStats)
 	return nil
+}
+
+// printMemory prints the serving-memory line that goes beside a monitor
+// dashboard: the counters live on the engines, not the monitor.
+func printMemory(ms mlops.MemoryStats) {
+	fmt.Printf("memory: resident=%dB evictions=%d rehydrations=%d compactions=%d (-%d events)\n",
+		ms.ResidentBytes, ms.Evictions, ms.Rehydrations, ms.Compactions, ms.CompactedEvents)
 }
 
 // runControl runs the control plane: bootstrap training, the monthly
@@ -355,13 +363,13 @@ func runControl(ctx context.Context, o *options) error {
 	}
 
 	fmt.Println()
-	cp.MemoryStats() // refresh the dashboard's resident-bytes gauge
 	if o.nodes > 0 {
 		js := cp.JournalStats()
 		fmt.Printf("journal: depth=%d highwater=%d base=%d truncations=%d truncated_ticks=%d spill_bytes=%d\n",
 			js.Depth, js.DepthHighWater, js.Base, js.Truncations, js.TruncatedTicks, js.SpillBytes)
 	}
 	fmt.Print(pipe.Monitor.Dashboard())
+	printMemory(cp.MemoryStats())
 	fmt.Println("registry state:")
 	for _, v := range pipe.Registry.List() {
 		fmt.Printf("  %s v%d stage=%-10s F1=%.2f threshold=%.2f\n",

@@ -12,6 +12,7 @@ import (
 	"memfp"
 	"memfp/internal/features"
 	"memfp/internal/ml/gbdt"
+	"memfp/internal/ml/model"
 	"memfp/internal/platform"
 )
 
@@ -32,7 +33,7 @@ func main() {
 		fleet.Split.Train.Len(), fleet.Split.Val.Len(), fleet.Split.Test.Len())
 
 	// 2. Train + evaluate the paper's strongest algorithm.
-	cell, err := memfp.EvaluateAlgo(cfg, fleet, memfp.AlgoGBDT)
+	cell, err := memfp.EvaluateAlgo(cfg, fleet, model.NameGBDT)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,19 +101,15 @@ type EpochResponse struct {
 	Version int    `json:"version"` // production version now serving
 }
 
-// NodeStats is a node daemon's heartbeat telemetry.
+// NodeStats is a node daemon's heartbeat telemetry: its monitor's
+// counters and, flattened beside them on the wire, its engine's memory
+// stats.
 type NodeStats struct {
-	Events          int64     `json:"events"`
-	Predictions     int64     `json:"predictions"`
-	Alarms          int64     `json:"alarms"`
-	ScoreBins       [10]int64 `json:"score_bins"`
-	ResidentBytes   int64     `json:"resident_bytes"`
-	Evictions       int64     `json:"evictions"`
-	Rehydrations    int64     `json:"rehydrations"`
-	Compactions     int64     `json:"compactions"`
-	CompactedEvents int64     `json:"compacted_events"`
-	SpilledBytes    int64     `json:"spilled_bytes"`
-	Spills          int64     `json:"spills"`
+	Events      int64     `json:"events"`
+	Predictions int64     `json:"predictions"`
+	Alarms      int64     `json:"alarms"`
+	ScoreBins   [10]int64 `json:"score_bins"`
+	mlops.MemoryStats
 }
 
 // JoinRequest registers a node daemon (or re-registers one after a

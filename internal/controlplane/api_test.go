@@ -16,10 +16,10 @@ import (
 )
 
 // newLocalCP builds a local-mode control plane over an always-firing
-// closure model, served through a real HTTP listener.
+// constant model, served through a real HTTP listener.
 func newLocalCP(t *testing.T) (*Server, *Client, *httptest.Server) {
 	t.Helper()
-	cp, err := New(Config{Pipeline: closurePipeline(t)})
+	cp, err := New(Config{Pipeline: alwaysFirePipeline(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestAPIModelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(models) != 1 || models[0].Stage != string(mlops.StageProduction) || models[0].Artifact != 0 {
-		t.Fatalf("models = %+v, want one production closure version", models)
+	if len(models) != 1 || models[0].Stage != string(mlops.StageProduction) || models[0].Artifact == 0 {
+		t.Fatalf("models = %+v, want one production version with an artifact", models)
 	}
 
 	if _, err := cl.Promote("", 99); err == nil || !strings.Contains(err.Error(), "404") {
@@ -139,8 +139,9 @@ func TestAPIModelLifecycle(t *testing.T) {
 		t.Errorf("rollback with no archived version: %v", err)
 	}
 
-	pipe.Registry.RegisterScorer(pipe.ModelName, platform.Purley, "always-quiet",
-		mlops.ScorerFunc(func([]float64) float64 { return 0 }), eval.Metrics{F1: 1}, 0.5)
+	if _, err := pipe.Registry.Register(pipe.ModelName, platform.Purley, constModel(t, -40), eval.Metrics{F1: 1}, 0.5); err != nil {
+		t.Fatal(err)
+	}
 	before := pipe.Registry.Epoch()
 	er, err := cl.Promote("", 2)
 	if err != nil {
@@ -231,10 +232,6 @@ func TestAPIArtifact(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed version = %d, want 400", resp.StatusCode)
 	}
-	_, cloCl, _ := newLocalCP(t)
-	if _, err := cloCl.Artifact("", 0, ""); err == nil || !strings.Contains(err.Error(), "artifact") {
-		t.Errorf("closure production should 404 on artifact pull: %v", err)
-	}
 }
 
 func TestAPIPauseResume(t *testing.T) {
@@ -283,7 +280,7 @@ func TestAPIDistributedGating(t *testing.T) {
 	}
 
 	// Distributed mode refuses ingest until the fleet is complete.
-	cp, err := New(Config{Pipeline: closurePipeline(t), ExpectNodes: 1, Slots: 8})
+	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +299,7 @@ func TestAPIDistributedGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jr.SlotFrom != 0 || jr.SlotTo != 8 || jr.Nodes != 1 || jr.Version != 1 {
+	if jr.SlotFrom != 0 || jr.SlotTo != 64 || jr.Slots != 64 || jr.Nodes != 1 || jr.Version != 1 {
 		t.Errorf("join assignment = %+v", jr)
 	}
 	if jr.PredictEvery != 5 || jr.Cooldown != int64(12*trace.Hour) {
@@ -324,7 +321,7 @@ func TestAPIDistributedGating(t *testing.T) {
 // other wire.
 func TestAPINodeRefusingTicksLeavesPending(t *testing.T) {
 	f := fleet(t)
-	cp, err := New(Config{Pipeline: closurePipeline(t), ExpectNodes: 1, Slots: 8})
+	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

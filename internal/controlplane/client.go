@@ -26,24 +26,40 @@ func NewClient(base string) *Client {
 // Base returns the wrapped base URL.
 func (c *Client) Base() string { return c.base }
 
-func (c *Client) do(req *http.Request, out any) error {
+// roundTrip sends req and returns the response (for its status and
+// headers) and its whole body. Any status but 200 — and 304, which only a
+// conditional request can draw — is an error carrying the server's
+// errorJSON message, or failing that the body's text.
+func (c *Client) roundTrip(req *http.Request) (*http.Response, []byte, error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e errorJSON
-		if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("%s", resp.Status)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, err
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
+		return resp, body, nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	var e errorJSON
+	if json.Unmarshal(body, &e) != nil || e.Error == "" {
+		e.Error = string(bytes.TrimSpace(body))
+	}
+	if e.Error == "" {
+		return nil, nil, fmt.Errorf("%s", resp.Status)
+	}
+	return nil, nil, fmt.Errorf("%s: %s", resp.Status, e.Error)
+}
+
+// do is roundTrip for the JSON endpoints: a 200 body decodes into out.
+func (c *Client) do(req *http.Request, out any) error {
+	_, body, err := c.roundTrip(req)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
 }
 
 func (c *Client) get(path string, out any) error {
@@ -102,19 +118,7 @@ func (c *Client) IngestFrame(frame []byte) (TickResponse, error) {
 	}
 	req.Header.Set("Content-Type", ContentTypeEvents)
 	req.Header.Set("Accept", ContentTypeAlarms)
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return TickResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e errorJSON
-		if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&e) == nil && e.Error != "" {
-			return TickResponse{}, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return TickResponse{}, fmt.Errorf("%s", resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
+	resp, body, err := c.roundTrip(req)
 	if err != nil {
 		return TickResponse{}, err
 	}
@@ -135,19 +139,8 @@ func (c *Client) NodeCheckpoint(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e errorJSON
-		if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return nil, fmt.Errorf("%s", resp.Status)
-	}
-	return io.ReadAll(resp.Body)
+	_, body, err := c.roundTrip(req)
+	return body, err
 }
 
 // Flush re-drives delivery of pending work.
@@ -245,24 +238,12 @@ func (c *Client) Artifact(name string, version int, etag string) (Artifact, erro
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
 	}
-	resp, err := c.HTTP.Do(req)
+	resp, data, err := c.roundTrip(req)
 	if err != nil {
 		return Artifact{}, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		return Artifact{ETag: etag, NotModified: true}, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e errorJSON
-		if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&e) == nil && e.Error != "" {
-			return Artifact{}, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return Artifact{}, fmt.Errorf("%s", resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return Artifact{}, err
 	}
 	a := Artifact{
 		Name:      resp.Header.Get(HeaderModelName),
@@ -288,17 +269,6 @@ func (c *Client) Metrics() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
-	}
-	return string(b), nil
+	_, body, err := c.roundTrip(req)
+	return string(body), err
 }

@@ -60,10 +60,10 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	}
 
 	// Distributed: a control plane and two node daemons over real HTTP.
-	// A small window and an aggressive checkpoint cadence so the kill
-	// lands on a journal whose prefix has already been truncated.
+	// An aggressive checkpoint cadence so the kill lands on a journal
+	// whose prefix has already been truncated.
 	distPipe := mirror(t)
-	cp, err := New(Config{Pipeline: distPipe, ExpectNodes: 2, Slots: 16, Window: 4, CheckpointEvery: 3})
+	cp, err := New(Config{Pipeline: distPipe, ExpectNodes: 2, CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDistributedRejoinServesWithoutHeartbeat(t *testing.T) {
 		t.Fatal("reference replay emitted no alarms; fixture cannot discriminate")
 	}
 
-	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1, Slots: 8})
+	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,8 +11,10 @@ import (
 	"sync"
 	"testing"
 
+	"memfp/internal/dataset"
 	"memfp/internal/eval"
 	"memfp/internal/faultsim"
+	"memfp/internal/ml/linear"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
 	"memfp/internal/pipeline"
@@ -33,8 +37,7 @@ type fleetFixture struct {
 	valScores []float64
 	// A logistic artifact over the same training window: near-free to
 	// score, so benchmarks over it measure the serving data path rather
-	// than GBDT tree walks (the closure scorer's moral equivalent, but
-	// serializable — node daemons can pull it).
+	// than GBDT tree walks.
 	fastArtifact  []byte
 	fastThreshold float64
 	fastMetrics   eval.Metrics
@@ -136,15 +139,40 @@ func fastMirror(tb testing.TB) *mlops.Pipeline {
 	return pipe
 }
 
-// closurePipeline builds a pipeline serving an always-firing closure
-// scorer (no artifact) — cheap alarms for API tests, and the no-envelope
-// error path for the artifact endpoint.
-func closurePipeline(tb testing.TB) *mlops.Pipeline {
+// constModel hand-builds a logistic model with no weights and the given
+// bias, so every vector scores sigmoid(bias): +40 always fires (the score
+// is exactly 1), -40 never does. It is loaded from envelope bytes like
+// any artifact.
+func constModel(tb testing.TB, bias float64) model.Model {
+	tb.Helper()
+	var payload bytes.Buffer
+	if err := (&linear.Model{B: bias, Scaler: &dataset.Scaler{}}).Encode(&payload); err != nil {
+		tb.Fatal(err)
+	}
+	env, err := json.Marshal(map[string]any{
+		"format": "memfp-model", "version": 1, "algo": model.NameLogistic,
+		"payload": payload.Bytes(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := model.Load(env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// alwaysFirePipeline builds a pipeline serving an always-firing constant
+// model — cheap alarms for API tests.
+func alwaysFirePipeline(tb testing.TB) *mlops.Pipeline {
 	tb.Helper()
 	pipe := mlops.NewPipeline(platform.Purley)
 	pipe.Shards = 2
-	mv := pipe.Registry.RegisterScorer(pipe.ModelName, platform.Purley, "always-fire",
-		mlops.ScorerFunc(func([]float64) float64 { return 1 }), eval.Metrics{F1: 1}, 0.5)
+	mv, err := pipe.Registry.Register(pipe.ModelName, platform.Purley, constModel(tb, 40), eval.Metrics{F1: 1}, 0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if err := pipe.Registry.Promote(pipe.ModelName, mv.Version); err != nil {
 		tb.Fatal(err)
 	}

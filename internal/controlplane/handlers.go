@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"memfp/internal/mlops"
 	"memfp/internal/trace"
 )
 
@@ -225,7 +226,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		etag string
 		verQ = r.URL.Query().Get("version")
 	)
-	var mv *modelVersionRef
+	var mv *mlops.ModelVersion
 	if verQ != "" {
 		vn, err := strconv.Atoi(verQ)
 		if err != nil || vn <= 0 {
@@ -234,7 +235,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, v := range s.pipe.Registry.List() {
 			if v.Name == name && v.Version == vn {
-				mv = &modelVersionRef{v.Version, v.Algorithm, string(v.Platform), v.Threshold, v.Artifact}
+				mv = v
 				break
 			}
 		}
@@ -242,20 +243,15 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "model %s v%s not found", name, verQ)
 			return
 		}
-		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-v%d", name, mv.version))
+		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-v%d", name, mv.Version))
 	} else {
 		epoch := s.pipe.Registry.Epoch()
-		v, err := s.pipe.Registry.Production(name)
-		if err != nil {
+		var err error
+		if mv, err = s.pipe.Registry.Production(name); err != nil {
 			httpError(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		mv = &modelVersionRef{v.Version, v.Algorithm, string(v.Platform), v.Threshold, v.Artifact}
-		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-e%d", name, mv.version, epoch))
-	}
-	if len(mv.artifact) == 0 {
-		httpError(w, http.StatusNotFound, "model %s v%d has no serialized artifact (closure-backed)", name, mv.version)
-		return
+		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-e%d", name, mv.Version, epoch))
 	}
 	w.Header().Set("ETag", etag)
 	if r.Header.Get("If-None-Match") == etag {
@@ -264,21 +260,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderModelName, name)
-	w.Header().Set(HeaderModelVersion, strconv.Itoa(mv.version))
-	w.Header().Set(HeaderAlgorithm, mv.algorithm)
-	w.Header().Set(HeaderPlatform, mv.platform)
-	w.Header().Set(HeaderThreshold, strconv.FormatFloat(mv.threshold, 'x', -1, 64))
+	w.Header().Set(HeaderModelVersion, strconv.Itoa(mv.Version))
+	w.Header().Set(HeaderAlgorithm, mv.Algorithm)
+	w.Header().Set(HeaderPlatform, string(mv.Platform))
+	w.Header().Set(HeaderThreshold, strconv.FormatFloat(mv.Threshold, 'x', -1, 64))
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.pipe.Registry.Epoch(), 10))
-	w.Write(mv.artifact)
-}
-
-// modelVersionRef is the artifact handler's view of one version.
-type modelVersionRef struct {
-	version   int
-	algorithm string
-	platform  string
-	threshold float64
-	artifact  []byte
+	w.Write(mv.Artifact)
 }
 
 func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,129 @@
+package controlplane
+
+import (
+	"memfp/internal/mlops"
+	"memfp/internal/trace"
+)
+
+// tickRec is one journaled ingest batch.
+type tickRec struct {
+	slices  [][]trace.Event // per node index
+	res     [][]mlops.Alarm // per node index, until emitted
+	served  []bool          // per node index
+	version int             // production model version pinned at append
+}
+
+// newTickRec builds the record for one partitioned batch. A node with no
+// events in the tick has nothing to serve and counts as served from the
+// start, so emission never waits on an empty delivery.
+func newTickRec(slices [][]trace.Event, version int) *tickRec {
+	t := &tickRec{
+		slices:  slices,
+		res:     make([][]mlops.Alarm, len(slices)),
+		served:  make([]bool, len(slices)),
+		version: version,
+	}
+	for i, sl := range slices {
+		t.served[i] = len(sl) == 0
+	}
+	return t
+}
+
+// journal is the control plane's tick log: records addressed by an
+// absolute index that survives truncation of the prefix, and the
+// emission cursor that walks them in order. It is a plain data structure
+// — no lock, no HTTP, no spill store; Server guards it with its mutex and
+// decides when to truncate and where the dropped prefix goes.
+type journal struct {
+	recs        []*tickRec // recs[k] holds tick base+k
+	base        int        // first index still in memory
+	high        int        // high-water mark of len(recs)
+	nextEmit    int        // index of the next unemitted tick
+	truncations int
+	truncated   int // ticks dropped by truncateBelow
+}
+
+// append adds a tick at index end().
+func (j *journal) append(t *tickRec) {
+	j.recs = append(j.recs, t)
+	if d := len(j.recs); d > j.high {
+		j.high = d
+	}
+}
+
+// end returns one past the last index.
+func (j *journal) end() int { return j.base + len(j.recs) }
+
+// pending counts the ticks appended but not yet emitted.
+func (j *journal) pending() int { return j.end() - j.nextEmit }
+
+// at returns the record at index i, or nil when i was truncated.
+func (j *journal) at(i int) *tickRec {
+	if i < j.base {
+		return nil
+	}
+	return j.recs[i-j.base]
+}
+
+// serve records that node served tick i with these alarms. Alarms for a
+// tick already emitted (a rejoined node replaying the suffix past its
+// checkpoint) are duplicates and dropped, as is everything about a tick
+// truncated behind the sender.
+func (j *journal) serve(i, node int, alarms []mlops.Alarm) {
+	t := j.at(i)
+	if t == nil {
+		return
+	}
+	if i >= j.nextEmit {
+		t.res[node] = alarms
+	}
+	t.served[node] = true
+}
+
+// nextReady returns the tick at the emission cursor and moves the cursor
+// past it, or nil when that tick still waits on a node (or nothing is
+// pending): ticks emit strictly in index order.
+func (j *journal) nextReady() *tickRec {
+	if j.nextEmit >= j.end() {
+		return nil
+	}
+	t := j.at(j.nextEmit)
+	for _, sv := range t.served {
+		if !sv {
+			return nil
+		}
+	}
+	j.nextEmit++
+	return t
+}
+
+// truncateBelow drops the records below low — clamped to the emission
+// cursor, so an unemitted tick is never dropped — and returns the index
+// of the first dropped record and the dropped prefix. The survivors move
+// to a fresh slice so the prefix's event memory is actually released.
+func (j *journal) truncateBelow(low int) (first int, dropped []*tickRec) {
+	if low > j.nextEmit {
+		low = j.nextEmit
+	}
+	if low <= j.base {
+		return j.base, nil
+	}
+	first, dropped = j.base, j.recs[:low-j.base]
+	j.recs = append([]*tickRec(nil), j.recs[low-j.base:]...)
+	j.base = low
+	j.truncations++
+	j.truncated += len(dropped)
+	return first, dropped
+}
+
+// info reports depth and truncation counters (SpillBytes is the
+// server's to fill).
+func (j *journal) info() JournalInfo {
+	return JournalInfo{
+		Depth:          len(j.recs),
+		DepthHighWater: j.high,
+		Base:           j.base,
+		Truncations:    j.truncations,
+		TruncatedTicks: j.truncated,
+	}
+}

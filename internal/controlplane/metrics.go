@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"memfp/internal/mlops"
 	"memfp/internal/trace"
@@ -23,6 +22,12 @@ type promWriter struct{ sb strings.Builder }
 func (p *promWriter) family(name, typ, help string) {
 	fmt.Fprintf(&p.sb, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(&p.sb, "# TYPE %s %s\n", name, typ)
+}
+
+// value emits a family that has one unlabeled sample.
+func (p *promWriter) value(name, typ, help string, v float64) {
+	p.family(name, typ, help)
+	p.sample(name, nil, v)
 }
 
 // sample emits one sample line. Labels are ordered pairs.
@@ -76,14 +81,11 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, ps
 		p.sample("memfp_events_ingested_total", [][2]string{{"type", t.String()}}, float64(mon.EventCount(t)))
 	}
 
-	p.family("memfp_predictions_total", "counter", "Model invocations across the fleet.")
-	p.sample("memfp_predictions_total", nil, float64(predictions))
+	p.value("memfp_predictions_total", "counter", "Model invocations across the fleet.", float64(predictions))
 
-	p.family("memfp_alarms_total", "counter", "Alarms emitted on the merged stream.")
-	p.sample("memfp_alarms_total", nil, float64(alarms))
+	p.value("memfp_alarms_total", "counter", "Alarms emitted on the merged stream.", float64(alarms))
 
-	p.family("memfp_drift_psi", "gauge", "Population stability index of live scores vs the training reference.")
-	p.sample("memfp_drift_psi", nil, psi)
+	p.value("memfp_drift_psi", "gauge", "Population stability index of live scores vs the training reference.", psi)
 
 	tp, fp, fn := mon.FeedbackCounts()
 	p.family("memfp_feedback_total", "counter", "Resolved alarm outcomes, by outcome.")
@@ -92,25 +94,16 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, ps
 	p.sample("memfp_feedback_total", [][2]string{{"outcome", "fn"}}, float64(fn))
 
 	prec, rec := mon.LivePrecisionRecall()
-	p.family("memfp_live_precision", "gauge", "Feedback-derived live precision.")
-	p.sample("memfp_live_precision", nil, prec)
-	p.family("memfp_live_recall", "gauge", "Feedback-derived live recall.")
-	p.sample("memfp_live_recall", nil, rec)
+	p.value("memfp_live_precision", "gauge", "Feedback-derived live precision.", prec)
+	p.value("memfp_live_recall", "gauge", "Feedback-derived live recall.", rec)
 
-	p.family("memfp_memory_resident_bytes", "gauge", "Resident serving-state footprint.")
-	p.sample("memfp_memory_resident_bytes", nil, float64(ms.ResidentBytes))
-	p.family("memfp_memory_evictions_total", "counter", "Idle-DIMM serving-state evictions.")
-	p.sample("memfp_memory_evictions_total", nil, float64(ms.Evictions))
-	p.family("memfp_memory_rehydrations_total", "counter", "Frozen-DIMM serving-state rehydrations.")
-	p.sample("memfp_memory_rehydrations_total", nil, float64(ms.Rehydrations))
-	p.family("memfp_memory_compactions_total", "counter", "Serving-log compactions.")
-	p.sample("memfp_memory_compactions_total", nil, float64(ms.Compactions))
-	p.family("memfp_memory_compacted_events_total", "counter", "Events dropped by serving-log compaction.")
-	p.sample("memfp_memory_compacted_events_total", nil, float64(ms.CompactedEvents))
-	p.family("memfp_memory_spilled_bytes", "gauge", "Frozen serving-state bytes resident in the spill store.")
-	p.sample("memfp_memory_spilled_bytes", nil, float64(ms.SpilledBytes))
-	p.family("memfp_memory_spills_total", "counter", "Frozen-DIMM records written to the spill store.")
-	p.sample("memfp_memory_spills_total", nil, float64(ms.Spills))
+	p.value("memfp_memory_resident_bytes", "gauge", "Resident serving-state footprint.", float64(ms.ResidentBytes))
+	p.value("memfp_memory_evictions_total", "counter", "Idle-DIMM serving-state evictions.", float64(ms.Evictions))
+	p.value("memfp_memory_rehydrations_total", "counter", "Frozen-DIMM serving-state rehydrations.", float64(ms.Rehydrations))
+	p.value("memfp_memory_compactions_total", "counter", "Serving-log compactions.", float64(ms.Compactions))
+	p.value("memfp_memory_compacted_events_total", "counter", "Events dropped by serving-log compaction.", float64(ms.CompactedEvents))
+	p.value("memfp_memory_spilled_bytes", "gauge", "Frozen serving-state bytes resident in the spill store.", float64(ms.SpilledBytes))
+	p.value("memfp_memory_spills_total", "counter", "Frozen-DIMM records written to the spill store.", float64(ms.Spills))
 
 	shards := mon.ShardStats()
 	p.family("memfp_shard_queue_depth", "gauge", "Events queued on a serving shard at tick start.")
@@ -140,46 +133,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no monitor configured", http.StatusServiceUnavailable)
 		return
 	}
-	ms := s.MemoryStats() // before s.mu: takes the mutex itself
-
-	type nodeSnap struct {
-		name    string
-		alive   bool
-		beatAge float64
-		stats   NodeStats
+	ms := s.MemoryStats()
+	// One snapshot under the lock: what /api/v1/status reports is what is
+	// exported. The journal families are flat zeros in local mode, where
+	// no tick journal exists.
+	st := s.status()
+	var journal JournalInfo
+	if st.Journal != nil {
+		journal = *st.Journal
 	}
-	s.mu.Lock()
-	ticks := s.ticks
-	alarms := int64(len(s.alarms))
-	pending := s.journalEnd() - s.nextEmit
-	paused := s.paused
-	joined := len(s.nodes)
-	journal := s.journalInfoLocked()
-	snaps := make([]nodeSnap, 0, joined)
-	for _, n := range s.nodes {
-		snaps = append(snaps, nodeSnap{n.name, n.alive, time.Since(n.lastBeat).Seconds(), n.stats})
-	}
-	s.mu.Unlock()
-	if s.engine != nil {
-		pending = s.engine.HeldEvents()
-		paused = s.engine.Paused()
-	}
-
-	preds := int64(mon.PredictionCount())
 	bins := mon.ScoreBins()
-	for _, n := range snaps {
-		preds += n.stats.Predictions
+	for _, n := range st.Nodes {
 		for i := range bins {
-			bins[i] += n.stats.ScoreBins[i]
+			bins[i] += n.Stats.ScoreBins[i]
 		}
 	}
-	psi := mon.PSIOf(bins)
 
 	p := &promWriter{}
-	writeCommonMetrics(p, mon, preds, psi, alarms, ms)
+	writeCommonMetrics(p, mon, st.Predictions, mon.PSIOf(bins), int64(st.Alarms), ms)
 
-	p.family("memfp_registry_epoch", "counter", "Model-registry promotion epoch.")
-	p.sample("memfp_registry_epoch", nil, float64(s.pipe.Registry.Epoch()))
+	p.value("memfp_registry_epoch", "counter", "Model-registry promotion epoch.", float64(s.pipe.Registry.Epoch()))
 
 	prodByName := map[string]int{}
 	latestByName := map[string]int{}
@@ -200,56 +173,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("memfp_model_latest_version", [][2]string{{"model", name}}, float64(v))
 	}
 
-	p.family("memfp_ticks_total", "counter", "Ingest ticks accepted.")
-	p.sample("memfp_ticks_total", nil, float64(ticks))
-	p.family("memfp_ticks_pending", "gauge", "Accepted work not yet emitted (journaled ticks or held events).")
-	p.sample("memfp_ticks_pending", nil, float64(pending))
-	p.family("memfp_paused", "gauge", "1 while serving is inside a maintenance window.")
-	p.sample("memfp_paused", nil, b2f(paused))
+	p.value("memfp_ticks_total", "counter", "Ingest ticks accepted.", float64(st.Ticks))
+	p.value("memfp_ticks_pending", "gauge", "Accepted work not yet emitted (journaled ticks or held events).", float64(st.Pending))
+	p.value("memfp_paused", "gauge", "1 while serving is inside a maintenance window.", b2f(st.Paused))
 
-	// Journal lifecycle (always emitted; flat zeros in local mode, where
-	// no tick journal exists).
-	p.family("memfp_journal_depth", "gauge", "Journaled ticks resident in control-plane memory.")
-	p.sample("memfp_journal_depth", nil, float64(journal.Depth))
-	p.family("memfp_journal_depth_highwater", "gauge", "Peak resident journal depth.")
-	p.sample("memfp_journal_depth_highwater", nil, float64(journal.DepthHighWater))
-	p.family("memfp_journal_truncations_total", "counter", "Journal truncation passes.")
-	p.sample("memfp_journal_truncations_total", nil, float64(journal.Truncations))
-	p.family("memfp_journal_truncated_ticks_total", "counter", "Ticks truncated out of the in-memory journal.")
-	p.sample("memfp_journal_truncated_ticks_total", nil, float64(journal.TruncatedTicks))
-	p.family("memfp_spill_bytes_total", "counter", "Checkpoint and journal-segment bytes written to the spill store.")
-	p.sample("memfp_spill_bytes_total", nil, float64(journal.SpillBytes))
+	p.value("memfp_journal_depth", "gauge", "Journaled ticks resident in control-plane memory.", float64(journal.Depth))
+	p.value("memfp_journal_depth_highwater", "gauge", "Peak resident journal depth.", float64(journal.DepthHighWater))
+	p.value("memfp_journal_truncations_total", "counter", "Journal truncation passes.", float64(journal.Truncations))
+	p.value("memfp_journal_truncated_ticks_total", "counter", "Ticks truncated out of the in-memory journal.", float64(journal.TruncatedTicks))
+	p.value("memfp_spill_bytes_total", "counter", "Checkpoint and journal-segment bytes written to the spill store.", float64(journal.SpillBytes))
 
-	p.family("memfp_nodes_expected", "gauge", "Node daemons the fleet is partitioned across.")
-	p.sample("memfp_nodes_expected", nil, float64(s.cfg.ExpectNodes))
-	p.family("memfp_nodes_joined", "gauge", "Node daemons currently registered.")
-	p.sample("memfp_nodes_joined", nil, float64(joined))
+	p.value("memfp_nodes_expected", "gauge", "Node daemons the fleet is partitioned across.", float64(s.cfg.ExpectNodes))
+	p.value("memfp_nodes_joined", "gauge", "Node daemons currently registered.", float64(len(st.Nodes)))
 
-	if len(snaps) > 0 {
-		p.family("memfp_node_up", "gauge", "1 while the node's last forward/heartbeat succeeded.")
-		for _, n := range snaps {
-			p.sample("memfp_node_up", [][2]string{{"node", n.name}}, b2f(n.alive))
+	if len(st.Nodes) > 0 {
+		perNode := func(name, typ, help string, v func(NodeInfo) float64) {
+			p.family(name, typ, help)
+			for _, n := range st.Nodes {
+				p.sample(name, [][2]string{{"node", n.Name}}, v(n))
+			}
 		}
-		p.family("memfp_node_heartbeat_age_seconds", "gauge", "Seconds since the node's last heartbeat.")
-		for _, n := range snaps {
-			p.sample("memfp_node_heartbeat_age_seconds", [][2]string{{"node", n.name}}, n.beatAge)
-		}
-		p.family("memfp_node_events_total", "counter", "Events ingested by each node engine.")
-		for _, n := range snaps {
-			p.sample("memfp_node_events_total", [][2]string{{"node", n.name}}, float64(n.stats.Events))
-		}
-		p.family("memfp_node_predictions_total", "counter", "Model invocations on each node.")
-		for _, n := range snaps {
-			p.sample("memfp_node_predictions_total", [][2]string{{"node", n.name}}, float64(n.stats.Predictions))
-		}
-		p.family("memfp_node_alarms_total", "counter", "Alarms raised by each node engine.")
-		for _, n := range snaps {
-			p.sample("memfp_node_alarms_total", [][2]string{{"node", n.name}}, float64(n.stats.Alarms))
-		}
-		p.family("memfp_node_resident_bytes", "gauge", "Resident serving-state footprint per node.")
-		for _, n := range snaps {
-			p.sample("memfp_node_resident_bytes", [][2]string{{"node", n.name}}, float64(n.stats.ResidentBytes))
-		}
+		perNode("memfp_node_up", "gauge", "1 while the node's last forward/heartbeat succeeded.", func(n NodeInfo) float64 { return b2f(n.Alive) })
+		perNode("memfp_node_heartbeat_age_seconds", "gauge", "Seconds since the node's last heartbeat.", func(n NodeInfo) float64 { return n.BeatAgeSec })
+		perNode("memfp_node_events_total", "counter", "Events ingested by each node engine.", func(n NodeInfo) float64 { return float64(n.Stats.Events) })
+		perNode("memfp_node_predictions_total", "counter", "Model invocations on each node.", func(n NodeInfo) float64 { return float64(n.Stats.Predictions) })
+		perNode("memfp_node_alarms_total", "counter", "Alarms raised by each node engine.", func(n NodeInfo) float64 { return float64(n.Stats.Alarms) })
+		perNode("memfp_node_resident_bytes", "gauge", "Resident serving-state footprint per node.", func(n NodeInfo) float64 { return float64(n.Stats.ResidentBytes) })
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

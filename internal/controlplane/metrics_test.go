@@ -83,7 +83,7 @@ func findSamples(samples []metricSample, name string) []metricSample {
 
 func TestMetricsExposition(t *testing.T) {
 	f := fleet(t)
-	pipe := closurePipeline(t)
+	pipe := alwaysFirePipeline(t)
 	cp, err := New(Config{Pipeline: pipe})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestMetricsNodeExposition covers the node daemon's /metrics surface.
 func TestMetricsNodeExposition(t *testing.T) {
-	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1, Slots: 4})
+	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

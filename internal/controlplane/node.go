@@ -245,7 +245,7 @@ func (n *Node) handleIngest2(w http.ResponseWriter, r *http.Request) {
 	w.Write(*buf)
 }
 
-// handleCheckpoint snapshots the node's engine (MFS1) for the control
+// handleCheckpoint snapshots the node's engine (MFS2) for the control
 // plane's checkpoint store.
 func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
@@ -295,14 +295,7 @@ func (n *Node) Stats() NodeStats {
 		ScoreBins:   mon.ScoreBins(),
 	}
 	if engine != nil {
-		ms := engine.MemoryStats()
-		st.ResidentBytes = ms.ResidentBytes
-		st.Evictions = ms.Evictions
-		st.Rehydrations = ms.Rehydrations
-		st.Compactions = ms.Compactions
-		st.CompactedEvents = ms.CompactedEvents
-		st.SpilledBytes = ms.SpilledBytes
-		st.Spills = ms.Spills
+		st.MemoryStats = engine.MemoryStats()
 	}
 	return st
 }

@@ -16,7 +16,7 @@
 // engine, surviving a node restart mid-stream. Four mechanisms carry
 // that guarantee:
 //
-//   - Deterministic partition: DIMMs hash onto Slots hash slots with the
+//   - Deterministic partition: DIMMs hash onto 64 hash slots with the
 //     serving engine's own FNV-1a function (mlops.DIMMShard); node i of N
 //     owns the contiguous slot range [i·S/N, (i+1)·S/N). Per-DIMM serving
 //     state is independent, so any partition emits the same alarms.
@@ -27,7 +27,7 @@
 //     only when every owning node has served it, strictly in journal
 //     order. A dead node stalls emission but never reorders it.
 //   - Pipelined fan-out: one sender goroutine per node streams batches
-//     of up to Window unserved ticks over persistent connections as
+//     of up to eight unserved ticks over persistent connections as
 //     MFT1 binary frames — the one node protocol — decoding responses
 //     off the journal lock.
 //     IngestTick only journals and applies backpressure, so the driver
@@ -43,6 +43,13 @@
 //     each tick pinned to its historical model version, so
 //     throttle/cooldown state rebuilds exactly; alarms from
 //     already-emitted ticks are discarded as duplicates.
+//
+// The journal itself (journal.go) is a plain data structure — records by
+// absolute index, the emission cursor, prefix truncation — with no lock
+// or I/O of its own; Server holds the mutex, the senders and the policy
+// (when to checkpoint, where a truncated prefix is archived). Slot count,
+// delivery window and node request timeout are constants; Config carries
+// only what callers set differently.
 package controlplane
 
 import (
@@ -72,16 +79,6 @@ type Config struct {
 	// across; 0 serves in-process through the pipeline's own sharded
 	// engine (no daemons, same HTTP API).
 	ExpectNodes int
-	// Slots is the hash-slot count DIMMs partition into before slots map
-	// onto nodes (default 64). Fixed for the lifetime of the fleet.
-	Slots int
-	// Timeout bounds each forwarded node request (default 10s).
-	Timeout time.Duration
-	// Window bounds each node's delivery pipeline: at most this many
-	// unserved non-empty ticks ride in one batched request, and
-	// IngestTick applies backpressure once a live node falls further
-	// behind the journal head (default 8).
-	Window int
 	// CheckpointEvery schedules a snapshot from every node each time
 	// this many ticks have been emitted (default 64), advancing the
 	// journal's truncation low-water mark.
@@ -91,14 +88,19 @@ type Config struct {
 	Spill mlops.SpillStore
 }
 
-// tickRec is one journaled ingest batch.
-type tickRec struct {
-	slices  [][]trace.Event // per node index
-	res     [][]mlops.Alarm // per node index, until emitted
-	served  []bool          // per node index
-	version int             // production model version pinned at append
-	done    bool            // alarms emitted
-}
+// Fixed shape of the fleet and its delivery pipeline.
+const (
+	// slots is the hash-slot count DIMMs partition into before slots map
+	// onto nodes; JoinResponse carries it to the nodes.
+	slots = 64
+	// nodeTimeout bounds each forwarded node request.
+	nodeTimeout = 10 * time.Second
+	// window bounds each node's delivery pipeline: at most this many
+	// unserved non-empty ticks ride in one batched request, and
+	// IngestTick applies backpressure once a live node falls further
+	// behind the journal head.
+	window = 8
+)
 
 // nodeRec is one registered node daemon.
 type nodeRec struct {
@@ -127,28 +129,22 @@ type Server struct {
 	engine *mlops.Server // local serving engine (ExpectNodes == 0)
 	client *http.Client
 	mux    *http.ServeMux
-	spill  mlops.SpillStore
 
-	mu          sync.Mutex
-	cond        *sync.Cond // delivery/emission progress; senders park here
-	parts       map[trace.DIMMID]platform.DIMMPart
-	nodes       []*nodeRec
-	byName      map[string]*nodeRec
-	journal     []*tickRec // journal[i] holds tick journalBase+i
-	journalBase int        // first journal index still in memory
-	journalHigh int        // high-water mark of in-memory journal depth
-	truncations int
-	truncated   int   // ticks truncated out of the journal
-	spillBytes  int64 // bytes written to the spill store
-	sinceCkpt   int   // ticks emitted since the last checkpoint request
-	nextEmit    int   // journal index of the next unemitted tick
-	retCursor   int   // alarms already returned to the ingest driver
-	ticks       int
-	started     bool // first distributed tick journaled; topology frozen
-	paused      bool // distributed-mode pause (local mode delegates to engine)
-	closed      bool
-	alarms      []mlops.Alarm
-	ownerBuf    []int32 // partitionLocked scratch: per-event owner node
+	mu         sync.Mutex
+	cond       *sync.Cond // delivery/emission progress; senders park here
+	parts      map[trace.DIMMID]platform.DIMMPart
+	nodes      []*nodeRec
+	byName     map[string]*nodeRec
+	journal    journal
+	spillBytes int64 // bytes written to the spill store
+	sinceCkpt  int   // ticks emitted since the last checkpoint request
+	retCursor  int   // alarms already returned to the ingest driver
+	ticks      int
+	started    bool // first distributed tick journaled; topology frozen
+	paused     bool // distributed-mode pause (local mode delegates to engine)
+	closed     bool
+	alarms     []mlops.Alarm
+	ownerBuf   []int32 // partitionLocked scratch: per-event owner node
 }
 
 // New builds a control-plane server. With cfg.ExpectNodes == 0 it serves
@@ -158,17 +154,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Pipeline == nil {
 		return nil, errors.New("controlplane: Config.Pipeline is required")
 	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = 64
-	}
-	if cfg.ExpectNodes > cfg.Slots {
-		return nil, fmt.Errorf("controlplane: %d nodes exceed %d hash slots", cfg.ExpectNodes, cfg.Slots)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8
+	if cfg.ExpectNodes > slots {
+		return nil, fmt.Errorf("controlplane: %d nodes exceed %d hash slots", cfg.ExpectNodes, slots)
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
@@ -179,8 +166,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		pipe:   cfg.Pipeline,
-		client: &http.Client{Timeout: cfg.Timeout},
-		spill:  cfg.Spill,
+		client: &http.Client{Timeout: nodeTimeout},
 		parts:  map[trace.DIMMID]platform.DIMMPart{},
 		byName: map[string]*nodeRec{},
 	}
@@ -273,30 +259,19 @@ type TickResult struct {
 	Pending int
 }
 
-// journalEnd returns one past the last journal index.
-func (s *Server) journalEnd() int { return s.journalBase + len(s.journal) }
-
-// rec returns the record at an absolute journal index.
-func (s *Server) rec(i int) *tickRec { return s.journal[i-s.journalBase] }
-
 // IngestTick accepts one event micro-batch — the serving tick. In local
 // mode it is mlops.Server.IngestBatch behind the control-plane
 // bookkeeping; in distributed mode the batch is journaled with the
 // current production model version for the per-node senders to stream
 // out, and the call returns every alarm whose emission completed since
 // the previous driver call (journal order is preserved across calls).
-// Backpressure: the call waits while any live node is more than Window
+// Backpressure: the call waits while any live node is more than window
 // ticks behind. A dead node leaves ticks pending (no error); they emit
 // after the node rejoins and Flush drains delivery.
 func (s *Server) IngestTick(events []trace.Event) (TickResult, error) {
 	if s.engine != nil {
 		alarms, err := s.engine.IngestBatch(events)
-		s.mu.Lock()
-		s.ticks++
-		s.alarms = append(s.alarms, alarms...)
-		s.retCursor = len(s.alarms)
-		s.mu.Unlock()
-		return TickResult{Alarms: alarms, Pending: s.engine.HeldEvents()}, err
+		return s.localResult(alarms, 1), err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,29 +288,12 @@ func (s *Server) IngestTick(events []trace.Event) (TickResult, error) {
 		return TickResult{}, err
 	}
 	s.started = true
-	n := s.cfg.ExpectNodes
-	t := &tickRec{
-		slices:  s.partitionLocked(events),
-		res:     make([][]mlops.Alarm, n),
-		served:  make([]bool, n),
-		version: pv.Version,
-	}
-	// A node with no events in this tick has nothing to serve: mark it
-	// served at append time so emission never waits on an empty delivery.
-	for i, sl := range t.slices {
-		if len(sl) == 0 {
-			t.served[i] = true
-		}
-	}
 	if mon := s.pipe.Monitor; mon != nil {
 		for _, e := range events {
 			mon.CountEvent(e)
 		}
 	}
-	s.journal = append(s.journal, t)
-	if d := len(s.journal); d > s.journalHigh {
-		s.journalHigh = d
-	}
+	s.journal.append(newTickRec(s.partitionLocked(events), pv.Version))
 	s.ticks++
 	s.emitLocked() // an all-empty tick emits immediately
 	s.cond.Broadcast()
@@ -345,12 +303,12 @@ func (s *Server) IngestTick(events []trace.Event) (TickResult, error) {
 	return s.driverResultLocked(), nil
 }
 
-// backloggedLocked reports whether any live node is more than Window
+// backloggedLocked reports whether any live node is more than window
 // ticks behind the journal head.
 func (s *Server) backloggedLocked() bool {
-	end := s.journalEnd()
+	end := s.journal.end()
 	for _, n := range s.nodes {
-		if n.alive && end-n.sent > s.cfg.Window {
+		if n.alive && end-n.sent > window {
 			return true
 		}
 	}
@@ -365,14 +323,14 @@ func (s *Server) driverResultLocked() TickResult {
 		out = s.alarms[s.retCursor:len(s.alarms):len(s.alarms)]
 		s.retCursor = len(s.alarms)
 	}
-	return TickResult{Alarms: out, Pending: s.journalEnd() - s.nextEmit}
+	return TickResult{Alarms: out, Pending: s.journal.pending()}
 }
 
 // quiescentLocked reports whether delivery can make no further progress:
 // every live node has served the whole journal with no request or
 // checkpoint outstanding.
 func (s *Server) quiescentLocked() bool {
-	end := s.journalEnd()
+	end := s.journal.end()
 	for _, n := range s.nodes {
 		if !n.alive {
 			continue
@@ -394,11 +352,7 @@ func (s *Server) Flush() (TickResult, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cond.Broadcast()
-	for !s.closed && !s.paused && !s.quiescentLocked() {
-		s.cond.Wait()
-	}
-	return s.driverResultLocked(), nil
+	return s.drainLocked(), nil
 }
 
 // Pause opens a maintenance window: local mode holds events in the
@@ -418,20 +372,33 @@ func (s *Server) Pause() {
 func (s *Server) Resume() (TickResult, error) {
 	if s.engine != nil {
 		alarms, err := s.engine.Resume()
-		s.mu.Lock()
-		s.alarms = append(s.alarms, alarms...)
-		s.retCursor = len(s.alarms)
-		s.mu.Unlock()
-		return TickResult{Alarms: alarms, Pending: s.engine.HeldEvents()}, err
+		return s.localResult(alarms, 0), err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.paused = false
+	return s.drainLocked(), nil
+}
+
+// localResult books what the local engine just emitted over ticks driver
+// ticks into the control plane's alarm stream.
+func (s *Server) localResult(alarms []mlops.Alarm, ticks int) TickResult {
+	s.mu.Lock()
+	s.ticks += ticks
+	s.alarms = append(s.alarms, alarms...)
+	s.retCursor = len(s.alarms)
+	s.mu.Unlock()
+	return TickResult{Alarms: alarms, Pending: s.engine.HeldEvents()}
+}
+
+// drainLocked wakes the senders, waits until delivery quiesces (or a
+// pause or Close intervenes) and collects the driver's result.
+func (s *Server) drainLocked() TickResult {
 	s.cond.Broadcast()
 	for !s.closed && !s.paused && !s.quiescentLocked() {
 		s.cond.Wait()
 	}
-	return s.driverResultLocked(), nil
+	return s.driverResultLocked()
 }
 
 // AlarmsSince returns the emitted alarm stream from cursor i on, plus
@@ -458,13 +425,7 @@ func (s *Server) MemoryStats() mlops.MemoryStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, n := range s.nodes {
-		ms.ResidentBytes += n.stats.ResidentBytes
-		ms.Evictions += n.stats.Evictions
-		ms.Rehydrations += n.stats.Rehydrations
-		ms.Compactions += n.stats.Compactions
-		ms.CompactedEvents += n.stats.CompactedEvents
-		ms.SpilledBytes += n.stats.SpilledBytes
-		ms.Spills += n.stats.Spills
+		ms.Add(n.stats.MemoryStats)
 	}
 	return ms
 }
@@ -478,14 +439,9 @@ func (s *Server) JournalStats() JournalInfo {
 }
 
 func (s *Server) journalInfoLocked() JournalInfo {
-	return JournalInfo{
-		Depth:          len(s.journal),
-		DepthHighWater: s.journalHigh,
-		Base:           s.journalBase,
-		Truncations:    s.truncations,
-		TruncatedTicks: s.truncated,
-		SpillBytes:     s.spillBytes,
-	}
+	ji := s.journal.info()
+	ji.SpillBytes = s.spillBytes
+	return ji
 }
 
 // partitionLocked splits a batch into per-node slices through the
@@ -498,7 +454,7 @@ func (s *Server) partitionLocked(events []trace.Event) [][]trace.Event {
 	counts := make([]int, n)
 	s.ownerBuf = s.ownerBuf[:0]
 	for _, e := range events {
-		ni := s.nodeForSlot(mlops.DIMMShard(e.DIMM, s.cfg.Slots))
+		ni := s.nodeForSlot(mlops.DIMMShard(e.DIMM, slots))
 		s.ownerBuf = append(s.ownerBuf, int32(ni))
 		counts[ni]++
 	}
@@ -519,7 +475,7 @@ func (s *Server) partitionLocked(events []trace.Event) [][]trace.Event {
 // slotRange returns node i's contiguous hash-slot range [from, to).
 func (s *Server) slotRange(i int) (from, to int) {
 	n := s.cfg.ExpectNodes
-	return i * s.cfg.Slots / n, (i + 1) * s.cfg.Slots / n
+	return i * slots / n, (i + 1) * slots / n
 }
 
 func (s *Server) nodeForSlot(slot int) int {
@@ -537,18 +493,7 @@ func (s *Server) nodeForSlot(slot int) int {
 // ticks it schedules a snapshot on each node so the journal's truncation
 // low-water mark can advance.
 func (s *Server) emitLocked() {
-	for s.nextEmit < s.journalEnd() {
-		t := s.rec(s.nextEmit)
-		ready := true
-		for _, sv := range t.served {
-			if !sv {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			break
-		}
+	for t := s.journal.nextReady(); t != nil; t = s.journal.nextReady() {
 		merged := mlops.MergeAlarms(t.res)
 		if mon := s.pipe.Monitor; mon != nil {
 			for _, a := range merged {
@@ -556,8 +501,7 @@ func (s *Server) emitLocked() {
 			}
 		}
 		s.alarms = append(s.alarms, merged...)
-		t.res, t.done = nil, true
-		s.nextEmit++
+		t.res = nil
 		s.sinceCkpt++
 		if s.sinceCkpt >= s.cfg.CheckpointEvery {
 			s.sinceCkpt = 0
@@ -573,35 +517,29 @@ func (s *Server) emitLocked() {
 // segment to the store as an archival MFT1 frame. Entries a rejoining
 // node might still need (>= its checkpoint) are never truncated.
 func (s *Server) maybeTruncateLocked() {
-	low := s.nextEmit
+	low := s.journal.end()
 	for _, n := range s.nodes {
 		if n.ckptTick < low {
 			low = n.ckptTick
 		}
 	}
-	if low <= s.journalBase {
+	first, dropped := s.journal.truncateBelow(low)
+	if len(dropped) == 0 {
 		return
 	}
-	seg := make([]wireTick, 0, low-s.journalBase)
-	for i := s.journalBase; i < low; i++ {
-		t := s.rec(i)
+	seg := make([]wireTick, len(dropped))
+	for k, t := range dropped {
 		var flat []trace.Event
 		for _, sl := range t.slices {
 			flat = append(flat, sl...)
 		}
-		seg = append(seg, wireTick{tick: i, version: t.version, events: flat})
+		seg[k] = wireTick{tick: first + k, version: t.version, events: flat}
 	}
-	blob := appendTickFrame(nil, s.journalBase, seg, s.partNumberLocked)
-	key := fmt.Sprintf("journal/%d-%d", s.journalBase, low)
-	if err := s.spill.Put(key, blob); err == nil {
+	blob := appendTickFrame(nil, first, seg, s.partNumberLocked)
+	key := fmt.Sprintf("journal/%d-%d", first, first+len(dropped))
+	if err := s.cfg.Spill.Put(key, blob); err == nil {
 		s.spillBytes += int64(len(blob))
 	}
-	s.truncated += low - s.journalBase
-	s.truncations++
-	// Copy the suffix into a fresh slice so the truncated prefix's event
-	// memory is actually released.
-	s.journal = append([]*tickRec(nil), s.journal[low-s.journalBase:]...)
-	s.journalBase = low
 }
 
 // partNumberLocked resolves a registered DIMM's part number for frame
@@ -615,7 +553,7 @@ func (s *Server) senderWorkLocked(n *nodeRec) bool {
 	if s.paused || !n.alive {
 		return false
 	}
-	return n.wantCkpt || n.sent < s.journalEnd()
+	return n.wantCkpt || n.sent < s.journal.end()
 }
 
 // sender is node n's delivery goroutine: it parks on the cond until the
@@ -651,7 +589,7 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 	addr := n.addr
 	n.inflight = true
 	s.mu.Unlock()
-	blob, err := s.fetchCheckpoint(addr)
+	blob, err := s.postNode(addr+"/checkpoint", ContentTypeSnapshot, nil)
 	s.mu.Lock()
 	n.inflight = false
 	if epoch != n.epoch {
@@ -659,11 +597,11 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 	}
 	if err != nil {
 		n.alive = false
-		n.lastErr = err
+		n.lastErr = fmt.Errorf("controlplane: node %s: checkpoint: %w", n.name, err)
 		s.cond.Broadcast()
 		return
 	}
-	if perr := s.spill.Put("ckpt/"+n.name, blob); perr == nil {
+	if perr := s.cfg.Spill.Put("ckpt/"+n.name, blob); perr == nil {
 		s.spillBytes += int64(len(blob))
 		n.ckptTick = covers
 	}
@@ -672,16 +610,17 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 	s.cond.Broadcast()
 }
 
-// fetchCheckpoint asks a node for its engine snapshot.
-func (s *Server) fetchCheckpoint(addr string) ([]byte, error) {
-	resp, err := s.client.Post(addr+"/checkpoint", ContentTypeSnapshot, nil)
+// postNode posts body to a node daemon endpoint and returns the 200
+// response's body; any other status is an error quoting it.
+func (s *Server) postNode(url, contentType string, body []byte) ([]byte, error) {
+	resp, err := s.client.Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("controlplane: checkpoint: %s: %s", resp.Status, bytes.TrimSpace(b))
+		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
 	}
 	return io.ReadAll(resp.Body)
 }
@@ -691,12 +630,12 @@ func (s *Server) fetchCheckpoint(addr string) ([]byte, error) {
 // optimistically before the round-trip and rolls back on failure.
 func (s *Server) deliverBatchLocked(n *nodeRec) {
 	start := n.sent
-	end := s.journalEnd()
+	end := s.journal.end()
 	var batch []wireTick
 	parts := map[trace.DIMMID]platform.DIMMPart{}
 	upto := start
-	for upto < end && len(batch) < s.cfg.Window {
-		t := s.rec(upto)
+	for upto < end && len(batch) < window {
+		t := s.journal.at(upto)
 		if ev := t.slices[n.index]; len(ev) > 0 {
 			batch = append(batch, wireTick{tick: upto, version: t.version, events: ev})
 			for _, e := range ev {
@@ -712,7 +651,7 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 		s.cond.Broadcast() // advanced over empty ticks only
 		return
 	}
-	prune := s.nextEmit
+	prune := s.journal.nextEmit
 	epoch := n.epoch
 	addr := n.addr
 	name := n.name
@@ -734,14 +673,7 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 	n.alive = true
 	n.lastErr = nil
 	for i, wt := range batch {
-		if wt.tick < s.journalBase {
-			continue // truncated behind us; already emitted
-		}
-		t := s.rec(wt.tick)
-		if !t.done {
-			t.res[n.index] = res[i]
-		}
-		t.served[n.index] = true
+		s.journal.serve(wt.tick, n.index, res[i])
 	}
 	s.emitLocked()
 	s.maybeTruncateLocked()
@@ -757,18 +689,9 @@ func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick,
 	*buf = appendTickFrame((*buf)[:0], prune, batch, func(id trace.DIMMID) string {
 		return parts[id].PartNumber
 	})
-	resp, err := s.client.Post(addr+"/ingest2", ContentTypeTicks, bytes.NewReader(*buf))
+	body, err := s.postNode(addr+"/ingest2", ContentTypeTicks, *buf)
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: node %s: %w", name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("controlplane: node %s: %s: %s", name, resp.Status, bytes.TrimSpace(b))
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: node %s: read response: %w", name, err)
 	}
 	byTick, err := decodeRespFrame(body)
 	if err != nil {
@@ -827,7 +750,7 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 	resp := JoinResponse{
 		Index:          n.index,
 		Nodes:          s.cfg.ExpectNodes,
-		Slots:          s.cfg.Slots,
+		Slots:          slots,
 		SlotFrom:       from,
 		SlotTo:         to,
 		Platform:       string(s.pipe.Platform),
@@ -857,7 +780,7 @@ func (s *Server) checkpointBlob(name string) ([]byte, error) {
 	if !known {
 		return nil, fmt.Errorf("unknown node %q", name)
 	}
-	return s.spill.Get("ckpt/" + name)
+	return s.cfg.Spill.Get("ckpt/" + name)
 }
 
 // heartbeat refreshes a node's liveness and telemetry.
@@ -906,7 +829,7 @@ func (s *Server) status() StatusResponse {
 	if s.engine != nil {
 		st.Pending = s.engine.HeldEvents()
 	} else {
-		st.Pending = s.journalEnd() - s.nextEmit
+		st.Pending = s.journal.pending()
 		ji := s.journalInfoLocked()
 		st.Journal = &ji
 	}

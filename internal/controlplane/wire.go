@@ -11,7 +11,7 @@ import (
 
 // Binary wire frames for the distributed hot path. Three frame types ride
 // on the trace package's varint primitives (the same substrate as the
-// event frame and the engine's frozen-DIMM blobs):
+// event frame and the engine's frozen-DIMM records):
 //
 //	"MFA1" — alarm page: string table (platform IDs, model names),
 //	         uvarint count, per alarm varint Δtime, uvarint platform
@@ -38,7 +38,7 @@ const (
 	// ContentTypeAlarms marks an MFA1 alarm page (also accepted in an
 	// Accept header to request binary alarms back).
 	ContentTypeAlarms = "application/x-memfp-alarms"
-	// ContentTypeSnapshot marks a serialized engine snapshot (MFS1).
+	// ContentTypeSnapshot marks a serialized engine snapshot (MFS2).
 	ContentTypeSnapshot = "application/x-memfp-snapshot"
 
 	// HeaderPending carries TickResponse.Pending on binary ingest
@@ -92,25 +92,7 @@ func readAlarmFrame(r *trace.BinReader) []mlops.Alarm {
 		r.Failf("controlplane: not an %s alarm frame", alarmFrameMagic)
 		return nil
 	}
-	nStr := r.Uvarint()
-	if nStr > uint64(r.Remaining()) {
-		r.Failf("controlplane: alarm frame declares %d strings in %d bytes", nStr, r.Remaining())
-		return nil
-	}
-	table := make([]string, 0, nStr)
-	for i := uint64(0); i < nStr && r.Err() == nil; i++ {
-		table = append(table, r.String())
-	}
-	ref := func() string {
-		i := r.Uvarint()
-		if r.Err() == nil && i >= uint64(len(table)) {
-			r.Failf("controlplane: alarm frame string index %d out of range", i)
-		}
-		if r.Err() != nil {
-			return ""
-		}
-		return table[i]
-	}
+	table := trace.ReadStringTable(r)
 	n := r.Uvarint()
 	if n > uint64(r.Remaining())+1 {
 		r.Failf("controlplane: alarm frame declares %d alarms in %d bytes", n, r.Remaining())
@@ -122,11 +104,11 @@ func readAlarmFrame(r *trace.BinReader) []mlops.Alarm {
 		var a mlops.Alarm
 		prev += r.Varint()
 		a.Time = trace.Minutes(prev)
-		a.DIMM.Platform = platform.ID(ref())
+		a.DIMM.Platform = platform.ID(table.At(r))
 		a.DIMM.Server = int(r.Varint())
 		a.DIMM.Slot = int(r.Varint())
 		a.Score = r.Float64()
-		a.Model = ref()
+		a.Model = table.At(r)
 		alarms = append(alarms, a)
 	}
 	if r.Err() != nil {

@@ -2,10 +2,12 @@ package controlplane
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
+	"memfp/internal/dram"
 	"memfp/internal/mlops"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
@@ -159,6 +161,38 @@ func TestTickAndRespFrameRoundTrip(t *testing.T) {
 			if as[j] != pages[i][j] {
 				t.Fatalf("tick %d alarm %d diverged", tk, j)
 			}
+		}
+	}
+}
+
+// TestWireFramesGoldenBytes pins the MFA1, MFT1 and MFR1 layouts on one
+// fixed frame each: refactors of the codecs must not move a byte.
+func TestWireFramesGoldenBytes(t *testing.T) {
+	a := trace.DIMMID{Platform: platform.Purley, Server: 12, Slot: 3}
+	b := trace.DIMMID{Platform: platform.K920, Server: 7, Slot: 0}
+	alarms := []mlops.Alarm{
+		{Time: 1000, DIMM: a, Score: 0.1, Model: "m-v1"},
+		{Time: 1000, DIMM: b, Score: 1, Model: "m-v2"},
+	}
+	events := []trace.Event{
+		{Time: 1000, Type: trace.TypeCE, DIMM: a, Addr: dram.Addr{Rank: 1, Device: 5, Bank: 9, Row: 70000, Column: 513},
+			Bits: dram.ErrorBits{Width: dram.X4, Mask: 0x8421}},
+		{Time: 1001, Type: trace.TypeStorm, DIMM: a},
+	}
+	for _, c := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"MFA1", "4d464131040c496e74656c5f5075726c6579046d2d7631044b393230046d2d763202d00f0018069a9999999999b93f0100020e00000000000000f03f03",
+			AppendAlarmFrame(nil, alarms)},
+		{"MFT1", "4d46543105010702374d464531020c496e74656c5f5075726c65790a41342d323636362d333202d00f0000180601020a12e0c508820808a18802020200180601",
+			appendTickFrame(nil, 5, []wireTick{{tick: 7, version: 2, events: events}},
+				func(trace.DIMMID) string { return "A4-2666-32" })},
+		{"MFR1", "4d46523101073d4d464131040c496e74656c5f5075726c6579046d2d7631044b393230046d2d763202d00f0018069a9999999999b93f0100020e00000000000000f03f03",
+			appendRespFrame(nil, []int{7}, [][]mlops.Alarm{alarms})},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%s bytes moved:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }

@@ -294,12 +294,3 @@ func Load(data []byte) (Model, error) {
 	}
 	return m, nil
 }
-
-// VectorScorer adapts a Model to single-vector scoring (the serving-layer
-// shape). Rule-based models that need raw histories score 0 through this
-// path; serve them through ScoreBatch with a Store instead.
-func VectorScorer(m Model) func(x []float64) float64 {
-	return func(x []float64) float64 {
-		return m.ScoreBatch(Batch{X: [][]float64{x}})[0]
-	}
-}

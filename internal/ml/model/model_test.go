@@ -204,18 +204,20 @@ func TestNoPositivesErrors(t *testing.T) {
 	}
 }
 
-func TestVectorScorerMatchesBatch(t *testing.T) {
+// TestSingleRowBatchMatchesBatch: a row scores the same alone as inside a
+// batch — what lets the serving engine cut a tick's predictions into
+// batches any way it likes.
+func TestSingleRowBatchMatchesBatch(t *testing.T) {
 	ts := synthTrainSet(200, 6, 21)
 	tr, _ := Get(NameGBDT)
 	m, err := tr.Fit(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	score := VectorScorer(m)
 	batch := m.ScoreBatch(Batch{X: ts.XVal})
 	for i, x := range ts.XVal {
-		if got := score(x); got != batch[i] {
-			t.Fatalf("vector score %d = %v, batch = %v", i, got, batch[i])
+		if got := m.ScoreBatch(Batch{X: [][]float64{x}})[0]; got != batch[i] {
+			t.Fatalf("single-row score %d = %v, batch = %v", i, got, batch[i])
 		}
 	}
 }

@@ -12,7 +12,12 @@
 // newly arrived events are folded in), resolve the production model
 // through a cache invalidated by the registry's promotion epoch, and
 // score each shard's due predictions through a single ScoreBatch call
-// per tick. IngestBatch is the one serving loop; Replay (a k-way merge of
+// per tick. A registry version is its serialized artifact, so there is
+// one scoring path per model kind: vector models through that ScoreBatch,
+// rule models (model.LogScorer) against the live DIMM log. Serving-memory
+// counters live on the Server (MemoryStats), not the Monitor; frozen DIMM
+// state and engine snapshots (MFS2) hold their events in trace's log
+// form. IngestBatch is the one serving loop; Replay (a k-way merge of
 // the store's already-sorted per-DIMM logs) and ReplayStream (whole logs
 // from a lazy producer) only cut their streams into ticks for it. The
 // package's tests keep the pre-sharding sequential replay as the

@@ -262,8 +262,8 @@ func TestTransientRegistryErrorPreservesThrottle(t *testing.T) {
 		t.Fatal("expected a registry error while no production version exists")
 	}
 	// The registry recovers.
-	always := ScorerFunc(func(x []float64) float64 { return 1.0 })
-	reg.RegisterScorer("m", platform.Purley, "test", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
+	always := func(x []float64) float64 { return 1.0 }
+	registerFunc(t, reg, "m", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}

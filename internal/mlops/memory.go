@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"memfp/internal/dram"
 	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
@@ -16,15 +15,15 @@ import (
 // neither of which changes the emitted alarm stream:
 //
 //   - Log compaction: after a prediction at instant t, the DIMM's events
-//     before t - RetainWindow are folded into incremental summaries
-//     (trace.DIMMLog.CompactBefore via the feature store's fold state) and
-//     dropped. Every later prediction's observation window starts at or
-//     above the compaction horizon, so feature vectors and rule-model
-//     scores are unchanged.
+//     before t minus the observation window are folded into incremental
+//     summaries (trace.DIMMLog.CompactBefore via the feature store's fold
+//     state) and dropped. Every later prediction's observation window
+//     starts at or above the compaction horizon, so feature vectors and
+//     rule-model scores are unchanged.
 //
 //   - Idle-DIMM eviction: when a shard's resident bytes exceed its slice
 //     of the budget, the least-recently-served DIMMs are frozen — their
-//     retained events serialized to a compact varint blob alongside the
+//     retained events serialized in trace's log form alongside the
 //     throttle/cooldown scalars and the compaction snapshot — and the live
 //     state released. The next event for a frozen DIMM thaws it: the log
 //     is rebuilt from the blob, the compaction snapshot reinstated, and
@@ -64,7 +63,7 @@ func (st *dimmState) footprint() int64 {
 // needed to reconstruct scoring-identical live state on the next event.
 type frozenDIMM struct {
 	part   platform.DIMMPart
-	blob   []byte // varint-coded retained events (see encodeEvents)
+	blob   []byte // retained events in the trace log form (trace.AppendLogEvents)
 	events int
 	snap   trace.CompactionSnapshot // carries the live fold state pointer
 
@@ -78,63 +77,6 @@ type frozenDIMM struct {
 	// than on the heap; spillBytes is the stored record's size.
 	spilled    bool
 	spillBytes int64
-}
-
-// encodeEvents serializes a time-sorted event slice with delta-coded
-// times on the shared trace.BinWriter primitives. The DIMM identity is
-// implicit (one blob per DIMM), so unlike the wire event frame no string
-// table is needed.
-func encodeEvents(events []trace.Event) []byte {
-	w := trace.BinWriter{Buf: make([]byte, 0, 8*len(events))}
-	var prev trace.Minutes
-	for _, e := range events {
-		w.Uvarint(uint64(e.Time - prev))
-		prev = e.Time
-		w.Byte(byte(e.Type))
-		w.Varint(int64(e.Addr.Rank))
-		w.Varint(int64(e.Addr.Device))
-		w.Varint(int64(e.Addr.Bank))
-		w.Varint(int64(e.Addr.Row))
-		w.Varint(int64(e.Addr.Column))
-		w.Varint(int64(e.Bits.Width))
-		w.Uvarint(e.Bits.Mask)
-	}
-	return w.Buf
-}
-
-// decodeEvents rebuilds the event slice of one frozen DIMM.
-func decodeEvents(blob []byte, n int, id trace.DIMMID) ([]trace.Event, error) {
-	r := trace.NewBinReader(blob)
-	events, err := readEvents(r, n, id)
-	if err != nil {
-		return nil, fmt.Errorf("mlops: corrupt frozen blob for %s: %w", id, err)
-	}
-	return events, nil
-}
-
-// readEvents decodes n freeze-coded events from r (the tail of a frozen
-// blob or an embedded snapshot record).
-func readEvents(r *trace.BinReader, n int, id trace.DIMMID) ([]trace.Event, error) {
-	events := make([]trace.Event, 0, n)
-	var prev trace.Minutes
-	for i := 0; i < n && r.Err() == nil; i++ {
-		e := trace.Event{DIMM: id}
-		e.Time = prev + trace.Minutes(r.Uvarint())
-		prev = e.Time
-		e.Type = trace.EventType(r.Byte())
-		e.Addr.Rank = int(r.Varint())
-		e.Addr.Device = int(r.Varint())
-		e.Addr.Bank = int(r.Varint())
-		e.Addr.Row = int(r.Varint())
-		e.Addr.Column = int(r.Varint())
-		e.Bits.Width = dram.Width(r.Varint())
-		e.Bits.Mask = r.Uvarint()
-		events = append(events, e)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
 }
 
 // freezeDIMM serializes one DIMM's live serving state. The log is sorted
@@ -151,12 +93,18 @@ func freezeDIMM(st *dimmState) *frozenDIMM {
 		snap:     st.log.Compaction(),
 		lastPred: st.lastPred, lastAlarm: st.lastAlarm, alarmed: st.alarmed,
 	}
-	fz.blob = encodeEvents(st.log.Events)
-	fz.bytes = frozenBase + int64(cap(fz.blob))
-	if fs, ok := fz.snap.Fold.(*features.FoldState); ok && fs != nil {
-		fz.bytes += fs.MemEstimate()
-	}
+	fz.blob = trace.AppendLogEvents(make([]byte, 0, 8*len(st.log.Events)), st.log.Events)
+	fz.bytes = fz.footprint()
 	return fz
+}
+
+// footprint estimates the resident bytes of one in-memory frozen DIMM.
+func (fz *frozenDIMM) footprint() int64 {
+	b := frozenBase + int64(cap(fz.blob))
+	if fs, ok := fz.snap.Fold.(*features.FoldState); ok && fs != nil {
+		b += fs.MemEstimate()
+	}
+	return b
 }
 
 // thaw reconstructs live serving state from a frozen DIMM. The extraction
@@ -164,9 +112,9 @@ func freezeDIMM(st *dimmState) *frozenDIMM {
 // fold state seeds it with the compacted prefix's contribution, so the
 // first post-thaw vector already equals the never-evicted one.
 func (fz *frozenDIMM) thaw(id trace.DIMMID) (*dimmState, error) {
-	events, err := decodeEvents(fz.blob, fz.events, id)
+	events, err := trace.ReadLogEvents(trace.NewBinReader(fz.blob), fz.events, id)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mlops: corrupt frozen blob for %s: %w", id, err)
 	}
 	l := &trace.DIMMLog{ID: id, Part: fz.part, Events: events}
 	l.RestoreCompaction(fz.snap)
@@ -188,6 +136,16 @@ func (sh *shard) account(st *dimmState) {
 	}
 }
 
+// drop unlinks a live DIMM from the shard's map and LRU; the caller
+// settles sh.resident.
+func (sh *shard) drop(st *dimmState) {
+	if st.lruEl != nil {
+		sh.lru.Remove(st.lruEl)
+		st.lruEl = nil
+	}
+	delete(sh.dimms, st.log.ID)
+}
+
 // releaseLocked drops every trace of one DIMM's serving state — live,
 // frozen, and spilled — returning its bytes to the shard. Used by
 // streaming replay (state is final once a DIMM's log has drained) and
@@ -195,11 +153,7 @@ func (sh *shard) account(st *dimmState) {
 func (s *Server) releaseLocked(sh *shard, id trace.DIMMID) {
 	if st, ok := sh.dimms[id]; ok {
 		sh.resident -= st.bytes
-		if st.lruEl != nil {
-			sh.lru.Remove(st.lruEl)
-			st.lruEl = nil
-		}
-		delete(sh.dimms, id)
+		sh.drop(st)
 	}
 	if fz, ok := sh.frozen[id]; ok {
 		sh.resident -= fz.bytes
@@ -211,23 +165,10 @@ func (s *Server) releaseLocked(sh *shard, id trace.DIMMID) {
 	}
 }
 
-// retainWindow resolves the compaction retention: the configured
-// RetainWindow, floored at the feature store's observation window so
-// compaction can never reach into a window any feature still reads.
-func (s *Server) retainWindow() trace.Minutes {
-	w := trace.Minutes(0)
-	if s.Store != nil {
-		w = s.Store.ObservationWindow()
-	}
-	if s.RetainWindow > w {
-		return s.RetainWindow
-	}
-	return w
-}
-
 // maybeCompact runs the post-prediction compaction policy for one DIMM:
-// at most once per RetainWindow/4 of stream time, drop the log prefix
-// older than t - RetainWindow. Shard lock held.
+// at most once per quarter observation window of stream time, drop the
+// log prefix older than t minus the feature store's observation window —
+// the furthest back any feature reads. Shard lock held.
 func (s *Server) maybeCompact(st *dimmState, t trace.Minutes) {
 	if s.MemoryBudget <= 0 || s.Store == nil {
 		return
@@ -235,7 +176,7 @@ func (s *Server) maybeCompact(st *dimmState, t trace.Minutes) {
 	if t < st.nextCompact {
 		return
 	}
-	retain := s.retainWindow()
+	retain := s.Store.ObservationWindow()
 	st.nextCompact = t + retain/4 + 1
 	cut := t - retain
 	if cut <= 0 || len(st.log.Events) == 0 || st.log.Events[0].Time >= cut {
@@ -244,9 +185,6 @@ func (s *Server) maybeCompact(st *dimmState, t trace.Minutes) {
 	if n := s.Store.CompactLog(st.log, cut); n > 0 {
 		s.compactions.Add(1)
 		s.compactedEvents.Add(int64(n))
-		if s.monitor != nil {
-			s.monitor.CountCompaction(n)
-		}
 	}
 }
 
@@ -296,16 +234,9 @@ func (s *Server) freezeLocked(sh *shard, st *dimmState) {
 		}
 	}
 	sh.resident += fz.bytes - st.bytes
-	if st.lruEl != nil {
-		sh.lru.Remove(st.lruEl)
-		st.lruEl = nil
-	}
-	delete(sh.dimms, id)
+	sh.drop(st)
 	sh.frozen[id] = fz
 	s.evictions.Add(1)
-	if s.monitor != nil {
-		s.monitor.CountEviction()
-	}
 }
 
 // spillRec writes one frozen record to the spill store and returns the
@@ -368,35 +299,46 @@ func (s *Server) thawLocked(sh *shard, id trace.DIMMID, fz *frozenDIMM) (*dimmSt
 	sh.dimms[id] = st
 	sh.account(st)
 	s.rehydrations.Add(1)
-	if s.monitor != nil {
-		s.monitor.CountRehydration()
-	}
 	return st, nil
 }
 
 // MemoryStats is a point-in-time summary of the engine's serving-state
-// memory.
+// memory. The JSON form is what node heartbeats and /api/v1/status carry;
+// the two DIMM counts are engine-local and stay off the wire.
 type MemoryStats struct {
 	// ResidentBytes is the accounted serving-state footprint (live DIMM
 	// state plus frozen blobs). With no budget set it is recomputed from
 	// the live states on each call.
-	ResidentBytes int64
-	ResidentDIMMs int
-	FrozenDIMMs   int
+	ResidentBytes int64 `json:"resident_bytes"`
+	ResidentDIMMs int   `json:"-"`
+	FrozenDIMMs   int   `json:"-"`
 
-	Evictions       int64
-	Rehydrations    int64
-	Compactions     int64
-	CompactedEvents int64
+	Evictions       int64 `json:"evictions"`
+	Rehydrations    int64 `json:"rehydrations"`
+	Compactions     int64 `json:"compactions"`
+	CompactedEvents int64 `json:"compacted_events"`
 
 	// Spill accounting (zero without a SpillStore): bytes currently in
 	// the store and the lifetime count of records written to it.
-	SpilledBytes int64
-	Spills       int64
+	SpilledBytes int64 `json:"spilled_bytes"`
+	Spills       int64 `json:"spills"`
 }
 
-// MemoryStats sums the shards' accounting (and mirrors the resident gauge
-// into the monitor). Takes each shard lock briefly.
+// Add accumulates o into ms — how the stats of several engines (a
+// fleet's nodes) become one.
+func (ms *MemoryStats) Add(o MemoryStats) {
+	ms.ResidentBytes += o.ResidentBytes
+	ms.ResidentDIMMs += o.ResidentDIMMs
+	ms.FrozenDIMMs += o.FrozenDIMMs
+	ms.Evictions += o.Evictions
+	ms.Rehydrations += o.Rehydrations
+	ms.Compactions += o.Compactions
+	ms.CompactedEvents += o.CompactedEvents
+	ms.SpilledBytes += o.SpilledBytes
+	ms.Spills += o.Spills
+}
+
+// MemoryStats sums the shards' accounting. Takes each shard lock briefly.
 func (s *Server) MemoryStats() MemoryStats {
 	ms := MemoryStats{
 		Evictions:       s.evictions.Load(),
@@ -418,9 +360,6 @@ func (s *Server) MemoryStats() MemoryStats {
 		ms.ResidentDIMMs += len(sh.dimms)
 		ms.FrozenDIMMs += len(sh.frozen)
 		sh.mu.Unlock()
-	}
-	if s.monitor != nil {
-		s.monitor.SetResidentBytes(ms.ResidentBytes)
 	}
 	return ms
 }

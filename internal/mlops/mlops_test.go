@@ -55,8 +55,8 @@ func TestFeatureStoreRegister(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry()
-	s := ScorerFunc(func(x []float64) float64 { return 0.5 })
-	v1 := r.RegisterScorer("m", platform.Purley, "gbdt", s, eval.Metrics{F1: 0.5, Precision: 0.5}, 0.5)
+	s := func(x []float64) float64 { return 0.5 }
+	v1 := registerFunc(t, r, "m", s, eval.Metrics{F1: 0.5, Precision: 0.5}, 0.5)
 	if v1.Version != 1 || v1.Stage != StageStaging {
 		t.Fatalf("v1: %+v", v1)
 	}
@@ -70,7 +70,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err != nil || p.Version != 1 {
 		t.Fatalf("production: %v %v", p, err)
 	}
-	v2 := r.RegisterScorer("m", platform.Purley, "gbdt", s, eval.Metrics{F1: 0.6, Precision: 0.5}, 0.5)
+	v2 := registerFunc(t, r, "m", s, eval.Metrics{F1: 0.6, Precision: 0.5}, 0.5)
 	if err := r.Promote("m", v2.Version); err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestServerRejectsUnknownDIMM(t *testing.T) {
 
 func TestServerCooldown(t *testing.T) {
 	reg := NewRegistry()
-	always := ScorerFunc(func(x []float64) float64 { return 1.0 })
-	reg.RegisterScorer("m", platform.Purley, "test", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
+	always := func(x []float64) float64 { return 1.0 }
+	registerFunc(t, reg, "m", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}

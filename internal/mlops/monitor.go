@@ -20,7 +20,9 @@ func sortSlice[T any](s []T, less func(a, b T) bool) {
 // Monitor implements the Monitoring boxes of Figure 6: ingestion and
 // prediction counters, score-distribution drift (PSI against a training
 // reference), and outcome feedback that measures live precision/recall
-// and decides when retraining is warranted.
+// and decides when retraining is warranted. Serving-memory telemetry is
+// not here: the engine that evicts and compacts owns those counters
+// (Server.MemoryStats).
 //
 // Safe for concurrent use by every shard of the serving engine: the
 // hot-path counters (events, predictions, score histogram) are lock-free
@@ -30,15 +32,6 @@ type Monitor struct {
 	events      [3]atomic.Int64 // indexed by trace.EventType
 	predictions atomic.Int64
 	scoreBins   [10]atomic.Int64 // live score histogram
-
-	// Memory-policy telemetry from budgeted serving engines (see
-	// Server.MemoryBudget): eviction/rehydration churn, compaction volume,
-	// and the last reported resident-bytes gauge.
-	evictions       atomic.Int64
-	rehydrations    atomic.Int64
-	compactions     atomic.Int64
-	compactedEvents atomic.Int64
-	residentBytes   atomic.Int64
 
 	// Per-shard serving telemetry: queue depth and ingest-tick latency
 	// histograms (see ShardStats). The slice is published through an
@@ -103,38 +96,6 @@ func (m *Monitor) CountAlarm(a Alarm) {
 	defer m.mu.Unlock()
 	m.alarms = append(m.alarms, a)
 }
-
-// CountEviction tallies one idle-DIMM eviction. Lock-free.
-func (m *Monitor) CountEviction() { m.evictions.Add(1) }
-
-// CountRehydration tallies one frozen-DIMM thaw. Lock-free.
-func (m *Monitor) CountRehydration() { m.rehydrations.Add(1) }
-
-// CountCompaction tallies one log compaction that dropped n events.
-// Lock-free.
-func (m *Monitor) CountCompaction(n int) {
-	m.compactions.Add(1)
-	m.compactedEvents.Add(int64(n))
-}
-
-// SetResidentBytes records the engine's resident serving-state gauge
-// (updated by Server.MemoryStats).
-func (m *Monitor) SetResidentBytes(b int64) { m.residentBytes.Store(b) }
-
-// Evictions returns the number of idle-DIMM evictions.
-func (m *Monitor) Evictions() int { return int(m.evictions.Load()) }
-
-// Rehydrations returns the number of frozen-DIMM thaws.
-func (m *Monitor) Rehydrations() int { return int(m.rehydrations.Load()) }
-
-// Compactions returns the number of serving-log compactions.
-func (m *Monitor) Compactions() int { return int(m.compactions.Load()) }
-
-// CompactedEvents returns the total events dropped by compaction.
-func (m *Monitor) CompactedEvents() int { return int(m.compactedEvents.Load()) }
-
-// ResidentBytes returns the last reported serving-state footprint.
-func (m *Monitor) ResidentBytes() int64 { return m.residentBytes.Load() }
 
 // EventCount returns the number of ingested events of one type.
 func (m *Monitor) EventCount(t trace.EventType) int {
@@ -419,9 +380,6 @@ func (m *Monitor) Dashboard() string {
 		m.EventCount(trace.TypeCE), m.EventCount(trace.TypeUE), m.EventCount(trace.TypeStorm))
 	m.mu.Lock()
 	fmt.Fprintf(&sb, "predictions: %d, alarms: %d\n", m.predictions.Load(), len(m.alarms))
-	fmt.Fprintf(&sb, "memory: resident=%dB evictions=%d rehydrations=%d compactions=%d (-%d events)\n",
-		m.residentBytes.Load(), m.evictions.Load(), m.rehydrations.Load(),
-		m.compactions.Load(), m.compactedEvents.Load())
 	prec, rec := m.liveLocked()
 	fmt.Fprintf(&sb, "feedback: TP=%d FP=%d FN=%d (live P=%.2f R=%.2f)\n",
 		m.resolvedTP, m.resolvedFP, m.missedFN, prec, rec)

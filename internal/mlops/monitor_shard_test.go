@@ -146,7 +146,7 @@ func TestRegistryImportVersion(t *testing.T) {
 	if err != nil || prod.Version != 3 || prod.Threshold != 0.4 {
 		t.Fatalf("Production = %+v (%v), want v3 threshold 0.4", prod, err)
 	}
-	if _, err := prod.Scorer(); err != nil {
+	if _, err := prod.ServingModel(); err != nil {
 		t.Fatalf("imported artifact does not rehydrate: %v", err)
 	}
 }

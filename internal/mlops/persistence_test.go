@@ -97,13 +97,14 @@ func TestRegistrySaveLoadIdenticalScores(t *testing.T) {
 		}
 	}
 
-	// The serving-layer path (cached vector scorer) must agree too.
-	sc, err := lv.Scorer()
+	// The serving-layer path (cached model, one row at a time) must agree
+	// too.
+	sm, err := lv.ServingModel()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range batch.X {
-		if s := sc.Score(x); s != want[i] {
+		if s := sm.ScoreBatch(model.Batch{X: [][]float64{x}})[0]; s != want[i] {
 			t.Fatalf("served score %d = %v, want %v", i, s, want[i])
 		}
 	}
@@ -163,17 +164,17 @@ func TestRegistryPromotionSurvivesRoundTrip(t *testing.T) {
 // fail rehydration with a descriptive error, not a zero scorer.
 func TestCorruptArtifactErrors(t *testing.T) {
 	v := &ModelVersion{Name: "m", Version: 1, Artifact: []byte("not an envelope")}
-	if _, err := v.Scorer(); err == nil || !strings.Contains(err.Error(), "corrupt envelope") {
+	if _, err := v.ServingModel(); err == nil || !strings.Contains(err.Error(), "corrupt envelope") {
 		t.Errorf("corrupt artifact: %v", err)
 	}
 	// The error is sticky (cached with the rehydration).
-	if _, err := v.Scorer(); err == nil {
-		t.Error("second Scorer call should repeat the error")
+	if _, err := v.ServingModel(); err == nil {
+		t.Error("second ServingModel call should repeat the error")
 	}
 
 	unknown := &ModelVersion{Name: "m", Version: 1,
 		Artifact: []byte(`{"format":"memfp-model","version":1,"algo":"NoSuchAlgo","payload":"eyJ9"}`)}
-	if _, err := unknown.Scorer(); err == nil || !strings.Contains(err.Error(), `unknown algorithm "NoSuchAlgo"`) {
+	if _, err := unknown.ServingModel(); err == nil || !strings.Contains(err.Error(), `unknown algorithm "NoSuchAlgo"`) {
 		t.Errorf("unknown algorithm: %v", err)
 	}
 
@@ -187,17 +188,5 @@ func TestCorruptArtifactErrors(t *testing.T) {
 	}
 	if _, err := LoadRegistry(strings.NewReader(`{"format":"other"}`)); err == nil {
 		t.Error("foreign registry format should error")
-	}
-}
-
-// TestSaveRefusesClosureVersions: live closures cannot persist; Save
-// says so instead of silently dropping them.
-func TestSaveRefusesClosureVersions(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterScorer("m", platform.Purley, "test",
-		ScorerFunc(func(x []float64) float64 { return 1 }), eval.Metrics{}, 0.5)
-	var buf bytes.Buffer
-	if err := r.Save(&buf); err == nil || !strings.Contains(err.Error(), "closure-backed") {
-		t.Errorf("Save of closure version: %v", err)
 	}
 }

@@ -14,19 +14,6 @@ import (
 	"memfp/internal/platform"
 )
 
-// Scorer is the uniform inference interface all trained models expose to
-// the serving layer.
-type Scorer interface {
-	// Score returns the failure probability for one feature vector.
-	Score(x []float64) float64
-}
-
-// ScorerFunc adapts a function to Scorer.
-type ScorerFunc func(x []float64) float64
-
-// Score implements Scorer.
-func (f ScorerFunc) Score(x []float64) float64 { return f(x) }
-
 // Stage is a model lifecycle stage.
 type Stage string
 
@@ -37,30 +24,27 @@ const (
 	StageArchived   Stage = "archived"
 )
 
-// ModelVersion is one registered model. Its model lives as a serialized
-// artifact (the internal/ml/model envelope), so a version survives the
-// process that registered it: Registry.Save/Load round-trips artifacts,
-// stages and thresholds, and serving rehydrates scorers on demand.
+// ModelVersion is one registered model. A version is its artifact: the
+// model lives as a serialized internal/ml/model envelope, so a version
+// survives the process that registered it — Registry.Save/Load
+// round-trips the exported fields under their JSON names — and serving
+// rehydrates the model from the artifact on first use.
 type ModelVersion struct {
-	Name      string
-	Version   int
-	Platform  platform.ID
-	Algorithm string
-	Stage     Stage
-	Metrics   eval.Metrics // offline benchmark metrics at registration
-	Threshold float64      // tuned decision threshold
-	CreatedAt time.Time
+	Name      string       `json:"name"`
+	Version   int          `json:"version"`
+	Platform  platform.ID  `json:"platform"`
+	Algorithm string       `json:"algorithm"`
+	Stage     Stage        `json:"stage"`
+	Metrics   eval.Metrics `json:"metrics"`   // offline benchmark metrics at registration
+	Threshold float64      `json:"threshold"` // tuned decision threshold
+	CreatedAt time.Time    `json:"created_at"`
 	// Artifact is the serialized model envelope (model.Load-able).
-	// Empty only for closure-backed versions (RegisterScorer), which
-	// cannot be persisted.
-	Artifact []byte
+	Artifact []byte `json:"artifact"`
 
-	// scorer/mdl cache the rehydrated (or closure-registered) serving
-	// state.
-	scorerOnce sync.Once
-	scorer     Scorer
-	mdl        model.Model
-	scorerErr  error
+	// mdl caches the rehydrated serving model.
+	mdlOnce sync.Once
+	mdl     model.Model
+	mdlErr  error
 }
 
 // Model rehydrates the serialized artifact into a fresh model value.
@@ -71,52 +55,12 @@ func (v *ModelVersion) Model() (model.Model, error) {
 	return model.Load(v.Artifact)
 }
 
-// rehydrate decodes the artifact once and caches both the model and its
-// vector scorer: a server scoring every event pays the decode once.
-// Closure-registered versions keep their scorer and a nil model.
-func (v *ModelVersion) rehydrate() {
-	v.scorerOnce.Do(func() {
-		if v.scorer != nil {
-			return // closure-registered
-		}
-		m, err := v.Model()
-		if err != nil {
-			v.scorerErr = err
-			return
-		}
-		v.mdl = m
-		v.scorer = ScorerFunc(model.VectorScorer(m))
-	})
-}
-
-// Scorer returns the serving-layer vector scorer for this version,
-// rehydrating the artifact on first use.
-func (v *ModelVersion) Scorer() (Scorer, error) {
-	v.rehydrate()
-	return v.scorer, v.scorerErr
-}
-
-// LogScorer returns the history-scoring interface when this version's
-// model is rule-based (scores raw DIMM logs, not feature vectors), or
-// nil for vector models and closure-registered versions.
-func (v *ModelVersion) LogScorer() (model.LogScorer, error) {
-	v.rehydrate()
-	if v.scorerErr != nil {
-		return nil, v.scorerErr
-	}
-	ls, _ := v.mdl.(model.LogScorer)
-	return ls, nil
-}
-
-// ServingModel returns the cached rehydrated model for batch scoring
-// (the engine's micro-batched ScoreBatch path), or nil for
-// closure-registered versions, which can only score vector-at-a-time.
+// ServingModel returns the version's model for serving, decoding the
+// artifact once and caching the result (or the decode error): a server
+// scoring every tick pays the decode once.
 func (v *ModelVersion) ServingModel() (model.Model, error) {
-	v.rehydrate()
-	if v.scorerErr != nil {
-		return nil, v.scorerErr
-	}
-	return v.mdl, nil
+	v.mdlOnce.Do(func() { v.mdl, v.mdlErr = v.Model() })
+	return v.mdl, v.mdlErr
 }
 
 // Registry is the model registry of Figure 6. Safe for concurrent use.
@@ -158,25 +102,6 @@ func (r *Registry) Register(name string, pf platform.ID, m model.Model,
 	}
 	r.versions[name] = append(r.versions[name], v)
 	return v, nil
-}
-
-// RegisterScorer adds a version backed by a live closure. Such a version
-// dies with the process — Save refuses it.
-//
-// Deprecated: kept for tests and ad-hoc experiments; production paths
-// register serializable models via Register.
-func (r *Registry) RegisterScorer(name string, pf platform.ID, algo string,
-	scorer Scorer, metrics eval.Metrics, threshold float64) *ModelVersion {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := &ModelVersion{
-		Name: name, Version: len(r.versions[name]) + 1,
-		Platform: pf, Algorithm: algo, Stage: StageStaging,
-		Metrics: metrics, Threshold: threshold,
-		CreatedAt: time.Now(), scorer: scorer,
-	}
-	r.versions[name] = append(r.versions[name], v)
-	return v
 }
 
 // ImportVersion inserts a version replicated from another registry —
@@ -299,6 +224,10 @@ func (r *Registry) Latest(name string) (*ModelVersion, error) {
 func (r *Registry) List() []*ModelVersion {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.listLocked()
+}
+
+func (r *Registry) listLocked() []*ModelVersion {
 	var out []*ModelVersion
 	for _, vs := range r.versions {
 		out = append(out, vs...)
@@ -316,55 +245,25 @@ func (r *Registry) List() []*ModelVersion {
 // Persistence
 // ---------------------------------------------------------------------------
 
-// registryJSON is the registry's on-disk form.
+// registryJSON is the registry's on-disk form: every version, sorted by
+// (name, version).
 type registryJSON struct {
-	Format   string        `json:"format"`
-	Versions []versionJSON `json:"versions"`
-}
-
-type versionJSON struct {
-	Name      string       `json:"name"`
-	Version   int          `json:"version"`
-	Platform  platform.ID  `json:"platform"`
-	Algorithm string       `json:"algorithm"`
-	Stage     Stage        `json:"stage"`
-	Metrics   eval.Metrics `json:"metrics"`
-	Threshold float64      `json:"threshold"`
-	CreatedAt time.Time    `json:"created_at"`
-	Artifact  []byte       `json:"artifact"`
+	Format   string          `json:"format"`
+	Versions []*ModelVersion `json:"versions"`
 }
 
 const registryFormat = "memfp-registry-v1"
 
 // Save serializes every version — artifacts, stages, thresholds,
 // metrics — so a reloaded registry serves the same models at the same
-// stages. It errors on closure-backed versions (RegisterScorer), which
-// have nothing durable to write.
+// stages.
 func (r *Registry) Save(w io.Writer) error {
-	r.mu.RLock()
+	r.mu.RLock() // List's order, held across the encode: Promote mutates stages
 	defer r.mu.RUnlock()
-	out := registryJSON{Format: registryFormat}
-	var names []string
-	for name := range r.versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, v := range r.versions[name] {
-			if len(v.Artifact) == 0 {
-				return fmt.Errorf("mlops: cannot save %s v%d: closure-backed version has no artifact", v.Name, v.Version)
-			}
-			out.Versions = append(out.Versions, versionJSON{
-				Name: v.Name, Version: v.Version, Platform: v.Platform,
-				Algorithm: v.Algorithm, Stage: v.Stage, Metrics: v.Metrics,
-				Threshold: v.Threshold, CreatedAt: v.CreatedAt, Artifact: v.Artifact,
-			})
-		}
-	}
-	return json.NewEncoder(w).Encode(out)
+	return json.NewEncoder(w).Encode(registryJSON{Format: registryFormat, Versions: r.listLocked()})
 }
 
-// LoadRegistry reads a registry written by Save. Scorers rehydrate
+// LoadRegistry reads a registry written by Save. Models rehydrate
 // lazily on first use; artifacts are validated then, not here.
 func LoadRegistry(rd io.Reader) (*Registry, error) {
 	var in registryJSON
@@ -376,11 +275,10 @@ func LoadRegistry(rd io.Reader) (*Registry, error) {
 	}
 	r := NewRegistry()
 	for _, v := range in.Versions {
-		r.versions[v.Name] = append(r.versions[v.Name], &ModelVersion{
-			Name: v.Name, Version: v.Version, Platform: v.Platform,
-			Algorithm: v.Algorithm, Stage: v.Stage, Metrics: v.Metrics,
-			Threshold: v.Threshold, CreatedAt: v.CreatedAt, Artifact: v.Artifact,
-		})
+		if v == nil {
+			return nil, fmt.Errorf("mlops: registry holds a null version")
+		}
+		r.versions[v.Name] = append(r.versions[v.Name], v)
 	}
 	for _, vs := range r.versions {
 		sort.Slice(vs, func(i, j int) bool { return vs[i].Version < vs[j].Version })

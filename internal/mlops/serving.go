@@ -82,9 +82,6 @@ type Server struct {
 	// prediction's observation window and idle DIMM state is frozen under
 	// budget pressure — see memory.go; the alarm stream is unchanged.
 	MemoryBudget int64
-	// RetainWindow is the per-DIMM history kept past compaction, floored
-	// at the feature store's observation window (0 = exactly that window).
-	RetainWindow trace.Minutes
 	// Spill optionally backs frozen-DIMM state with off-heap storage
 	// (NewDirSpill for disk). Frozen records are written to the store and
 	// only a fixed-size stub stays on the heap, so MemoryBudget bounds
@@ -143,12 +140,13 @@ type dimmState struct {
 
 // prodCache is the resolved production model at one registry epoch.
 type prodCache struct {
-	epoch     uint64
-	mv        *ModelVersion
-	label     string // "name-vN"
-	scorer    Scorer // vector path (nil when logScorer serves)
+	epoch uint64
+	mv    *ModelVersion
+	label string // "name-vN"
+	mdl   model.Model
+	// logScorer is mdl when it is rule-based: it scores the live DIMM log
+	// at once instead of queueing a vector for the tick-end ScoreBatch.
 	logScorer model.LogScorer
-	mdl       model.Model // batch path; nil for closure-registered versions
 }
 
 // NewServer builds a serving engine with one shard per CPU.
@@ -310,15 +308,10 @@ func (s *Server) production() (*prodCache, error) {
 		return nil, err
 	}
 	pc := &prodCache{epoch: ep, mv: mv, label: fmt.Sprintf("%s-v%d", mv.Name, mv.Version)}
-	if pc.logScorer, err = mv.LogScorer(); err != nil {
+	if pc.mdl, err = mv.ServingModel(); err != nil {
 		return nil, fmt.Errorf("mlops: rehydrate %s v%d: %w", mv.Name, mv.Version, err)
 	}
-	if pc.logScorer == nil {
-		if pc.scorer, err = mv.Scorer(); err != nil {
-			return nil, fmt.Errorf("mlops: rehydrate %s v%d: %w", mv.Name, mv.Version, err)
-		}
-		pc.mdl, _ = mv.ServingModel() // nil for closure-registered versions
-	}
+	pc.logScorer, _ = pc.mdl.(model.LogScorer)
 	s.prod.Store(pc)
 	return pc, nil
 }
@@ -345,9 +338,9 @@ func (s *Server) Ingest(e trace.Event) (*Alarm, error) {
 }
 
 // ingestLocked runs the per-event serving path with the shard lock held.
-// Vector predictions of artifact-backed models are queued on pend (scored
-// by flushPending at tick end, which emits their alarms); rule-based and
-// closure-registered models have no batch form and score synchronously.
+// Vector predictions are queued on pend (scored by flushPending at tick
+// end, which emits their alarms); rule-based models read the live log,
+// which later same-tick events would change, and score synchronously.
 func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*Alarm, error) {
 	st, ok := sh.dimms[e.DIMM]
 	if !ok {
@@ -400,12 +393,8 @@ func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*A
 	if st.cursor == nil {
 		st.cursor = s.Store.NewServeCursor(st.log)
 	}
-	vec := st.cursor.ExtractAt(e.Time)
-	if pc.mdl != nil {
-		*pend = append(*pend, pendingPred{st: st, e: e, vec: vec})
-		return nil, nil
-	}
-	return s.finishPrediction(st, e, pc, pc.scorer.Score(vec)), nil
+	*pend = append(*pend, pendingPred{st: st, e: e, vec: st.cursor.ExtractAt(e.Time)})
+	return nil, nil
 }
 
 // finishPrediction applies monitoring, threshold and cooldown to one
@@ -440,7 +429,10 @@ func (s *Server) flushPending(pend *[]pendingPred, out *[]Alarm) error {
 	}
 	queue := *pend
 	var scores []float64
-	if pc.mdl != nil {
+	// A rule model promoted between queueing and flushing cannot take the
+	// batch: without a Store its ScoreBatch scores every row 0, so those
+	// rows go through ScoreLog.
+	if pc.logScorer == nil {
 		X := make([][]float64, len(queue))
 		dimms := make([]trace.DIMMID, len(queue))
 		times := make([]trace.Minutes, len(queue))
@@ -454,14 +446,7 @@ func (s *Server) flushPending(pend *[]pendingPred, out *[]Alarm) error {
 		if scores != nil {
 			score = scores[i]
 		} else {
-			// The production model changed to a non-batchable version
-			// between queueing and flushing; fall back per-row.
-			switch {
-			case pc.logScorer != nil:
-				score = pc.logScorer.ScoreLog(p.st.log, p.e.Time)
-			default:
-				score = pc.scorer.Score(p.vec)
-			}
+			score = pc.logScorer.ScoreLog(p.st.log, p.e.Time)
 		}
 		if a := s.finishPrediction(p.st, p.e, pc, score); a != nil {
 			*out = append(*out, *a)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memfp/internal/ml/model"
 	"memfp/internal/trace"
 )
 
@@ -62,17 +63,16 @@ func (s *Server) ReplayBaseline(ctx context.Context, st *trace.Store, onAlarm fu
 		if err != nil {
 			return n, err
 		}
-		var score float64
-		if ls, err := mv.LogScorer(); err != nil {
+		m, err := mv.ServingModel()
+		if err != nil {
 			return n, fmt.Errorf("mlops: rehydrate %s v%d: %w", mv.Name, mv.Version, err)
-		} else if ls != nil {
+		}
+		var score float64
+		if ls, ok := m.(model.LogScorer); ok {
 			score = ls.ScoreLog(l, e.Time)
 		} else {
-			scorer, err := mv.Scorer()
-			if err != nil {
-				return n, fmt.Errorf("mlops: rehydrate %s v%d: %w", mv.Name, mv.Version, err)
-			}
-			score = scorer.Score(s.Store.ServeVector(l, e.Time))
+			// One row per call: the oracle never batches.
+			score = m.ScoreBatch(model.Batch{X: [][]float64{s.Store.ServeVector(l, e.Time)}})[0]
 		}
 		if s.monitor != nil {
 			s.monitor.CountPrediction(score)

@@ -286,8 +286,8 @@ func TestReplayCancelDeliversPrefix(t *testing.T) {
 // `lastAlarm > 0` guard treated time zero as "never alarmed").
 func TestCooldownSuppressesTimeZeroAlarm(t *testing.T) {
 	reg := NewRegistry()
-	always := ScorerFunc(func(x []float64) float64 { return 1.0 })
-	reg.RegisterScorer("m", platform.Purley, "test", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
+	always := func(x []float64) float64 { return 1.0 }
+	registerFunc(t, reg, "m", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +325,11 @@ func TestCooldownSuppressesTimeZeroAlarm(t *testing.T) {
 func TestIngestOutOfOrderRecovers(t *testing.T) {
 	reg := NewRegistry()
 	var lastVec []float64
-	spy := ScorerFunc(func(x []float64) float64 {
+	spy := func(x []float64) float64 {
 		lastVec = append([]float64(nil), x...)
 		return 0
-	})
-	reg.RegisterScorer("m", platform.Purley, "test", spy, eval.Metrics{Precision: 1, F1: 1}, 0.5)
+	}
+	registerFunc(t, reg, "m", spy, eval.Metrics{Precision: 1, F1: 1}, 0.5)
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +369,8 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 // and match the baseline, which globally sorts.
 func TestReplayUnsortedStore(t *testing.T) {
 	reg := NewRegistry()
-	scorer := ScorerFunc(func(x []float64) float64 { return x[5] / 4 }) // ce_total-driven
-	reg.RegisterScorer("m", platform.Purley, "test", scorer, eval.Metrics{Precision: 1, F1: 1}, 0.5)
+	scorer := func(x []float64) float64 { return x[5] / 4 } // ce_total-driven
+	registerFunc(t, reg, "m", scorer, eval.Metrics{Precision: 1, F1: 1}, 0.5)
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +431,8 @@ func TestReplayUnsortedStore(t *testing.T) {
 // not dropped (they would otherwise be suppressed forever).
 func TestIngestBatchDeliversAlarmsOnError(t *testing.T) {
 	reg := NewRegistry()
-	always := ScorerFunc(func(x []float64) float64 { return 1.0 })
-	reg.RegisterScorer("m", platform.Purley, "test", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
+	always := func(x []float64) float64 { return 1.0 }
+	registerFunc(t, reg, "m", always, eval.Metrics{Precision: 1, F1: 1}, 0.5)
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +465,8 @@ func TestConcurrentIngestWithPromotion(t *testing.T) {
 	reg := NewRegistry()
 	for v := 1; v <= 6; v++ {
 		v := v
-		scorer := ScorerFunc(func(x []float64) float64 { return float64(v) / 10 })
-		reg.RegisterScorer("m", platform.Purley, "test", scorer, eval.Metrics{Precision: 1, F1: 1}, 0.99)
+		scorer := func(x []float64) float64 { return float64(v) / 10 }
+		registerFunc(t, reg, "m", scorer, eval.Metrics{Precision: 1, F1: 1}, 0.99)
 	}
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)

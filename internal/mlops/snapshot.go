@@ -20,8 +20,21 @@ import (
 // through the regular eviction-rehydration path, which is pinned exact
 // by TestEvictionTransparent — so restoring is scoring-invisible.
 
-// snapshotMagic versions the engine snapshot format.
-const snapshotMagic = "MFS1"
+// snapshotMagic versions the engine snapshot format. MFS2 records hold
+// their events in the trace log form (trace.AppendLogEvents); MFS1, whose
+// blobs wrote address and bit fields for every event type, is refused by
+// name — a spill directory or checkpoint written by an MFS1 binary must
+// be emptied, not reread.
+const (
+	snapshotMagic    = "MFS2"
+	snapshotMagicOld = "MFS1"
+)
+
+// frozenRec is one snapshot record: a DIMM and its frozen state.
+type frozenRec struct {
+	id trace.DIMMID
+	fz *frozenDIMM
+}
 
 // spillDIMMKey names a frozen DIMM's record in a SpillStore.
 func spillDIMMKey(id trace.DIMMID) string { return "dimm/" + id.String() }
@@ -85,20 +98,23 @@ func decodeFrozenRec(r *trace.BinReader) (trace.DIMMID, *frozenDIMM, error) {
 	if r.Bool() {
 		fz.snap.Fold = features.DecodeFoldState(r)
 	}
-	fz.events = int(r.Uvarint())
+	events := r.Uvarint()
 	fz.blob = r.Bytes()
 	if err := r.Err(); err != nil {
 		return id, nil, err
 	}
+	// trace.ReadLogEvents' bound, applied here so a record whose count
+	// its blob cannot hold is refused at restore time, not at thaw.
+	if events > uint64(len(fz.blob)/2) {
+		return id, nil, fmt.Errorf("mlops: snapshot record for %s declares %d events in a %d-byte blob", id, events, len(fz.blob))
+	}
+	fz.events = int(events)
 	part, err := platform.PartByNumber(partNumber)
 	if err != nil {
 		return id, nil, fmt.Errorf("mlops: snapshot record for %s: %w", id, err)
 	}
 	fz.part = part
-	fz.bytes = frozenBase + int64(cap(fz.blob))
-	if fs, ok := fz.snap.Fold.(*features.FoldState); ok && fs != nil {
-		fz.bytes += fs.MemEstimate()
-	}
+	fz.bytes = fz.footprint()
 	return id, fz, nil
 }
 
@@ -107,15 +123,11 @@ func decodeFrozenRec(r *trace.BinReader) (trace.DIMMID, *frozenDIMM, error) {
 // per shard. The encoding is deterministic: records are sorted by DIMM
 // ID and every nested codec writes sorted keys.
 func (s *Server) Snapshot() ([]byte, error) {
-	type rec struct {
-		id trace.DIMMID
-		fz *frozenDIMM
-	}
-	var recs []rec
+	var recs []frozenRec
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, st := range sh.dimms {
-			recs = append(recs, rec{id, freezeDIMM(st)})
+			recs = append(recs, frozenRec{id, freezeDIMM(st)})
 		}
 		for id, fz := range sh.frozen {
 			if fz.spilled {
@@ -126,7 +138,7 @@ func (s *Server) Snapshot() ([]byte, error) {
 				}
 				fz = real
 			}
-			recs = append(recs, rec{id, fz})
+			recs = append(recs, frozenRec{id, fz})
 		}
 		sh.mu.Unlock()
 	}
@@ -148,24 +160,23 @@ func (s *Server) Snapshot() ([]byte, error) {
 // registry, monitor and pause state are untouched.
 func (s *Server) RestoreSnapshot(data []byte) error {
 	r := trace.NewBinReader(data)
-	if magic := r.Raw(len(snapshotMagic)); r.Err() != nil || string(magic) != snapshotMagic {
+	switch magic := r.Raw(len(snapshotMagic)); {
+	case string(magic) == snapshotMagicOld:
+		return fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s", snapshotMagicOld, snapshotMagic)
+	case r.Err() != nil || string(magic) != snapshotMagic:
 		return fmt.Errorf("mlops: not a %s engine snapshot", snapshotMagic)
 	}
 	n := r.Uvarint()
 	if n > uint64(r.Remaining())+1 {
 		return fmt.Errorf("mlops: snapshot declares %d DIMMs in %d bytes", n, r.Remaining())
 	}
-	type rec struct {
-		id trace.DIMMID
-		fz *frozenDIMM
-	}
-	recs := make([]rec, 0, n)
+	recs := make([]frozenRec, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, fz, err := decodeFrozenRec(r)
 		if err != nil {
 			return err
 		}
-		recs = append(recs, rec{id, fz})
+		recs = append(recs, frozenRec{id, fz})
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -1,8 +1,13 @@
 package mlops
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
+	"memfp/internal/dram"
+	"memfp/internal/eval"
+	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
 
@@ -147,4 +152,119 @@ func TestSpillBoundedIngest(t *testing.T) {
 			t.Fatalf("alarm %d differs with disk spill:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// lyingSnapshot is a one-record snapshot whose event count (1<<62) its
+// 3-byte blob cannot hold — the record that used to restore cleanly and
+// then kill the node in make() at the DIMM's next event.
+func lyingSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	part, err := platform.PartByNumber("A4-2666-32")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	id := trace.DIMMID{Platform: platform.Purley, Server: 1, Slot: 1}
+	w := trace.BinWriter{}
+	w.Raw([]byte(snapshotMagic))
+	w.Uvarint(1)
+	if err := appendFrozenRec(&w, id, &frozenDIMM{part: part, events: 1 << 62, blob: []byte{0, 2, 0}}); err != nil {
+		tb.Fatal(err)
+	}
+	return w.Buf
+}
+
+// smallSnapshot serves a few synthetic DIMMs (CEs, a UE, a storm; one
+// log long enough to have been compacted) under a budget and returns the
+// engine's snapshot together with a registry to restore it against.
+func smallSnapshot(tb testing.TB) (*Registry, []byte) {
+	tb.Helper()
+	reg := NewRegistry()
+	registerFunc(tb, reg, "m", func(x []float64) float64 { return x[5] / 64 }, eval.Metrics{}, 0.5)
+	if err := reg.Promote("m", 1); err != nil {
+		tb.Fatal(err)
+	}
+	part, err := platform.PartByNumber("A4-2666-32")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
+	s.MemoryBudget = 1 << 20
+	var events []trace.Event
+	for d := 0; d < 2; d++ {
+		id := trace.DIMMID{Platform: platform.Purley, Server: d, Slot: d % 2}
+		s.RegisterDIMM(id, part)
+		for i := 0; i < 30*(d+1); i++ {
+			e := trace.Event{Time: trace.Minutes(i)*trace.Day/2 + trace.Minutes(d), Type: trace.TypeCE, DIMM: id,
+				Addr: dram.Addr{Rank: i % 2, Device: i % 18, Bank: i % 16, Row: 100 + i%3, Column: i % 7},
+				Bits: dram.ErrorBits{Width: part.Width, Mask: 1 << (i % 32)}}
+			switch {
+			case i == 17:
+				e.Type, e.Bits = trace.TypeUE, dram.ErrorBits{}
+			case i == 23:
+				e.Type, e.Addr, e.Bits = trace.TypeStorm, dram.Addr{}, dram.ErrorBits{}
+			}
+			events = append(events, e)
+		}
+	}
+	sort.Stable(trace.ByTime(events))
+	if _, err := s.IngestBatch(events); err != nil {
+		tb.Fatal(err)
+	}
+	if s.MemoryStats().Compactions == 0 {
+		tb.Fatal("fixture never compacted: the snapshot carries no fold state")
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return reg, blob
+}
+
+// TestRestoreSnapshotRefusesBadRecords: a record whose count its blob
+// cannot hold is refused at restore time, and an MFS1 snapshot is refused
+// by name.
+func TestRestoreSnapshotRefusesBadRecords(t *testing.T) {
+	reg, good := smallSnapshot(t)
+	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
+	if err := s.RestoreSnapshot(good); err != nil {
+		t.Fatalf("real snapshot refused: %v", err)
+	}
+	lying := lyingSnapshot(t)
+	if err := s.RestoreSnapshot(lying); err == nil || !strings.Contains(err.Error(), "declares") {
+		t.Errorf("record declaring 1<<62 events in 3 bytes: %v", err)
+	}
+	old := append([]byte("MFS1"), good[4:]...)
+	if err := s.RestoreSnapshot(old); err == nil || !strings.Contains(err.Error(), "MFS1") {
+		t.Errorf("MFS1 snapshot: %v", err)
+	}
+}
+
+// FuzzRestoreSnapshot feeds arbitrary bytes to RestoreSnapshot — they
+// reach a node over HTTP from the control plane's checkpoint store — and
+// then sends one CE to every DIMM the restore accepted, which thaws it:
+// errors are fine, a panic is not.
+func FuzzRestoreSnapshot(f *testing.F) {
+	reg, good := smallSnapshot(f)
+	lying := lyingSnapshot(f)
+	f.Add(good)
+	f.Add(lying)
+	f.Add([]byte(snapshotMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
+		s.MemoryBudget = 1 << 20
+		if err := s.RestoreSnapshot(data); err != nil {
+			return
+		}
+		var ids []trace.DIMMID
+		for _, sh := range s.shards {
+			for id := range sh.frozen {
+				ids = append(ids, id)
+			}
+		}
+		for _, id := range ids {
+			s.Ingest(trace.Event{Time: 400 * trace.Day, Type: trace.TypeCE, DIMM: id,
+				Bits: dram.ErrorBits{Width: dram.X4, Mask: 1}})
+		}
+	})
 }

@@ -62,13 +62,6 @@ func (s *MemSpill) Delete(key string) error {
 	return nil
 }
 
-// Len returns the number of stored blobs.
-func (s *MemSpill) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
 // DirSpill is a SpillStore backed by flat files under one directory.
 // Keys map to file names by escaping separators, so the store never
 // creates nested paths.

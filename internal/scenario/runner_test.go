@@ -195,23 +195,3 @@ func TestMaintenanceHoldsAndResumes(t *testing.T) {
 			chaos.Counters.EventsDelivered, want)
 	}
 }
-
-func BenchmarkSimulateClean(b *testing.B) { benchScenario(b, cleanDoc) }
-func BenchmarkSimulateChaos(b *testing.B) { benchScenario(b, chaosDoc) }
-
-func benchScenario(b *testing.B, doc string) {
-	s, err := Parse(doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	events := 0
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(context.Background(), s, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = rep.Counters.EventsDelivered
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds()/float64(b.N), "events/s")
-}

@@ -12,9 +12,11 @@ import (
 // Binary codec primitives and the versioned event-frame format. The text
 // log codec (log.go) remains the human-readable interchange form and the
 // equivalence oracle; this file provides the compact wire form the
-// control plane and node daemons exchange on the hot path, built from the
-// same varint + delta-time primitives the serving engine's frozen-DIMM
-// snapshots use (internal/mlops eviction blobs ride on BinWriter too).
+// control plane and node daemons exchange on the hot path, and the
+// DIMM-implicit log form (AppendLogEvents) the serving engine freezes one
+// DIMM's retained events into. Both forms write an event's
+// type-dependent fields through the one appendEventFields/readEventFields
+// pair, so the field layout lives here and nowhere else.
 //
 // One frame holds one batch of events:
 //
@@ -31,6 +33,14 @@ import (
 //	  uvarint part-number string index
 //	  CE/UE:  varint rank, dev, bank, row, col
 //	  CE:     varint bits-width, uvarint bits-mask
+//
+// The log form holds one DIMM's time-sorted events with no magic, string
+// table or count of its own (the enclosing record carries the count):
+//
+//	per event:
+//	  uvarint Δtime                 unsigned — the log is time-sorted
+//	  byte    type
+//	  CE/UE, CE fields as above
 //
 // Unlike the text form, CE bit signatures carry their device width
 // inline, so decoding needs no part-catalog lookup. Scores elsewhere in
@@ -228,6 +238,118 @@ func (t *StringTable) Encode(w *BinWriter) {
 	}
 }
 
+// ReadStringTable reads a table written by Encode. The declared count is
+// bounded by the bytes left (a string costs at least its length byte)
+// before anything is allocated; errors latch on r.
+func ReadStringTable(r *BinReader) StringTable {
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) {
+		r.Failf("trace: string table declares %d strings in %d bytes", n, r.Remaining())
+		return StringTable{}
+	}
+	t := StringTable{list: make([]string, 0, n)}
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		t.list = append(t.list, r.String())
+	}
+	return t
+}
+
+// At reads one string index from r and resolves it; an index outside the
+// table latches an error on r and yields "".
+func (t *StringTable) At(r *BinReader) string {
+	i := r.Uvarint()
+	if r.Err() != nil {
+		return ""
+	}
+	if i >= uint64(len(t.list)) {
+		r.Failf("trace: string index %d out of range (%d interned)", i, len(t.list))
+		return ""
+	}
+	return t.list[i]
+}
+
+// appendEventFields appends the fields of e that depend on its type: the
+// address for CE and UE, the bit signature for CE. It takes and returns
+// the buffer by value so the writer stays on this frame's stack: stores
+// through a caller's *BinWriter would each pay the GC write barrier, and
+// this runs once per event on the wire and checkpoint paths.
+func appendEventFields(dst []byte, e *Event) []byte {
+	w := BinWriter{Buf: dst}
+	if e.Type == TypeCE || e.Type == TypeUE {
+		w.Varint(int64(e.Addr.Rank))
+		w.Varint(int64(e.Addr.Device))
+		w.Varint(int64(e.Addr.Bank))
+		w.Varint(int64(e.Addr.Row))
+		w.Varint(int64(e.Addr.Column))
+	}
+	if e.Type == TypeCE {
+		w.Varint(int64(e.Bits.Width))
+		w.Uvarint(e.Bits.Mask)
+	}
+	return w.Buf
+}
+
+// readEventType reads and validates the type byte.
+func readEventType(r *BinReader) EventType {
+	t := EventType(r.Byte())
+	if t != TypeCE && t != TypeUE && t != TypeStorm && r.Err() == nil {
+		r.Failf("trace: unknown event type %d", t)
+	}
+	return t
+}
+
+// readEventFields reads what appendEventFields wrote for e.Type.
+func readEventFields(r *BinReader, e *Event) {
+	if e.Type == TypeCE || e.Type == TypeUE {
+		e.Addr.Rank = int(r.Varint())
+		e.Addr.Device = int(r.Varint())
+		e.Addr.Bank = int(r.Varint())
+		e.Addr.Row = int(r.Varint())
+		e.Addr.Column = int(r.Varint())
+	}
+	if e.Type == TypeCE {
+		e.Bits.Width = dram.Width(r.Varint())
+		e.Bits.Mask = r.Uvarint()
+	}
+}
+
+// AppendLogEvents encodes one DIMM's time-sorted events in the log form.
+func AppendLogEvents(dst []byte, events []Event) []byte {
+	w := BinWriter{Buf: dst}
+	var prev Minutes
+	for i := range events {
+		e := &events[i]
+		w.Uvarint(uint64(e.Time - prev))
+		prev = e.Time
+		w.Byte(byte(e.Type))
+		w.Buf = appendEventFields(w.Buf, e)
+	}
+	return w.Buf
+}
+
+// ReadLogEvents decodes n log-form events of DIMM id from r. An event is
+// at least two bytes, so n is bounded by the bytes left before the slice
+// is allocated: a lying count is an error, never an allocation.
+func ReadLogEvents(r *BinReader, n int, id DIMMID) ([]Event, error) {
+	if n < 0 || n > r.Remaining()/2 {
+		return nil, fmt.Errorf("trace: log declares %d events in %d bytes", n, r.Remaining())
+	}
+	events := make([]Event, 0, n)
+	var prev Minutes
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := Event{DIMM: id}
+		e.Time = prev + Minutes(r.Uvarint())
+		prev = e.Time
+		e.Type = readEventType(r)
+		readEventFields(r, &e)
+		events = append(events, e)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return events, nil
+}
+
 // AppendEventFrame encodes a batch of events into dst (which may be nil
 // or a recycled buffer) and returns the extended buffer. partOf resolves
 // each event's DIMM to the part number recorded alongside it, exactly as
@@ -239,7 +361,8 @@ func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []
 	body := BinWriter{Buf: make([]byte, 0, 8+6*len(events))}
 	body.Uvarint(uint64(len(events)))
 	var prev Minutes
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		body.Varint(int64(e.Time - prev))
 		prev = e.Time
 		body.Byte(byte(e.Type))
@@ -247,17 +370,7 @@ func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []
 		body.Varint(int64(e.DIMM.Server))
 		body.Varint(int64(e.DIMM.Slot))
 		body.Uvarint(tab.Ref(partOf(e.DIMM)))
-		if e.Type == TypeCE || e.Type == TypeUE {
-			body.Varint(int64(e.Addr.Rank))
-			body.Varint(int64(e.Addr.Device))
-			body.Varint(int64(e.Addr.Bank))
-			body.Varint(int64(e.Addr.Row))
-			body.Varint(int64(e.Addr.Column))
-		}
-		if e.Type == TypeCE {
-			body.Varint(int64(e.Bits.Width))
-			body.Uvarint(e.Bits.Mask)
-		}
+		body.Buf = appendEventFields(body.Buf, e)
 	}
 	w := BinWriter{Buf: dst}
 	w.Raw([]byte(eventFrameMagic))
@@ -274,28 +387,10 @@ func DecodeEventFrame(data []byte) ([]Event, []string, error) {
 	if magic := r.Raw(len(eventFrameMagic)); r.Err() != nil || string(magic) != eventFrameMagic {
 		return nil, nil, fmt.Errorf("trace: not a %s event frame", eventFrameMagic)
 	}
-	nStr := r.Uvarint()
-	if nStr > uint64(r.Remaining()) {
-		return nil, nil, fmt.Errorf("trace: event frame declares %d strings in %d bytes", nStr, r.Remaining())
-	}
-	table := make([]string, 0, nStr)
-	for i := uint64(0); i < nStr && r.Err() == nil; i++ {
-		table = append(table, r.String())
-	}
+	table := ReadStringTable(r)
 	n := r.Uvarint()
 	if n > uint64(r.Remaining()) {
 		return nil, nil, fmt.Errorf("trace: event frame declares %d events in %d bytes", n, r.Remaining())
-	}
-	ref := func() string {
-		i := r.Uvarint()
-		if r.Err() != nil {
-			return ""
-		}
-		if i >= uint64(len(table)) {
-			r.Failf("trace: event frame string index %d out of range (%d interned)", i, len(table))
-			return ""
-		}
-		return table[i]
 	}
 	events := make([]Event, 0, n)
 	parts := make([]string, 0, n)
@@ -304,29 +399,12 @@ func DecodeEventFrame(data []byte) ([]Event, []string, error) {
 		var e Event
 		e.Time = prev + Minutes(r.Varint())
 		prev = e.Time
-		switch t := r.Byte(); EventType(t) {
-		case TypeCE, TypeUE, TypeStorm:
-			e.Type = EventType(t)
-		default:
-			if r.Err() == nil {
-				r.Failf("trace: event frame has unknown event type %d", t)
-			}
-		}
-		e.DIMM.Platform = platform.ID(ref())
+		e.Type = readEventType(r)
+		e.DIMM.Platform = platform.ID(table.At(r))
 		e.DIMM.Server = int(r.Varint())
 		e.DIMM.Slot = int(r.Varint())
-		part := ref()
-		if e.Type == TypeCE || e.Type == TypeUE {
-			e.Addr.Rank = int(r.Varint())
-			e.Addr.Device = int(r.Varint())
-			e.Addr.Bank = int(r.Varint())
-			e.Addr.Row = int(r.Varint())
-			e.Addr.Column = int(r.Varint())
-		}
-		if e.Type == TypeCE {
-			e.Bits.Width = dram.Width(r.Varint())
-			e.Bits.Mask = r.Uvarint()
-		}
+		part := table.At(r)
+		readEventFields(r, &e)
 		events = append(events, e)
 		parts = append(parts, part)
 	}

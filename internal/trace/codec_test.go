@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"memfp/internal/dram"
@@ -202,4 +204,88 @@ func FuzzDecodeEventFrame(f *testing.F) {
 			t.Fatalf("events/parts length skew: %d vs %d", len(evs), len(ps))
 		}
 	})
+}
+
+// TestEventFrameGoldenBytes pins the MFE1 layout on one fixed frame (a
+// CE, a storm of another DIMM earlier in time, a UE): refactors of the
+// codec must not move a byte of the wire.
+func TestEventFrameGoldenBytes(t *testing.T) {
+	a := DIMMID{Platform: platform.Purley, Server: 12, Slot: 3}
+	b := DIMMID{Platform: platform.K920, Server: 7, Slot: 0}
+	events := []Event{
+		{Time: 1000, Type: TypeCE, DIMM: a, Addr: dram.Addr{Rank: 1, Device: 5, Bank: 9, Row: 70000, Column: 513},
+			Bits: dram.ErrorBits{Width: dram.X4, Mask: 0x8421}},
+		{Time: 990, Type: TypeStorm, DIMM: b},
+		{Time: 1500, Type: TypeUE, DIMM: a, Addr: dram.Addr{Rank: 0, Device: 17, Bank: 2, Row: 3, Column: 4}},
+	}
+	frame := AppendEventFrame(nil, events, func(id DIMMID) string {
+		if id == a {
+			return "A4-2666-32"
+		}
+		return "K-part"
+	})
+	const want = "4d464531040c496e74656c5f5075726c65790a41342d323636362d3332044b393230064b2d7061727403d00f0000180601020a12e0c508820808a188021302020e0003fc0701001806010022040608"
+	if got := hex.EncodeToString(frame); got != want {
+		t.Fatalf("MFE1 bytes moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// sortedLog turns a random batch into one DIMM's time-sorted log.
+func sortedLog(rng *rand.Rand, n int, id DIMMID) []Event {
+	events, _ := randomEvents(rng, n)
+	for i := range events {
+		events[i].DIMM = id
+	}
+	sort.Stable(ByTime(events))
+	return events
+}
+
+// TestLogEventsRoundTrip: over random sorted logs of all three event
+// types the log form decodes to exactly what was encoded, every strict
+// prefix of the bytes is an error, and a count the bytes cannot hold is
+// refused before anything is allocated.
+func TestLogEventsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	id := DIMMID{Platform: platform.Purley, Server: 12, Slot: 3}
+	for trial := 0; trial < 50; trial++ {
+		log := sortedLog(rng, rng.Intn(200), id)
+		blob := AppendLogEvents(nil, log)
+		r := NewBinReader(blob)
+		got, err := ReadLogEvents(r, len(log), id)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(got) != len(log) || r.Remaining() != 0 {
+			t.Fatalf("trial %d: %d events with %d bytes left, want %d and 0", trial, len(got), r.Remaining(), len(log))
+		}
+		for i := range log {
+			if got[i] != log[i] {
+				t.Fatalf("trial %d event %d: got %+v, want %+v", trial, i, got[i], log[i])
+			}
+		}
+		for cut := 0; cut < len(blob); cut += 5 {
+			if _, err := ReadLogEvents(NewBinReader(blob[:cut]), len(log), id); err == nil {
+				t.Fatalf("trial %d: %d of %d bytes decoded %d events without error", trial, cut, len(blob), len(log))
+			}
+		}
+	}
+	if _, err := ReadLogEvents(NewBinReader([]byte{0, 2, 0}), 1<<62, id); err == nil {
+		t.Fatal("a count of 1<<62 over 3 bytes was accepted")
+	}
+	if _, err := ReadLogEvents(NewBinReader([]byte{0, 9}), 1, id); err == nil {
+		t.Fatal("unknown event type accepted")
+	}
+}
+
+// TestLogEventsPinnedSize pins the log form's size on one seeded log
+// against the MFS1 blob it replaced, which wrote address and bit fields
+// for every event type: 3873 bytes for this log at the commit before the
+// switch. The engine's eviction accounting counts these bytes, so the
+// form may not grow.
+func TestLogEventsPinnedSize(t *testing.T) {
+	log := sortedLog(rand.New(rand.NewSource(5)), 300, DIMMID{Platform: platform.Purley, Server: 12, Slot: 3})
+	const mfs1Bytes, want = 3873, 3014 // 104 UEs shed 2 bytes each, 93 storms 7
+	if got := len(AppendLogEvents(nil, log)); got != want || got > mfs1Bytes {
+		t.Fatalf("log form is %d bytes, want %d (MFS1 blob: %d)", got, want, mfs1Bytes)
+	}
 }

@@ -35,19 +35,6 @@ import (
 // registered trainer is a valid Algo with no changes here.
 type Algo string
 
-// The four paper algorithms, kept as named constants for callers that
-// predate the predictor registry.
-//
-// Deprecated: these are plain registry names — Algos() (the full
-// registry, in Table II row order) or a trainer name string work
-// everywhere these do.
-const (
-	AlgoRiskyCE Algo = model.NameRiskyCE
-	AlgoForest  Algo = model.NameForest
-	AlgoGBDT    Algo = model.NameGBDT
-	AlgoFTT     Algo = model.NameFTT
-)
-
 // Algos lists Table II's rows in order — every trainer in the predictor
 // registry, so extensions (e.g. the logistic-regression row) appear
 // without call-site changes.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memfp/internal/features"
+	"memfp/internal/ml/model"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -129,7 +130,7 @@ func TestEvaluateAlgoBaselineInapplicable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := EvaluateAlgo(Config{Scale: 0.01, Seed: 8}, fleet, AlgoRiskyCE)
+	cell, err := EvaluateAlgo(Config{Scale: 0.01, Seed: 8}, fleet, model.NameRiskyCE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,10 @@ func TestEvaluateAlgoUnknown(t *testing.T) {
 func TestTableIIFormat(t *testing.T) {
 	t2 := &TableII{Cells: map[platform.ID]map[Algo]Cell{
 		platform.Purley: {
-			AlgoRiskyCE: {Applicable: true},
-			AlgoForest:  {Applicable: true},
-			AlgoGBDT:    {Applicable: true},
-			AlgoFTT:     {Applicable: false},
+			model.NameRiskyCE: {Applicable: true},
+			model.NameForest:  {Applicable: true},
+			model.NameGBDT:    {Applicable: true},
+			model.NameFTT:     {Applicable: false},
 		},
 	}}
 	out := t2.Format()

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"memfp/internal/ml/model"
 	"memfp/internal/platform"
 )
 
@@ -26,7 +27,7 @@ func TestCaptureTableII(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range []Algo{AlgoRiskyCE, AlgoForest, AlgoGBDT, AlgoFTT} {
+		for _, a := range []Algo{model.NameRiskyCE, model.NameForest, model.NameGBDT, model.NameFTT} {
 			cell, err := EvaluateAlgo(cfg, fleet, a)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, a, err)

@@ -3,6 +3,7 @@ package memfp
 import (
 	"testing"
 
+	"memfp/internal/ml/model"
 	"memfp/internal/pipeline"
 	"memfp/internal/platform"
 )
@@ -79,8 +80,8 @@ func TestTableIIGrid(t *testing.T) {
 	k920Best, _ := bestF1(platform.K920)
 	t.Logf("best F1: purley=%.3f whitley=%.3f k920=%.3f", purleyBest, whitleyBest, k920Best)
 
-	rule := t2.Cells[platform.Purley][AlgoRiskyCE].Metrics.F1
-	gb := t2.Cells[platform.Purley][AlgoGBDT].Metrics.F1
+	rule := t2.Cells[platform.Purley][model.NameRiskyCE].Metrics.F1
+	gb := t2.Cells[platform.Purley][model.NameGBDT].Metrics.F1
 	if gb <= rule {
 		t.Errorf("Purley: GBDT F1 %.3f should beat rule baseline %.3f", gb, rule)
 	}
@@ -90,7 +91,7 @@ func TestTableIIGrid(t *testing.T) {
 	if purleyBest < 0.45 || purleyBest > 0.85 {
 		t.Errorf("Purley best F1 %.3f outside plausible band [0.45, 0.85]", purleyBest)
 	}
-	if t2.Cells[platform.Whitley][AlgoRiskyCE].Applicable {
+	if t2.Cells[platform.Whitley][model.NameRiskyCE].Applicable {
 		// Baseline must be inapplicable off-Purley.
 		t.Errorf("baseline should be inapplicable on Whitley")
 	}

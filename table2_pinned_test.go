@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"memfp/internal/eval"
+	"memfp/internal/ml/model"
 	"memfp/internal/platform"
 )
 
@@ -24,22 +25,22 @@ type pinnedCell struct {
 
 var pinnedTableII = map[platform.ID]map[Algo]pinnedCell{
 	platform.Purley: {
-		AlgoRiskyCE: {true, 0.37096774193548387, 0.8214285714285714, 0.51111111111111118, 0.59999999999999998, 23, 39, 5, 811},
-		AlgoForest:  {true, 0.76923076923076927, 0.7142857142857143, 0.74074074074074081, 0.62142857142857144, 20, 6, 8, 844},
-		AlgoGBDT:    {true, 0.76190476190476186, 0.5714285714285714, 0.65306122448979587, 0.49642857142857144, 16, 5, 12, 845},
-		AlgoFTT:     {true, 0.76000000000000001, 0.6785714285714286, 0.71698113207547176, 0.5892857142857143, 19, 6, 9, 844},
+		model.NameRiskyCE: {true, 0.37096774193548387, 0.8214285714285714, 0.51111111111111118, 0.59999999999999998, 23, 39, 5, 811},
+		model.NameForest:  {true, 0.76923076923076927, 0.7142857142857143, 0.74074074074074081, 0.62142857142857144, 20, 6, 8, 844},
+		model.NameGBDT:    {true, 0.76190476190476186, 0.5714285714285714, 0.65306122448979587, 0.49642857142857144, 16, 5, 12, 845},
+		model.NameFTT:     {true, 0.76000000000000001, 0.6785714285714286, 0.71698113207547176, 0.5892857142857143, 19, 6, 9, 844},
 	},
 	platform.Whitley: {
-		AlgoRiskyCE: {applicable: false},
-		AlgoForest:  {true, 0, 0, 0, 0, 0, 0, 3, 153},
-		AlgoGBDT:    {true, 0, 0, 0, 0, 0, 0, 3, 153},
-		AlgoFTT:     {true, 0.20000000000000001, 0.33333333333333331, 0.25, 0.16666666666666666, 1, 4, 2, 149},
+		model.NameRiskyCE: {applicable: false},
+		model.NameForest:  {true, 0, 0, 0, 0, 0, 0, 3, 153},
+		model.NameGBDT:    {true, 0, 0, 0, 0, 0, 0, 3, 153},
+		model.NameFTT:     {true, 0.20000000000000001, 0.33333333333333331, 0.25, 0.16666666666666666, 1, 4, 2, 149},
 	},
 	platform.K920: {
-		AlgoRiskyCE: {applicable: false},
-		AlgoForest:  {true, 0.55555555555555558, 0.41666666666666669, 0.47619047619047622, 0.34166666666666673, 5, 4, 7, 504},
-		AlgoGBDT:    {true, 0.59999999999999998, 0.5, 0.54545454545454541, 0.41666666666666663, 6, 4, 6, 504},
-		AlgoFTT:     {true, 0.80000000000000004, 0.33333333333333331, 0.47058823529411764, 0.29166666666666663, 4, 1, 8, 507},
+		model.NameRiskyCE: {applicable: false},
+		model.NameForest:  {true, 0.55555555555555558, 0.41666666666666669, 0.47619047619047622, 0.34166666666666673, 5, 4, 7, 504},
+		model.NameGBDT:    {true, 0.59999999999999998, 0.5, 0.54545454545454541, 0.41666666666666663, 6, 4, 6, 504},
+		model.NameFTT:     {true, 0.80000000000000004, 0.33333333333333331, 0.47058823529411764, 0.29166666666666663, 4, 1, 8, 507},
 	},
 }
 
@@ -83,7 +84,7 @@ func TestTableIIPinnedFast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range []Algo{AlgoRiskyCE, AlgoForest, AlgoGBDT} {
+		for _, a := range []Algo{model.NameRiskyCE, model.NameForest, model.NameGBDT} {
 			cell, err := EvaluateAlgo(cfg, fleet, a)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, a, err)
