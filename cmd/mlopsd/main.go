@@ -240,7 +240,9 @@ func runControl(ctx context.Context, o *options) error {
 			return err
 		}
 		fmt.Printf("control plane listening on http://%s\n", ln.Addr())
-		srv = &http.Server{Handler: cp.Handler()}
+		// Bodies are capped by the handlers; this bounds a client that
+		// opens a connection and never finishes its headers.
+		srv = &http.Server{Handler: cp.Handler(), ReadHeaderTimeout: 10 * time.Second}
 		go srv.Serve(ln)
 		defer func() {
 			shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

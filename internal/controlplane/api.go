@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -207,6 +208,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorJSON{Error: fmt.Sprintf(format, args...)})
+}
+
+// Event-carrying request bodies are decoded from memory, so each is read
+// through an http.MaxBytesReader and refused with 413 beyond its cap.
+const (
+	// maxFrameBytes caps one MFT1 batch on a node's /ingest2. A batch
+	// carries at most window ticks, each an MFE1 slice no larger than the
+	// tick it was cut from (BMC text shrinks about fivefold on the way),
+	// so it also fixes the cap on the ticks the control plane accepts.
+	maxFrameBytes = 32 << 20
+	// maxTickBytes caps one tick on /api/v1/ingest in either codec:
+	// window accepted ticks fill at most half a frame, leaving the rest
+	// for framing. 2 MiB is ~100k events as MFE1 and ~15k as BMC text;
+	// mlopsd posts ticks of 1024.
+	maxTickBytes = maxFrameBytes / (2 * window)
+)
+
+// bodyError answers a failed request-body read: 413 when the body ran
+// past its cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "read body: %v", err)
 }
 
 // readJSON decodes a request body, rejecting trailing garbage.

@@ -445,3 +445,64 @@ func TestAPIBinaryIngest(t *testing.T) {
 		t.Errorf("binary alarm page diverges from JSON page:\n%s", firstDiff(got, want))
 	}
 }
+
+// fill is an endless stream of one byte, for bodies too large to build.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestAPIOversizeBodyRefused: each endpoint that reads an event-carrying
+// body into memory refuses one a byte past its cap with 413, and nothing
+// of it reaches the engine behind the endpoint.
+func TestAPIOversizeBodyRefused(t *testing.T) {
+	_, cl, ts := newLocalCP(t)
+
+	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cp.Close)
+	cpSrv := httptest.NewServer(cp.Handler())
+	t.Cleanup(cpSrv.Close)
+	node := NewNode("n1", cpSrv.URL)
+	nodeSrv := httptest.NewServer(node.Handler())
+	t.Cleanup(nodeSrv.Close)
+	if err := node.JoinOnce(nodeSrv.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, url, contentType string
+		limit                  int64
+	}{
+		{"ingest text", ts.URL + "/api/v1/ingest", "text/plain", maxTickBytes},
+		{"ingest MFE1", ts.URL + "/api/v1/ingest", ContentTypeEvents, maxTickBytes},
+		{"node ingest2", nodeSrv.URL + "/ingest2", ContentTypeTicks, maxFrameBytes},
+	} {
+		// Blank lines: the text codec would skip every byte and accept.
+		resp, err := http.Post(tc.url, tc.contentType, io.LimitReader(fill('\n'), tc.limit+1))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d bytes answered %d, want 413", tc.name, tc.limit+1, resp.StatusCode)
+		}
+	}
+
+	st, err := cl.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ticks != 0 || st.Events != 0 {
+		t.Errorf("refused bodies reached the control plane's engine: %d ticks, %d events", st.Ticks, st.Events)
+	}
+	if ns := node.Stats(); ns.Events != 0 || node.lastTick != -1 {
+		t.Errorf("refused body reached the node's engine: %d events, last tick %d", ns.Events, node.lastTick)
+	}
+}

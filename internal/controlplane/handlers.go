@@ -54,10 +54,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		parts  []string
 		lines  []int
 	)
+	r.Body = http.MaxBytesReader(w, r.Body, maxTickBytes)
 	if r.Header.Get("Content-Type") == ContentTypeEvents {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			bodyError(w, err)
 			return
 		}
 		events, parts, err = trace.DecodeEventFrame(body)
@@ -85,7 +86,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			lines = append(lines, lineNo)
 		}
 		if err := sc.Err(); err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			bodyError(w, err)
 			return
 		}
 	}

@@ -205,9 +205,9 @@ func (n *Node) handleIngest2(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnsupportedMediaType, "want Content-Type %s, got %q", ContentTypeTicks, ct)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFrameBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		bodyError(w, err)
 		return
 	}
 	prune, ticks, err := decodeTickFrame(body)
@@ -325,7 +325,9 @@ func (n *Node) Run(ctx context.Context, addr string, interval time.Duration) err
 		return err
 	}
 	selfURL := "http://" + ln.Addr().String()
-	srv := &http.Server{Handler: n.mux}
+	// The control plane gives up on a request after nodeTimeout, so a peer
+	// still sending headers by then is not one; don't hold its connection.
+	srv := &http.Server{Handler: n.mux, ReadHeaderTimeout: nodeTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

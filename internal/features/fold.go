@@ -74,7 +74,9 @@ func DecodeFoldState(r *trace.BinReader) *FoldState {
 // cut = predictionTime - Observation: any later prediction's observation
 // window then starts at or above the compaction horizon, so window
 // features are computed over fully retained history while lifetime
-// features come from the fold seed plus the retained events.
+// features come from the fold seed plus the retained events. Such a cut
+// also lies at or below the window of the ServeCursor that made the
+// prediction, which therefore survives it (see ServeCursor).
 func (x *Extractor) CompactLog(l *trace.DIMMLog, cut trace.Minutes) int {
 	fs, _ := l.FoldState().(*FoldState)
 	fresh := fs == nil

@@ -26,6 +26,16 @@ import (
 //   - A non-monotonic instant (t below the previous call's t) rebuilds
 //     the incremental state and replays the history up to t.
 //
+// A compaction (Extractor.CompactLog) is none of these. It drops a prefix
+// of the views the cursor indexes into and folds it into the log's
+// FoldState; when everything dropped had already been consumed into the
+// lifetime accumulators and expired from the window state — always, for a
+// cut at or below the last instant minus the observation window, which is
+// where the serving engine cuts — the cursor shifts its positions by the
+// dropped counts and carries on. A cut that reaches events the cursor
+// still holds in its window, or has not consumed yet, rebuilds from the
+// FoldState like the paths above.
+//
 // In every case the returned vector is identical to a fresh
 // Extractor.Extract(l, t) on the same log; the contract only decides the
 // cost. A ServeCursor is not safe for concurrent use; the serving engine
@@ -37,6 +47,8 @@ type ServeCursor struct {
 	gen   uint64
 	lastT trace.Minutes
 	begun bool
+	// The log's CompactedCEs and CompactedStorms as of inner's views.
+	compCEs, compStorms int
 }
 
 // NewServeCursor starts an online extraction stream over l.
@@ -56,23 +68,38 @@ func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 		sc.begun = false
 		return sc.x.Extract(sc.l, t)
 	}
-	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) {
+	compCEs, compStorms := sc.l.CompactedCEs(), sc.l.CompactedStorms()
+	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) ||
+		!sc.inner.rebase(compCEs-sc.compCEs, compStorms-sc.compStorms) {
 		sc.inner = sc.x.NewCursor(sc.l)
 		sc.gen = sc.l.IndexGen()
-	} else {
-		sc.inner.refresh()
 	}
+	sc.compCEs, sc.compStorms = compCEs, compStorms
 	sc.begun, sc.lastT = true, t
 	return sc.inner.ExtractAt(t)
 }
 
-// refresh re-reads the log's cached per-type views. On an indexed log the
-// views only grow by in-order appends, so the consumed prefix ces[:pos]
-// is unchanged and the cursor's accumulators stay valid; only the slice
-// headers need renewing to see events appended since the last call.
-func (c *Cursor) refresh() {
+// rebase renews the cursor's views of an indexed log whose index was not
+// rebuilt since the cursor last read it, after the log's first ces CEs and
+// storms storm events were compacted away. In-order appends only grow the
+// views, so with nothing dropped renewing the slice headers is all there
+// is to do. A dropped prefix that lies wholly below the window start
+// (and below the consumed storms) is already in life and no longer in
+// win, bits or dayCEs, exactly as in a cursor rebuilt from the FoldState
+// and advanced to the same instant, so only the positions move. Otherwise
+// it reports false and the cursor must be rebuilt.
+func (c *Cursor) rebase(ces, storms int) bool {
+	if ces > c.winStart || storms > c.stormPos {
+		return false
+	}
+	c.pos -= ces
+	c.winStart -= ces
+	c.ceBase += ces
+	c.stormPos -= storms
+	c.stormBase += storms
 	c.ces = c.l.CEs()
 	c.storms = c.l.StormTimes()
+	return true
 }
 
 // MemEstimate returns a rough heap-footprint estimate in bytes for

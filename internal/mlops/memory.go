@@ -19,7 +19,9 @@ import (
 //     summaries (trace.DIMMLog.CompactBefore via the feature store's fold
 //     state) and dropped. Every later prediction's observation window
 //     starts at or above the compaction horizon, so feature vectors and
-//     rule-model scores are unchanged.
+//     rule-model scores are unchanged. The cut is also at or below where
+//     the DIMM's extraction cursor's window starts, so the cursor survives
+//     it by shifting its positions (features.ServeCursor), not a rebuild.
 //
 //   - Idle-DIMM eviction: when a shard's resident bytes exceed its slice
 //     of the budget, the least-recently-served DIMMs are frozen — their

@@ -16,9 +16,12 @@ import "sort"
 //   - FirstCE and FirstUE remain exact lifetime answers on both the
 //     indexed and the degraded (out-of-order append) query paths: the
 //     pre-drop firsts are captured and merged back by every index rebuild.
-//   - The per-type index stays current (the compaction itself rebuilds
-//     it), and IndexGen advances, so incremental view consumers detect the
-//     prefix shift and rebuild rather than trusting stale positions.
+//   - The per-type index stays current: the compaction advances each view
+//     (CEs, UEs, StormTimes) past the dropped counts into a fresh array, so
+//     a view handed out earlier keeps its old contents. No event is
+//     reordered, so IndexGen does not advance; a consumer holding positions
+//     into the views (features.ServeCursor) shifts them by the change in
+//     CompactedCEs and CompactedStorms since it last looked.
 
 // CompactBefore drops all events with Time < cut from the log, invoking
 // fold (when non-nil) for each dropped event in time order first, and
@@ -37,31 +40,55 @@ func (d *DIMMLog) CompactBefore(cut Minutes, fold func(Event)) int {
 	}
 	// The index is current, so firstCE/firstUE already hold lifetime
 	// values (buildIndex re-merges them after every rebuild); capture them
-	// so they survive the drop.
+	// so they survive the drop. Dropping a prefix leaves them unchanged.
 	d.lifeHasCE, d.lifeFirstCE = d.hasCE, d.firstCE
 	d.lifeHasUE, d.lifeFirstUE = d.hasUE, d.firstUE
+	var nCE, nUE, nStorm int
 	for _, e := range d.Events[:k] {
 		if fold != nil {
 			fold(e)
 		}
 		switch e.Type {
 		case TypeCE:
-			d.compCEs++
+			nCE++
 		case TypeUE:
-			d.compUEs++
+			nUE++
 		case TypeStorm:
-			d.compStorms++
+			nStorm++
 		}
 	}
 	d.compEvents += k
+	d.compCEs += nCE
+	d.compUEs += nUE
+	d.compStorms += nStorm
 	if cut > d.compBefore {
 		d.compBefore = cut
 	}
 	retained := make([]Event, len(d.Events)-k)
 	copy(retained, d.Events[k:])
 	d.Events = retained
-	d.buildIndex()
+	d.ces = dropPrefix(d.ces, nCE)
+	d.ceTimes = dropPrefix(d.ceTimes, nCE)
+	d.ues = dropPrefix(d.ues, nUE)
+	d.storms = dropPrefix(d.storms, nStorm)
+	d.idxLen = len(d.Events)
 	return k
+}
+
+// dropPrefix advances an index view past its first n entries: s[n:] copied
+// into a fresh exact-size array (nil when nothing remains, as buildIndex
+// leaves an absent type), so holders of s are not written under and the
+// dropped prefix becomes collectable.
+func dropPrefix[T any](s []T, n int) []T {
+	if n == 0 {
+		return s
+	}
+	if n == len(s) {
+		return nil
+	}
+	out := make([]T, len(s)-n)
+	copy(out, s[n:])
+	return out
 }
 
 // Compacted reports whether any events have been dropped by CompactBefore

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"memfp/internal/xrand"
@@ -17,7 +18,90 @@ func compactPair(t *testing.T, rng *xrand.RNG, nEvents int) (oracle, compacted *
 	compacted.SortEvents()
 	cut = Minutes(rng.Int63n(int64(ObservationSpan)))
 	compacted.CompactBefore(cut, nil)
+	checkIndexMatchesRebuild(t, compacted)
 	return oracle, compacted, cut
+}
+
+// checkIndexMatchesRebuild compares the index CompactBefore advanced in
+// place with the one SortEvents builds from scratch over the same retained
+// events and compaction bookkeeping — what CompactBefore itself used to do.
+// It draws its query ranges from its own generator so the callers' trial
+// streams are what they were without it.
+func checkIndexMatchesRebuild(t *testing.T, comp *DIMMLog) {
+	t.Helper()
+	rng := xrand.New(uint64(comp.CompactedEvents()))
+	if !comp.Indexed() {
+		t.Fatal("compaction left the log unindexed")
+	}
+	rebuilt := &DIMMLog{ID: comp.ID, Part: comp.Part, Events: append([]Event(nil), comp.Events...)}
+	rebuilt.RestoreCompaction(comp.Compaction())
+	rebuilt.SortEvents()
+
+	sameEvents := func(what string, got, want []Event) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d events differ from the rebuilt index's %d", what, len(got), len(want))
+		}
+	}
+	sameEvents("CEs", comp.CEs(), rebuilt.CEs())
+	sameEvents("UEs", comp.UEs(), rebuilt.UEs())
+	if !slices.Equal(comp.StormTimes(), rebuilt.StormTimes()) {
+		t.Fatalf("StormTimes %v, rebuilt index has %v", comp.StormTimes(), rebuilt.StormTimes())
+	}
+	gt, gok := comp.FirstCE()
+	wt, wok := rebuilt.FirstCE()
+	if gt != wt || gok != wok {
+		t.Fatalf("FirstCE (%v,%v), rebuilt index has (%v,%v)", gt, gok, wt, wok)
+	}
+	gt, gok = comp.FirstUE()
+	wt, wok = rebuilt.FirstUE()
+	if gt != wt || gok != wok {
+		t.Fatalf("FirstUE (%v,%v), rebuilt index has (%v,%v)", gt, gok, wt, wok)
+	}
+	for q := 0; q < 10; q++ {
+		from := comp.CompactHorizon() + Minutes(rng.Int63n(int64(ObservationSpan)))
+		to := from + Minutes(rng.Int63n(int64(10*Day)))
+		sameEvents("CEsBetween", comp.CEsBetween(from, to), rebuilt.CEsBetween(from, to))
+	}
+}
+
+// TestCompactBeforeKeepsViewsAndGeneration pins what lets a view consumer
+// survive a compaction: a view taken before it still reads its old
+// contents (the log advanced into fresh arrays), and the index generation
+// stands still because nothing was reordered — while SortEvents, which
+// may reorder, still advances it.
+func TestCompactBeforeKeepsViewsAndGeneration(t *testing.T) {
+	rng := xrand.New(99)
+	for trial := 0; trial < 40; trial++ {
+		comp, _ := randomLog(t, rng, 20+rng.Intn(150))
+		ces, ues, storms := comp.CEs(), comp.UEs(), comp.StormTimes()
+		wantCEs := append([]Event(nil), ces...)
+		wantUEs := append([]Event(nil), ues...)
+		wantStorms := append([]Minutes(nil), storms...)
+		gen := comp.IndexGen()
+
+		last := comp.Events[len(comp.Events)-1]
+		for _, cut := range []Minutes{ObservationSpan / 3, 2 * ObservationSpan / 3} {
+			comp.CompactBefore(cut, nil)
+			// In-order appends after the drop must land in the new arrays.
+			comp.Append(Event{Time: last.Time, Type: TypeCE, DIMM: comp.ID})
+			comp.Append(Event{Time: last.Time, Type: TypeStorm, DIMM: comp.ID})
+			checkIndexMatchesRebuild(t, comp)
+		}
+		if comp.CompactedEvents() == 0 {
+			continue
+		}
+		if comp.IndexGen() != gen {
+			t.Fatalf("trial %d: compaction moved IndexGen %d -> %d", trial, gen, comp.IndexGen())
+		}
+		if !slices.Equal(ces, wantCEs) || !slices.Equal(ues, wantUEs) || !slices.Equal(storms, wantStorms) {
+			t.Fatalf("trial %d: a view taken before the compactions changed under its holder", trial)
+		}
+		comp.SortEvents()
+		if comp.IndexGen() == gen {
+			t.Fatalf("trial %d: SortEvents on a compacted log did not advance IndexGen", trial)
+		}
+	}
 }
 
 // TestCompactBeforeQueriesMatchOracle property-tests that every query the
@@ -156,6 +240,7 @@ func TestCompactBeforeFoldAndRepeat(t *testing.T) {
 	total := 0
 	for _, cut := range cuts {
 		total += comp.CompactBefore(cut, func(e Event) { folded = append(folded, e) })
+		checkIndexMatchesRebuild(t, comp)
 	}
 	if total != comp.CompactedEvents() {
 		t.Fatalf("CompactedEvents %d, want %d", comp.CompactedEvents(), total)

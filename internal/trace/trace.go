@@ -215,9 +215,10 @@ func (d *DIMMLog) indexed() bool { return d.idxLen == len(d.Events) }
 func (d *DIMMLog) Indexed() bool { return d.indexed() }
 
 // IndexGen returns a generation counter that advances on every full index
-// rebuild (SortEvents). In-order Appends extend the index without
-// advancing the generation, so a consumer that cached view prefixes can
-// detect a rebuild — which may reorder events beneath it — and start over.
+// rebuild (SortEvents). In-order Appends extend the index and
+// CompactBefore drops a prefix of it without advancing the generation —
+// neither reorders an event — so a consumer that cached view positions can
+// detect a rebuild, which may reorder events beneath it, and start over.
 func (d *DIMMLog) IndexGen() uint64 { return d.idxGen }
 
 // Append adds one event to the log. When the log is indexed and the event
