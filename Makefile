@@ -63,14 +63,18 @@ test-race:
 # Short fuzz passes: the bin mapper (the substrate every tree model bins
 # through), the scenario YAML-subset parser (user input — malformed
 # files must error, never panic), the binary event-frame decoder
-# (untrusted wire input to the control plane's ingest endpoint) and the
+# (untrusted wire input to the control plane's ingest endpoint), the
 # engine-snapshot restore a rejoining node runs on bytes pulled over
-# HTTP; part of ci so regressions in edge handling surface early.
+# HTTP, and the two frame decoders on the node <-> control-plane wire
+# (MFT1 tick batches a node reads, MFR1 responses the control plane
+# reads); part of ci so regressions in edge handling surface early.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinMapper$$' -fuzztime 15s ./internal/ml/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseYAML$$' -fuzztime 15s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventFrame$$' -fuzztime 15s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 15s ./internal/mlops/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTickFrame$$' -fuzztime 15s ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRespFrame$$' -fuzztime 15s ./internal/controlplane/
 
 # Build-and-run smoke over the examples at tiny scale: the quickstart
 # (fleet → train → evaluate) and the mlops walkthrough (train → gate →

@@ -65,8 +65,11 @@ actions:
 				j.Depth, j.DepthHighWater, j.Base, j.Truncations, j.TruncatedTicks, j.SpillBytes)
 		}
 		for _, n := range st.Nodes {
-			fmt.Printf("node %-12s %-22s slots=[%d,%d) alive=%v beat=%.1fs sent=%d ckpt=%d alarms=%d\n",
-				n.Name, n.Addr, n.SlotFrom, n.SlotTo, n.Alive, n.BeatAgeSec, n.SentTicks, n.Checkpoint, n.Stats.Alarms)
+			fmt.Printf("node %-12s %-22s slots=[%d,%d) alive=%v beat=%.1fs sent=%d ckpt=%d ckpt_bytes=%d alarms=%d\n",
+				n.Name, n.Addr, n.SlotFrom, n.SlotTo, n.Alive, n.BeatAgeSec, n.SentTicks, n.Checkpoint, n.CheckpointBytes, n.Stats.Alarms)
+			if n.LastError != "" {
+				fmt.Printf("  last error: %s\n", n.LastError)
+			}
 		}
 		return nil
 	case "models":

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 
 	"memfp/internal/mlops"
 )
@@ -166,6 +168,12 @@ type NodeInfo struct {
 	SentTicks  int       `json:"sent_ticks"`
 	Checkpoint int       `json:"checkpoint"` // ticks covered by the stored snapshot
 	Stats      NodeStats `json:"stats"`
+
+	// CheckpointBytes is the stored snapshot's size; LastError is why the
+	// node's last forward or checkpoint failed (cleared by the next
+	// success or rejoin).
+	CheckpointBytes int    `json:"checkpoint_bytes"`
+	LastError       string `json:"last_error,omitempty"`
 }
 
 // JournalInfo is the distributed tick journal's lifecycle telemetry.
@@ -224,6 +232,52 @@ const (
 	// mlopsd posts ticks of 1024.
 	maxTickBytes = maxFrameBytes / (2 * window)
 )
+
+// Response bodies are bounded too: neither the control plane reading a
+// node nor a Client reading the control plane buffers whatever its peer
+// chooses to send (readBody). Alarm frames and JSON answer a request no
+// larger than maxFrameBytes and are held to it.
+//
+// maxBlobBytes caps an engine checkpoint (a node's /checkpoint, the
+// control plane's stored copy on a rejoin) and a model artifact. A
+// checkpoint is one MFS2 record per DIMM — about 300 bytes for the
+// benchmark fleets' short histories, 1–2 KiB with a full observation
+// window retained — so 256 MiB admits a node serving well over 100k
+// DIMMs; the largest artifact here (the FT-Transformer) is under 1 MiB.
+const maxBlobBytes = 256 << 20
+
+// writeSized writes a whole response body with its length declared, so
+// the peer's readBody sizes one buffer for it; left to itself net/http
+// chunks anything past its 2 KiB write buffer.
+func writeSized(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// readBody reads a peer's response body, at most limit bytes of it. A
+// declared Content-Length is checked before anything is allocated and
+// read into one exact-size buffer; an undeclared (chunked) body is read
+// through a capped reader and refused once it overruns.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		if n > limit {
+			return nil, fmt.Errorf("response declares %d bytes, limit %d", n, limit)
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, fmt.Errorf("read %d-byte response: %w", n, err)
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("response exceeds the %d-byte limit", limit)
+	}
+	return body, nil
+}
 
 // bodyError answers a failed request-body read: 413 when the body ran
 // past its cap, 400 otherwise.

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -504,5 +505,172 @@ func TestAPIOversizeBodyRefused(t *testing.T) {
 	}
 	if ns := node.Stats(); ns.Events != 0 || node.lastTick != -1 {
 		t.Errorf("refused body reached the node's engine: %d events, last tick %d", ns.Events, node.lastTick)
+	}
+}
+
+// hostilePeers are the three ways a peer's response body can lie about
+// its size. Each handler reports how many body bytes it got to write.
+var hostilePeers = []struct {
+	name  string
+	serve func(w http.ResponseWriter, limit int64) (wrote int64)
+	// chunked peers must actually send limit+1 bytes; they are only
+	// pointed at endpoints capped at maxFrameBytes.
+	chunked bool
+}{
+	{name: "declares 1<<40 and sends nothing", serve: func(w http.ResponseWriter, _ int64) int64 {
+		w.Header().Set("Content-Length", strconv.Itoa(1<<40))
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		return 0
+	}},
+	{name: "streams past the cap", chunked: true, serve: func(w http.ResponseWriter, limit int64) int64 {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush() // no length declared: chunked
+		n, _ := io.Copy(w, io.LimitReader(fill(0), 2*limit))
+		return n
+	}},
+	{name: "declares 1 MB and closes after 1 KB", serve: func(w http.ResponseWriter, _ int64) int64 {
+		w.Header().Set("Content-Length", strconv.Itoa(1<<20))
+		w.WriteHeader(http.StatusOK)
+		n, _ := w.Write(make([]byte, 1<<10))
+		return int64(n)
+	}},
+}
+
+// allocatedBy reports the heap bytes f allocated (every goroutine's, so
+// it is an upper bound on f's own).
+func allocatedBy(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestPeerResponseBounded: no reader of a peer's response buffers what
+// the peer chooses to send. Against each hostile peer, Client.roundTrip
+// (a JSON endpoint held to maxFrameBytes, the checkpoint pull held to
+// maxBlobBytes) and Server.postNode (/ingest2 and /checkpoint, same two
+// caps) return an error instead of a body, a declared length is never
+// allocated beyond what arrives plus the cap's worth, a chunked stream is
+// abandoned at the cap, and the control plane marks the node dead and
+// keeps the reason where /api/v1/status shows it.
+func TestPeerResponseBounded(t *testing.T) {
+	const slack = 4 << 20 // HTTP plumbing, test scaffolding, other goroutines
+
+	for _, hp := range hostilePeers {
+		t.Run("client/"+hp.name, func(t *testing.T) {
+			var wrote atomic.Int64
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				wrote.Store(hp.serve(w, maxFrameBytes))
+			}))
+			cl := NewClient(peer.URL)
+			calls := map[string]func() error{
+				"Status": func() error { _, err := cl.Status(); return err },
+			}
+			if !hp.chunked {
+				calls["NodeCheckpoint"] = func() error { _, err := cl.NodeCheckpoint("n1"); return err }
+			}
+			for name, call := range calls {
+				var err error
+				alloc := allocatedBy(func() { err = call() })
+				if err == nil {
+					t.Fatalf("%s accepted the response", name)
+				}
+				t.Logf("%s: %v (allocated %d bytes)", name, err, alloc)
+				checkBounded(t, name, hp.chunked, alloc, slack)
+			}
+			peer.Close() // waits for the handler: its count is final
+			checkAbandoned(t, hp.chunked, wrote.Load())
+		})
+
+		for _, endpoint := range []string{"/ingest2", "/checkpoint"} {
+			if hp.chunked && endpoint == "/checkpoint" {
+				continue // would have to stream maxBlobBytes; same reader, same branch
+			}
+			t.Run("postNode"+endpoint+"/"+hp.name, func(t *testing.T) {
+				var wrote atomic.Int64
+				mux := http.NewServeMux()
+				hostile := func(w http.ResponseWriter, r *http.Request) { wrote.Store(hp.serve(w, maxFrameBytes)) }
+				mux.HandleFunc("POST /checkpoint", hostile)
+				if endpoint == "/ingest2" {
+					mux.HandleFunc("POST /ingest2", hostile)
+				} else {
+					// An honest /ingest2 with nothing to report, so the first
+					// emitted tick schedules the checkpoint.
+					mux.HandleFunc("POST /ingest2", func(w http.ResponseWriter, r *http.Request) {
+						body, _ := io.ReadAll(r.Body)
+						_, ticks, err := decodeTickFrame(body)
+						if err != nil {
+							t.Error(err)
+						}
+						idx := make([]int, len(ticks))
+						for i, dt := range ticks {
+							idx[i] = dt.tick
+						}
+						w.Write(appendRespFrame(nil, idx, make([][]mlops.Alarm, len(ticks))))
+					})
+				}
+				peer := httptest.NewServer(mux)
+
+				cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1, CheckpointEvery: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cp.Close()
+				if _, _, err := cp.join(JoinRequest{Name: "n1", Addr: peer.URL}); err != nil {
+					t.Fatal(err)
+				}
+				f := fleet(t)
+				e := f.all[0]
+				cp.RegisterDIMM(e.DIMM, f.parts[e.DIMM])
+				alloc := allocatedBy(func() {
+					if _, err := cp.IngestTick([]trace.Event{e}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cp.Flush(); err != nil { // returns once the node is dead
+						t.Fatal(err)
+					}
+				})
+				ni := cp.status().Nodes[0]
+				if ni.Alive || ni.LastError == "" {
+					t.Fatalf("node alive=%v, last error %q: want dead with the reason kept", ni.Alive, ni.LastError)
+				}
+				if endpoint == "/checkpoint" && !strings.Contains(ni.LastError, "checkpoint") {
+					t.Errorf("last error %q does not name the checkpoint", ni.LastError)
+				}
+				t.Logf("%s (allocated %d bytes)", ni.LastError, alloc)
+				checkBounded(t, "postNode", hp.chunked, alloc, slack)
+				peer.Close() // waits for the handler: its count is final
+				checkAbandoned(t, hp.chunked, wrote.Load())
+			})
+		}
+	}
+}
+
+// checkBounded holds one hostile exchange to its memory bound: a reader
+// of a declared length allocates what was declared only when that is
+// within the cap (1 MB here) and nothing for 1<<40; a reader of a chunked
+// stream allocates a small multiple of the cap (io.ReadAll grows its
+// buffer geometrically on the way to cap+1 bytes), not of what the peer
+// had to offer.
+func checkBounded(t *testing.T, who string, chunked bool, alloc, slack int64) {
+	t.Helper()
+	limit := int64(1<<20) + slack
+	if chunked {
+		limit = 8 * maxFrameBytes
+	}
+	if alloc > limit {
+		t.Errorf("%s allocated %d bytes, want at most %d", who, alloc, limit)
+	}
+}
+
+// checkAbandoned: a chunked peer offering twice the cap got past the cap
+// — the reader took cap+1 bytes to know — and nowhere near the end
+// before the reader hung up (socket buffers hold a few MB in flight).
+func checkAbandoned(t *testing.T, chunked bool, wrote int64) {
+	t.Helper()
+	if chunked && (wrote <= maxFrameBytes || wrote >= 2*maxFrameBytes) {
+		t.Errorf("peer wrote %d of %d bytes against a %d-byte cap", wrote, int64(2*maxFrameBytes), int64(maxFrameBytes))
 	}
 }

@@ -27,18 +27,19 @@ func NewClient(base string) *Client {
 func (c *Client) Base() string { return c.base }
 
 // roundTrip sends req and returns the response (for its status and
-// headers) and its whole body. Any status but 200 — and 304, which only a
-// conditional request can draw — is an error carrying the server's
-// errorJSON message, or failing that the body's text.
-func (c *Client) roundTrip(req *http.Request) (*http.Response, []byte, error) {
+// headers) and its whole body, at most limit bytes of it (readBody). Any
+// status but 200 — and 304, which only a conditional request can draw —
+// is an error carrying the server's errorJSON message, or failing that
+// the body's text.
+func (c *Client) roundTrip(req *http.Request, limit int64) (*http.Response, []byte, error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp, limit)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, err)
 	}
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
 		return resp, body, nil
@@ -55,7 +56,7 @@ func (c *Client) roundTrip(req *http.Request) (*http.Response, []byte, error) {
 
 // do is roundTrip for the JSON endpoints: a 200 body decodes into out.
 func (c *Client) do(req *http.Request, out any) error {
-	_, body, err := c.roundTrip(req)
+	_, body, err := c.roundTrip(req, maxFrameBytes)
 	if err != nil || out == nil {
 		return err
 	}
@@ -118,7 +119,7 @@ func (c *Client) IngestFrame(frame []byte) (TickResponse, error) {
 	}
 	req.Header.Set("Content-Type", ContentTypeEvents)
 	req.Header.Set("Accept", ContentTypeAlarms)
-	resp, body, err := c.roundTrip(req)
+	resp, body, err := c.roundTrip(req, maxFrameBytes)
 	if err != nil {
 		return TickResponse{}, err
 	}
@@ -139,7 +140,7 @@ func (c *Client) NodeCheckpoint(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, body, err := c.roundTrip(req)
+	_, body, err := c.roundTrip(req, maxBlobBytes)
 	return body, err
 }
 
@@ -238,7 +239,7 @@ func (c *Client) Artifact(name string, version int, etag string) (Artifact, erro
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
 	}
-	resp, data, err := c.roundTrip(req)
+	resp, data, err := c.roundTrip(req, maxBlobBytes)
 	if err != nil {
 		return Artifact{}, err
 	}
@@ -269,6 +270,6 @@ func (c *Client) Metrics() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, body, err := c.roundTrip(req)
+	_, body, err := c.roundTrip(req, maxFrameBytes)
 	return string(body), err
 }

@@ -173,6 +173,16 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	if js.Depth >= nTicks {
 		t.Errorf("journal depth %d not bounded below the %d-tick stream", js.Depth, nTicks)
 	}
+	st, err := cl.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ni := range st.Nodes {
+		// The kill left n2 with an error; serving again cleared it.
+		if ni.CheckpointBytes == 0 || ni.LastError != "" {
+			t.Errorf("node %s reports a %d-byte checkpoint and last error %q", ni.Name, ni.CheckpointBytes, ni.LastError)
+		}
+	}
 	got, want := renderAlarms(distAlarms), renderAlarms(refAlarms)
 	if got != want {
 		t.Errorf("distributed alarm stream diverges from single-process reference:\n%s",

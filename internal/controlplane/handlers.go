@@ -164,7 +164,7 @@ func (s *Server) handleCheckpointBlob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", ContentTypeSnapshot)
-	w.Write(blob)
+	writeSized(w, blob)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -266,7 +266,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderPlatform, string(mv.Platform))
 	w.Header().Set(HeaderThreshold, strconv.FormatFloat(mv.Threshold, 'x', -1, 64))
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.pipe.Registry.Epoch(), 10))
-	w.Write(mv.Artifact)
+	writeSized(w, mv.Artifact)
 }
 
 func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {

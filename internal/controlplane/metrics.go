@@ -104,6 +104,8 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, ps
 	p.value("memfp_memory_compacted_events_total", "counter", "Events dropped by serving-log compaction.", float64(ms.CompactedEvents))
 	p.value("memfp_memory_spilled_bytes", "gauge", "Frozen serving-state bytes resident in the spill store.", float64(ms.SpilledBytes))
 	p.value("memfp_memory_spills_total", "counter", "Frozen-DIMM records written to the spill store.", float64(ms.Spills))
+	p.value("memfp_snapshot_records_total", "counter", "DIMM records written into engine snapshots.", float64(ms.SnapshotRecords))
+	p.value("memfp_snapshot_records_reencoded_total", "counter", "Snapshot records re-encoded from live DIMM state rather than copied from a kept one.", float64(ms.SnapshotReencoded))
 
 	shards := mon.ShardStats()
 	p.family("memfp_shard_queue_depth", "gauge", "Events queued on a serving shard at tick start.")

@@ -122,6 +122,7 @@ func TestMetricsExposition(t *testing.T) {
 		"memfp_memory_rehydrations_total", "memfp_memory_compactions_total",
 		"memfp_memory_compacted_events_total",
 		"memfp_memory_spilled_bytes", "memfp_memory_spills_total",
+		"memfp_snapshot_records_total", "memfp_snapshot_records_reencoded_total",
 		"memfp_shard_queue_depth", "memfp_shard_ingest_latency_seconds",
 		"memfp_registry_epoch", "memfp_model_production_version",
 		"memfp_ticks_total", "memfp_ticks_pending", "memfp_paused",
@@ -229,6 +230,7 @@ func TestMetricsNodeExposition(t *testing.T) {
 	for _, family := range []string{
 		"memfp_events_ingested_total", "memfp_predictions_total", "memfp_drift_psi",
 		"memfp_memory_resident_bytes", "memfp_memory_spilled_bytes", "memfp_memory_spills_total",
+		"memfp_snapshot_records_total", "memfp_snapshot_records_reencoded_total",
 	} {
 		if _, ok := types[family]; !ok {
 			t.Errorf("node exposition missing %s", family)

@@ -49,7 +49,8 @@ type Node struct {
 	seen       map[trace.DIMMID]bool
 	served     map[int][]mlops.Alarm // tick index -> alarms already returned
 	lastTick   int
-	restored   int // first tick past the restored checkpoint (0: fresh join)
+	restored   int    // first tick past the restored checkpoint (0: fresh join)
+	ckptBuf    []byte // the last checkpoint's frame, reused for the next
 }
 
 // NewNode builds a node daemon for one control plane.
@@ -242,11 +243,13 @@ func (n *Node) handleIngest2(w http.ResponseWriter, r *http.Request) {
 	defer putWireBuf(buf)
 	*buf = appendRespFrame((*buf)[:0], idx, res)
 	w.Header().Set("Content-Type", ContentTypeTicks+"-response")
-	w.Write(*buf)
+	writeSized(w, *buf)
 }
 
 // handleCheckpoint snapshots the node's engine (MFS2) for the control
-// plane's checkpoint store.
+// plane's checkpoint store. The frame is assembled into a buffer the node
+// keeps between checkpoints and its length is declared, so the control
+// plane reads it into one exact-size buffer instead of a chunked stream.
 func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -254,13 +257,14 @@ func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "node has not joined a control plane")
 		return
 	}
-	blob, err := n.engine.Snapshot()
+	blob, err := n.engine.AppendSnapshot(n.ckptBuf[:0])
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	n.ckptBuf = blob
 	w.Header().Set("Content-Type", ContentTypeSnapshot)
-	w.Write(blob)
+	writeSized(w, blob)
 }
 
 // handleMetrics is the node's Prometheus endpoint: the common monitor

@@ -112,6 +112,7 @@ type nodeRec struct {
 	inflight bool
 	wantCkpt bool
 	ckptTick int // ticks < ckptTick are covered by the stored snapshot
+	ckptSize int // that snapshot's size in bytes
 	alive    bool
 	lastBeat time.Time
 	lastErr  error
@@ -589,7 +590,7 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 	addr := n.addr
 	n.inflight = true
 	s.mu.Unlock()
-	blob, err := s.postNode(addr+"/checkpoint", ContentTypeSnapshot, nil)
+	blob, err := s.postNode(addr+"/checkpoint", ContentTypeSnapshot, nil, maxBlobBytes)
 	s.mu.Lock()
 	n.inflight = false
 	if epoch != n.epoch {
@@ -603,7 +604,7 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 	}
 	if perr := s.cfg.Spill.Put("ckpt/"+n.name, blob); perr == nil {
 		s.spillBytes += int64(len(blob))
-		n.ckptTick = covers
+		n.ckptTick, n.ckptSize = covers, len(blob)
 	}
 	n.wantCkpt = false
 	s.maybeTruncateLocked()
@@ -611,8 +612,9 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 }
 
 // postNode posts body to a node daemon endpoint and returns the 200
-// response's body; any other status is an error quoting it.
-func (s *Server) postNode(url, contentType string, body []byte) ([]byte, error) {
+// response's body, at most limit bytes of it (readBody); any other status
+// is an error quoting it.
+func (s *Server) postNode(url, contentType string, body []byte, limit int64) ([]byte, error) {
 	resp, err := s.client.Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -622,7 +624,7 @@ func (s *Server) postNode(url, contentType string, body []byte) ([]byte, error) 
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
 	}
-	return io.ReadAll(resp.Body)
+	return readBody(resp, limit)
 }
 
 // deliverBatchLocked ships the next bounded batch of unserved ticks to
@@ -689,7 +691,7 @@ func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick,
 	*buf = appendTickFrame((*buf)[:0], prune, batch, func(id trace.DIMMID) string {
 		return parts[id].PartNumber
 	})
-	body, err := s.postNode(addr+"/ingest2", ContentTypeTicks, *buf)
+	body, err := s.postNode(addr+"/ingest2", ContentTypeTicks, *buf, maxFrameBytes)
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: node %s: %w", name, err)
 	}
@@ -835,15 +837,20 @@ func (s *Server) status() StatusResponse {
 	}
 	for _, n := range s.nodes {
 		from, to := s.slotRange(n.index)
-		st.Nodes = append(st.Nodes, NodeInfo{
+		ni := NodeInfo{
 			Name: n.name, Addr: n.addr, Index: n.index,
 			SlotFrom: from, SlotTo: to,
-			Alive:      n.alive,
-			BeatAgeSec: time.Since(n.lastBeat).Seconds(),
-			SentTicks:  n.sent,
-			Checkpoint: n.ckptTick,
-			Stats:      n.stats,
-		})
+			Alive:           n.alive,
+			BeatAgeSec:      time.Since(n.lastBeat).Seconds(),
+			SentTicks:       n.sent,
+			Checkpoint:      n.ckptTick,
+			CheckpointBytes: n.ckptSize,
+			Stats:           n.stats,
+		}
+		if n.lastErr != nil {
+			ni.LastError = n.lastErr.Error()
+		}
+		st.Nodes = append(st.Nodes, ni)
 		st.Predictions += n.stats.Predictions
 	}
 	return st

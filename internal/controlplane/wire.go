@@ -94,7 +94,10 @@ func readAlarmFrame(r *trace.BinReader) []mlops.Alarm {
 	}
 	table := trace.ReadStringTable(r)
 	n := r.Uvarint()
-	if n > uint64(r.Remaining())+1 {
+	// An alarm is at least 13 bytes (five varints and the score's eight),
+	// so the count is bounded by the bytes left before the page is
+	// allocated.
+	if n > uint64(r.Remaining()/13) {
 		r.Failf("controlplane: alarm frame declares %d alarms in %d bytes", n, r.Remaining())
 		return nil
 	}
@@ -222,7 +225,8 @@ func decodeRespFrame(data []byte) (map[int][]mlops.Alarm, error) {
 		return nil, fmt.Errorf("controlplane: not an %s response frame", respFrameMagic)
 	}
 	n := r.Uvarint()
-	if n > uint64(r.Remaining())+1 {
+	// A tick is at least 8 bytes (index, page length, an empty MFA1 page).
+	if n > uint64(r.Remaining()/8) {
 		return nil, fmt.Errorf("controlplane: response frame declares %d ticks in %d bytes", n, r.Remaining())
 	}
 	out := make(map[int][]mlops.Alarm, n)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"memfp/internal/dram"
@@ -165,6 +166,14 @@ func TestTickAndRespFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// The golden frames: what TestWireFramesGoldenBytes pins and what the two
+// frame fuzzers below start from.
+const (
+	goldenMFA1 = "4d464131040c496e74656c5f5075726c6579046d2d7631044b393230046d2d763202d00f0018069a9999999999b93f0100020e00000000000000f03f03"
+	goldenMFT1 = "4d46543105010702374d464531020c496e74656c5f5075726c65790a41342d323636362d333202d00f0000180601020a12e0c508820808a18802020200180601"
+	goldenMFR1 = "4d46523101073d4d464131040c496e74656c5f5075726c6579046d2d7631044b393230046d2d763202d00f0018069a9999999999b93f0100020e00000000000000f03f03"
+)
+
 // TestWireFramesGoldenBytes pins the MFA1, MFT1 and MFR1 layouts on one
 // fixed frame each: refactors of the codecs must not move a byte.
 func TestWireFramesGoldenBytes(t *testing.T) {
@@ -183,16 +192,109 @@ func TestWireFramesGoldenBytes(t *testing.T) {
 		name, want string
 		got        []byte
 	}{
-		{"MFA1", "4d464131040c496e74656c5f5075726c6579046d2d7631044b393230046d2d763202d00f0018069a9999999999b93f0100020e00000000000000f03f03",
-			AppendAlarmFrame(nil, alarms)},
-		{"MFT1", "4d46543105010702374d464531020c496e74656c5f5075726c65790a41342d323636362d333202d00f0000180601020a12e0c508820808a18802020200180601",
+		{"MFA1", goldenMFA1, AppendAlarmFrame(nil, alarms)},
+		{"MFT1", goldenMFT1,
 			appendTickFrame(nil, 5, []wireTick{{tick: 7, version: 2, events: events}},
 				func(trace.DIMMID) string { return "A4-2666-32" })},
-		{"MFR1", "4d46523101073d4d464131040c496e74656c5f5075726c6579046d2d7631044b393230046d2d763202d00f0018069a9999999999b93f0100020e00000000000000f03f03",
-			appendRespFrame(nil, []int{7}, [][]mlops.Alarm{alarms})},
+		{"MFR1", goldenMFR1, appendRespFrame(nil, []int{7}, [][]mlops.Alarm{alarms})},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {
 			t.Errorf("%s bytes moved:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
+}
+
+// seedFrames adds a fuzzer's starting corpus: the golden frame, the same
+// frame cut short, its bare magic and nothing at all.
+func seedFrames(f *testing.F, golden string) {
+	frame, err := hex.DecodeString(golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(frame[:len(frame)/2])
+	f.Add(frame[:4])
+	f.Add([]byte{})
+}
+
+// FuzzDecodeTickFrame feeds arbitrary bytes to the MFT1 decoder a node
+// runs on every /ingest2 body. A frame either is refused or round-trips:
+// what was decoded re-encodes to a frame that decodes again and
+// re-encodes to the same bytes, and no more events come out than the
+// bytes could have held.
+func FuzzDecodeTickFrame(f *testing.F) {
+	seedFrames(f, goldenMFT1)
+	reencode := func(prune int, ticks []decodedTick) []byte {
+		wire := make([]wireTick, len(ticks))
+		var parts []string
+		for i, dt := range ticks {
+			wire[i] = wireTick{tick: dt.tick, version: dt.version, events: dt.events}
+			parts = append(parts, dt.parts...)
+		}
+		// The encoder asks for one part number per event, in order; hand
+		// back the recorded ones (a fuzzed frame may give one DIMM two).
+		k := 0
+		return appendTickFrame(nil, prune, wire, func(trace.DIMMID) string { k++; return parts[k-1] })
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prune, ticks, err := decodeTickFrame(data)
+		if err != nil {
+			return
+		}
+		events := 0
+		for _, dt := range ticks {
+			events += len(dt.events)
+		}
+		if events > len(data) {
+			t.Fatalf("%d events decoded from %d bytes", events, len(data))
+		}
+		once := reencode(prune, ticks)
+		prune2, ticks2, err := decodeTickFrame(once)
+		if err != nil {
+			t.Fatalf("re-encoded frame refused: %v", err)
+		}
+		if twice := reencode(prune2, ticks2); !bytes.Equal(once, twice) {
+			t.Fatalf("tick frame does not round-trip:\n once %x\ntwice %x", once, twice)
+		}
+	})
+}
+
+// FuzzDecodeRespFrame is the same contract for the MFR1 decoder the
+// control plane runs on every node response (and through it the MFA1
+// alarm pages an MFR1 frame embeds).
+func FuzzDecodeRespFrame(f *testing.F) {
+	seedFrames(f, goldenMFR1)
+	reencode := func(byTick map[int][]mlops.Alarm) []byte {
+		idx := make([]int, 0, len(byTick))
+		for tk := range byTick {
+			idx = append(idx, tk)
+		}
+		sort.Ints(idx)
+		pages := make([][]mlops.Alarm, len(idx))
+		for i, tk := range idx {
+			pages[i] = byTick[tk]
+		}
+		return appendRespFrame(nil, idx, pages)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		byTick, err := decodeRespFrame(data)
+		if err != nil {
+			return
+		}
+		alarms := 0
+		for _, as := range byTick {
+			alarms += len(as)
+		}
+		if len(byTick) > len(data) || alarms > len(data) {
+			t.Fatalf("%d ticks and %d alarms decoded from %d bytes", len(byTick), alarms, len(data))
+		}
+		once := reencode(byTick)
+		byTick2, err := decodeRespFrame(once)
+		if err != nil {
+			t.Fatalf("re-encoded frame refused: %v", err)
+		}
+		if twice := reencode(byTick2); !bytes.Equal(once, twice) {
+			t.Fatalf("response frame does not round-trip:\n once %x\ntwice %x", once, twice)
+		}
+	})
 }

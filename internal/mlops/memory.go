@@ -34,6 +34,13 @@ import (
 //     exact, so eviction is invisible to scoring (pinned by
 //     TestEvictionTransparent and the bounded-replay equivalence tests).
 //
+// A resident DIMM's kept snapshot record (snapshot.go) is serving state
+// like the rest: its bytes are inside footprint(), Snapshot settles the
+// shard's tally when it fills one, and the next event for the DIMM drops
+// it just before account runs. An engine that snapshots under a budget
+// therefore evicts a little earlier than one that does not; the alarm
+// stream cannot tell (eviction is exact).
+//
 // Both policies are pure functions of the event stream (arrival order and
 // event times; no wall clock), so bounded runs are reproducible and
 // byte-identical across shard counts, like everything else in the engine.
@@ -51,7 +58,7 @@ const frozenBase = 160
 
 // footprint estimates the resident bytes of one DIMM's serving state.
 func (st *dimmState) footprint() int64 {
-	b := int64(dimmStateBase) + int64(cap(st.log.Events))*eventSize
+	b := int64(dimmStateBase) + int64(cap(st.log.Events))*eventSize + int64(cap(st.rec))
 	if st.cursor != nil {
 		b += st.cursor.MemEstimate()
 	}
@@ -146,6 +153,7 @@ func (sh *shard) drop(st *dimmState) {
 		st.lruEl = nil
 	}
 	delete(sh.dimms, st.log.ID)
+	st.dropped = true
 }
 
 // releaseLocked drops every trace of one DIMM's serving state — live,
@@ -153,6 +161,7 @@ func (sh *shard) drop(st *dimmState) {
 // streaming replay (state is final once a DIMM's log has drained) and
 // ReplaceDIMM.
 func (s *Server) releaseLocked(sh *shard, id trace.DIMMID) {
+	s.snapKept.Store(false) // the kept snapshot order lists id
 	if st, ok := sh.dimms[id]; ok {
 		sh.resident -= st.bytes
 		sh.drop(st)
@@ -257,36 +266,34 @@ func (s *Server) spillRec(id trace.DIMMID, fz *frozenDIMM) (*frozenDIMM, error) 
 	return &frozenDIMM{part: fz.part, spilled: true, spillBytes: n, bytes: frozenBase}, nil
 }
 
-// unspillLocked reads a spilled record back into its in-memory frozen
-// form. With remove set the stored blob is deleted and the spilled-bytes
-// gauge credited (the thaw path); snapshotting reads without removing.
-// Shard lock held.
-func (s *Server) unspillLocked(id trace.DIMMID, fz *frozenDIMM, remove bool) (*frozenDIMM, error) {
+// readSpilled fetches a spilled DIMM's record and checks it: the stored
+// bytes — exactly what appendFrozenRec wrote — and their in-memory frozen
+// form, which aliases them.
+func (s *Server) readSpilled(id trace.DIMMID) ([]byte, *frozenDIMM, error) {
 	data, err := s.Spill.Get(spillDIMMKey(id))
 	if err != nil {
-		return nil, fmt.Errorf("mlops: unspill %s: %w", id, err)
+		return nil, nil, fmt.Errorf("mlops: unspill %s: %w", id, err)
 	}
-	gotID, real, err := decodeFrozenRec(trace.NewBinReader(data))
+	r := trace.NewBinReader(data)
+	gotID, real, err := decodeFrozenRec(r)
 	if err != nil {
-		return nil, fmt.Errorf("mlops: unspill %s: %w", id, err)
+		return nil, nil, fmt.Errorf("mlops: unspill %s: %w", id, err)
 	}
 	if gotID != id {
-		return nil, fmt.Errorf("mlops: spill record for %s found under key of %s", gotID, id)
+		return nil, nil, fmt.Errorf("mlops: spill record for %s found under key of %s", gotID, id)
 	}
-	if remove {
-		s.Spill.Delete(spillDIMMKey(id))
-		s.spilledBytes.Add(-fz.spillBytes)
-	}
-	return real, nil
+	return data[:len(data)-r.Remaining()], real, nil
 }
 
 // thawLocked rehydrates a frozen DIMM for its next event. Shard lock held.
 func (s *Server) thawLocked(sh *shard, id trace.DIMMID, fz *frozenDIMM) (*dimmState, error) {
 	if fz.spilled {
-		real, err := s.unspillLocked(id, fz, true)
+		_, real, err := s.readSpilled(id)
 		if err != nil {
 			return nil, err
 		}
+		s.Spill.Delete(spillDIMMKey(id))
+		s.spilledBytes.Add(-fz.spillBytes)
 		// The shard accounted the stub's size; carry it into the release
 		// arithmetic below so resident balances exactly.
 		real.bytes = fz.bytes
@@ -324,6 +331,13 @@ type MemoryStats struct {
 	// the store and the lifetime count of records written to it.
 	SpilledBytes int64 `json:"spilled_bytes"`
 	Spills       int64 `json:"spills"`
+
+	// Snapshot accounting: records written into engine snapshots, and
+	// how many of those had to be re-encoded from a DIMM's live state
+	// instead of copied from a kept, frozen or spilled record. Their
+	// ratio is the checkpoint's wasted-work rate.
+	SnapshotRecords   int64 `json:"snapshot_records"`
+	SnapshotReencoded int64 `json:"snapshot_records_reencoded"`
 }
 
 // Add accumulates o into ms — how the stats of several engines (a
@@ -338,6 +352,8 @@ func (ms *MemoryStats) Add(o MemoryStats) {
 	ms.CompactedEvents += o.CompactedEvents
 	ms.SpilledBytes += o.SpilledBytes
 	ms.Spills += o.Spills
+	ms.SnapshotRecords += o.SnapshotRecords
+	ms.SnapshotReencoded += o.SnapshotReencoded
 }
 
 // MemoryStats sums the shards' accounting. Takes each shard lock briefly.
@@ -349,6 +365,9 @@ func (s *Server) MemoryStats() MemoryStats {
 		CompactedEvents: s.compactedEvents.Load(),
 		SpilledBytes:    s.spilledBytes.Load(),
 		Spills:          s.spills.Load(),
+
+		SnapshotRecords:   s.snapRecords.Load(),
+		SnapshotReencoded: s.snapReencoded.Load(),
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

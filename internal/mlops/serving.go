@@ -98,6 +98,15 @@ type Server struct {
 	compactions, compactedEvents atomic.Int64
 	spills, spilledBytes         atomic.Int64
 
+	// Snapshot assembly (snapshot.go). snapOrder and snapSize are guarded
+	// by holding every shard lock, which only AppendSnapshot does.
+	snapOrder []snapEnt   // every DIMM with state, in ID order, as of the last snapshot
+	snapKept  atomic.Bool // snapOrder plus the shards' added lists is still the DIMM set
+	snapSize  int         // the last frame's length: the next one's capacity
+	// Records written into frames, and how many of them had to be
+	// re-encoded from a DIMM's live state rather than copied.
+	snapRecords, snapReencoded atomic.Int64
+
 	// Maintenance state: while paused, IngestBatch queues events in
 	// arrival order instead of serving them; Resume drains the queue
 	// through the normal path. Guarded by pauseMu.
@@ -116,6 +125,9 @@ type shard struct {
 	frozen   map[trace.DIMMID]*frozenDIMM
 	lru      *list.List
 	resident int64
+	// added lists the DIMMs registered here since the last snapshot, while
+	// the engine keeps a snapshot order for them to merge into.
+	added []trace.DIMMID
 }
 
 // dimmState is one DIMM's serving state, guarded by its shard's lock.
@@ -130,6 +142,13 @@ type dimmState struct {
 	// minute 0 suppress repeats like any other.
 	lastAlarm trace.Minutes
 	alarmed   bool
+	// rec is this DIMM's MFS2 snapshot record, kept from the snapshot that
+	// encoded it until the DIMM's next event (ingestLocked) — the one
+	// place any field the record serializes can change.
+	rec []byte
+	// dropped is set when the state leaves its shard's map (shard.drop):
+	// the snapshot order's pointer to it is stale.
+	dropped bool
 
 	// Memory accounting (budgeted engines only): accounted footprint,
 	// LRU slot, and the next instant the compaction policy may run.
@@ -227,6 +246,9 @@ func (s *Server) RegisterDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	if _, ok := sh.dimms[id]; !ok {
 		st := &dimmState{log: &trace.DIMMLog{ID: id, Part: part}}
 		sh.dimms[id] = st
+		if s.snapKept.Load() {
+			sh.added = append(sh.added, id)
+		}
 		if s.MemoryBudget > 0 {
 			sh.account(st)
 		}
@@ -356,6 +378,7 @@ func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*A
 		}
 	}
 	st.log.Append(e)
+	st.rec = nil // the kept snapshot record is stale from here on
 	if !st.log.Indexed() {
 		// A late event arrived out of time order. Re-sort once so the
 		// index — and with it the incremental cursor path (the generation

@@ -2,7 +2,7 @@ package mlops
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"memfp/internal/features"
 	"memfp/internal/platform"
@@ -19,6 +19,22 @@ import (
 // Restored DIMMs come back frozen; the first event for each one thaws it
 // through the regular eviction-rehydration path, which is pinned exact
 // by TestEvictionTransparent — so restoring is scoring-invisible.
+//
+// A snapshot costs the DIMMs that changed since the last one, not the
+// DIMMs that exist. Each resident DIMM keeps the record the last snapshot
+// encoded for it (dimmState.rec) and ingestLocked drops it right after
+// appending an event to the DIMM's log. That one place is enough: every
+// field a record serializes — the retained events and their order, the
+// prediction throttle, the alarm cooldown, the compaction horizon and the
+// fold state compaction rewrites — changes only while serving a tick,
+// under the shard lock, for a DIMM that tick appended to; thaw,
+// ReplaceDIMM and RestoreSnapshot build fresh states that have no record
+// yet. A frozen DIMM is already a blob and is written straight into the
+// frame; a spilled one's stored bytes are checked and copied through. The
+// frame's DIMM order (Server.snapOrder) is kept sorted between snapshots
+// too: DIMMs registered since merge in, a release or restore rebuilds it.
+// The frame is byte for byte the one a full freeze-sort-encode walk
+// writes — that walk is the oracle in snapshot_test.go.
 
 // snapshotMagic versions the engine snapshot format. MFS2 records hold
 // their events in the trace log form (trace.AppendLogEvents); MFS1, whose
@@ -109,6 +125,9 @@ func decodeFrozenRec(r *trace.BinReader) (trace.DIMMID, *frozenDIMM, error) {
 		return id, nil, fmt.Errorf("mlops: snapshot record for %s declares %d events in a %d-byte blob", id, events, len(fz.blob))
 	}
 	fz.events = int(events)
+	// The blob aliases the frame it was read from; clip it so footprint()
+	// charges this record its own bytes, not the rest of the frame.
+	fz.blob = fz.blob[:len(fz.blob):len(fz.blob)]
 	part, err := platform.PartByNumber(partNumber)
 	if err != nil {
 		return id, nil, fmt.Errorf("mlops: snapshot record for %s: %w", id, err)
@@ -118,41 +137,138 @@ func decodeFrozenRec(r *trace.BinReader) (trace.DIMMID, *frozenDIMM, error) {
 	return id, fz, nil
 }
 
-// Snapshot serializes the engine's full serving state. The engine must
-// be externally quiescent (no concurrent ingest); shard locks are taken
-// per shard. The encoding is deterministic: records are sorted by DIMM
-// ID and every nested codec writes sorted keys.
-func (s *Server) Snapshot() ([]byte, error) {
-	var recs []frozenRec
+// Snapshot serializes the engine's full serving state into a new buffer;
+// see AppendSnapshot.
+func (s *Server) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the engine's full serving state to dst as one
+// MFS2 frame, so a caller that checkpoints repeatedly can reuse one
+// buffer. Only resident DIMMs that ingested since the previous snapshot
+// are re-encoded; the rest of the frame is copied from kept, frozen or
+// spilled records (see the file comment). The engine must be externally
+// quiescent (no concurrent ingest or registration); every shard lock is
+// held for the duration. The encoding is deterministic: records are in
+// DIMM ID order and every nested codec writes sorted keys. On error dst's
+// contents past its length are unspecified and nil is returned.
+func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, st := range sh.dimms {
-			recs = append(recs, frozenRec{id, freezeDIMM(st)})
-		}
-		for id, fz := range sh.frozen {
-			if fz.spilled {
-				real, err := s.unspillLocked(id, fz, false)
-				if err != nil {
-					sh.mu.Unlock()
+		defer sh.mu.Unlock()
+	}
+	s.settleSnapOrder()
+
+	w := trace.BinWriter{Buf: slices.Grow(dst, s.snapSize)}
+	w.Raw([]byte(snapshotMagic))
+	w.Uvarint(uint64(len(s.snapOrder)))
+	var reencoded int64
+	for i := range s.snapOrder {
+		ent := &s.snapOrder[i]
+		id, st := ent.id, ent.st
+		if st == nil || st.dropped {
+			// Frozen when last seen, or evicted or swapped since: look again.
+			sh := s.shardFor(id)
+			st = sh.dimms[id]
+			ent.st = st
+			if st == nil {
+				if err := s.appendFrozenLocked(&w, id, sh.frozen[id]); err != nil {
 					return nil, err
 				}
-				fz = real
+				continue
 			}
-			recs = append(recs, frozenRec{id, fz})
 		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id.Less(recs[j].id) })
-
-	w := trace.BinWriter{Buf: make([]byte, 0, 1024)}
-	w.Raw([]byte(snapshotMagic))
-	w.Uvarint(uint64(len(recs)))
-	for _, rc := range recs {
-		if err := appendFrozenRec(&w, rc.id, rc.fz); err != nil {
+		if st.rec != nil {
+			w.Raw(st.rec)
+			continue
+		}
+		start := len(w.Buf)
+		if err := appendFrozenRec(&w, id, freezeDIMM(st)); err != nil {
 			return nil, err
 		}
+		st.rec = make([]byte, len(w.Buf)-start)
+		copy(st.rec, w.Buf[start:])
+		reencoded++
+		if s.MemoryBudget > 0 {
+			// The kept record is serving state; the LRU is not touched — a
+			// snapshot serves no one.
+			nb := st.footprint()
+			s.shardFor(id).resident += nb - st.bytes
+			st.bytes = nb
+		}
 	}
+	s.snapSize = len(w.Buf) - len(dst)
+	s.snapRecords.Add(int64(len(s.snapOrder)))
+	s.snapReencoded.Add(reencoded)
 	return w.Buf, nil
+}
+
+// appendFrozenLocked writes a frozen DIMM's record: an in-memory one is
+// already a blob and encodes straight into the frame; a spilled one's
+// stored bytes are checked (readSpilled) and copied through.
+func (s *Server) appendFrozenLocked(w *trace.BinWriter, id trace.DIMMID, fz *frozenDIMM) error {
+	switch {
+	case fz == nil:
+		return fmt.Errorf("mlops: snapshot order lists %s, which has no state", id)
+	case fz.spilled:
+		rec, _, err := s.readSpilled(id)
+		if err != nil {
+			return err
+		}
+		w.Raw(rec)
+		return nil
+	}
+	return appendFrozenRec(w, id, fz)
+}
+
+// snapEnt is one DIMM's place in the snapshot order. st caches the
+// DIMM's live state so a snapshot of mostly-resident DIMMs hashes no
+// keys; it is trusted until the state is dropped from its shard.
+type snapEnt struct {
+	id trace.DIMMID
+	st *dimmState
+}
+
+// settleSnapOrder brings snapOrder up to date with the DIMM set: the few
+// DIMMs registered since the last snapshot merge into the kept order; a
+// release or restore since then (snapKept cleared) rebuilds it from the
+// shard maps. Every shard lock held.
+func (s *Server) settleSnapOrder() {
+	var added []snapEnt
+	kept := s.snapKept.Swap(true)
+	if !kept {
+		s.snapOrder = s.snapOrder[:0]
+	}
+	for _, sh := range s.shards {
+		if kept {
+			for _, id := range sh.added {
+				added = append(added, snapEnt{id: id})
+			}
+		} else {
+			for id, st := range sh.dimms {
+				added = append(added, snapEnt{id, st})
+			}
+			for id := range sh.frozen {
+				added = append(added, snapEnt{id: id})
+			}
+		}
+		sh.added = sh.added[:0]
+	}
+	if len(added) == 0 {
+		return
+	}
+	sortSlice(added, func(a, b snapEnt) bool { return a.id.Less(b.id) })
+	// Merge from the back, in place: registration never repeats an ID that
+	// has state, so the two runs are disjoint.
+	old := s.snapOrder
+	s.snapOrder = append(old, added...)
+	for i, j, k := len(old)-1, len(added)-1, len(s.snapOrder)-1; j >= 0; k-- {
+		if i >= 0 && added[j].id.Less(old[i].id) {
+			s.snapOrder[k] = old[i]
+			i--
+		} else {
+			s.snapOrder[k] = added[j]
+			j--
+		}
+	}
 }
 
 // RestoreSnapshot replaces the engine's serving state with a snapshot.
@@ -178,6 +294,7 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 		}
 		recs = append(recs, frozenRec{id, fz})
 	}
+	s.snapKept.Store(false)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.dimms = map[trace.DIMMID]*dimmState{}

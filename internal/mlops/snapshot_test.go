@@ -1,8 +1,12 @@
 package mlops
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"memfp/internal/dram"
@@ -111,6 +115,289 @@ func TestSnapshotRestoreTransparent(t *testing.T) {
 	}
 }
 
+// fullWalkSnapshot is the snapshot oracle — Snapshot as it was before it
+// kept anything: freeze every resident DIMM, read back every spilled one,
+// sort the records by DIMM ID, encode.
+func fullWalkSnapshot(s *Server) ([]byte, error) {
+	var recs []frozenRec
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, st := range sh.dimms {
+			recs = append(recs, frozenRec{id, freezeDIMM(st)})
+		}
+		for id, fz := range sh.frozen {
+			if fz.spilled {
+				_, real, err := s.readSpilled(id)
+				if err != nil {
+					sh.mu.Unlock()
+					return nil, err
+				}
+				fz = real
+			}
+			recs = append(recs, frozenRec{id, fz})
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].id.Less(recs[j].id) })
+
+	w := trace.BinWriter{Buf: make([]byte, 0, 1024)}
+	w.Raw([]byte(snapshotMagic))
+	w.Uvarint(uint64(len(recs)))
+	for _, rc := range recs {
+		if err := appendFrozenRec(&w, rc.id, rc.fz); err != nil {
+			return nil, err
+		}
+	}
+	return w.Buf, nil
+}
+
+// checkBooks audits a budgeted engine's accounting: the resident tally
+// is the sum of what each DIMM is booked at, a frozen DIMM and a DIMM
+// holding a kept record are booked at exactly footprint() — the record is
+// inside the accounting — and with strict set so is every other DIMM.
+// (Strict holds right after a snapshot, which settles each record it
+// fills. After a tick it does not, here or before records were kept: the
+// cursor work and compaction behind a prediction follow the event's
+// account call, so a DIMM's booking lags until its next event.)
+func checkBooks(s *Server, strict bool) error {
+	var booked int64
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, st := range sh.dimms {
+			booked += st.bytes
+			if fp := st.footprint(); (strict || st.rec != nil) && st.bytes != fp {
+				sh.mu.Unlock()
+				return fmt.Errorf("%s (kept record: %d bytes) booked at %d, footprint %d", id, len(st.rec), st.bytes, fp)
+			}
+		}
+		for id, fz := range sh.frozen {
+			booked += fz.bytes
+			if fp := fz.footprint(); fz.bytes != fp {
+				sh.mu.Unlock()
+				return fmt.Errorf("frozen %s booked at %d, footprint %d", id, fz.bytes, fp)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if got := s.MemoryStats().ResidentBytes; got != booked {
+		return fmt.Errorf("resident tally %d, DIMMs booked at %d", got, booked)
+	}
+	return nil
+}
+
+// TestSnapshotAssembledMatchesFullWalk is the property the kept records
+// rest on: however ticks and snapshots interleave, the frame Snapshot
+// assembles is byte for byte the full walk's. Ticks of random size, a
+// snapshot after a random third of them, DIMMs registered on first sight
+// (so the kept order has arrivals to merge), and inside each run one
+// hot-swap, one late out-of-order event and one restore into a fresh
+// engine that carries on. Budgeted rows also audit the accounting after
+// every tick and every snapshot (checkBooks).
+func TestSnapshotAssembledMatchesFullWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model on a generated fleet")
+	}
+	pipe, res := trainedPipeline(t)
+	_, stream, _ := snapshotStream(t)
+	parts := map[trace.DIMMID]platform.DIMMPart{}
+	for _, l := range res.Store.DIMMs() {
+		parts[l.ID] = l.Part
+	}
+
+	for _, shards := range []int{1, 4} {
+		for _, tc := range []struct {
+			name   string
+			budget int64
+			spill  bool
+		}{
+			{"unbounded", 0, false},
+			{"bounded", snapshotPropBudget, false},
+			{"bounded-spill", snapshotPropBudget, true},
+		} {
+			t.Run(fmt.Sprintf("shards%d/%s", shards, tc.name), func(t *testing.T) {
+				t.Parallel() // engines are independent; the oracle's full walk is the cost
+				build := func() *Server {
+					s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
+					s.MemoryBudget = tc.budget
+					if tc.spill {
+						s.Spill = NewMemSpill()
+					}
+					return s
+				}
+				s := build()
+				books := func(when string, strict bool) {
+					t.Helper()
+					if tc.budget == 0 {
+						return
+					}
+					if err := checkBooks(s, strict); err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+				}
+				snaps := 0
+				check := func(when string) []byte {
+					t.Helper()
+					got, err := s.Snapshot()
+					if err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+					want, err := fullWalkSnapshot(s)
+					if err != nil {
+						t.Fatalf("%s: oracle: %v", when, err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: assembled frame (%d bytes) differs from the full walk's (%d bytes)", when, len(got), len(want))
+					}
+					snaps++
+					books(when+", after snapshot", true)
+					return got
+				}
+				ingest := func(when string, tick []trace.Event) {
+					t.Helper()
+					for _, e := range tick {
+						s.RegisterDIMM(e.DIMM, parts[e.DIMM]) // a no-op once the DIMM has state
+					}
+					if _, err := s.IngestBatch(tick); err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+					books(when, false)
+				}
+
+				rng := rand.New(rand.NewSource(int64(31*shards) + tc.budget))
+				swapAt, lateAt, restoreAt := len(stream)/3, len(stream)/2, 2*len(stream)/3
+				for i, tick := 0, 0; i < len(stream); tick++ {
+					j := min(i+1+rng.Intn(1200), len(stream))
+					when := fmt.Sprintf("tick %d (events %d-%d)", tick, i, j)
+					ingest(when, stream[i:j])
+					last := stream[j-1]
+					switch {
+					case i < swapAt && swapAt <= j:
+						s.ReplaceDIMM(last.DIMM, parts[last.DIMM])
+						books(when+", after ReplaceDIMM", false)
+						check(when + ", after ReplaceDIMM")
+					case i < lateAt && lateAt <= j:
+						// One minute behind the log's tail: ingestLocked's
+						// re-sort branch, in the same call as the append.
+						late := last
+						late.Time--
+						ingest(when+", late event", []trace.Event{late})
+						check(when + ", after a late event")
+					case i < restoreAt && restoreAt <= j:
+						blob := check(when + ", before restore")
+						s = build()
+						if err := s.RestoreSnapshot(blob); err != nil {
+							t.Fatal(err)
+						}
+						check(when + ", restored") // every DIMM frozen, no order kept
+					case rng.Intn(3) == 0:
+						check(when)
+					}
+					i = j
+				}
+				check("end of stream")
+				ms := s.MemoryStats()
+				if tc.budget > 0 && ms.Evictions == 0 {
+					t.Fatalf("budget %d never evicted: the frozen and spilled arms went unexercised", tc.budget)
+				}
+				t.Logf("%d events, %d snapshots; since restore: %d records written, %d re-encoded, %d evictions, %d rehydrations, %d spills",
+					len(stream), snaps, ms.SnapshotRecords, ms.SnapshotReencoded, ms.Evictions, ms.Rehydrations, ms.Spills)
+			})
+		}
+	}
+}
+
+// snapshotPropBudget makes the property test's budgeted rows evict
+// without thrashing: the fixture fleet's serving state grows to 30 MB
+// unbounded, and frozen whole (right after the restore) it is 12 MB — a
+// budget below that re-freezes every DIMM a tick thaws, 8,000 times a row.
+const snapshotPropBudget = 16 << 20
+
+// TestSnapshotReencodesOnlyChangedDIMMs is the point of keeping records:
+// a second snapshot with no ingest in between re-encodes nothing, and one
+// event re-encodes one record.
+func TestSnapshotReencodesOnlyChangedDIMMs(t *testing.T) {
+	_, s := smallEngine(t)
+	snap := func() (records, reencoded int64) {
+		t.Helper()
+		before := s.MemoryStats()
+		if _, err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		after := s.MemoryStats()
+		return after.SnapshotRecords - before.SnapshotRecords, after.SnapshotReencoded - before.SnapshotReencoded
+	}
+	if rec, re := snap(); rec != 2 || re != 2 {
+		t.Fatalf("first snapshot wrote %d records and re-encoded %d, want 2 and 2", rec, re)
+	}
+	if rec, re := snap(); rec != 2 || re != 0 {
+		t.Fatalf("snapshot with no ingest since the last wrote %d records and re-encoded %d, want 2 and 0", rec, re)
+	}
+	id := trace.DIMMID{Platform: platform.Purley, Server: 1, Slot: 1}
+	if _, err := s.Ingest(trace.Event{Time: 400 * trace.Day, Type: trace.TypeUE, DIMM: id}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, re := snap(); rec != 2 || re != 1 {
+		t.Fatalf("snapshot after one event wrote %d records and re-encoded %d, want 2 and 1", rec, re)
+	}
+}
+
+// TestSnapshotConcurrentWithServing: the kept order and records are
+// reached from registration, ingest, hot-swap and snapshot at once. A
+// snapshot holds every shard lock, so whatever interleaving the scheduler
+// picks each frame restores, and once the writers are done the assembled
+// frame is the full walk's. Run under -race by make test-race.
+func TestSnapshotConcurrentWithServing(t *testing.T) {
+	reg, s := smallEngine(t)
+	part, err := platform.PartByNumber("A4-2666-32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for d := 0; d < 150; d++ {
+				id := trace.DIMMID{Platform: platform.Purley, Server: 100 + d, Slot: g}
+				s.RegisterDIMM(id, part)
+				if _, err := s.Ingest(trace.Event{Time: trace.Minutes(d), Type: trace.TypeUE, DIMM: id}); err != nil {
+					t.Error(err)
+				}
+				if d%10 == 9 {
+					s.ReplaceDIMM(trace.DIMMID{Platform: platform.Purley, Server: 100 + d - 5, Slot: g}, part)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			blob, err := s.Snapshot()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fresh := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
+			if err := fresh.RestoreSnapshot(blob); err != nil {
+				t.Errorf("snapshot %d taken while serving does not restore: %v", i, err)
+			}
+		}
+	}()
+	wg.Wait()
+	got, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fullWalkSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("assembled frame differs from the full walk's after concurrent serving")
+	}
+}
+
 // TestSpillBoundedIngest runs the bounded eviction churn of
 // TestEvictionTransparent with a disk-backed spill store: the alarm
 // stream must stay byte-identical while frozen records actually leave
@@ -173,10 +460,9 @@ func lyingSnapshot(tb testing.TB) []byte {
 	return w.Buf
 }
 
-// smallSnapshot serves a few synthetic DIMMs (CEs, a UE, a storm; one
-// log long enough to have been compacted) under a budget and returns the
-// engine's snapshot together with a registry to restore it against.
-func smallSnapshot(tb testing.TB) (*Registry, []byte) {
+// smallEngine serves a few synthetic DIMMs (CEs, a UE, a storm; one log
+// long enough to have been compacted) under a budget.
+func smallEngine(tb testing.TB) (*Registry, *Server) {
 	tb.Helper()
 	reg := NewRegistry()
 	registerFunc(tb, reg, "m", func(x []float64) float64 { return x[5] / 64 }, eval.Metrics{}, 0.5)
@@ -213,6 +499,14 @@ func smallSnapshot(tb testing.TB) (*Registry, []byte) {
 	if s.MemoryStats().Compactions == 0 {
 		tb.Fatal("fixture never compacted: the snapshot carries no fold state")
 	}
+	return reg, s
+}
+
+// smallSnapshot is smallEngine's snapshot together with a registry to
+// restore it against.
+func smallSnapshot(tb testing.TB) (*Registry, []byte) {
+	tb.Helper()
+	reg, s := smallEngine(tb)
 	blob, err := s.Snapshot()
 	if err != nil {
 		tb.Fatal(err)
