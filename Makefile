@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
+.PHONY: all build test test-short vet fmt census bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
 
 all: build
 
@@ -24,6 +24,12 @@ vet:
 # Fails if any file needs gofmt.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The two size figures every ROADMAP anchor re-derives: non-test Go lines
+# outside bench/, and for the two serving packages. Not part of ci.
+census:
+	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'internal/mlops + internal/controlplane: '; find internal/mlops internal/controlplane -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # The repo benchmark (bench/, run by BENCHMARK.json) is its own module,
 # so `go build ./...` and `go test ./...` never compile it: this target

@@ -10,7 +10,7 @@ import (
 	"memfp/internal/eval"
 	"memfp/internal/features"
 	"memfp/internal/ml/model"
-	"memfp/internal/pipeline"
+	"memfp/internal/par"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -27,15 +27,10 @@ import (
 // Table I
 // ---------------------------------------------------------------------------
 
-// RunTableI generates every platform fleet and computes Table I rows.
-func RunTableI(cfg Config) ([]analysis.DatasetStats, error) {
-	return RunTableICtx(context.Background(), cfg)
-}
-
-// RunTableICtx is RunTableI with cancellation.
+// RunTableICtx generates every platform fleet and computes Table I rows.
 func RunTableICtx(ctx context.Context, cfg Config) ([]analysis.DatasetStats, error) {
 	cfg = cfg.withDefaults()
-	return pipeline.Map(ctx, cfg.Workers, cfg.Platforms,
+	return par.Map(ctx, cfg.Workers, cfg.Platforms,
 		func(id platform.ID) string { return "table1/" + string(id) },
 		func(ctx context.Context, id platform.ID) (analysis.DatasetStats, error) {
 			res, err := cfg.generate(ctx, id)
@@ -56,15 +51,10 @@ type Figure4Result struct {
 	Cats     []analysis.CategoryStats
 }
 
-// RunFigure4 computes the fault-mode/UE correlation for each platform.
-func RunFigure4(cfg Config) ([]Figure4Result, error) {
-	return RunFigure4Ctx(context.Background(), cfg)
-}
-
-// RunFigure4Ctx is RunFigure4 with cancellation.
+// RunFigure4Ctx computes the fault-mode/UE correlation for each platform.
 func RunFigure4Ctx(ctx context.Context, cfg Config) ([]Figure4Result, error) {
 	cfg = cfg.withDefaults()
-	return pipeline.Map(ctx, cfg.Workers, cfg.Platforms,
+	return par.Map(ctx, cfg.Workers, cfg.Platforms,
 		func(id platform.ID) string { return "fig4/" + string(id) },
 		func(ctx context.Context, id platform.ID) (Figure4Result, error) {
 			res, err := cfg.generate(ctx, id)
@@ -84,13 +74,8 @@ type Figure5Result struct {
 	Panels   map[analysis.BitStat][]analysis.BitBucket
 }
 
-// RunFigure5 computes the error-bit analysis for the Intel platforms (the
-// paper's Figure 5 scope).
-func RunFigure5(cfg Config) ([]Figure5Result, error) {
-	return RunFigure5Ctx(context.Background(), cfg)
-}
-
-// RunFigure5Ctx is RunFigure5 with cancellation.
+// RunFigure5Ctx computes the error-bit analysis for the Intel platforms
+// (the paper's Figure 5 scope).
 func RunFigure5Ctx(ctx context.Context, cfg Config) ([]Figure5Result, error) {
 	cfg = cfg.withDefaults()
 	var intel []platform.ID
@@ -99,7 +84,7 @@ func RunFigure5Ctx(ctx context.Context, cfg Config) ([]Figure5Result, error) {
 			intel = append(intel, id)
 		}
 	}
-	return pipeline.Map(ctx, cfg.Workers, intel,
+	return par.Map(ctx, cfg.Workers, intel,
 		func(id platform.ID) string { return "fig5/" + string(id) },
 		func(ctx context.Context, id platform.ID) (Figure5Result, error) {
 			res, err := cfg.generate(ctx, id)
@@ -141,7 +126,7 @@ func RunTableII(cfg Config) (*TableII, error) {
 func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 	cfg = cfg.withDefaults()
 
-	fleets, err := pipeline.Map(ctx, cfg.Workers, cfg.Platforms,
+	fleets, err := par.Map(ctx, cfg.Workers, cfg.Platforms,
 		func(id platform.ID) string { return "table2/fleet/" + string(id) },
 		func(ctx context.Context, id platform.ID) (*Fleet, error) {
 			return BuildFleetCtx(ctx, cfg, id)
@@ -154,14 +139,14 @@ func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 		id   platform.ID
 		algo Algo
 	}
-	var tasks []pipeline.Task[Cell]
+	var tasks []par.Task[Cell]
 	var keys []cellKey
 	for i, id := range cfg.Platforms {
 		fleet := fleets[i]
 		for _, a := range Algos() {
 			a := a
 			keys = append(keys, cellKey{id, a})
-			tasks = append(tasks, pipeline.Task[Cell]{
+			tasks = append(tasks, par.Task[Cell]{
 				Name: fmt.Sprintf("table2/%s/%s", id, a),
 				Run: func(ctx context.Context) (Cell, error) {
 					return EvaluateAlgoCtx(ctx, cfg, fleet, a)
@@ -169,7 +154,7 @@ func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 			})
 		}
 	}
-	cells, err := pipeline.Run(ctx, cfg.Workers, tasks)
+	cells, err := par.Run(ctx, cfg.Workers, tasks)
 	if err != nil {
 		return nil, fmt.Errorf("memfp: evaluate: %w", err)
 	}
@@ -301,17 +286,12 @@ type VIRRPoint struct {
 	YC, Precision, Recall, VIRR float64
 }
 
-// RunVIRRSensitivity sweeps the Figure 2 cost model over yc for given
-// operating points, showing where prediction helps vs harms.
-func RunVIRRSensitivity(points []eval.Metrics, ycs []float64) []VIRRPoint {
-	out, _ := RunVIRRSensitivityCtx(context.Background(), 0, points, ycs)
-	return out
-}
-
-// RunVIRRSensitivityCtx fans the sweep's operating points out across the
-// worker pool and returns the flattened, deterministically sorted rows.
+// RunVIRRSensitivityCtx sweeps the Figure 2 cost model over yc for given
+// operating points, showing where prediction helps vs harms. The points
+// fan out across the worker pool; the rows come back flattened and
+// deterministically sorted.
 func RunVIRRSensitivityCtx(ctx context.Context, workers int, points []eval.Metrics, ycs []float64) ([]VIRRPoint, error) {
-	rows, err := pipeline.Map(ctx, workers, points,
+	rows, err := par.Map(ctx, workers, points,
 		func(m eval.Metrics) string { return fmt.Sprintf("virr/p%.2f-r%.2f", m.Precision, m.Recall) },
 		func(ctx context.Context, m eval.Metrics) ([]VIRRPoint, error) {
 			pts := make([]VIRRPoint, 0, len(ycs))

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"testing"
 
 	"memfp/internal/analysis"
@@ -27,7 +28,7 @@ func TestCalibrationShapes(t *testing.T) {
 	}
 	rates := map[platform.ID]float64{}
 	for _, id := range platform.All() {
-		res, err := faultsim.Generate(faultsim.Config{Platform: id, Scale: 0.2, Seed: 42})
+		res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: id, Scale: 0.2, Seed: 42})
 		if err != nil {
 			t.Fatalf("generate %s: %v", id, err)
 		}
@@ -74,7 +75,7 @@ func TestCalibrationShapes(t *testing.T) {
 		{platform.Purley, 2, 2, 4},
 		{platform.Whitley, 4, 5, -1},
 	} {
-		res, err := faultsim.Generate(faultsim.Config{Platform: tc.id, Scale: 0.2, Seed: 42})
+		res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: tc.id, Scale: 0.2, Seed: 42})
 		if err != nil {
 			t.Fatalf("generate %s: %v", tc.id, err)
 		}

@@ -71,11 +71,6 @@ const (
 	CompBank
 )
 
-// ComponentModes lists the classes in Figure 4 order.
-func ComponentModes() []ComponentMode {
-	return []ComponentMode{CompSporadic, CompCell, CompColumn, CompRow, CompBank}
-}
-
 // String implements fmt.Stringer.
 func (c ComponentMode) String() string {
 	switch c {
@@ -183,9 +178,4 @@ func Classify(ces []trace.Event, th Thresholds) Class {
 		c.Mode = CompSporadic
 	}
 	return c
-}
-
-// ClassifyDIMM classifies a DIMM's full CE history.
-func ClassifyDIMM(l *trace.DIMMLog, th Thresholds) Class {
-	return Classify(l.CEs(), th)
 }

@@ -160,6 +160,3 @@ func (x *Incremental) DistinctCols() int { return len(x.colRows) }
 
 // MaxCellCEs returns the largest CE count accumulated by any single cell.
 func (x *Incremental) MaxCellCEs() int { return x.maxCellCEs }
-
-// Events returns the number of events added.
-func (x *Incremental) Events() int { return x.events }

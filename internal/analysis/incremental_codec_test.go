@@ -33,7 +33,7 @@ func assertIncrementalEqual(t *testing.T, got, want *Incremental, when string) {
 		got.DistinctRows() != want.DistinctRows() ||
 		got.DistinctCols() != want.DistinctCols() ||
 		got.MaxCellCEs() != want.MaxCellCEs() ||
-		got.Events() != want.Events() {
+		got.events != want.events {
 		t.Fatalf("%s: distinct counts diverge", when)
 	}
 }

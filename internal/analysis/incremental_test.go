@@ -86,8 +86,8 @@ func TestIncrementalMatchesClassify(t *testing.T) {
 				trial, inc.DistinctBanks(), inc.DistinctRows(), inc.DistinctCols(), inc.MaxCellCEs(),
 				len(banks), len(rows), len(cols), maxCell)
 		}
-		if inc.Events() != len(events) {
-			t.Fatalf("trial %d: Events() = %d, want %d", trial, inc.Events(), len(events))
+		if inc.events != len(events) {
+			t.Fatalf("trial %d: events = %d, want %d", trial, inc.events, len(events))
 		}
 	}
 }

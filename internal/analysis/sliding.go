@@ -207,9 +207,6 @@ func (x *Sliding) Class() Class {
 	return c
 }
 
-// Events returns the number of events currently in the window.
-func (x *Sliding) Events() int { return x.events }
-
 // MemEstimate returns a rough heap-footprint estimate in bytes, O(1).
 func (x *Sliding) MemEstimate() int64 {
 	const entry = 48 // rough bytes per map entry across the key shapes

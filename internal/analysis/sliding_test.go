@@ -53,8 +53,8 @@ func TestSlidingMatchesClassify(t *testing.T) {
 				t.Fatalf("trial %d step %d window [%d,%d): sliding %+v != batch %+v",
 					trial, step, lo, hi, got, want)
 			}
-			if s.Events() != hi-lo {
-				t.Fatalf("trial %d step %d: Events()=%d, want %d", trial, step, s.Events(), hi-lo)
+			if s.events != hi-lo {
+				t.Fatalf("trial %d step %d: events=%d, want %d", trial, step, s.events, hi-lo)
 			}
 		}
 		// Drain completely: the empty window must classify as empty and the

@@ -75,7 +75,7 @@ func TestAPIIngestAndAlarms(t *testing.T) {
 	n := min(3000, len(f.all))
 	var total []AlarmJSON
 	for lo := 0; lo < n; lo += 1000 {
-		tr, err := cl.IngestLines(encodeLines(f, lo, min(lo+1000, n)))
+		tr, err := ingestLines(cl, encodeLines(f, lo, min(lo+1000, n)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,13 +109,13 @@ func TestAPIIngestAndAlarms(t *testing.T) {
 	}
 
 	// Malformed line and unknown part number are 400s naming the line.
-	if _, err := cl.IngestLines("BOGUS line\n"); err == nil || !strings.Contains(err.Error(), "line 1") {
+	if _, err := ingestLines(cl, "BOGUS line\n"); err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("malformed line: %v", err)
 	}
 	good := strings.SplitN(encodeLines(f, 0, 1), "\n", 2)[0]
 	fields := strings.Fields(good)
 	fields[6] = "NOT-A-PART"
-	if _, err := cl.IngestLines(strings.Join(fields, " ") + "\n"); err == nil ||
+	if _, err := ingestLines(cl, strings.Join(fields, " ")+"\n"); err == nil ||
 		!strings.Contains(err.Error(), "line 1") {
 		t.Errorf("unknown part number: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestAPIIngestAndAlarms(t *testing.T) {
 
 func TestAPIModelLifecycle(t *testing.T) {
 	cp, cl, _ := newLocalCP(t)
-	pipe := cp.Pipeline()
+	pipe := cp.pipe
 
 	models, err := cl.Models()
 	if err != nil {
@@ -169,7 +169,7 @@ func TestAPIArtifact(t *testing.T) {
 	ts := httptest.NewServer(cp.Handler())
 	t.Cleanup(ts.Close)
 	cl := NewClient(ts.URL)
-	name := cp.Pipeline().ModelName
+	name := cp.pipe.ModelName
 
 	// Production pull: bytes + metadata headers, exact hex threshold.
 	art, err := cl.Artifact("", 0, "")
@@ -250,7 +250,7 @@ func TestAPIPauseResume(t *testing.T) {
 		t.Fatal("status not paused after pause")
 	}
 	n := min(2000, len(f.all))
-	tr, err := cl.IngestLines(encodeLines(f, 0, n))
+	tr, err := ingestLines(cl, encodeLines(f, 0, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestAPIDistributedGating(t *testing.T) {
 	ts := httptest.NewServer(cp.Handler())
 	t.Cleanup(ts.Close)
 	dcl := NewClient(ts.URL)
-	if _, err := dcl.IngestLines(encodeLines(f, 0, 1)); err == nil ||
+	if _, err := ingestLines(dcl, encodeLines(f, 0, 1)); err == nil ||
 		!strings.Contains(err.Error(), strconv.Itoa(http.StatusServiceUnavailable)) {
 		t.Errorf("ingest before join: %v", err)
 	}
@@ -342,7 +342,7 @@ func TestAPINodeRefusingTicksLeavesPending(t *testing.T) {
 	if _, err := cl.Join(JoinRequest{Name: "n1", Addr: node.URL}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.IngestLines(encodeLines(f, 0, 200)); err != nil {
+	if _, err := ingestLines(cl, encodeLines(f, 0, 200)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := cl.Flush() // returns once the delivery attempt has failed
@@ -383,7 +383,7 @@ func TestAPIBinaryIngest(t *testing.T) {
 	_, binCl, _ := newLocalCP(t)
 	for lo := 0; lo < n; lo += 500 {
 		hi := min(lo+500, n)
-		tr, err := textCl.IngestLines(encodeLines(f, lo, hi))
+		tr, err := ingestLines(textCl, encodeLines(f, lo, hi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestAPIBinaryIngest(t *testing.T) {
 	}
 
 	// Binary alarm paging agrees with the JSON page.
-	req, err := http.NewRequest(http.MethodGet, binCl.Base()+"/api/v1/alarms?since=0", nil)
+	req, err := http.NewRequest(http.MethodGet, binCl.base+"/api/v1/alarms?since=0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

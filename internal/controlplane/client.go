@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -22,9 +23,6 @@ type Client struct {
 func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), HTTP: &http.Client{Timeout: 30 * time.Second}}
 }
-
-// Base returns the wrapped base URL.
-func (c *Client) Base() string { return c.base }
 
 // roundTrip sends req and returns the response (for its status and
 // headers) and its whole body, at most limit bytes of it (readBody). Any
@@ -97,18 +95,6 @@ func (c *Client) Status() (StatusResponse, error) {
 	return st, err
 }
 
-// IngestLines posts one tick of BMC text log lines.
-func (c *Client) IngestLines(text string) (TickResponse, error) {
-	req, err := http.NewRequest(http.MethodPost, c.base+"/api/v1/ingest", strings.NewReader(text))
-	if err != nil {
-		return TickResponse{}, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	var tr TickResponse
-	err = c.do(req, &tr)
-	return tr, err
-}
-
 // IngestFrame posts one tick as a pre-encoded MFE1 binary event frame
 // and requests the alarms back as a binary MFA1 page — the fast path for
 // high-volume feeders.
@@ -136,7 +122,8 @@ func (c *Client) IngestFrame(frame []byte) (TickResponse, error) {
 // NodeCheckpoint pulls a node's stored engine snapshot for a rejoin
 // restore.
 func (c *Client) NodeCheckpoint(name string) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, c.base+"/api/v1/nodes/checkpoint?name="+name, nil)
+	q := url.Values{"name": {name}}
+	req, err := http.NewRequest(http.MethodGet, c.base+"/api/v1/nodes/checkpoint?"+q.Encode(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -222,15 +209,15 @@ type Artifact struct {
 // If-None-Match, and a 304 returns NotModified with no body.
 func (c *Client) Artifact(name string, version int, etag string) (Artifact, error) {
 	u := c.base + "/api/v1/models/artifact"
-	var params []string
+	q := url.Values{}
 	if name != "" {
-		params = append(params, "name="+name)
+		q.Set("name", name)
 	}
 	if version > 0 {
-		params = append(params, "version="+strconv.Itoa(version))
+		q.Set("version", strconv.Itoa(version))
 	}
-	if len(params) > 0 {
-		u += "?" + strings.Join(params, "&")
+	if len(q) > 0 {
+		u += "?" + q.Encode()
 	}
 	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {

@@ -82,7 +82,11 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	if err := n1.JoinOnce(ts1.URL); err != nil {
 		t.Fatal(err)
 	}
-	n2 := NewNode("n2", cpSrv.URL)
+	// The node that dies and rejoins carries a name a query string would
+	// mangle unescaped ("+" decodes to a space, "&" splits the parameter):
+	// its checkpoint pull must still find it.
+	const n2Name = "n+1&x"
+	n2 := NewNode(n2Name, cpSrv.URL)
 	n2.Shards = 2
 	ts2 := httptest.NewServer(n2.Handler())
 	if err := n2.JoinOnce(ts2.URL); err != nil {
@@ -122,7 +126,7 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 			// Fresh process, same name: the node restores the checkpointed
 			// snapshot, then journal replay of the suffix rebuilds its
 			// serving state under each tick's pinned model version.
-			n2b := NewNode("n2", cpSrv.URL)
+			n2b := NewNode(n2Name, cpSrv.URL)
 			n2b.Shards = 2
 			ts2b := httptest.NewServer(n2b.Handler())
 			t.Cleanup(ts2b.Close)

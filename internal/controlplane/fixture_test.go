@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -187,6 +188,19 @@ func encodeLines(f *fleetFixture, lo, hi int) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// ingestLines posts one tick of BMC text log lines: the ingest endpoint's
+// text arm, which no program posts to through the Client.
+func ingestLines(c *Client, text string) (TickResponse, error) {
+	req, err := http.NewRequest(http.MethodPost, c.base+"/api/v1/ingest", strings.NewReader(text))
+	if err != nil {
+		return TickResponse{}, err
+	}
+	req.Header.Set("Content-Type", "text/plain")
+	var tr TickResponse
+	err = c.do(req, &tr)
+	return tr, err
 }
 
 // renderAlarms renders an alarm stream with exact (hex-float) scores for

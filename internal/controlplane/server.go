@@ -182,9 +182,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP API (the /api/v1 tree plus /metrics).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pipeline returns the wrapped pipeline.
-func (s *Server) Pipeline() *mlops.Pipeline { return s.pipe }
-
 // Close stops the per-node sender goroutines. Pending journal state is
 // left intact; Close is for orderly shutdown, not draining (use Flush).
 func (s *Server) Close() {
@@ -759,14 +756,11 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 		Model:          s.pipe.ModelName,
 		Epoch:          s.pipe.Registry.Epoch(),
 		CheckpointTick: n.ckptTick,
+		// Serving parameters the node engine must mirror.
+		PredictEvery: int64(mlops.DefaultPredictEvery),
+		Cooldown:     int64(mlops.DefaultCooldown),
+		MemoryBudget: s.pipe.MemoryBudget,
 	}
-	// Serving parameters the node engine must mirror. A throwaway local
-	// engine would drift from pipeline defaults; read them from a probe
-	// engine built the same way.
-	probe := s.pipe.NewServer()
-	resp.PredictEvery = int64(probe.PredictEvery)
-	resp.Cooldown = int64(probe.Cooldown)
-	resp.MemoryBudget = probe.MemoryBudget
 	if pv, err := s.pipe.Registry.Production(s.pipe.ModelName); err == nil {
 		resp.Version = pv.Version
 	}

@@ -140,11 +140,8 @@ type Scaler struct {
 	Mean, Std []float64
 }
 
-// FitScaler computes per-feature mean and standard deviation.
-func FitScaler(d *Dataset) *Scaler { return FitScalerX(d.X) }
-
-// FitScalerX is FitScaler over a raw design matrix (for callers holding
-// features without Dataset provenance, e.g. model trainers).
+// FitScalerX computes per-feature mean and standard deviation over a raw
+// design matrix.
 func FitScalerX(X [][]float64) *Scaler {
 	if len(X) == 0 {
 		return &Scaler{}

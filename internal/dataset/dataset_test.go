@@ -138,7 +138,7 @@ func TestScaler(t *testing.T) {
 		sample(2, 1, features.LabelNegative, 3, 300),
 		sample(3, 1, features.LabelNegative, 5, 500),
 	})
-	s := FitScaler(d)
+	s := FitScalerX(d.X)
 	out := s.Transform(d.X)
 	for j := 0; j < 2; j++ {
 		mean, variance := 0.0, 0.0
@@ -162,7 +162,7 @@ func TestScalerConstantFeature(t *testing.T) {
 		sample(1, 1, features.LabelNegative, 7),
 		sample(2, 1, features.LabelNegative, 7),
 	})
-	s := FitScaler(d)
+	s := FitScalerX(d.X)
 	out := s.Transform(d.X)
 	for i := range out {
 		if math.IsNaN(out[i][0]) || math.IsInf(out[i][0], 0) {
@@ -172,7 +172,7 @@ func TestScalerConstantFeature(t *testing.T) {
 }
 
 func TestScalerEmptyDataset(t *testing.T) {
-	s := FitScaler(&Dataset{})
+	s := FitScalerX(nil)
 	if got := s.Transform([][]float64{{1, 2}}); got[0][0] != 1 {
 		t.Error("empty scaler should be identity")
 	}

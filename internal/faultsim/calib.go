@@ -79,16 +79,6 @@ func (c *Calibration) Validate() error {
 	return nil
 }
 
-// PredictableUERate returns the expected fraction of CE DIMMs that develop
-// a predictable UE, i.e. ModeMix · UEHazard.
-func (c *Calibration) PredictableUERate() float64 {
-	r := 0.0
-	for _, m := range Modes() {
-		r += c.ModeMix[m] * c.UEHazard[m]
-	}
-	return r
-}
-
 // DefaultCalibration returns the tuned parameters for a platform.
 func DefaultCalibration(id platform.ID) (*Calibration, error) {
 	switch id {

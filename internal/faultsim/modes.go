@@ -59,9 +59,6 @@ func (m Mode) String() string {
 	}
 }
 
-// MultiDevice reports whether the mode spans more than one device.
-func (m Mode) MultiDevice() bool { return m == ModeMultiDevice }
-
 // ParseMode resolves a fault-mode name (the String form) back to its
 // Mode — the decode path for declarative scenario files.
 func ParseMode(s string) (Mode, error) {

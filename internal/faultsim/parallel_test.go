@@ -29,14 +29,14 @@ func fleetBytes(t *testing.T, res *Result) []byte {
 func TestGenerateParallelByteIdentical(t *testing.T) {
 	for _, id := range platform.All() {
 		cfg := Config{Platform: id, Scale: 0.01, Seed: 42, Workers: 1}
-		seq, err := Generate(cfg)
+		seq, err := GenerateCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := fleetBytes(t, seq)
 		for _, workers := range []int{2, 4, 8} {
 			cfg.Workers = workers
-			par, err := Generate(cfg)
+			par, err := GenerateCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"testing"
 
 	"memfp/internal/platform"
@@ -39,13 +40,13 @@ func TestRegimeMult(t *testing.T) {
 // and an empty regime list must reproduce the historical fleet exactly.
 func TestRegimeShiftsRates(t *testing.T) {
 	base := Config{Platform: platform.Purley, Scale: 0.005, Seed: 7, Workers: 1}
-	clean, err := Generate(base)
+	clean, err := GenerateCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noop := base
 	noop.Regimes = nil
-	again, err := Generate(noop)
+	again, err := GenerateCtx(context.Background(), noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRegimeShiftsRates(t *testing.T) {
 
 	shifted := base
 	shifted.Regimes = []Regime{{FromDay: 150, RateMult: 5}}
-	wave, err := Generate(shifted)
+	wave, err := GenerateCtx(context.Background(), shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRegimeValidate(t *testing.T) {
 	if err := (Regime{FromDay: 10, ToDay: 40, RateMult: 2}).Validate(); err != nil {
 		t.Errorf("valid regime rejected: %v", err)
 	}
-	if _, err := Generate(Config{Platform: platform.Purley, Scale: 0.001, Seed: 1,
+	if _, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: 0.001, Seed: 1,
 		Regimes: []Regime{{FromDay: -3}}}); err == nil {
 		t.Error("Generate accepted a config with an invalid regime")
 	}
@@ -100,12 +101,12 @@ func TestRegimeValidate(t *testing.T) {
 // identities without disturbing anything else.
 func TestServerBaseOffsetsIDs(t *testing.T) {
 	cfg := Config{Platform: platform.Whitley, Scale: 0.01, Seed: 3, Workers: 1}
-	a, err := Generate(cfg)
+	a, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ServerBase = 1 << 20
-	b, err := Generate(cfg)
+	b, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

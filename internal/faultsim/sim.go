@@ -110,15 +110,8 @@ type dimmShard struct {
 	events []trace.Event
 }
 
-// Generate simulates one platform fleet.
-func Generate(cfg Config) (*Result, error) {
-	return GenerateCtx(context.Background(), cfg)
-}
-
 // buildEnv validates cfg and constructs the shared per-DIMM generation
-// environment plus the CE-DIMM count — the common front half of
-// GenerateCtx and StreamFleet, factored out so the streaming generator is
-// byte-identical to the materializing one by construction.
+// environment plus the CE-DIMM count.
 func buildEnv(cfg Config) (*genEnv, int, error) {
 	if cfg.Scale <= 0 {
 		return nil, 0, fmt.Errorf("faultsim: scale must be positive, got %v", cfg.Scale)
@@ -193,7 +186,7 @@ func suddenCount(calib *Calibration, predictableUEs int) int {
 	return int(math.Round(float64(predictableUEs) * calib.SuddenShare / (1 - calib.SuddenShare)))
 }
 
-// GenerateCtx is Generate with cancellation. DIMMs are sharded across a
+// GenerateCtx simulates one platform fleet. DIMMs are sharded across a
 // worker pool (cfg.Workers); each DIMM's randomness comes from
 // xrand.Derive(base, dimmIndex), so the output is independent of worker
 // count and scheduling order.

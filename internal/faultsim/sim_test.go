@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"testing"
 
 	"memfp/internal/platform"
@@ -9,11 +10,11 @@ import (
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Config{Platform: platform.Whitley, Scale: 0.02, Seed: 5}
-	a, err := Generate(cfg)
+	a, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +38,11 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSeedsDiffer(t *testing.T) {
-	a, err := Generate(Config{Platform: platform.Purley, Scale: 0.01, Seed: 1})
+	a, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(Config{Platform: platform.Purley, Scale: 0.01, Seed: 2})
+	b, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: 0.01, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,22 +57,22 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 }
 
 func TestGenerateRejectsBadScale(t *testing.T) {
-	if _, err := Generate(Config{Platform: platform.Purley, Scale: 0}); err == nil {
+	if _, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: 0}); err == nil {
 		t.Error("zero scale should error")
 	}
-	if _, err := Generate(Config{Platform: platform.Purley, Scale: -1}); err == nil {
+	if _, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: -1}); err == nil {
 		t.Error("negative scale should error")
 	}
 }
 
 func TestGenerateUnknownPlatform(t *testing.T) {
-	if _, err := Generate(Config{Platform: "nope", Scale: 0.1}); err == nil {
+	if _, err := GenerateCtx(context.Background(), Config{Platform: "nope", Scale: 0.1}); err == nil {
 		t.Error("unknown platform should error")
 	}
 }
 
 func TestTruthConsistency(t *testing.T) {
-	res, err := Generate(Config{Platform: platform.K920, Scale: 0.03, Seed: 6})
+	res, err := GenerateCtx(context.Background(), Config{Platform: platform.K920, Scale: 0.03, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestTruthConsistency(t *testing.T) {
 }
 
 func TestEventsWithinSpan(t *testing.T) {
-	res, err := Generate(Config{Platform: platform.Whitley, Scale: 0.03, Seed: 7})
+	res, err := GenerateCtx(context.Background(), Config{Platform: platform.Whitley, Scale: 0.03, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestEventsWithinSpan(t *testing.T) {
 }
 
 func TestNoCEsAfterUE(t *testing.T) {
-	res, err := Generate(Config{Platform: platform.Purley, Scale: 0.03, Seed: 8})
+	res, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: 0.03, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestNoCEsAfterUE(t *testing.T) {
 }
 
 func TestMaxEventsCap(t *testing.T) {
-	res, err := Generate(Config{Platform: platform.Purley, Scale: 0.02, Seed: 9, MaxEventsPerDIMM: 50})
+	res, err := GenerateCtx(context.Background(), Config{Platform: platform.Purley, Scale: 0.02, Seed: 9, MaxEventsPerDIMM: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestMaxEventsCap(t *testing.T) {
 }
 
 func TestSuddenShareApproximates(t *testing.T) {
-	res, err := Generate(Config{Platform: platform.Whitley, Scale: 0.3, Seed: 10})
+	res, err := GenerateCtx(context.Background(), Config{Platform: platform.Whitley, Scale: 0.3, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,12 @@ func TestCalibrationValidate(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s calibration invalid: %v", id, err)
 		}
-		rate := c.PredictableUERate()
+		// Expected fraction of CE DIMMs that develop a predictable UE:
+		// ModeMix · UEHazard.
+		rate := 0.0
+		for _, m := range Modes() {
+			rate += c.ModeMix[m] * c.UEHazard[m]
+		}
 		if rate <= 0.005 || rate >= 0.10 {
 			t.Errorf("%s predictable UE rate %.4f implausible", id, rate)
 		}
@@ -211,8 +217,5 @@ func TestModeStrings(t *testing.T) {
 		if m.String() != s {
 			t.Errorf("%d → %q, want %q", int(m), m.String(), s)
 		}
-	}
-	if !ModeMultiDevice.MultiDevice() || ModeBank.MultiDevice() {
-		t.Error("MultiDevice() predicate wrong")
 	}
 }

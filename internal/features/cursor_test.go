@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -207,7 +208,7 @@ func naiveExtract(x *Extractor, l *trace.DIMMLog, t trace.Minutes) []float64 {
 // walking a DIMM's instants with one cursor must produce exactly the
 // vectors the original per-instant full-history scan produced.
 func TestCursorMatchesNaiveExtract(t *testing.T) {
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 9})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCursorMatchesNaiveExtract(t *testing.T) {
 // and exactly at event times, including repeated instants (advance must
 // be idempotent at the same t).
 func TestCursorRepeatedAndDenseInstants(t *testing.T) {
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.K920, Scale: 0.01, Seed: 4})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.K920, Scale: 0.01, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestInstantsMaxPerDIMMOne(t *testing.T) {
 // TestBuildAllWorkersDeterministic checks that the sharded extraction
 // produces the identical sample stream for every worker count.
 func TestBuildAllWorkersDeterministic(t *testing.T) {
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Whitley, Scale: 0.01, Seed: 2})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Whitley, Scale: 0.01, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // call (the fleet cache shares one store across every consumer, and the
 // concurrent pipeline requires bit-for-bit reproducible features).
 func TestBuildAllDeterministic(t *testing.T) {
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.02, Seed: 42})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.02, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,21 +73,6 @@ func Names() []string {
 // Dim is the feature vector length.
 func Dim() int { return len(Names()) }
 
-// CategoricalFeatures returns the indices of one-hot/binary features —
-// consumed by the FT-Transformer's tokenizer, which embeds categorical and
-// numeric features differently.
-func CategoricalFeatures() []int {
-	idx := map[string]int{}
-	for i, n := range Names() {
-		idx[n] = i
-	}
-	return []int{
-		idx["multi_device_w"], idx["multi_device_l"],
-		idx["vendor_a"], idx["vendor_b"], idx["vendor_c"], idx["vendor_d"],
-		idx["width_x8"],
-	}
-}
-
 // Extractor computes feature vectors and labels for one DIMM.
 type Extractor struct {
 	Windows    Windows

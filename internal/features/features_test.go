@@ -188,11 +188,3 @@ func TestDefaultWindowsMatchPaper(t *testing.T) {
 		t.Errorf("Δtp = %v, want 30d", w.Prediction)
 	}
 }
-
-func TestCategoricalFeatureIndices(t *testing.T) {
-	for _, i := range CategoricalFeatures() {
-		if i < 0 || i >= Dim() {
-			t.Errorf("categorical index %d out of range", i)
-		}
-	}
-}

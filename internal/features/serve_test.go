@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // busyLogs returns generated DIMM logs with at least minCEs CE events.
 func busyLogs(t *testing.T, minCEs, max int) []*trace.DIMMLog {
 	t.Helper()
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 13})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,23 +105,3 @@ func (m *Model) PredictBatch(X [][]float64) []float64 {
 	}
 	return out
 }
-
-// FeatureImportance returns normalized split-count importance.
-func (m *Model) FeatureImportance() []float64 {
-	counts := make([]int, m.Dim)
-	for _, t := range m.TreesList {
-		t.WalkFeatures(counts)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	imp := make([]float64, m.Dim)
-	if total == 0 {
-		return imp
-	}
-	for i, c := range counts {
-		imp[i] = float64(c) / float64(total)
-	}
-	return imp
-}

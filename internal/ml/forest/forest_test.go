@@ -103,26 +103,6 @@ func TestForestProbaRange(t *testing.T) {
 	}
 }
 
-func TestForestFeatureImportance(t *testing.T) {
-	X, y := synth(2000, 6)
-	m, err := Fit(X, y, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := m.FeatureImportance()
-	sum := 0.0
-	for _, v := range imp {
-		sum += v
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("importance sums to %v", sum)
-	}
-	// Informative features (0, 1) must dominate noise (2-4).
-	if imp[0]+imp[1] < imp[2]+imp[3]+imp[4] {
-		t.Errorf("informative features under-weighted: %v", imp)
-	}
-}
-
 func TestForestRejectsBadInput(t *testing.T) {
 	if _, err := Fit(nil, nil, DefaultParams()); err == nil {
 		t.Error("empty training set should error")

@@ -319,12 +319,3 @@ func (m *Model) PredictProba(X [][]float64) []float64 {
 	}
 	return out
 }
-
-// NumParams returns the trainable scalar count (for reporting).
-func (m *Model) NumParams() int {
-	n := 0
-	for _, p := range m.params {
-		n += len(p.Data)
-	}
-	return n
-}

@@ -122,8 +122,12 @@ func TestFTTProbaRange(t *testing.T) {
 
 func TestFTTNumParams(t *testing.T) {
 	m := New(10, smallParams())
-	if m.NumParams() < 1000 {
-		t.Errorf("suspiciously few parameters: %d", m.NumParams())
+	n := 0
+	for _, p := range m.params {
+		n += len(p.Data)
+	}
+	if n < 1000 {
+		t.Errorf("suspiciously few parameters: %d", n)
 	}
 }
 

@@ -117,11 +117,6 @@ func (m *Model) score(x []float64) float64 {
 	return s
 }
 
-// PredictProba returns the class-1 probability for one raw sample.
-func (m *Model) PredictProba(x []float64) float64 {
-	return sigmoid(m.score(x))
-}
-
 // PredictBatch scores many samples. The hot serving path scores every due
 // prediction of a tick through one call, so it avoids the per-row scaled
 // copies Transform would allocate.

@@ -34,7 +34,7 @@ func TestFitSeparatesLinearProblem(t *testing.T) {
 	correct := 0
 	for i, x := range Xt {
 		pred := 0
-		if m.PredictProba(x) >= 0.5 {
+		if sigmoid(m.score(x)) >= 0.5 {
 			pred = 1
 		}
 		if pred == yt[i] {

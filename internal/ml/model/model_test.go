@@ -122,7 +122,7 @@ func TestRoundTripByteIdenticalScores(t *testing.T) {
 // scoring path across a round-trip (the feature-matrix path above scores
 // zeros for it).
 func TestRiskyRoundTripOnStore(t *testing.T) {
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.005, Seed: 5})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.005, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

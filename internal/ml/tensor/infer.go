@@ -81,11 +81,3 @@ func AttentionInto(out, q, k, v []float32, batch, Tq, T, heads, dh int) {
 		attnForwardRange(out, q, k, v, bLo, bHi, Tq, T, heads, dh, C, scale, nil)
 	})
 }
-
-// GetScratch hands out a pooled float32 buffer of length n with
-// UNDEFINED contents; PutScratch recycles it. Inference arenas use these
-// so repeated ScoreBatch calls allocate nothing in steady state.
-func GetScratch(n int) []float32 { return getF32(n) }
-
-// PutScratch recycles a buffer obtained from GetScratch.
-func PutScratch(s []float32) { putF32(s) }

@@ -63,29 +63,12 @@ func New(rows, cols int) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromSlice wraps row-major data (not copied).
-func FromSlice(rows, cols int, data []float32) *Tensor {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: %d values for %dx%d", len(data), rows, cols))
-	}
-	return &Tensor{Rows: rows, Cols: cols, Data: data}
-}
-
 // Param marks the tensor as trainable (gradients accumulate).
 func (t *Tensor) Param() *Tensor {
 	t.requires = true
 	t.Grad = make([]float32, len(t.Data))
 	return t
 }
-
-// RequiresGrad reports whether the tensor participates in backprop.
-func (t *Tensor) RequiresGrad() bool { return t.requires }
-
-// At returns element (i, j).
-func (t *Tensor) At(i, j int) float32 { return t.Data[i*t.Cols+j] }
-
-// Set assigns element (i, j).
-func (t *Tensor) Set(i, j int, v float32) { t.Data[i*t.Cols+j] = v }
 
 // ensureGrad lazily allocates the gradient buffer (zeroed — pooled
 // buffers come back dirty).
@@ -163,14 +146,11 @@ func (t *Tensor) ZeroGrad() {
 	}
 }
 
-// MatMul returns a·b.
-func MatMul(a, b *Tensor) *Tensor { return matmulNode(a, b, nil) }
-
 // MatMulBias returns a·b + bias (bias is 1×cols, broadcast over rows),
 // fused so the graph skips a full-size Add node. Per the kernel spec the
 // bias seeds each element's accumulation chain (the micro-kernel
 // preloads it into the accumulator register), so the result differs from
-// Add(MatMul(a, b), bias) only in rounding order — and matches the
+// adding the bias to a finished a·b only in rounding order — and matches the
 // reference kernel bitwise.
 func MatMulBias(a, b, bias *Tensor) *Tensor {
 	if bias.Rows != 1 || bias.Cols != b.Cols {
@@ -280,23 +260,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Scale returns a*s.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := child(a.Rows, a.Cols, a)
-	for i, v := range a.Data {
-		out.Data[i] = v * s
-	}
-	out.back = func() {
-		if a.requires {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += s * g
-			}
-		}
-	}
-	return out
-}
-
 // geluFwd is the scalar GELU (tanh approximation) shared by the training
 // op and the grad-free inference path.
 func geluFwd(x float32) float32 {
@@ -329,30 +292,6 @@ func GELU(a *Tensor) *Tensor {
 		parallelRows(len(a.Data), 16, func(lo, hi int) {
 			geluBwdSlice(a.Grad[lo:hi], a.Data[lo:hi], out.Grad[lo:hi])
 		})
-	}
-	return out
-}
-
-// ReLU applies max(0, x) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	out := child(a.Rows, a.Cols, a)
-	for i, x := range a.Data {
-		if x > 0 {
-			out.Data[i] = x
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	out.back = func() {
-		if !a.requires {
-			return
-		}
-		a.ensureGrad()
-		for i, x := range a.Data {
-			if x > 0 {
-				a.Grad[i] += out.Grad[i]
-			}
-		}
 	}
 	return out
 }

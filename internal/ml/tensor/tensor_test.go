@@ -56,6 +56,9 @@ func checkGrads(t *testing.T, params []*Tensor, forward func() *Tensor, tol floa
 	}
 }
 
+// matMul is the bias-less product a·b.
+func matMul(a, b *Tensor) *Tensor { return matmulNode(a, b, nil) }
+
 // sumAll reduces a tensor to 1×1 by multiplying with ones on both sides,
 // keeping everything differentiable.
 func sumAll(x *Tensor) *Tensor {
@@ -67,7 +70,7 @@ func sumAll(x *Tensor) *Tensor {
 	for i := range right.Data {
 		right.Data[i] = 1
 	}
-	return MatMul(MatMul(left, x), right)
+	return matMul(matMul(left, x), right)
 }
 
 func TestMatMulGrad(t *testing.T) {
@@ -75,7 +78,7 @@ func TestMatMulGrad(t *testing.T) {
 	a := NormalInit(New(3, 4), 1, rng).Param()
 	b := NormalInit(New(4, 5), 1, rng).Param()
 	checkGrads(t, []*Tensor{a, b}, func() *Tensor {
-		return sumAll(GELU(MatMul(a, b)))
+		return sumAll(GELU(matMul(a, b)))
 	}, 2e-2)
 }
 
@@ -136,22 +139,6 @@ func TestRowsGrad(t *testing.T) {
 	}, 1e-2)
 }
 
-func TestReLUGrad(t *testing.T) {
-	rng := xrand.New(13)
-	a := NormalInit(New(4, 4), 1, rng).Param()
-	checkGrads(t, []*Tensor{a}, func() *Tensor {
-		return sumAll(ReLU(a))
-	}, 1e-2)
-}
-
-func TestScaleGrad(t *testing.T) {
-	rng := xrand.New(14)
-	a := NormalInit(New(3, 3), 1, rng).Param()
-	checkGrads(t, []*Tensor{a}, func() *Tensor {
-		return sumAll(Scale(a, -2.5))
-	}, 1e-2)
-}
-
 // TestTransformerBlockGrad composes the exact op sequence of one FT-T
 // block and gradchecks end to end.
 func TestTransformerBlockGrad(t *testing.T) {
@@ -167,11 +154,11 @@ func TestTransformerBlockGrad(t *testing.T) {
 	params := []*Tensor{h0, g1, b1, wq, wk, wv, wo}
 	checkGrads(t, params, func() *Tensor {
 		n := LayerNorm(h0, g1, b1, 1e-5)
-		q := MatMul(n, wq)
-		k := MatMul(n, wk)
-		v := MatMul(n, wv)
+		q := matMul(n, wq)
+		k := matMul(n, wk)
+		v := matMul(n, wv)
 		att := Attention(q, k, v, batch, T, heads)
-		att = MatMul(att, wo)
+		att = matMul(att, wo)
 		return sumAll(Add(h0, att))
 	}, 3e-2)
 }
@@ -191,7 +178,7 @@ func TestAdamConverges(t *testing.T) {
 			negT.Data[i] = -v
 		}
 		diff := Add(w, negT)
-		sq := MatMul(diff, transposeOf(diff))
+		sq := matMul(diff, transposeOf(diff))
 		sq.Backward()
 		opt.Step()
 	}
@@ -213,7 +200,7 @@ func transposeOf(x *Tensor) *Tensor {
 		}
 	}
 	out.SetBack(func() {
-		if !x.RequiresGrad() {
+		if !x.requires {
 			return
 		}
 		if x.Grad == nil {

@@ -99,19 +99,6 @@ func (m *BinMapper) Threshold(f int, b int) float64 {
 	return edges[b]
 }
 
-// BinMatrix converts a raw matrix to row-major binned form.
-func (m *BinMapper) BinMatrix(X [][]float64) [][]uint8 {
-	out := make([][]uint8, len(X))
-	for i, x := range X {
-		row := make([]uint8, len(x))
-		for f, v := range x {
-			row[f] = m.Bin(f, v)
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // ColMatrix is the column-major binned training matrix: Cols[f][i] is the
 // bin of row i's feature f. Split finding scans one feature across many
 // rows, so the column layout turns the hot loop into a sequential walk

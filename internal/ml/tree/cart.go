@@ -36,15 +36,12 @@ type Params struct {
 	Oracle      bool    // verification only: legacy row-scanning split finder
 }
 
-// DefaultParams returns sensible classification defaults.
-func DefaultParams() Params {
-	return Params{MaxDepth: 14, MinLeaf: 5, FeatureFrac: 1.0, MinGain: 1e-7}
-}
-
-// Build grows a variance-reduction CART on column-major binned features.
-// idx selects the training rows (callers pass bootstrap samples; duplicate
-// indices count once per occurrence); rng drives feature subsampling and
-// may be nil when FeatureFrac >= 1.
+// BuildShared grows a variance-reduction CART on column-major binned
+// features. idx selects the training rows (callers pass bootstrap samples;
+// duplicate indices count once per occurrence); rng drives feature
+// subsampling and may be nil when FeatureFrac >= 1. yq is a caller-provided
+// quantization of y (nil to quantize internally): an ensemble fitting many
+// trees over the same targets quantizes once instead of once per tree.
 //
 // Split finding is histogram-based with node-level subtraction: the
 // parent's per-feature histograms are built once, and each larger child's
@@ -55,13 +52,6 @@ func DefaultParams() Params {
 // row-scan path; it exists so tests can verify the production path
 // against an implementation that shares none of the subtraction or
 // feature-parallel machinery.
-func Build(m *ColMatrix, y []float64, idx []int, bm *BinMapper, p Params, rng *xrand.RNG) *Node {
-	return BuildShared(m, y, nil, idx, bm, p, rng)
-}
-
-// BuildShared is Build with a caller-provided quantization of y (nil to
-// quantize internally): an ensemble fitting many trees over the same
-// targets quantizes once instead of once per tree.
 func BuildShared(m *ColMatrix, y []float64, yq []int64, idx []int, bm *BinMapper, p Params, rng *xrand.RNG) *Node {
 	if len(idx) == 0 || len(m.Cols) == 0 {
 		return &Node{Leaf: true, Value: 0}

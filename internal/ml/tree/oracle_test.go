@@ -174,10 +174,10 @@ func TestBuildMatchesOracle(t *testing.T) {
 		m := FitBins(tc.X, MaxBins)
 		cm := m.BinColumns(tc.X)
 
-		prod := Build(cm, tc.y, tc.idx, m, tc.p, xrand.New(tc.seed))
+		prod := BuildShared(cm, tc.y, nil, tc.idx, m, tc.p, xrand.New(tc.seed))
 		op := tc.p
 		op.Oracle = true
-		oracle := Build(cm, tc.y, tc.idx, m, op, xrand.New(tc.seed))
+		oracle := BuildShared(cm, tc.y, nil, tc.idx, m, op, xrand.New(tc.seed))
 
 		if err := nodesEqual(prod, oracle); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -216,10 +216,10 @@ func TestBuildWorkerIndependence(t *testing.T) {
 	cm := m.BinColumns(X)
 	var ref []byte
 	for _, workers := range []int{1, 2, 8} {
-		p := DefaultParams()
+		p := defaultParams()
 		p.Workers = workers
 		p.FeatureFrac = 0.75
-		root := Build(cm, y, idx, m, p, xrand.New(7))
+		root := BuildShared(cm, y, nil, idx, m, p, xrand.New(7))
 		var buf bytes.Buffer
 		if err := root.Encode(&buf); err != nil {
 			t.Fatal(err)

@@ -23,7 +23,7 @@ func TestTreeRoundTrip(t *testing.T) {
 		idx[i] = i
 	}
 	m := FitBins(X, 255)
-	root := Build(m.BinColumns(X), y, idx, m, DefaultParams(), nil)
+	root := BuildShared(m.BinColumns(X), y, nil, idx, m, defaultParams(), nil)
 
 	var buf bytes.Buffer
 	if err := root.Encode(&buf); err != nil {

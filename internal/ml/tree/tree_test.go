@@ -8,6 +8,11 @@ import (
 	"memfp/internal/xrand"
 )
 
+// defaultParams is the classification setting the tests grow trees under.
+func defaultParams() Params {
+	return Params{MaxDepth: 14, MinLeaf: 5, FeatureFrac: 1.0, MinGain: 1e-7}
+}
+
 func TestFitBinsDistinctValues(t *testing.T) {
 	X := [][]float64{{1}, {2}, {2}, {3}}
 	m := FitBins(X, 255)
@@ -85,7 +90,7 @@ func TestCARTSeparatesXORFree(t *testing.T) {
 		idx[i] = i
 	}
 	m := FitBins(X, 255)
-	root := Build(m.BinColumns(X), y, idx, m, DefaultParams(), nil)
+	root := BuildShared(m.BinColumns(X), y, nil, idx, m, defaultParams(), nil)
 	correct := 0
 	for i := range X {
 		pred := 0.0
@@ -117,7 +122,7 @@ func TestCARTLearnsInteraction(t *testing.T) {
 		idx[i] = i
 	}
 	m := FitBins(X, 255)
-	root := Build(m.BinColumns(X), y, idx, m, DefaultParams(), nil)
+	root := BuildShared(m.BinColumns(X), y, nil, idx, m, defaultParams(), nil)
 	correct := 0
 	for i := range X {
 		pred := 0.0
@@ -145,9 +150,9 @@ func TestCARTRespectsMaxDepth(t *testing.T) {
 		idx[i] = i
 	}
 	m := FitBins(X, 255)
-	p := DefaultParams()
+	p := defaultParams()
 	p.MaxDepth = 3
-	root := Build(m.BinColumns(X), y, idx, m, p, nil)
+	root := BuildShared(m.BinColumns(X), y, nil, idx, m, p, nil)
 	if d := root.Depth(); d > 3 {
 		t.Errorf("depth %d exceeds limit 3", d)
 	}
@@ -165,9 +170,9 @@ func TestCARTMinLeaf(t *testing.T) {
 		idx[i] = i
 	}
 	m := FitBins(X, 255)
-	p := DefaultParams()
+	p := defaultParams()
 	p.MinLeaf = 50
-	root := Build(m.BinColumns(X), y, idx, m, p, nil)
+	root := BuildShared(m.BinColumns(X), y, nil, idx, m, p, nil)
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Leaf {
@@ -186,7 +191,7 @@ func TestCARTPureLeaf(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{1, 1, 1, 1}
 	m := FitBins(X, 255)
-	root := Build(m.BinColumns(X), y, []int{0, 1, 2, 3}, m, DefaultParams(), nil)
+	root := BuildShared(m.BinColumns(X), y, nil, []int{0, 1, 2, 3}, m, defaultParams(), nil)
 	if !root.Leaf || root.Value != 1 {
 		t.Errorf("pure targets should yield a single leaf with value 1, got %+v", root)
 	}
@@ -195,7 +200,7 @@ func TestCARTPureLeaf(t *testing.T) {
 func TestCARTEmptyIndex(t *testing.T) {
 	X := [][]float64{{1}}
 	m := FitBins(X, 255)
-	root := Build(m.BinColumns(X), []float64{0}, nil, m, DefaultParams(), nil)
+	root := BuildShared(m.BinColumns(X), []float64{0}, nil, nil, m, defaultParams(), nil)
 	if !root.Leaf {
 		t.Error("empty index should produce a leaf")
 	}
@@ -216,7 +221,7 @@ func TestLeavesAndWalkFeatures(t *testing.T) {
 		idx[i] = i
 	}
 	m := FitBins(X, 255)
-	root := Build(m.BinColumns(X), y, idx, m, DefaultParams(), nil)
+	root := BuildShared(m.BinColumns(X), y, nil, idx, m, defaultParams(), nil)
 	counts := make([]int, 2)
 	root.WalkFeatures(counts)
 	if counts[0] == 0 {

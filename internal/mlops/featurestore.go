@@ -18,16 +18,13 @@
 // counters live on the Server (MemoryStats), not the Monitor; frozen DIMM
 // state and engine snapshots (MFS2) hold their events in trace's log
 // form. IngestBatch is the one serving loop; Replay (a k-way merge of
-// the store's already-sorted per-DIMM logs) and ReplayStream (whole logs
-// from a lazy producer) only cut their streams into ticks for it. The
-// package's tests keep the pre-sharding sequential replay as the
-// equivalence oracle.
+// the store's already-sorted per-DIMM logs) only cuts its stream into
+// ticks for it. The package's tests keep the pre-sharding sequential
+// replay as the equivalence oracle.
 package mlops
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"memfp/internal/features"
 	"memfp/internal/trace"
@@ -55,9 +52,9 @@ type FeatureDef struct {
 
 // FeatureStore is the centralized feature repository: it catalogs feature
 // definitions (registry), computes them in batch for training, and serves
-// them per-DIMM for online prediction. Safe for concurrent use.
+// them per-DIMM for online prediction. The catalog is fixed at
+// construction, so the store is safe for concurrent use.
 type FeatureStore struct {
-	mu        sync.RWMutex
 	defs      map[string]FeatureDef
 	extractor *features.Extractor
 }
@@ -93,18 +90,8 @@ func NewFeatureStore() *FeatureStore {
 	return fs
 }
 
-// Register adds or updates a feature definition (Data Scientists "request
-// new feature" path in Figure 6).
-func (fs *FeatureStore) Register(def FeatureDef) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.defs[def.Name] = def
-}
-
 // Definitions lists the catalog sorted by served index.
 func (fs *FeatureStore) Definitions() []FeatureDef {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	out := make([]FeatureDef, 0, len(fs.defs))
 	for _, d := range fs.defs {
 		out = append(out, d)
@@ -130,20 +117,12 @@ func (fs *FeatureStore) BatchTransform(s *trace.Store, cfg features.SamplerConfi
 	return features.BuildAll(fs.extractor, cfg, s)
 }
 
-// ServeVector computes the live feature vector for one DIMM at time t —
-// the "stream" path feeding online prediction. Each call re-extracts
-// from the full history; a serving loop predicting repeatedly on the
-// same DIMM should hold a NewServeCursor instead.
-func (fs *FeatureStore) ServeVector(l *trace.DIMMLog, t trace.Minutes) []float64 {
-	return fs.extractor.Extract(l, t)
-}
-
-// NewServeCursor returns the cursor-backed stream path: an incremental
-// extractor over one DIMM's growing log whose vectors equal ServeVector
-// at every instant, but which folds in only the events appended since
-// the previous prediction (see features.ServeCursor for the
-// out-of-order and non-monotonic fallbacks). The sharded engine keeps
-// one per served DIMM.
+// NewServeCursor returns the "stream" path feeding online prediction: an
+// incremental extractor over one DIMM's growing log whose vectors equal a
+// full-history extraction at every instant, but which folds in only the
+// events appended since the previous prediction (see features.ServeCursor
+// for the out-of-order and non-monotonic fallbacks). The sharded engine
+// keeps one per served DIMM.
 func (fs *FeatureStore) NewServeCursor(l *trace.DIMMLog) *features.ServeCursor {
 	return fs.extractor.NewServeCursor(l)
 }
@@ -162,20 +141,4 @@ func (fs *FeatureStore) ObservationWindow() trace.Minutes {
 // features.Extractor.CompactLog). Returns the number of events dropped.
 func (fs *FeatureStore) CompactLog(l *trace.DIMMLog, cut trace.Minutes) int {
 	return fs.extractor.CompactLog(l, cut)
-}
-
-// SelectIndices maps a feature-name selection to vector indices,
-// supporting Data Scientists' on-demand feature selection.
-func (fs *FeatureStore) SelectIndices(names []string) ([]int, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := make([]int, 0, len(names))
-	for _, n := range names {
-		d, ok := fs.defs[n]
-		if !ok {
-			return nil, fmt.Errorf("mlops: unknown feature %q", n)
-		}
-		out = append(out, d.Index)
-	}
-	return out, nil
 }

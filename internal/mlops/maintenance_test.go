@@ -129,7 +129,7 @@ func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 				}
 				got = append(got, as...)
 			}
-			a, err := paused.Ingest(e)
+			a, err := ingestOne(paused, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 		}()
 		var got []Alarm
 		for i, e := range stream {
-			a, err := paused.Ingest(e)
+			a, err := ingestOne(paused, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestResumeRequeuesAtFront(t *testing.T) {
 	}
 	s.Pause()
 	for _, tm := range []trace.Minutes{10, 20, 30} {
-		if _, err := s.Ingest(mk(tm)); err != nil {
+		if _, err := ingestOne(s, mk(tm)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestTransientRegistryErrorPreservesThrottle(t *testing.T) {
 	}
 	// Prediction due at minute 10, but no production version exists yet —
 	// the transient failure mode of a registry mid-promotion.
-	if _, err := s.Ingest(mk(10)); err == nil {
+	if _, err := ingestOne(s, mk(10)); err == nil {
 		t.Fatal("expected a registry error while no production version exists")
 	}
 	// The registry recovers.
@@ -269,7 +269,7 @@ func TestTransientRegistryErrorPreservesThrottle(t *testing.T) {
 	}
 	// Minute 12 is within PredictEvery of the failed attempt: only an
 	// unconsumed throttle lets it predict (and alarm).
-	a, err := s.Ingest(mk(12))
+	a, err := ingestOne(s, mk(12))
 	if err != nil {
 		t.Fatal(err)
 	}

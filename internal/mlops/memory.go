@@ -157,8 +157,7 @@ func (sh *shard) drop(st *dimmState) {
 }
 
 // releaseLocked drops every trace of one DIMM's serving state — live,
-// frozen, and spilled — returning its bytes to the shard. Used by
-// streaming replay (state is final once a DIMM's log has drained) and
+// frozen, and spilled — returning its bytes to the shard, for
 // ReplaceDIMM.
 func (s *Server) releaseLocked(sh *shard, id trace.DIMMID) {
 	s.snapKept.Store(false) // the kept snapshot order lists id

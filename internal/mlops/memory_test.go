@@ -49,69 +49,6 @@ func TestBoundedReplayMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// TestReplayStreamMatchesReplay feeds the fleet to the engine through the
-// streaming generator — whole DIMMs, never a materialized store — and
-// requires the byte-identical alarm stream of the store replay, bounded
-// and unbounded, across shard counts.
-func TestReplayStreamMatchesReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model on a generated fleet")
-	}
-	pipe, res := trainedPipeline(t)
-	want := collectReplay(t, pipe, res, 1)
-	cfg := faultsim.Config{Platform: platform.Purley, Scale: 0.03, Seed: 31}
-	for _, tc := range []struct {
-		name   string
-		shards int
-		budget int64
-	}{
-		{"shards1", 1, 0},
-		{"shards4", 4, 0},
-		{"shards16", 16, 0},
-		{"shards4-bounded", 4, tinyBudget},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st, err := faultsim.StreamFleet(context.Background(), cfg, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, tc.shards)
-			s.MemoryBudget = tc.budget
-			var got []Alarm
-			n, err := s.ReplayStream(context.Background(), func() (*trace.DIMMLog, bool, error) {
-				dt, ok, err := st.Next()
-				if !ok || err != nil {
-					return nil, false, err
-				}
-				return dt.Log, true, nil
-			}, func(a Alarm) { got = append(got, a) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(got) {
-				t.Fatalf("alarm count %d != callback count %d", n, len(got))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%d alarms, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("alarm %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
-				}
-			}
-			ms := s.MemoryStats()
-			if ms.ResidentDIMMs != 0 || ms.FrozenDIMMs != 0 {
-				t.Fatalf("streaming replay retained state: %d resident, %d frozen",
-					ms.ResidentDIMMs, ms.FrozenDIMMs)
-			}
-			if tc.budget == 0 && ms.ResidentBytes != 0 {
-				t.Fatalf("streaming replay retained %d resident bytes", ms.ResidentBytes)
-			}
-		})
-	}
-}
-
 // TestEvictionTransparent freezes every idle DIMM between batches by
 // ingesting through a budget small enough to evict constantly, and
 // requires the alarm stream to match a never-evicted engine event for
@@ -170,7 +107,7 @@ func TestEvictionTransparent(t *testing.T) {
 // and thawing a DIMM with live history, compaction state and cooldown
 // must reproduce the log's events, query results and serving scalars.
 func TestFreezeThawRoundTrip(t *testing.T) {
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 77})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}

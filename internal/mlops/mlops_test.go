@@ -31,28 +31,6 @@ func TestFeatureStoreCatalog(t *testing.T) {
 	}
 }
 
-func TestFeatureStoreSelect(t *testing.T) {
-	fs := NewFeatureStore()
-	idx, err := fs.SelectIndices([]string{"ce_5d", "vendor_a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 {
-		t.Fatalf("selected %d", len(idx))
-	}
-	if _, err := fs.SelectIndices([]string{"nope"}); err == nil {
-		t.Error("unknown feature should error")
-	}
-}
-
-func TestFeatureStoreRegister(t *testing.T) {
-	fs := NewFeatureStore()
-	fs.Register(FeatureDef{Name: "custom_metric", Kind: KindTemporal, Index: 999})
-	if _, err := fs.SelectIndices([]string{"custom_metric"}); err != nil {
-		t.Error("registered feature should resolve")
-	}
-}
-
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry()
 	s := func(x []float64) float64 { return 0.5 }
@@ -163,7 +141,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test generates a fleet")
 	}
-	res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.03, Seed: 31})
+	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.03, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +190,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestServerRejectsUnknownDIMM(t *testing.T) {
 	pipe := NewPipeline(platform.K920)
 	server := pipe.NewServer()
-	_, err := server.Ingest(trace.Event{
+	_, err := ingestOne(server, trace.Event{
 		Time: 1, Type: trace.TypeCE,
 		DIMM: trace.DIMMID{Platform: platform.K920, Server: 1, Slot: 1},
 	})
@@ -228,7 +206,7 @@ func TestServerCooldown(t *testing.T) {
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(platform.Purley, NewFeatureStore(), reg, "m", nil)
+	server := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 0)
 	part, err := platform.PartByNumber("A4-2666-32")
 	if err != nil {
 		t.Fatal(err)
@@ -238,17 +216,17 @@ func TestServerCooldown(t *testing.T) {
 	mk := func(tm trace.Minutes) trace.Event {
 		return trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id}
 	}
-	a1, err := server.Ingest(mk(100))
+	a1, err := ingestOne(server, mk(100))
 	if err != nil || a1 == nil {
 		t.Fatalf("first ingest: %v %v", a1, err)
 	}
 	// Within cooldown: suppressed.
-	a2, err := server.Ingest(mk(100 + 2*trace.Hour))
+	a2, err := ingestOne(server, mk(100+2*trace.Hour))
 	if err != nil || a2 != nil {
 		t.Fatalf("cooldown violated: %v %v", a2, err)
 	}
 	// Past cooldown: fires again.
-	a3, err := server.Ingest(mk(100 + 13*trace.Hour))
+	a3, err := ingestOne(server, mk(100+13*trace.Hour))
 	if err != nil || a3 == nil {
 		t.Fatalf("post-cooldown alarm missing: %v %v", a3, err)
 	}

@@ -25,12 +25,13 @@ func sortSlice[T any](s []T, less func(a, b T) bool) {
 // (Server.MemoryStats).
 //
 // Safe for concurrent use by every shard of the serving engine: the
-// hot-path counters (events, predictions, score histogram) are lock-free
-// atomics so shards never serialize on the monitor, and the colder state
-// (alarms, reference distribution, feedback) sits behind a mutex.
+// hot-path counters (events, predictions, alarms, score histogram) are
+// lock-free atomics so shards never serialize on the monitor, and the
+// colder state (reference distribution, feedback) sits behind a mutex.
 type Monitor struct {
 	events      [3]atomic.Int64 // indexed by trace.EventType
 	predictions atomic.Int64
+	alarms      atomic.Int64
 	scoreBins   [10]atomic.Int64 // live score histogram
 
 	// Per-shard serving telemetry: queue depth and ingest-tick latency
@@ -42,7 +43,6 @@ type Monitor struct {
 	mu         sync.Mutex
 	refBins    [10]float64 // reference (training-time) histogram
 	refSamples float64
-	alarms     []Alarm
 
 	// Feedback: alarm outcomes resolved against later UEs.
 	resolvedTP, resolvedFP int
@@ -90,12 +90,8 @@ func (m *Monitor) CountPrediction(score float64) {
 	m.scoreBins[bucket(score)].Add(1)
 }
 
-// CountAlarm tallies one emitted alarm.
-func (m *Monitor) CountAlarm(a Alarm) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.alarms = append(m.alarms, a)
-}
+// CountAlarm tallies one emitted alarm. Lock-free.
+func (m *Monitor) CountAlarm(Alarm) { m.alarms.Add(1) }
 
 // EventCount returns the number of ingested events of one type.
 func (m *Monitor) EventCount(t trace.EventType) int {
@@ -109,18 +105,7 @@ func (m *Monitor) EventCount(t trace.EventType) int {
 func (m *Monitor) PredictionCount() int { return int(m.predictions.Load()) }
 
 // AlarmCount returns the number of emitted alarms.
-func (m *Monitor) AlarmCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.alarms)
-}
-
-// Alarms returns a snapshot copy of the emitted alarms.
-func (m *Monitor) Alarms() []Alarm {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Alarm(nil), m.alarms...)
-}
+func (m *Monitor) AlarmCount() int { return int(m.alarms.Load()) }
 
 // ScoreBins returns a snapshot of the live score histogram — the raw
 // counts behind PSI, exported so a control plane can aggregate the
@@ -379,7 +364,7 @@ func (m *Monitor) Dashboard() string {
 	fmt.Fprintf(&sb, "events ingested: CE=%d UE=%d storms=%d\n",
 		m.EventCount(trace.TypeCE), m.EventCount(trace.TypeUE), m.EventCount(trace.TypeStorm))
 	m.mu.Lock()
-	fmt.Fprintf(&sb, "predictions: %d, alarms: %d\n", m.predictions.Load(), len(m.alarms))
+	fmt.Fprintf(&sb, "predictions: %d, alarms: %d\n", m.predictions.Load(), m.alarms.Load())
 	prec, rec := m.liveLocked()
 	fmt.Fprintf(&sb, "feedback: TP=%d FP=%d FN=%d (live P=%.2f R=%.2f)\n",
 		m.resolvedTP, m.resolvedFP, m.missedFN, prec, rec)

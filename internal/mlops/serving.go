@@ -25,16 +25,6 @@ type Alarm struct {
 	Model string
 }
 
-// Mitigation is the RAS action taken for an alarm.
-type Mitigation string
-
-// RAS actions from §II-C.
-const (
-	MitigationLiveMigration Mitigation = "vm-live-migration"
-	MitigationColdMigration Mitigation = "vm-cold-migration"
-	MitigationPageOffline   Mitigation = "page-offlining"
-)
-
 // Server is the online prediction engine: it ingests an event stream,
 // maintains per-DIMM history, asks the production model for a score at
 // every prediction opportunity, and emits alarms. One Server instance
@@ -42,11 +32,11 @@ const (
 //
 // The engine is sharded: DIMMs are assigned to hash(DIMMID) % shards, and
 // each shard owns its DIMMs' logs, extraction cursors, throttle and
-// cooldown state behind a shard-local lock, so concurrent Ingest calls
-// for DIMMs on different shards never contend. Shard assignment is a pure
-// function of the DIMM identity, and per-DIMM serving state never reads
-// another DIMM's, so the emitted alarm set is identical for every shard
-// count (enforced by TestServingShardedMatchesBaseline).
+// cooldown state behind a shard-local lock, so concurrent IngestBatch
+// calls for DIMMs on different shards never contend. Shard assignment is
+// a pure function of the DIMM identity, and per-DIMM serving state never
+// reads another DIMM's, so the emitted alarm set is identical for every
+// shard count (enforced by TestServingShardedMatchesBaseline).
 //
 // Three mechanisms keep the per-event cost flat:
 //
@@ -60,12 +50,12 @@ const (
 //     maintains the per-type query index incrementally for in-order
 //     streams instead of degrading it to linear scans.
 //
-// IngestBatch is the one way in: Ingest, Replay, ReplayStream and Resume
-// are tick sources in front of it. Within a tick, the vector predictions
-// that fall due on one shard are scored through a single ScoreBatch call,
-// amortizing per-call model overhead (decisive for batch-oriented scorers
-// like the FT-Transformer); every registered model scores batch rows
-// independently, so the scores equal per-event scoring.
+// IngestBatch is the one way in: Replay and Resume are tick sources in
+// front of it. Within a tick, the vector predictions that fall due on one
+// shard are scored through a single ScoreBatch call, amortizing per-call
+// model overhead (decisive for batch-oriented scorers like the
+// FT-Transformer); every registered model scores batch rows independently,
+// so the scores equal per-event scoring.
 type Server struct {
 	Platform platform.ID
 	Store    *FeatureStore
@@ -168,10 +158,12 @@ type prodCache struct {
 	logScorer model.LogScorer
 }
 
-// NewServer builds a serving engine with one shard per CPU.
-func NewServer(pf platform.ID, fs *FeatureStore, reg *Registry, model string, mon *Monitor) *Server {
-	return NewShardedServer(pf, fs, reg, model, mon, 0)
-}
+// Serving defaults a new engine starts with: the paper's Δip prediction
+// interval and the repeat-alarm cooldown.
+const (
+	DefaultPredictEvery = 5 * trace.Minute
+	DefaultCooldown     = 12 * trace.Hour
+)
 
 // NewShardedServer builds a serving engine with an explicit shard count;
 // shards <= 0 uses one per CPU. The shard count fixes the concurrency
@@ -184,8 +176,8 @@ func NewShardedServer(pf platform.ID, fs *FeatureStore, reg *Registry, model str
 		Store:        fs,
 		Registry:     reg,
 		Model:        model,
-		PredictEvery: 5,
-		Cooldown:     12 * trace.Hour,
+		PredictEvery: DefaultPredictEvery,
+		Cooldown:     DefaultCooldown,
 		shards:       make([]*shard, n),
 		monitor:      mon,
 	}
@@ -272,10 +264,10 @@ func (s *Server) ReplaceDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	}
 }
 
-// Pause puts the engine into a maintenance window: subsequent Ingest and
-// IngestBatch calls queue their events in arrival order instead of
-// serving them, and return no alarms. Ingest state already built stays
-// warm. Pausing an already-paused engine is a no-op.
+// Pause puts the engine into a maintenance window: subsequent IngestBatch
+// calls queue their events in arrival order instead of serving them, and
+// return no alarms. Ingest state already built stays warm. Pausing an
+// already-paused engine is a no-op.
 func (s *Server) Pause() {
 	s.pauseMu.Lock()
 	s.paused = true
@@ -345,18 +337,6 @@ type pendingPred struct {
 	st  *dimmState
 	e   trace.Event
 	vec []float64
-}
-
-// Ingest processes one event — a tick of one — and returns an alarm when
-// the production model fires. A nil alarm means no action. Safe for
-// concurrent use; events of one DIMM must be delivered by a single caller
-// at a time.
-func (s *Server) Ingest(e trace.Event) (*Alarm, error) {
-	alarms, err := s.IngestBatch([]trace.Event{e})
-	if len(alarms) == 0 {
-		return nil, err
-	}
-	return &alarms[0], err
 }
 
 // ingestLocked runs the per-event serving path with the shard lock held.
@@ -575,11 +555,11 @@ func (s *Server) ingestBatch(events []trace.Event, requeueFront bool) ([]Alarm, 
 	return merged, nil
 }
 
-// replayTick is the tick size, in events, Replay and ReplayStream cut
-// their streams into before each IngestBatch call: large enough to
-// amortize the per-tick shard fan-out and to fill ScoreBatch, small
-// enough that alarms, cancellation and memory-budget enforcement keep
-// pace with the stream. The alarm stream does not depend on it.
+// replayTick is the tick size, in events, Replay cuts its stream into
+// before each IngestBatch call: large enough to amortize the per-tick
+// shard fan-out and to fill ScoreBatch, small enough that alarms,
+// cancellation and memory-budget enforcement keep pace with the stream.
+// The alarm stream does not depend on it.
 const replayTick = 2048
 
 // Replay streams a full store through the engine: it registers the
@@ -713,9 +693,9 @@ func (m *logMerge) pop() *trace.Event {
 }
 
 // MergeAlarms flattens alarm streams of disjoint DIMM sets — per shard,
-// per node, per streamed tick — into (Time, DIMM) order, the engine's one
-// emission order. At most one alarm exists per (Time, DIMM), so the order
-// is total and the merged stream is the same for every partition.
+// per node — into (Time, DIMM) order, the engine's one emission order. At
+// most one alarm exists per (Time, DIMM), so the order is total and the
+// merged stream is the same for every partition.
 func MergeAlarms(perShard [][]Alarm) []Alarm {
 	n := 0
 	for _, as := range perShard {

@@ -9,13 +9,23 @@ import (
 	"memfp/internal/trace"
 )
 
+// ingestOne serves one event — a tick of one — and returns its alarm, nil
+// when the production model does not fire.
+func ingestOne(s *Server, e trace.Event) (*Alarm, error) {
+	alarms, err := s.IngestBatch([]trace.Event{e})
+	if len(alarms) == 0 {
+		return nil, err
+	}
+	return &alarms[0], err
+}
+
 // ReplayBaseline is the pre-sharding replay path, preserved verbatim as
 // the engine's independent equivalence oracle and benchmark baseline: it
 // materializes the fleet's full event stream, globally sorts it, and
 // serves one event at a time — a fresh registry lookup plus rehydration
 // check and a from-scratch feature extraction per prediction, exactly
 // what the sequential server did. Only the time-zero cooldown sentinel
-// bug is fixed (matching Ingest), so both paths answer identically.
+// bug is fixed (matching the engine), so both paths answer identically.
 //
 // The baseline keeps its own serving state and never touches the sharded
 // engine's logs or cursors; the receiver provides only the wiring
@@ -72,7 +82,7 @@ func (s *Server) ReplayBaseline(ctx context.Context, st *trace.Store, onAlarm fu
 			score = ls.ScoreLog(l, e.Time)
 		} else {
 			// One row per call: the oracle never batches.
-			score = m.ScoreBatch(model.Batch{X: [][]float64{s.Store.ServeVector(l, e.Time)}})[0]
+			score = m.ScoreBatch(model.Batch{X: [][]float64{s.Store.extractor.Extract(l, e.Time)}})[0]
 		}
 		if s.monitor != nil {
 			s.monitor.CountPrediction(score)

@@ -26,7 +26,7 @@ var fixtureErr error
 func trainedPipeline(t *testing.T) (*Pipeline, *faultsim.Result) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		res, err := faultsim.Generate(faultsim.Config{Platform: platform.Purley, Scale: 0.03, Seed: 31})
+		res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.03, Seed: 31})
 		if err != nil {
 			fixtureErr = err
 			return
@@ -76,7 +76,7 @@ func TestServingShardedMatchesBaseline(t *testing.T) {
 		t.Skip("trains a model on a generated fleet")
 	}
 	pipe, res := trainedPipeline(t)
-	base := NewServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil)
+	base := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, 0)
 	var want []Alarm
 	if _, err := base.ReplayBaseline(context.Background(), res.Store, func(a Alarm) {
 		want = append(want, a)
@@ -101,12 +101,12 @@ func TestServingShardedMatchesBaseline(t *testing.T) {
 }
 
 // TestIngestBatchMatchesIngest is the driver-equivalence table: every way
-// into the engine — per-event Ingest, IngestBatch at tick sizes from one
-// event to the whole stream, Replay, ReplayStream — is only a way of
-// cutting the same stream into IngestBatch ticks, so at every shard count,
-// and bounded (see the drivers' bounded column) or not, each must emit the
-// sequential oracle's alarm stream exactly (micro-batched scoring defers
-// only the ScoreBatch call, never the decision).
+// into the engine — per-event ticks, IngestBatch at tick sizes from one
+// event to the whole stream, Replay — is only a way of cutting the same
+// stream into IngestBatch ticks, so at every shard count, and bounded (see
+// the drivers' bounded column) or not, each must emit the sequential
+// oracle's alarm stream exactly (micro-batched scoring defers only the
+// ScoreBatch call, never the decision).
 func TestIngestBatchMatchesIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
@@ -120,7 +120,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 	sort.Stable(trace.ByTime(stream))
 
 	var want []Alarm
-	base := NewServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil)
+	base := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, 0)
 	if _, err := base.ReplayBaseline(context.Background(), res.Store, func(a Alarm) {
 		want = append(want, a)
 	}); err != nil {
@@ -179,7 +179,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 	// tinyBudget. At one and seven events a tick that budget evicts after
 	// almost every tick and thaws on the next event, ~10 s a row, so those
 	// two tick sizes get one bounded row each, and Ingest — IngestBatch of
-	// one event by construction — leaves its bounded row to IngestBatch-1.
+	// one event, alarm unwrapped — leaves its bounded row to IngestBatch-1.
 	both := []int{1, 4}
 	drivers := []struct {
 		name    string
@@ -189,7 +189,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		{"Ingest", nil, func(t *testing.T, s *Server) []Alarm {
 			var got []Alarm
 			for _, e := range stream {
-				a, err := s.Ingest(e)
+				a, err := ingestOne(s, e)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,20 +206,6 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		{"Replay", both, func(t *testing.T, s *Server) []Alarm {
 			var got []Alarm
 			if _, err := s.Replay(context.Background(), res.Store, func(a Alarm) { got = append(got, a) }); err != nil {
-				t.Fatal(err)
-			}
-			return got
-		}},
-		{"ReplayStream", both, func(t *testing.T, s *Server) []Alarm {
-			var got []Alarm
-			i := 0
-			if _, err := s.ReplayStream(context.Background(), func() (*trace.DIMMLog, bool, error) {
-				if i == len(logs) {
-					return nil, false, nil
-				}
-				i++
-				return logs[i-1], true, nil
-			}, func(a Alarm) { got = append(got, a) }); err != nil {
 				t.Fatal(err)
 			}
 			return got
@@ -313,18 +299,18 @@ func TestCooldownSuppressesTimeZeroAlarm(t *testing.T) {
 	mk := func(tm trace.Minutes) trace.Event {
 		return trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id}
 	}
-	a0, err := server.Ingest(mk(0))
+	a0, err := ingestOne(server, mk(0))
 	if err != nil || a0 == nil {
 		t.Fatalf("alarm at minute 0 missing: %v %v", a0, err)
 	}
-	a1, err := server.Ingest(mk(1))
+	a1, err := ingestOne(server, mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1 != nil {
 		t.Fatal("repeat alarm inside cooldown after a minute-0 alarm (sentinel regression)")
 	}
-	a2, err := server.Ingest(mk(server.Cooldown + 1))
+	a2, err := ingestOne(server, mk(server.Cooldown+1))
 	if err != nil || a2 == nil {
 		t.Fatalf("post-cooldown alarm missing: %v %v", a2, err)
 	}
@@ -355,7 +341,7 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 	server.RegisterDIMM(id, part)
 	times := []trace.Minutes{100, 400, 250 /* late */, 700}
 	for _, tm := range times {
-		if _, err := server.Ingest(trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id}); err != nil {
+		if _, err := ingestOne(server, trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +350,7 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 	for _, tm := range []trace.Minutes{100, 250, 400, 700} {
 		oracle.Append(trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id})
 	}
-	want := fs.ServeVector(oracle, 700)
+	want := fs.extractor.Extract(oracle, 700)
 	if len(lastVec) != len(want) {
 		t.Fatalf("vector length %d vs %d", len(lastVec), len(want))
 	}
@@ -408,7 +394,7 @@ func TestReplayUnsortedStore(t *testing.T) {
 		}
 	}
 	fs := NewFeatureStore()
-	base := NewServer(platform.Purley, fs, reg, "m", nil)
+	base := NewShardedServer(platform.Purley, fs, reg, "m", nil, 0)
 	var want []Alarm
 	if _, err := base.ReplayBaseline(context.Background(), store, func(a Alarm) { want = append(want, a) }); err != nil {
 		t.Fatal(err)
@@ -506,7 +492,7 @@ func TestConcurrentIngestWithPromotion(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				id := ids[f][i%dimmsPerFeeder]
-				if _, err := server.Ingest(trace.Event{
+				if _, err := ingestOne(server, trace.Event{
 					Time: trace.Minutes(i * 7), Type: trace.TypeCE, DIMM: id,
 				}); err != nil {
 					t.Error(err)
@@ -571,8 +557,5 @@ func TestMonitorConcurrentCounters(t *testing.T) {
 	}
 	if got := m.AlarmCount(); got != workers*(per/100) {
 		t.Fatalf("AlarmCount = %d, want %d", got, workers*(per/100))
-	}
-	if len(m.Alarms()) != m.AlarmCount() {
-		t.Fatal("Alarms snapshot length disagrees with AlarmCount")
 	}
 }

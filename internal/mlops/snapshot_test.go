@@ -333,7 +333,7 @@ func TestSnapshotReencodesOnlyChangedDIMMs(t *testing.T) {
 		t.Fatalf("snapshot with no ingest since the last wrote %d records and re-encoded %d, want 2 and 0", rec, re)
 	}
 	id := trace.DIMMID{Platform: platform.Purley, Server: 1, Slot: 1}
-	if _, err := s.Ingest(trace.Event{Time: 400 * trace.Day, Type: trace.TypeUE, DIMM: id}); err != nil {
+	if _, err := ingestOne(s, trace.Event{Time: 400 * trace.Day, Type: trace.TypeUE, DIMM: id}); err != nil {
 		t.Fatal(err)
 	}
 	if rec, re := snap(); rec != 2 || re != 1 {
@@ -360,7 +360,7 @@ func TestSnapshotConcurrentWithServing(t *testing.T) {
 			for d := 0; d < 150; d++ {
 				id := trace.DIMMID{Platform: platform.Purley, Server: 100 + d, Slot: g}
 				s.RegisterDIMM(id, part)
-				if _, err := s.Ingest(trace.Event{Time: trace.Minutes(d), Type: trace.TypeUE, DIMM: id}); err != nil {
+				if _, err := ingestOne(s, trace.Event{Time: trace.Minutes(d), Type: trace.TypeUE, DIMM: id}); err != nil {
 					t.Error(err)
 				}
 				if d%10 == 9 {
@@ -557,7 +557,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			}
 		}
 		for _, id := range ids {
-			s.Ingest(trace.Event{Time: 400 * trace.Day, Type: trace.TypeCE, DIMM: id,
+			ingestOne(s, trace.Event{Time: 400 * trace.Day, Type: trace.TypeCE, DIMM: id,
 				Bits: dram.ErrorBits{Width: dram.X4, Mask: 1}})
 		}
 	})

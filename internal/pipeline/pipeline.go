@@ -1,44 +1,11 @@
-// Package pipeline owns experiment orchestration: a shared fleet cache so
-// every consumer of a (platform, scale, seed) fleet gets the same
-// generated-once result, a bounded worker pool that fans experiment cells
-// out across goroutines and reassembles results in stable order, and a
-// scenario registry that makes new experiments one registration away.
+// Package pipeline owns what the experiment runners share: a fleet cache
+// so every consumer of a (platform, scale, seed) fleet gets the same
+// generated-once result, and a scenario registry that makes new
+// experiments one registration away.
 //
 // The package sits between the simulation substrate (internal/faultsim)
 // and the experiment runners (the memfp root package, cmd/memfp,
-// cmd/mlopsd, benchmarks). The worker pool itself lives in internal/par —
-// a leaf package — so the substrate below (faultsim's parallel generator)
-// shares the same runner without an import cycle; pipeline re-exports it
-// for every layer above.
+// cmd/mlopsd, benchmarks). The worker pool that fans experiment cells out
+// lives in internal/par — a leaf package the substrate below (faultsim's
+// parallel generator) shares — and the runners call it directly.
 package pipeline
-
-import (
-	"context"
-
-	"memfp/internal/par"
-)
-
-// Task is one named unit of experiment work — a Table II cell, a figure
-// panel, a VIRR sweep point — producing a T.
-type Task[T any] = par.Task[T]
-
-// Workers resolves a worker-count knob: n <= 0 means one worker per
-// available CPU.
-func Workers(n int) int { return par.Workers(n) }
-
-// Run fans tasks out across a pool of at most `workers` goroutines and
-// returns results in task order, regardless of completion order — with the
-// same inputs the output is identical to running the tasks sequentially.
-// The first task error cancels everything still queued and is returned
-// wrapped with the task's name; an already-canceled ctx returns ctx.Err()
-// without starting any task.
-func Run[T any](ctx context.Context, workers int, tasks []Task[T]) ([]T, error) {
-	return par.Run(ctx, workers, tasks)
-}
-
-// Map is a convenience wrapper over Run for the common fan-out shape: one
-// task per item, results in item order.
-func Map[I, T any](ctx context.Context, workers int, items []I,
-	name func(I) string, fn func(ctx context.Context, item I) (T, error)) ([]T, error) {
-	return par.Map(ctx, workers, items, name, fn)
-}

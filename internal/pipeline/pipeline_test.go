@@ -10,25 +10,26 @@ import (
 	"time"
 
 	"memfp/internal/faultsim"
+	"memfp/internal/par"
 	"memfp/internal/platform"
 )
 
 // ---------------------------------------------------------------------------
-// Runner
+// Runner (internal/par, as the experiment cells use it)
 // ---------------------------------------------------------------------------
 
 func TestRunStableOrder(t *testing.T) {
 	// Later tasks finish first; results must still come back in task order.
 	const n = 16
-	tasks := make([]Task[int], n)
+	tasks := make([]par.Task[int], n)
 	for i := 0; i < n; i++ {
 		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+		tasks[i] = par.Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
 			time.Sleep(time.Duration(n-i) * time.Millisecond)
 			return i * i, nil
 		}}
 	}
-	got, err := Run(context.Background(), 8, tasks)
+	got, err := par.Run(context.Background(), 8, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,24 +41,24 @@ func TestRunStableOrder(t *testing.T) {
 }
 
 func TestRunMatchesSequential(t *testing.T) {
-	tasks := make([]Task[int], 10)
+	tasks := make([]par.Task[int], 10)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+		tasks[i] = par.Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
 			return 3*i + 1, nil
 		}}
 	}
-	seq, err := Run(context.Background(), 1, tasks)
+	seq, err := par.Run(context.Background(), 1, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), 8, tasks)
+	got, err := par.Run(context.Background(), 8, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallel diverged from sequential at %d: %d vs %d", i, par[i], seq[i])
+		if seq[i] != got[i] {
+			t.Fatalf("parallel diverged from sequential at %d: %d vs %d", i, got[i], seq[i])
 		}
 	}
 }
@@ -65,16 +66,16 @@ func TestRunMatchesSequential(t *testing.T) {
 func TestRunErrorCancelsSiblings(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int32
-	tasks := []Task[int]{
+	tasks := []par.Task[int]{
 		{Name: "fails", Run: func(ctx context.Context) (int, error) { return 0, boom }},
 	}
 	for i := 0; i < 64; i++ {
-		tasks = append(tasks, Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+		tasks = append(tasks, par.Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
 			started.Add(1)
 			return 0, nil
 		}})
 	}
-	_, err := Run(context.Background(), 1, tasks)
+	_, err := par.Run(context.Background(), 1, tasks)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -91,7 +92,7 @@ func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := Run(ctx, 4, []Task[int]{{Name: "t", Run: func(ctx context.Context) (int, error) {
+	_, err := par.Run(ctx, 4, []par.Task[int]{{Name: "t", Run: func(ctx context.Context) (int, error) {
 		ran = true
 		return 1, nil
 	}}})
@@ -104,17 +105,17 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	got, err := Run[int](context.Background(), 4, nil)
+	got, err := par.Run[int](context.Background(), 4, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: %v, %v", got, err)
 	}
 }
 
 func TestWorkers(t *testing.T) {
-	if Workers(3) != 3 {
+	if par.Workers(3) != 3 {
 		t.Error("explicit worker count not honored")
 	}
-	if Workers(0) < 1 || Workers(-1) < 1 {
+	if par.Workers(0) < 1 || par.Workers(-1) < 1 {
 		t.Error("defaulted worker count must be at least 1")
 	}
 }
@@ -249,6 +250,15 @@ func TestFleetCacheReset(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Scenario registry
 // ---------------------------------------------------------------------------
+
+// unregister removes a scenario, so the test leaves the global registry
+// as it found it; production code registers from init functions and never
+// unregisters.
+func unregister(name string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	delete(reg, name)
+}
 
 func TestScenarioRegistry(t *testing.T) {
 	noop := func(ctx context.Context, env *Env) error { return nil }

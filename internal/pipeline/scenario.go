@@ -80,15 +80,6 @@ func Register(s Scenario) {
 	reg[s.Name] = s
 }
 
-// unregister removes a scenario. Tests use it to leave the global
-// registry as they found it; production code registers from init
-// functions and never unregisters.
-func unregister(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(reg, name)
-}
-
 // Lookup returns the named scenario.
 func Lookup(name string) (Scenario, bool) {
 	regMu.RLock()

@@ -112,11 +112,6 @@ const (
 	VendorD Manufacturer = "D"
 )
 
-// Manufacturers lists the catalog vendors.
-func Manufacturers() []Manufacturer {
-	return []Manufacturer{VendorA, VendorB, VendorC, VendorD}
-}
-
 // DIMMPart is a catalog entry: the static attributes the paper uses as
 // model features (manufacturer, data width, frequency, chip process).
 type DIMMPart struct {

@@ -193,7 +193,7 @@ func TestCountEventsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SortAll()
-	want[TypeStorm] = AnnotateStorms(s, DefaultStormConfig())
+	want[TypeStorm] = AnnotateStormsWorkers(s, DefaultStormConfig(), 1)
 
 	for _, typ := range []EventType{TypeCE, TypeUE, TypeStorm} {
 		recount := 0

@@ -53,17 +53,12 @@ func DetectStorms(ces []Event, cfg StormConfig) []Event {
 	return storms
 }
 
-// AnnotateStorms runs storm detection over every DIMM in the store and
-// appends the detected storm events to the logs, resorting each log.
-// It returns the number of storm episodes added.
-func AnnotateStorms(s *Store, cfg StormConfig) int {
-	return AnnotateStormsWorkers(s, cfg, 1)
-}
-
-// AnnotateStormsWorkers is AnnotateStorms sharded across a worker pool.
-// Detection, the storm append and the per-log resort are all confined to a
-// single DIMM, so the result is identical for any worker count; workers <=
-// 0 uses one worker per CPU.
+// AnnotateStormsWorkers runs storm detection over every DIMM in the store
+// and appends the detected storm events to the logs, resorting each log.
+// It returns the number of storm episodes added. The work is sharded across
+// a worker pool: detection, the storm append and the per-log resort are all
+// confined to a single DIMM, so the result is identical for any worker
+// count; workers <= 0 uses one worker per CPU.
 func AnnotateStormsWorkers(s *Store, cfg StormConfig, workers int) int {
 	logs := s.DIMMs()
 	counts := make([]int, len(logs))

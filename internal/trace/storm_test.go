@@ -75,7 +75,7 @@ func TestAnnotateStorms(t *testing.T) {
 		}
 	}
 	s.SortAll()
-	n := AnnotateStorms(s, DefaultStormConfig())
+	n := AnnotateStormsWorkers(s, DefaultStormConfig(), 1)
 	if n != 1 {
 		t.Fatalf("annotated %d storms, want 1", n)
 	}

@@ -1,6 +1,7 @@
 package memfp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestZeroErrorBitFeatures(t *testing.T) {
 }
 
 func TestRunTableIShapes(t *testing.T) {
-	rows, err := RunTableI(Config{Scale: 0.02, Seed: 6})
+	rows, err := RunTableICtx(context.Background(), Config{Scale: 0.02, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestRunTableIShapes(t *testing.T) {
 }
 
 func TestRunFigure5SkipsK920(t *testing.T) {
-	res, err := RunFigure5(Config{Scale: 0.01, Seed: 7})
+	res, err := RunFigure5Ctx(context.Background(), Config{Scale: 0.01, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +120,8 @@ func TestRunFigure5SkipsK920(t *testing.T) {
 }
 
 func TestRunVIRRSensitivity(t *testing.T) {
-	pts := RunVIRRSensitivity(nil, []float64{0.1})
-	if len(pts) != 0 {
+	pts, err := RunVIRRSensitivityCtx(context.Background(), 0, nil, []float64{0.1})
+	if err != nil || len(pts) != 0 {
 		t.Error("no operating points → no rows")
 	}
 }

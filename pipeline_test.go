@@ -19,7 +19,7 @@ func TestExperimentRunnersShareFleetCache(t *testing.T) {
 	cache := pipeline.NewFleetCache()
 	cfg := Config{Scale: 0.005, Seed: 13, Fleets: cache}
 
-	if _, err := RunTableI(cfg); err != nil {
+	if _, err := RunTableICtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -27,10 +27,10 @@ func TestExperimentRunnersShareFleetCache(t *testing.T) {
 		t.Fatalf("Table I over 3 platforms: %+v, want 3 misses / 0 hits", st)
 	}
 
-	if _, err := RunFigure4(cfg); err != nil {
+	if _, err := RunFigure4Ctx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFigure5(cfg); err != nil {
+	if _, err := RunFigure5Ctx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
@@ -77,7 +77,7 @@ func TestWorkersKnobDeterminism(t *testing.T) {
 	var ref []Figure4Result
 	for _, workers := range []int{1, 2, 8} {
 		cfg := Config{Scale: 0.005, Seed: 17, Workers: workers, Fleets: pipeline.NewFleetCache()}
-		out, err := RunFigure4(cfg)
+		out, err := RunFigure4Ctx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 
 	"memfp/internal/eval"
 	"memfp/internal/ml/model"
-	"memfp/internal/pipeline"
+	"memfp/internal/par"
 	"memfp/internal/platform"
 )
 
@@ -23,15 +23,11 @@ type TransferResult struct {
 	Metrics         eval.Metrics
 }
 
-// RunTransferMatrix trains cfg.Trainer (default LightGBM) per platform
-// and evaluates every model on every platform's test partition.
-func RunTransferMatrix(cfg Config) ([]TransferResult, error) {
-	return RunTransferMatrixCtx(context.Background(), cfg)
-}
-
-// RunTransferMatrixCtx runs the transfer matrix as a two-stage pipeline:
-// stage one builds and trains one model per platform in parallel; stage
-// two fans the source × destination evaluation cells out across the pool.
+// RunTransferMatrixCtx trains cfg.Trainer (default LightGBM) per platform
+// and evaluates every model on every platform's test partition, as a
+// two-stage pipeline: stage one builds and trains one model per platform
+// in parallel; stage two fans the source × destination evaluation cells
+// out across the pool.
 // The predictor comes from the registry via cfg.Trainer, so any
 // registered algorithm can fill the matrix.
 func RunTransferMatrixCtx(ctx context.Context, cfg Config) ([]TransferResult, error) {
@@ -49,7 +45,7 @@ func RunTransferMatrixCtx(ctx context.Context, cfg Config) ([]TransferResult, er
 		fleet *Fleet
 		model model.Model
 	}
-	ts, err := pipeline.Map(ctx, cfg.Workers, cfg.Platforms,
+	ts, err := par.Map(ctx, cfg.Workers, cfg.Platforms,
 		func(id platform.ID) string { return "transfer/train/" + string(id) },
 		func(ctx context.Context, id platform.ID) (trained, error) {
 			fleet, err := BuildFleetCtx(ctx, cfg, id)
@@ -78,7 +74,7 @@ func RunTransferMatrixCtx(ctx context.Context, cfg Config) ([]TransferResult, er
 		}
 	}
 	vp := eval.DefaultVIRRParams()
-	return pipeline.Map(ctx, cfg.Workers, pairs,
+	return par.Map(ctx, cfg.Workers, pairs,
 		func(p pair) string { return fmt.Sprintf("transfer/%s->%s", p.src, p.dst) },
 		func(ctx context.Context, p pair) (TransferResult, error) {
 			srcT, dstT := models[p.src], models[p.dst]
