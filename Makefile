@@ -25,11 +25,13 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The two size figures every ROADMAP anchor re-derives: non-test Go lines
-# outside bench/, and for the two serving packages. Not part of ci.
+# The size figures every ROADMAP anchor re-derives: non-test Go lines
+# outside bench/, for the two serving packages, and for the §V fault
+# analysis. Not part of ci.
 census:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'internal/mlops + internal/controlplane: '; find internal/mlops internal/controlplane -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'internal/analysis: '; find internal/analysis -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # The repo benchmark (bench/, run by BENCHMARK.json) is its own module,
 # so `go build ./...` and `go test ./...` never compile it: this target
@@ -71,14 +73,17 @@ test-race:
 # files must error, never panic), the binary event-frame decoder
 # (untrusted wire input to the control plane's ingest endpoint), the
 # engine-snapshot restore a rejoining node runs on bytes pulled over
-# HTTP, and the two frame decoders on the node <-> control-plane wire
-# (MFT1 tick batches a node reads, MFR1 responses the control plane
-# reads); part of ci so regressions in edge handling surface early.
+# HTTP and the fold-state decoder inside it (FuzzDecodeFoldState: the
+# classifier a record's cell counts rebuild), and the two frame decoders
+# on the node <-> control-plane wire (MFT1 tick batches a node reads, MFR1
+# responses the control plane reads); part of ci so regressions in edge
+# handling surface early.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinMapper$$' -fuzztime 15s ./internal/ml/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseYAML$$' -fuzztime 15s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventFrame$$' -fuzztime 15s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 15s ./internal/mlops/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFoldState$$' -fuzztime 15s ./internal/features/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTickFrame$$' -fuzztime 15s ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRespFrame$$' -fuzztime 15s ./internal/controlplane/
 

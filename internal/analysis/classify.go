@@ -163,8 +163,14 @@ func Classify(ces []trace.Event, th Thresholds) Class {
 			c.FaultyDevices++
 		}
 	}
-	c.MultiDevice = c.FaultyDevices >= 2
+	return c.finish()
+}
 
+// finish derives MultiDevice and Mode from the tallies: the one place the
+// bank > row > column > cell > sporadic ladder is written, shared by the
+// batch oracle above and the stateful classifier (Incremental.Class).
+func (c Class) finish() Class {
+	c.MultiDevice = c.FaultyDevices >= 2
 	switch {
 	case c.FaultyBanks > 0:
 		c.Mode = CompBank

@@ -1,74 +1,29 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"memfp/internal/trace"
 )
 
-// Binary serialization of the incremental classifier, used when serving
-// state crosses a process boundary (node checkpoints) or spills to disk.
-// Map keys are written in sorted order so the encoding is deterministic
-// for equal state. Thresholds ride along: the restored accumulator must
-// keep classifying under the rules it accumulated under.
+// Binary serialization of the classifier, used when serving state crosses
+// a process boundary (node checkpoints) or spills to disk. The form is
+// the thresholds — the restored classifier must keep classifying under
+// the rules it accumulated under — and the (cell, count) list in sorted
+// order, so equal state encodes to equal bytes however it was reached.
+// Nothing derived is written: the decoder rebuilds every other map and
+// tally through addCell, so no input can describe a classifier whose
+// counters disagree with its cells.
 
-func appendBankKey(w *trace.BinWriter, k bankKey) {
-	w.Varint(int64(k.rank))
-	w.Varint(int64(k.dev))
-	w.Varint(int64(k.bank))
+func (k cellKey) compare(o cellKey) int {
+	return cmp.Or(
+		cmp.Compare(k.rank, o.rank), cmp.Compare(k.dev, o.dev), cmp.Compare(k.bank, o.bank),
+		cmp.Compare(k.row, o.row), cmp.Compare(k.col, o.col))
 }
 
-func readBankKey(r *trace.BinReader) bankKey {
-	return bankKey{rank: int(r.Varint()), dev: int(r.Varint()), bank: int(r.Varint())}
-}
-
-func (k bankKey) less(o bankKey) bool {
-	if k.rank != o.rank {
-		return k.rank < o.rank
-	}
-	if k.dev != o.dev {
-		return k.dev < o.dev
-	}
-	return k.bank < o.bank
-}
-
-// sortedBankKeys returns the keys of a bank-keyed map in sorted order.
-func sortedBankKeys[V any](m map[bankKey]V) []bankKey {
-	keys := make([]bankKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	return keys
-}
-
-// appendIntSet writes a set of ints as a sorted uvarint-count + varints.
-func appendIntSet(w *trace.BinWriter, set map[int]struct{}) {
-	vals := make([]int, 0, len(set))
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	w.Uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		w.Varint(int64(v))
-	}
-}
-
-func readIntSet(r *trace.BinReader) map[int]struct{} {
-	n := r.Uvarint()
-	if r.Err() != nil || n > uint64(r.Remaining())+1 {
-		r.Failf("analysis: int set of %d entries exceeds input", n)
-		return nil
-	}
-	set := make(map[int]struct{}, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		set[int(r.Varint())] = struct{}{}
-	}
-	return set
-}
-
-// AppendBinary serializes the accumulator onto w.
+// AppendBinary serializes the classifier onto w.
 func (x *Incremental) AppendBinary(w *trace.BinWriter) {
 	w.Varint(int64(x.th.CellCEs))
 	w.Varint(int64(x.th.RowDistinctCols))
@@ -77,106 +32,27 @@ func (x *Incremental) AppendBinary(w *trace.BinWriter) {
 	w.Varint(int64(x.th.BankFaultyCols))
 	w.Varint(int64(x.th.DeviceMinCEs))
 
-	w.Uvarint(uint64(len(x.cellCEs)))
 	cells := make([]cellKey, 0, len(x.cellCEs))
 	for k := range x.cellCEs {
 		cells = append(cells, k)
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.bankKey != b.bankKey {
-			return a.bankKey.less(b.bankKey)
-		}
-		if a.row != b.row {
-			return a.row < b.row
-		}
-		return a.col < b.col
-	})
+	slices.SortFunc(cells, cellKey.compare)
+	w.Uvarint(uint64(len(cells)))
 	for _, k := range cells {
-		appendBankKey(w, k.bankKey)
+		w.Varint(int64(k.rank))
+		w.Varint(int64(k.dev))
+		w.Varint(int64(k.bank))
 		w.Varint(int64(k.row))
 		w.Varint(int64(k.col))
 		w.Varint(int64(x.cellCEs[k]))
 	}
-
-	w.Uvarint(uint64(len(x.rowCols)))
-	rows := make([]rowKey, 0, len(x.rowCols))
-	for k := range x.rowCols {
-		rows = append(rows, k)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.bankKey != b.bankKey {
-			return a.bankKey.less(b.bankKey)
-		}
-		return a.row < b.row
-	})
-	for _, k := range rows {
-		appendBankKey(w, k.bankKey)
-		w.Varint(int64(k.row))
-		appendIntSet(w, x.rowCols[k])
-	}
-
-	w.Uvarint(uint64(len(x.colRows)))
-	cols := make([]colKey, 0, len(x.colRows))
-	for k := range x.colRows {
-		cols = append(cols, k)
-	}
-	sort.Slice(cols, func(i, j int) bool {
-		a, b := cols[i], cols[j]
-		if a.bankKey != b.bankKey {
-			return a.bankKey.less(b.bankKey)
-		}
-		return a.col < b.col
-	})
-	for _, k := range cols {
-		appendBankKey(w, k.bankKey)
-		w.Varint(int64(k.col))
-		appendIntSet(w, x.colRows[k])
-	}
-
-	w.Uvarint(uint64(len(x.devCEs)))
-	devs := make([]int, 0, len(x.devCEs))
-	for d := range x.devCEs {
-		devs = append(devs, d)
-	}
-	sort.Ints(devs)
-	for _, d := range devs {
-		w.Varint(int64(d))
-		w.Varint(int64(x.devCEs[d]))
-	}
-
-	w.Uvarint(uint64(len(x.banksSeen)))
-	for _, k := range sortedBankKeys(x.banksSeen) {
-		appendBankKey(w, k)
-	}
-	w.Uvarint(uint64(len(x.bankFaultyRows)))
-	for _, k := range sortedBankKeys(x.bankFaultyRows) {
-		appendBankKey(w, k)
-		w.Varint(int64(x.bankFaultyRows[k]))
-	}
-	w.Uvarint(uint64(len(x.bankFaultyCols)))
-	for _, k := range sortedBankKeys(x.bankFaultyCols) {
-		appendBankKey(w, k)
-		w.Varint(int64(x.bankFaultyCols[k]))
-	}
-	w.Uvarint(uint64(len(x.faultyBanks)))
-	for _, k := range sortedBankKeys(x.faultyBanks) {
-		appendBankKey(w, k)
-	}
-
-	w.Varint(int64(x.faultyCells))
-	w.Varint(int64(x.faultyRows))
-	w.Varint(int64(x.faultyCols))
-	w.Varint(int64(x.faultyDevices))
-	w.Varint(int64(x.maxCellCEs))
-	w.Varint(int64(x.events))
-	w.Varint(int64(x.rowColEntries))
-	w.Varint(int64(x.colRowEntries))
 }
 
-// DecodeIncremental reads an accumulator serialized by AppendBinary.
-// Errors latch on r; the caller checks r.Err().
+// DecodeIncremental reads a classifier serialized by AppendBinary. Errors
+// latch on r; the caller checks r.Err(). The bytes may be foreign: a
+// threshold below 1 (the rules assume >= 1), a cell listed twice or with
+// no CEs, and a cell count the remaining bytes cannot hold (a cell is six
+// varints) are refused.
 func DecodeIncremental(r *trace.BinReader) *Incremental {
 	th := Thresholds{
 		CellCEs:         int(r.Varint()),
@@ -186,59 +62,27 @@ func DecodeIncremental(r *trace.BinReader) *Incremental {
 		BankFaultyCols:  int(r.Varint()),
 		DeviceMinCEs:    int(r.Varint()),
 	}
+	if r.Err() == nil && min(th.CellCEs, th.RowDistinctCols, th.ColDistinctRows,
+		th.BankFaultyRows, th.BankFaultyCols, th.DeviceMinCEs) < 1 {
+		r.Failf("analysis: threshold below 1 in %+v", th)
+	}
 	x := NewIncremental(th)
-
-	count := func(what string) uint64 {
-		n := r.Uvarint()
-		if r.Err() == nil && n > uint64(r.Remaining())+1 {
-			r.Failf("analysis: %s count %d exceeds input", what, n)
-			return 0
+	cells := r.Uvarint()
+	if r.Err() == nil && cells > uint64(r.Remaining()/6) {
+		r.Failf("analysis: %d cells declared in %d bytes", cells, r.Remaining())
+	}
+	for i := uint64(0); i < cells && r.Err() == nil; i++ {
+		k := cellKey{bankKey{int(r.Varint()), int(r.Varint()), int(r.Varint())}, int(r.Varint()), int(r.Varint())}
+		n := r.Varint()
+		switch {
+		case r.Err() != nil:
+		case n < 1 || n > int64(math.MaxInt-x.events):
+			r.Failf("analysis: cell %+v holds %d CEs", k, n)
+		case x.cellCEs[k] != 0:
+			r.Failf("analysis: cell %+v listed twice", k)
+		default:
+			x.addCell(k, int(n))
 		}
-		return n
 	}
-
-	for i, n := uint64(0), count("cell"); i < n && r.Err() == nil; i++ {
-		k := cellKey{bankKey: readBankKey(r)}
-		k.row = int(r.Varint())
-		k.col = int(r.Varint())
-		x.cellCEs[k] = int(r.Varint())
-	}
-	for i, n := uint64(0), count("row"); i < n && r.Err() == nil; i++ {
-		k := rowKey{bankKey: readBankKey(r)}
-		k.row = int(r.Varint())
-		x.rowCols[k] = readIntSet(r)
-	}
-	for i, n := uint64(0), count("col"); i < n && r.Err() == nil; i++ {
-		k := colKey{bankKey: readBankKey(r)}
-		k.col = int(r.Varint())
-		x.colRows[k] = readIntSet(r)
-	}
-	for i, n := uint64(0), count("device"); i < n && r.Err() == nil; i++ {
-		d := int(r.Varint())
-		x.devCEs[d] = int(r.Varint())
-	}
-	for i, n := uint64(0), count("bank"); i < n && r.Err() == nil; i++ {
-		x.banksSeen[readBankKey(r)] = struct{}{}
-	}
-	for i, n := uint64(0), count("faulty-row"); i < n && r.Err() == nil; i++ {
-		k := readBankKey(r)
-		x.bankFaultyRows[k] = int(r.Varint())
-	}
-	for i, n := uint64(0), count("faulty-col"); i < n && r.Err() == nil; i++ {
-		k := readBankKey(r)
-		x.bankFaultyCols[k] = int(r.Varint())
-	}
-	for i, n := uint64(0), count("faulty-bank"); i < n && r.Err() == nil; i++ {
-		x.faultyBanks[readBankKey(r)] = struct{}{}
-	}
-
-	x.faultyCells = int(r.Varint())
-	x.faultyRows = int(r.Varint())
-	x.faultyCols = int(r.Varint())
-	x.faultyDevices = int(r.Varint())
-	x.maxCellCEs = int(r.Varint())
-	x.events = int(r.Varint())
-	x.rowColEntries = int(r.Varint())
-	x.colRowEntries = int(r.Varint())
 	return x
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"memfp/internal/dram"
@@ -97,5 +99,94 @@ func TestIncrementalEmpty(t *testing.T) {
 	inc := NewIncremental(DefaultThresholds())
 	if got, want := inc.Class(), Classify(nil, DefaultThresholds()); got != want {
 		t.Fatalf("empty incremental %+v != batch %+v", got, want)
+	}
+}
+
+// randCEs generates a CE stream concentrated on few structures so the
+// thresholds actually trip (and un-trip as the window slides).
+func randCEs(rng *rand.Rand, n int) []trace.Event {
+	out := make([]trace.Event, n)
+	for i := range out {
+		out[i] = trace.Event{
+			Time: trace.Minutes(i),
+			Type: trace.TypeCE,
+			Addr: dram.Addr{
+				Rank:   rng.Intn(2),
+				Device: rng.Intn(4),
+				Bank:   rng.Intn(3),
+				Row:    rng.Intn(5),
+				Column: rng.Intn(5),
+			},
+		}
+	}
+	return out
+}
+
+func encodeIncremental(x *Incremental) []byte {
+	var w trace.BinWriter
+	x.AppendBinary(&w)
+	return w.Buf
+}
+
+// TestSlidingMatchesClassify slides windows of random sizes over random
+// CE streams: after each slide, the incremental classification must equal
+// the batch Classify over the window's contents, and the whole state must
+// be the one a classifier freshly built over those contents has — same
+// read-outs, same bytes — so nothing remembers the path that led there.
+func TestSlidingMatchesClassify(t *testing.T) {
+	th := DefaultThresholds()
+	for trial := 0; trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		events := randCEs(rng, 400)
+		s := NewIncremental(th)
+		lo, hi := 0, 0
+		for step := 0; step < 120; step++ {
+			// Advance the window by random amounts on both ends.
+			nhi := min(hi+rng.Intn(8), len(events))
+			nlo := min(lo+rng.Intn(6), nhi)
+			for ; hi < nhi; hi++ {
+				s.Add(events[hi])
+			}
+			for ; lo < nlo; lo++ {
+				s.Remove(events[lo])
+			}
+			got, want := s.Class(), Classify(events[lo:hi], th)
+			if got != want {
+				t.Fatalf("trial %d step %d window [%d,%d): sliding %+v != batch %+v",
+					trial, step, lo, hi, got, want)
+			}
+			if s.events != hi-lo {
+				t.Fatalf("trial %d step %d: events=%d, want %d", trial, step, s.events, hi-lo)
+			}
+
+			fresh := NewIncremental(th)
+			for _, e := range events[lo:hi] {
+				fresh.Add(e)
+			}
+			assertIncrementalEqual(t, s, fresh, "window state vs freshly built")
+			enc := encodeIncremental(s)
+			if !bytes.Equal(enc, encodeIncremental(fresh)) {
+				t.Fatalf("trial %d step %d: encoding depends on add/remove history", trial, step)
+			}
+			r := trace.NewBinReader(enc)
+			back := DecodeIncremental(r)
+			if r.Err() != nil || r.Remaining() != 0 || !bytes.Equal(encodeIncremental(back), enc) {
+				t.Fatalf("trial %d step %d: decode -> encode is not a fixpoint (err %v)", trial, step, r.Err())
+			}
+			if s.MemEstimate() != fresh.MemEstimate() {
+				t.Fatalf("trial %d step %d: MemEstimate %d, freshly built %d", trial, step, s.MemEstimate(), fresh.MemEstimate())
+			}
+		}
+		// Drain completely: the empty window must classify as empty and the
+		// maps must not leak entries.
+		for ; lo < hi; lo++ {
+			s.Remove(events[lo])
+		}
+		if got := s.Class(); got != (Class{Mode: CompSporadic}) {
+			t.Fatalf("trial %d: drained window classifies as %+v", trial, got)
+		}
+		if s.MemEstimate() != NewIncremental(th).MemEstimate() {
+			t.Fatalf("trial %d: drained window retains map entries (est %d)", trial, s.MemEstimate())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -371,6 +372,70 @@ func TestAPINodeRefusingTicksLeavesPending(t *testing.T) {
 	}
 }
 
+// quietIngest2 is an honest node's /ingest2 with nothing to report: every
+// tick of the batch answered, no alarms.
+func quietIngest2(t *testing.T) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		_, ticks, err := decodeTickFrame(body)
+		if err != nil {
+			t.Error(err)
+		}
+		idx := make([]int, len(ticks))
+		for i, dt := range ticks {
+			idx[i] = dt.tick
+		}
+		w.Write(appendRespFrame(nil, idx, make([][]mlops.Alarm, len(ticks))))
+	}
+}
+
+// putFailSpill is a spill store with no room left.
+type putFailSpill struct{ *mlops.MemSpill }
+
+func (putFailSpill) Put(string, []byte) error { return errors.New("disk full") }
+
+// TestCheckpointStoreFailureSurfaces: a checkpoint the spill store refuses
+// is not a dead node and not a silent one — the node stays alive, its
+// checkpoint mark stays where it was (so the journal keeps every tick a
+// rejoin would need) and status says why.
+func TestCheckpointStoreFailureSurfaces(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /ingest2", quietIngest2(t))
+	mux.HandleFunc("POST /checkpoint", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("snapshot")) })
+	peer := httptest.NewServer(mux)
+	t.Cleanup(peer.Close)
+
+	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1, CheckpointEvery: 1,
+		Spill: putFailSpill{mlops.NewMemSpill()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	if _, _, err := cp.join(JoinRequest{Name: "n1", Addr: peer.URL}); err != nil {
+		t.Fatal(err)
+	}
+	f := fleet(t)
+	e := f.all[0]
+	cp.RegisterDIMM(e.DIMM, f.parts[e.DIMM])
+	if _, err := cp.IngestTick([]trace.Event{e}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.Flush(); err != nil { // returns once the checkpoint attempt is over
+		t.Fatal(err)
+	}
+	st := cp.status()
+	ni := st.Nodes[0]
+	if !ni.Alive || ni.SentTicks != 1 || ni.Checkpoint != 0 || ni.CheckpointBytes != 0 {
+		t.Errorf("node %+v: want alive, one tick sent, checkpoint mark unmoved", ni)
+	}
+	if !strings.Contains(ni.LastError, "store checkpoint") || !strings.Contains(ni.LastError, "disk full") {
+		t.Errorf("last error %q does not report the refused checkpoint", ni.LastError)
+	}
+	if st.Journal.Truncations != 0 {
+		t.Errorf("journal truncated %d time(s) with no checkpoint stored", st.Journal.Truncations)
+	}
+}
+
 // TestAPIBinaryIngest drives the same fleet prefix through two identical
 // local control planes — one over BMC text lines, one over MFE1 binary
 // frames with binary MFA1 alarm responses — and requires identical alarm
@@ -598,18 +663,7 @@ func TestPeerResponseBounded(t *testing.T) {
 				} else {
 					// An honest /ingest2 with nothing to report, so the first
 					// emitted tick schedules the checkpoint.
-					mux.HandleFunc("POST /ingest2", func(w http.ResponseWriter, r *http.Request) {
-						body, _ := io.ReadAll(r.Body)
-						_, ticks, err := decodeTickFrame(body)
-						if err != nil {
-							t.Error(err)
-						}
-						idx := make([]int, len(ticks))
-						for i, dt := range ticks {
-							idx[i] = dt.tick
-						}
-						w.Write(appendRespFrame(nil, idx, make([][]mlops.Alarm, len(ticks))))
-					})
+					mux.HandleFunc("POST /ingest2", quietIngest2(t))
 				}
 				peer := httptest.NewServer(mux)
 

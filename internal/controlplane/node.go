@@ -246,7 +246,7 @@ func (n *Node) handleIngest2(w http.ResponseWriter, r *http.Request) {
 	writeSized(w, *buf)
 }
 
-// handleCheckpoint snapshots the node's engine (MFS2) for the control
+// handleCheckpoint snapshots the node's engine (MFS3) for the control
 // plane's checkpoint store. The frame is assembled into a buffer the node
 // keeps between checkpoints and its length is declared, so the control
 // plane reads it into one exact-size buffer instead of a chunked stream.

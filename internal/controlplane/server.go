@@ -599,7 +599,11 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 		s.cond.Broadcast()
 		return
 	}
-	if perr := s.cfg.Spill.Put("ckpt/"+n.name, blob); perr == nil {
+	if err := s.cfg.Spill.Put("ckpt/"+n.name, blob); err != nil {
+		// The mark stays put, so the journal keeps every tick a rejoin from
+		// the last stored checkpoint would need; status shows why.
+		n.lastErr = fmt.Errorf("controlplane: node %s: store checkpoint: %w", n.name, err)
+	} else {
 		s.spillBytes += int64(len(blob))
 		n.ckptTick, n.ckptSize = covers, len(blob)
 	}

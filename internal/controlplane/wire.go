@@ -38,7 +38,7 @@ const (
 	// ContentTypeAlarms marks an MFA1 alarm page (also accepted in an
 	// Accept header to request binary alarms back).
 	ContentTypeAlarms = "application/x-memfp-alarms"
-	// ContentTypeSnapshot marks a serialized engine snapshot (MFS2).
+	// ContentTypeSnapshot marks a serialized engine snapshot (MFS3).
 	ContentTypeSnapshot = "application/x-memfp-snapshot"
 
 	// HeaderPending carries TickResponse.Pending on binary ingest

@@ -115,21 +115,21 @@ type Cursor struct {
 	pos      int // CEs consumed so far: ces[:pos] all have Time <= last t
 	stormPos int // storms consumed so far
 
-	// Base counts contributed by a compacted-away prefix (FoldState);
-	// zero on an uncompacted log.
+	// The log's CompactedCEs and CompactedStorms as of the views above:
+	// the counts a compacted-away prefix contributes.
 	ceBase, stormBase int
 
 	// Lifetime accumulators over the fold seed plus ces[:pos].
 	firstCE, lastCE trace.Minutes
 	life            *analysis.Incremental
 
-	// Sliding observation-window state over ces[winStart:pos]: the §V
+	// Observation-window state over ces[winStart:pos]: the §V
 	// classification and the per-day CE tallies, folded in as events enter
 	// the window and folded out as they expire past t−Δtd — so the
 	// window-bounded features cost O(events entering + leaving) per
 	// instant instead of a rebuild over the whole window.
 	winStart int
-	win      *analysis.Sliding
+	win      *analysis.Incremental
 	dayCEs   map[trace.Minutes]int
 	bits     winBits
 }
@@ -144,71 +144,39 @@ type winBits struct {
 	sigs                                                     map[trace.Signature]int
 }
 
-func (w *winBits) add(e trace.Event) {
+// update folds one event in (n = +1, entering the window) or out
+// (n = -1, expiring from it).
+func (w *winBits) update(e trace.Event, n int) {
 	s, ok := e.Signature()
 	if !ok {
 		return
 	}
-	w.nBits++
+	w.nBits += n
 	switch s.DQ {
 	case 1:
-		w.dq1++
+		w.dq1 += n
 	case 2:
-		w.dq2++
+		w.dq2 += n
 	case 4:
-		w.dq4++
+		w.dq4 += n
 	}
 	if s.DQ >= 3 {
-		w.dq3p++
+		w.dq3p += n
 	}
 	if s.Beat == 2 {
-		w.beat2++
+		w.beat2 += n
 	}
 	if s.Beat == 5 {
-		w.beat5++
+		w.beat5 += n
 	}
 	if s.BI == 4 {
-		w.bint4++
+		w.bint4 += n
 	}
 	b := e.Bits.BitCount()
-	w.sumBits += b
-	w.bitCounts[b]++
-	w.sigs[s]++
-}
-
-func (w *winBits) remove(e trace.Event) {
-	s, ok := e.Signature()
-	if !ok {
-		return
-	}
-	w.nBits--
-	switch s.DQ {
-	case 1:
-		w.dq1--
-	case 2:
-		w.dq2--
-	case 4:
-		w.dq4--
-	}
-	if s.DQ >= 3 {
-		w.dq3p--
-	}
-	if s.Beat == 2 {
-		w.beat2--
-	}
-	if s.Beat == 5 {
-		w.beat5--
-	}
-	if s.BI == 4 {
-		w.bint4--
-	}
-	b := e.Bits.BitCount()
-	w.sumBits -= b
-	w.bitCounts[b]--
-	if w.sigs[s] == 1 {
+	w.sumBits += n * b
+	w.bitCounts[b] += n
+	if w.sigs[s] += n; w.sigs[s] == 0 {
 		delete(w.sigs, s)
-	} else {
-		w.sigs[s]--
 	}
 }
 
@@ -235,17 +203,16 @@ func (x *Extractor) NewCursor(l *trace.DIMMLog) *Cursor {
 		storms:  l.StormTimes(),
 		firstCE: -1,
 		lastCE:  -1,
-		life:    analysis.NewIncremental(x.Thresholds),
-		win:     analysis.NewSliding(x.Thresholds),
+		win:     analysis.NewIncremental(x.Thresholds),
 		dayCEs:  map[trace.Minutes]int{},
 	}
 	c.bits.sigs = map[trace.Signature]int{}
-	if fs, ok := l.FoldState().(*FoldState); ok && fs != nil {
-		c.ceBase, c.stormBase = fs.ces, fs.storms
-		if fs.hasCE {
-			c.firstCE, c.lastCE = fs.firstCE, fs.lastCE
-		}
+	c.ceBase, c.stormBase = l.CompactedCEs(), l.CompactedStorms()
+	if fs, ok := l.FoldState().(*FoldState); ok {
+		c.firstCE, c.lastCE = fs.firstCE, fs.lastCE
 		c.life = fs.life.Clone()
+	} else {
+		c.life = analysis.NewIncremental(x.Thresholds)
 	}
 	return c
 }
@@ -261,14 +228,14 @@ func (c *Cursor) advance(t trace.Minutes) {
 		c.lastCE = e.Time
 		c.life.Add(e)
 		c.win.Add(e)
-		c.bits.add(e)
+		c.bits.update(e, 1)
 		c.dayCEs[e.Time/trace.Day]++
 		c.pos++
 	}
 	for from := t - c.x.Windows.Observation; c.winStart < c.pos && c.ces[c.winStart].Time < from; c.winStart++ {
 		e := c.ces[c.winStart]
 		c.win.Remove(e)
-		c.bits.remove(e)
+		c.bits.update(e, -1)
 		if day := e.Time / trace.Day; c.dayCEs[day] == 1 {
 			delete(c.dayCEs, day)
 		} else {

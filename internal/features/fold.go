@@ -6,35 +6,31 @@ import (
 )
 
 // FoldState is the feature extractor's summary of a log's compacted-away
-// prefix: everything the lifetime features need from the dropped events —
-// CE/storm totals, first/last CE instants, and the §V incremental fault
-// classification — folded in exactly once. It rides on the log
-// (trace.DIMMLog.FoldState), so any cursor built over the log afterwards
-// seeds itself from it and extraction stays equal to the uncompacted
-// original for every instant whose observation window clears the
-// compaction horizon.
+// prefix: what the lifetime features need from the dropped events and the
+// log cannot answer itself — the first/last CE instants and the §V
+// classifier over the dropped CEs, each folded in exactly once. (How many
+// CEs and storms were dropped the log counts: CompactedCEs,
+// CompactedStorms.) It rides on the log (trace.DIMMLog.FoldState), so any
+// cursor built over the log afterwards seeds itself from it and
+// extraction stays equal to the uncompacted original for every instant
+// whose observation window clears the compaction horizon.
 type FoldState struct {
-	ces, storms     int
-	hasCE           bool
-	firstCE, lastCE trace.Minutes
+	firstCE, lastCE trace.Minutes // -1 until a CE is folded
 	life            *analysis.Incremental
 }
 
-// fold consumes one dropped event, in time order.
+// fold consumes one dropped event, in time order. Only CEs carry
+// extraction state: the log counts dropped storms and preserves the
+// lifetime FirstUE across compaction.
 func (fs *FoldState) fold(e trace.Event) {
-	switch e.Type {
-	case trace.TypeCE:
-		if !fs.hasCE {
-			fs.hasCE, fs.firstCE = true, e.Time
-		}
-		fs.lastCE = e.Time
-		fs.ces++
-		fs.life.Add(e)
-	case trace.TypeStorm:
-		fs.storms++
+	if e.Type != trace.TypeCE {
+		return
 	}
-	// UEs carry no extraction state: cursors never consume them, and the
-	// log itself preserves the lifetime FirstUE across compaction.
+	if fs.firstCE < 0 {
+		fs.firstCE = e.Time
+	}
+	fs.lastCE = e.Time
+	fs.life.Add(e)
 }
 
 // MemEstimate returns a rough heap-footprint estimate in bytes for
@@ -44,9 +40,6 @@ func (fs *FoldState) MemEstimate() int64 { return 64 + fs.life.MemEstimate() }
 // AppendBinary serializes the fold state onto w, for serving-state
 // checkpoints and disk spill. Deterministic for equal state.
 func (fs *FoldState) AppendBinary(w *trace.BinWriter) {
-	w.Varint(int64(fs.ces))
-	w.Varint(int64(fs.storms))
-	w.Bool(fs.hasCE)
 	w.Varint(int64(fs.firstCE))
 	w.Varint(int64(fs.lastCE))
 	fs.life.AppendBinary(w)
@@ -55,15 +48,11 @@ func (fs *FoldState) AppendBinary(w *trace.BinWriter) {
 // DecodeFoldState reads a fold state serialized by AppendBinary. Errors
 // latch on r; the caller checks r.Err().
 func DecodeFoldState(r *trace.BinReader) *FoldState {
-	fs := &FoldState{
-		ces:     int(r.Varint()),
-		storms:  int(r.Varint()),
-		hasCE:   r.Bool(),
+	return &FoldState{
 		firstCE: trace.Minutes(r.Varint()),
 		lastCE:  trace.Minutes(r.Varint()),
+		life:    analysis.DecodeIncremental(r),
 	}
-	fs.life = analysis.DecodeIncremental(r)
-	return fs
 }
 
 // CompactLog drops the log's events before cut (trace.DIMMLog.
@@ -81,7 +70,7 @@ func (x *Extractor) CompactLog(l *trace.DIMMLog, cut trace.Minutes) int {
 	fs, _ := l.FoldState().(*FoldState)
 	fresh := fs == nil
 	if fresh {
-		fs = &FoldState{life: analysis.NewIncremental(x.Thresholds)}
+		fs = &FoldState{firstCE: -1, lastCE: -1, life: analysis.NewIncremental(x.Thresholds)}
 	}
 	n := l.CompactBefore(cut, fs.fold)
 	if n > 0 && fresh {

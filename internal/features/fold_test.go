@@ -1,9 +1,13 @@
 package features
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"memfp/internal/analysis"
+	"memfp/internal/dram"
 	"memfp/internal/trace"
 )
 
@@ -143,4 +147,85 @@ func TestFoldStateSeedsFreshCursor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeFoldState feeds arbitrary bytes to the fold-state decoder — a
+// rejoining node runs it on checkpoint bytes pulled over HTTP, a thaw on
+// whatever the spill directory holds. It must not panic or allocate out
+// of proportion to its input, and since the format carries cell counts
+// and nothing derived from them, whatever decodes is a consistent
+// classifier: it re-encodes to a fixpoint, and it classifies exactly as
+// the batch oracle does over the events its cells stand for.
+func FuzzDecodeFoldState(f *testing.F) {
+	empty := func() *FoldState {
+		return &FoldState{firstCE: -1, lastCE: -1, life: analysis.NewIncremental(analysis.DefaultThresholds())}
+	}
+	seed := empty()
+	for i := 0; i < 60; i++ {
+		seed.fold(trace.Event{Time: trace.Minutes(10 * i), Type: trace.TypeCE,
+			Addr: dram.Addr{Rank: i % 2, Device: i % 3, Bank: i % 2, Row: i % 5, Column: i % 7}})
+	}
+	encode := func(fs *FoldState) []byte {
+		var w trace.BinWriter
+		fs.AppendBinary(&w)
+		return w.Buf
+	}
+	good := encode(seed)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(encode(empty()))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := trace.NewBinReader(data)
+		fs := DecodeFoldState(r)
+		runtime.ReadMemStats(&after)
+		// A cell is at least six bytes and costs a few hundred to hold
+		// (entries in five maps, two of them nested); the constant absorbs
+		// the empty classifier and whatever other goroutines allocated.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+512*len(data)); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), alloc, limit)
+		}
+		if r.Err() != nil {
+			return
+		}
+		once := encode(fs)
+		r2 := trace.NewBinReader(once)
+		fs2 := DecodeFoldState(r2)
+		if r2.Err() != nil || r2.Remaining() != 0 {
+			t.Fatalf("re-encoded fold state refused: %v (%d bytes left)", r2.Err(), r2.Remaining())
+		}
+		if twice := encode(fs2); !bytes.Equal(once, twice) {
+			t.Fatalf("fold state does not round-trip:\n once %x\ntwice %x", once, twice)
+		}
+
+		// Read the canonical form by hand — two instants, six thresholds,
+		// the (cell, count) list — and expand each cell into its events.
+		p := trace.NewBinReader(once)
+		p.Varint()
+		p.Varint()
+		th := analysis.Thresholds{
+			CellCEs: int(p.Varint()), RowDistinctCols: int(p.Varint()), ColDistinctRows: int(p.Varint()),
+			BankFaultyRows: int(p.Varint()), BankFaultyCols: int(p.Varint()), DeviceMinCEs: int(p.Varint()),
+		}
+		var events []trace.Event
+		for i, cells := uint64(0), p.Uvarint(); i < cells; i++ {
+			e := trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: int(p.Varint()), Device: int(p.Varint()),
+				Bank: int(p.Varint()), Row: int(p.Varint()), Column: int(p.Varint())}}
+			n := p.Varint()
+			if n > 1<<12 || len(events) > 1<<16 {
+				return // too many events to expand; the small cases carry the property
+			}
+			for ; n > 0; n-- {
+				events = append(events, e)
+			}
+		}
+		if p.Err() != nil || p.Remaining() != 0 {
+			t.Fatalf("canonical form is not thresholds + cells: %v (%d bytes left)", p.Err(), p.Remaining())
+		}
+		if got, want := fs.life.Class(), analysis.Classify(events, th); got != want {
+			t.Fatalf("decoded classifier says %+v, Classify over its %d events %+v (th=%+v)", got, len(events), want, th)
+		}
+	})
 }

@@ -47,8 +47,6 @@ type ServeCursor struct {
 	gen   uint64
 	lastT trace.Minutes
 	begun bool
-	// The log's CompactedCEs and CompactedStorms as of inner's views.
-	compCEs, compStorms int
 }
 
 // NewServeCursor starts an online extraction stream over l.
@@ -68,27 +66,26 @@ func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 		sc.begun = false
 		return sc.x.Extract(sc.l, t)
 	}
-	compCEs, compStorms := sc.l.CompactedCEs(), sc.l.CompactedStorms()
-	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) ||
-		!sc.inner.rebase(compCEs-sc.compCEs, compStorms-sc.compStorms) {
+	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) || !sc.inner.rebase() {
 		sc.inner = sc.x.NewCursor(sc.l)
 		sc.gen = sc.l.IndexGen()
 	}
-	sc.compCEs, sc.compStorms = compCEs, compStorms
 	sc.begun, sc.lastT = true, t
 	return sc.inner.ExtractAt(t)
 }
 
 // rebase renews the cursor's views of an indexed log whose index was not
-// rebuilt since the cursor last read it, after the log's first ces CEs and
-// storms storm events were compacted away. In-order appends only grow the
-// views, so with nothing dropped renewing the slice headers is all there
-// is to do. A dropped prefix that lies wholly below the window start
+// rebuilt since the cursor last read it. ceBase and stormBase are the
+// log's CompactedCEs and CompactedStorms as of the views the cursor holds,
+// so their distance to the log's counts now is the prefix compacted away
+// since. In-order appends only grow the views, so with nothing dropped
+// renewing the slice headers is all there is to do. A dropped prefix that lies wholly below the window start
 // (and below the consumed storms) is already in life and no longer in
 // win, bits or dayCEs, exactly as in a cursor rebuilt from the FoldState
 // and advanced to the same instant, so only the positions move. Otherwise
 // it reports false and the cursor must be rebuilt.
-func (c *Cursor) rebase(ces, storms int) bool {
+func (c *Cursor) rebase() bool {
+	ces, storms := c.l.CompactedCEs()-c.ceBase, c.l.CompactedStorms()-c.stormBase
 	if ces > c.winStart || storms > c.stormPos {
 		return false
 	}

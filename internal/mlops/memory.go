@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -62,7 +61,7 @@ func (st *dimmState) footprint() int64 {
 	if st.cursor != nil {
 		b += st.cursor.MemEstimate()
 	}
-	if fs, ok := st.log.FoldState().(*features.FoldState); ok && fs != nil {
+	if fs := st.log.FoldState(); fs != nil {
 		b += fs.MemEstimate()
 	}
 	return b
@@ -110,8 +109,8 @@ func freezeDIMM(st *dimmState) *frozenDIMM {
 // footprint estimates the resident bytes of one in-memory frozen DIMM.
 func (fz *frozenDIMM) footprint() int64 {
 	b := frozenBase + int64(cap(fz.blob))
-	if fs, ok := fz.snap.Fold.(*features.FoldState); ok && fs != nil {
-		b += fs.MemEstimate()
+	if fz.snap.Fold != nil {
+		b += fz.snap.Fold.MemEstimate()
 	}
 	return b
 }
@@ -253,9 +252,7 @@ func (s *Server) freezeLocked(sh *shard, st *dimmState) {
 // on-heap stub standing in for it.
 func (s *Server) spillRec(id trace.DIMMID, fz *frozenDIMM) (*frozenDIMM, error) {
 	var w trace.BinWriter
-	if err := appendFrozenRec(&w, id, fz); err != nil {
-		return nil, err
-	}
+	appendFrozenRec(&w, id, fz)
 	if err := s.Spill.Put(spillDIMMKey(id), w.Buf); err != nil {
 		return nil, err
 	}

@@ -132,7 +132,7 @@ type dimmState struct {
 	// minute 0 suppress repeats like any other.
 	lastAlarm trace.Minutes
 	alarmed   bool
-	// rec is this DIMM's MFS2 snapshot record, kept from the snapshot that
+	// rec is this DIMM's MFS3 snapshot record, kept from the snapshot that
 	// encoded it until the DIMM's next event (ingestLocked) — the one
 	// place any field the record serializes can change.
 	rec []byte

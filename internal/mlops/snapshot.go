@@ -36,15 +36,14 @@ import (
 // The frame is byte for byte the one a full freeze-sort-encode walk
 // writes — that walk is the oracle in snapshot_test.go.
 
-// snapshotMagic versions the engine snapshot format. MFS2 records hold
-// their events in the trace log form (trace.AppendLogEvents); MFS1, whose
-// blobs wrote address and bit fields for every event type, is refused by
-// name — a spill directory or checkpoint written by an MFS1 binary must
-// be emptied, not reread.
-const (
-	snapshotMagic    = "MFS2"
-	snapshotMagicOld = "MFS1"
-)
+// snapshotMagic versions the engine snapshot format. MFS3 records hold
+// their events in the trace log form (trace.AppendLogEvents) and their
+// fold state as first/last CE instants plus the classifier's thresholds
+// and cell counts. MFS2, whose fold state also wrote every map and tally
+// derived from those counts, and MFS1, whose blobs wrote address and bit
+// fields for every event type, are refused by name — a spill directory or
+// checkpoint written by such a binary must be emptied, not reread.
+const snapshotMagic = "MFS3"
 
 // frozenRec is one snapshot record: a DIMM and its frozen state.
 type frozenRec struct {
@@ -55,9 +54,8 @@ type frozenRec struct {
 // spillDIMMKey names a frozen DIMM's record in a SpillStore.
 func spillDIMMKey(id trace.DIMMID) string { return "dimm/" + id.String() }
 
-// appendFrozenRec serializes one DIMM's frozen serving state. Returns an
-// error when the fold state is of a type the codec does not know.
-func appendFrozenRec(w *trace.BinWriter, id trace.DIMMID, fz *frozenDIMM) error {
+// appendFrozenRec serializes one DIMM's frozen serving state.
+func appendFrozenRec(w *trace.BinWriter, id trace.DIMMID, fz *frozenDIMM) {
 	w.String(string(id.Platform))
 	w.Varint(int64(id.Server))
 	w.Varint(int64(id.Slot))
@@ -75,19 +73,13 @@ func appendFrozenRec(w *trace.BinWriter, id trace.DIMMID, fz *frozenDIMM) error 
 	w.Bool(fz.snap.HasUE)
 	w.Varint(int64(fz.snap.FirstCE))
 	w.Varint(int64(fz.snap.FirstUE))
-	switch fold := fz.snap.Fold.(type) {
-	case nil:
-		w.Bool(false)
-	case *features.FoldState:
-		w.Bool(true)
-		fold.AppendBinary(w)
-	default:
-		return fmt.Errorf("mlops: cannot serialize fold state of type %T for %s", fold, id)
+	w.Bool(fz.snap.Fold != nil)
+	if fz.snap.Fold != nil {
+		fz.snap.Fold.AppendBinary(w)
 	}
 
 	w.Uvarint(uint64(fz.events))
 	w.Bytes(fz.blob)
-	return nil
 }
 
 // decodeFrozenRec reads one record written by appendFrozenRec.
@@ -142,7 +134,7 @@ func decodeFrozenRec(r *trace.BinReader) (trace.DIMMID, *frozenDIMM, error) {
 func (s *Server) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
 
 // AppendSnapshot appends the engine's full serving state to dst as one
-// MFS2 frame, so a caller that checkpoints repeatedly can reuse one
+// MFS3 frame, so a caller that checkpoints repeatedly can reuse one
 // buffer. Only resident DIMMs that ingested since the previous snapshot
 // are re-encoded; the rest of the frame is copied from kept, frozen or
 // spilled records (see the file comment). The engine must be externally
@@ -181,9 +173,7 @@ func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
 			continue
 		}
 		start := len(w.Buf)
-		if err := appendFrozenRec(&w, id, freezeDIMM(st)); err != nil {
-			return nil, err
-		}
+		appendFrozenRec(&w, id, freezeDIMM(st))
 		st.rec = make([]byte, len(w.Buf)-start)
 		copy(st.rec, w.Buf[start:])
 		reencoded++
@@ -216,7 +206,8 @@ func (s *Server) appendFrozenLocked(w *trace.BinWriter, id trace.DIMMID, fz *fro
 		w.Raw(rec)
 		return nil
 	}
-	return appendFrozenRec(w, id, fz)
+	appendFrozenRec(w, id, fz)
+	return nil
 }
 
 // snapEnt is one DIMM's place in the snapshot order. st caches the
@@ -276,10 +267,11 @@ func (s *Server) settleSnapOrder() {
 // registry, monitor and pause state are untouched.
 func (s *Server) RestoreSnapshot(data []byte) error {
 	r := trace.NewBinReader(data)
-	switch magic := r.Raw(len(snapshotMagic)); {
-	case string(magic) == snapshotMagicOld:
-		return fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s", snapshotMagicOld, snapshotMagic)
-	case r.Err() != nil || string(magic) != snapshotMagic:
+	switch magic := string(r.Raw(len(snapshotMagic))); magic {
+	case snapshotMagic:
+	case "MFS2", "MFS1":
+		return fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s", magic, snapshotMagic)
+	default:
 		return fmt.Errorf("mlops: not a %s engine snapshot", snapshotMagic)
 	}
 	n := r.Uvarint()

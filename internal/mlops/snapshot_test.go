@@ -2,6 +2,7 @@ package mlops
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -144,9 +145,7 @@ func fullWalkSnapshot(s *Server) ([]byte, error) {
 	w.Raw([]byte(snapshotMagic))
 	w.Uvarint(uint64(len(recs)))
 	for _, rc := range recs {
-		if err := appendFrozenRec(&w, rc.id, rc.fz); err != nil {
-			return nil, err
-		}
+		appendFrozenRec(&w, rc.id, rc.fz)
 	}
 	return w.Buf, nil
 }
@@ -454,9 +453,7 @@ func lyingSnapshot(tb testing.TB) []byte {
 	w := trace.BinWriter{}
 	w.Raw([]byte(snapshotMagic))
 	w.Uvarint(1)
-	if err := appendFrozenRec(&w, id, &frozenDIMM{part: part, events: 1 << 62, blob: []byte{0, 2, 0}}); err != nil {
-		tb.Fatal(err)
-	}
+	appendFrozenRec(&w, id, &frozenDIMM{part: part, events: 1 << 62, blob: []byte{0, 2, 0}})
 	return w.Buf
 }
 
@@ -514,9 +511,59 @@ func smallSnapshot(tb testing.TB) (*Registry, []byte) {
 	return reg, blob
 }
 
+// TestSnapshotGoldenBytes pins the MFS3 layout on one tiny engine: a
+// single DIMM whose log (CEs on two cells, a storm, a UE) has been
+// compacted, so the frame carries the serving scalars, the compaction
+// bookkeeping, a fold state — two instants, six thresholds, the sorted
+// (cell, count) list — and the retained events in the trace log form.
+// Refactors of the snapshot, fold-state or classifier codecs must not move
+// a byte of it; a deliberate change takes a new magic.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	reg := NewRegistry()
+	registerFunc(t, reg, "m", func(x []float64) float64 { return x[5] / 64 }, eval.Metrics{}, 0.5)
+	if err := reg.Promote("m", 1); err != nil {
+		t.Fatal(err)
+	}
+	part, err := platform.PartByNumber("A4-2666-32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 1)
+	s.MemoryBudget = 1 << 20
+	id := trace.DIMMID{Platform: platform.Purley, Server: 3, Slot: 1}
+	s.RegisterDIMM(id, part)
+	var events []trace.Event
+	for i := 0; i < 12; i++ {
+		e := trace.Event{Time: trace.Minutes(i) * trace.Day, Type: trace.TypeCE, DIMM: id,
+			Addr: dram.Addr{Rank: 1, Device: 9, Bank: 4, Row: 100, Column: i % 2},
+			Bits: dram.ErrorBits{Width: part.Width, Mask: 1 << i}}
+		switch i {
+		case 2:
+			e.Type, e.Addr, e.Bits = trace.TypeStorm, dram.Addr{}, dram.ErrorBits{}
+		case 10:
+			e.Type, e.Bits = trace.TypeUE, dram.ErrorBits{}
+		}
+		events = append(events, e)
+	}
+	if _, err := s.IngestBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	if ms := s.MemoryStats(); ms.CompactedEvents < 4 {
+		t.Fatalf("fixture compacted %d events: the frame's fold state holds no repeated cell", ms.CompactedEvents)
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "4d465333010c496e74656c5f5075726c657906020a41342d323636362d3332c0f70100000c0a000280870101010080e1010100c07004060604040402021208c8010004021208c80102060644c04300021208c801000840a00b00021208c80102088001a00b00021208c80100088002a00b00021208c80102088004a00b01021208c80100a00b00021208c80102088010"
+	if got := hex.EncodeToString(blob); got != want {
+		t.Fatalf("MFS3 bytes moved:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestRestoreSnapshotRefusesBadRecords: a record whose count its blob
-// cannot hold is refused at restore time, and an MFS1 snapshot is refused
-// by name.
+// cannot hold is refused at restore time, and an MFS2 or MFS1 snapshot is
+// refused by name.
 func TestRestoreSnapshotRefusesBadRecords(t *testing.T) {
 	reg, good := smallSnapshot(t)
 	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
@@ -527,9 +574,11 @@ func TestRestoreSnapshotRefusesBadRecords(t *testing.T) {
 	if err := s.RestoreSnapshot(lying); err == nil || !strings.Contains(err.Error(), "declares") {
 		t.Errorf("record declaring 1<<62 events in 3 bytes: %v", err)
 	}
-	old := append([]byte("MFS1"), good[4:]...)
-	if err := s.RestoreSnapshot(old); err == nil || !strings.Contains(err.Error(), "MFS1") {
-		t.Errorf("MFS1 snapshot: %v", err)
+	for _, magic := range []string{"MFS2", "MFS1"} {
+		old := append([]byte(magic), good[4:]...)
+		if err := s.RestoreSnapshot(old); err == nil || !strings.Contains(err.Error(), magic+" engine snapshot") {
+			t.Errorf("%s snapshot: %v", magic, err)
+		}
 	}
 }
 

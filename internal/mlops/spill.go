@@ -2,9 +2,9 @@ package mlops
 
 import (
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
 
@@ -63,8 +63,8 @@ func (s *MemSpill) Delete(key string) error {
 }
 
 // DirSpill is a SpillStore backed by flat files under one directory.
-// Keys map to file names by escaping separators, so the store never
-// creates nested paths.
+// A key's file is its path-escaped form plus ".spill" — distinct keys
+// never share a file, and the store never creates nested paths.
 type DirSpill struct {
 	dir string
 }
@@ -77,18 +77,29 @@ func NewDirSpill(dir string) (*DirSpill, error) {
 	return &DirSpill{dir: dir}, nil
 }
 
-// spillFileEscaper rewrites key characters that are meaningful in file
-// paths. Keys are generated internally (DIMM IDs, checkpoint names), so
-// readable one-way escaping is enough — no unescaping ever happens.
-var spillFileEscaper = strings.NewReplacer("/", "@", "\\", "@", ":", "_", "..", "__")
-
 func (s *DirSpill) path(key string) string {
-	return filepath.Join(s.dir, spillFileEscaper.Replace(key)+".spill")
+	return filepath.Join(s.dir, url.PathEscape(key)+".spill")
 }
 
-// Put implements SpillStore.
+// Put implements SpillStore. The value is written beside its destination
+// and renamed over it, so a process that dies mid-write leaves the
+// previous value under key, never a truncated one.
 func (s *DirSpill) Put(key string, data []byte) error {
-	return os.WriteFile(s.path(key), data, 0o644)
+	f, err := os.CreateTemp(s.dir, "put-*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), s.path(key))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Get implements SpillStore.

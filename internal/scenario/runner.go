@@ -314,13 +314,13 @@ func (st *runState) appendAlarms(as []mlops.Alarm) {
 
 // deliver routes one post-injection batch to the per-platform engines.
 // Platform splitting is deterministic (DIMM identity), and the tick's
-// merged alarms are re-ordered by (Time, DIMM) so the stream does not
-// depend on platform iteration order.
+// alarms are merged in the engine's emission order (mlops.MergeAlarms) so
+// the stream does not depend on platform iteration order.
 func (st *runState) deliver(batch []trace.Event) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	var tickAlarms []mlops.Alarm
+	var perPlatform [][]mlops.Alarm
 	for _, pf := range st.order {
 		var sub []trace.Event
 		for _, e := range batch {
@@ -336,15 +336,9 @@ func (st *runState) deliver(batch []trace.Event) error {
 			return err
 		}
 		st.delivered += len(sub)
-		tickAlarms = append(tickAlarms, as...)
+		perPlatform = append(perPlatform, as)
 	}
-	sort.Slice(tickAlarms, func(i, j int) bool {
-		if tickAlarms[i].Time != tickAlarms[j].Time {
-			return tickAlarms[i].Time < tickAlarms[j].Time
-		}
-		return tickAlarms[i].DIMM.Less(tickAlarms[j].DIMM)
-	})
-	st.appendAlarms(tickAlarms)
+	st.appendAlarms(mlops.MergeAlarms(perPlatform))
 	return nil
 }
 

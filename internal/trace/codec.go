@@ -389,7 +389,9 @@ func DecodeEventFrame(data []byte) ([]Event, []string, error) {
 	}
 	table := ReadStringTable(r)
 	n := r.Uvarint()
-	if n > uint64(r.Remaining()) {
+	// An event is at least six bytes (time, type, platform, server, slot,
+	// part), and the slices below are sized by n before one is parsed.
+	if n > uint64(r.Remaining()/6) {
 		return nil, nil, fmt.Errorf("trace: event frame declares %d events in %d bytes", n, r.Remaining())
 	}
 	events := make([]Event, 0, n)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"memfp/internal/dram"
@@ -182,6 +183,15 @@ func TestEventFrameRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeEventFrame([]byte("XXXX")); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	// An event is at least six bytes and the decoder sizes its slices by
+	// the declared count: ten events in thirty bytes is refused up front.
+	w := BinWriter{Buf: []byte(eventFrameMagic)}
+	w.Uvarint(0) // empty string table
+	w.Uvarint(10)
+	w.Raw(make([]byte, 30))
+	if _, _, err := DecodeEventFrame(w.Buf); err == nil || !strings.Contains(err.Error(), "declares 10 events") {
+		t.Fatalf("10 events declared in 30 bytes: %v", err)
 	}
 }
 

@@ -112,15 +112,26 @@ func (d *DIMMLog) CompactedStorms() int { return d.compStorms }
 // horizon onward are exact. Zero when never compacted.
 func (d *DIMMLog) CompactHorizon() Minutes { return d.compBefore }
 
-// FoldState returns the consumer-owned summary of the dropped prefix
-// installed by SetFoldState, or nil. The log treats it as opaque.
-func (d *DIMMLog) FoldState() any { return d.foldState }
+// FoldState is a consumer-owned summary of a log's dropped prefix (the
+// feature extractor's lifetime accumulators). The log carries it without
+// looking inside; what holds a log must be able to do with it is write it
+// beside the compaction bookkeeping and charge its bytes.
+type FoldState interface {
+	// AppendBinary serializes the summary onto w, deterministically for
+	// equal state.
+	AppendBinary(w *BinWriter)
+	// MemEstimate returns a rough heap-footprint estimate in bytes.
+	MemEstimate() int64
+}
 
-// SetFoldState attaches a consumer-owned summary of the dropped prefix
-// (e.g. the feature extractor's lifetime accumulators) so that consumers
-// rebuilding incremental state over a compacted log can seed themselves
-// instead of losing the dropped events' contribution.
-func (d *DIMMLog) SetFoldState(s any) { d.foldState = s }
+// FoldState returns the summary of the dropped prefix installed by
+// SetFoldState, or nil.
+func (d *DIMMLog) FoldState() FoldState { return d.foldState }
+
+// SetFoldState attaches a consumer-owned summary of the dropped prefix so
+// that consumers rebuilding incremental state over a compacted log can
+// seed themselves instead of losing the dropped events' contribution.
+func (d *DIMMLog) SetFoldState(s FoldState) { d.foldState = s }
 
 // CompactionSnapshot captures a log's compaction bookkeeping so serving
 // state can be serialized (idle-DIMM eviction) and reconstructed without
@@ -130,7 +141,7 @@ type CompactionSnapshot struct {
 	Horizon                  Minutes
 	HasCE, HasUE             bool
 	FirstCE, FirstUE         Minutes
-	Fold                     any
+	Fold                     FoldState
 }
 
 // Compaction returns the log's current compaction snapshot. On an indexed

@@ -151,7 +151,7 @@ type DIMMLog struct {
 	compBefore                               Minutes
 	lifeFirstCE, lifeFirstUE                 Minutes
 	lifeHasCE, lifeHasUE                     bool
-	foldState                                any
+	foldState                                FoldState
 }
 
 // SortEvents sorts the event slice in place by time and rebuilds the

@@ -74,7 +74,7 @@ case "$JOURNAL" in
         echo "daemon-smoke: journal never truncated: ${JOURNAL:-no summary line}" >&2
         exit 1 ;;
 esac
-if ! ls "$TMP/spill"/journal@*.spill >/dev/null 2>&1; then
+if ! ls "$TMP/spill"/journal%2F*.spill >/dev/null 2>&1; then
     echo "daemon-smoke: no journal segments reached the spill dir" >&2
     exit 1
 fi
