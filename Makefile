@@ -76,8 +76,11 @@ test-race:
 # HTTP and the fold-state decoder inside it (FuzzDecodeFoldState: the
 # classifier a record's cell counts rebuild), and the two frame decoders
 # on the node <-> control-plane wire (MFT1 tick batches a node reads, MFR1
-# responses the control plane reads); part of ci so regressions in edge
-# handling surface early.
+# responses the control plane reads), the model-artifact loader a node
+# runs on a pulled artifact (FuzzModelLoad: one seed per registered
+# algorithm) and the BMC text line parser a collected log meets first
+# (FuzzDecodeEvent); part of ci so regressions in edge handling surface
+# early.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinMapper$$' -fuzztime 15s ./internal/ml/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseYAML$$' -fuzztime 15s ./internal/scenario/
@@ -86,6 +89,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFoldState$$' -fuzztime 15s ./internal/features/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTickFrame$$' -fuzztime 15s ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRespFrame$$' -fuzztime 15s ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzModelLoad$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/ml/model/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvent$$' -fuzztime 15s ./internal/trace/
 
 # Build-and-run smoke over the examples at tiny scale: the quickstart
 # (fleet → train → evaluate) and the mlops walkthrough (train → gate →

@@ -25,17 +25,20 @@ type Incremental struct {
 	th Thresholds
 
 	cellCEs map[cellKey]int
-	// The distinct columns hit in each row and rows hit in each column.
-	// Plain sets suffice under Remove: a column's multiplicity inside a
-	// row is that cell's count in cellCEs, so membership changes exactly
-	// when a cell appears or disappears.
-	rowCols map[rowKey]map[int]struct{}
-	colRows map[colKey]map[int]struct{}
+	// The number of distinct columns hit in each row and rows hit in each
+	// column. A row's distinct columns are exactly its cells held in
+	// cellCEs, so the count moves by one when a cell appears or disappears.
+	rowCols map[rowKey]int
+	colRows map[colKey]int
 	devCEs  map[int]int
 	banks   map[bankKey]bankTally
-	// cellsAt[n] is the number of cells holding exactly n CEs: what keeps
-	// maxCellCEs exact when the fullest cell loses an event.
-	cellsAt map[int]int
+	// cellsAt[n] is the number of cells holding exactly n CEs — what keeps
+	// maxCellCEs exact when the fullest cell loses an event — for n below
+	// denseCounts; cellsAbove holds the rare fuller counts, so no foreign
+	// count sizes the slice. countsHeld is how many counts are nonzero.
+	cellsAt    []int
+	cellsAbove map[int]int
+	countsHeld int
 
 	faultyCells, faultyRows, faultyCols, faultyBanks, faultyDevices int
 	maxCellCEs                                                      int
@@ -65,30 +68,38 @@ func crossed(old, now, th int) int {
 	return 0
 }
 
-// setCount stores a count, keeping zero counts out of the map so a
-// drained classifier holds no entries.
-func setCount[K comparable](m map[K]int, k K, n int) {
-	if n == 0 {
+// denseCounts bounds the cell counts cellsAt indexes.
+const denseCounts = 1 << 10
+
+// move moves the count under k by n and returns it before and after. A
+// count reaching zero is deleted, so len(m) is the number of keys held.
+func move[K comparable](m map[K]int, k K, n int) (old, now int) {
+	old = m[k]
+	if now = old + n; now == 0 {
 		delete(m, k)
 	} else {
-		m[k] = n
+		m[k] = now
 	}
+	return old, now
 }
 
-// flip adds (sign > 0) or removes member from the set under key and
-// returns the set's size afterwards; emptied sets are dropped.
-func flip[K comparable](sets map[K]map[int]struct{}, key K, member, sign int) int {
-	set := sets[key]
-	if sign > 0 {
-		if set == nil {
-			set = map[int]struct{}{}
-			sets[key] = set
+// tallyCells moves the number of cells holding exactly c CEs by n and
+// returns it.
+func (x *Incremental) tallyCells(c, n int) (now int) {
+	if c < denseCounts {
+		if c >= len(x.cellsAt) {
+			x.cellsAt = append(x.cellsAt, make([]int, c+1-len(x.cellsAt))...)
 		}
-		set[member] = struct{}{}
-	} else if delete(set, member); len(set) == 0 {
-		delete(sets, key)
+		x.cellsAt[c] += n
+		now = x.cellsAt[c]
+	} else {
+		if x.cellsAbove == nil {
+			x.cellsAbove = map[int]int{}
+		}
+		_, now = move(x.cellsAbove, c, n)
 	}
-	return len(set)
+	x.countsHeld += crossed(now-n, now, 1)
+	return now
 }
 
 // NewIncremental returns an empty classifier.
@@ -96,11 +107,10 @@ func NewIncremental(th Thresholds) *Incremental {
 	return &Incremental{
 		th:      th,
 		cellCEs: map[cellKey]int{},
-		rowCols: map[rowKey]map[int]struct{}{},
-		colRows: map[colKey]map[int]struct{}{},
+		rowCols: map[rowKey]int{},
+		colRows: map[colKey]int{},
 		devCEs:  map[int]int{},
 		banks:   map[bankKey]bankTally{},
-		cellsAt: map[int]int{},
 	}
 }
 
@@ -128,31 +138,23 @@ func (x *Incremental) Clone() *Incremental {
 	return c
 }
 
-// addCell moves cell k's CE count by n (negative to remove; the count
-// must stay >= 0) and settles every tally that depends on it.
+// addCell moves cell k's CE count by n (-1 to remove; the count must stay
+// >= 0) and settles every tally that depends on it.
 func (x *Incremental) addCell(k cellKey, n int) {
 	th := &x.th
-	old := x.cellCEs[k]
-	now := old + n
-	setCount(x.cellCEs, k, now)
+	old, now := move(x.cellCEs, k, n)
 	x.events += n
 	x.faultyCells += crossed(old, now, th.CellCEs)
 
-	d := x.devCEs[k.dev]
-	setCount(x.devCEs, k.dev, d+n)
-	x.faultyDevices += crossed(d, d+n, th.DeviceMinCEs)
+	d, dn := move(x.devCEs, k.dev, n)
+	x.faultyDevices += crossed(d, dn, th.DeviceMinCEs)
 
-	if old > 0 {
-		setCount(x.cellsAt, old, x.cellsAt[old]-1)
+	if old > 0 && x.tallyCells(old, -1) == 0 && old == x.maxCellCEs {
+		x.maxCellCEs = now // no cell is left above now: a removal moves a count by one
 	}
 	if now > 0 {
-		x.cellsAt[now]++
+		x.tallyCells(now, 1)
 		x.maxCellCEs = max(x.maxCellCEs, now)
-	}
-	if n < 0 {
-		for x.maxCellCEs > 0 && x.cellsAt[x.maxCellCEs] == 0 {
-			x.maxCellCEs--
-		}
 	}
 
 	if (old == 0) == (now == 0) {
@@ -167,10 +169,10 @@ func (x *Incremental) addCell(k cellKey, n int) {
 	b := x.banks[k.bankKey]
 	was := b.faulty(th)
 	b.cells += sign
-	cols := flip(x.rowCols, rowKey{k.bankKey, k.row}, k.col, sign)
-	dr := crossed(cols-sign, cols, th.RowDistinctCols)
-	rows := flip(x.colRows, colKey{k.bankKey, k.col}, k.row, sign)
-	dc := crossed(rows-sign, rows, th.ColDistinctRows)
+	cols, colsNow := move(x.rowCols, rowKey{k.bankKey, k.row}, sign)
+	dr := crossed(cols, colsNow, th.RowDistinctCols)
+	rows, rowsNow := move(x.colRows, colKey{k.bankKey, k.col}, sign)
+	dc := crossed(rows, rowsNow, th.ColDistinctRows)
 	b.faultyRows += dr
 	b.faultyCols += dc
 	x.faultyRows += dr
@@ -212,16 +214,18 @@ func (x *Incremental) DistinctCols() int { return len(x.colRows) }
 func (x *Incremental) MaxCellCEs() int { return x.maxCellCEs }
 
 // MemEstimate returns an O(1) rough estimate of the classifier's heap
-// footprint in bytes, for serving-side memory accounting. The constants
-// approximate Go map entry overhead; exactness is not required — the
-// budget enforcement only needs the estimate to grow with the state.
+// footprint in bytes: the memory budget's charge for it. The constants are
+// frozen on purpose — fitted to an older layout (a set per row and per
+// column), they over-charge, but the engine's eviction and rehydration
+// counts rest on them; re-fitting them means re-sizing the budgeted
+// benchmark workload. The estimate need only grow with the state.
 func (x *Incremental) MemEstimate() int64 {
 	const (
 		mapEntry = 48 // bucket share + key/value storage, amortized
-		innerMap = 96 // hmap header + first bucket of a nested set
-		member   = 16 // one entry of a nested set; each cell has one in its row's and one in its column's
+		innerMap = 96 // charged per row and per column
+		member   = 16 // charged twice per cell
 	)
-	n := int64(len(x.cellCEs)+len(x.devCEs)+len(x.banks)+len(x.cellsAt)) * mapEntry
+	n := int64(len(x.cellCEs)+len(x.devCEs)+len(x.banks)+x.countsHeld) * mapEntry
 	n += int64(len(x.rowCols)+len(x.colRows)) * (mapEntry + innerMap)
 	n += int64(len(x.cellCEs)) * 2 * member
 	return n + 256 // struct + map headers

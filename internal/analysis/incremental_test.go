@@ -190,3 +190,103 @@ func TestSlidingMatchesClassify(t *testing.T) {
 		}
 	}
 }
+
+// ceOn is one CE on the given cell.
+func ceOn(rank, dev, bank, row, col int) trace.Event {
+	return trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: rank, Device: dev, Bank: bank, Row: row, Column: col}}
+}
+
+// TestMemEstimatePinned pins MemEstimate on hand-built multisets. It is the
+// budget policy's charge for a classifier — the serving engine's eviction,
+// rehydration and compaction counts rest on it — so a change to what the
+// classifier stores must leave every value here where it is.
+func TestMemEstimatePinned(t *testing.T) {
+	var row, bank, multi []trace.Event
+	for c := 0; c < 12; c++ {
+		row = append(row, ceOn(0, 0, 1, 7, c))
+	}
+	row = append(row, ceOn(0, 0, 1, 7, 0), ceOn(0, 0, 1, 7, 0))
+	for r := 0; r < 3; r++ {
+		for c := 0; c < 3; c++ {
+			bank = append(bank, ceOn(1, 2, 3, 10+r, 20+c))
+		}
+	}
+	for d := 0; d < 4; d++ {
+		for i := 0; i < 3; i++ {
+			multi = append(multi, ceOn(d%2, d, i, i, d), ceOn(d%2, d, i, i, d))
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		add, remove []trace.Event
+		want        int64
+	}{
+		{"empty", nil, nil, 256},
+		{"one cell", []trace.Event{ceOn(0, 0, 0, 0, 0)}, nil, 768},
+		{"one row, many columns", row, nil, 3280},
+		{"faulty bank", bank, nil, 1984},
+		{"multi-device", multi, nil, 5488},
+		{"multi-device after removals", multi, multi[:7], 4240},
+		{"faulty bank after removals", bank, bank[2:6], 1520},
+	} {
+		x := NewIncremental(DefaultThresholds())
+		for _, e := range tc.add {
+			x.Add(e)
+		}
+		for _, e := range tc.remove {
+			x.Remove(e)
+		}
+		if got := x.MemEstimate(); got != tc.want {
+			t.Errorf("%s: MemEstimate %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestAddRemoveAllocFree pins what the classifier stores per row and
+// column — a count, not a set — without a clock: once a bank is populated,
+// a cell that appears and disappears (its row and column entries created
+// and dropped each time) allocates nothing, and neither does another event
+// on a cell already held.
+func TestAddRemoveAllocFree(t *testing.T) {
+	x := NewIncremental(DefaultThresholds())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		x.Add(randCE(rng))
+	}
+	held := randCE(rng)
+	x.Add(held)
+	fresh := ceOn(held.Addr.Rank, held.Addr.Device, held.Addr.Bank, 1000, 1000)
+	for name, e := range map[string]trace.Event{"fresh cell": fresh, "held cell": held} {
+		if n := testing.AllocsPerRun(1000, func() { x.Add(e); x.Remove(e) }); n != 0 {
+			t.Errorf("%s: Add+Remove allocates %v times, want 0", name, n)
+		}
+	}
+}
+
+// TestMaxCellCEsAboveDenseCounts walks the fullest cell down across the
+// bound where cell counts stop being tallied densely: the maximum stays
+// exact, and the state (MemEstimate included) is the one a fresh build
+// over the same counts has.
+func TestMaxCellCEsAboveDenseCounts(t *testing.T) {
+	a, b := ceOn(0, 0, 0, 1, 1), ceOn(0, 0, 0, 2, 2)
+	x := NewIncremental(DefaultThresholds())
+	na, nb := denseCounts+4, denseCounts-2
+	for i := 0; i < na; i++ {
+		x.Add(a)
+	}
+	for i := 0; i < nb; i++ {
+		x.Add(b)
+	}
+	for ; na > 0; na-- {
+		fresh := NewIncremental(DefaultThresholds())
+		fresh.addCell(cellOf(a), na)
+		fresh.addCell(cellOf(b), nb)
+		if x.MaxCellCEs() != max(na, nb) || x.MemEstimate() != fresh.MemEstimate() {
+			t.Fatalf("a=%d b=%d: MaxCellCEs %d, MemEstimate %d (fresh %d)", na, nb, x.MaxCellCEs(), x.MemEstimate(), fresh.MemEstimate())
+		}
+		x.Remove(a)
+	}
+	if x.MaxCellCEs() != nb || x.DistinctRows() != 1 {
+		t.Fatalf("a drained: MaxCellCEs %d, DistinctRows %d", x.MaxCellCEs(), x.DistinctRows())
+	}
+}

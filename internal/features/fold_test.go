@@ -182,7 +182,7 @@ func FuzzDecodeFoldState(f *testing.F) {
 		fs := DecodeFoldState(r)
 		runtime.ReadMemStats(&after)
 		// A cell is at least six bytes and costs a few hundred to hold
-		// (entries in five maps, two of them nested); the constant absorbs
+		// (entries in five maps); the constant absorbs
 		// the empty classifier and whatever other goroutines allocated.
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+512*len(data)); alloc > limit {
 			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), alloc, limit)

@@ -142,3 +142,22 @@ func TestFTTPanicsOnBadHeads(t *testing.T) {
 	p.Heads = 2
 	New(3, p)
 }
+
+// TestParamCountMatchesNew: the count Decode checks a payload against
+// before allocating is the number of values New allocates.
+func TestParamCountMatchesNew(t *testing.T) {
+	for _, c := range []struct{ nf, dim, heads, layers, ffn int }{
+		{1, 1, 1, 0, 1}, {3, 8, 2, 1, 2}, {7, 16, 4, 3, 4},
+	} {
+		p := DefaultParams()
+		p.Dim, p.Heads, p.Layers, p.FFNMult = c.dim, c.heads, c.layers, c.ffn
+		m := New(c.nf, p)
+		n := 0
+		for _, w := range m.params {
+			n += len(w.Data)
+		}
+		if got := paramCount(c.nf, p); got != float64(n) {
+			t.Errorf("%+v: paramCount %g, New allocates %d", c, got, n)
+		}
+	}
+}

@@ -35,6 +35,15 @@ func (m *Model) Encode(w io.Writer) error {
 	return json.NewEncoder(w).Encode(out)
 }
 
+// paramCount is the number of values New(nf, p) allocates, in floating
+// point so a hostile configuration cannot overflow it: Decode checks it
+// against the payload before New allocates anything.
+func paramCount(nf int, p Params) float64 {
+	d, f := float64(p.Dim), float64(p.FFNMult)
+	block := 4*d + 4*(d*d+d) + 2*d*d*f + d*f + d // two norms, q/k/v/o, FFN
+	return 2*float64(nf)*d + d + float64(p.Layers)*block + 3*d + 1
+}
+
 // Decode loads a model written by Encode (current or v1 format).
 func Decode(r io.Reader) (*Model, error) {
 	var in modelJSON
@@ -47,6 +56,13 @@ func Decode(r io.Reader) (*Model, error) {
 	p := in.Params
 	if in.NF <= 0 || p.Dim <= 0 || p.Heads <= 0 || p.Layers < 0 || p.FFNMult <= 0 || p.Dim%p.Heads != 0 {
 		return nil, fmt.Errorf("ftt: invalid serialized configuration (nf=%d dim=%d heads=%d)", in.NF, p.Dim, p.Heads)
+	}
+	carried := 0
+	for _, data := range in.Tensors {
+		carried += len(data)
+	}
+	if need := paramCount(in.NF, p); need != float64(carried) {
+		return nil, fmt.Errorf("ftt: configuration needs %g values, payload carries %d", need, carried)
 	}
 	m := New(in.NF, p)
 	if len(in.Tensors) != len(m.params) {

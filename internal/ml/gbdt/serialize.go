@@ -48,9 +48,12 @@ func Decode(r io.Reader) (*Model, error) {
 	if in.Format != formatName {
 		return nil, fmt.Errorf("gbdt: unknown model format %q", in.Format)
 	}
+	if in.Dim < 0 {
+		return nil, fmt.Errorf("gbdt: negative feature dimension %d", in.Dim)
+	}
 	m := &Model{Shrink: in.Shrink, BasePred: in.BasePred, Rounds: in.Rounds, Dim: in.Dim}
 	for i, raw := range in.Trees {
-		t, err := tree.Decode(bytes.NewReader(raw))
+		t, err := tree.Decode(bytes.NewReader(raw), in.Dim)
 		if err != nil {
 			return nil, fmt.Errorf("gbdt: tree %d: %w", i, err)
 		}

@@ -260,6 +260,15 @@ func unmarshalFTT(payload []byte) (Model, error) {
 	if in.Scaler == nil {
 		return nil, fmt.Errorf("ftt payload missing scaler")
 	}
+	// Transform indexes the scaler by feature, so it must be as wide as the
+	// net's input: a narrower one would panic on the first batch.
+	var net struct{ NF int }
+	if err := json.Unmarshal(in.Net, &net); err != nil {
+		return nil, err
+	}
+	if len(in.Scaler.Mean) != net.NF || len(in.Scaler.Std) != net.NF {
+		return nil, fmt.Errorf("ftt scaler covers %d/%d of %d features", len(in.Scaler.Mean), len(in.Scaler.Std), net.NF)
+	}
 	fm, err := ftt.Decode(bytes.NewReader(in.Net))
 	if err != nil {
 		return nil, err

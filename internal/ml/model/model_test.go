@@ -3,6 +3,8 @@ package model
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -189,6 +191,61 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// loadBounded runs Load and fails t if it allocated more than 64 KiB plus
+// a small multiple of the input.
+func loadBounded(t *testing.T, data []byte) (Model, error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := Load(data)
+	runtime.ReadMemStats(&after)
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+32*len(data)); alloc > limit {
+		t.Fatalf("loading %d bytes allocated %d, want at most %d", len(data), alloc, limit)
+	}
+	return m, err
+}
+
+// TestLoadRefusesHostilePayloads: artifacts that would panic at scoring
+// time or allocate far beyond their own size are refused by Load.
+func TestLoadRefusesHostilePayloads(t *testing.T) {
+	// The smallest FT-Transformer: one feature, width 1, no blocks — seven
+	// values (two token tensors, CLS, final norm gain and bias, head).
+	net := func(nf, dim, layers int) string {
+		return fmt.Sprintf(`{"format":"memfp-ftt-v2","nf":%d,"params":{"Dim":%d,"Heads":1,"Layers":%d,"FFNMult":1},`+
+			`"tensors":[[0],[0],[0],[1],[0],[0],[0]]}`, nf, dim, layers)
+	}
+	leafSplit := func(format string, f int) string {
+		return fmt.Sprintf(`{"format":%q,"dim":2,"trees":[{"f":%d,"t":0,"l":{"leaf":true},"r":{"leaf":true}}]}`, format, f)
+	}
+	for _, tc := range []struct {
+		name, algo, payload string
+		width               int // of an accepted model's rows; 0: refused
+	}{
+		{"ftt minimal", NameFTT, `{"scaler":{"Mean":[0],"Std":[1]},"net":` + net(1, 1, 0) + `}`, 1},
+		{"ftt wide configuration", NameFTT, `{"scaler":{"Mean":[0],"Std":[1]},"net":` + net(1, 65536, 0) + `}`, 0},
+		{"ftt deep configuration", NameFTT, `{"scaler":{"Mean":[0],"Std":[1]},"net":` + net(1, 1, 1e9) + `}`, 0},
+		{"ftt narrow scaler", NameFTT, `{"scaler":{"Mean":[],"Std":[]},"net":` + net(1, 1, 0) + `}`, 0},
+		{"gbdt split in range", NameGBDT, leafSplit("memfp-gbdt-v1", 1), 2},
+		{"gbdt negative split", NameGBDT, leafSplit("memfp-gbdt-v1", -1), 0},
+		{"forest split past dim", NameForest, leafSplit("memfp-forest-v1", 2), 0},
+	} {
+		blob, err := marshalEnvelope(tc.algo, []byte(tc.payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := loadBounded(t, blob)
+		if (err == nil) != (tc.width > 0) {
+			t.Errorf("%s: Load error %v, want accepted=%v", tc.name, err, tc.width > 0)
+			continue
+		}
+		if err == nil {
+			if got := m.ScoreBatch(Batch{X: [][]float64{make([]float64, tc.width)}}); len(got) != 1 {
+				t.Errorf("%s: scored %d values", tc.name, len(got))
+			}
+		}
+	}
+}
+
 func TestNoPositivesErrors(t *testing.T) {
 	ts := synthTrainSet(50, 4, 3)
 	for i := range ts.Y {
@@ -238,4 +295,58 @@ func TestFitDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzModelLoad feeds arbitrary artifacts to Load — what a node runs on
+// an artifact pulled over HTTP and the registry on whatever its directory
+// holds. The fuzzer mutates an algorithm name and the payload inside the
+// envelope (the envelope itself is plain JSON; mutating its base64 field
+// would almost never reach a decoder). Load must not panic or allocate out
+// of proportion to its input — a configuration may not ask for more than
+// its payload carries — and every model it accepts must score an all-zero
+// row of the width it declares.
+func FuzzModelLoad(f *testing.F) {
+	ts := synthTrainSet(40, 3, 5)
+	for _, tr := range All() {
+		m, err := tr.Fit(context.Background(), ts)
+		if err != nil {
+			f.Fatalf("%s: fit: %v", tr.Name(), err)
+		}
+		blob, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatalf("%s: marshal: %v", tr.Name(), err)
+		}
+		var env envelope
+		if err := json.Unmarshal(blob, &env); err != nil {
+			f.Fatalf("%s: envelope: %v", tr.Name(), err)
+		}
+		f.Add(env.Algo, env.Payload)
+	}
+	f.Fuzz(func(t *testing.T, algo string, payload []byte) {
+		data, err := marshalEnvelope(algo, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := loadBounded(t, data)
+		if err != nil {
+			return
+		}
+		var width int
+		switch m := m.(type) {
+		case *forestModel:
+			width = m.m.Dim
+		case *gbdtModel:
+			width = m.m.Dim
+		case *fttModel:
+			width = len(m.scaler.Mean)
+		case *logisticModel:
+			width = len(m.m.W)
+		}
+		if width > 1<<16 {
+			return // a tree model may declare any width; scoring one this wide proves nothing more
+		}
+		if got := m.ScoreBatch(Batch{X: [][]float64{make([]float64, width)}}); len(got) != 1 {
+			t.Fatalf("%s: scored %d values for one row", m.Algo(), len(got))
+		}
+	})
 }

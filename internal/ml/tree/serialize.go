@@ -30,7 +30,7 @@ func toJSON(n *Node) *nodeJSON {
 	return j
 }
 
-func fromJSON(j *nodeJSON) (*Node, error) {
+func fromJSON(j *nodeJSON, dim int) (*Node, error) {
 	if j == nil {
 		return nil, fmt.Errorf("tree: nil node in serialized tree")
 	}
@@ -38,11 +38,14 @@ func fromJSON(j *nodeJSON) (*Node, error) {
 	if n.Leaf {
 		return n, nil
 	}
+	if n.Feature < 0 || n.Feature >= dim {
+		return nil, fmt.Errorf("tree: split on feature %d of %d", n.Feature, dim)
+	}
 	var err error
-	if n.Left, err = fromJSON(j.Left); err != nil {
+	if n.Left, err = fromJSON(j.Left, dim); err != nil {
 		return nil, err
 	}
-	if n.Right, err = fromJSON(j.Right); err != nil {
+	if n.Right, err = fromJSON(j.Right, dim); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -53,11 +56,13 @@ func (n *Node) Encode(w io.Writer) error {
 	return json.NewEncoder(w).Encode(toJSON(n))
 }
 
-// Decode reads a tree written by Encode.
-func Decode(r io.Reader) (*Node, error) {
+// Decode reads a tree written by Encode for rows of dim features. A split
+// on a feature outside [0, dim) is refused: Predict would index past the
+// row.
+func Decode(r io.Reader, dim int) (*Node, error) {
 	var j nodeJSON
 	if err := json.NewDecoder(r).Decode(&j); err != nil {
 		return nil, fmt.Errorf("tree: decode: %w", err)
 	}
-	return fromJSON(&j)
+	return fromJSON(&j, dim)
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestTreeRoundTrip(t *testing.T) {
 	if err := root.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(&buf)
+	back, err := Decode(&buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,18 @@ func TestTreeRoundTrip(t *testing.T) {
 }
 
 func TestTreeDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(strings.NewReader("nope")); err == nil {
+	if _, err := Decode(strings.NewReader("nope"), 2); err == nil {
 		t.Error("garbage should fail")
 	}
 	// Internal node missing children.
-	if _, err := Decode(strings.NewReader(`{"f":0,"t":1}`)); err == nil {
+	if _, err := Decode(strings.NewReader(`{"f":0,"t":1}`), 2); err == nil {
 		t.Error("internal node without children should fail")
+	}
+	// A split on a feature the rows do not have.
+	for _, f := range []int{-1, 2} {
+		src := fmt.Sprintf(`{"f":%d,"t":1,"l":{"leaf":true},"r":{"leaf":true}}`, f)
+		if _, err := Decode(strings.NewReader(src), 2); err == nil {
+			t.Errorf("split on feature %d of 2 should fail", f)
+		}
 	}
 }

@@ -140,6 +140,43 @@ func TestDecodeEventRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEvent feeds arbitrary lines to the BMC text parser, the first
+// thing a collected log meets. It must not panic, and whatever it accepts
+// must survive the encoder: encoding the decoded event under its part
+// number and decoding that line again gives the same event and part.
+func FuzzDecodeEvent(f *testing.F) {
+	part, err := platform.PartByNumber("A4-2666-32")
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := DIMMID{Platform: platform.Purley, Server: 3, Slot: 11}
+	bits := dram.NewErrorBits(part.Width)
+	bits.Set(0, 1)
+	bits.Set(2, 7)
+	for _, e := range []Event{
+		{Time: 1234, Type: TypeCE, DIMM: id, Addr: dram.Addr{Rank: 1, Device: 4, Bank: 15, Row: 99, Column: 3}, Bits: bits},
+		{Time: 77, Type: TypeCE, DIMM: id, Addr: dram.Addr{Row: -1}, Bits: dram.NewErrorBits(part.Width)},
+		{Time: 99999, Type: TypeUE, DIMM: id, Addr: dram.Addr{Device: 2, Bank: 1, Row: 7, Column: 8}},
+		{Time: 5, Type: TypeStorm, DIMM: id},
+	} {
+		f.Add(EncodeEvent(e, part))
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		e, pn, err := DecodeEvent(line)
+		if err != nil {
+			return
+		}
+		again := EncodeEvent(e, platform.DIMMPart{PartNumber: pn})
+		back, pn2, err := DecodeEvent(again)
+		if err != nil {
+			t.Fatalf("%q decoded, its re-encoding %q does not: %v", line, again, err)
+		}
+		if back != e || pn2 != pn {
+			t.Fatalf("%q -> %+v %q, re-encoded %q -> %+v %q", line, e, pn, again, back, pn2)
+		}
+	})
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	rng := xrand.New(17)
 	s := NewStore()
