@@ -224,7 +224,7 @@ func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
 			ms.Evictions, ms.Rehydrations, ms.Compactions)
 	}
 	fmt.Fprint(w, pipe.Monitor.Dashboard())
-	dec := pipe.Monitor.ShouldRetrain(0.25, 0.2)
+	dec := pipe.Monitor.ShouldRetrain(pipe.Monitor.PSI(), 0.25, 0.2)
 	fmt.Fprintf(w, "retraining decision: retrain=%v (%s)\n", dec.Retrain, dec.Reason)
 	return nil
 }

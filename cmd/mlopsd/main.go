@@ -6,19 +6,24 @@
 // lifecycle" the paper argues for.
 //
 // Control-plane mode (default) owns the pipeline, registry and monitor,
-// and optionally exposes the HTTP API + Prometheus /metrics; with
-// -nodes N it partitions the fleet across N node daemons and emits the
-// byte-identical alarm stream of the in-process engine:
+// and optionally exposes the HTTP API + Prometheus /metrics. It serves
+// through one node built in-process; with -nodes N it partitions the
+// fleet across N node daemons instead, and emits the byte-identical alarm
+// stream:
 //
 //	mlopsd [-platform Intel_Purley] [-scale 0.05] [-seed 42]
 //	       [-trainer LightGBM] [-shards 0] [-membudget 0]
 //	       [-addr 127.0.0.1:9090] [-nodes 0] [-alarm-log file] [-hold]
 //	       [-spill-dir dir] [-checkpoint-every 64]
 //
-// In distributed mode the control plane journals ticks, checkpoints each
-// node's serving state every -checkpoint-every emitted ticks, and
-// truncates the served journal prefix; -spill-dir persists truncated
-// segments and checkpoints on disk (default: in memory).
+// Either way the control plane journals ticks and flushes delivery at
+// the end of the bootstrap history and of each month, so every month's
+// line counts that month's alarms. With daemons it also checkpoints each
+// node's serving state every -checkpoint-every emitted ticks and frees the
+// journal prefix every checkpoint covers; -spill-dir keeps the
+// checkpoints on disk (default: in memory). The month line's PSI is the
+// fleet's: read from the in-process engine when the month ends, or as
+// fresh as each daemon's last heartbeat.
 //
 // Node-daemon mode serves a deterministic slice of the fleet, pulling
 // promoted model artifacts from the control plane:
@@ -92,7 +97,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.join, "join", "", "control-plane base URL a node daemon registers with")
 	fs.StringVar(&o.name, "name", "", "node daemon name (default hostname-pid); rejoin with the same name to resume")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 2*time.Second, "node heartbeat interval")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for truncated journal segments, checkpoints and evicted DIMM state (default: in memory)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for node checkpoints and evicted DIMM state (default: in memory)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "checkpoint node state every N emitted ticks in distributed mode (0 = default cadence)")
 	return fs
 }
@@ -165,7 +170,7 @@ func printMemory(ms mlops.MemoryStats) {
 
 // runControl runs the control plane: bootstrap training, the monthly
 // replay/retrain loop, and the final dashboard. With -nodes N the replay
-// is served by N joined daemons instead of the in-process engine.
+// is served by N joined daemons instead of the in-process node.
 func runControl(ctx context.Context, o *options) error {
 	id := platform.ID(o.platform)
 	if _, err := platform.Get(id); err != nil {
@@ -289,26 +294,27 @@ func runControl(ctx context.Context, o *options) error {
 		}
 	}
 
-	// ingestRange feeds all[lo:hi) through the control plane in ticks:
-	// each tick micro-batches onto the engine shards in-process, or is
-	// journaled and delivered to the owning node daemons.
+	// ingestRange feeds all[lo:hi) through the control plane in ticks,
+	// each journaled and delivered to its owning nodes, then flushes
+	// delivery so the range's alarms are collected with the range.
 	const tick = 1024
 	ingestRange := func(lo, hi int, collect *[]mlops.Alarm) error {
-		for ; lo < hi && ctx.Err() == nil; lo += tick {
-			end := lo + tick
-			if end > hi {
-				end = hi
-			}
-			res, err := cp.IngestTick(all[lo:end])
-			if err != nil {
-				return err
-			}
+		emit := func(res controlplane.TickResult) {
 			logAlarms(res.Alarms)
 			if collect != nil {
 				*collect = append(*collect, res.Alarms...)
 			}
 		}
-		return nil
+		for ; lo < hi && ctx.Err() == nil; lo += tick {
+			res, err := cp.IngestTick(all[lo:min(lo+tick, hi)])
+			if err != nil {
+				return err
+			}
+			emit(res)
+		}
+		res, err := cp.Flush()
+		emit(res)
+		return err
 	}
 
 	// Serve the post-validation stream month by month, retraining after
@@ -331,7 +337,7 @@ func runControl(ctx context.Context, o *options) error {
 		cursor = hi
 		pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
 		prec, rec := pipe.Monitor.LivePrecisionRecall()
-		dec := pipe.Monitor.ShouldRetrain(0.25, 0.15)
+		dec := pipe.Monitor.ShouldRetrain(cp.Fleet().PSI, 0.25, 0.15)
 		fmt.Printf("[month %d] alarms=%d  live P=%.2f R=%.2f  PSI=%.3f  retrain=%v (%s)\n",
 			int(monthStart/(30*trace.Day)), len(alarms)-before, prec, rec, dec.PSI, dec.Retrain, dec.Reason)
 
@@ -370,8 +376,9 @@ func runControl(ctx context.Context, o *options) error {
 		fmt.Printf("journal: depth=%d highwater=%d base=%d truncations=%d truncated_ticks=%d spill_bytes=%d\n",
 			js.Depth, js.DepthHighWater, js.Base, js.Truncations, js.TruncatedTicks, js.SpillBytes)
 	}
-	fmt.Print(pipe.Monitor.Dashboard())
-	printMemory(cp.MemoryStats())
+	fl := cp.Fleet()
+	fmt.Print(pipe.Monitor.DashboardOf(fl.Predictions, fl.Shards))
+	printMemory(fl.Memory)
 	fmt.Println("registry state:")
 	for _, v := range pipe.Registry.List() {
 		fmt.Printf("  %s v%d stage=%-10s F1=%.2f threshold=%.2f\n",

@@ -89,7 +89,7 @@ func main() {
 
 	// Monitoring decides whether to retrain; a second CI/CD cycle runs
 	// the promotion gate against the incumbent.
-	dec := pipe.Monitor.ShouldRetrain(0.25, 0.15)
+	dec := pipe.Monitor.ShouldRetrain(pipe.Monitor.PSI(), 0.25, 0.15)
 	fmt.Printf("retrain decision: %v (%s, PSI=%.3f)\n", dec.Retrain, dec.Reason, dec.PSI)
 
 	tr2, err := pipe.TrainAndMaybePromote(res.Store, 180*trace.Day, 210*trace.Day)

@@ -176,14 +176,14 @@ type NodeInfo struct {
 	LastError       string `json:"last_error,omitempty"`
 }
 
-// JournalInfo is the distributed tick journal's lifecycle telemetry.
+// JournalInfo is the tick journal's lifecycle telemetry.
 type JournalInfo struct {
 	Depth          int   `json:"depth"`           // ticks resident in memory
 	DepthHighWater int   `json:"depth_highwater"` // peak resident depth
 	Base           int   `json:"base"`            // first journal index still in memory
 	Truncations    int   `json:"truncations"`
 	TruncatedTicks int   `json:"truncated_ticks"`
-	SpillBytes     int64 `json:"spill_bytes"` // checkpoint + segment bytes spilled
+	SpillBytes     int64 `json:"spill_bytes"` // checkpoint bytes spilled
 }
 
 // StatusResponse summarizes the control plane.
@@ -200,7 +200,7 @@ type StatusResponse struct {
 	Predictions int64        `json:"predictions"`
 	ExpectNodes int          `json:"expect_nodes"`
 	Nodes       []NodeInfo   `json:"nodes,omitempty"`
-	Journal     *JournalInfo `json:"journal,omitempty"` // distributed mode only
+	Journal     *JournalInfo `json:"journal,omitempty"`
 }
 
 // errorJSON is every non-2xx body.

@@ -18,7 +18,8 @@ import (
 )
 
 // newLocalCP builds a local-mode control plane over an always-firing
-// constant model, served through a real HTTP listener.
+// constant model, served through a real HTTP listener; its in-process
+// node is reached without one.
 func newLocalCP(t *testing.T) (*Server, *Client, *httptest.Server) {
 	t.Helper()
 	cp, err := New(Config{Pipeline: alwaysFirePipeline(t)})
@@ -82,6 +83,11 @@ func TestAPIIngestAndAlarms(t *testing.T) {
 		}
 		total = append(total, tr.Alarms...)
 	}
+	fr, err := cl.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total = append(total, fr.Alarms...)
 	if len(total) == 0 {
 		t.Fatal("always-fire model raised no alarms over the ingested stream")
 	}
@@ -236,9 +242,28 @@ func TestAPIArtifact(t *testing.T) {
 	}
 }
 
+// TestAPIPauseResume drives a maintenance window over the API: ticks
+// journal while paused (Pending counts them) and Resume drains them.
+// Resuming a control plane that never paused, and closing a window no
+// traffic crossed, are no-ops.
 func TestAPIPauseResume(t *testing.T) {
 	f := fleet(t)
 	_, cl, _ := newLocalCP(t)
+
+	for _, pauseFirst := range []bool{false, true} {
+		if pauseFirst {
+			if err := cl.Pause(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := cl.Resume()
+		if err != nil || len(res.Alarms) != 0 || res.Pending != 0 {
+			t.Fatalf("empty resume (paused first: %v) = %d alarms, %d pending, %v", pauseFirst, len(res.Alarms), res.Pending, err)
+		}
+		if st, err := cl.Status(); err != nil || st.Paused {
+			t.Fatalf("status after resume: paused=%v, %v", st.Paused, err)
+		}
+	}
 
 	if err := cl.Pause(); err != nil {
 		t.Fatal(err)
@@ -255,8 +280,8 @@ func TestAPIPauseResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Alarms) != 0 || tr.Pending != n {
-		t.Fatalf("paused ingest served: %d alarms, %d pending (want 0, %d)", len(tr.Alarms), tr.Pending, n)
+	if len(tr.Alarms) != 0 || tr.Pending != 1 {
+		t.Fatalf("paused ingest served: %d alarms, %d pending ticks (want 0, 1)", len(tr.Alarms), tr.Pending)
 	}
 	res, err := cl.Resume()
 	if err != nil {
@@ -270,11 +295,17 @@ func TestAPIPauseResume(t *testing.T) {
 func TestAPIDistributedGating(t *testing.T) {
 	f := fleet(t)
 
-	// Local mode refuses joins with a hint, and unknown heartbeats 404.
+	// Local mode's fleet is its in-process node: a daemon's join is the
+	// ordinary fleet-full 409 naming -nodes, and no join can take the
+	// in-process node's name. Unknown heartbeats 404.
 	_, cl, _ := newLocalCP(t)
 	if _, err := cl.Join(JoinRequest{Name: "n1", Addr: "http://x"}); err == nil ||
-		!strings.Contains(err.Error(), "-nodes") {
+		!strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "-nodes") {
 		t.Errorf("local-mode join: %v", err)
+	}
+	if _, err := cl.Join(JoinRequest{Name: localName, Addr: "http://x"}); err == nil ||
+		!strings.Contains(err.Error(), "409") {
+		t.Errorf("join as the in-process node: %v", err)
 	}
 	if _, err := cl.Heartbeat(HeartbeatRequest{Name: "ghost"}); err == nil ||
 		!strings.Contains(err.Error(), "404") {
@@ -439,13 +470,19 @@ func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 // TestAPIBinaryIngest drives the same fleet prefix through two identical
 // local control planes — one over BMC text lines, one over MFE1 binary
 // frames with binary MFA1 alarm responses — and requires identical alarm
-// streams and pending counts from both wires.
+// streams from both wires.
 func TestAPIBinaryIngest(t *testing.T) {
 	f := fleet(t)
 	n := min(2000, len(f.all))
 
 	_, textCl, _ := newLocalCP(t)
 	_, binCl, _ := newLocalCP(t)
+	var ta, ba []mlops.Alarm
+	collect := func(into *[]mlops.Alarm, as []AlarmJSON) {
+		for _, a := range as {
+			*into = append(*into, fromWire(a))
+		}
+	}
 	for lo := 0; lo < n; lo += 500 {
 		hi := min(lo+500, n)
 		tr, err := ingestLines(textCl, encodeLines(f, lo, hi))
@@ -459,19 +496,24 @@ func TestAPIBinaryIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if br.Pending != tr.Pending {
-			t.Fatalf("tick %d: binary pending %d, text pending %d", lo/500, br.Pending, tr.Pending)
+		collect(&ta, tr.Alarms)
+		collect(&ba, br.Alarms)
+	}
+	for _, c := range []struct {
+		cl   *Client
+		into *[]mlops.Alarm
+	}{{textCl, &ta}, {binCl, &ba}} {
+		res, err := c.cl.Flush()
+		if err != nil || res.Pending != 0 {
+			t.Fatalf("flush: %d pending, %v", res.Pending, err)
 		}
-		var ta, ba []mlops.Alarm
-		for _, a := range tr.Alarms {
-			ta = append(ta, fromWire(a))
-		}
-		for _, a := range br.Alarms {
-			ba = append(ba, fromWire(a))
-		}
-		if got, want := renderAlarms(ba), renderAlarms(ta); got != want {
-			t.Fatalf("tick %d: binary wire alarms diverge from text wire:\n%s", lo/500, firstDiff(got, want))
-		}
+		collect(c.into, res.Alarms)
+	}
+	if len(ta) == 0 {
+		t.Fatal("always-fire model raised no alarms")
+	}
+	if got, want := renderAlarms(ba), renderAlarms(ta); got != want {
+		t.Fatalf("binary wire alarms diverge from text wire:\n%s", firstDiff(got, want))
 	}
 
 	// Binary alarm paging agrees with the JSON page.

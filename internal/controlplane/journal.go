@@ -33,7 +33,7 @@ func newTickRec(slices [][]trace.Event, version int) *tickRec {
 // absolute index that survives truncation of the prefix, and the
 // emission cursor that walks them in order. It is a plain data structure
 // — no lock, no HTTP, no spill store; Server guards it with its mutex and
-// decides when to truncate and where the dropped prefix goes.
+// decides when to truncate.
 type journal struct {
 	recs        []*tickRec // recs[k] holds tick base+k
 	base        int        // first index still in memory
@@ -98,22 +98,19 @@ func (j *journal) nextReady() *tickRec {
 }
 
 // truncateBelow drops the records below low — clamped to the emission
-// cursor, so an unemitted tick is never dropped — and returns the index
-// of the first dropped record and the dropped prefix. The survivors move
-// to a fresh slice so the prefix's event memory is actually released.
-func (j *journal) truncateBelow(low int) (first int, dropped []*tickRec) {
+// cursor, so an unemitted tick is never dropped. The survivors move to a
+// fresh slice so the prefix's event memory is actually released.
+func (j *journal) truncateBelow(low int) {
 	if low > j.nextEmit {
 		low = j.nextEmit
 	}
 	if low <= j.base {
-		return j.base, nil
+		return
 	}
-	first, dropped = j.base, j.recs[:low-j.base]
+	j.truncated += low - j.base
 	j.recs = append([]*tickRec(nil), j.recs[low-j.base:]...)
 	j.base = low
 	j.truncations++
-	j.truncated += len(dropped)
-	return first, dropped
 }
 
 // info reports depth and truncation counters (SpillBytes is the

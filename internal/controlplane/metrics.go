@@ -69,23 +69,23 @@ func promVal(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writeCommonMetrics emits the monitor-backed families shared by the
-// control plane and the node daemons: ingest counters, predictions and
-// score drift, alarm-outcome feedback, serving-memory telemetry, and the
-// per-shard queue/latency series. predictions, psi and alarms are passed
-// in because the control plane aggregates them across nodes before the
-// write.
-func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, psi float64, alarms int64, ms mlops.MemoryStats) {
+// writeCommonMetrics emits the families shared by the control plane and
+// the node daemons: ingest counters and alarm-outcome feedback from mon,
+// and from fl the engines' predictions, score drift, serving-memory
+// telemetry and per-shard queue/latency series. fl and alarms are passed
+// in because the control plane reads them from its fleet view and its
+// emitted stream.
+func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, fl Fleet, alarms int64) {
 	p.family("memfp_events_ingested_total", "counter", "Memory events ingested, by event type.")
 	for _, t := range []trace.EventType{trace.TypeCE, trace.TypeUE, trace.TypeStorm} {
 		p.sample("memfp_events_ingested_total", [][2]string{{"type", t.String()}}, float64(mon.EventCount(t)))
 	}
 
-	p.value("memfp_predictions_total", "counter", "Model invocations across the fleet.", float64(predictions))
+	p.value("memfp_predictions_total", "counter", "Model invocations across the fleet.", float64(fl.Predictions))
 
 	p.value("memfp_alarms_total", "counter", "Alarms emitted on the merged stream.", float64(alarms))
 
-	p.value("memfp_drift_psi", "gauge", "Population stability index of live scores vs the training reference.", psi)
+	p.value("memfp_drift_psi", "gauge", "Population stability index of live scores vs the training reference.", fl.PSI)
 
 	tp, fp, fn := mon.FeedbackCounts()
 	p.family("memfp_feedback_total", "counter", "Resolved alarm outcomes, by outcome.")
@@ -97,6 +97,7 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, ps
 	p.value("memfp_live_precision", "gauge", "Feedback-derived live precision.", prec)
 	p.value("memfp_live_recall", "gauge", "Feedback-derived live recall.", rec)
 
+	ms := fl.Memory
 	p.value("memfp_memory_resident_bytes", "gauge", "Resident serving-state footprint.", float64(ms.ResidentBytes))
 	p.value("memfp_memory_evictions_total", "counter", "Idle-DIMM serving-state evictions.", float64(ms.Evictions))
 	p.value("memfp_memory_rehydrations_total", "counter", "Frozen-DIMM serving-state rehydrations.", float64(ms.Rehydrations))
@@ -107,7 +108,7 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, ps
 	p.value("memfp_snapshot_records_total", "counter", "DIMM records written into engine snapshots.", float64(ms.SnapshotRecords))
 	p.value("memfp_snapshot_records_reencoded_total", "counter", "Snapshot records re-encoded from live DIMM state rather than copied from a kept one.", float64(ms.SnapshotReencoded))
 
-	shards := mon.ShardStats()
+	shards := fl.Shards
 	p.family("memfp_shard_queue_depth", "gauge", "Events queued on a serving shard at tick start.")
 	for _, ss := range shards {
 		p.sample("memfp_shard_queue_depth", [][2]string{{"shard", strconv.Itoa(ss.Shard)}}, float64(ss.QueueDepth))
@@ -126,33 +127,20 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, predictions int64, ps
 	}
 }
 
-// handleMetrics is the control plane's /metrics: the common monitor
-// families with predictions, score bins and memory telemetry aggregated
-// across node heartbeats, plus registry, journal and fleet state.
+// handleMetrics is the control plane's /metrics: the common families
+// over its fleet view, plus registry, journal and fleet state.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mon := s.pipe.Monitor
 	if mon == nil {
 		http.Error(w, "no monitor configured", http.StatusServiceUnavailable)
 		return
 	}
-	ms := s.MemoryStats()
-	// One snapshot under the lock: what /api/v1/status reports is what is
-	// exported. The journal families are flat zeros in local mode, where
-	// no tick journal exists.
+	// One snapshot: what /api/v1/status reports is what is exported.
 	st := s.status()
-	var journal JournalInfo
-	if st.Journal != nil {
-		journal = *st.Journal
-	}
-	bins := mon.ScoreBins()
-	for _, n := range st.Nodes {
-		for i := range bins {
-			bins[i] += n.Stats.ScoreBins[i]
-		}
-	}
+	journal := *st.Journal
 
 	p := &promWriter{}
-	writeCommonMetrics(p, mon, st.Predictions, mon.PSIOf(bins), int64(st.Alarms), ms)
+	writeCommonMetrics(p, mon, s.fleetOf(st), int64(st.Alarms))
 
 	p.value("memfp_registry_epoch", "counter", "Model-registry promotion epoch.", float64(s.pipe.Registry.Epoch()))
 
@@ -176,14 +164,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p.value("memfp_ticks_total", "counter", "Ingest ticks accepted.", float64(st.Ticks))
-	p.value("memfp_ticks_pending", "gauge", "Accepted work not yet emitted (journaled ticks or held events).", float64(st.Pending))
+	p.value("memfp_ticks_pending", "gauge", "Journaled ticks not yet emitted.", float64(st.Pending))
 	p.value("memfp_paused", "gauge", "1 while serving is inside a maintenance window.", b2f(st.Paused))
 
 	p.value("memfp_journal_depth", "gauge", "Journaled ticks resident in control-plane memory.", float64(journal.Depth))
 	p.value("memfp_journal_depth_highwater", "gauge", "Peak resident journal depth.", float64(journal.DepthHighWater))
 	p.value("memfp_journal_truncations_total", "counter", "Journal truncation passes.", float64(journal.Truncations))
 	p.value("memfp_journal_truncated_ticks_total", "counter", "Ticks truncated out of the in-memory journal.", float64(journal.TruncatedTicks))
-	p.value("memfp_spill_bytes_total", "counter", "Checkpoint and journal-segment bytes written to the spill store.", float64(journal.SpillBytes))
+	p.value("memfp_spill_bytes_total", "counter", "Node checkpoint bytes written to the spill store.", float64(journal.SpillBytes))
 
 	p.value("memfp_nodes_expected", "gauge", "Node daemons the fleet is partitioned across.", float64(s.cfg.ExpectNodes))
 	p.value("memfp_nodes_joined", "gauge", "Node daemons currently registered.", float64(len(st.Nodes)))

@@ -102,6 +102,9 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		ticks++
 	}
+	if _, err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	alarms, _ := cp.AlarmsSince(0)
 	if len(alarms) == 0 {
 		t.Fatal("fixture ingest raised no alarms")

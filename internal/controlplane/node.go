@@ -278,7 +278,12 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := &promWriter{}
-	writeCommonMetrics(p, mon, int64(mon.PredictionCount()), mon.PSI(), int64(mon.AlarmCount()), engine.MemoryStats())
+	writeCommonMetrics(p, mon, Fleet{
+		Predictions: int64(mon.PredictionCount()),
+		PSI:         mon.PSI(),
+		Memory:      engine.MemoryStats(),
+		Shards:      mon.ShardStats(),
+	}, int64(mon.AlarmCount()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, p.sb.String())
 }
@@ -302,6 +307,17 @@ func (n *Node) Stats() NodeStats {
 		st.MemoryStats = engine.MemoryStats()
 	}
 	return st
+}
+
+// shardStats is the node engine's per-shard tick telemetry.
+func (n *Node) shardStats() []mlops.ShardStat {
+	n.mu.Lock()
+	mon := n.monitor
+	n.mu.Unlock()
+	if mon == nil {
+		return nil
+	}
+	return mon.ShardStats()
 }
 
 // Dashboard renders the node monitor's text summary.

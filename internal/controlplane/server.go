@@ -11,10 +11,13 @@
 // serving, and a hand-rolled Prometheus text-exposition /metrics
 // endpoint.
 //
-// Distribution preserves the repo's core invariant: N node daemons
-// replay a fleet to the byte-identical alarm stream of the single-process
-// engine, surviving a node restart mid-stream. Four mechanisms carry
-// that guarantee:
+// There is one serving path. With N node daemons the fleet is
+// partitioned across them; local mode (ExpectNodes == 0) is the same path
+// with one Node built in-process, reached through an http.RoundTripper
+// that calls its handler directly — no listener, but the same MFT1/MFR1
+// bytes, body caps and join (inprocess.go). Either way the replay emits
+// the byte-identical alarm stream of a single sharded engine, surviving a
+// node restart mid-stream. Four mechanisms carry that guarantee:
 //
 //   - Deterministic partition: DIMMs hash onto 64 hash slots with the
 //     serving engine's own FNV-1a function (mlops.DIMMShard); node i of N
@@ -36,18 +39,21 @@
 //     control plane captures each node's engine snapshot (its serving
 //     state after exactly the ticks delivered so far) into the spill
 //     store, advancing that node's low-water mark. Journal entries below
-//     every node's mark and the emission cursor are truncated — spilled
-//     to the store as an archival MFT1 segment — bounding journal
-//     memory. A rejoining node (same name, fresh state) restores the
+//     every node's mark and the emission cursor are truncated, bounding
+//     journal memory. A rejoining node (same name, fresh state) restores the
 //     snapshot and replays only the journal suffix past its checkpoint,
 //     each tick pinned to its historical model version, so
 //     throttle/cooldown state rebuilds exactly; alarms from
 //     already-emitted ticks are discarded as duplicates.
 //
+// The in-process node shares the control plane's process, so nothing can
+// rejoin as it: it is never checkpointed, and a tick's events are
+// released as soon as the tick emits.
+//
 // The journal itself (journal.go) is a plain data structure — records by
 // absolute index, the emission cursor, prefix truncation — with no lock
 // or I/O of its own; Server holds the mutex, the senders and the policy
-// (when to checkpoint, where a truncated prefix is archived). Slot count,
+// (when to checkpoint and truncate). Slot count,
 // delivery window and node request timeout are constants; Config carries
 // only what callers set differently.
 package controlplane
@@ -76,15 +82,14 @@ type Config struct {
 	// and model name. Required.
 	Pipeline *mlops.Pipeline
 	// ExpectNodes is the node-daemon count the fleet is partitioned
-	// across; 0 serves in-process through the pipeline's own sharded
-	// engine (no daemons, same HTTP API).
+	// across; 0 serves through one node built in-process (local mode: no
+	// daemons, the same journal, wire and HTTP API).
 	ExpectNodes int
 	// CheckpointEvery schedules a snapshot from every node each time
 	// this many ticks have been emitted (default 64), advancing the
 	// journal's truncation low-water mark.
 	CheckpointEvery int
-	// Spill stores node checkpoints and truncated journal segments
-	// (default: in-memory).
+	// Spill stores node checkpoints (default: in-memory).
 	Spill mlops.SpillStore
 }
 
@@ -127,7 +132,7 @@ type nodeRec struct {
 type Server struct {
 	cfg    Config
 	pipe   *mlops.Pipeline
-	engine *mlops.Server // local serving engine (ExpectNodes == 0)
+	local  *Node // the in-process node (local mode), nil with daemons
 	client *http.Client
 	mux    *http.ServeMux
 
@@ -137,19 +142,17 @@ type Server struct {
 	nodes      []*nodeRec
 	byName     map[string]*nodeRec
 	journal    journal
-	spillBytes int64 // bytes written to the spill store
+	spillBytes int64 // checkpoint bytes written to the spill store
 	sinceCkpt  int   // ticks emitted since the last checkpoint request
 	retCursor  int   // alarms already returned to the ingest driver
-	ticks      int
-	started    bool // first distributed tick journaled; topology frozen
-	paused     bool // distributed-mode pause (local mode delegates to engine)
+	paused     bool  // maintenance window: ticks journal but are not delivered
 	closed     bool
 	alarms     []mlops.Alarm
 	ownerBuf   []int32 // partitionLocked scratch: per-event owner node
 }
 
-// New builds a control-plane server. With cfg.ExpectNodes == 0 it serves
-// locally through the pipeline's sharded engine; otherwise ingest blocks
+// New builds a control-plane server. With cfg.ExpectNodes == 0 it builds
+// and joins the in-process node before returning; otherwise ingest blocks
 // (ErrNotReady) until every node daemon has joined.
 func New(cfg Config) (*Server, error) {
 	if cfg.Pipeline == nil {
@@ -164,6 +167,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Spill == nil {
 		cfg.Spill = mlops.NewMemSpill()
 	}
+	local := cfg.ExpectNodes == 0
+	if local {
+		cfg.ExpectNodes = 1
+	}
 	s := &Server{
 		cfg:    cfg,
 		pipe:   cfg.Pipeline,
@@ -172,10 +179,12 @@ func New(cfg Config) (*Server, error) {
 		byName: map[string]*nodeRec{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.ExpectNodes == 0 {
-		s.engine = cfg.Pipeline.NewServer()
-	}
 	s.routes()
+	if local {
+		if err := s.joinLocal(); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -192,20 +201,12 @@ func (s *Server) Close() {
 }
 
 // RegisterDIMM announces a DIMM's static attributes before its events
-// can be served — the control plane records the part for wire encoding
-// and, in local mode, registers it with the engine. Nodes learn DIMMs
-// from the part numbers on forwarded frames.
+// can be served — the control plane records the part for wire encoding.
+// Nodes learn DIMMs from the part numbers on forwarded frames.
 func (s *Server) RegisterDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.registerLocked(id, part)
-}
-
-func (s *Server) registerLocked(id trace.DIMMID, part platform.DIMMPart) {
 	s.parts[id] = part
-	if s.engine != nil {
-		s.engine.RegisterDIMM(id, part)
-	}
 }
 
 // registerUnknown registers every DIMM in events the control plane has
@@ -223,54 +224,36 @@ func (s *Server) registerUnknown(events []trace.Event, parts []string) (int, err
 		if err != nil {
 			return i, err
 		}
-		s.registerLocked(e.DIMM, part)
+		s.parts[e.DIMM] = part
 	}
 	return 0, nil
 }
 
-// Ready reports whether ingest can proceed (local mode is always ready).
+// Ready reports whether every expected node has joined, so ingest can
+// proceed (local mode is ready from New on).
 func (s *Server) Ready() bool {
-	if s.engine != nil {
-		return true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.nodes) >= s.cfg.ExpectNodes
 }
 
-// Paused reports whether serving is inside a maintenance window.
-func (s *Server) Paused() bool {
-	if s.engine != nil {
-		return s.engine.Paused()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.paused
-}
-
 // TickResult is one IngestTick/Flush/Resume outcome: the alarms whose
-// emission this call completed (in stream order) and how much accepted
-// work is still unserved — journaled ticks awaiting a node in
-// distributed mode, held events during a local maintenance window.
+// emission this call completed (in stream order) and Pending, the
+// journaled ticks not yet emitted.
 type TickResult struct {
 	Alarms  []mlops.Alarm
 	Pending int
 }
 
-// IngestTick accepts one event micro-batch — the serving tick. In local
-// mode it is mlops.Server.IngestBatch behind the control-plane
-// bookkeeping; in distributed mode the batch is journaled with the
-// current production model version for the per-node senders to stream
-// out, and the call returns every alarm whose emission completed since
-// the previous driver call (journal order is preserved across calls).
-// Backpressure: the call waits while any live node is more than window
-// ticks behind. A dead node leaves ticks pending (no error); they emit
-// after the node rejoins and Flush drains delivery.
+// IngestTick accepts one event micro-batch — the serving tick. The batch
+// is journaled with the current production model version for the
+// per-node senders to stream out, and the call returns every alarm whose
+// emission completed since the previous driver call (journal order is
+// preserved across calls; Flush collects the rest). Backpressure: the
+// call waits while any live node is more than window ticks behind. A dead
+// node leaves ticks pending (no error); they emit after the node rejoins
+// and Flush drains delivery.
 func (s *Server) IngestTick(events []trace.Event) (TickResult, error) {
-	if s.engine != nil {
-		alarms, err := s.engine.IngestBatch(events)
-		return s.localResult(alarms, 1), err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.nodes) < s.cfg.ExpectNodes {
@@ -285,14 +268,12 @@ func (s *Server) IngestTick(events []trace.Event) (TickResult, error) {
 	if err != nil {
 		return TickResult{}, err
 	}
-	s.started = true
 	if mon := s.pipe.Monitor; mon != nil {
 		for _, e := range events {
 			mon.CountEvent(e)
 		}
 	}
 	s.journal.append(newTickRec(s.partitionLocked(events), pv.Version))
-	s.ticks++
 	s.emitLocked() // an all-empty tick emits immediately
 	s.cond.Broadcast()
 	for !s.closed && !s.paused && s.backloggedLocked() {
@@ -345,21 +326,14 @@ func (s *Server) quiescentLocked() bool {
 // since the driver's last call. With a node still dead, the remaining
 // ticks stay pending.
 func (s *Server) Flush() (TickResult, error) {
-	if s.engine != nil {
-		return TickResult{Pending: s.engine.HeldEvents()}, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.drainLocked(), nil
 }
 
-// Pause opens a maintenance window: local mode holds events in the
-// engine's queue, distributed mode journals ticks without delivering.
+// Pause opens a maintenance window: ticks are journaled but not
+// delivered.
 func (s *Server) Pause() {
-	if s.engine != nil {
-		s.engine.Pause()
-		return
-	}
 	s.mu.Lock()
 	s.paused = true
 	s.cond.Broadcast()
@@ -368,25 +342,10 @@ func (s *Server) Pause() {
 
 // Resume closes the maintenance window and drains what it held.
 func (s *Server) Resume() (TickResult, error) {
-	if s.engine != nil {
-		alarms, err := s.engine.Resume()
-		return s.localResult(alarms, 0), err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.paused = false
 	return s.drainLocked(), nil
-}
-
-// localResult books what the local engine just emitted over ticks driver
-// ticks into the control plane's alarm stream.
-func (s *Server) localResult(alarms []mlops.Alarm, ticks int) TickResult {
-	s.mu.Lock()
-	s.ticks += ticks
-	s.alarms = append(s.alarms, alarms...)
-	s.retCursor = len(s.alarms)
-	s.mu.Unlock()
-	return TickResult{Alarms: alarms, Pending: s.engine.HeldEvents()}
 }
 
 // drainLocked wakes the senders, waits until delivery quiesces (or a
@@ -413,19 +372,44 @@ func (s *Server) AlarmsSince(i int) ([]mlops.Alarm, int) {
 	return append([]mlops.Alarm(nil), s.alarms[i:]...), len(s.alarms)
 }
 
-// MemoryStats merges serving-memory telemetry: the local engine's in
-// local mode, the node heartbeats' in distributed mode.
-func (s *Server) MemoryStats() mlops.MemoryStats {
-	if s.engine != nil {
-		return s.engine.MemoryStats()
+// MemoryStats is the fleet view's serving-memory telemetry, summed over
+// the nodes.
+func (s *Server) MemoryStats() mlops.MemoryStats { return s.Fleet().Memory }
+
+// Fleet is what only the serving engines count, summed over the nodes:
+// predictions, the drift of the live score distribution against the
+// training reference, serving memory, and the in-process engine's
+// per-shard tick telemetry (daemons report none). A daemon's share is as
+// fresh as its last heartbeat; the in-process node's is read at call
+// time.
+type Fleet struct {
+	Predictions int64
+	PSI         float64
+	Memory      mlops.MemoryStats
+	Shards      []mlops.ShardStat
+}
+
+// Fleet reads the fleet view: the one read behind /metrics, MemoryStats
+// and a driver's drift check.
+func (s *Server) Fleet() Fleet { return s.fleetOf(s.status()) }
+
+// fleetOf sums the node stats of one status snapshot.
+func (s *Server) fleetOf(st StatusResponse) Fleet {
+	fl := Fleet{Predictions: st.Predictions}
+	var bins [10]int64
+	for _, n := range st.Nodes {
+		for i, c := range n.Stats.ScoreBins {
+			bins[i] += c
+		}
+		fl.Memory.Add(n.Stats.MemoryStats)
 	}
-	var ms mlops.MemoryStats
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, n := range s.nodes {
-		ms.Add(n.stats.MemoryStats)
+	if mon := s.pipe.Monitor; mon != nil {
+		fl.PSI = mon.PSIOf(bins)
 	}
-	return ms
+	if s.local != nil {
+		fl.Shards = s.local.shardStats()
+	}
+	return fl
 }
 
 // JournalStats reports the journal's depth, truncation counters and
@@ -500,6 +484,10 @@ func (s *Server) emitLocked() {
 		}
 		s.alarms = append(s.alarms, merged...)
 		t.res = nil
+		if s.local != nil {
+			t.slices = nil // no rejoin will ask for them again
+			continue
+		}
 		s.sinceCkpt++
 		if s.sinceCkpt >= s.cfg.CheckpointEvery {
 			s.sinceCkpt = 0
@@ -510,10 +498,9 @@ func (s *Server) emitLocked() {
 	}
 }
 
-// maybeTruncateLocked drops journal entries below every node's
-// checkpoint mark and the emission cursor, spilling the truncated
-// segment to the store as an archival MFT1 frame. Entries a rejoining
-// node might still need (>= its checkpoint) are never truncated.
+// maybeTruncateLocked frees the journal entries below every node's
+// checkpoint mark and the emission cursor. Entries a rejoining node
+// might still need (>= its checkpoint) are never truncated.
 func (s *Server) maybeTruncateLocked() {
 	low := s.journal.end()
 	for _, n := range s.nodes {
@@ -521,29 +508,7 @@ func (s *Server) maybeTruncateLocked() {
 			low = n.ckptTick
 		}
 	}
-	first, dropped := s.journal.truncateBelow(low)
-	if len(dropped) == 0 {
-		return
-	}
-	seg := make([]wireTick, len(dropped))
-	for k, t := range dropped {
-		var flat []trace.Event
-		for _, sl := range t.slices {
-			flat = append(flat, sl...)
-		}
-		seg[k] = wireTick{tick: first + k, version: t.version, events: flat}
-	}
-	blob := appendTickFrame(nil, first, seg, s.partNumberLocked)
-	key := fmt.Sprintf("journal/%d-%d", first, first+len(dropped))
-	if err := s.cfg.Spill.Put(key, blob); err == nil {
-		s.spillBytes += int64(len(blob))
-	}
-}
-
-// partNumberLocked resolves a registered DIMM's part number for frame
-// encoding.
-func (s *Server) partNumberLocked(id trace.DIMMID) string {
-	return s.parts[id].PartNumber
+	s.journal.truncateBelow(low)
 }
 
 // senderWorkLocked reports whether node n's sender has anything to do.
@@ -718,10 +683,12 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.ExpectNodes == 0 {
-		return JoinResponse{}, http.StatusConflict, errors.New("control plane is serving locally; restart it with -nodes N to distribute")
-	}
 	n, ok := s.byName[req.Name]
+	if ok && s.local != nil {
+		// Its served ticks' events are gone (emitLocked); a replay past no
+		// checkpoint could not be fed.
+		return JoinResponse{}, http.StatusConflict, fmt.Errorf("node %q is in-process and cannot rejoin", req.Name)
+	}
 	if ok {
 		// Rejoin: same name, fresh node state. The node restores its
 		// checkpointed snapshot (serving state after exactly ckptTick
@@ -736,13 +703,13 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 		n.lastErr = nil
 		s.cond.Broadcast()
 	} else {
-		if s.started {
+		if s.journal.end() > 0 {
 			return JoinResponse{}, http.StatusConflict,
 				fmt.Errorf("topology frozen after first tick; known nodes may rejoin by name")
 		}
 		if len(s.nodes) >= s.cfg.ExpectNodes {
 			return JoinResponse{}, http.StatusConflict,
-				fmt.Errorf("fleet already has %d nodes", s.cfg.ExpectNodes)
+				fmt.Errorf("fleet already has %d nodes (the control plane's -nodes)", s.cfg.ExpectNodes)
 		}
 		n = &nodeRec{name: req.Name, addr: req.Addr, index: len(s.nodes), alive: true, lastBeat: time.Now()}
 		s.nodes = append(s.nodes, n)
@@ -804,35 +771,36 @@ func (s *Server) heartbeat(req HeartbeatRequest) (HeartbeatResponse, int, error)
 	return resp, http.StatusOK, nil
 }
 
-// status snapshots the control plane.
+// status snapshots the control plane. The in-process node sends no
+// heartbeats, so it heartbeats here, before s.mu is taken: its handler
+// holds the node's lock while it pulls an artifact from this server.
 func (s *Server) status() StatusResponse {
+	if n := s.local; n != nil {
+		// Cannot fail: the node joined in New, and only an unknown name errs.
+		_, _, _ = s.heartbeat(HeartbeatRequest{Name: n.Name, Stats: n.Stats()})
+	}
 	mon := s.pipe.Monitor
 	st := StatusResponse{
 		Platform:    string(s.pipe.Platform),
 		Model:       s.pipe.ModelName,
 		Mode:        "distributed",
 		Epoch:       s.pipe.Registry.Epoch(),
-		Paused:      s.Paused(),
 		ExpectNodes: s.cfg.ExpectNodes,
 	}
-	if s.engine != nil {
+	if s.local != nil {
 		st.Mode = "local"
 	}
 	if mon != nil {
 		st.Events = int64(mon.EventCount(trace.TypeCE) + mon.EventCount(trace.TypeUE) + mon.EventCount(trace.TypeStorm))
-		st.Predictions = int64(mon.PredictionCount())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st.Ticks = s.ticks
+	st.Paused = s.paused
+	st.Ticks = s.journal.end()
 	st.Alarms = len(s.alarms)
-	if s.engine != nil {
-		st.Pending = s.engine.HeldEvents()
-	} else {
-		st.Pending = s.journal.pending()
-		ji := s.journalInfoLocked()
-		st.Journal = &ji
-	}
+	st.Pending = s.journal.pending()
+	ji := s.journalInfoLocked()
+	st.Journal = &ji
 	for _, n := range s.nodes {
 		from, to := s.slotRange(n.index)
 		ni := NodeInfo{

@@ -1,8 +1,6 @@
 package mlops
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"memfp/internal/eval"
@@ -40,206 +38,6 @@ func freshServer(t *testing.T, pipe *Pipeline, shards int) *Server {
 	return s
 }
 
-// TestPauseResumeMatchesUninterrupted drives the same stream through an
-// engine that takes a maintenance window mid-stream and one that does
-// not: the union of alarms must be identical — pausing defers serving,
-// it never changes decisions. Covered for batch delivery, per-event
-// delivery (the Ingest pause-bypass regression), and a concurrent
-// re-pause race against the Resume drain (the front-requeue regression).
-func TestPauseResumeMatchesUninterrupted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model on a generated fleet")
-	}
-	stream, pipe := fleetStream(t)
-
-	straight := freshServer(t, pipe, 4)
-	var want []Alarm
-	for lo := 0; lo < len(stream); lo += 1024 {
-		hi := min(lo+1024, len(stream))
-		as, err := straight.IngestBatch(stream[lo:hi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, as...)
-	}
-	if len(want) == 0 {
-		t.Fatal("stream emitted no alarms; fixture proves nothing")
-	}
-	compare := func(t *testing.T, got []Alarm) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("paused run emitted %d alarms, uninterrupted %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("alarm %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
-			}
-		}
-	}
-
-	t.Run("batch", func(t *testing.T) {
-		paused := freshServer(t, pipe, 4)
-		var got []Alarm
-		pauseAt, resumeAt := len(stream)/3, 2*len(stream)/3
-		for lo := 0; lo < len(stream); lo += 1024 {
-			hi := min(lo+1024, len(stream))
-			if lo <= pauseAt && pauseAt < hi {
-				paused.Pause()
-				if !paused.Paused() {
-					t.Fatal("Paused() false after Pause")
-				}
-			}
-			if lo <= resumeAt && resumeAt < hi {
-				if paused.HeldEvents() == 0 {
-					t.Fatal("maintenance window held no events; test proves nothing")
-				}
-				as, err := paused.Resume()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, as...)
-			}
-			as, err := paused.IngestBatch(stream[lo:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, as...)
-		}
-		compare(t, got)
-	})
-
-	// Per-event delivery: Ingest must honor the maintenance window like
-	// IngestBatch does (regression: Ingest used to serve straight through
-	// a pause).
-	t.Run("per-event", func(t *testing.T) {
-		paused := freshServer(t, pipe, 4)
-		var got []Alarm
-		pauseAt, resumeAt := len(stream)/3, 2*len(stream)/3
-		for i, e := range stream {
-			if i == pauseAt {
-				paused.Pause()
-			}
-			if i == resumeAt {
-				if paused.HeldEvents() == 0 {
-					t.Fatal("per-event pause held no events (Ingest bypassed the window)")
-				}
-				as, err := paused.Resume()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, as...)
-			}
-			a, err := ingestOne(paused, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != nil {
-				got = append(got, *a)
-			}
-		}
-		compare(t, got)
-	})
-
-	// Concurrent re-pause race: one goroutine ingests and periodically
-	// resumes; another keeps slamming Pause. A Pause landing between
-	// Resume's unpause and its drain forces the drained events back into
-	// the hold queue — at the front (regression: they used to re-queue
-	// behind newer arrivals, scrambling order). The serving decisions are
-	// pure functions of per-DIMM event order, so the alarm set must still
-	// be byte-identical.
-	t.Run("concurrent-repause", func(t *testing.T) {
-		paused := freshServer(t, pipe, 4)
-		done := make(chan struct{})
-		var pauserWG sync.WaitGroup
-		pauserWG.Add(1)
-		go func() {
-			defer pauserWG.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					paused.Pause()
-					runtime.Gosched()
-				}
-			}
-		}()
-		var got []Alarm
-		for i, e := range stream {
-			a, err := ingestOne(paused, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != nil {
-				got = append(got, *a)
-			}
-			if i%777 == 0 {
-				as, err := paused.Resume()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, as...)
-			}
-		}
-		close(done)
-		pauserWG.Wait()
-		for paused.HeldEvents() > 0 || paused.Paused() {
-			as, err := paused.Resume()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, as...)
-		}
-		// Drain interleavings shuffle where alarms are *returned*, never
-		// which alarms fire; compare as a sorted stream.
-		sortSlice(got, func(a, b Alarm) bool {
-			if a.Time != b.Time {
-				return a.Time < b.Time
-			}
-			return a.DIMM.Less(b.DIMM)
-		})
-		compare(t, got)
-	})
-}
-
-// TestResumeRequeuesAtFront pins the drain-vs-pause ordering white-box: a
-// Resume drain that loses the race to a new Pause must put the drained
-// events back ahead of anything that arrived after them.
-func TestResumeRequeuesAtFront(t *testing.T) {
-	reg := NewRegistry()
-	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
-	id := trace.DIMMID{Platform: platform.Purley, Server: 1, Slot: 1}
-	mk := func(tm trace.Minutes) trace.Event {
-		return trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id}
-	}
-	s.Pause()
-	for _, tm := range []trace.Minutes{10, 20, 30} {
-		if _, err := ingestOne(s, mk(tm)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Simulate a drain (of events that arrived before the held ones)
-	// racing the still-active pause: it must land at the front.
-	if as, err := s.ingestBatch([]trace.Event{mk(1), mk(2)}, true); err != nil || as != nil {
-		t.Fatalf("racing drain served through the pause: alarms=%v err=%v", as, err)
-	}
-	s.pauseMu.Lock()
-	times := make([]trace.Minutes, len(s.held))
-	for i, e := range s.held {
-		times[i] = e.Time
-	}
-	s.pauseMu.Unlock()
-	wantOrder := []trace.Minutes{1, 2, 10, 20, 30}
-	if len(times) != len(wantOrder) {
-		t.Fatalf("held %v, want %v", times, wantOrder)
-	}
-	for i := range wantOrder {
-		if times[i] != wantOrder[i] {
-			t.Fatalf("held order %v, want %v (drained events must re-queue at the front)", times, wantOrder)
-		}
-	}
-}
-
 // TestTransientRegistryErrorPreservesThrottle pins the throttle-advance
 // ordering: a prediction opportunity that dies on a registry/rehydration
 // error must stay available — the next event retries instead of finding
@@ -275,26 +73,6 @@ func TestTransientRegistryErrorPreservesThrottle(t *testing.T) {
 	}
 	if a == nil {
 		t.Fatal("failed prediction attempt consumed the throttle (lastPred advanced before production())")
-	}
-}
-
-// TestResumeEmptyIsNoop covers the edge cases: resuming an engine that
-// never paused, and a pause window with no traffic.
-func TestResumeEmptyIsNoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model on a generated fleet")
-	}
-	_, pipe := fleetStream(t)
-	s := freshServer(t, pipe, 2)
-	if as, err := s.Resume(); err != nil || as != nil {
-		t.Fatalf("Resume on never-paused engine: alarms=%v err=%v", as, err)
-	}
-	s.Pause()
-	if as, err := s.Resume(); err != nil || as != nil {
-		t.Fatalf("Resume after traffic-free pause: alarms=%v err=%v", as, err)
-	}
-	if s.Paused() {
-		t.Fatal("engine still paused after Resume")
 	}
 }
 

@@ -120,14 +120,14 @@ func TestMonitorRetrainDecision(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.CountPrediction(0.99)
 	}
-	dec := m.ShouldRetrain(0.25, 0.2)
+	dec := m.ShouldRetrain(m.PSI(), 0.25, 0.2)
 	if !dec.Retrain {
 		t.Errorf("drift should trigger retraining: %+v", dec)
 	}
 	// Precision collapse path.
 	m2 := NewMonitor()
 	m2.Feedback(1, 20, 3)
-	dec2 := m2.ShouldRetrain(10, 0.2)
+	dec2 := m2.ShouldRetrain(m2.PSI(), 10, 0.2)
 	if !dec2.Retrain {
 		t.Errorf("precision collapse should trigger retraining: %+v", dec2)
 	}

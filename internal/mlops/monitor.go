@@ -190,9 +190,9 @@ type RetrainDecision struct {
 	PSI     float64
 }
 
-// ShouldRetrain applies the retraining policy.
-func (m *Monitor) ShouldRetrain(psiThreshold, minPrecision float64) RetrainDecision {
-	psi := m.PSI()
+// ShouldRetrain applies the retraining policy to a live PSI — this
+// monitor's own (PSI), or a control plane's over its whole fleet.
+func (m *Monitor) ShouldRetrain(psi, psiThreshold, minPrecision float64) RetrainDecision {
 	if psi > psiThreshold {
 		return RetrainDecision{Retrain: true, PSI: psi,
 			Reason: fmt.Sprintf("score drift PSI %.3f > %.3f", psi, psiThreshold)}
@@ -359,17 +359,24 @@ func fmtQuantile(sec float64) string {
 // Dashboard renders a text status summary (the paper's monitoring
 // dashboards, in terminal form).
 func (m *Monitor) Dashboard() string {
+	return m.DashboardOf(m.predictions.Load(), m.ShardStats())
+}
+
+// DashboardOf is Dashboard with the serving engines' counters supplied
+// by the caller: a control plane's engines count predictions and shard
+// latencies into monitors of their own.
+func (m *Monitor) DashboardOf(predictions int64, shards []ShardStat) string {
 	var sb strings.Builder
 	sb.WriteString("=== MLOps Monitoring Dashboard ===\n")
 	fmt.Fprintf(&sb, "events ingested: CE=%d UE=%d storms=%d\n",
 		m.EventCount(trace.TypeCE), m.EventCount(trace.TypeUE), m.EventCount(trace.TypeStorm))
 	m.mu.Lock()
-	fmt.Fprintf(&sb, "predictions: %d, alarms: %d\n", m.predictions.Load(), m.alarms.Load())
+	fmt.Fprintf(&sb, "predictions: %d, alarms: %d\n", predictions, m.alarms.Load())
 	prec, rec := m.liveLocked()
 	fmt.Fprintf(&sb, "feedback: TP=%d FP=%d FN=%d (live P=%.2f R=%.2f)\n",
 		m.resolvedTP, m.resolvedFP, m.missedFN, prec, rec)
 	m.mu.Unlock()
-	for _, ss := range m.ShardStats() {
+	for _, ss := range shards {
 		fmt.Fprintf(&sb, "shard %d: queue=%d ticks=%d p50=%s p99=%s\n",
 			ss.Shard, ss.QueueDepth, ss.Ticks,
 			fmtQuantile(ss.Quantile(0.5)), fmtQuantile(ss.Quantile(0.99)))

@@ -50,8 +50,8 @@ type Alarm struct {
 //     maintains the per-type query index incrementally for in-order
 //     streams instead of degrading it to linear scans.
 //
-// IngestBatch is the one way in: Replay and Resume are tick sources in
-// front of it. Within a tick, the vector predictions that fall due on one
+// IngestBatch is the one way in: Replay is a tick source in front of
+// it. Within a tick, the vector predictions that fall due on one
 // shard are scored through a single ScoreBatch call, amortizing per-call
 // model overhead (decisive for batch-oriented scorers like the
 // FT-Transformer); every registered model scores batch rows independently,
@@ -96,13 +96,6 @@ type Server struct {
 	// Records written into frames, and how many of them had to be
 	// re-encoded from a DIMM's live state rather than copied.
 	snapRecords, snapReencoded atomic.Int64
-
-	// Maintenance state: while paused, IngestBatch queues events in
-	// arrival order instead of serving them; Resume drains the queue
-	// through the normal path. Guarded by pauseMu.
-	pauseMu sync.Mutex
-	paused  bool
-	held    []trace.Event
 }
 
 // shard owns the serving state of the DIMMs hashed onto it.
@@ -264,51 +257,6 @@ func (s *Server) ReplaceDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	}
 }
 
-// Pause puts the engine into a maintenance window: subsequent IngestBatch
-// calls queue their events in arrival order instead of serving them, and
-// return no alarms. Ingest state already built stays warm. Pausing an
-// already-paused engine is a no-op.
-func (s *Server) Pause() {
-	s.pauseMu.Lock()
-	s.paused = true
-	s.pauseMu.Unlock()
-}
-
-// Paused reports whether the engine is inside a maintenance window.
-func (s *Server) Paused() bool {
-	s.pauseMu.Lock()
-	defer s.pauseMu.Unlock()
-	return s.paused
-}
-
-// HeldEvents returns the number of events queued behind the current
-// maintenance window.
-func (s *Server) HeldEvents() int {
-	s.pauseMu.Lock()
-	defer s.pauseMu.Unlock()
-	return len(s.held)
-}
-
-// Resume ends a maintenance window and drains the queued events through
-// the normal IngestBatch path, returning the alarms they fire. The queue
-// preserves arrival order, so the alarm set is identical to having never
-// paused (micro-batch composition differs, but every registered model
-// scores batch rows independently). If another Pause lands while the
-// drain is in flight, the drained events re-queue at the front of the
-// hold queue — ahead of anything that arrived after them — so arrival
-// order survives pause/resume races.
-func (s *Server) Resume() ([]Alarm, error) {
-	s.pauseMu.Lock()
-	held := s.held
-	s.held = nil
-	s.paused = false
-	s.pauseMu.Unlock()
-	if len(held) == 0 {
-		return nil, nil
-	}
-	return s.ingestBatch(held, true)
-}
-
 // production resolves the production model through the epoch-stamped
 // cache: the registry lock and the rehydration check are paid only when a
 // promotion moved the epoch since the last prediction.
@@ -465,33 +413,11 @@ func (s *Server) flushPending(pend *[]pendingPred, out *[]Alarm) error {
 // predictions are scored through one ScoreBatch call. Alarms are returned
 // merged in (Time, DIMM) order and counted into the monitor in that
 // order; the alarm stream is the same for every way of cutting a
-// time-ordered event stream into ticks. During a maintenance window the
-// events join the hold queue instead. On error the alarms that fired
+// time-ordered event stream into ticks. On error the alarms that fired
 // before the failure are still returned (and counted) alongside it —
 // cooldown state was already advanced for them, so dropping them would
 // lose them for good.
 func (s *Server) IngestBatch(events []trace.Event) ([]Alarm, error) {
-	return s.ingestBatch(events, false)
-}
-
-// ingestBatch is IngestBatch with the pause re-queue policy explicit:
-// requeueFront marks a Resume drain, whose events predate anything that
-// joined the hold queue after the drain started and so must re-queue
-// ahead of it when a concurrent Pause wins the race.
-func (s *Server) ingestBatch(events []trace.Event, requeueFront bool) ([]Alarm, error) {
-	s.pauseMu.Lock()
-	if s.paused {
-		if requeueFront {
-			held := make([]trace.Event, 0, len(events)+len(s.held))
-			held = append(held, events...)
-			s.held = append(held, s.held...)
-		} else {
-			s.held = append(s.held, events...)
-		}
-		s.pauseMu.Unlock()
-		return nil, nil
-	}
-	s.pauseMu.Unlock()
 	perShard := make([][]trace.Event, len(s.shards))
 	for _, e := range events {
 		si := int(hashDIMM(e.DIMM) % uint32(len(s.shards)))

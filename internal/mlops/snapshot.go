@@ -264,7 +264,7 @@ func (s *Server) settleSnapOrder() {
 
 // RestoreSnapshot replaces the engine's serving state with a snapshot.
 // Every restored DIMM starts frozen and thaws on its next event; the
-// registry, monitor and pause state are untouched.
+// registry and monitor are untouched.
 func (s *Server) RestoreSnapshot(data []byte) error {
 	r := trace.NewBinReader(data)
 	switch magic := string(r.Raw(len(snapshotMagic))); magic {

@@ -9,8 +9,8 @@ import (
 )
 
 // SpillStore is the small interface behind which cold serving state
-// leaves the heap: frozen-DIMM records under budget pressure, node
-// checkpoint blobs, and truncated control-plane journal segments. A
+// leaves the heap: frozen-DIMM records under budget pressure and node
+// checkpoint blobs. A
 // store only ever sees opaque byte blobs keyed by short path-like
 // strings; implementations may back it with a directory today or object
 // storage tomorrow.

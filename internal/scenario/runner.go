@@ -36,6 +36,11 @@ type platformRun struct {
 	server *mlops.Server
 	store  *trace.Store
 	failed map[trace.DIMMID]trace.Minutes
+	// Maintenance window: while paused, the platform's delivered events
+	// wait here in arrival order and reach the engine as one batch when
+	// the window closes.
+	paused bool
+	held   []trace.Event
 }
 
 // timelineOp is one scheduled control operation. Maintenance windows
@@ -253,13 +258,8 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 	// End of run: close any still-open maintenance window and drain the
 	// injectors' held backlogs through the chain tail.
 	for _, pf := range order {
-		if runs[pf].server.Paused() {
-			st.heldTotal += runs[pf].server.HeldEvents()
-			as, err := runs[pf].server.Resume()
-			if err != nil {
-				return nil, err
-			}
-			st.appendAlarms(as)
+		if err := st.resume(runs[pf]); err != nil {
+			return nil, err
 		}
 	}
 	var tail []trace.Event
@@ -312,10 +312,11 @@ func (st *runState) appendAlarms(as []mlops.Alarm) {
 	st.alarms = append(st.alarms, as...)
 }
 
-// deliver routes one post-injection batch to the per-platform engines.
-// Platform splitting is deterministic (DIMM identity), and the tick's
-// alarms are merged in the engine's emission order (mlops.MergeAlarms) so
-// the stream does not depend on platform iteration order.
+// deliver routes one post-injection batch to the per-platform engines,
+// or into a paused platform's hold. Platform splitting is deterministic
+// (DIMM identity), and the tick's alarms are merged in the engine's
+// emission order (mlops.MergeAlarms) so the stream does not depend on
+// platform iteration order.
 func (st *runState) deliver(batch []trace.Event) error {
 	if len(batch) == 0 {
 		return nil
@@ -331,15 +332,37 @@ func (st *runState) deliver(batch []trace.Event) error {
 		if len(sub) == 0 {
 			continue
 		}
-		as, err := st.runs[pf].server.IngestBatch(sub)
+		st.delivered += len(sub)
+		pr := st.runs[pf]
+		if pr.paused {
+			pr.held = append(pr.held, sub...)
+			continue
+		}
+		as, err := pr.server.IngestBatch(sub)
 		if err != nil {
 			return err
 		}
-		st.delivered += len(sub)
 		perPlatform = append(perPlatform, as)
 	}
 	st.appendAlarms(mlops.MergeAlarms(perPlatform))
 	return nil
+}
+
+// resume closes a platform's maintenance window, if open: what it held
+// is served as one batch and counted into events_held.
+func (st *runState) resume(pr *platformRun) error {
+	if !pr.paused {
+		return nil
+	}
+	held := pr.held
+	pr.paused, pr.held = false, nil
+	st.heldTotal += len(held)
+	if len(held) == 0 {
+		return nil
+	}
+	as, err := pr.server.IngestBatch(held)
+	st.appendAlarms(as)
+	return err
 }
 
 // targets returns the platforms an action addresses, in fleet order.
@@ -361,21 +384,14 @@ func (st *runState) control(op timelineOp, logf func(string, ...any)) error {
 	switch op.kind {
 	case ActionMaintenance:
 		for _, pf := range st.targets(a) {
-			st.runs[pf].server.Pause()
+			st.runs[pf].paused = true
 		}
 		logf("chaos: maintenance window opens at %v", op.at)
 	case opResume:
 		for _, pf := range st.targets(a) {
-			srv := st.runs[pf].server
-			if !srv.Paused() {
-				continue
-			}
-			st.heldTotal += srv.HeldEvents()
-			as, err := srv.Resume()
-			if err != nil {
+			if err := st.resume(st.runs[pf]); err != nil {
 				return err
 			}
-			st.appendAlarms(as)
 		}
 		logf("chaos: maintenance window closes at %v", op.at)
 	case ActionHotswap:

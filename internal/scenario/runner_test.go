@@ -176,9 +176,9 @@ func TestShippedScenariosValidate(t *testing.T) {
 	}
 }
 
-// TestMaintenanceHoldsAndResumes pins the pause/resume plumbing at the
-// runner level: held events are counted and delivered, and the engine is
-// running again by the end of the scenario.
+// TestMaintenanceHoldsAndResumes pins the runner's maintenance hold: held
+// events are counted, and every one of them is served by the end of the
+// scenario.
 func TestMaintenanceHoldsAndResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full scenario")

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Daemon smoke: the same fleet replayed twice through the real mlopsd
-# binary — once in-process, once as a control plane + two loopback node
-# daemons — must produce byte-identical alarm logs. Exercises the full
-# process topology the distributed_test covers in-memory: join,
+# binary — once through the in-process node, once as a control plane +
+# two loopback node daemons — must produce byte-identical alarm logs and
+# the same per-month alarm counts and live precision/recall. Exercises the
+# full process topology the distributed_test covers in-memory: join,
 # deterministic partition, binary tick fan-out, artifact pulls on
-# promotion, checkpointed journal truncation spilled to a real on-disk
-# store, and graceful SIGTERM shutdown of the daemons.
+# promotion, checkpointed journal truncation with checkpoints in a real
+# on-disk store, and graceful SIGTERM shutdown of the daemons.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,7 +27,7 @@ PORT=19647
 REF="$TMP/ref.alarms"
 DIST="$TMP/dist.alarms"
 
-# Reference: single process, in-process engine.
+# Reference: single process, in-process node.
 "$TMP/mlopsd" -platform Intel_Purley -scale 0.03 -seed 31 \
     -alarm-log "$REF" > "$TMP/ref.log"
 
@@ -66,16 +67,29 @@ if ! cmp "$REF" "$DIST"; then
     exit 1
 fi
 
-# The journal must have actually truncated (and spilled segments to
-# disk), not just grown for the whole replay.
+# Each month's line attributes that month's alarms in both runs. (PSI is
+# left out: a daemon's share is as fresh as its last heartbeat.)
+months() {
+    sed -n 's/^\(\[month [0-9]*\] alarms=[0-9]*  live P=[0-9.]* R=[0-9.]*\).*/\1/p' "$1"
+}
+months "$TMP/ref.log" > "$TMP/ref.months"
+months "$TMP/dist.log" > "$TMP/dist.months"
+if ! [ -s "$TMP/ref.months" ] || ! cmp "$TMP/ref.months" "$TMP/dist.months"; then
+    echo "daemon-smoke: month lines differ between 1-process and 2-node replay:" >&2
+    diff "$TMP/ref.months" "$TMP/dist.months" >&2 || true
+    exit 1
+fi
+
+# The journal must have actually truncated behind stored checkpoints, not
+# just grown for the whole replay.
 JOURNAL=$(grep '^journal:' "$TMP/dist.log" || true)
 case "$JOURNAL" in
     *" truncations=0 "*|"")
         echo "daemon-smoke: journal never truncated: ${JOURNAL:-no summary line}" >&2
         exit 1 ;;
 esac
-if ! ls "$TMP/spill"/journal%2F*.spill >/dev/null 2>&1; then
-    echo "daemon-smoke: no journal segments reached the spill dir" >&2
+if ! ls "$TMP/spill"/ckpt%2F*.spill >/dev/null 2>&1; then
+    echo "daemon-smoke: no node checkpoints reached the spill dir" >&2
     exit 1
 fi
 echo "daemon-smoke: $(wc -l < "$REF" | tr -d ' ') alarms byte-identical across in-process and 2-node replay ($JOURNAL)"
