@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"memfp/internal/dram"
 	"memfp/internal/trace"
 )
 
@@ -21,17 +22,24 @@ import (
 // Beyond Classify's outputs, it tracks the distinct-structure counts and
 // the per-cell CE maximum that the feature extractor needs; these too are
 // exact after a Remove.
+//
+// Every map but devCEs is keyed by one uint64, dram.Addr.CellID: the
+// address packed rank 8 bits, device 8, bank 8, row 24, column 16, rank
+// highest. A row's key is its cells' IDs with the column field cleared, a
+// column's with the row field cleared, a bank's with both. devCEs keys on
+// the device index alone, as Classify's rule does. The decoders of foreign
+// bytes refuse addresses outside those widths, so no two cells share a key.
 type Incremental struct {
 	th Thresholds
 
-	cellCEs map[cellKey]int
+	cellCEs map[uint64]int
 	// The number of distinct columns hit in each row and rows hit in each
 	// column. A row's distinct columns are exactly its cells held in
 	// cellCEs, so the count moves by one when a cell appears or disappears.
-	rowCols map[rowKey]int
-	colRows map[colKey]int
+	rowCols map[uint64]int
+	colRows map[uint64]int
 	devCEs  map[int]int
-	banks   map[bankKey]bankTally
+	banks   map[uint64]bankTally
 	// cellsAt[n] is the number of cells holding exactly n CEs — what keeps
 	// maxCellCEs exact when the fullest cell loses an event — for n below
 	// denseCounts; cellsAbove holds the rare fuller counts, so no foreign
@@ -106,25 +114,20 @@ func (x *Incremental) tallyCells(c, n int) (now int) {
 func NewIncremental(th Thresholds) *Incremental {
 	return &Incremental{
 		th:      th,
-		cellCEs: map[cellKey]int{},
-		rowCols: map[rowKey]int{},
-		colRows: map[colKey]int{},
+		cellCEs: map[uint64]int{},
+		rowCols: map[uint64]int{},
+		colRows: map[uint64]int{},
 		devCEs:  map[int]int{},
-		banks:   map[bankKey]bankTally{},
+		banks:   map[uint64]bankTally{},
 	}
 }
 
-func cellOf(e trace.Event) cellKey {
-	a := e.Addr
-	return cellKey{bankKey{a.Rank, a.Device, a.Bank}, a.Row, a.Column}
-}
-
 // Add folds one CE event into the classification.
-func (x *Incremental) Add(e trace.Event) { x.addCell(cellOf(e), 1) }
+func (x *Incremental) Add(e trace.Event) { x.addCell(e.Addr.CellID(), 1) }
 
 // Remove folds one CE event out of the classification. The event must
 // currently be in it (every Remove pairs with an earlier Add).
-func (x *Incremental) Remove(e trace.Event) { x.addCell(cellOf(e), -1) }
+func (x *Incremental) Remove(e trace.Event) { x.addCell(e.Addr.CellID(), -1) }
 
 // Clone returns a deep copy: the copy and the original may Add and Remove
 // independently afterwards. Used by the feature extractor to seed
@@ -140,13 +143,13 @@ func (x *Incremental) Clone() *Incremental {
 
 // addCell moves cell k's CE count by n (-1 to remove; the count must stay
 // >= 0) and settles every tally that depends on it.
-func (x *Incremental) addCell(k cellKey, n int) {
+func (x *Incremental) addCell(k uint64, n int) {
 	th := &x.th
 	old, now := move(x.cellCEs, k, n)
 	x.events += n
 	x.faultyCells += crossed(old, now, th.CellCEs)
 
-	d, dn := move(x.devCEs, k.dev, n)
+	d, dn := move(x.devCEs, dram.CellAddr(k).Device, n)
 	x.faultyDevices += crossed(d, dn, th.DeviceMinCEs)
 
 	if old > 0 && x.tallyCells(old, -1) == 0 && old == x.maxCellCEs {
@@ -166,12 +169,13 @@ func (x *Incremental) addCell(k cellKey, n int) {
 	if now == 0 {
 		sign = -1
 	}
-	b := x.banks[k.bankKey]
+	bank := k &^ (dram.RowIDMask | dram.ColumnIDMask)
+	b := x.banks[bank]
 	was := b.faulty(th)
 	b.cells += sign
-	cols, colsNow := move(x.rowCols, rowKey{k.bankKey, k.row}, sign)
+	cols, colsNow := move(x.rowCols, k&^dram.ColumnIDMask, sign)
 	dr := crossed(cols, colsNow, th.RowDistinctCols)
-	rows, rowsNow := move(x.colRows, colKey{k.bankKey, k.col}, sign)
+	rows, rowsNow := move(x.colRows, k&^dram.RowIDMask, sign)
 	dc := crossed(rows, rowsNow, th.ColDistinctRows)
 	b.faultyRows += dr
 	b.faultyCols += dc
@@ -179,9 +183,9 @@ func (x *Incremental) addCell(k cellKey, n int) {
 	x.faultyCols += dc
 	x.faultyBanks += b.faulty(th) - was
 	if b.cells == 0 {
-		delete(x.banks, k.bankKey)
+		delete(x.banks, bank)
 	} else {
-		x.banks[k.bankKey] = b
+		x.banks[bank] = b
 	}
 }
 
@@ -216,9 +220,12 @@ func (x *Incremental) MaxCellCEs() int { return x.maxCellCEs }
 // MemEstimate returns an O(1) rough estimate of the classifier's heap
 // footprint in bytes: the memory budget's charge for it. The constants are
 // frozen on purpose — fitted to an older layout (a set per row and per
-// column), they over-charge, but the engine's eviction and rehydration
-// counts rest on them; re-fitting them means re-sizing the budgeted
-// benchmark workload. The estimate need only grow with the state.
+// column, struct keys of 32–40 bytes), they over-charge, and by more since
+// the maps key on one packed uint64 (16-byte slots where there were 40–48),
+// but the engine's eviction and rehydration counts rest on them;
+// re-fitting them means re-sizing the budgeted benchmark workload, which
+// ROADMAP.md plans as a later two-step recalibration. The estimate need
+// only grow with the state.
 func (x *Incremental) MemEstimate() int64 {
 	const (
 		mapEntry = 48 // bucket share + key/value storage, amortized

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"memfp/internal/dram"
@@ -93,5 +95,66 @@ func TestIncrementalCodecTruncation(t *testing.T) {
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d/%d not detected", cut, len(w.Buf))
 		}
+	}
+}
+
+// TestIncrementalCodecRefusesUnpackableCell: a cell the classifier could
+// not key — a field negative or wider than its cell-ID field — is refused
+// with the field, its value and the width named.
+func TestIncrementalCodecRefusesUnpackableCell(t *testing.T) {
+	for _, c := range []struct {
+		cell [5]int64
+		want string
+	}{
+		{[5]int64{0, 0, 0, 1 << 24, 0}, "row 16777216 outside its 24-bit cell-ID field"},
+		{[5]int64{0, 0, 0, 0, -1}, "column -1 outside its 16-bit cell-ID field"},
+		{[5]int64{256, 0, 0, 0, 0}, "rank 256 outside its 8-bit cell-ID field"},
+		{[5]int64{0, 0, 0, 0, 1 << 16}, "column 65536 outside its 16-bit cell-ID field"},
+	} {
+		var w trace.BinWriter
+		for range 6 {
+			w.Varint(1) // thresholds
+		}
+		w.Uvarint(1)
+		for _, v := range c.cell {
+			w.Varint(v)
+		}
+		w.Varint(1)
+		r := trace.NewBinReader(w.Buf)
+		DecodeIncremental(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("cell %v: %v, want %q", c.cell, err, c.want)
+		}
+	}
+}
+
+// TestIncrementalCodecGoldenBytes pins the MFS3 cell list on one fixed
+// multiset spanning all five address fields, each at values that order
+// differently field by field than they would as one flat number (a high
+// row under a low bank, a high column under a low row, every field at its
+// widest): the cells must come out in (rank, device, bank, row, column)
+// order, byte for byte.
+func TestIncrementalCodecGoldenBytes(t *testing.T) {
+	x := NewIncremental(DefaultThresholds())
+	for _, c := range []struct{ rank, dev, bank, row, col, n int }{
+		{1, 17, 15, 1<<17 - 1, 1<<10 - 1, 3},
+		{0, 0, 0, 0, 0, 1},
+		{0, 5, 3, 70000, 513, 2},
+		{0, 0, 1, 0, 0, 1},
+		{0, 0, 0, 1 << 20, 0, 1},
+		{0, 0, 0, 1, 0, 4},
+		{0, 0, 0, 0, 1<<16 - 1, 1},
+		{0, 1, 0, 0, 0, 1},
+		{1, 0, 0, 0, 0, 2},
+		{0, 17, 15, 1<<17 - 1, 1<<10 - 1, 1},
+		{1<<8 - 1, 1<<8 - 1, 1<<8 - 1, 1<<24 - 1, 1<<16 - 1, 1},
+	} {
+		for i := 0; i < c.n; i++ {
+			x.Add(ceOn(c.rank, c.dev, c.bank, c.row, c.col))
+		}
+	}
+	const want = "0406060404040b00000000000200000000feff0702000000020008000000808080010002000002000002000200000002000a06e0c50882080400221efeff0ffe0f0202000000000402221efeff0ffe0f06fe03fe03fe03feffff0ffeff0702"
+	if got := hex.EncodeToString(encodeIncremental(x)); got != want {
+		t.Fatalf("MFS3 cell bytes moved:\n got %s\nwant %s", got, want)
 	}
 }

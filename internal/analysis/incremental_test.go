@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"memfp/internal/dram"
@@ -90,6 +93,74 @@ func TestIncrementalMatchesClassify(t *testing.T) {
 		}
 		if inc.events != len(events) {
 			t.Fatalf("trial %d: events = %d, want %d", trial, inc.events, len(events))
+		}
+	}
+}
+
+// TestIncrementalFieldBoundaries is TestIncrementalMatchesClassify's
+// field-boundary case. The cells sit on the edges of the cell-ID fields the
+// classifier keys its maps by: every field at its widest, each single bit
+// of the ID set alone (a pair with the zero cell that differs only in one
+// field's top bit, or in the bit just below the next field), and the
+// widest cell with each single bit cleared. After every Add and every
+// Remove the classification must equal Classify's and the distinct counts
+// those of struct-keyed sets, so no field can bleed into its neighbour
+// unnoticed.
+func TestIncrementalFieldBoundaries(t *testing.T) {
+	var events []trace.Event
+	ce := func(id uint64) {
+		events = append(events, trace.Event{Type: trace.TypeCE, Addr: dram.CellAddr(id)})
+	}
+	ce(0)
+	ce(^uint64(0))
+	ce(^uint64(0))
+	for bit := 0; bit < 64; bit++ {
+		ce(1 << bit)
+		ce(^uint64(0) &^ (1 << bit))
+	}
+	for _, th := range []Thresholds{
+		{CellCEs: 1, RowDistinctCols: 1, ColDistinctRows: 1, BankFaultyRows: 1, BankFaultyCols: 1, DeviceMinCEs: 1},
+		{CellCEs: 2, RowDistinctCols: 2, ColDistinctRows: 2, BankFaultyRows: 2, BankFaultyCols: 1, DeviceMinCEs: 3},
+	} {
+		x := NewIncremental(th)
+		check := func(held []trace.Event, when string) {
+			t.Helper()
+			if got, want := x.Class(), Classify(held, th); got != want {
+				t.Fatalf("%s (th %+v): incremental %+v != batch %+v", when, th, got, want)
+			}
+			banks := map[[3]int]bool{}
+			rows := map[[4]int]bool{}
+			cols := map[[4]int]bool{}
+			cells := map[dram.Addr]int{}
+			maxCell := 0
+			for _, e := range held {
+				a := e.Addr
+				banks[[3]int{a.Rank, a.Device, a.Bank}] = true
+				rows[[4]int{a.Rank, a.Device, a.Bank, a.Row}] = true
+				cols[[4]int{a.Rank, a.Device, a.Bank, a.Column}] = true
+				cells[a]++
+				maxCell = max(maxCell, cells[a])
+			}
+			if x.DistinctBanks() != len(banks) || x.DistinctRows() != len(rows) ||
+				x.DistinctCols() != len(cols) || x.MaxCellCEs() != maxCell {
+				t.Fatalf("%s: distinct counts (%d,%d,%d,max %d) != (%d,%d,%d,max %d)", when,
+					x.DistinctBanks(), x.DistinctRows(), x.DistinctCols(), x.MaxCellCEs(),
+					len(banks), len(rows), len(cols), maxCell)
+			}
+		}
+		for i, e := range events {
+			x.Add(e)
+			check(events[:i+1], fmt.Sprintf("after Add %d (%v)", i, e.Addr))
+		}
+		held := slices.Clone(events)
+		rand.New(rand.NewSource(int64(th.CellCEs))).Shuffle(len(held), func(i, j int) {
+			held[i], held[j] = held[j], held[i]
+		})
+		for len(held) > 0 {
+			e := held[len(held)-1]
+			held = held[:len(held)-1]
+			x.Remove(e)
+			check(held, fmt.Sprintf("after Remove (%v), %d held", e.Addr, len(held)))
 		}
 	}
 }
@@ -279,8 +350,8 @@ func TestMaxCellCEsAboveDenseCounts(t *testing.T) {
 	}
 	for ; na > 0; na-- {
 		fresh := NewIncremental(DefaultThresholds())
-		fresh.addCell(cellOf(a), na)
-		fresh.addCell(cellOf(b), nb)
+		fresh.addCell(a.Addr.CellID(), na)
+		fresh.addCell(b.Addr.CellID(), nb)
 		if x.MaxCellCEs() != max(na, nb) || x.MemEstimate() != fresh.MemEstimate() {
 			t.Fatalf("a=%d b=%d: MaxCellCEs %d, MemEstimate %d (fresh %d)", na, nb, x.MaxCellCEs(), x.MemEstimate(), fresh.MemEstimate())
 		}
@@ -289,4 +360,40 @@ func TestMaxCellCEsAboveDenseCounts(t *testing.T) {
 	if x.MaxCellCEs() != nb || x.DistinctRows() != 1 {
 		t.Fatalf("a drained: MaxCellCEs %d, DistinctRows %d", x.MaxCellCEs(), x.DistinctRows())
 	}
+}
+
+// BenchmarkIncrementalWindowChurn sizes the sliding-window path the
+// feature extractor runs per CE: one op is an Add on entry and a Remove on
+// expiry over a window holding 1024 events. Half the events land on a few
+// hot cells (the counts grow and shrink), half on fresh cells of a
+// DefaultGeometry-sized DIMM (every map entry is created and deleted).
+// held-B is the heap the filled window's classifier holds. Run with
+// -benchmem.
+func BenchmarkIncrementalWindowChurn(b *testing.B) {
+	const window, stream = 1 << 10, 1 << 14
+	rng := rand.New(rand.NewSource(1))
+	events := make([]trace.Event, stream)
+	for i := range events {
+		if rng.Intn(2) == 0 {
+			h := rng.Intn(64)
+			events[i] = ceOn(h%2, h%18, h%16, 1000+h%8, h)
+		} else {
+			events[i] = ceOn(rng.Intn(2), rng.Intn(18), rng.Intn(16), rng.Intn(1<<17), rng.Intn(1<<10))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := NewIncremental(DefaultThresholds())
+	for _, e := range events[:window] {
+		x.Add(e)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		x.Add(events[(i+window)%stream])
+		x.Remove(events[i%stream])
+	}
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc), "held-B")
 }

@@ -126,6 +126,12 @@ func TestAPIIngestAndAlarms(t *testing.T) {
 		!strings.Contains(err.Error(), "line 1") {
 		t.Errorf("unknown part number: %v", err)
 	}
+	// So is an address outside the cell-ID fields the classifier keys by.
+	wide := "# one event\nMEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=16777216 col=0\n"
+	if _, err := ingestLines(cl, wide); err == nil || !strings.Contains(err.Error(), "400") ||
+		!strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "row 16777216 outside its 24-bit") {
+		t.Errorf("out-of-width address: %v", err)
+	}
 }
 
 func TestAPIModelLifecycle(t *testing.T) {

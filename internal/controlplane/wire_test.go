@@ -224,6 +224,12 @@ func seedFrames(f *testing.F, golden string) {
 // bytes could have held.
 func FuzzDecodeTickFrame(f *testing.F) {
 	seedFrames(f, goldenMFT1)
+	// A column one past its cell-ID field and a negative rank: refused.
+	for _, a := range []dram.Addr{{Column: 1 << 16}, {Rank: -1}} {
+		e := trace.Event{Time: 9, Type: trace.TypeUE, DIMM: trace.DIMMID{Platform: platform.Purley}, Addr: a}
+		f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1, events: []trace.Event{e}}},
+			func(trace.DIMMID) string { return "A4-2666-32" }))
+	}
 	reencode := func(prune int, ticks []decodedTick) []byte {
 		wire := make([]wireTick, len(ticks))
 		var parts []string
@@ -244,6 +250,11 @@ func FuzzDecodeTickFrame(f *testing.F) {
 		events := 0
 		for _, dt := range ticks {
 			events += len(dt.events)
+			for _, e := range dt.events {
+				if (e.Type == trace.TypeCE || e.Type == trace.TypeUE) && dram.CellAddr(e.Addr.CellID()) != e.Addr {
+					t.Fatalf("accepted %v address %v unpacks to %v", e.Type, e.Addr, dram.CellAddr(e.Addr.CellID()))
+				}
+			}
 		}
 		if events > len(data) {
 			t.Fatalf("%d events decoded from %d bytes", events, len(data))

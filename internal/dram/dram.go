@@ -79,9 +79,7 @@ func (g Geometry) Banks() int { return g.BankGroups * g.BanksPerGroup }
 // TotalDevices returns data+ECC devices per rank.
 func (g Geometry) TotalDevices() int { return g.DevicesPerRank + g.ECCDevices }
 
-// Addr locates a memory cell (or a coarser region when trailing fields are
-// negative) inside one DIMM. A value of -1 in Row/Column means "entire
-// bank"/"entire row" respectively when describing fault extents.
+// Addr locates a memory cell inside one DIMM.
 type Addr struct {
 	Rank   int
 	Device int // chip index within the rank, 0-based
@@ -95,35 +93,65 @@ func (a Addr) String() string {
 	return fmt.Sprintf("rank=%d dev=%d bank=%d row=%d col=%d", a.Rank, a.Device, a.Bank, a.Row, a.Column)
 }
 
-// Valid reports whether the address is inside the geometry. Negative
-// Row/Column are allowed as wildcard markers only when wild is true.
-func (a Addr) Valid(g Geometry, wild bool) bool {
-	if a.Rank < 0 || a.Rank >= g.Ranks {
-		return false
-	}
-	if a.Device < 0 || a.Device >= g.TotalDevices() {
-		return false
-	}
-	if a.Bank < 0 || a.Bank >= g.Banks() {
-		return false
-	}
-	rowOK := a.Row >= 0 && a.Row < g.Rows
-	colOK := a.Column >= 0 && a.Column < g.Columns
-	if wild {
-		rowOK = rowOK || a.Row == -1
-		colOK = colOK || a.Column == -1
-	}
-	return rowOK && colOK
+// Cell IDs pack an address into one uint64 of fixed-width fields, rank
+// highest: rank 8 bits, device 8, bank 8, row 24, column 16. The widths
+// hold DefaultGeometry for both device widths (2 ranks, 18 devices, 16
+// banks, 128Ki rows, 1Ki columns) with room to spare, and with rank on top
+// ascending IDs order cells as (rank, device, bank, row, column) does.
+const (
+	rankBits, deviceBits, bankBits, rowBits, columnBits = 8, 8, 8, 24, 16
+
+	rowShift    = columnBits
+	bankShift   = rowShift + rowBits
+	deviceShift = bankShift + bankBits
+	rankShift   = deviceShift + deviceBits
+)
+
+// Field masks over a cell ID. With the column field cleared, a cell's ID
+// names its row within its bank; with the row field cleared, its column
+// within its bank; with both cleared, its bank.
+const (
+	ColumnIDMask uint64 = 1<<columnBits - 1
+	RowIDMask    uint64 = (1<<rowBits - 1) << rowShift
+)
+
+// CellID returns a single comparable identifier for the cell: its fields
+// packed as the Cell IDs layout above gives. The address must pass
+// CheckFits (decoders of foreign bytes refuse those that do not); a field
+// outside its width would spill into its neighbour.
+func (a Addr) CellID() uint64 {
+	return uint64(a.Rank)<<rankShift | uint64(a.Device)<<deviceShift |
+		uint64(a.Bank)<<bankShift | uint64(a.Row)<<rowShift | uint64(a.Column)
 }
 
-// CellID returns a single comparable identifier for the cell, used for
-// counting distinct cells in fault classification. The address must be
-// fully specified (no wildcards).
-func (a Addr) CellID(g Geometry) uint64 {
-	id := uint64(a.Rank)
-	id = id*uint64(g.TotalDevices()) + uint64(a.Device)
-	id = id*uint64(g.Banks()) + uint64(a.Bank)
-	id = id*uint64(g.Rows) + uint64(a.Row)
-	id = id*uint64(g.Columns) + uint64(a.Column)
-	return id
+// CellAddr unpacks a cell ID: CellAddr(a.CellID()) == a for every address
+// that passes CheckFits.
+func CellAddr(id uint64) Addr {
+	return Addr{
+		Rank:   int(id >> rankShift),
+		Device: int(id >> deviceShift & (1<<deviceBits - 1)),
+		Bank:   int(id >> bankShift & (1<<bankBits - 1)),
+		Row:    int(id >> rowShift & (1<<rowBits - 1)),
+		Column: int(id & ColumnIDMask),
+	}
+}
+
+// CheckFits returns an error naming the first field that is negative or
+// too wide for its cell-ID field, with its value and the width, or nil
+// when the address packs.
+func (a Addr) CheckFits() error {
+	fields := [...]struct {
+		name string
+		v    int
+		bits uint
+	}{
+		{"rank", a.Rank, rankBits}, {"device", a.Device, deviceBits}, {"bank", a.Bank, bankBits},
+		{"row", a.Row, rowBits}, {"column", a.Column, columnBits},
+	}
+	for _, f := range fields {
+		if uint(f.v) >= 1<<f.bits {
+			return fmt.Errorf("dram: %s %d outside its %d-bit cell-ID field", f.name, f.v, f.bits)
+		}
+	}
+	return nil
 }

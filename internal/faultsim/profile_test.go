@@ -117,9 +117,55 @@ func TestFaultAddressesValid(t *testing.T) {
 		f := NewFault(mode, ProfileSingleBit, geo, rng)
 		for i := 0; i < 500; i++ {
 			a := f.SampleAddr(rng)
-			if !a.Valid(geo, false) {
+			if !validAddr(a, geo, false) {
 				t.Fatalf("mode %v produced invalid address %v", mode, a)
 			}
+		}
+	}
+}
+
+// validAddr reports whether a is inside the geometry. Negative Row/Column
+// are allowed as wildcard markers (-1: the entire bank or row) only when
+// wild is true.
+func validAddr(a dram.Addr, g dram.Geometry, wild bool) bool {
+	if a.Rank < 0 || a.Rank >= g.Ranks {
+		return false
+	}
+	if a.Device < 0 || a.Device >= g.TotalDevices() {
+		return false
+	}
+	if a.Bank < 0 || a.Bank >= g.Banks() {
+		return false
+	}
+	rowOK := a.Row >= 0 && a.Row < g.Rows
+	colOK := a.Column >= 0 && a.Column < g.Columns
+	if wild {
+		rowOK = rowOK || a.Row == -1
+		colOK = colOK || a.Column == -1
+	}
+	return rowOK && colOK
+}
+
+func TestAddrValid(t *testing.T) {
+	g := dram.DefaultGeometry(dram.X4)
+	cases := []struct {
+		a    dram.Addr
+		wild bool
+		want bool
+	}{
+		{dram.Addr{}, false, true},
+		{dram.Addr{Rank: 1, Device: 17, Bank: 15, Row: g.Rows - 1, Column: g.Columns - 1}, false, true},
+		{dram.Addr{Rank: 2}, false, false},    // rank out of range
+		{dram.Addr{Device: 18}, false, false}, // device out of range
+		{dram.Addr{Bank: 16}, false, false},   // bank out of range
+		{dram.Addr{Row: -1}, false, false},    // wildcard disallowed
+		{dram.Addr{Row: -1}, true, true},      // wildcard allowed
+		{dram.Addr{Column: -1}, true, true},
+		{dram.Addr{Row: -2}, true, false}, // -2 is not a wildcard
+	}
+	for _, c := range cases {
+		if got := validAddr(c.a, g, c.wild); got != c.want {
+			t.Errorf("validAddr(%v, wild=%v) = %v, want %v", c.a, c.wild, got, c.want)
 		}
 	}
 }

@@ -175,6 +175,18 @@ func FuzzDecodeFoldState(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(encode(empty()))
 	f.Add([]byte{})
+	// A cell one past its row field and one with a negative device: the
+	// classifier cannot key them, so the decoder refuses them.
+	for _, cell := range [][5]int64{{0, 0, 0, 1 << 24, 0}, {0, -1, 0, 0, 0}} {
+		w := trace.BinWriter{Buf: bytes.Clone(encode(empty()))}
+		w.Buf = w.Buf[:len(w.Buf)-1] // the empty cell list's count
+		w.Uvarint(1)
+		for _, v := range cell {
+			w.Varint(v)
+		}
+		w.Varint(1)
+		f.Add(w.Buf)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -189,6 +201,19 @@ func FuzzDecodeFoldState(f *testing.F) {
 		}
 		if r.Err() != nil {
 			return
+		}
+		// Every cell accepted packs into its cell ID and back unchanged.
+		in := trace.NewBinReader(data)
+		for range 8 {
+			in.Varint() // two instants, six thresholds
+		}
+		for i, cells := uint64(0), in.Uvarint(); i < cells; i++ {
+			a := dram.Addr{Rank: int(in.Varint()), Device: int(in.Varint()), Bank: int(in.Varint()),
+				Row: int(in.Varint()), Column: int(in.Varint())}
+			in.Varint()
+			if dram.CellAddr(a.CellID()) != a {
+				t.Fatalf("accepted cell %v unpacks to %v", a, dram.CellAddr(a.CellID()))
+			}
 		}
 		once := encode(fs)
 		r2 := trace.NewBinReader(once)

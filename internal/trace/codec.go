@@ -298,7 +298,9 @@ func readEventType(r *BinReader) EventType {
 	return t
 }
 
-// readEventFields reads what appendEventFields wrote for e.Type.
+// readEventFields reads what appendEventFields wrote for e.Type. An
+// address that does not pack into a cell ID (dram.Addr.CheckFits) is
+// refused.
 func readEventFields(r *BinReader, e *Event) {
 	if e.Type == TypeCE || e.Type == TypeUE {
 		e.Addr.Rank = int(r.Varint())
@@ -306,6 +308,9 @@ func readEventFields(r *BinReader, e *Event) {
 		e.Addr.Bank = int(r.Varint())
 		e.Addr.Row = int(r.Varint())
 		e.Addr.Column = int(r.Varint())
+		if err := e.Addr.CheckFits(); err != nil {
+			r.Failf("trace: %v", err)
+		}
 	}
 	if e.Type == TypeCE {
 		e.Bits.Width = dram.Width(r.Varint())

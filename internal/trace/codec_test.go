@@ -193,6 +193,30 @@ func TestEventFrameRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeEventFrame(w.Buf); err == nil || !strings.Contains(err.Error(), "declares 10 events") {
 		t.Fatalf("10 events declared in 30 bytes: %v", err)
 	}
+	// An address that does not pack into a cell ID is refused by field,
+	// value and width, whatever the event type carrying it.
+	for _, c := range []struct {
+		e    Event
+		want string
+	}{
+		{unpackable(TypeCE, dram.Addr{Row: 1 << 24}), "row 16777216 outside its 24-bit cell-ID field"},
+		{unpackable(TypeUE, dram.Addr{Column: -1}), "column -1 outside its 16-bit cell-ID field"},
+	} {
+		frame := AppendEventFrame(nil, append(events[:3:3], c.e), func(id DIMMID) string { return partOf[id] })
+		if _, _, err := DecodeEventFrame(frame); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v address %v: %v, want %q", c.e.Type, c.e.Addr, err, c.want)
+		}
+	}
+}
+
+// unpackable is an event on a Purley DIMM whose address is outside the
+// cell-ID fields.
+func unpackable(typ EventType, a dram.Addr) Event {
+	e := Event{Time: 5000, Type: typ, DIMM: DIMMID{Platform: platform.Purley, Server: 1, Slot: 2}, Addr: a}
+	if typ == TypeCE {
+		e.Bits = dram.ErrorBits{Width: dram.X4, Mask: 1}
+	}
+	return e
 }
 
 func FuzzDecodeEventFrame(f *testing.F) {
@@ -205,6 +229,9 @@ func FuzzDecodeEventFrame(f *testing.F) {
 	f.Add(AppendEventFrame(nil, events, func(id DIMMID) string { return partOf[id] }))
 	f.Add([]byte(eventFrameMagic))
 	f.Add([]byte{})
+	for _, e := range []Event{unpackable(TypeCE, dram.Addr{Bank: 1 << 8}), unpackable(TypeUE, dram.Addr{Device: -1})} {
+		f.Add(AppendEventFrame(nil, []Event{e}, func(DIMMID) string { return "A4-2666-32" }))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, ps, err := DecodeEventFrame(data)
 		if err != nil {
@@ -212,6 +239,9 @@ func FuzzDecodeEventFrame(f *testing.F) {
 		}
 		if len(evs) != len(ps) {
 			t.Fatalf("events/parts length skew: %d vs %d", len(evs), len(ps))
+		}
+		for _, e := range evs {
+			checkCellID(t, e)
 		}
 	})
 }

@@ -40,7 +40,8 @@ func EncodeEvent(e Event, part platform.DIMMPart) string {
 }
 
 // DecodeEvent parses one BMC log line produced by EncodeEvent. It returns
-// the event and the part number recorded on the line.
+// the event and the part number recorded on the line. An address that
+// does not pack into a cell ID (dram.Addr.CheckFits) is refused.
 func DecodeEvent(line string) (Event, string, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 7 || fields[0] != "MEM" {
@@ -101,6 +102,9 @@ func DecodeEvent(line string) (Event, string, error) {
 			case "col":
 				e.Addr.Column = n
 			}
+		}
+		if err := e.Addr.CheckFits(); err != nil {
+			return Event{}, "", fmt.Errorf("trace: %w in %q", err, line)
 		}
 	}
 	if e.Type == TypeCE {

@@ -124,6 +124,15 @@ func TestEncodeDecodeEvent(t *testing.T) {
 	}
 }
 
+// checkCellID fails t unless an accepted CE or UE address round-trips
+// through its cell ID unchanged.
+func checkCellID(t *testing.T, e Event) {
+	t.Helper()
+	if (e.Type == TypeCE || e.Type == TypeUE) && dram.CellAddr(e.Addr.CellID()) != e.Addr {
+		t.Fatalf("accepted %v address %v unpacks to %v", e.Type, e.Addr, dram.CellAddr(e.Addr.CellID()))
+	}
+}
+
 func TestDecodeEventRejectsMalformed(t *testing.T) {
 	for _, line := range []string{
 		"",
@@ -133,6 +142,8 @@ func TestDecodeEventRejectsMalformed(t *testing.T) {
 		"MEM 1 CE Intel_Purley 0 0 A4-2666-32", // missing addr fields
 		"MEM 1 CE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=0 col=0", // missing bits
 		"MEM 1 CE Intel_Purley 0 0 NOPE rank=0 dev=0 bank=0 row=0 col=0 bits=b0:0001",
+		"MEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=16777216 col=0", // row past its cell-ID field
+		"MEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=0 col=-1",       // negative column
 	} {
 		if _, _, err := DecodeEvent(line); err == nil {
 			t.Errorf("DecodeEvent(%q) should fail", line)
@@ -158,6 +169,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		{Time: 77, Type: TypeCE, DIMM: id, Addr: dram.Addr{Row: -1}, Bits: dram.NewErrorBits(part.Width)},
 		{Time: 99999, Type: TypeUE, DIMM: id, Addr: dram.Addr{Device: 2, Bank: 1, Row: 7, Column: 8}},
 		{Time: 5, Type: TypeStorm, DIMM: id},
+		{Time: 8, Type: TypeUE, DIMM: id, Addr: dram.Addr{Row: 1 << 24}},
 	} {
 		f.Add(EncodeEvent(e, part))
 	}
@@ -166,6 +178,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkCellID(t, e)
 		again := EncodeEvent(e, platform.DIMMPart{PartNumber: pn})
 		back, pn2, err := DecodeEvent(again)
 		if err != nil {
