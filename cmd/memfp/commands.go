@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"memfp"
 	"memfp/internal/analysis"
+	"memfp/internal/controlplane"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
@@ -201,30 +203,51 @@ func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
 	fmt.Fprintf(w, "trained %s v%d: promoted=%v (%s), benchmark %s\n",
 		tr.Version.Name, tr.Version.Version, tr.Promoted, tr.Reason, tr.Benchmark)
 
-	server := pipe.NewServer()
-	alarms := []mlops.Alarm{}
-	n, err := server.Replay(ctx, res.Store, func(a mlops.Alarm) {
-		alarms = append(alarms, a)
-	})
+	// Serve the fleet's time-ordered stream through the control plane's
+	// in-process node, tick by tick, the way mlopsd does.
+	cp, err := controlplane.New(controlplane.Config{Pipeline: pipe})
 	if err != nil {
 		return err
 	}
+	defer cp.Close()
+	var all []trace.Event
 	failed := map[trace.DIMMID]trace.Minutes{}
 	for _, l := range res.Store.DIMMs() {
+		cp.RegisterDIMM(l.ID, l.Part)
+		all = append(all, l.Events...)
 		if t, ok := l.FirstUE(); ok {
 			failed[l.ID] = t
 		}
 	}
+	sort.Stable(trace.ByTime(all))
+	var alarms []mlops.Alarm
+	const tick = 1024
+	for lo := 0; lo < len(all); lo += tick {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r, err := cp.IngestTick(all[lo:min(lo+tick, len(all))])
+		if err != nil {
+			return err
+		}
+		alarms = append(alarms, r.Alarms...)
+	}
+	r, err := cp.Flush()
+	if err != nil {
+		return err
+	}
+	alarms = append(alarms, r.Alarms...)
 	pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
-	fmt.Fprintf(w, "replayed stream: %d alarms emitted\n", n)
+	fmt.Fprintf(w, "replayed stream: %d alarms emitted\n", len(alarms))
+	fl := cp.Fleet()
 	if membudgetMiB > 0 {
-		ms := server.MemoryStats()
+		ms := fl.Memory
 		fmt.Fprintf(w, "memory budget %d MiB: resident=%dB (%d DIMMs live, %d frozen), evictions=%d rehydrations=%d compactions=%d\n",
 			membudgetMiB, ms.ResidentBytes, ms.ResidentDIMMs, ms.FrozenDIMMs,
 			ms.Evictions, ms.Rehydrations, ms.Compactions)
 	}
-	fmt.Fprint(w, pipe.Monitor.Dashboard())
-	dec := pipe.Monitor.ShouldRetrain(pipe.Monitor.PSI(), 0.25, 0.2)
+	fmt.Fprint(w, pipe.Monitor.DashboardOf(fl.Predictions, fl.Shards))
+	dec := pipe.Monitor.ShouldRetrain(fl.PSI, 0.25, 0.2)
 	fmt.Fprintf(w, "retraining decision: retrain=%v (%s)\n", dec.Retrain, dec.Reason)
 	return nil
 }

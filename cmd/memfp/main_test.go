@@ -5,7 +5,7 @@ import (
 	"context"
 	"regexp"
 	"slices"
-	"strconv"
+	"strings"
 	"testing"
 
 	"memfp/internal/ml/model"
@@ -13,15 +13,22 @@ import (
 	"memfp/internal/platform"
 )
 
-// TestRunServeSmoke runs the serve flow (train → gate → replay →
-// dashboard) at the examples-smoke scale and requires the same non-zero
-// alarm count at one shard and at four. The dashboard's latency lines are
-// wall-clock and are not compared.
+// TestRunServeSmoke runs the serve flow (train → gate → serve through the
+// control plane's in-process node → dashboard) at the examples-smoke
+// scale, requires the same report at one shard and at four, and pins the
+// fleet's alarm, prediction and feedback lines, so a change to how the
+// stream reaches the engine cannot move the alarm stream unnoticed. The
+// dashboard's shard lines are wall-clock and are not compared.
 func TestRunServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
 	}
-	line := regexp.MustCompile(`(?m)^replayed stream: (\d+) alarms emitted$`)
+	pinned := []string{
+		"replayed stream: 2151 alarms emitted",
+		"predictions: 65378, alarms: 2151",
+		"feedback: TP=27 FP=65 FN=33 (live P=0.29 R=0.45)",
+	}
+	shardLine := regexp.MustCompile(`(?m)^shard \d+: .*\n`)
 	cache := pipeline.NewFleetCache()
 	var want string
 	for _, shards := range []int{1, 4} {
@@ -29,17 +36,17 @@ func TestRunServeSmoke(t *testing.T) {
 		if err := runServe(context.Background(), &out, cache, platform.Purley, model.NameGBDT, 0.03, 31, shards, 0); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		m := line.FindStringSubmatch(out.String())
-		if m == nil {
-			t.Fatalf("shards=%d: no replay line in:\n%s", shards, out.String())
-		}
-		if n, _ := strconv.Atoi(m[1]); n == 0 {
-			t.Fatalf("shards=%d: no alarms emitted; the smoke scale proves nothing", shards)
+		got := shardLine.ReplaceAllString(out.String(), "")
+		lines := strings.Split(got, "\n")
+		for _, p := range pinned {
+			if !slices.Contains(lines, p) {
+				t.Errorf("shards=%d: no line %q in:\n%s", shards, p, got)
+			}
 		}
 		if want == "" {
-			want = m[0]
-		} else if m[0] != want {
-			t.Errorf("shards=%d: %q, want %q", shards, m[0], want)
+			want = got
+		} else if got != want {
+			t.Errorf("shards=%d report:\n%s\nwant (shards=1):\n%s", shards, got, want)
 		}
 	}
 }

@@ -21,7 +21,9 @@
 // line counts that month's alarms. With daemons it also checkpoints each
 // node's serving state every -checkpoint-every emitted ticks and frees the
 // journal prefix every checkpoint covers; -spill-dir keeps the
-// checkpoints on disk (default: in memory). The month line's PSI is the
+// checkpoints on disk (default: in memory), and without daemons it also
+// holds the in-process node's evicted DIMM state under -membudget (unset,
+// frozen DIMMs stay on the heap). The month line's PSI is the
 // fleet's: read from the in-process engine when the month ends, or as
 // fresh as each daemon's last heartbeat.
 //

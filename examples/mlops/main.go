@@ -1,10 +1,11 @@
 // Mlops walks the paper's Figure 6 framework end to end on one platform:
 // batch training through the feature store, CI/CD-gated promotion into the
-// model registry, online prediction over a replayed event stream, alarm
-// feedback, drift monitoring, a gated retraining cycle, and registry
-// persistence (serialized model artifacts surviving a save/load
-// round-trip). The -trainer flag ships any registered algorithm through
-// the same loop.
+// model registry, online prediction over a replayed event stream served
+// through the control plane (controlplane.New with no node daemons: one
+// in-process node, the way mlopsd serves without -nodes), alarm feedback,
+// drift monitoring, a gated retraining cycle, and registry persistence
+// (serialized model artifacts surviving a save/load round-trip). The
+// -trainer flag ships any registered algorithm through the same loop.
 package main
 
 import (
@@ -13,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sort"
 
+	"memfp/internal/controlplane"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
@@ -58,38 +61,60 @@ func main() {
 	fmt.Printf("cycle 1: %s v%d promoted=%v (%s) benchmark[%s]\n",
 		tr.Version.Name, tr.Version.Version, tr.Promoted, tr.Reason, tr.Benchmark)
 
-	// Online serving: replay the fleet's merged event stream through the
-	// sharded engine tick by tick — each shard scores a tick's due
-	// predictions as one micro-batch; the alarm stream is identical for
-	// any -shards value.
-	server := pipe.NewServer()
-	fmt.Printf("serving engine: %d shards\n", server.Shards())
-	var alarms []mlops.Alarm
-	n, err := server.Replay(context.Background(), res.Store, func(a mlops.Alarm) {
-		alarms = append(alarms, a)
-		if len(alarms) <= 3 {
-			fmt.Printf("  ALARM %s score=%.2f at %v → dispatching VM live-migration\n",
-				a.DIMM, a.Score, a.Time)
-		}
-	})
+	// Online serving: the control plane journals the fleet's time-ordered
+	// stream tick by tick and serves it through its in-process node — the
+	// same journal, wire and sharded engine a node daemon runs — whose
+	// shards score each tick's due predictions as one micro-batch; the
+	// alarm stream is identical for any -shards value.
+	cp, err := controlplane.New(controlplane.Config{Pipeline: pipe})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("online serving: %d alarms over the stream\n", n)
-
-	// Feedback: resolve alarms against actual failures.
+	defer cp.Close()
+	var all []trace.Event
 	failed := map[trace.DIMMID]trace.Minutes{}
 	for _, l := range res.Store.DIMMs() {
+		cp.RegisterDIMM(l.ID, l.Part)
+		all = append(all, l.Events...)
 		if t, ok := l.FirstUE(); ok {
 			failed[l.ID] = t
 		}
 	}
+	sort.Stable(trace.ByTime(all))
+	var alarms []mlops.Alarm
+	collect := func(as []mlops.Alarm) {
+		for _, a := range as {
+			alarms = append(alarms, a)
+			if len(alarms) <= 3 {
+				fmt.Printf("  ALARM %s score=%.2f at %v → dispatching VM live-migration\n",
+					a.DIMM, a.Score, a.Time)
+			}
+		}
+	}
+	const tick = 1024
+	for lo := 0; lo < len(all); lo += tick {
+		r, err := cp.IngestTick(all[lo:min(lo+tick, len(all))])
+		if err != nil {
+			log.Fatal(err)
+		}
+		collect(r.Alarms)
+	}
+	r, err := cp.Flush()
+	if err != nil {
+		log.Fatal(err)
+	}
+	collect(r.Alarms)
+	fl := cp.Fleet()
+	fmt.Printf("serving engine: %d shards\n", len(fl.Shards))
+	fmt.Printf("online serving: %d alarms over the stream\n", len(alarms))
+
+	// Feedback: resolve alarms against actual failures.
 	pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
-	fmt.Print(pipe.Monitor.Dashboard())
+	fmt.Print(pipe.Monitor.DashboardOf(fl.Predictions, fl.Shards))
 
 	// Monitoring decides whether to retrain; a second CI/CD cycle runs
 	// the promotion gate against the incumbent.
-	dec := pipe.Monitor.ShouldRetrain(pipe.Monitor.PSI(), 0.25, 0.15)
+	dec := pipe.Monitor.ShouldRetrain(fl.PSI, 0.25, 0.15)
 	fmt.Printf("retrain decision: %v (%s, PSI=%.3f)\n", dec.Retrain, dec.Reason, dec.PSI)
 
 	tr2, err := pipe.TrainAndMaybePromote(res.Store, 180*trace.Day, 210*trace.Day)

@@ -133,8 +133,6 @@ type JoinResponse struct {
 	SlotTo       int    `json:"slot_to"` // exclusive
 	Platform     string `json:"platform"`
 	Model        string `json:"model"`
-	PredictEvery int64  `json:"predict_every"` // minutes
-	Cooldown     int64  `json:"cooldown"`      // minutes
 	MemoryBudget int64  `json:"memory_budget"`
 	Epoch        uint64 `json:"epoch"`
 	Version      int    `json:"version"` // current production version (0 = none yet)

@@ -341,9 +341,6 @@ func TestAPIDistributedGating(t *testing.T) {
 	if jr.SlotFrom != 0 || jr.SlotTo != 64 || jr.Slots != 64 || jr.Nodes != 1 || jr.Version != 1 {
 		t.Errorf("join assignment = %+v", jr)
 	}
-	if jr.PredictEvery != 5 || jr.Cooldown != int64(12*trace.Hour) {
-		t.Errorf("join serving params = %+v, want engine defaults", jr)
-	}
 	if _, err := dcl.Join(JoinRequest{Name: "n2", Addr: "http://x"}); err == nil ||
 		!strings.Contains(err.Error(), "409") {
 		t.Errorf("join past fleet size: %v", err)

@@ -33,12 +33,8 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	// Reference: the single-process sharded engine, promotion at the same
 	// tick boundary.
 	refPipe := mirror(t)
-	refPipe.Shards = 3
 	name := refPipe.ModelName
-	ref := refPipe.NewServer()
-	for id, part := range f.parts {
-		ref.RegisterDIMM(id, part)
-	}
+	ref := refEngine(f, refPipe, 3)
 	var refAlarms []mlops.Alarm
 	ti := 0
 	for lo := 0; lo < len(all); lo += tick {
@@ -216,10 +212,7 @@ func TestDistributedRejoinServesWithoutHeartbeat(t *testing.T) {
 	all := f.all[:min(8*tick, len(f.all))]
 	killAt := len(all) / tick / 2
 
-	ref := mirror(t).NewServer()
-	for id, part := range f.parts {
-		ref.RegisterDIMM(id, part)
-	}
+	ref := refEngine(f, mirror(t), 0)
 	var refAlarms []mlops.Alarm
 	for lo := 0; lo < len(all); lo += tick {
 		as, err := ref.IngestBatch(all[lo:min(lo+tick, len(all))])

@@ -124,6 +124,16 @@ func mirror(tb testing.TB) *mlops.Pipeline {
 	return pipe
 }
 
+// refEngine builds the single-process reference engine over pipe's
+// registry and monitor, with every fixture DIMM registered.
+func refEngine(f *fleetFixture, pipe *mlops.Pipeline, shards int) *mlops.Server {
+	s := mlops.NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, pipe.Monitor, shards)
+	for id, part := range f.parts {
+		s.RegisterDIMM(id, part)
+	}
+	return s
+}
+
 // fastMirror is mirror with the logistic artifact promoted as v1: real
 // envelope bytes a node can pull, near-zero scoring cost.
 func fastMirror(tb testing.TB) *mlops.Pipeline {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+
+	"memfp/internal/mlops"
 )
 
 // Local mode is the distributed path with one node that shares the
@@ -36,10 +38,13 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // joinLocal builds the in-process node and joins it through the ordinary
-// join, production artifact pull included.
-func (s *Server) joinLocal() error {
+// join, production artifact pull included. spill backs the node's evicted
+// DIMM state (nil: on the heap); its dimm/ keys never meet the control
+// plane's ckpt/ keys in a shared store.
+func (s *Server) joinLocal(spill mlops.SpillStore) error {
 	n := NewNode(localName, localAddr)
 	n.Shards = s.pipe.Shards
+	n.Spill = spill
 	n.client.HTTP.Transport = handlerTransport{s.mux}
 	s.client.Transport = handlerTransport{n.Handler()}
 	if err := n.JoinOnce(localAddr); err != nil {

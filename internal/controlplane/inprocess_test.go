@@ -2,6 +2,8 @@ package controlplane
 
 import (
 	"testing"
+
+	"memfp/internal/mlops"
 )
 
 // TestLocalModeKeepsNoServedTicks: the in-process node shares the control
@@ -62,5 +64,50 @@ func TestLocalModeKeepsNoServedTicks(t *testing.T) {
 	psi := pipe.Monitor.PSIOf(mon.ScoreBins()) // the engine's scores, the control plane's reference
 	if fl := cp.Fleet(); fl.Predictions != st.Predictions || fl.PSI != psi || psi == 0 {
 		t.Errorf("fleet view: %d predictions, PSI %v; engine: %d, PSI %v", fl.Predictions, fl.PSI, st.Predictions, psi)
+	}
+}
+
+// TestLocalModeSpillsEvictedDIMMs: a spill store the caller sets backs
+// the in-process node's evicted DIMM state, not only the checkpoints.
+// Under a tight budget frozen records leave the heap for it, and the
+// alarm stream is the unbudgeted run's.
+func TestLocalModeSpillsEvictedDIMMs(t *testing.T) {
+	f := fleet(t)
+	stream := f.all[:min(12*1024, len(f.all))]
+	run := func(budget int64, spill mlops.SpillStore) (string, mlops.MemoryStats) {
+		pipe := fastMirror(t)
+		pipe.MemoryBudget = budget
+		cp, err := New(Config{Pipeline: pipe, Spill: spill})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		for id, part := range f.parts {
+			cp.RegisterDIMM(id, part)
+		}
+		var alarms []mlops.Alarm
+		for lo := 0; lo < len(stream); lo += 1024 {
+			res, err := cp.IngestTick(stream[lo:min(lo+1024, len(stream))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			alarms = append(alarms, res.Alarms...)
+		}
+		res, err := cp.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderAlarms(append(alarms, res.Alarms...)), cp.MemoryStats()
+	}
+	want, _ := run(0, nil)
+	if want == "" {
+		t.Fatal("unbudgeted run emitted no alarms; the test proves nothing")
+	}
+	got, ms := run(256<<10, mlops.NewMemSpill())
+	if ms.Evictions == 0 || ms.Spills == 0 {
+		t.Fatalf("evictions=%d spills=%d: evicted DIMM state never reached the caller's store", ms.Evictions, ms.Spills)
+	}
+	if got != want {
+		t.Errorf("budgeted, spilled alarm stream differs from the unbudgeted one:\n got %q\nwant %q", got, want)
 	}
 }

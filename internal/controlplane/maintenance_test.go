@@ -55,10 +55,7 @@ func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 	stream := f.all
 	const tick = 1024
 
-	ref := mirror(t).NewServer()
-	for id, part := range f.parts {
-		ref.RegisterDIMM(id, part)
-	}
+	ref := refEngine(f, mirror(t), 0)
 	var want []mlops.Alarm
 	for lo := 0; lo < len(stream); lo += tick {
 		as, err := ref.IngestBatch(stream[lo:min(lo+tick, len(stream))])

@@ -91,8 +91,6 @@ func (n *Node) JoinOnce(selfURL string) error {
 	n.reg = mlops.NewRegistry()
 	n.modelName = resp.Model
 	n.engine = mlops.NewShardedServer(platform.ID(resp.Platform), mlops.NewFeatureStore(), n.reg, resp.Model, n.monitor, n.Shards)
-	n.engine.PredictEvery = trace.Minutes(resp.PredictEvery)
-	n.engine.Cooldown = trace.Minutes(resp.Cooldown)
 	n.engine.MemoryBudget = resp.MemoryBudget
 	n.engine.Spill = n.Spill
 	n.curVersion = 0

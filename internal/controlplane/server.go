@@ -89,7 +89,9 @@ type Config struct {
 	// this many ticks have been emitted (default 64), advancing the
 	// journal's truncation low-water mark.
 	CheckpointEvery int
-	// Spill stores node checkpoints (default: in-memory).
+	// Spill stores node checkpoints (default: in-memory). In local mode a
+	// store the caller sets also backs the in-process node's evicted DIMM
+	// state; left unset, frozen DIMMs stay on the heap.
 	Spill mlops.SpillStore
 }
 
@@ -164,6 +166,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
 	}
+	dimmSpill := cfg.Spill // the caller's store, before the checkpoint default
 	if cfg.Spill == nil {
 		cfg.Spill = mlops.NewMemSpill()
 	}
@@ -181,7 +184,7 @@ func New(cfg Config) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.routes()
 	if local {
-		if err := s.joinLocal(); err != nil {
+		if err := s.joinLocal(dimmSpill); err != nil {
 			return nil, err
 		}
 	}
@@ -725,12 +728,9 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 		SlotTo:         to,
 		Platform:       string(s.pipe.Platform),
 		Model:          s.pipe.ModelName,
+		MemoryBudget:   s.pipe.MemoryBudget,
 		Epoch:          s.pipe.Registry.Epoch(),
 		CheckpointTick: n.ckptTick,
-		// Serving parameters the node engine must mirror.
-		PredictEvery: int64(mlops.DefaultPredictEvery),
-		Cooldown:     int64(mlops.DefaultCooldown),
-		MemoryBudget: s.pipe.MemoryBudget,
 	}
 	if pv, err := s.pipe.Registry.Production(s.pipe.ModelName); err == nil {
 		resp.Version = pv.Version

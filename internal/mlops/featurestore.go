@@ -17,10 +17,9 @@
 // rule models (model.LogScorer) against the live DIMM log. Serving-memory
 // counters live on the Server (MemoryStats), not the Monitor; frozen DIMM
 // state and engine snapshots (MFS3) hold their events in trace's log
-// form. IngestBatch is the one serving loop; Replay (a k-way merge of
-// the store's already-sorted per-DIMM logs) only cuts its stream into
-// ticks for it. The package's tests keep the pre-sharding sequential
-// replay as the equivalence oracle.
+// form. IngestBatch is the one serving loop; its tick sources are the
+// control plane's node and the scenario runner. The package's tests keep
+// the pre-sharding sequential replay as the equivalence oracle.
 package mlops
 
 import (

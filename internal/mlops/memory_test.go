@@ -29,10 +29,7 @@ func TestBoundedReplayMatchesUnbounded(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
 		s.MemoryBudget = tinyBudget
-		var got []Alarm
-		if _, err := s.Replay(context.Background(), res.Store, func(a Alarm) { got = append(got, a) }); err != nil {
-			t.Fatal(err)
-		}
+		got := ingestStore(t, s, res.Store)
 		ms := s.MemoryStats()
 		if ms.Compactions == 0 || ms.Evictions == 0 || ms.Rehydrations == 0 {
 			t.Fatalf("shards=%d: budget never exercised (compactions=%d evictions=%d rehydrations=%d)",

@@ -158,17 +158,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	server := pipe.NewServer()
-	var alarms []Alarm
-	n, err := server.Replay(context.Background(), res.Store, func(a Alarm) { alarms = append(alarms, a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
+	server := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, pipe.Monitor, 0)
+	alarms := ingestStore(t, server, res.Store)
+	if len(alarms) == 0 {
 		t.Error("no alarms over a fleet with UE DIMMs")
-	}
-	if n != len(alarms) {
-		t.Errorf("alarm count mismatch: %d vs %d", n, len(alarms))
 	}
 
 	failed := map[trace.DIMMID]trace.Minutes{}
@@ -188,8 +181,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 }
 
 func TestServerRejectsUnknownDIMM(t *testing.T) {
-	pipe := NewPipeline(platform.K920)
-	server := pipe.NewServer()
+	server := NewShardedServer(platform.K920, NewFeatureStore(), NewRegistry(), "m", nil, 0)
 	_, err := ingestOne(server, trace.Event{
 		Time: 1, Type: trace.TypeCE,
 		DIMM: trace.DIMMID{Platform: platform.K920, Server: 1, Slot: 1},

@@ -125,14 +125,6 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 	return &TrainResult{Version: mv, Promoted: promoted, Reason: reason, Benchmark: metrics}, nil
 }
 
-// NewServer returns a sharded online engine bound to this pipeline's
-// production model, feature store and monitor.
-func (p *Pipeline) NewServer() *Server {
-	s := NewShardedServer(p.Platform, p.Features, p.Registry, p.ModelName, p.Monitor, p.Shards)
-	s.MemoryBudget = p.MemoryBudget
-	return s
-}
-
 // ResolveAlarms replays ground outcomes into monitoring feedback: each
 // alarmed DIMM that fails within the prediction window is a TP, alarmed
 // DIMMs that never fail are FPs, failed DIMMs never alarmed are FNs.

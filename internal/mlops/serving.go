@@ -2,9 +2,7 @@ package mlops
 
 import (
 	"container/list"
-	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,12 +48,12 @@ type Alarm struct {
 //     maintains the per-type query index incrementally for in-order
 //     streams instead of degrading it to linear scans.
 //
-// IngestBatch is the one way in: Replay is a tick source in front of
-// it. Within a tick, the vector predictions that fall due on one
-// shard are scored through a single ScoreBatch call, amortizing per-call
-// model overhead (decisive for batch-oriented scorers like the
-// FT-Transformer); every registered model scores batch rows independently,
-// so the scores equal per-event scoring.
+// IngestBatch is the one way in; the control plane's node and the
+// scenario runner are its tick sources. Within a tick, the vector
+// predictions that fall due on one shard are scored through a single
+// ScoreBatch call, amortizing per-call model overhead (decisive for
+// batch-oriented scorers like the FT-Transformer); every registered model
+// scores batch rows independently, so the scores equal per-event scoring.
 type Server struct {
 	Platform platform.ID
 	Store    *FeatureStore
@@ -179,9 +177,6 @@ func NewShardedServer(pf platform.ID, fs *FeatureStore, reg *Registry, model str
 	}
 	return s
 }
-
-// Shards returns the engine's shard count.
-func (s *Server) Shards() int { return len(s.shards) }
 
 // hashDIMM maps a DIMM identity to its shard (FNV-1a over the full ID) —
 // stable across processes, so shard assignment is reproducible.
@@ -479,143 +474,6 @@ func (s *Server) IngestBatch(events []trace.Event) ([]Alarm, error) {
 		}
 	}
 	return merged, nil
-}
-
-// replayTick is the tick size, in events, Replay cuts its stream into
-// before each IngestBatch call: large enough to amortize the per-tick
-// shard fan-out and to fill ScoreBatch, small enough that alarms,
-// cancellation and memory-budget enforcement keep pace with the stream.
-// The alarm stream does not depend on it.
-const replayTick = 2048
-
-// Replay streams a full store through the engine: it registers the
-// store's DIMMs, k-way-merges their already-sorted logs into the fleet's
-// global (Time, DIMM) stream without materializing it, and serves that
-// stream through IngestBatch one tick at a time, handing each tick's
-// alarms to onAlarm as they fire. Ticks emit in (Time, DIMM) order and
-// the merged stream is time-ordered, so onAlarm sees alarms in global
-// (Time, DIMM) order. ctx is checked between ticks. Replay returns the
-// alarm count; on error (cancellation included) the alarms delivered are
-// exactly the stream's prefix up to the failing tick.
-func (s *Server) Replay(ctx context.Context, st *trace.Store, onAlarm func(Alarm)) (int, error) {
-	logs := st.DIMMs()
-	sorted := make([]*trace.DIMMLog, len(logs))
-	for i, l := range logs {
-		s.RegisterDIMM(l.ID, l.Part)
-		sorted[i] = timeSorted(l)
-	}
-	m := newLogMerge(sorted)
-	tick := make([]trace.Event, 0, replayTick)
-	n := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		tick = tick[:0]
-		for len(tick) < replayTick {
-			e := m.pop()
-			if e == nil {
-				break
-			}
-			tick = append(tick, *e)
-		}
-		if len(tick) == 0 {
-			return n, nil
-		}
-		alarms, err := s.IngestBatch(tick)
-		for _, a := range alarms {
-			if onAlarm != nil {
-				onAlarm(a)
-			}
-			n++
-		}
-		if err != nil {
-			return n, err
-		}
-	}
-}
-
-// timeSorted returns l itself when its events are in time order, else a
-// stably sorted copy: a log left unsorted (bulk appends with no SortAll)
-// replays in the order a global stable sort of the fleet would give it,
-// and the caller's log is never mutated.
-func timeSorted(l *trace.DIMMLog) *trace.DIMMLog {
-	if l.Indexed() {
-		return l
-	}
-	cp := &trace.DIMMLog{ID: l.ID, Part: l.Part, Events: append([]trace.Event(nil), l.Events...)}
-	sort.Stable(trace.ByTime(cp.Events))
-	return cp
-}
-
-// logMerge is a k-way merge over per-DIMM time-sorted logs, yielding
-// their events in global (Time, DIMM, Type) order without materializing
-// them. Per-log order is preserved for equal keys (each log holds one
-// heap slot), so equal-time events of one DIMM replay in log order.
-type logMerge struct {
-	logs []*trace.DIMMLog
-	pos  []int
-	heap []int // log indices, min-heap by head event
-}
-
-func newLogMerge(logs []*trace.DIMMLog) *logMerge {
-	m := &logMerge{logs: logs, pos: make([]int, len(logs))}
-	for i, l := range logs {
-		if len(l.Events) > 0 {
-			m.heap = append(m.heap, i)
-		}
-	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-	return m
-}
-
-func (m *logMerge) head(li int) *trace.Event { return &m.logs[li].Events[m.pos[li]] }
-
-func (m *logMerge) less(a, b int) bool {
-	ea, eb := m.head(m.heap[a]), m.head(m.heap[b])
-	if ea.Time != eb.Time {
-		return ea.Time < eb.Time
-	}
-	// Distinct logs hold distinct DIMMs, so this tie-break is total; a
-	// DIMM's own equal-time events never race each other here — they
-	// stay in log order behind their log's single heap slot.
-	return ea.DIMM.Less(eb.DIMM)
-}
-
-func (m *logMerge) siftDown(i int) {
-	for {
-		l, r, min := 2*i+1, 2*i+2, i
-		if l < len(m.heap) && m.less(l, min) {
-			min = l
-		}
-		if r < len(m.heap) && m.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		m.heap[i], m.heap[min] = m.heap[min], m.heap[i]
-		i = min
-	}
-}
-
-// pop yields the next event in merged order, nil once every log has
-// drained. The pointer aliases the source log.
-func (m *logMerge) pop() *trace.Event {
-	if len(m.heap) == 0 {
-		return nil
-	}
-	li := m.heap[0]
-	e := m.head(li)
-	m.pos[li]++
-	if m.pos[li] >= len(m.logs[li].Events) {
-		m.heap[0] = m.heap[len(m.heap)-1]
-		m.heap = m.heap[:len(m.heap)-1]
-	}
-	m.siftDown(0)
-	return e
 }
 
 // MergeAlarms flattens alarm streams of disjoint DIMM sets — per shard,

@@ -2,7 +2,6 @@ package mlops
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -50,20 +49,34 @@ func trainedPipeline(t *testing.T) (*Pipeline, *faultsim.Result) {
 	return fixturePipe, fixtureRes
 }
 
-// collectReplay replays the store through a fresh engine configuration
+// ingestStore registers the store's DIMMs, sorts their events into one
+// time-ordered stream and serves it through IngestBatch in 1024-event
+// ticks — the tick loop the control plane's drivers run.
+func ingestStore(t *testing.T, s *Server, st *trace.Store) []Alarm {
+	t.Helper()
+	var stream []trace.Event
+	for _, l := range st.DIMMs() {
+		s.RegisterDIMM(l.ID, l.Part)
+		stream = append(stream, l.Events...)
+	}
+	sort.Stable(trace.ByTime(stream))
+	var alarms []Alarm
+	for lo := 0; lo < len(stream); lo += 1024 {
+		as, err := s.IngestBatch(stream[lo:min(lo+1024, len(stream))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		alarms = append(alarms, as...)
+	}
+	return alarms
+}
+
+// collectReplay serves the store through a fresh engine configuration
 // and returns the alarm stream.
 func collectReplay(t *testing.T, pipe *Pipeline, res *faultsim.Result, shards int) []Alarm {
 	t.Helper()
 	s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
-	var alarms []Alarm
-	n, err := s.Replay(context.Background(), res.Store, func(a Alarm) { alarms = append(alarms, a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(alarms) {
-		t.Fatalf("alarm count %d != callback count %d", n, len(alarms))
-	}
-	return alarms
+	return ingestStore(t, s, res.Store)
 }
 
 // TestServingShardedMatchesBaseline is the engine's safety net: for
@@ -102,8 +115,8 @@ func TestServingShardedMatchesBaseline(t *testing.T) {
 
 // TestIngestBatchMatchesIngest is the driver-equivalence table: every way
 // into the engine — per-event ticks, IngestBatch at tick sizes from one
-// event to the whole stream, Replay — is only a way of cutting the same
-// stream into IngestBatch ticks, so at every shard count, and bounded (see
+// event to the whole stream — is only a way of cutting the same stream
+// into IngestBatch ticks, so at every shard count, and bounded (see
 // the drivers' bounded column) or not, each must emit the sequential
 // oracle's alarm stream exactly (micro-batched scoring defers only the
 // ScoreBatch call, never the decision).
@@ -203,13 +216,6 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		{"IngestBatch-7", []int{1}, ticks(smallTick)},
 		{"IngestBatch-1024", both, ticks(1024)},
 		{"IngestBatch-all", both, ticks(len(stream))},
-		{"Replay", both, func(t *testing.T, s *Server) []Alarm {
-			var got []Alarm
-			if _, err := s.Replay(context.Background(), res.Store, func(a Alarm) { got = append(got, a) }); err != nil {
-				t.Fatal(err)
-			}
-			return got
-		}},
 	}
 	for _, d := range drivers {
 		for _, shards := range both {
@@ -235,44 +241,6 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestReplayCancelDeliversPrefix cancels a replay from inside onAlarm:
-// Replay must stop at the next tick boundary with ctx.Err(), and the
-// alarms already delivered must be an exact prefix of the full stream —
-// never a reordering, never an alarm out of a later tick.
-func TestReplayCancelDeliversPrefix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model on a generated fleet")
-	}
-	pipe, res := trainedPipeline(t)
-	want := collectReplay(t, pipe, res, 2)
-	if len(want) < 4 {
-		t.Fatalf("only %d alarms; fixture too small to cancel mid-stream", len(want))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, 2)
-	var got []Alarm
-	n, err := s.Replay(ctx, res.Store, func(a Alarm) {
-		if got = append(got, a); len(got) == 2 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Replay returned %v, want context.Canceled", err)
-	}
-	if n != len(got) {
-		t.Fatalf("alarm count %d != callback count %d", n, len(got))
-	}
-	if len(got) < 2 || len(got) >= len(want) {
-		t.Fatalf("delivered %d of %d alarms; cancellation should stop mid-stream", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("delivered alarm %d is not the stream's:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -358,68 +326,6 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 		if lastVec[i] != want[i] {
 			t.Fatalf("feature %d: served %v, want %v (late event mis-folded)", i, lastVec[i], want[i])
 		}
-	}
-}
-
-// TestReplayUnsortedStore: a store whose logs were never sorted (bulk
-// out-of-order appends, no SortAll) must replay through sorted copies
-// and match the baseline, which globally sorts.
-func TestReplayUnsortedStore(t *testing.T) {
-	reg := NewRegistry()
-	scorer := func(x []float64) float64 { return x[5] / 4 } // ce_total-driven
-	registerFunc(t, reg, "m", scorer, eval.Metrics{Precision: 1, F1: 1}, 0.5)
-	if err := reg.Promote("m", 1); err != nil {
-		t.Fatal(err)
-	}
-	part, err := platform.PartByNumber("A4-2666-32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := trace.NewStore()
-	for d := 0; d < 6; d++ {
-		id := trace.DIMMID{Platform: platform.Purley, Server: d, Slot: 0}
-		if _, err := store.Register(id, part); err != nil {
-			t.Fatal(err)
-		}
-		// Deliberately unsorted times.
-		for _, tm := range []trace.Minutes{500, 100, 900, 300, 700, 1100, 50} {
-			if err := store.Append(trace.Event{
-				Time: tm + trace.Minutes(d), Type: trace.TypeCE, DIMM: id,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if store.Get(id).Indexed() {
-			t.Fatal("fixture log unexpectedly sorted")
-		}
-	}
-	fs := NewFeatureStore()
-	base := NewShardedServer(platform.Purley, fs, reg, "m", nil, 0)
-	var want []Alarm
-	if _, err := base.ReplayBaseline(context.Background(), store, func(a Alarm) { want = append(want, a) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("baseline emitted no alarms; fixture proves nothing")
-	}
-	for _, shards := range []int{1, 3} {
-		eng := NewShardedServer(platform.Purley, fs, reg, "m", nil, shards)
-		var got []Alarm
-		if _, err := eng.Replay(context.Background(), store, func(a Alarm) { got = append(got, a) }); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d alarms, want %d", shards, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: alarm %d differs:\n got %+v\nwant %+v", shards, i, got[i], want[i])
-			}
-		}
-	}
-	// The caller's store must not have been mutated into sorted order.
-	if store.Get(trace.DIMMID{Platform: platform.Purley, Server: 0, Slot: 0}).Indexed() {
-		t.Fatal("Replay mutated the caller's store")
 	}
 }
 

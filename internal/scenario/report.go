@@ -176,7 +176,7 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 				continue
 			}
 			ue, failed := pr.failed[id]
-			if failed && ue > at && ue-at <= s.Serve.FeedbackWindow {
+			if failed && ue > at && ue-at <= feedbackWindow {
 				tp++
 				leads = append(leads, float64(ue-at)/float64(trace.Day))
 			} else {

@@ -155,8 +155,6 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 		}
 		pr.server = mlops.NewShardedServer(pf, pr.pipe.Features, pr.pipe.Registry,
 			pr.pipe.ModelName, pr.pipe.Monitor, shards)
-		pr.server.PredictEvery = s.Serve.PredictEvery
-		pr.server.Cooldown = s.Serve.Cooldown
 		for _, l := range pr.store.DIMMs() {
 			pr.server.RegisterDIMM(l.ID, l.Part)
 		}
@@ -283,7 +281,7 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 				pa = append(pa, a)
 			}
 		}
-		pr.pipe.ResolveAlarms(pa, pr.failed, s.Serve.FeedbackWindow)
+		pr.pipe.ResolveAlarms(pa, pr.failed, feedbackWindow)
 	}
 	rep := buildReport(s, st, len(stream), reporters)
 	logf("run: %d events delivered, %d alarms, passed=%v",

@@ -47,7 +47,6 @@ type Scenario struct {
 
 	Fleet      FleetGen
 	Train      TrainSpec
-	Serve      ServeSpec
 	Chaos      []Action
 	Assertions []Assertion
 }
@@ -80,14 +79,9 @@ type TrainSpec struct {
 	TrainEndDay, ValEndDay int
 }
 
-// ServeSpec configures the online engine.
-type ServeSpec struct {
-	PredictEvery trace.Minutes // default 5
-	Cooldown     trace.Minutes // default 12h
-	// FeedbackWindow is the prediction window alarms are resolved
-	// against (TP/FP/lead time); default 30 days.
-	FeedbackWindow trace.Minutes
-}
+// feedbackWindow is the prediction window alarms are resolved against
+// (TP/FP/lead time).
+const feedbackWindow = 30 * trace.Day
 
 // Action kinds of the chaos schedule.
 const (
@@ -273,7 +267,7 @@ func Parse(src string) (*Scenario, error) {
 	}
 	d := &decoder{}
 	root, err := d.mapNode(node, "name", "description", "seed", "tick_minutes",
-		"shards", "record_alarms", "fleet", "train", "serve", "chaos", "assertions")
+		"shards", "record_alarms", "fleet", "train", "chaos", "assertions")
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +276,6 @@ func Parse(src string) (*Scenario, error) {
 		Seed:        42,
 		TickMinutes: trace.Day,
 		Train:       TrainSpec{Trainer: model.NameGBDT, TrainEndDay: 150, ValEndDay: 180},
-		Serve: ServeSpec{
-			PredictEvery:   5,
-			Cooldown:       12 * trace.Hour,
-			FeedbackWindow: 30 * trace.Day,
-		},
 	}
 	if s.Name, _, err = d.str(root, "name"); err != nil {
 		return nil, err
@@ -328,9 +317,6 @@ func Parse(src string) (*Scenario, error) {
 		return nil, err
 	}
 	if err := d.decodeTrain(root, s); err != nil {
-		return nil, err
-	}
-	if err := d.decodeServe(root, s); err != nil {
 		return nil, err
 	}
 	if err := d.decodeChaos(root, s); err != nil {
@@ -488,44 +474,6 @@ func (d *decoder) decodeTrain(root map[string]any, s *Scenario) error {
 	}
 	if s.Train.TrainEndDay <= 0 || s.Train.ValEndDay <= s.Train.TrainEndDay {
 		return d.errf("need 0 < train_end_day < val_end_day")
-	}
-	return nil
-}
-
-func (d *decoder) decodeServe(root map[string]any, s *Scenario) error {
-	v, ok := root["serve"]
-	if !ok {
-		return nil
-	}
-	d.push("serve")
-	defer d.pop()
-	m, err := d.mapNode(v, "predict_every_minutes", "cooldown_hours", "feedback_window_days")
-	if err != nil {
-		return err
-	}
-	if v, ok, err := d.integer(m, "predict_every_minutes"); err != nil {
-		return err
-	} else if ok {
-		if v <= 0 {
-			return d.errf("predict_every_minutes must be positive")
-		}
-		s.Serve.PredictEvery = trace.Minutes(v)
-	}
-	if v, ok, err := d.integer(m, "cooldown_hours"); err != nil {
-		return err
-	} else if ok {
-		if v < 0 {
-			return d.errf("cooldown_hours must be non-negative")
-		}
-		s.Serve.Cooldown = trace.Minutes(v) * trace.Hour
-	}
-	if v, ok, err := d.integer(m, "feedback_window_days"); err != nil {
-		return err
-	} else if ok {
-		if v <= 0 {
-			return d.errf("feedback_window_days must be positive")
-		}
-		s.Serve.FeedbackWindow = trace.Minutes(v) * trace.Day
 	}
 	return nil
 }

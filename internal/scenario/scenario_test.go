@@ -49,10 +49,6 @@ func TestParseScenarioDefaults(t *testing.T) {
 	if s.Train.TrainEndDay != 150 || s.Train.ValEndDay != 180 {
 		t.Fatalf("default split = %d/%d", s.Train.TrainEndDay, s.Train.ValEndDay)
 	}
-	if s.Serve.PredictEvery != 5 || s.Serve.Cooldown != 12*trace.Hour ||
-		s.Serve.FeedbackWindow != 30*trace.Day {
-		t.Fatalf("serve defaults: %+v", s.Serve)
-	}
 	if len(s.Chaos) != 1 || s.Chaos[0].At != 100*trace.Day || s.Chaos[0].Duration != 2*trace.Day {
 		t.Fatalf("chaos: %+v", s.Chaos)
 	}

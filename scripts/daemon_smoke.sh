@@ -1,12 +1,13 @@
 #!/bin/sh
 # Daemon smoke: the same fleet replayed twice through the real mlopsd
-# binary — once through the in-process node, once as a control plane +
-# two loopback node daemons — must produce byte-identical alarm logs and
-# the same per-month alarm counts and live precision/recall. Exercises the
-# full process topology the distributed_test covers in-memory: join,
-# deterministic partition, binary tick fan-out, artifact pulls on
-# promotion, checkpointed journal truncation with checkpoints in a real
-# on-disk store, and graceful SIGTERM shutdown of the daemons.
+# binary — once through the in-process node under a 1 MiB memory budget
+# that spills evicted DIMM state to disk, once as a control plane + two
+# loopback node daemons with no budget — must produce byte-identical alarm
+# logs and the same per-month alarm counts and live precision/recall.
+# Exercises the full process topology the distributed_test covers
+# in-memory: join, deterministic partition, binary tick fan-out, artifact
+# pulls on promotion, checkpointed journal truncation with checkpoints in
+# a real on-disk store, and graceful SIGTERM shutdown of the daemons.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,9 +28,16 @@ PORT=19647
 REF="$TMP/ref.alarms"
 DIST="$TMP/dist.alarms"
 
-# Reference: single process, in-process node.
+# Reference: single process, in-process node, with a budget tight enough
+# to freeze DIMMs constantly and a spill dir their records must reach.
+mkdir -p "$TMP/local-spill"
 "$TMP/mlopsd" -platform Intel_Purley -scale 0.03 -seed 31 \
+    -membudget 1 -spill-dir "$TMP/local-spill" \
     -alarm-log "$REF" > "$TMP/ref.log"
+if ! ls "$TMP/local-spill"/dimm%2F*.spill >/dev/null 2>&1; then
+    echo "daemon-smoke: no evicted DIMM state reached the local spill dir" >&2
+    exit 1
+fi
 
 # Distributed: control plane + two node daemons on the loopback, with an
 # aggressive checkpoint cadence and an on-disk spill store so the journal
