@@ -8,36 +8,6 @@ import (
 	"memfp/internal/trace"
 )
 
-// fleetStream flattens the fixture store into one time-ordered stream.
-func fleetStream(t *testing.T) ([]trace.Event, *Pipeline) {
-	t.Helper()
-	pipe, res := trainedPipeline(t)
-	var stream []trace.Event
-	for _, l := range res.Store.DIMMs() {
-		stream = append(stream, l.Events...)
-	}
-	sortSlice(stream, func(a, b trace.Event) bool {
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.DIMM != b.DIMM {
-			return a.DIMM.Less(b.DIMM)
-		}
-		return a.Type < b.Type
-	})
-	return stream, pipe
-}
-
-func freshServer(t *testing.T, pipe *Pipeline, shards int) *Server {
-	t.Helper()
-	_, res := trainedPipeline(t)
-	s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, shards)
-	for _, l := range res.Store.DIMMs() {
-		s.RegisterDIMM(l.ID, l.Part)
-	}
-	return s
-}
-
 // TestTransientRegistryErrorPreservesThrottle pins the throttle-advance
 // ordering: a prediction opportunity that dies on a registry/rehydration
 // error must stay available — the next event retries instead of finding
@@ -74,44 +44,6 @@ func TestTransientRegistryErrorPreservesThrottle(t *testing.T) {
 	if a == nil {
 		t.Fatal("failed prediction attempt consumed the throttle (lastPred advanced before production())")
 	}
-}
-
-// TestReplaceDIMMResetsState pins hot-swap semantics: after ReplaceDIMM
-// the slot serves a fresh module — history, throttle and cooldown state
-// gone — so an event pattern that was cooldown-suppressed on the old
-// module can alarm again on the new one.
-func TestReplaceDIMMResetsState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model on a generated fleet")
-	}
-	stream, pipe := fleetStream(t)
-	s := freshServer(t, pipe, 4)
-	alarms, err := s.IngestBatch(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(alarms) == 0 {
-		t.Fatal("stream emitted no alarms; fixture proves nothing")
-	}
-	id := alarms[0].DIMM
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	oldLen := len(sh.dimms[id].log.Events)
-	part := sh.dimms[id].log.Part
-	sh.mu.Unlock()
-	if oldLen == 0 {
-		t.Fatal("alarmed DIMM has no history")
-	}
-
-	s.ReplaceDIMM(id, part)
-	sh.mu.Lock()
-	st := sh.dimms[id]
-	if len(st.log.Events) != 0 || st.cursor != nil || st.alarmed || st.lastPred != 0 {
-		sh.mu.Unlock()
-		t.Fatalf("ReplaceDIMM left state behind: events=%d cursor=%v alarmed=%v lastPred=%v",
-			len(st.log.Events), st.cursor != nil, st.alarmed, st.lastPred)
-	}
-	sh.mu.Unlock()
 }
 
 // TestRegistryRollback walks a promote → promote → rollback cycle and

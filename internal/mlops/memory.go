@@ -155,25 +155,6 @@ func (sh *shard) drop(st *dimmState) {
 	st.dropped = true
 }
 
-// releaseLocked drops every trace of one DIMM's serving state — live,
-// frozen, and spilled — returning its bytes to the shard, for
-// ReplaceDIMM.
-func (s *Server) releaseLocked(sh *shard, id trace.DIMMID) {
-	s.snapKept.Store(false) // the kept snapshot order lists id
-	if st, ok := sh.dimms[id]; ok {
-		sh.resident -= st.bytes
-		sh.drop(st)
-	}
-	if fz, ok := sh.frozen[id]; ok {
-		sh.resident -= fz.bytes
-		if fz.spilled && s.Spill != nil {
-			s.Spill.Delete(spillDIMMKey(id))
-			s.spilledBytes.Add(-fz.spillBytes)
-		}
-		delete(sh.frozen, id)
-	}
-}
-
 // maybeCompact runs the post-prediction compaction policy for one DIMM:
 // at most once per quarter observation window of stream time, drop the
 // log prefix older than t minus the feature store's observation window —

@@ -48,8 +48,8 @@ type Alarm struct {
 //     maintains the per-type query index incrementally for in-order
 //     streams instead of degrading it to linear scans.
 //
-// IngestBatch is the one way in; the control plane's node and the
-// scenario runner are its tick sources. Within a tick, the vector
+// IngestBatch is the one way in, and the control plane's node is its tick
+// source. Within a tick, the vector
 // predictions that fall due on one shard are scored through a single
 // ScoreBatch call, amortizing per-call model overhead (decisive for
 // batch-oriented scorers like the FT-Transformer); every registered model
@@ -235,23 +235,6 @@ func (s *Server) RegisterDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	}
 }
 
-// ReplaceDIMM models a hot-swap: the module in the slot is retired and a
-// fresh DIMM — same identity, possibly a different part — takes over with
-// an empty history and cleared throttle, cooldown, and cursor state. The
-// caller is responsible for no longer delivering the retired module's
-// events; anything ingested after the swap belongs to the new module.
-func (s *Server) ReplaceDIMM(id trace.DIMMID, part platform.DIMMPart) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.releaseLocked(sh, id) // retires live or frozen state of the old module
-	st := &dimmState{log: &trace.DIMMLog{ID: id, Part: part}}
-	sh.dimms[id] = st
-	if s.MemoryBudget > 0 {
-		sh.account(st)
-	}
-}
-
 // production resolves the production model through the epoch-stamped
 // cache: the registry lock and the rehydration check are paid only when a
 // promotion moved the epoch since the last prediction.
@@ -403,15 +386,15 @@ func (s *Server) flushPending(pend *[]pendingPred, out *[]Alarm) error {
 }
 
 // IngestBatch processes a micro-batch of events — the online engine's
-// tick. Events are routed to their shards and processed concurrently,
-// preserving arrival order within each shard, and each shard's due
-// predictions are scored through one ScoreBatch call. Alarms are returned
-// merged in (Time, DIMM) order and counted into the monitor in that
-// order; the alarm stream is the same for every way of cutting a
-// time-ordered event stream into ticks. On error the alarms that fired
-// before the failure are still returned (and counted) alongside it —
-// cooldown state was already advanced for them, so dropping them would
-// lose them for good.
+// tick, one per journaled control-plane tick. Events are routed to their
+// shards and processed concurrently, preserving arrival order within each
+// shard, and each shard's due predictions are scored through one
+// ScoreBatch call. Alarms are returned merged in (Time, DIMM) order and
+// counted into the monitor in that order; the alarm stream is the same for
+// every way of cutting a time-ordered event stream into ticks. On error
+// the alarms that fired before the failure are still returned (and
+// counted) alongside it — cooldown state was already advanced for them, so
+// dropping them would lose them for good.
 func (s *Server) IngestBatch(events []trace.Event) ([]Alarm, error) {
 	perShard := make([][]trace.Event, len(s.shards))
 	for _, e := range events {

@@ -27,14 +27,14 @@ import (
 // field a record serializes — the retained events and their order, the
 // prediction throttle, the alarm cooldown, the compaction horizon and the
 // fold state compaction rewrites — changes only while serving a tick,
-// under the shard lock, for a DIMM that tick appended to; thaw,
-// ReplaceDIMM and RestoreSnapshot build fresh states that have no record
-// yet. A frozen DIMM is already a blob and is written straight into the
-// frame; a spilled one's stored bytes are checked and copied through. The
-// frame's DIMM order (Server.snapOrder) is kept sorted between snapshots
-// too: DIMMs registered since merge in, a release or restore rebuilds it.
-// The frame is byte for byte the one a full freeze-sort-encode walk
-// writes — that walk is the oracle in snapshot_test.go.
+// under the shard lock, for a DIMM that tick appended to; thaw and
+// RestoreSnapshot build fresh states that have no record yet. A frozen
+// DIMM is already a blob and is written straight into the frame; a spilled
+// one's stored bytes are checked and copied through. The frame's DIMM
+// order (Server.snapOrder) is kept sorted between snapshots too: DIMMs
+// registered since merge in, a restore rebuilds it. The frame is byte for
+// byte the one a full freeze-sort-encode walk writes — that walk is the
+// oracle in snapshot_test.go.
 
 // snapshotMagic versions the engine snapshot format. MFS3 records hold
 // their events in the trace log form (trace.AppendLogEvents) and their
@@ -157,7 +157,7 @@ func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
 		ent := &s.snapOrder[i]
 		id, st := ent.id, ent.st
 		if st == nil || st.dropped {
-			// Frozen when last seen, or evicted or swapped since: look again.
+			// Frozen when last seen, or evicted since: look again.
 			sh := s.shardFor(id)
 			st = sh.dimms[id]
 			ent.st = st
@@ -220,8 +220,8 @@ type snapEnt struct {
 
 // settleSnapOrder brings snapOrder up to date with the DIMM set: the few
 // DIMMs registered since the last snapshot merge into the kept order; a
-// release or restore since then (snapKept cleared) rebuilds it from the
-// shard maps. Every shard lock held.
+// restore since then (snapKept cleared) rebuilds it from the shard maps.
+// Every shard lock held.
 func (s *Server) settleSnapOrder() {
 	var added []snapEnt
 	kept := s.snapKept.Swap(true)

@@ -189,20 +189,21 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 			}
 		}
 
-		mon := pr.pipe.Monitor
+		// The node's monitor counts predictions and scores; the pipeline's
+		// counts events and resolved outcomes.
+		mon, fl := pr.pipe.Monitor, pr.cp.Fleet()
 		prec, rec := mon.LivePrecisionRecall()
-		psi := mon.PSI()
-		if psi > rep.Metrics.PSI {
-			rep.Metrics.PSI = psi
+		if fl.PSI > rep.Metrics.PSI {
+			rep.Metrics.PSI = fl.PSI
 		}
-		rep.Counters.Predictions += mon.PredictionCount()
+		rep.Counters.Predictions += int(fl.Predictions)
 		ps := PlatformSummary{
 			Platform:    string(pf),
 			DIMMs:       pr.store.Len(),
-			Predictions: mon.PredictionCount(),
+			Predictions: int(fl.Predictions),
 			Precision:   prec,
 			Recall:      rec,
-			PSI:         psi,
+			PSI:         fl.PSI,
 		}
 		for _, t := range []trace.EventType{trace.TypeCE, trace.TypeUE, trace.TypeStorm} {
 			ps.Events += mon.EventCount(t)

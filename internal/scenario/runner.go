@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"memfp/internal/controlplane"
 	"memfp/internal/faultsim"
 	"memfp/internal/mlops"
 	"memfp/internal/platform"
@@ -29,18 +30,19 @@ type Options struct {
 	TickHook func(tick int)
 }
 
-// platformRun is the per-platform serving stack of one run.
+// platformRun is the per-platform serving stack of one run: a control
+// plane with its in-process node.
 type platformRun struct {
 	pf     platform.ID
 	pipe   *mlops.Pipeline
-	server *mlops.Server
+	cp     *controlplane.Server
 	store  *trace.Store
 	failed map[trace.DIMMID]trace.Minutes
-	// Maintenance window: while paused, the platform's delivered events
-	// wait here in arrival order and reach the engine as one batch when
-	// the window closes.
+	// Maintenance window: while paused, the control plane journals the
+	// delivered ticks and serves them when the window closes; held counts
+	// their events.
 	paused bool
-	held   []trace.Event
+	held   int
 }
 
 // timelineOp is one scheduled control operation. Maintenance windows
@@ -73,6 +75,13 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 		totalW += t.Weight
 	}
 	runs := map[platform.ID]*platformRun{}
+	defer func() {
+		for _, pr := range runs {
+			if pr.cp != nil {
+				pr.cp.Close()
+			}
+		}
+	}()
 	var order []platform.ID // template declaration order, deduplicated
 	ctxI := &injectCtx{
 		platforms: map[platform.ID]*platform.Platform{},
@@ -130,7 +139,7 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 		pr.store.SortAll()
 	}
 
-	// --- Bootstrap training + serving engines.
+	// --- Bootstrap training + serving control planes.
 	shards := s.Shards
 	if opt.Shards > 0 {
 		shards = opt.Shards
@@ -153,10 +162,12 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 				return nil, err
 			}
 		}
-		pr.server = mlops.NewShardedServer(pf, pr.pipe.Features, pr.pipe.Registry,
-			pr.pipe.ModelName, pr.pipe.Monitor, shards)
+		pr.pipe.Shards = shards
+		if pr.cp, err = controlplane.New(controlplane.Config{Pipeline: pr.pipe}); err != nil {
+			return nil, fmt.Errorf("scenario: serving %s: %w", pf, err)
+		}
 		for _, l := range pr.store.DIMMs() {
-			pr.server.RegisterDIMM(l.ID, l.Part)
+			pr.cp.RegisterDIMM(l.ID, l.Part)
 		}
 		logf("train: %s %s v%d (%s)", pf, pr.pipe.ModelName, tr.Version.Version, tr.Reason)
 	}
@@ -271,6 +282,12 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 			return nil, err
 		}
 	}
+	for _, pf := range order {
+		// Every tick was flushed, so all that is left is what never served.
+		if res, _ := runs[pf].cp.Flush(); res.Pending > 0 {
+			return nil, fmt.Errorf("scenario: %s: %d ticks never served", pf, res.Pending)
+		}
+	}
 
 	// --- Outcome resolution and report assembly.
 	for _, pf := range order {
@@ -310,11 +327,12 @@ func (st *runState) appendAlarms(as []mlops.Alarm) {
 	st.alarms = append(st.alarms, as...)
 }
 
-// deliver routes one post-injection batch to the per-platform engines,
-// or into a paused platform's hold. Platform splitting is deterministic
-// (DIMM identity), and the tick's alarms are merged in the engine's
-// emission order (mlops.MergeAlarms) so the stream does not depend on
-// platform iteration order.
+// deliver routes one post-injection batch to the per-platform control
+// planes, each tick served before the next window opens (a paused
+// platform's is journaled for its resume). Platform splitting is
+// deterministic (DIMM identity), and the tick's alarms are merged in the
+// engine's emission order (mlops.MergeAlarms) so the stream does not
+// depend on platform iteration order.
 func (st *runState) deliver(batch []trace.Event) error {
 	if len(batch) == 0 {
 		return nil
@@ -333,34 +351,38 @@ func (st *runState) deliver(batch []trace.Event) error {
 		st.delivered += len(sub)
 		pr := st.runs[pf]
 		if pr.paused {
-			pr.held = append(pr.held, sub...)
-			continue
+			pr.held += len(sub)
 		}
-		as, err := pr.server.IngestBatch(sub)
+		in, err := pr.cp.IngestTick(sub)
 		if err != nil {
 			return err
 		}
-		perPlatform = append(perPlatform, as)
+		out, err := pr.cp.Flush()
+		if err != nil {
+			return err
+		}
+		perPlatform = append(perPlatform, append(in.Alarms, out.Alarms...))
 	}
 	st.appendAlarms(mlops.MergeAlarms(perPlatform))
 	return nil
 }
 
-// resume closes a platform's maintenance window, if open: what it held
-// is served as one batch and counted into events_held.
+// resume closes a platform's maintenance window, if open: the control
+// plane serves what it journaled, and the events count into events_held.
+// The alarms merge as one list — the order one batch of the held events
+// emits in, even when lagged events arrive out of time order.
 func (st *runState) resume(pr *platformRun) error {
 	if !pr.paused {
 		return nil
 	}
-	held := pr.held
-	pr.paused, pr.held = false, nil
-	st.heldTotal += len(held)
-	if len(held) == 0 {
-		return nil
+	st.heldTotal += pr.held
+	pr.paused, pr.held = false, 0
+	res, err := pr.cp.Resume()
+	if err != nil {
+		return err
 	}
-	as, err := pr.server.IngestBatch(held)
-	st.appendAlarms(as)
-	return err
+	st.appendAlarms(mlops.MergeAlarms([][]mlops.Alarm{res.Alarms}))
+	return nil
 }
 
 // targets returns the platforms an action addresses, in fleet order.
@@ -383,6 +405,7 @@ func (st *runState) control(op timelineOp, logf func(string, ...any)) error {
 	case ActionMaintenance:
 		for _, pf := range st.targets(a) {
 			st.runs[pf].paused = true
+			st.runs[pf].cp.Pause()
 		}
 		logf("chaos: maintenance window opens at %v", op.at)
 	case opResume:
@@ -444,13 +467,16 @@ func (st *runState) control(op timelineOp, logf func(string, ...any)) error {
 	return nil
 }
 
-// hotswap retires the selected modules: serving state reset to a fresh
-// module (same part, same slot) and all later events of the retired
-// module dropped from the stream.
+// hotswap retires the selected modules: all later events of a retired
+// module are dropped from the stream, and its UE (if any) no longer
+// happens in this fleet. The engine needs no call, since the fresh
+// module in the slot emits nothing. A swap never rewrites alarms from
+// before it: the old module's earlier telemetry, even when a maintenance
+// window or a log lag delivers it after the swap, is scored on that
+// module's own history.
 func (st *runState) hotswap(op timelineOp) (int, error) {
 	a := op.action
 	var targets []trace.DIMMID
-	parts := map[trace.DIMMID]platform.DIMMPart{}
 	switch a.Selector {
 	case "alarmed":
 		seen := map[trace.DIMMID]bool{}
@@ -473,18 +499,12 @@ func (st *runState) hotswap(op timelineOp) (int, error) {
 	if a.MaxTargets > 0 && len(targets) > a.MaxTargets {
 		targets = targets[:a.MaxTargets]
 	}
-	for _, d := range st.ctxI.dimms {
-		parts[d.ID] = d.Part
-	}
 	for _, id := range targets {
 		pr := st.runs[id.Platform]
 		if pr == nil {
-			return 0, fmt.Errorf("scenario: hotswap target %s has no serving engine", id)
+			return 0, fmt.Errorf("scenario: hotswap target %s has no serving platform", id)
 		}
-		pr.server.ReplaceDIMM(id, parts[id])
 		st.retire.retire(id, op.at)
-		// The retired module's UE (if any) no longer happens in this
-		// fleet; the fresh module is healthy.
 		delete(pr.failed, id)
 		st.hotswaps++
 	}

@@ -5,14 +5,15 @@
 // windows, DIMM hot-swaps, collection lag, mid-stream model promotion
 // and rollback), and end-of-run assertions (alarm bounds, lead-time
 // percentiles, precision/recall, score-drift PSI) — executed against the
-// real sharded serving engine and MLOps pipeline, never a mock.
+// real control plane (one per platform, with its in-process node) and
+// MLOps pipeline, never a mock.
 //
 // Scenarios are seeded and deterministic: the same file and seed produce
 // a byte-identical report and alarm stream at every shard count, because
 // injection happens at the event-stream layer (the composable Injector
 // chain rewrites, inserts, drops, or delays the merged stream before it
-// reaches mlops.Server.IngestBatch) and every random draw comes from an
-// index-addressable xrand.Derive stream.
+// reaches controlplane.Server.IngestTick) and every random draw comes from
+// an index-addressable xrand.Derive stream.
 //
 // Run scenarios with `memfp simulate scenarios/<name>.yaml`; check a
 // file against the schema with `memfp simulate -validate <file>`.
@@ -87,7 +88,7 @@ const feedbackWindow = 30 * trace.Day
 const (
 	ActionCEStorm      = "ce_storm"      // stream-layer CE flood on a DIMM fraction
 	ActionFaultBurst   = "fault_burst"   // correlated row/bank CE bursts on fresh faults
-	ActionMaintenance  = "maintenance"   // serving engine paused, then resumed
+	ActionMaintenance  = "maintenance"   // control plane paused, then resumed
 	ActionHotswap      = "hotswap"       // retire alarmed DIMMs, fresh module in the slot
 	ActionLogLag       = "log_lag"       // collection lag: events delivered late
 	ActionTrainPromote = "train_promote" // mid-stream retrain + gate + promote
