@@ -95,9 +95,18 @@ fuzz-short:
 # Build-and-run smoke over the examples at tiny scale: the quickstart
 # (fleet → train → evaluate) and the mlops walkthrough (train → gate →
 # serve → persist). Scales/seeds chosen so both carry training positives.
+# The walkthrough runs at -shards 1 and -shards 4 and its two outputs must
+# be identical once the lines that name the shards are dropped: its
+# -shards help promises the same alarms at any shard count.
 examples-smoke:
 	$(GO) run ./examples/quickstart -scale 0.02 -seed 7 > /dev/null
-	$(GO) run ./examples/mlops -platform Intel_Purley -scale 0.03 -seed 31 > /dev/null
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/mlops" ./examples/mlops && \
+	for n in 1 4; do \
+		"$$d/mlops" -platform Intel_Purley -scale 0.03 -seed 31 -shards $$n > "$$d/out-$$n" || exit 1; \
+		grep -v -e '^serving engine:' -e '^shard [0-9]*:' "$$d/out-$$n" > "$$d/cmp-$$n"; \
+	done && \
+	cmp "$$d/cmp-1" "$$d/cmp-4" && echo "examples-smoke: mlops output identical at -shards 1 and 4"
 
 # Run every shipped chaos scenario through the real serving stack; fails
 # if any scenario misses its assertions. (TestShippedScenariosValidate

@@ -220,23 +220,10 @@ func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
 		}
 	}
 	sort.Stable(trace.ByTime(all))
-	var alarms []mlops.Alarm
-	const tick = 1024
-	for lo := 0; lo < len(all); lo += tick {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r, err := cp.IngestTick(all[lo:min(lo+tick, len(all))])
-		if err != nil {
-			return err
-		}
-		alarms = append(alarms, r.Alarms...)
-	}
-	r, err := cp.Flush()
+	alarms, err := cp.ServeStream(ctx, all)
 	if err != nil {
 		return err
 	}
-	alarms = append(alarms, r.Alarms...)
 	pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
 	fmt.Fprintf(w, "replayed stream: %d alarms emitted\n", len(alarms))
 	fl := cp.Fleet()

@@ -16,16 +16,17 @@
 //	       [-addr 127.0.0.1:9090] [-nodes 0] [-alarm-log file] [-hold]
 //	       [-spill-dir dir] [-checkpoint-every 64]
 //
-// Either way the control plane journals ticks and flushes delivery at
-// the end of the bootstrap history and of each month, so every month's
-// line counts that month's alarms. With daemons it also checkpoints each
-// node's serving state every -checkpoint-every emitted ticks and frees the
-// journal prefix every checkpoint covers; -spill-dir keeps the
-// checkpoints on disk (default: in memory), and without daemons it also
-// holds the in-process node's evicted DIMM state under -membudget (unset,
-// frozen DIMMs stay on the heap). The month line's PSI is the
-// fleet's: read from the in-process engine when the month ends, or as
-// fresh as each daemon's last heartbeat.
+// Either way the bootstrap history and then each month go through the
+// control plane's ServeStream — 1,024-event ticks, delivery flushed at
+// the end — so every month's line counts that month's alarms. With
+// daemons the control plane also checkpoints each node's serving state
+// every -checkpoint-every emitted ticks and frees the journal prefix
+// every checkpoint covers; -spill-dir keeps the checkpoints on disk
+// (default: in memory), and without daemons it also holds the in-process
+// node's evicted DIMM state under -membudget (unset, frozen DIMMs stay on
+// the heap). The month line's PSI is the fleet's: read from the
+// in-process engine when the month ends, or as fresh as each daemon's
+// last heartbeat.
 //
 // Node-daemon mode serves a deterministic slice of the fleet, pulling
 // promoted model artifacts from the control plane:
@@ -35,8 +36,8 @@
 //	       [-spill-dir dir]
 //
 // Both modes shut down gracefully on SIGINT/SIGTERM: the control plane
-// drains pending work and prints the final dashboard, a node daemon
-// closes its listener cleanly.
+// stops the stream at the next tick, drains pending work and prints the
+// final dashboard, a node daemon closes its listener cleanly.
 package main
 
 import (
@@ -296,26 +297,19 @@ func runControl(ctx context.Context, o *options) error {
 		}
 	}
 
-	// ingestRange feeds all[lo:hi) through the control plane in ticks,
-	// each journaled and delivered to its owning nodes, then flushes
-	// delivery so the range's alarms are collected with the range.
-	const tick = 1024
+	// ingestRange serves all[lo:hi) through the control plane, which
+	// flushes delivery at the end so the range's alarms are collected with
+	// the range. An interrupt only cuts the range short: the final
+	// dashboard still prints.
 	ingestRange := func(lo, hi int, collect *[]mlops.Alarm) error {
-		emit := func(res controlplane.TickResult) {
-			logAlarms(res.Alarms)
-			if collect != nil {
-				*collect = append(*collect, res.Alarms...)
-			}
+		as, err := cp.ServeStream(ctx, all[lo:hi])
+		logAlarms(as)
+		if collect != nil {
+			*collect = append(*collect, as...)
 		}
-		for ; lo < hi && ctx.Err() == nil; lo += tick {
-			res, err := cp.IngestTick(all[lo:min(lo+tick, hi)])
-			if err != nil {
-				return err
-			}
-			emit(res)
+		if ctx.Err() != nil {
+			return nil
 		}
-		res, err := cp.Flush()
-		emit(res)
 		return err
 	}
 
@@ -357,10 +351,7 @@ func runControl(ctx context.Context, o *options) error {
 	// Drain work a dead-then-rejoined node may have left pending, and
 	// flush the final alarms (also the graceful-shutdown path).
 	for i := 0; i < 600; i++ {
-		res, err := cp.Flush()
-		if err != nil {
-			return err
-		}
+		res := cp.Flush()
 		logAlarms(res.Alarms)
 		alarms = append(alarms, res.Alarms...)
 		if res.Pending == 0 || ctx.Err() != nil {

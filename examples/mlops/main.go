@@ -81,29 +81,14 @@ func main() {
 		}
 	}
 	sort.Stable(trace.ByTime(all))
-	var alarms []mlops.Alarm
-	collect := func(as []mlops.Alarm) {
-		for _, a := range as {
-			alarms = append(alarms, a)
-			if len(alarms) <= 3 {
-				fmt.Printf("  ALARM %s score=%.2f at %v → dispatching VM live-migration\n",
-					a.DIMM, a.Score, a.Time)
-			}
-		}
-	}
-	const tick = 1024
-	for lo := 0; lo < len(all); lo += tick {
-		r, err := cp.IngestTick(all[lo:min(lo+tick, len(all))])
-		if err != nil {
-			log.Fatal(err)
-		}
-		collect(r.Alarms)
-	}
-	r, err := cp.Flush()
+	alarms, err := cp.ServeStream(context.Background(), all)
 	if err != nil {
 		log.Fatal(err)
 	}
-	collect(r.Alarms)
+	for _, a := range alarms[:min(3, len(alarms))] {
+		fmt.Printf("  ALARM %s score=%.2f at %v → dispatching VM live-migration\n",
+			a.DIMM, a.Score, a.Time)
+	}
 	fl := cp.Fleet()
 	fmt.Printf("serving engine: %d shards\n", len(fl.Shards))
 	fmt.Printf("online serving: %d alarms over the stream\n", len(alarms))

@@ -13,23 +13,20 @@ import (
 
 // Wire types of the control-plane HTTP API (JSON bodies). Event batches
 // travel as BMC text log lines (trace.EncodeEvent) or as binary MFE1
-// frames, alarms as JSON or binary MFA1 pages — negotiated per request
-// by Content-Type/Accept (see wire.go). JSON alarm scores round-trip
-// bit-exactly through encoding/json's shortest-representation float64
-// codec and binary ones travel as raw IEEE-754 bits; thresholds ride
-// hex-float headers — nothing on the wire can perturb the
-// byte-identical alarm invariant.
+// frames, negotiated per request by Content-Type; an ingest's alarms come
+// back as JSON or, on Accept, as a binary MFA1 page (see wire.go). JSON
+// alarm scores round-trip bit-exactly through encoding/json's
+// shortest-representation float64 codec and binary ones travel as raw
+// IEEE-754 bits; thresholds ride hex-float headers — nothing on the wire
+// can perturb the byte-identical alarm invariant.
 
 // Artifact response headers.
 const (
-	HeaderModelVersion = "X-Memfp-Model-Version"
-	HeaderModelName    = "X-Memfp-Model-Name"
-	HeaderAlgorithm    = "X-Memfp-Algorithm"
-	HeaderPlatform     = "X-Memfp-Platform"
+	HeaderAlgorithm = "X-Memfp-Algorithm"
+	HeaderPlatform  = "X-Memfp-Platform"
 	// HeaderThreshold is the version's decision threshold as a hex float
 	// (strconv 'x' format) — exact, unlike any decimal rendering.
 	HeaderThreshold = "X-Memfp-Threshold"
-	HeaderEpoch     = "X-Memfp-Epoch"
 )
 
 // AlarmJSON is one alarm on the wire.
@@ -122,19 +119,14 @@ type JoinRequest struct {
 	Addr string `json:"addr"` // node base URL the control plane forwards to
 }
 
-// JoinResponse is the node's assignment: its contiguous hash-slot range
-// plus everything needed to build a serving engine identical to the
-// single-process one.
+// JoinResponse is everything a node needs to build a serving engine
+// identical to the single-process one. Its slot range stays on the
+// control plane, which partitions every tick before sending it
+// (/api/v1/status shows the ranges).
 type JoinResponse struct {
-	Index        int    `json:"index"`
-	Nodes        int    `json:"nodes"`
-	Slots        int    `json:"slots"`
-	SlotFrom     int    `json:"slot_from"`
-	SlotTo       int    `json:"slot_to"` // exclusive
 	Platform     string `json:"platform"`
 	Model        string `json:"model"`
 	MemoryBudget int64  `json:"memory_budget"`
-	Epoch        uint64 `json:"epoch"`
 	Version      int    `json:"version"` // current production version (0 = none yet)
 	// CheckpointTick > 0 tells a rejoining node that a snapshot covering
 	// ticks [0, CheckpointTick) is stored on the control plane; the node
@@ -143,15 +135,15 @@ type JoinResponse struct {
 }
 
 // HeartbeatRequest / HeartbeatResponse keep a node registered and tell
-// it the current promotion epoch so it can pull new artifacts.
+// it the current production version so it can pull a newly promoted
+// artifact.
 type HeartbeatRequest struct {
 	Name  string    `json:"name"`
 	Stats NodeStats `json:"stats"`
 }
 
 type HeartbeatResponse struct {
-	Epoch   uint64 `json:"epoch"`
-	Version int    `json:"version"`
+	Version int `json:"version"`
 }
 
 // NodeInfo is one registered node in a status report.
@@ -227,7 +219,7 @@ const (
 	// maxTickBytes caps one tick on /api/v1/ingest in either codec:
 	// window accepted ticks fill at most half a frame, leaving the rest
 	// for framing. 2 MiB is ~100k events as MFE1 and ~15k as BMC text;
-	// mlopsd posts ticks of 1024.
+	// ServeStream's ticks are streamTick (1024) events.
 	maxTickBytes = maxFrameBytes / (2 * window)
 )
 

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"memfp/internal/eval"
+	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
@@ -20,21 +22,16 @@ import (
 // newLocalCP builds a local-mode control plane over an always-firing
 // constant model, served through a real HTTP listener; its in-process
 // node is reached without one.
-func newLocalCP(t *testing.T) (*Server, *Client, *httptest.Server) {
+func newLocalCP(t *testing.T) (*Server, *Client, string) {
 	t.Helper()
-	cp, err := New(Config{Pipeline: alwaysFirePipeline(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(cp.Handler())
-	t.Cleanup(ts.Close)
-	return cp, NewClient(ts.URL), ts
+	fl := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t)})
+	return fl.cp, fl.cl, fl.url
 }
 
 func TestAPIHealthStatusAndMethods(t *testing.T) {
-	_, cl, ts := newLocalCP(t)
+	_, cl, url := newLocalCP(t)
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(url + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func TestAPIHealthStatusAndMethods(t *testing.T) {
 	}
 
 	// Method patterns give automatic 405s.
-	resp, err = http.Post(ts.URL+"/api/v1/status", "application/json", nil)
+	resp, err = http.Post(url+"/api/v1/status", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +57,7 @@ func TestAPIHealthStatusAndMethods(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /api/v1/status = %d, want 405", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/api/v1/ingest")
+	resp, err = http.Get(url + "/api/v1/ingest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,78 +170,50 @@ func TestAPIModelLifecycle(t *testing.T) {
 	}
 }
 
+// TestAPIArtifact: a node's pinned pull gets the version's envelope bytes
+// and the metadata its import needs, the threshold exact through its hex
+// header — v1's, and v2's after v2's promotion. Unknown names and
+// versions are 404s; a missing or malformed version is a 400.
 func TestAPIArtifact(t *testing.T) {
 	f := fleet(t)
-	cp, err := New(Config{Pipeline: mirror(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(cp.Handler())
-	t.Cleanup(ts.Close)
-	cl := NewClient(ts.URL)
-	name := cp.pipe.ModelName
+	fl := bootFleet(t, Config{Pipeline: mirror(t)})
+	cl, name := fl.cl, fl.cp.pipe.ModelName
 
-	// Production pull: bytes + metadata headers, exact hex threshold.
-	art, err := cl.Artifact("", 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Name != name || art.Version != 1 || string(art.Data) != string(f.artifact) {
-		t.Fatalf("production artifact = %s v%d (%d bytes)", art.Name, art.Version, len(art.Data))
-	}
-	if art.Threshold != f.threshold {
-		t.Errorf("threshold %v does not round-trip exactly (want %v)", art.Threshold, f.threshold)
-	}
-	if !strings.Contains(art.ETag, "-e") {
-		t.Errorf("production ETag %q is not epoch-cache-busted", art.ETag)
-	}
-
-	// Conditional pull: unchanged epoch is a 304, a promotion busts it.
-	again, err := cl.Artifact("", 0, art.ETag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.NotModified {
-		t.Error("If-None-Match with current ETag did not 304")
-	}
 	if _, err := cl.Promote(name, 2); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cl.Artifact("", 0, art.ETag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.NotModified || fresh.Version != 2 || fresh.Threshold != f.threshold/2 {
-		t.Errorf("post-promotion pull = v%d threshold=%v notModified=%v",
-			fresh.Version, fresh.Threshold, fresh.NotModified)
-	}
-
-	// Version-pinned pull is immutable: same ETag across epochs, 304s.
-	pin, err := cl.Artifact(name, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pin.Version != 1 || strings.Contains(pin.ETag, "-e") {
-		t.Errorf("pinned pull = v%d etag=%q", pin.Version, pin.ETag)
-	}
-	if p2, err := cl.Artifact(name, 1, pin.ETag); err != nil || !p2.NotModified {
-		t.Errorf("pinned If-None-Match: %+v, %v", p2, err)
+	for _, want := range []struct {
+		version   int
+		threshold float64
+	}{{1, f.threshold}, {2, f.threshold / 2}} {
+		art, err := cl.Artifact(name, want.version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(art.Data) != string(f.artifact) || art.Algorithm != model.NameGBDT || art.Platform != string(platform.Purley) {
+			t.Errorf("v%d artifact = %s on %s (%d bytes), want the fixture's %d-byte %s envelope on %s", want.version,
+				art.Algorithm, art.Platform, len(art.Data), len(f.artifact), model.NameGBDT, platform.Purley)
+		}
+		if art.Threshold != want.threshold {
+			t.Errorf("v%d threshold %v does not round-trip exactly (want %v)", want.version, art.Threshold, want.threshold)
+		}
 	}
 
-	// Error paths: unknown version/name, malformed version, no envelope.
-	if _, err := cl.Artifact(name, 7, ""); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := cl.Artifact(name, 7); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown version: %v", err)
 	}
-	if _, err := cl.Artifact("nope", 1, ""); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := cl.Artifact("nope", 1); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown model: %v", err)
 	}
-	resp, err := http.Get(ts.URL + "/api/v1/models/artifact?version=zero")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed version = %d, want 400", resp.StatusCode)
+	for _, q := range []string{"version=zero", "version=0", ""} {
+		resp, err := http.Get(fl.url + "/api/v1/models/artifact?name=" + name + "&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("artifact pull with %q = %d, want 400", q, resp.StatusCode)
+		}
 	}
 }
 
@@ -319,13 +288,7 @@ func TestAPIDistributedGating(t *testing.T) {
 	}
 
 	// Distributed mode refuses ingest until the fleet is complete.
-	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(cp.Handler())
-	t.Cleanup(ts.Close)
-	dcl := NewClient(ts.URL)
+	dcl := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1}).cl
 	if _, err := ingestLines(dcl, encodeLines(f, 0, 1)); err == nil ||
 		!strings.Contains(err.Error(), strconv.Itoa(http.StatusServiceUnavailable)) {
 		t.Errorf("ingest before join: %v", err)
@@ -338,8 +301,11 @@ func TestAPIDistributedGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jr.SlotFrom != 0 || jr.SlotTo != 64 || jr.Slots != 64 || jr.Nodes != 1 || jr.Version != 1 {
-		t.Errorf("join assignment = %+v", jr)
+	if jr.Version != 1 {
+		t.Errorf("join = %+v, want production v1", jr)
+	}
+	if st, err := dcl.Status(); err != nil || len(st.Nodes) != 1 || st.Nodes[0].SlotFrom != 0 || st.Nodes[0].SlotTo != slots {
+		t.Errorf("status after the join = %+v, %v; want n1 owning slots [0, %d)", st.Nodes, err, slots)
 	}
 	if _, err := dcl.Join(JoinRequest{Name: "n2", Addr: "http://x"}); err == nil ||
 		!strings.Contains(err.Error(), "409") {
@@ -357,14 +323,8 @@ func TestAPIDistributedGating(t *testing.T) {
 // other wire.
 func TestAPINodeRefusingTicksLeavesPending(t *testing.T) {
 	f := fleet(t)
-	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cp.Close)
-	ts := httptest.NewServer(cp.Handler())
-	t.Cleanup(ts.Close)
-	cl := NewClient(ts.URL)
+	fl := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
+	cp, cl := fl.cp, fl.cl
 
 	var elsewhere atomic.Int32 // requests to any path but /ingest2
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -451,10 +411,8 @@ func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 	f := fleet(t)
 	e := f.all[0]
 	cp.RegisterDIMM(e.DIMM, f.parts[e.DIMM])
-	if _, err := cp.IngestTick([]trace.Event{e}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.Flush(); err != nil { // returns once the checkpoint attempt is over
+	// The stream's final flush returns once the checkpoint attempt is over.
+	if _, err := cp.ServeStream(context.Background(), []trace.Event{e}); err != nil {
 		t.Fatal(err)
 	}
 	st := cp.status()
@@ -472,8 +430,8 @@ func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 
 // TestAPIBinaryIngest drives the same fleet prefix through two identical
 // local control planes — one over BMC text lines, one over MFE1 binary
-// frames with binary MFA1 alarm responses — and requires identical alarm
-// streams from both wires.
+// frames with binary MFA1 alarm responses (the benchmark client's wire) —
+// and requires identical alarm streams from both wires.
 func TestAPIBinaryIngest(t *testing.T) {
 	f := fleet(t)
 	n := min(2000, len(f.all))
@@ -518,43 +476,6 @@ func TestAPIBinaryIngest(t *testing.T) {
 	if got, want := renderAlarms(ba), renderAlarms(ta); got != want {
 		t.Fatalf("binary wire alarms diverge from text wire:\n%s", firstDiff(got, want))
 	}
-
-	// Binary alarm paging agrees with the JSON page.
-	req, err := http.NewRequest(http.MethodGet, binCl.base+"/api/v1/alarms?since=0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", ContentTypeAlarms)
-	resp, err := binCl.HTTP.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("binary alarms page: %d, %v", resp.StatusCode, err)
-	}
-	if resp.Header.Get("Content-Type") != ContentTypeAlarms {
-		t.Errorf("binary alarms content type %q", resp.Header.Get("Content-Type"))
-	}
-	binPage, err := DecodeAlarmFrame(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonPage, err := binCl.Alarms(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next, _ := strconv.Atoi(resp.Header.Get(HeaderNext)); next != jsonPage.Next {
-		t.Errorf("binary page next cursor %d, JSON %d", next, jsonPage.Next)
-	}
-	var jp []mlops.Alarm
-	for _, a := range jsonPage.Alarms {
-		jp = append(jp, fromWire(a))
-	}
-	if got, want := renderAlarms(binPage), renderAlarms(jp); got != want {
-		t.Errorf("binary alarm page diverges from JSON page:\n%s", firstDiff(got, want))
-	}
 }
 
 // fill is an endless stream of one byte, for bodies too large to build.
@@ -571,28 +492,15 @@ func (f fill) Read(p []byte) (int, error) {
 // body into memory refuses one a byte past its cap with 413, and nothing
 // of it reaches the engine behind the endpoint.
 func TestAPIOversizeBodyRefused(t *testing.T) {
-	_, cl, ts := newLocalCP(t)
-
-	cp, err := New(Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cp.Close)
-	cpSrv := httptest.NewServer(cp.Handler())
-	t.Cleanup(cpSrv.Close)
-	node := NewNode("n1", cpSrv.URL)
-	nodeSrv := httptest.NewServer(node.Handler())
-	t.Cleanup(nodeSrv.Close)
-	if err := node.JoinOnce(nodeSrv.URL); err != nil {
-		t.Fatal(err)
-	}
+	_, cl, url := newLocalCP(t)
+	node, nodeSrv := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1}).join(t, "n1")
 
 	for _, tc := range []struct {
 		name, url, contentType string
 		limit                  int64
 	}{
-		{"ingest text", ts.URL + "/api/v1/ingest", "text/plain", maxTickBytes},
-		{"ingest MFE1", ts.URL + "/api/v1/ingest", ContentTypeEvents, maxTickBytes},
+		{"ingest text", url + "/api/v1/ingest", "text/plain", maxTickBytes},
+		{"ingest MFE1", url + "/api/v1/ingest", ContentTypeEvents, maxTickBytes},
 		{"node ingest2", nodeSrv.URL + "/ingest2", ContentTypeTicks, maxFrameBytes},
 	} {
 		// Blank lines: the text codec would skip every byte and accept.
@@ -724,10 +632,8 @@ func TestPeerResponseBounded(t *testing.T) {
 				e := f.all[0]
 				cp.RegisterDIMM(e.DIMM, f.parts[e.DIMM])
 				alloc := allocatedBy(func() {
-					if _, err := cp.IngestTick([]trace.Event{e}); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := cp.Flush(); err != nil { // returns once the node is dead
+					// The stream's final flush returns once the node is dead.
+					if _, err := cp.ServeStream(context.Background(), []trace.Event{e}); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -26,9 +26,8 @@ func NewClient(base string) *Client {
 
 // roundTrip sends req and returns the response (for its status and
 // headers) and its whole body, at most limit bytes of it (readBody). Any
-// status but 200 — and 304, which only a conditional request can draw —
-// is an error carrying the server's errorJSON message, or failing that
-// the body's text.
+// status but 200 is an error carrying the server's errorJSON message, or
+// failing that the body's text.
 func (c *Client) roundTrip(req *http.Request, limit int64) (*http.Response, []byte, error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -39,7 +38,7 @@ func (c *Client) roundTrip(req *http.Request, limit int64) (*http.Response, []by
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, err)
 	}
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
+	if resp.StatusCode == http.StatusOK {
 		return resp, body, nil
 	}
 	var e errorJSON
@@ -192,63 +191,36 @@ func (c *Client) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	return hr, err
 }
 
-// Artifact is a pulled model envelope plus its registry metadata.
+// Artifact is a pulled model envelope plus what importing it needs.
 type Artifact struct {
-	Name        string
-	Version     int
-	Algorithm   string
-	Platform    string
-	Threshold   float64
-	ETag        string
-	Data        []byte
-	NotModified bool
+	Algorithm string
+	Platform  string
+	Threshold float64
+	Data      []byte
 }
 
-// Artifact pulls a model envelope. version 0 requests the production
-// version (epoch-cache-busted ETag); a non-empty etag is sent as
-// If-None-Match, and a 304 returns NotModified with no body.
-func (c *Client) Artifact(name string, version int, etag string) (Artifact, error) {
-	u := c.base + "/api/v1/models/artifact"
-	q := url.Values{}
-	if name != "" {
-		q.Set("name", name)
-	}
-	if version > 0 {
-		q.Set("version", strconv.Itoa(version))
-	}
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
+// Artifact pulls version version of model name's envelope.
+func (c *Client) Artifact(name string, version int) (Artifact, error) {
+	q := url.Values{"name": {name}, "version": {strconv.Itoa(version)}}
+	req, err := http.NewRequest(http.MethodGet, c.base+"/api/v1/models/artifact?"+q.Encode(), nil)
 	if err != nil {
 		return Artifact{}, err
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
 	}
 	resp, data, err := c.roundTrip(req, maxBlobBytes)
 	if err != nil {
 		return Artifact{}, err
 	}
-	if resp.StatusCode == http.StatusNotModified {
-		return Artifact{ETag: etag, NotModified: true}, nil
+	th := resp.Header.Get(HeaderThreshold)
+	threshold, err := strconv.ParseFloat(th, 64)
+	if err != nil {
+		return Artifact{}, fmt.Errorf("bad threshold header %q: %w", th, err)
 	}
-	a := Artifact{
-		Name:      resp.Header.Get(HeaderModelName),
+	return Artifact{
 		Algorithm: resp.Header.Get(HeaderAlgorithm),
 		Platform:  resp.Header.Get(HeaderPlatform),
-		ETag:      resp.Header.Get("ETag"),
+		Threshold: threshold,
 		Data:      data,
-	}
-	a.Version, _ = strconv.Atoi(resp.Header.Get(HeaderModelVersion))
-	if th := resp.Header.Get(HeaderThreshold); th != "" {
-		v, err := strconv.ParseFloat(th, 64)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("bad threshold header %q: %w", th, err)
-		}
-		a.Threshold = v
-	}
-	return a, nil
+	}, nil
 }
 
 // Metrics fetches the Prometheus exposition text.

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -57,107 +58,57 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 
 	// Distributed: a control plane and two node daemons over real HTTP.
 	// An aggressive checkpoint cadence so the kill lands on a journal
-	// whose prefix has already been truncated.
-	distPipe := mirror(t)
-	cp, err := New(Config{Pipeline: distPipe, ExpectNodes: 2, CheckpointEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cp.Close)
+	// whose prefix has already been truncated. The node that dies and
+	// rejoins carries a name a query string would mangle unescaped ("+"
+	// decodes to a space, "&" splits the parameter): its checkpoint pull
+	// must still find it.
+	const n2Name = "n+1&x"
+	fl := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: 2, CheckpointEvery: 3}, "n1")
+	cp, cl := fl.cp, fl.cl
 	for id, part := range f.parts {
 		cp.RegisterDIMM(id, part)
 	}
-	cpSrv := httptest.NewServer(cp.Handler())
-	t.Cleanup(cpSrv.Close)
-	cl := NewClient(cpSrv.URL)
-
-	n1 := NewNode("n1", cpSrv.URL)
-	n1.Shards = 2
-	ts1 := httptest.NewServer(n1.Handler())
-	t.Cleanup(ts1.Close)
-	if err := n1.JoinOnce(ts1.URL); err != nil {
-		t.Fatal(err)
-	}
-	// The node that dies and rejoins carries a name a query string would
-	// mangle unescaped ("+" decodes to a space, "&" splits the parameter):
-	// its checkpoint pull must still find it.
-	const n2Name = "n+1&x"
-	n2 := NewNode(n2Name, cpSrv.URL)
-	n2.Shards = 2
-	ts2 := httptest.NewServer(n2.Handler())
-	if err := n2.JoinOnce(ts2.URL); err != nil {
-		t.Fatal(err)
-	}
+	_, ts2 := fl.join(t, n2Name)
 	if !cp.Ready() {
 		t.Fatal("control plane not ready after both joins")
 	}
 
+	// The stream is served in segments split at the reference's tick
+	// boundaries; each ServeStream flushes, so every action below lands
+	// on quiescent, deterministic state.
 	var distAlarms []mlops.Alarm
-	sawPending := false
-	ti = 0
-	for lo := 0; lo < len(all); lo += tick {
-		if ti == promoteAt {
-			// Promotion over the operator API, at the same tick boundary as
-			// the reference; subsequent ticks pin v2 and the nodes pull its
-			// artifact on demand.
-			if _, err := cl.Promote(name, 2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ti == killAt {
-			// Drain first so the kill lands on quiescent, deterministic
-			// state — by now several checkpoints have completed, so the
-			// journal prefix must already be truncated.
-			res, err := cp.Flush()
-			if err != nil {
-				t.Fatal(err)
-			}
-			distAlarms = append(distAlarms, res.Alarms...)
-			if js := cp.JournalStats(); js.Base == 0 || js.Truncations == 0 {
-				t.Errorf("journal never truncated before the kill: %+v", js)
-			}
-			ts2.Close() // node n2 dies mid-stream; its ticks go pending
-		}
-		if ti == rejoinAt {
-			// Fresh process, same name: the node restores the checkpointed
-			// snapshot, then journal replay of the suffix rebuilds its
-			// serving state under each tick's pinned model version.
-			n2b := NewNode(n2Name, cpSrv.URL)
-			n2b.Shards = 2
-			ts2b := httptest.NewServer(n2b.Handler())
-			t.Cleanup(ts2b.Close)
-			if err := n2b.JoinOnce(ts2b.URL); err != nil {
-				t.Fatal(err)
-			}
-			if n2b.RestoredFrom() == 0 {
-				t.Error("rejoining node did not restore a checkpoint; it replayed from zero")
-			}
-			res, err := cp.Flush()
-			if err != nil {
-				t.Fatal(err)
-			}
-			distAlarms = append(distAlarms, res.Alarms...)
-		}
-		hi := min(lo+tick, len(all))
-		res, err := cp.IngestTick(all[lo:hi])
+	serve := func(lo, hi int) {
+		t.Helper()
+		as, err := cp.ServeStream(context.Background(), all[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		distAlarms = append(distAlarms, res.Alarms...)
-		if res.Pending > 0 {
-			sawPending = true
-		}
-		ti++
+		distAlarms = append(distAlarms, as...)
 	}
-	for i := 0; i < 10; i++ {
-		res, err := cp.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		distAlarms = append(distAlarms, res.Alarms...)
-		if res.Pending == 0 {
-			break
-		}
+	serve(0, promoteAt*tick)
+	// Promotion over the operator API, at the reference's boundary;
+	// subsequent ticks pin v2 and the nodes pull its artifact on demand.
+	if _, err := cl.Promote(name, 2); err != nil {
+		t.Fatal(err)
+	}
+	serve(promoteAt*tick, killAt*tick)
+	// By now several checkpoints have completed, so the journal prefix
+	// must already be truncated.
+	if js := cp.JournalStats(); js.Base == 0 || js.Truncations == 0 {
+		t.Errorf("journal never truncated before the kill: %+v", js)
+	}
+	ts2.Close() // node n2 dies mid-stream; its ticks go pending
+	serve(killAt*tick, rejoinAt*tick)
+	sawPending := cp.status().Pending > 0
+	// Fresh process, same name: the node restores the checkpointed
+	// snapshot, then journal replay of the suffix rebuilds its serving
+	// state under each tick's pinned model version.
+	if n2b, _ := fl.join(t, n2Name); n2b.RestoredFrom() == 0 {
+		t.Error("rejoining node did not restore a checkpoint; it replayed from zero")
+	}
+	serve(rejoinAt*tick, len(all))
+	for i := 0; i < 10 && cp.status().Pending > 0; i++ {
+		distAlarms = append(distAlarms, cp.Flush().Alarms...)
 	}
 
 	if !sawPending {
@@ -170,8 +121,8 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	if js.SpillBytes == 0 {
 		t.Errorf("no checkpoint/segment bytes reached the spill store: %+v", js)
 	}
-	if js.Depth >= nTicks {
-		t.Errorf("journal depth %d not bounded below the %d-tick stream", js.Depth, nTicks)
+	if ticks := cp.status().Ticks; js.Depth >= ticks {
+		t.Errorf("journal depth %d not bounded below the %d-tick stream", js.Depth, ticks)
 	}
 	st, err := cl.Status()
 	if err != nil {
@@ -261,25 +212,17 @@ func TestDistributedRejoinServesWithoutHeartbeat(t *testing.T) {
 	if err := n1.JoinOnce(ts1.URL); err != nil {
 		t.Fatal(err)
 	}
-	var distAlarms []mlops.Alarm
-	pending := 0
-	for ti, lo := 0, 0; lo < len(all); ti, lo = ti+1, lo+tick {
-		if ti == killAt {
-			res, err := cp.Flush()
-			if err != nil {
-				t.Fatal(err)
-			}
-			distAlarms = append(distAlarms, res.Alarms...)
-			ts1.Close() // the node dies; everything after this goes pending
-		}
-		res, err := cp.IngestTick(all[lo:min(lo+tick, len(all))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		distAlarms = append(distAlarms, res.Alarms...)
-		pending = res.Pending
+	distAlarms, err := cp.ServeStream(context.Background(), all[:killAt*tick])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pending == 0 {
+	ts1.Close() // the node dies; everything after this goes pending
+	as, err := cp.ServeStream(context.Background(), all[killAt*tick:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	distAlarms = append(distAlarms, as...)
+	if cp.status().Pending == 0 {
 		t.Fatal("killing the node left no ticks pending; the rejoin has nothing to prove")
 	}
 
@@ -302,10 +245,7 @@ func TestDistributedRejoinServesWithoutHeartbeat(t *testing.T) {
 	if err := n1b.JoinOnce(ts1b.URL); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Flush() // no heartbeat anywhere in this test
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := cp.Flush() // no heartbeat anywhere in this test
 	distAlarms = append(distAlarms, res.Alarms...)
 	if res.Pending != 0 {
 		t.Errorf("%d ticks still pending after the rejoin: the fresh node refused its first batch", res.Pending)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -122,6 +123,49 @@ func mirror(tb testing.TB) *mlops.Pipeline {
 		tb.Fatal(err)
 	}
 	return pipe
+}
+
+// testFleet is a control plane served on a loopback listener, with the
+// node daemons joined to it.
+type testFleet struct {
+	cp  *Server
+	url string  // the control plane's base URL
+	cl  *Client // its API over the listener
+}
+
+// bootFleet builds a control plane from cfg, serves its API on a loopback
+// listener and joins one node daemon per name (none in local mode: the
+// in-process node joined in New). Everything closes at cleanup, the
+// control plane's senders before the listeners.
+func bootFleet(t *testing.T, cfg Config, names ...string) *testFleet {
+	t.Helper()
+	cp, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(cp.Handler())
+	t.Cleanup(ts.Close)
+	fl := &testFleet{cp: cp, url: ts.URL, cl: NewClient(ts.URL)}
+	for _, name := range names {
+		fl.join(t, name)
+	}
+	t.Cleanup(cp.Close)
+	return fl
+}
+
+// join boots node daemon name, with two engine shards, on a loopback
+// listener and joins it to the fleet; a name the fleet knows rejoins.
+// Closing the returned listener kills the node.
+func (fl *testFleet) join(t *testing.T, name string) (*Node, *httptest.Server) {
+	t.Helper()
+	n := NewNode(name, fl.url)
+	n.Shards = 2
+	ts := httptest.NewServer(n.Handler())
+	t.Cleanup(ts.Close)
+	if err := n.JoinOnce(ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	return n, ts
 }
 
 // refEngine builds the single-process reference engine over pipe's

@@ -98,7 +98,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res, err := s.IngestTick(events)
+	res, err := s.ingestTick(events)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if err == ErrNotReady {
@@ -120,11 +120,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Flush()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	res := s.Flush()
 	writeJSON(w, http.StatusOK, TickResponse{Alarms: toWireSlice(res.Alarms), Pending: res.Pending})
 }
 
@@ -139,15 +135,6 @@ func (s *Server) handleAlarms(w http.ResponseWriter, r *http.Request) {
 		since = n
 	}
 	alarms, next := s.AlarmsSince(since)
-	if r.Header.Get("Accept") == ContentTypeAlarms {
-		buf := getWireBuf()
-		defer putWireBuf(buf)
-		*buf = AppendAlarmFrame((*buf)[:0], alarms)
-		w.Header().Set("Content-Type", ContentTypeAlarms)
-		w.Header().Set(HeaderNext, strconv.Itoa(next))
-		w.Write(*buf)
-		return
-	}
 	writeJSON(w, http.StatusOK, AlarmsResponse{Alarms: toWireSlice(alarms), Next: next})
 }
 
@@ -214,58 +201,31 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, EpochResponse{Epoch: s.pipe.Registry.Epoch(), Version: v.Version})
 }
 
-// handleArtifact serves a model version's serialized envelope. A
-// version-pinned request (?version=N) is immutable and carries a stable
-// ETag; a production request is cache-busted by the promotion epoch, so
-// nodes polling with If-None-Match pull exactly when a promotion lands.
+// handleArtifact serves one registry version's serialized envelope —
+// the pull a node makes for a version pinned by its join, a heartbeat or
+// a journaled tick — with the metadata its import needs in headers.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		name = s.pipe.ModelName
+	name, verQ := r.URL.Query().Get("name"), r.URL.Query().Get("version")
+	vn, err := strconv.Atoi(verQ)
+	if err != nil || vn <= 0 {
+		httpError(w, http.StatusBadRequest, "artifact requires ?version=N, got %q", verQ)
+		return
 	}
-	var (
-		etag string
-		verQ = r.URL.Query().Get("version")
-	)
 	var mv *mlops.ModelVersion
-	if verQ != "" {
-		vn, err := strconv.Atoi(verQ)
-		if err != nil || vn <= 0 {
-			httpError(w, http.StatusBadRequest, "bad version %q", verQ)
-			return
+	for _, v := range s.pipe.Registry.List() {
+		if v.Name == name && v.Version == vn {
+			mv = v
+			break
 		}
-		for _, v := range s.pipe.Registry.List() {
-			if v.Name == name && v.Version == vn {
-				mv = v
-				break
-			}
-		}
-		if mv == nil {
-			httpError(w, http.StatusNotFound, "model %s v%s not found", name, verQ)
-			return
-		}
-		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-v%d", name, mv.Version))
-	} else {
-		epoch := s.pipe.Registry.Epoch()
-		var err error
-		if mv, err = s.pipe.Registry.Production(name); err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		etag = fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-e%d", name, mv.Version, epoch))
 	}
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
+	if mv == nil {
+		httpError(w, http.StatusNotFound, "model %s v%d not found", name, vn)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderModelName, name)
-	w.Header().Set(HeaderModelVersion, strconv.Itoa(mv.Version))
 	w.Header().Set(HeaderAlgorithm, mv.Algorithm)
 	w.Header().Set(HeaderPlatform, string(mv.Platform))
 	w.Header().Set(HeaderThreshold, strconv.FormatFloat(mv.Threshold, 'x', -1, 64))
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.pipe.Registry.Epoch(), 10))
 	writeSized(w, mv.Artifact)
 }
 
@@ -275,11 +235,7 @@ func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Resume()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	res := s.Resume()
 	writeJSON(w, http.StatusOK, TickResponse{Alarms: toWireSlice(res.Alarms), Pending: res.Pending})
 }
 

@@ -38,7 +38,7 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // joinLocal builds the in-process node and joins it through the ordinary
-// join, production artifact pull included. spill backs the node's evicted
+// join, its pull of the production version's artifact included. spill backs the node's evicted
 // DIMM state (nil: on the heap); its dimm/ keys never meet the control
 // plane's ckpt/ keys in a shared store.
 func (s *Server) joinLocal(spill mlops.SpillStore) error {

@@ -1,6 +1,9 @@
 package controlplane
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"memfp/internal/mlops"
@@ -24,17 +27,15 @@ func TestLocalModeKeepsNoServedTicks(t *testing.T) {
 	for id, part := range f.parts {
 		cp.RegisterDIMM(id, part)
 	}
-	const tick, ticks = 1024, 12
-	for i := 0; i < ticks; i++ {
-		if _, err := cp.IngestTick(f.all[i*tick : (i+1)*tick]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res, err := cp.Flush(); err != nil || res.Pending != 0 {
-		t.Fatalf("flush: %d pending, %v", res.Pending, err)
+	const ticks = 12
+	if _, err := cp.ServeStream(context.Background(), f.all[:ticks*streamTick]); err != nil {
+		t.Fatal(err)
 	}
 
 	st := cp.status()
+	if st.Pending != 0 {
+		t.Fatalf("%d ticks pending after the stream's flush", st.Pending)
+	}
 	if js := *st.Journal; js.Truncations != 0 || js.TruncatedTicks != 0 || js.SpillBytes != 0 || js.Depth != ticks {
 		t.Errorf("journal %+v: want %d resident records, nothing truncated or spilled", js, ticks)
 	}
@@ -73,7 +74,7 @@ func TestLocalModeKeepsNoServedTicks(t *testing.T) {
 // alarm stream is the unbudgeted run's.
 func TestLocalModeSpillsEvictedDIMMs(t *testing.T) {
 	f := fleet(t)
-	stream := f.all[:min(12*1024, len(f.all))]
+	stream := f.all[:min(12*streamTick, len(f.all))]
 	run := func(budget int64, spill mlops.SpillStore) (string, mlops.MemoryStats) {
 		pipe := fastMirror(t)
 		pipe.MemoryBudget = budget
@@ -85,19 +86,11 @@ func TestLocalModeSpillsEvictedDIMMs(t *testing.T) {
 		for id, part := range f.parts {
 			cp.RegisterDIMM(id, part)
 		}
-		var alarms []mlops.Alarm
-		for lo := 0; lo < len(stream); lo += 1024 {
-			res, err := cp.IngestTick(stream[lo:min(lo+1024, len(stream))])
-			if err != nil {
-				t.Fatal(err)
-			}
-			alarms = append(alarms, res.Alarms...)
-		}
-		res, err := cp.Flush()
+		alarms, err := cp.ServeStream(context.Background(), stream)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderAlarms(append(alarms, res.Alarms...)), cp.MemoryStats()
+		return renderAlarms(alarms), cp.MemoryStats()
 	}
 	want, _ := run(0, nil)
 	if want == "" {
@@ -109,5 +102,56 @@ func TestLocalModeSpillsEvictedDIMMs(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("budgeted, spilled alarm stream differs from the unbudgeted one:\n got %q\nwant %q", got, want)
+	}
+}
+
+// cancelAfter is a context that reports Canceled from its (n+1)th Err
+// call on. ServeStream consults Err once before each tick, so the
+// cancellation lands between tick n and tick n+1.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestServeStreamCancel: a stream canceled between ticks stops journaling
+// there, still flushes what it journaled, and returns context.Canceled
+// with the alarms of the ticks it served — a prefix of the uncanceled
+// run's stream — and nothing left pending.
+func TestServeStreamCancel(t *testing.T) {
+	f := fleet(t)
+	stream := f.all[:min(12*streamTick, len(f.all))]
+	run := func(ctx context.Context) ([]mlops.Alarm, StatusResponse, error) {
+		cp := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t)}).cp
+		for id, part := range f.parts {
+			cp.RegisterDIMM(id, part)
+		}
+		alarms, err := cp.ServeStream(ctx, stream)
+		return alarms, cp.status(), err
+	}
+	full, _, err := run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const served = 3
+	got, st, err := run(&cancelAfter{Context: context.Background(), n: served})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled stream returned %v, want context.Canceled", err)
+	}
+	if st.Ticks != served || st.Pending != 0 {
+		t.Errorf("canceled stream journaled %d ticks with %d pending, want %d and 0", st.Ticks, st.Pending, served)
+	}
+	if len(got) == 0 || len(got) >= len(full) {
+		t.Fatalf("canceled stream returned %d alarms, full stream %d; the test proves nothing", len(got), len(full))
+	}
+	if g, w := renderAlarms(got), renderAlarms(full); !strings.HasPrefix(w, g) {
+		t.Errorf("canceled stream's alarms are not a prefix of the full stream's:\n%s", firstDiff(g, w))
 	}
 }

@@ -1,64 +1,34 @@
 package controlplane
 
 import (
-	"fmt"
-	"net/http/httptest"
+	"context"
 	"runtime"
 	"sync"
 	"testing"
 
 	"memfp/internal/mlops"
+	"memfp/internal/trace"
 )
-
-// bootFleet starts a control plane over pipe with n node daemons on
-// loopback listeners (n == 0: local mode, one in-process node) and
-// registers the fixture fleet.
-func bootFleet(t *testing.T, pipe *mlops.Pipeline, n int) *Server {
-	t.Helper()
-	cp, err := New(Config{Pipeline: pipe, ExpectNodes: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, part := range fleet(t).parts {
-		cp.RegisterDIMM(id, part)
-	}
-	if n > 0 {
-		cpSrv := httptest.NewServer(cp.Handler())
-		t.Cleanup(cpSrv.Close)
-		for i := 0; i < n; i++ {
-			nd := NewNode(fmt.Sprintf("n%d", i+1), cpSrv.URL)
-			nd.Shards = 2
-			ts := httptest.NewServer(nd.Handler())
-			t.Cleanup(ts.Close)
-			if err := nd.JoinOnce(ts.URL); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	t.Cleanup(cp.Close) // first: the senders stop before the listeners go
-	return cp
-}
 
 // TestPauseResumeMatchesUninterrupted drives the fleet through a control
 // plane that takes a maintenance window mid-stream and requires the
 // alarm stream of a single engine that never paused, in the same order:
 // pausing defers delivery, it never changes decisions, and the journal
 // orders everything by index however pauses and resumes interleave.
-// Covered in local mode and across two node daemons, for 1024-event
+// Covered in local mode and across two node daemons, for ServeStream's
 // ticks, for one-event ticks inside the window, and for a goroutine
-// pausing concurrently with the driver's ingest and resumes.
+// pausing concurrently with the driver's streams and resumes.
 func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serves the fixture fleet seven times")
 	}
 	f := fleet(t)
 	stream := f.all
-	const tick = 1024
 
 	ref := refEngine(f, mirror(t), 0)
 	var want []mlops.Alarm
-	for lo := 0; lo < len(stream); lo += tick {
-		as, err := ref.IngestBatch(stream[lo:min(lo+tick, len(stream))])
+	for lo := 0; lo < len(stream); lo += streamTick {
+		as, err := ref.IngestBatch(stream[lo:min(lo+streamTick, len(stream))])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,17 +38,14 @@ func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal("stream emitted no alarms; fixture proves nothing")
 	}
 
-	// collect returns a sink for driver results that fails t on an
-	// error, appends the alarms to *got and returns Pending.
-	collect := func(t *testing.T, got *[]mlops.Alarm) func(TickResult, error) int {
-		return func(res TickResult, err error) int {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
-			*got = append(*got, res.Alarms...)
-			return res.Pending
+	// serve streams events through cp and appends the alarms to *got.
+	serve := func(t *testing.T, cp *Server, got *[]mlops.Alarm, events []trace.Event) {
+		t.Helper()
+		as, err := cp.ServeStream(context.Background(), events)
+		if err != nil {
+			t.Fatal(err)
 		}
+		*got = append(*got, as...)
 	}
 	compare := func(t *testing.T, got []mlops.Alarm) {
 		t.Helper()
@@ -86,66 +53,66 @@ func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("paused run diverges from the uninterrupted engine:\n%s", firstDiff(got, want))
 		}
 	}
-	// window feeds the stream in ticks of size(lo) events, pausing before
-	// the tick holding event len/3 and resuming before the one holding
-	// event 2·len/3.
-	window := func(t *testing.T, cp *Server, size func(lo int) int) {
+	// window serves the stream with a maintenance window open from event
+	// len/3 to event 2·len/3; held journals the window's events.
+	window := func(t *testing.T, cp *Server, held func(got *[]mlops.Alarm, events []trace.Event)) {
 		var got []mlops.Alarm
-		keep := collect(t, &got)
 		pauseAt, resumeAt := len(stream)/3, 2*len(stream)/3
-		for lo := 0; lo < len(stream); {
-			hi := min(lo+size(lo), len(stream))
-			if lo <= pauseAt && pauseAt < hi {
-				cp.Pause()
-				if !cp.status().Paused {
-					t.Fatal("status not paused after Pause")
-				}
-			}
-			if lo <= resumeAt && resumeAt < hi {
-				if st := cp.status(); st.Pending == 0 {
-					t.Fatal("maintenance window held no ticks; test proves nothing")
-				}
-				keep(cp.Resume())
-			}
-			keep(cp.IngestTick(stream[lo:hi]))
-			lo = hi
+		serve(t, cp, &got, stream[:pauseAt])
+		cp.Pause()
+		if !cp.status().Paused {
+			t.Fatal("status not paused after Pause")
 		}
-		if pending := keep(cp.Flush()); pending != 0 {
+		held(&got, stream[pauseAt:resumeAt])
+		if cp.status().Pending == 0 {
+			t.Fatal("maintenance window held no ticks; test proves nothing")
+		}
+		got = append(got, cp.Resume().Alarms...)
+		serve(t, cp, &got, stream[resumeAt:])
+		if pending := cp.status().Pending; pending != 0 {
 			t.Fatalf("%d ticks pending after the final flush", pending)
 		}
 		compare(t, got)
 	}
 
-	topologies := []struct {
-		name  string
-		nodes int
-	}{{"local", 0}, {"2-nodes", 2}}
 	variant := func(name string, run func(t *testing.T, cp *Server)) {
 		t.Run(name, func(t *testing.T) {
-			for _, topo := range topologies {
-				t.Run(topo.name, func(t *testing.T) { run(t, bootFleet(t, mirror(t), topo.nodes)) })
+			for _, topo := range []struct {
+				name  string
+				nodes []string
+			}{{"local", nil}, {"2-nodes", []string{"n1", "n2"}}} {
+				t.Run(topo.name, func(t *testing.T) {
+					cp := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: len(topo.nodes)}, topo.nodes...).cp
+					for id, part := range f.parts {
+						cp.RegisterDIMM(id, part)
+					}
+					run(t, cp)
+				})
 			}
 		})
 	}
 	variant("batch", func(t *testing.T, cp *Server) {
-		window(t, cp, func(int) int { return tick })
+		window(t, cp, func(got *[]mlops.Alarm, events []trace.Event) { serve(t, cp, got, events) })
 	})
 	// One event per tick inside the window: thousands of journaled ticks,
 	// most of them empty for all but one node.
 	variant("per-event", func(t *testing.T, cp *Server) {
-		window(t, cp, func(lo int) int {
-			if len(stream)/3 < lo && lo < 2*len(stream)/3 {
-				return 1
+		window(t, cp, func(got *[]mlops.Alarm, events []trace.Event) {
+			for i := range events {
+				res, err := cp.ingestTick(events[i : i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				*got = append(*got, res.Alarms...)
 			}
-			return tick
 		})
 	})
-	// A goroutine keeps pausing while the driver ingests and resumes every
-	// third tick: a Pause can land inside IngestTick's backpressure wait
-	// or Resume's drain, and both give way to it.
+	// A goroutine keeps pausing while the driver serves the stream three
+	// ticks at a time and resumes after each: a Pause can land inside a
+	// tick's backpressure wait, the stream's final flush or Resume's
+	// drain, and each gives way to it.
 	variant("concurrent-repause", func(t *testing.T, cp *Server) {
 		var got []mlops.Alarm
-		keep := collect(t, &got)
 		done := make(chan struct{})
 		var pauser sync.WaitGroup
 		pauser.Add(1)
@@ -161,17 +128,16 @@ func TestPauseResumeMatchesUninterrupted(t *testing.T) {
 				}
 			}
 		}()
-		for i, lo := 0, 0; lo < len(stream); i, lo = i+1, lo+tick {
-			keep(cp.IngestTick(stream[lo:min(lo+tick, len(stream))]))
-			if i%3 == 0 {
-				keep(cp.Resume())
-			}
+		for lo := 0; lo < len(stream); lo += 3 * streamTick {
+			serve(t, cp, &got, stream[lo:min(lo+3*streamTick, len(stream))])
+			got = append(got, cp.Resume().Alarms...)
 		}
 		close(done)
 		pauser.Wait()
-		if pending := keep(cp.Resume()); pending != 0 {
-			t.Fatalf("%d ticks pending after the last resume", pending)
+		res := cp.Resume()
+		if res.Pending != 0 {
+			t.Fatalf("%d ticks pending after the last resume", res.Pending)
 		}
-		compare(t, got)
+		compare(t, append(got, res.Alarms...))
 	})
 }

@@ -70,11 +70,10 @@ func promVal(v float64) string {
 }
 
 // writeCommonMetrics emits the families shared by the control plane and
-// the node daemons: ingest counters and alarm-outcome feedback from mon,
-// and from fl the engines' predictions, score drift, serving-memory
-// telemetry and per-shard queue/latency series. fl and alarms are passed
-// in because the control plane reads them from its fleet view and its
-// emitted stream.
+// the node daemons: ingest counters from mon, and from fl the engines'
+// predictions, serving-memory telemetry and per-shard queue/latency
+// series. fl and alarms are passed in because the control plane reads
+// them from its fleet view and its emitted stream.
 func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, fl Fleet, alarms int64) {
 	p.family("memfp_events_ingested_total", "counter", "Memory events ingested, by event type.")
 	for _, t := range []trace.EventType{trace.TypeCE, trace.TypeUE, trace.TypeStorm} {
@@ -84,18 +83,6 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, fl Fleet, alarms int6
 	p.value("memfp_predictions_total", "counter", "Model invocations across the fleet.", float64(fl.Predictions))
 
 	p.value("memfp_alarms_total", "counter", "Alarms emitted on the merged stream.", float64(alarms))
-
-	p.value("memfp_drift_psi", "gauge", "Population stability index of live scores vs the training reference.", fl.PSI)
-
-	tp, fp, fn := mon.FeedbackCounts()
-	p.family("memfp_feedback_total", "counter", "Resolved alarm outcomes, by outcome.")
-	p.sample("memfp_feedback_total", [][2]string{{"outcome", "tp"}}, float64(tp))
-	p.sample("memfp_feedback_total", [][2]string{{"outcome", "fp"}}, float64(fp))
-	p.sample("memfp_feedback_total", [][2]string{{"outcome", "fn"}}, float64(fn))
-
-	prec, rec := mon.LivePrecisionRecall()
-	p.value("memfp_live_precision", "gauge", "Feedback-derived live precision.", prec)
-	p.value("memfp_live_recall", "gauge", "Feedback-derived live recall.", rec)
 
 	ms := fl.Memory
 	p.value("memfp_memory_resident_bytes", "gauge", "Resident serving-state footprint.", float64(ms.ResidentBytes))
@@ -128,7 +115,9 @@ func writeCommonMetrics(p *promWriter, mon *mlops.Monitor, fl Fleet, alarms int6
 }
 
 // handleMetrics is the control plane's /metrics: the common families
-// over its fleet view, plus registry, journal and fleet state.
+// over its fleet view; the score drift and alarm-outcome feedback only
+// its monitor knows (it holds the training reference and resolves the
+// alarms); and registry, journal and fleet state.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mon := s.pipe.Monitor
 	if mon == nil {
@@ -140,7 +129,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	journal := *st.Journal
 
 	p := &promWriter{}
-	writeCommonMetrics(p, mon, s.fleetOf(st), int64(st.Alarms))
+	fl := s.fleetOf(st)
+	writeCommonMetrics(p, mon, fl, int64(st.Alarms))
+
+	p.value("memfp_drift_psi", "gauge", "Population stability index of live scores vs the training reference.", fl.PSI)
+	tp, fp, fn := mon.FeedbackCounts()
+	p.family("memfp_feedback_total", "counter", "Resolved alarm outcomes, by outcome.")
+	p.sample("memfp_feedback_total", [][2]string{{"outcome", "tp"}}, float64(tp))
+	p.sample("memfp_feedback_total", [][2]string{{"outcome", "fp"}}, float64(fp))
+	p.sample("memfp_feedback_total", [][2]string{{"outcome", "fn"}}, float64(fn))
+	prec, rec := mon.LivePrecisionRecall()
+	p.value("memfp_live_precision", "gauge", "Feedback-derived live precision.", prec)
+	p.value("memfp_live_recall", "gauge", "Feedback-derived live recall.", rec)
 
 	p.value("memfp_registry_epoch", "counter", "Model-registry promotion epoch.", float64(s.pipe.Registry.Epoch()))
 

@@ -1,6 +1,8 @@
 package controlplane
 
 import (
+	"context"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -84,10 +86,8 @@ func findSamples(samples []metricSample, name string) []metricSample {
 func TestMetricsExposition(t *testing.T) {
 	f := fleet(t)
 	pipe := alwaysFirePipeline(t)
-	cp, err := New(Config{Pipeline: pipe})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := bootFleet(t, Config{Pipeline: pipe})
+	cp := fl.cp
 	for id, part := range f.parts {
 		cp.RegisterDIMM(id, part)
 	}
@@ -95,14 +95,8 @@ func TestMetricsExposition(t *testing.T) {
 	pipe.Monitor.Feedback(2, 1, 1)
 
 	n := min(4000, len(f.all))
-	ticks := 0
-	for lo := 0; lo < n; lo += 1000 {
-		if _, err := cp.IngestTick(f.all[lo:min(lo+1000, n)]); err != nil {
-			t.Fatal(err)
-		}
-		ticks++
-	}
-	if _, err := cp.Flush(); err != nil {
+	ticks := (n + streamTick - 1) / streamTick
+	if _, err := cp.ServeStream(context.Background(), f.all[:n]); err != nil {
 		t.Fatal(err)
 	}
 	alarms, _ := cp.AlarmsSince(0)
@@ -110,9 +104,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal("fixture ingest raised no alarms")
 	}
 
-	ts := httptest.NewServer(cp.Handler())
-	t.Cleanup(ts.Close)
-	text, err := NewClient(ts.URL).Metrics()
+	text, err := fl.cl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,39 +196,39 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsNodeExposition covers the node daemon's /metrics surface.
+// TestMetricsNodeExposition covers the node daemon's /metrics surface:
+// a node reports its slice of the fleet's ingest, predictions and memory,
+// and leaves score drift and alarm feedback to the control plane — its
+// monitor has no training reference and resolves no alarm, so those
+// families would read 0 on every node whatever the fleet did.
 func TestMetricsNodeExposition(t *testing.T) {
-	cp, err := New(Config{Pipeline: mirror(t), ExpectNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpSrv := httptest.NewServer(cp.Handler())
-	t.Cleanup(cpSrv.Close)
-
-	n := NewNode("n1", cpSrv.URL)
-	n.Shards = 1
-	nodeSrv := httptest.NewServer(n.Handler())
-	t.Cleanup(nodeSrv.Close)
-
 	// Before joining the node has no engine: 503.
-	if _, err := NewClient(nodeSrv.URL).Metrics(); err == nil {
-		t.Error("unjoined node served metrics")
+	rec := httptest.NewRecorder()
+	NewNode("n0", "http://unused").Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("unjoined node's /metrics = %d, want 503", rec.Code)
 	}
-	if err := n.JoinOnce(nodeSrv.URL); err != nil {
-		t.Fatal(err)
-	}
+
+	_, nodeSrv := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: 1}).join(t, "n1")
 	text, err := NewClient(nodeSrv.URL).Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, types := parseProm(t, text)
 	for _, family := range []string{
-		"memfp_events_ingested_total", "memfp_predictions_total", "memfp_drift_psi",
+		"memfp_events_ingested_total", "memfp_predictions_total",
 		"memfp_memory_resident_bytes", "memfp_memory_spilled_bytes", "memfp_memory_spills_total",
 		"memfp_snapshot_records_total", "memfp_snapshot_records_reencoded_total",
 	} {
 		if _, ok := types[family]; !ok {
 			t.Errorf("node exposition missing %s", family)
+		}
+	}
+	for _, family := range []string{
+		"memfp_drift_psi", "memfp_feedback_total", "memfp_live_precision", "memfp_live_recall",
+	} {
+		if _, ok := types[family]; ok {
+			t.Errorf("node exposition carries %s, which only the control plane knows", family)
 		}
 	}
 }

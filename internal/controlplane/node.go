@@ -152,7 +152,7 @@ func (n *Node) ensureVersionLocked(v int) error {
 		n.curVersion = v
 		return nil
 	}
-	art, err := n.client.Artifact(n.modelName, v, "")
+	art, err := n.client.Artifact(n.modelName, v)
 	if err != nil {
 		return fmt.Errorf("pull artifact %s v%d: %w", n.modelName, v, err)
 	}
@@ -265,8 +265,10 @@ func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeSized(w, blob)
 }
 
-// handleMetrics is the node's Prometheus endpoint: the common monitor
-// families for this node's slice of the fleet.
+// handleMetrics is the node's Prometheus endpoint: the common families
+// for this node's slice of the fleet. Score drift and alarm feedback are
+// the control plane's: this monitor holds no training reference and
+// resolves no alarm.
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	mon, engine := n.monitor, n.engine
@@ -278,7 +280,6 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := &promWriter{}
 	writeCommonMetrics(p, mon, Fleet{
 		Predictions: int64(mon.PredictionCount()),
-		PSI:         mon.PSI(),
 		Memory:      engine.MemoryStats(),
 		Shards:      mon.ShardStats(),
 	}, int64(mon.AlarmCount()))

@@ -33,8 +33,8 @@
 //     of up to eight unserved ticks over persistent connections as
 //     MFT1 binary frames — the one node protocol — decoding responses
 //     off the journal lock.
-//     IngestTick only journals and applies backpressure, so the driver
-//     overlaps with delivery on every node.
+//     Journaling a tick only appends and applies backpressure, so the
+//     driver overlaps with delivery on every node.
 //   - Checkpointed truncation: every CheckpointEvery emitted ticks the
 //     control plane captures each node's engine snapshot (its serving
 //     state after exactly the ticks delivered so far) into the spill
@@ -60,6 +60,7 @@ package controlplane
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -98,15 +99,18 @@ type Config struct {
 // Fixed shape of the fleet and its delivery pipeline.
 const (
 	// slots is the hash-slot count DIMMs partition into before slots map
-	// onto nodes; JoinResponse carries it to the nodes.
+	// onto nodes.
 	slots = 64
 	// nodeTimeout bounds each forwarded node request.
 	nodeTimeout = 10 * time.Second
 	// window bounds each node's delivery pipeline: at most this many
 	// unserved non-empty ticks ride in one batched request, and
-	// IngestTick applies backpressure once a live node falls further
+	// ingestTick applies backpressure once a live node falls further
 	// behind the journal head.
 	window = 8
+	// streamTick is the serving tick of every Go driver: ServeStream
+	// journals a stream in ticks of this many events.
+	streamTick = 1024
 )
 
 // nodeRec is one registered node daemon.
@@ -126,11 +130,11 @@ type nodeRec struct {
 	stats    NodeStats
 }
 
-// Server is the control plane. One ingest driver at a time: IngestTick,
-// Flush and Resume serialize on the server mutex; per-node sender
-// goroutines deliver journal batches concurrently, holding the mutex
-// only to pick up work and record results — node round-trips and frame
-// codecs run off the lock.
+// Server is the control plane. One ingest driver at a time: ServeStream
+// or /api/v1/ingest, with Flush and Resume, serialize on the server
+// mutex; per-node sender goroutines deliver journal batches concurrently,
+// holding the mutex only to pick up work and record results — node
+// round-trips and frame codecs run off the lock.
 type Server struct {
 	cfg    Config
 	pipe   *mlops.Pipeline
@@ -240,7 +244,7 @@ func (s *Server) Ready() bool {
 	return len(s.nodes) >= s.cfg.ExpectNodes
 }
 
-// TickResult is one IngestTick/Flush/Resume outcome: the alarms whose
+// TickResult is one tick/Flush/Resume outcome: the alarms whose
 // emission this call completed (in stream order) and Pending, the
 // journaled ticks not yet emitted.
 type TickResult struct {
@@ -248,7 +252,28 @@ type TickResult struct {
 	Pending int
 }
 
-// IngestTick accepts one event micro-batch — the serving tick. The batch
+// ServeStream serves a time-ordered event stream, every DIMM in it
+// registered: it journals the stream in ticks of streamTick events,
+// checks ctx between ticks, and always flushes delivery at the end. It
+// returns the alarms emitted since the previous driver call, in stream
+// order. If ctx ends (or a tick is refused) first, the ticks journaled so
+// far are still flushed and their alarms come back with ctx.Err() (or the
+// refusal). A dead node leaves ticks pending without an error; Flush and
+// /api/v1/status count them.
+func (s *Server) ServeStream(ctx context.Context, events []trace.Event) ([]mlops.Alarm, error) {
+	var alarms []mlops.Alarm
+	var err error
+	for lo := 0; lo < len(events) && err == nil; lo += streamTick {
+		if err = ctx.Err(); err == nil {
+			var res TickResult
+			res, err = s.ingestTick(events[lo:min(lo+streamTick, len(events))])
+			alarms = append(alarms, res.Alarms...)
+		}
+	}
+	return append(alarms, s.Flush().Alarms...), err
+}
+
+// ingestTick accepts one event micro-batch — the serving tick. The batch
 // is journaled with the current production model version for the
 // per-node senders to stream out, and the call returns every alarm whose
 // emission completed since the previous driver call (journal order is
@@ -256,7 +281,7 @@ type TickResult struct {
 // call waits while any live node is more than window ticks behind. A dead
 // node leaves ticks pending (no error); they emit after the node rejoins
 // and Flush drains delivery.
-func (s *Server) IngestTick(events []trace.Event) (TickResult, error) {
+func (s *Server) ingestTick(events []trace.Event) (TickResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.nodes) < s.cfg.ExpectNodes {
@@ -328,10 +353,10 @@ func (s *Server) quiescentLocked() bool {
 // rejoin) without ingesting anything new, and returns the alarms emitted
 // since the driver's last call. With a node still dead, the remaining
 // ticks stay pending.
-func (s *Server) Flush() (TickResult, error) {
+func (s *Server) Flush() TickResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.drainLocked(), nil
+	return s.drainLocked()
 }
 
 // Pause opens a maintenance window: ticks are journaled but not
@@ -344,11 +369,11 @@ func (s *Server) Pause() {
 }
 
 // Resume closes the maintenance window and drains what it held.
-func (s *Server) Resume() (TickResult, error) {
+func (s *Server) Resume() TickResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.paused = false
-	return s.drainLocked(), nil
+	return s.drainLocked()
 }
 
 // drainLocked wakes the senders, waits until delivery quiesces (or a
@@ -719,17 +744,10 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 		s.byName[req.Name] = n
 		go s.sender(n)
 	}
-	from, to := s.slotRange(n.index)
 	resp := JoinResponse{
-		Index:          n.index,
-		Nodes:          s.cfg.ExpectNodes,
-		Slots:          slots,
-		SlotFrom:       from,
-		SlotTo:         to,
 		Platform:       string(s.pipe.Platform),
 		Model:          s.pipe.ModelName,
 		MemoryBudget:   s.pipe.MemoryBudget,
-		Epoch:          s.pipe.Registry.Epoch(),
 		CheckpointTick: n.ckptTick,
 	}
 	if pv, err := s.pipe.Registry.Production(s.pipe.ModelName); err == nil {
@@ -764,7 +782,7 @@ func (s *Server) heartbeat(req HeartbeatRequest) (HeartbeatResponse, int, error)
 	if !ok {
 		return HeartbeatResponse{}, http.StatusNotFound, fmt.Errorf("unknown node %q (join first)", req.Name)
 	}
-	resp := HeartbeatResponse{Epoch: s.pipe.Registry.Epoch()}
+	var resp HeartbeatResponse
 	if pv, err := s.pipe.Registry.Production(s.pipe.ModelName); err == nil {
 		resp.Version = pv.Version
 	}

@@ -13,7 +13,8 @@ import (
 // on the trace package's varint primitives (the same substrate as the
 // event frame and the engine's frozen-DIMM records):
 //
-//	"MFA1" — alarm page: string table (platform IDs, model names),
+//	"MFA1" — alarm page (a binary ingest response; one per tick inside
+//	         MFR1): string table (platform IDs, model names),
 //	         uvarint count, per alarm varint Δtime, uvarint platform
 //	         index, varint server, varint slot, raw float64 score bits,
 //	         uvarint model index. Scores travel as raw IEEE-754 bits, so
@@ -35,8 +36,8 @@ const (
 	ContentTypeEvents = "application/x-memfp-events"
 	// ContentTypeTicks marks an MFT1 tick-batch body on the node fan-out.
 	ContentTypeTicks = "application/x-memfp-ticks"
-	// ContentTypeAlarms marks an MFA1 alarm page (also accepted in an
-	// Accept header to request binary alarms back).
+	// ContentTypeAlarms marks an MFA1 alarm page; an ingest request that
+	// Accepts it gets the tick's alarms back in one.
 	ContentTypeAlarms = "application/x-memfp-alarms"
 	// ContentTypeSnapshot marks a serialized engine snapshot (MFS3).
 	ContentTypeSnapshot = "application/x-memfp-snapshot"
@@ -44,9 +45,6 @@ const (
 	// HeaderPending carries TickResponse.Pending on binary ingest
 	// responses, whose body is a bare alarm frame.
 	HeaderPending = "X-Memfp-Pending"
-	// HeaderNext carries the next alarm-stream cursor on binary alarm
-	// pages.
-	HeaderNext = "X-Memfp-Next"
 )
 
 const (

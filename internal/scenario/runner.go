@@ -260,16 +260,14 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 		for _, inj := range chain {
 			batch = inj.Tick(from, to, batch)
 		}
-		if err := st.deliver(batch); err != nil {
+		if err := st.deliver(ctx, batch); err != nil {
 			return nil, err
 		}
 	}
 	// End of run: close any still-open maintenance window and drain the
 	// injectors' held backlogs through the chain tail.
 	for _, pf := range order {
-		if err := st.resume(runs[pf]); err != nil {
-			return nil, err
-		}
+		st.resume(runs[pf])
 	}
 	var tail []trace.Event
 	for _, inj := range chain {
@@ -278,13 +276,13 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 	if len(tail) > 0 {
 		sort.Stable(trace.ByTime(tail))
 		tail = retire.Tick(trace.ObservationSpan, trace.ObservationSpan, tail)
-		if err := st.deliver(tail); err != nil {
+		if err := st.deliver(ctx, tail); err != nil {
 			return nil, err
 		}
 	}
 	for _, pf := range order {
 		// Every tick was flushed, so all that is left is what never served.
-		if res, _ := runs[pf].cp.Flush(); res.Pending > 0 {
+		if res := runs[pf].cp.Flush(); res.Pending > 0 {
 			return nil, fmt.Errorf("scenario: %s: %d ticks never served", pf, res.Pending)
 		}
 	}
@@ -328,12 +326,12 @@ func (st *runState) appendAlarms(as []mlops.Alarm) {
 }
 
 // deliver routes one post-injection batch to the per-platform control
-// planes, each tick served before the next window opens (a paused
-// platform's is journaled for its resume). Platform splitting is
-// deterministic (DIMM identity), and the tick's alarms are merged in the
-// engine's emission order (mlops.MergeAlarms) so the stream does not
+// planes, each platform's share served before the next window opens (a
+// paused platform's is journaled for its resume). Platform splitting is
+// deterministic (DIMM identity), and the window's alarms are merged in
+// the engine's emission order (mlops.MergeAlarms) so the stream does not
 // depend on platform iteration order.
-func (st *runState) deliver(batch []trace.Event) error {
+func (st *runState) deliver(ctx context.Context, batch []trace.Event) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -353,15 +351,11 @@ func (st *runState) deliver(batch []trace.Event) error {
 		if pr.paused {
 			pr.held += len(sub)
 		}
-		in, err := pr.cp.IngestTick(sub)
+		as, err := pr.cp.ServeStream(ctx, sub)
 		if err != nil {
 			return err
 		}
-		out, err := pr.cp.Flush()
-		if err != nil {
-			return err
-		}
-		perPlatform = append(perPlatform, append(in.Alarms, out.Alarms...))
+		perPlatform = append(perPlatform, as)
 	}
 	st.appendAlarms(mlops.MergeAlarms(perPlatform))
 	return nil
@@ -371,18 +365,13 @@ func (st *runState) deliver(batch []trace.Event) error {
 // plane serves what it journaled, and the events count into events_held.
 // The alarms merge as one list — the order one batch of the held events
 // emits in, even when lagged events arrive out of time order.
-func (st *runState) resume(pr *platformRun) error {
+func (st *runState) resume(pr *platformRun) {
 	if !pr.paused {
-		return nil
+		return
 	}
 	st.heldTotal += pr.held
 	pr.paused, pr.held = false, 0
-	res, err := pr.cp.Resume()
-	if err != nil {
-		return err
-	}
-	st.appendAlarms(mlops.MergeAlarms([][]mlops.Alarm{res.Alarms}))
-	return nil
+	st.appendAlarms(mlops.MergeAlarms([][]mlops.Alarm{pr.cp.Resume().Alarms}))
 }
 
 // targets returns the platforms an action addresses, in fleet order.
@@ -410,9 +399,7 @@ func (st *runState) control(op timelineOp, logf func(string, ...any)) error {
 		logf("chaos: maintenance window opens at %v", op.at)
 	case opResume:
 		for _, pf := range st.targets(a) {
-			if err := st.resume(st.runs[pf]); err != nil {
-				return err
-			}
+			st.resume(st.runs[pf])
 		}
 		logf("chaos: maintenance window closes at %v", op.at)
 	case ActionHotswap:

@@ -12,7 +12,7 @@
 // a byte-identical report and alarm stream at every shard count, because
 // injection happens at the event-stream layer (the composable Injector
 // chain rewrites, inserts, drops, or delays the merged stream before it
-// reaches controlplane.Server.IngestTick) and every random draw comes from
+// reaches controlplane.Server.ServeStream) and every random draw comes from
 // an index-addressable xrand.Derive stream.
 //
 // Run scenarios with `memfp simulate scenarios/<name>.yaml`; check a
