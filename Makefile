@@ -73,8 +73,10 @@ test-race:
 # files must error, never panic), the binary event-frame decoder
 # (untrusted wire input to the control plane's ingest endpoint), the
 # engine-snapshot restore a rejoining node runs on bytes pulled over
-# HTTP and the fold-state decoder inside it (FuzzDecodeFoldState: the
-# classifier a record's cell counts rebuild), and the two frame decoders
+# HTTP, the checkpoint-chain merge the control plane runs before it
+# (FuzzMergeSnapshot: a delta decoded onto its base) and the fold-state
+# decoder inside both (FuzzDecodeFoldState: the classifier a record's
+# cell counts rebuild), and the two frame decoders
 # on the node <-> control-plane wire (MFT1 tick batches a node reads, MFR1
 # responses the control plane reads), the model-artifact loader a node
 # runs on a pulled artifact (FuzzModelLoad: one seed per registered
@@ -86,6 +88,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseYAML$$' -fuzztime 15s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventFrame$$' -fuzztime 15s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 15s ./internal/mlops/
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeSnapshot$$' -fuzztime 15s ./internal/mlops/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFoldState$$' -fuzztime 15s ./internal/features/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTickFrame$$' -fuzztime 15s ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRespFrame$$' -fuzztime 15s ./internal/controlplane/

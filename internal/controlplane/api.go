@@ -156,10 +156,11 @@ type NodeInfo struct {
 	Alive      bool      `json:"alive"`
 	BeatAgeSec float64   `json:"beat_age_sec"`
 	SentTicks  int       `json:"sent_ticks"`
-	Checkpoint int       `json:"checkpoint"` // ticks covered by the stored snapshot
+	Checkpoint int       `json:"checkpoint"` // ticks covered by the stored chain
 	Stats      NodeStats `json:"stats"`
 
-	// CheckpointBytes is the stored snapshot's size; LastError is why the
+	// CheckpointBytes is the stored chain's size (its full frame plus its
+	// deltas); LastError is why the
 	// node's last forward or checkpoint failed (cleared by the next
 	// success or rejoin).
 	CheckpointBytes int    `json:"checkpoint_bytes"`

@@ -388,10 +388,35 @@ type putFailSpill struct{ *mlops.MemSpill }
 
 func (putFailSpill) Put(string, []byte) error { return errors.New("disk full") }
 
+// deltaFailSpill refuses the first checkpoint delta it is asked to store
+// and logs every key it stores, a refusal as "refused".
+type deltaFailSpill struct {
+	*mlops.MemSpill
+	refused atomic.Bool
+	log     []string // Puts come from the control plane under its lock
+}
+
+func (s *deltaFailSpill) Put(key string, data []byte) error {
+	if strings.Count(key, "/") == 2 && s.refused.CompareAndSwap(false, true) {
+		s.log = append(s.log, "refused")
+		return errors.New("disk full")
+	}
+	if mlops.IsSnapshotDelta(data) {
+		s.log = append(s.log, key+" delta")
+	} else {
+		s.log = append(s.log, key+" full")
+	}
+	return s.MemSpill.Put(key, data)
+}
+
 // TestCheckpointStoreFailureSurfaces: a checkpoint the spill store refuses
 // is not a dead node and not a silent one — the node stays alive, its
 // checkpoint mark stays where it was (so the journal keeps every tick a
-// rejoin would need) and status says why.
+// rejoin would need) and status says why. With a real node, a refused
+// delta leaves the node's last frame off the stored chain: the control
+// plane asks for a delta on the unchanged chain again, the node answers
+// with a full frame, and a rejoin from the chain stored after it emits
+// the reference's alarms byte for byte.
 func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest2", quietIngest2(t))
@@ -425,6 +450,46 @@ func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 	}
 	if st.Journal.Truncations != 0 {
 		t.Errorf("journal truncated %d time(s) with no checkpoint stored", st.Journal.Truncations)
+	}
+
+	all := f.all[:min(10*streamTick, len(f.all))]
+	want, err := refEngine(f, mirror(t), 2).IngestBatch(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &deltaFailSpill{MemSpill: mlops.NewMemSpill()}
+	fl := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: 1, CheckpointEvery: 1, Spill: store})
+	for id, part := range f.parts {
+		fl.cp.RegisterDIMM(id, part)
+	}
+	_, ts := fl.join(t, "n1")
+	var got []mlops.Alarm
+	serve := func(lo, hi int) { // a stream per tick: each flush waits out its checkpoint
+		t.Helper()
+		for ; lo < hi; lo += streamTick {
+			as, err := fl.cp.ServeStream(context.Background(), all[lo:min(lo+streamTick, hi)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, as...)
+		}
+	}
+	serve(0, 6*streamTick)
+	fl.cp.mu.Lock()
+	log := strings.Join(store.log, ", ")
+	fl.cp.mu.Unlock()
+	if !strings.HasPrefix(log, "ckpt/n1 full, refused, ckpt/n1 full, ckpt/n1/1 delta") {
+		t.Errorf("stored %s: want a full frame, the refused delta, a full frame, then a delta on it", log)
+	}
+	ts.Close() // the node dies on a chain that holds a delta
+	serve(6*streamTick, 8*streamTick)
+	if n, _ := fl.join(t, "n1"); n.RestoredFrom() == 0 {
+		t.Fatal("rejoining node did not restore its checkpoint")
+	}
+	serve(8*streamTick, len(all))
+	if renderAlarms(got) != renderAlarms(want) || len(want) == 0 {
+		t.Errorf("%d alarms across the refused delta and the rejoin, want the reference's %d:\n%s",
+			len(got), len(want), firstDiff(renderAlarms(got), renderAlarms(want)))
 	}
 }
 

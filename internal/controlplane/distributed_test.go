@@ -19,8 +19,8 @@ import (
 // byte-identical alarm stream of the single-process sharded engine:
 // across a mid-stream model promotion, and across one node being killed
 // mid-stream and rejoining (fresh state, same name) to restore its
-// checkpoint and catch up from a journal whose prefix has been
-// truncated.
+// checkpoint — a stored chain of a full frame and at least one delta,
+// merged — and catch up from a journal whose prefix has been truncated.
 func TestDistributedByteIdenticalReplay(t *testing.T) {
 	f := fleet(t)
 	const tick = 512
@@ -96,6 +96,22 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	// must already be truncated.
 	if js := cp.JournalStats(); js.Base == 0 || js.Truncations == 0 {
 		t.Errorf("journal never truncated before the kill: %+v", js)
+	}
+	// The kill must land on a chain holding a delta, so the rejoin merges
+	// one. Which checkpoint starts a new chain follows delivery timing,
+	// not the stream, so the stream goes on a tick at a time until then:
+	// the alarm stream does not depend on where the kill lands.
+	chain := func() int {
+		cp.mu.Lock()
+		defer cp.mu.Unlock()
+		return len(cp.byName[n2Name].deltas)
+	}
+	for chain() == 0 && killAt < rejoinAt-1 {
+		serve(killAt*tick, (killAt+1)*tick)
+		killAt++
+	}
+	if chain() == 0 {
+		t.Fatalf("node %s's stored chain holds no delta by tick %d", n2Name, killAt)
 	}
 	ts2.Close() // node n2 dies mid-stream; its ticks go pending
 	serve(killAt*tick, rejoinAt*tick)

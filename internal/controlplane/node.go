@@ -51,6 +51,7 @@ type Node struct {
 	lastTick   int
 	restored   int    // first tick past the restored checkpoint (0: fresh join)
 	ckptBuf    []byte // the last checkpoint's frame, reused for the next
+	ckptTick   string // the ?tick= of the last checkpoint frame ("": none since join)
 }
 
 // NewNode builds a node daemon for one control plane.
@@ -98,6 +99,7 @@ func (n *Node) JoinOnce(selfURL string) error {
 	n.served = map[int][]mlops.Alarm{}
 	n.lastTick = -1
 	n.restored = 0
+	n.ckptTick = ""
 	if resp.Version > 0 {
 		if err := n.ensureVersionLocked(resp.Version); err != nil {
 			return fmt.Errorf("warm artifact pull: %w", err)
@@ -244,23 +246,30 @@ func (n *Node) handleIngest2(w http.ResponseWriter, r *http.Request) {
 	writeSized(w, *buf)
 }
 
-// handleCheckpoint snapshots the node's engine (MFS3) for the control
-// plane's checkpoint store. The frame is assembled into a buffer the node
-// keeps between checkpoints and its length is declared, so the control
-// plane reads it into one exact-size buffer instead of a chunked stream.
+// handleCheckpoint snapshots the engine as the checkpoint frame for ?tick=:
+// a delta (mlops.AppendDelta) if ?head= names its last frame, else MFS3.
+// The frame is assembled into a buffer the node keeps between checkpoints
+// and its length is declared, so the control plane reads it into one
+// exact-size buffer instead of a chunked stream.
 func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.engine == nil {
 		httpError(w, http.StatusServiceUnavailable, "node has not joined a control plane")
 		return
 	}
-	blob, err := n.engine.AppendSnapshot(n.ckptBuf[:0])
+	frame := n.engine.AppendSnapshot
+	if head := q.Get("head"); head != "" && head == n.ckptTick {
+		frame = n.engine.AppendDelta
+	}
+	n.ckptTick = "" // a failed frame leaves the engine's change marks unknown
+	blob, err := frame(n.ckptBuf[:0])
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	n.ckptBuf = blob
+	n.ckptBuf, n.ckptTick = blob, q.Get("tick")
 	w.Header().Set("Content-Type", ContentTypeSnapshot)
 	writeSized(w, blob)
 }

@@ -36,19 +36,21 @@
 //     Journaling a tick only appends and applies backpressure, so the
 //     driver overlaps with delivery on every node.
 //   - Checkpointed truncation: every CheckpointEvery emitted ticks the
-//     control plane captures each node's engine snapshot (its serving
-//     state after exactly the ticks delivered so far) into the spill
-//     store, advancing that node's low-water mark. Journal entries below
-//     every node's mark and the emission cursor are truncated, bounding
-//     journal memory. A rejoining node (same name, fresh state) restores the
-//     snapshot and replays only the journal suffix past its checkpoint,
-//     each tick pinned to its historical model version, so
-//     throttle/cooldown state rebuilds exactly; alarms from
-//     already-emitted ticks are discarded as duplicates.
+//     control plane captures each node's engine state (after exactly the
+//     ticks delivered so far) into the spill store, advancing that node's
+//     low-water mark; a node ships only what changed since its last frame
+//     when that frame heads its stored chain (checkpointLocked). Journal
+//     entries below every node's mark and the emission cursor are
+//     truncated, bounding journal memory. A rejoining node (same name,
+//     fresh state) restores its chain, merged into one frame, and replays
+//     only the journal suffix past its checkpoint, each tick pinned to its
+//     historical model version, so throttle/cooldown state rebuilds
+//     exactly; alarms from already-emitted ticks are discarded as
+//     duplicates.
 //
 // The in-process node shares the control plane's process, so nothing can
-// rejoin as it: it is never checkpointed, and a tick's events are
-// released as soon as the tick emits.
+// rejoin as it: it is never checkpointed, and a tick is truncated from
+// the journal as soon as it emits.
 //
 // The journal itself (journal.go) is a plain data structure — records by
 // absolute index, the emission cursor, prefix truncation — with no lock
@@ -65,6 +67,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -122,8 +125,10 @@ type nodeRec struct {
 	epoch    int // bumped on rejoin; invalidates stale in-flight responses
 	inflight bool
 	wantCkpt bool
-	ckptTick int // ticks < ckptTick are covered by the stored snapshot
-	ckptSize int // that snapshot's size in bytes
+	ckptTick int      // ticks < ckptTick are covered by the stored chain
+	ckptSize int      // the chain's bytes: its base frame plus its deltas
+	ckptBase int      // the base frame's bytes (0: no chain stored)
+	deltas   []string // spill keys of the deltas stored on that base, oldest first
 	alive    bool
 	lastBeat time.Time
 	lastErr  error
@@ -501,7 +506,8 @@ func (s *Server) nodeForSlot(slot int) int {
 // order, merged (Time, DIMM) within each tick — the same total order
 // the single-process engine produces. Every CheckpointEvery emitted
 // ticks it schedules a snapshot on each node so the journal's truncation
-// low-water mark can advance.
+// low-water mark can advance; in local mode it truncates each emitted
+// tick instead.
 func (s *Server) emitLocked() {
 	for t := s.journal.nextReady(); t != nil; t = s.journal.nextReady() {
 		merged := mlops.MergeAlarms(t.res)
@@ -513,7 +519,8 @@ func (s *Server) emitLocked() {
 		s.alarms = append(s.alarms, merged...)
 		t.res = nil
 		if s.local != nil {
-			t.slices = nil // no rejoin will ask for them again
+			// No rejoin will ask for a tick the in-process node was sent.
+			s.journal.truncateBelow(s.nodes[0].sent)
 			continue
 		}
 		s.sinceCkpt++
@@ -570,21 +577,32 @@ func (s *Server) sender(n *nodeRec) {
 	}
 }
 
-// checkpointLocked captures node n's engine snapshot into the spill
-// store and advances its truncation mark. The sender is sequential, so
-// no batch is in flight: n.sent is exactly the tick count the snapshot
-// covers.
+// checkpointLocked captures node n's engine state into its chain in the
+// spill store — a full frame (ckpt/<name>) and the deltas after it
+// (ckpt/<name>/<i>) — and advances its truncation mark. Once the deltas'
+// bytes reach the base's, the request names no head, so the node answers
+// with a full frame; it is stored before the old deltas are deleted. The
+// sender is sequential, so no batch is in flight: n.sent is exactly the
+// tick count the frame covers.
 func (s *Server) checkpointLocked(n *nodeRec) {
 	covers := n.sent
 	epoch := n.epoch
-	addr := n.addr
+	url := fmt.Sprintf("%s/checkpoint?tick=%d", n.addr, covers)
+	askDelta := n.ckptBase > 0 && n.ckptSize-n.ckptBase < n.ckptBase
+	if askDelta {
+		url += fmt.Sprintf("&head=%d", n.ckptTick)
+	}
 	n.inflight = true
 	s.mu.Unlock()
-	blob, err := s.postNode(addr+"/checkpoint", ContentTypeSnapshot, nil, maxBlobBytes)
+	blob, err := s.postNode(url, ContentTypeSnapshot, nil, maxBlobBytes)
 	s.mu.Lock()
 	n.inflight = false
 	if epoch != n.epoch {
 		return // node rejoined mid-capture; the snapshot is stale
+	}
+	delta := mlops.IsSnapshotDelta(blob)
+	if err == nil && delta && !askDelta {
+		err = errors.New("delta frame without a chain head to apply it to")
 	}
 	if err != nil {
 		n.alive = false
@@ -592,13 +610,27 @@ func (s *Server) checkpointLocked(n *nodeRec) {
 		s.cond.Broadcast()
 		return
 	}
-	if err := s.cfg.Spill.Put("ckpt/"+n.name, blob); err != nil {
-		// The mark stays put, so the journal keeps every tick a rejoin from
-		// the last stored checkpoint would need; status shows why.
+	key := "ckpt/" + n.name
+	if delta {
+		key += "/" + strconv.Itoa(len(n.deltas)+1)
+	}
+	if err := s.cfg.Spill.Put(key, blob); err != nil {
+		// Chain and mark stay put (the journal keeps what a rejoin from them
+		// needs); the node's next frame is a full one. Status shows why.
 		n.lastErr = fmt.Errorf("controlplane: node %s: store checkpoint: %w", n.name, err)
 	} else {
 		s.spillBytes += int64(len(blob))
-		n.ckptTick, n.ckptSize = covers, len(blob)
+		if delta {
+			n.deltas = append(n.deltas, key)
+			n.ckptSize += len(blob)
+		} else {
+			for _, k := range n.deltas {
+				s.cfg.Spill.Delete(k) // a leftover is overwritten by the next chain
+			}
+			n.deltas = nil
+			n.ckptBase, n.ckptSize = len(blob), len(blob)
+		}
+		n.ckptTick = covers
 	}
 	n.wantCkpt = false
 	s.maybeTruncateLocked()
@@ -756,16 +788,26 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 	return resp, http.StatusOK, nil
 }
 
-// checkpointBlob returns a node's stored snapshot for its rejoin
-// restore.
+// checkpointBlob returns a node's stored chain, merged into the one MFS3
+// frame its rejoin restores. The chain is read under the lock, which every
+// change to it holds.
 func (s *Server) checkpointBlob(name string) ([]byte, error) {
 	s.mu.Lock()
-	_, known := s.byName[name]
-	s.mu.Unlock()
+	n, known := s.byName[name]
 	if !known {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("unknown node %q", name)
 	}
-	return s.cfg.Spill.Get("ckpt/" + name)
+	base, err := s.cfg.Spill.Get("ckpt/" + name)
+	deltas := make([][]byte, len(n.deltas))
+	for i := 0; i < len(deltas) && err == nil; i++ {
+		deltas[i], err = s.cfg.Spill.Get(n.deltas[i])
+	}
+	s.mu.Unlock()
+	if err != nil || len(deltas) == 0 {
+		return base, err
+	}
+	return mlops.MergeSnapshot(base, deltas...)
 }
 
 // heartbeat refreshes a node's liveness and telemetry.

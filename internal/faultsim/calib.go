@@ -8,8 +8,9 @@ import (
 
 // Calibration holds the per-platform generative parameters. Values are
 // tuned so the emitted logs reproduce the *shapes* of the paper's Table I,
-// Figure 4 and Figure 5 (see DESIGN.md §5); they are not fit to any
-// proprietary data.
+// Figure 4 and Figure 5 (the bounds TestCalibrationShapes in
+// internal/analysis holds them to); they are not fit to any proprietary
+// data.
 type Calibration struct {
 	Platform platform.ID
 

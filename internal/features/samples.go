@@ -23,8 +23,8 @@ type Sample struct {
 // predicts every Δip=5 minutes; replaying every instant over ten months is
 // neither necessary nor laptop-friendly, so we sample event-triggered
 // instants (a prediction is only interesting when new evidence arrived)
-// thinned to at most one per MinGap, capped per DIMM. DESIGN.md records
-// this substitution.
+// thinned to at most one per MinGap, capped per DIMM — a substitution for
+// the paper's schedule that TestInstantsThinning and TestInstantsCap pin.
 type SamplerConfig struct {
 	// MinGap is the minimum spacing between two prediction instants on
 	// the same DIMM.

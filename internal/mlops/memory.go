@@ -35,10 +35,10 @@ import (
 //
 // A resident DIMM's kept snapshot record (snapshot.go) is serving state
 // like the rest: its bytes are inside footprint(), Snapshot settles the
-// shard's tally when it fills one, and the next event for the DIMM drops
-// it just before account runs. An engine that snapshots under a budget
-// therefore evicts a little earlier than one that does not; the alarm
-// stream cannot tell (eviction is exact).
+// shard's tally when it fills one, and the DIMM's events keep it (stale,
+// its blob the prefix the next encoding extends). An engine that
+// snapshots under a budget therefore evicts a little earlier than one that
+// does not; the alarm stream cannot tell (eviction is exact).
 //
 // Both policies are pure functions of the event stream (arrival order and
 // event times; no wall clock), so bounded runs are reproducible and
@@ -85,23 +85,37 @@ type frozenDIMM struct {
 	// than on the heap; spillBytes is the stored record's size.
 	spilled    bool
 	spillBytes int64
+	// dirty: changed since the engine's last frame (AppendDelta carries
+	// it); thawed: no longer in the shard's frozen map.
+	dirty, thawed bool
 }
 
-// freezeDIMM serializes one DIMM's live serving state. The log is sorted
-// at every eviction point (ingestLocked restores the index immediately
-// after any out-of-order append), so delta coding is safe; the defensive
-// sort covers misuse.
-func freezeDIMM(st *dimmState) *frozenDIMM {
+// freezeDIMM serializes one DIMM's live serving state, its events
+// appended to blob (nil: a new one). The log is sorted at every eviction
+// point (ingestLocked restores the index immediately after any
+// out-of-order append), so delta coding is safe; the defensive sort
+// covers misuse.
+func freezeDIMM(st *dimmState, blob []byte) *frozenDIMM {
 	if !st.log.Indexed() {
 		st.log.SortEvents()
+		st.recBlob = nil
 	}
+	events := st.log.Events
 	fz := &frozenDIMM{
 		part:     st.log.Part,
-		events:   len(st.log.Events),
+		events:   len(events),
 		snap:     st.log.Compaction(),
 		lastPred: st.lastPred, lastAlarm: st.lastAlarm, alarmed: st.alarmed,
 	}
-	fz.blob = trace.AppendLogEvents(make([]byte, 0, 8*len(st.log.Events)), st.log.Events)
+	// The kept record's blob already encodes a prefix of the log.
+	n, prev := 0, trace.Minutes(0)
+	if st.recBlob != nil && st.recEvents > 0 {
+		n, prev = st.recEvents, events[st.recEvents-1].Time
+	}
+	if blob == nil {
+		blob = make([]byte, 0, len(st.recBlob)+8*(len(events)-n))
+	}
+	fz.blob = trace.AppendLogEventsAfter(append(blob, st.recBlob...), prev, events[n:])
 	fz.bytes = fz.footprint()
 	return fz
 }
@@ -173,6 +187,7 @@ func (s *Server) maybeCompact(st *dimmState, t trace.Minutes) {
 		return
 	}
 	if n := s.Store.CompactLog(st.log, cut); n > 0 {
+		st.recBlob = nil
 		s.compactions.Add(1)
 		s.compactedEvents.Add(int64(n))
 	}
@@ -216,13 +231,14 @@ func (s *Server) maybeEvict(sh *shard, now trace.Minutes) {
 // stays resident — so the budget bounds total process memory. A failed
 // spill falls back to the in-memory frozen form. Shard lock held.
 func (s *Server) freezeLocked(sh *shard, st *dimmState) {
-	fz := freezeDIMM(st)
+	fz := freezeDIMM(st, nil)
 	id := st.log.ID
 	if s.Spill != nil {
 		if stub, err := s.spillRec(id, fz); err == nil {
 			fz = stub
 		}
 	}
+	fz.dirty = st.rec == nil || st.dirty // changed since the last frame
 	sh.resident += fz.bytes - st.bytes
 	sh.drop(st)
 	sh.frozen[id] = fz
@@ -264,6 +280,7 @@ func (s *Server) readSpilled(id trace.DIMMID) ([]byte, *frozenDIMM, error) {
 
 // thawLocked rehydrates a frozen DIMM for its next event. Shard lock held.
 func (s *Server) thawLocked(sh *shard, id trace.DIMMID, fz *frozenDIMM) (*dimmState, error) {
+	fz.thawed = true // the snapshot order looks this DIMM up again
 	if fz.spilled {
 		_, real, err := s.readSpilled(id)
 		if err != nil {

@@ -121,7 +121,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 		mid := l.Events[len(l.Events)/2].Time
 		fs.CompactLog(st.log, mid)
 
-		fz := freezeDIMM(st)
+		fz := freezeDIMM(st, nil)
 		th, err := fz.thaw(l.ID)
 		if err != nil {
 			t.Fatal(err)

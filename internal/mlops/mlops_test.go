@@ -100,7 +100,7 @@ func TestMonitorPSI(t *testing.T) {
 	for _, s := range ref {
 		m.CountPrediction(s)
 	}
-	if psi := m.PSI(); psi > 0.01 {
+	if psi := m.PSIOf(m.ScoreBins()); psi > 0.01 {
 		t.Errorf("identical distribution PSI %v", psi)
 	}
 	// Shifted distribution → large PSI.
@@ -109,7 +109,7 @@ func TestMonitorPSI(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		m2.CountPrediction(0.95)
 	}
-	if psi := m2.PSI(); psi < 0.25 {
+	if psi := m2.PSIOf(m2.ScoreBins()); psi < 0.25 {
 		t.Errorf("shifted distribution PSI %v, want > 0.25", psi)
 	}
 }
@@ -120,14 +120,14 @@ func TestMonitorRetrainDecision(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.CountPrediction(0.99)
 	}
-	dec := m.ShouldRetrain(m.PSI(), 0.25, 0.2)
+	dec := m.ShouldRetrain(m.PSIOf(m.ScoreBins()), 0.25, 0.2)
 	if !dec.Retrain {
 		t.Errorf("drift should trigger retraining: %+v", dec)
 	}
 	// Precision collapse path.
 	m2 := NewMonitor()
 	m2.Feedback(1, 20, 3)
-	dec2 := m2.ShouldRetrain(m2.PSI(), 10, 0.2)
+	dec2 := m2.ShouldRetrain(m2.PSIOf(m2.ScoreBins()), 10, 0.2)
 	if !dec2.Retrain {
 		t.Errorf("precision collapse should trigger retraining: %+v", dec2)
 	}

@@ -118,14 +118,10 @@ func (m *Monitor) ScoreBins() [10]int64 {
 	return out
 }
 
-// PSI computes the population stability index between the live score
-// distribution and the reference. Values above ~0.25 conventionally
-// indicate significant drift.
-func (m *Monitor) PSI() float64 { return m.PSIOf(m.ScoreBins()) }
-
-// PSIOf computes the PSI of an arbitrary live histogram against this
-// monitor's reference — the distributed-drift path, where the live bins
-// are the sum of every node's ScoreBins.
+// PSIOf computes the population stability index of a live score
+// histogram against this monitor's reference — its own ScoreBins, or the
+// sum of every node's on the distributed-drift path. Values above ~0.25
+// conventionally indicate significant drift.
 func (m *Monitor) PSIOf(liveBins [10]int64) float64 {
 	var bins [10]float64
 	live := 0.0
@@ -191,7 +187,8 @@ type RetrainDecision struct {
 }
 
 // ShouldRetrain applies the retraining policy to a live PSI — this
-// monitor's own (PSI), or a control plane's over its whole fleet.
+// monitor's own (PSIOf(ScoreBins())), or a control plane's over its whole
+// fleet.
 func (m *Monitor) ShouldRetrain(psi, psiThreshold, minPrecision float64) RetrainDecision {
 	if psi > psiThreshold {
 		return RetrainDecision{Retrain: true, PSI: psi,

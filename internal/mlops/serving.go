@@ -91,6 +91,7 @@ type Server struct {
 	snapOrder []snapEnt   // every DIMM with state, in ID order, as of the last snapshot
 	snapKept  atomic.Bool // snapOrder plus the shards' added lists is still the DIMM set
 	snapSize  int         // the last frame's length: the next one's capacity
+	recBuf    []byte      // scratch for a re-encoded record's events
 	// Records written into frames, and how many of them had to be
 	// re-encoded from a DIMM's live state rather than copied.
 	snapRecords, snapReencoded atomic.Int64
@@ -123,10 +124,16 @@ type dimmState struct {
 	// minute 0 suppress repeats like any other.
 	lastAlarm trace.Minutes
 	alarmed   bool
-	// rec is this DIMM's MFS3 snapshot record, kept from the snapshot that
-	// encoded it until the DIMM's next event (ingestLocked) — the one
-	// place any field the record serializes can change.
-	rec []byte
+	// rec is this DIMM's MFS3 record as the last snapshot frame encoded
+	// it, stale (dirty) from its next event (ingestLocked — the one place
+	// any field it serializes can change). recBlob, the part of rec that
+	// encodes the log's first recEvents events, is kept while they are
+	// the log's prefix (no late-event re-sort or compaction since), so the
+	// next encoding appends only the events past them.
+	rec       []byte
+	dirty     bool
+	recBlob   []byte
+	recEvents int
 	// dropped is set when the state leaves its shard's map (shard.drop):
 	// the snapshot order's pointer to it is stale.
 	dropped bool
@@ -284,8 +291,9 @@ func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*A
 		}
 	}
 	st.log.Append(e)
-	st.rec = nil // the kept snapshot record is stale from here on
+	st.dirty = true // the kept snapshot record is stale from here on
 	if !st.log.Indexed() {
+		st.recBlob = nil // ... and so is its log prefix
 		// A late event arrived out of time order. Re-sort once so the
 		// index — and with it the incremental cursor path (the generation
 		// bump makes the cursor rebuild) — recovers immediately, instead

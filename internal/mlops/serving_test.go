@@ -415,7 +415,7 @@ func TestConcurrentIngestWithPromotion(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			_ = mon.PSI()
+			_ = mon.PSIOf(mon.ScoreBins())
 			_ = mon.Dashboard()
 		}
 	}()
@@ -447,7 +447,7 @@ func TestMonitorConcurrentCounters(t *testing.T) {
 				if i%100 == 0 {
 					m.CountAlarm(Alarm{Time: trace.Minutes(i), Model: fmt.Sprint(w)})
 					m.Feedback(1, 0, 0)
-					_ = m.PSI()
+					_ = m.PSIOf(m.ScoreBins())
 					_ = m.Dashboard()
 					_, _ = m.LivePrecisionRecall()
 				}

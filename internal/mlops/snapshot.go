@@ -1,6 +1,7 @@
 package mlops
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -22,11 +23,11 @@ import (
 //
 // A snapshot costs the DIMMs that changed since the last one, not the
 // DIMMs that exist. Each resident DIMM keeps the record the last snapshot
-// encoded for it (dimmState.rec) and ingestLocked drops it right after
-// appending an event to the DIMM's log. That one place is enough: every
-// field a record serializes — the retained events and their order, the
-// prediction throttle, the alarm cooldown, the compaction horizon and the
-// fold state compaction rewrites — changes only while serving a tick,
+// encoded for it (dimmState.rec) and ingestLocked marks it stale right
+// after appending an event to the DIMM's log. That one place is enough:
+// every field a record serializes — the retained events and their order,
+// the prediction throttle, the alarm cooldown, the compaction horizon and
+// the fold state compaction rewrites — changes only while serving a tick,
 // under the shard lock, for a DIMM that tick appended to; thaw and
 // RestoreSnapshot build fresh states that have no record yet. A frozen
 // DIMM is already a blob and is written straight into the frame; a spilled
@@ -34,7 +35,9 @@ import (
 // order (Server.snapOrder) is kept sorted between snapshots too: DIMMs
 // registered since merge in, a restore rebuilds it. The frame is byte for
 // byte the one a full freeze-sort-encode walk writes — that walk is the
-// oracle in snapshot_test.go.
+// oracle in snapshot_test.go. A delta (AppendDelta) is the same walk
+// writing only the stale records, and MergeSnapshot folds a full frame and
+// the deltas after it into the last one's full frame.
 
 // snapshotMagic versions the engine snapshot format. MFS3 records hold
 // their events in the trace log form (trace.AppendLogEvents) and their
@@ -44,6 +47,11 @@ import (
 // fields for every event type, are refused by name — a spill directory or
 // checkpoint written by such a binary must be emptied, not reread.
 const snapshotMagic = "MFS3"
+
+// deltaMagic versions AppendDelta's frame: MFS3 records to the frame's
+// end, no count and no tombstones — between restores an engine's DIMM set
+// only grows, since nothing unregisters a DIMM.
+const deltaMagic = "MFD1"
 
 // frozenRec is one snapshot record: a DIMM and its frozen state.
 type frozenRec struct {
@@ -142,7 +150,15 @@ func (s *Server) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
 // held for the duration. The encoding is deterministic: records are in
 // DIMM ID order and every nested codec writes sorted keys. On error dst's
 // contents past its length are unspecified and nil is returned.
-func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
+func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) { return s.appendFrame(dst, false) }
+
+// AppendDelta appends an MFD1 frame to dst: AppendSnapshot's records of
+// the DIMMs that ingested or registered since the previous frame. After an
+// error the next frame must be a full one.
+func (s *Server) AppendDelta(dst []byte) ([]byte, error) { return s.appendFrame(dst, true) }
+
+// appendFrame is AppendSnapshot's walk; a delta skips unchanged records.
+func (s *Server) appendFrame(dst []byte, delta bool) ([]byte, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -150,32 +166,53 @@ func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
 	s.settleSnapOrder()
 
 	w := trace.BinWriter{Buf: slices.Grow(dst, s.snapSize)}
-	w.Raw([]byte(snapshotMagic))
-	w.Uvarint(uint64(len(s.snapOrder)))
-	var reencoded int64
+	if delta {
+		w.Raw([]byte(deltaMagic))
+	} else {
+		w.Raw([]byte(snapshotMagic))
+		w.Uvarint(uint64(len(s.snapOrder)))
+	}
+	var written, reencoded int64
 	for i := range s.snapOrder {
 		ent := &s.snapOrder[i]
 		id, st := ent.id, ent.st
 		if st == nil || st.dropped {
-			// Frozen when last seen, or evicted since: look again.
-			sh := s.shardFor(id)
-			st = sh.dimms[id]
-			ent.st = st
+			// Evicted or thawed since last seen: look again.
+			fz := ent.fz
+			if fz == nil || fz.thawed {
+				sh := s.shardFor(id)
+				st, fz = sh.dimms[id], sh.frozen[id]
+				ent.st, ent.fz = st, fz
+			}
 			if st == nil {
-				if err := s.appendFrozenLocked(&w, id, sh.frozen[id]); err != nil {
+				if fz == nil {
+					return nil, fmt.Errorf("mlops: snapshot order lists %s, which has no state", id)
+				}
+				if delta && !fz.dirty {
+					continue
+				}
+				if err := s.appendFrozenLocked(&w, id, fz); err != nil {
 					return nil, err
 				}
+				fz.dirty = false
+				written++
 				continue
 			}
 		}
-		if st.rec != nil {
-			w.Raw(st.rec)
+		if st.rec != nil && !st.dirty {
+			if !delta {
+				w.Raw(st.rec)
+				written++
+			}
 			continue
 		}
 		start := len(w.Buf)
-		appendFrozenRec(&w, id, freezeDIMM(st))
-		st.rec = make([]byte, len(w.Buf)-start)
-		copy(st.rec, w.Buf[start:])
+		fz := freezeDIMM(st, s.recBuf[:0])
+		s.recBuf = fz.blob
+		appendFrozenRec(&w, id, fz)
+		st.rec = append(st.rec[:0], w.Buf[start:]...) // its old bytes are copied out
+		st.recBlob, st.recEvents, st.dirty = st.rec[len(st.rec)-len(fz.blob):], fz.events, false
+		written++
 		reencoded++
 		if s.MemoryBudget > 0 {
 			// The kept record is serving state; the LRU is not touched — a
@@ -186,7 +223,7 @@ func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
 		}
 	}
 	s.snapSize = len(w.Buf) - len(dst)
-	s.snapRecords.Add(int64(len(s.snapOrder)))
+	s.snapRecords.Add(written)
 	s.snapReencoded.Add(reencoded)
 	return w.Buf, nil
 }
@@ -195,27 +232,23 @@ func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) {
 // already a blob and encodes straight into the frame; a spilled one's
 // stored bytes are checked (readSpilled) and copied through.
 func (s *Server) appendFrozenLocked(w *trace.BinWriter, id trace.DIMMID, fz *frozenDIMM) error {
-	switch {
-	case fz == nil:
-		return fmt.Errorf("mlops: snapshot order lists %s, which has no state", id)
-	case fz.spilled:
-		rec, _, err := s.readSpilled(id)
-		if err != nil {
-			return err
-		}
-		w.Raw(rec)
+	if !fz.spilled {
+		appendFrozenRec(w, id, fz)
 		return nil
 	}
-	appendFrozenRec(w, id, fz)
-	return nil
+	rec, _, err := s.readSpilled(id)
+	w.Raw(rec)
+	return err
 }
 
-// snapEnt is one DIMM's place in the snapshot order. st caches the
-// DIMM's live state so a snapshot of mostly-resident DIMMs hashes no
-// keys; it is trusted until the state is dropped from its shard.
+// snapEnt is one DIMM's place in the snapshot order. st and fz cache the
+// DIMM's live or frozen state so a snapshot hashes no keys for DIMMs that
+// stayed put; each is trusted until it leaves its shard's map
+// (dimmState.dropped, frozenDIMM.thawed).
 type snapEnt struct {
 	id trace.DIMMID
 	st *dimmState
+	fz *frozenDIMM
 }
 
 // settleSnapOrder brings snapOrder up to date with the DIMM set: the few
@@ -235,10 +268,10 @@ func (s *Server) settleSnapOrder() {
 			}
 		} else {
 			for id, st := range sh.dimms {
-				added = append(added, snapEnt{id, st})
+				added = append(added, snapEnt{id: id, st: st})
 			}
-			for id := range sh.frozen {
-				added = append(added, snapEnt{id: id})
+			for id, fz := range sh.frozen {
+				added = append(added, snapEnt{id: id, fz: fz})
 			}
 		}
 		sh.added = sh.added[:0]
@@ -266,25 +299,9 @@ func (s *Server) settleSnapOrder() {
 // Every restored DIMM starts frozen and thaws on its next event; the
 // registry and monitor are untouched.
 func (s *Server) RestoreSnapshot(data []byte) error {
-	r := trace.NewBinReader(data)
-	switch magic := string(r.Raw(len(snapshotMagic))); magic {
-	case snapshotMagic:
-	case "MFS2", "MFS1":
-		return fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s", magic, snapshotMagic)
-	default:
-		return fmt.Errorf("mlops: not a %s engine snapshot", snapshotMagic)
-	}
-	n := r.Uvarint()
-	if n > uint64(r.Remaining())+1 {
-		return fmt.Errorf("mlops: snapshot declares %d DIMMs in %d bytes", n, r.Remaining())
-	}
-	recs := make([]frozenRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, fz, err := decodeFrozenRec(r)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, frozenRec{id, fz})
+	recs, err := readFrame(data, snapshotMagic)
+	if err != nil {
+		return err
 	}
 	s.snapKept.Store(false)
 	for _, sh := range s.shards {
@@ -305,4 +322,57 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// readFrame decodes the records of a frame with the given magic,
+// refusing another by name.
+func readFrame(data []byte, magic string) ([]frozenRec, error) {
+	r := trace.NewBinReader(data)
+	switch got := string(r.Raw(len(magic))); {
+	case got == magic:
+	case got == "MFS2" || got == "MFS1":
+		return nil, fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s", got, snapshotMagic)
+	case got == deltaMagic:
+		return nil, fmt.Errorf("mlops: %s snapshot delta where a full %s frame belongs: merge its chain first", got, magic)
+	default:
+		return nil, fmt.Errorf("mlops: not a %s engine snapshot", magic)
+	}
+	var n uint64
+	if magic == snapshotMagic {
+		if n = r.Uvarint(); n > uint64(r.Remaining())+1 {
+			return nil, fmt.Errorf("mlops: snapshot declares %d DIMMs in %d bytes", n, r.Remaining())
+		}
+	}
+	recs := make([]frozenRec, 0, n)
+	for uint64(len(recs)) < n || (magic == deltaMagic && r.Remaining() > 0) {
+		id, fz, err := decodeFrozenRec(r)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, frozenRec{id, fz})
+	}
+	return recs, nil
+}
+
+// IsSnapshotDelta reports whether frame is an AppendDelta frame.
+func IsSnapshotDelta(frame []byte) bool { return bytes.HasPrefix(frame, []byte(deltaMagic)) }
+
+// MergeSnapshot folds a full frame and the deltas its engine took after
+// it, oldest first, into the frame AppendSnapshot would have written in
+// place of the last: it restores them into a scratch engine and snapshots it.
+func MergeSnapshot(base []byte, deltas ...[]byte) ([]byte, error) {
+	s := NewShardedServer("", nil, nil, "", nil, 1)
+	if err := s.RestoreSnapshot(base); err != nil {
+		return nil, err
+	}
+	for _, d := range deltas {
+		recs, err := readFrame(d, deltaMagic)
+		if err != nil {
+			return nil, err
+		}
+		for _, rc := range recs {
+			s.shards[0].frozen[rc.id] = rc.fz
+		}
+	}
+	return s.Snapshot()
 }

@@ -117,14 +117,17 @@ func TestSnapshotRestoreTransparent(t *testing.T) {
 }
 
 // fullWalkSnapshot is the snapshot oracle — Snapshot as it was before it
-// kept anything: freeze every resident DIMM, read back every spilled one,
-// sort the records by DIMM ID, encode.
+// kept anything: freeze every resident DIMM (encoding all of its events,
+// none reused from a kept record), read back every spilled one, sort the
+// records by DIMM ID, encode.
 func fullWalkSnapshot(s *Server) ([]byte, error) {
 	var recs []frozenRec
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, st := range sh.dimms {
-			recs = append(recs, frozenRec{id, freezeDIMM(st)})
+			fresh := *st
+			fresh.recBlob = nil
+			recs = append(recs, frozenRec{id: id, fz: freezeDIMM(&fresh, nil)})
 		}
 		for id, fz := range sh.frozen {
 			if fz.spilled {
@@ -135,7 +138,7 @@ func fullWalkSnapshot(s *Server) ([]byte, error) {
 				}
 				fz = real
 			}
-			recs = append(recs, frozenRec{id, fz})
+			recs = append(recs, frozenRec{id: id, fz: fz})
 		}
 		sh.mu.Unlock()
 	}
@@ -164,7 +167,7 @@ func checkBooks(s *Server, strict bool) error {
 		sh.mu.Lock()
 		for id, st := range sh.dimms {
 			booked += st.bytes
-			if fp := st.footprint(); (strict || st.rec != nil) && st.bytes != fp {
+			if fp := st.footprint(); (strict || (st.rec != nil && !st.dirty)) && st.bytes != fp {
 				sh.mu.Unlock()
 				return fmt.Errorf("%s (kept record: %d bytes) booked at %d, footprint %d", id, len(st.rec), st.bytes, fp)
 			}
@@ -185,10 +188,13 @@ func checkBooks(s *Server, strict bool) error {
 }
 
 // TestSnapshotAssembledMatchesFullWalk is the property the kept records
-// rest on: however ticks and snapshots interleave, the frame Snapshot
-// assembles is byte for byte the full walk's. Ticks of random size, a
-// snapshot after a random third of them, DIMMs registered on first sight
-// (so the kept order has arrivals to merge), and inside each run one late
+// and the checkpoint chain rest on: however ticks and snapshots
+// interleave, the frame Snapshot assembles is byte for byte the full
+// walk's, and so is the chain MergeSnapshot folds when a random half of
+// the snapshots are deltas (AppendDelta) on the last full frame — or on
+// the frame a restore started from. Ticks of random size, a snapshot
+// after a random third of them, DIMMs registered on first sight (so the
+// kept order has arrivals to merge), and inside each run one late
 // out-of-order event and one restore into a fresh engine that carries on
 // (the restore rebuilds the kept order). Budgeted rows also audit the
 // accounting after every tick and every snapshot (checkBooks).
@@ -233,10 +239,25 @@ func TestSnapshotAssembledMatchesFullWalk(t *testing.T) {
 						t.Fatalf("%s: %v", when, err)
 					}
 				}
-				snaps := 0
+				snaps, nDeltas := 0, 0
+				chainRng := rand.New(rand.NewSource(int64(7 * shards)))
+				var base []byte     // the chain's full frame
+				var deltas [][]byte // the deltas taken on it
 				check := func(when string) []byte {
 					t.Helper()
-					got, err := s.Snapshot()
+					var got []byte
+					var err error
+					if base != nil && chainRng.Intn(2) == 0 {
+						var d []byte
+						if d, err = s.AppendDelta(nil); err == nil {
+							deltas = append(deltas, d)
+							got, err = MergeSnapshot(base, deltas...)
+							when = fmt.Sprintf("%s, %d-delta chain", when, len(deltas))
+							nDeltas++
+						}
+					} else if got, err = s.Snapshot(); err == nil {
+						base, deltas = got, nil
+					}
 					if err != nil {
 						t.Fatalf("%s: %v", when, err)
 					}
@@ -272,7 +293,9 @@ func TestSnapshotAssembledMatchesFullWalk(t *testing.T) {
 					switch {
 					case i < lateAt && lateAt <= j:
 						// One minute behind the log's tail: ingestLocked's
-						// re-sort branch, in the same call as the append.
+						// re-sort branch, in the same call as the append,
+						// moving an event the kept record already encodes.
+						check(when + ", before a late event")
 						late := last
 						late.Time--
 						ingest(when+", late event", []trace.Event{late})
@@ -283,6 +306,7 @@ func TestSnapshotAssembledMatchesFullWalk(t *testing.T) {
 						if err := s.RestoreSnapshot(blob); err != nil {
 							t.Fatal(err)
 						}
+						base, deltas = blob, nil   // the restored engine's last frame
 						check(when + ", restored") // every DIMM frozen, no order kept
 					case rng.Intn(3) == 0:
 						check(when)
@@ -294,8 +318,11 @@ func TestSnapshotAssembledMatchesFullWalk(t *testing.T) {
 				if tc.budget > 0 && ms.Evictions == 0 {
 					t.Fatalf("budget %d never evicted: the frozen and spilled arms went unexercised", tc.budget)
 				}
-				t.Logf("%d events, %d snapshots; since restore: %d records written, %d re-encoded, %d evictions, %d rehydrations, %d spills",
-					len(stream), snaps, ms.SnapshotRecords, ms.SnapshotReencoded, ms.Evictions, ms.Rehydrations, ms.Spills)
+				if nDeltas == 0 {
+					t.Fatal("no snapshot was a delta: the chain arm went unexercised")
+				}
+				t.Logf("%d events, %d snapshots (%d deltas); since restore: %d records written, %d re-encoded, %d evictions, %d rehydrations, %d spills",
+					len(stream), snaps, nDeltas, ms.SnapshotRecords, ms.SnapshotReencoded, ms.Evictions, ms.Rehydrations, ms.Spills)
 			})
 		}
 	}
@@ -309,7 +336,10 @@ const snapshotPropBudget = 16 << 20
 
 // TestSnapshotReencodesOnlyChangedDIMMs is the point of keeping records:
 // a second snapshot with no ingest in between re-encodes nothing, and one
-// event re-encodes one record.
+// event re-encodes one record. A delta carries just as little: none with
+// no ingest, the one DIMM an event changed, and a DIMM changed and then
+// evicted — frozen in memory or spilled — carries its change mark into
+// the next delta.
 func TestSnapshotReencodesOnlyChangedDIMMs(t *testing.T) {
 	_, s := smallEngine(t)
 	snap := func() (records, reencoded int64) {
@@ -334,6 +364,63 @@ func TestSnapshotReencodesOnlyChangedDIMMs(t *testing.T) {
 	if rec, re := snap(); rec != 2 || re != 1 {
 		t.Fatalf("snapshot after one event wrote %d records and re-encoded %d, want 2 and 1", rec, re)
 	}
+
+	base, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain [][]byte
+	delta := func(want ...trace.DIMMID) {
+		t.Helper()
+		d, err := s.AppendDelta(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := readFrame(d, deltaMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []trace.DIMMID
+		for _, rc := range recs {
+			got = append(got, rc.id)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("delta carries %v, want %v", got, want)
+		}
+		chain = append(chain, d)
+		merged, err := MergeSnapshot(base, chain...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full, err := fullWalkSnapshot(s); err != nil || !bytes.Equal(merged, full) {
+			t.Fatalf("chain of %d deltas merges to a frame that is not the full walk's (%v)", len(chain), err)
+		}
+	}
+	delta()
+	delta()
+	if _, err := ingestOne(s, trace.Event{Time: 401 * trace.Day, Type: trace.TypeUE, DIMM: id}); err != nil {
+		t.Fatal(err)
+	}
+	delta(id)
+	// Change both DIMMs, then evict the first in memory and spill the second.
+	ids := []trace.DIMMID{{Platform: platform.Purley, Server: 0, Slot: 0}, id}
+	for i, d := range ids {
+		if _, err := ingestOne(s, trace.Event{Time: 402 * trace.Day, Type: trace.TypeUE, DIMM: d}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			s.Spill = NewMemSpill()
+		}
+		sh := s.shardFor(d)
+		sh.mu.Lock()
+		s.freezeLocked(sh, sh.dimms[d])
+		sh.mu.Unlock()
+	}
+	if ms := s.MemoryStats(); ms.FrozenDIMMs != 2 || ms.Spills != 1 {
+		t.Fatalf("%d DIMMs frozen and %d spilled, want 2 and 1", ms.FrozenDIMMs, ms.Spills)
+	}
+	delta(ids...)
+	delta()
 }
 
 // TestSnapshotConcurrentWithServing: the kept order and records are
@@ -512,14 +599,28 @@ func smallSnapshot(tb testing.TB) (*Registry, []byte) {
 // Refactors of the snapshot, fold-state or classifier codecs must not move
 // a byte of it; a deliberate change takes a new magic.
 func TestSnapshotGoldenBytes(t *testing.T) {
-	reg := NewRegistry()
-	registerFunc(t, reg, "m", func(x []float64) float64 { return x[5] / 64 }, eval.Metrics{}, 0.5)
-	if err := reg.Promote("m", 1); err != nil {
+	blob, err := goldenEngine(t).Snapshot()
+	if err != nil {
 		t.Fatal(err)
+	}
+	const want = "4d465333010c496e74656c5f5075726c657906020a41342d323636362d3332c0f70100000c0a000280870101010080e1010100c07004060604040402021208c8010004021208c80102060644c04300021208c801000840a00b00021208c80102088001a00b00021208c80100088002a00b00021208c80102088004a00b01021208c80100a00b00021208c80102088010"
+	if got := hex.EncodeToString(blob); got != want {
+		t.Fatalf("MFS3 bytes moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// goldenEngine is TestSnapshotGoldenBytes' engine: one DIMM, its log
+// (CEs on two cells, a storm, a UE) compacted.
+func goldenEngine(tb testing.TB) *Server {
+	tb.Helper()
+	reg := NewRegistry()
+	registerFunc(tb, reg, "m", func(x []float64) float64 { return x[5] / 64 }, eval.Metrics{}, 0.5)
+	if err := reg.Promote("m", 1); err != nil {
+		tb.Fatal(err)
 	}
 	part, err := platform.PartByNumber("A4-2666-32")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 1)
 	s.MemoryBudget = 1 << 20
@@ -539,19 +640,12 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		events = append(events, e)
 	}
 	if _, err := s.IngestBatch(events); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if ms := s.MemoryStats(); ms.CompactedEvents < 4 {
-		t.Fatalf("fixture compacted %d events: the frame's fold state holds no repeated cell", ms.CompactedEvents)
+		tb.Fatalf("fixture compacted %d events: the frame's fold state holds no repeated cell", ms.CompactedEvents)
 	}
-	blob, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "4d465333010c496e74656c5f5075726c657906020a41342d323636362d3332c0f70100000c0a000280870101010080e1010100c07004060604040402021208c8010004021208c80102060644c04300021208c801000840a00b00021208c80102088001a00b00021208c80100088002a00b00021208c80102088004a00b01021208c80100a00b00021208c80102088010"
-	if got := hex.EncodeToString(blob); got != want {
-		t.Fatalf("MFS3 bytes moved:\n got %s\nwant %s", got, want)
-	}
+	return s
 }
 
 // TestRestoreSnapshotRefusesBadRecords: a record whose count its blob
@@ -601,6 +695,40 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		for _, id := range ids {
 			ingestOne(s, trace.Event{Time: 400 * trace.Day, Type: trace.TypeCE, DIMM: id,
 				Bits: dram.ErrorBits{Width: dram.X4, Mask: 1}})
+		}
+	})
+}
+
+// FuzzMergeSnapshot feeds an arbitrary base and delta to MergeSnapshot —
+// the chain a control plane's store hands back for a rejoin: a chain is
+// refused, or it merges into a frame RestoreSnapshot accepts. Seeded from
+// TestSnapshotGoldenBytes' frame and a delta taken on it after one event.
+func FuzzMergeSnapshot(f *testing.F) {
+	s := goldenEngine(f)
+	base, err := s.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ingestOne(s, trace.Event{Time: 20 * trace.Day, Type: trace.TypeUE, DIMM: trace.DIMMID{Platform: platform.Purley, Server: 3, Slot: 1},
+		Addr: dram.Addr{Rank: 1, Device: 9, Bank: 4, Row: 100, Column: 1}}); err != nil {
+		f.Fatal(err)
+	}
+	delta, err := s.AppendDelta(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(base, delta)
+	f.Add(base, []byte(deltaMagic))
+	f.Add(lyingSnapshot(f), delta)
+	f.Add(base, append([]byte(deltaMagic), base[5:]...))
+	f.Fuzz(func(t *testing.T, base, delta []byte) {
+		merged, err := MergeSnapshot(base, delta)
+		if err != nil {
+			return
+		}
+		s := NewShardedServer(platform.Purley, NewFeatureStore(), NewRegistry(), "m", nil, 2)
+		if err := s.RestoreSnapshot(merged); err != nil {
+			t.Fatalf("merged chain refused by RestoreSnapshot: %v", err)
 		}
 	})
 }

@@ -319,9 +319,13 @@ func readEventFields(r *BinReader, e *Event) {
 }
 
 // AppendLogEvents encodes one DIMM's time-sorted events in the log form.
-func AppendLogEvents(dst []byte, events []Event) []byte {
+func AppendLogEvents(dst []byte, events []Event) []byte { return AppendLogEventsAfter(dst, 0, events) }
+
+// AppendLogEventsAfter continues a log-form encoding whose last event was
+// at prev: appended to the encoding of a log's prefix, it gives the
+// encoding AppendLogEvents writes for the whole log.
+func AppendLogEventsAfter(dst []byte, prev Minutes, events []Event) []byte {
 	w := BinWriter{Buf: dst}
-	var prev Minutes
 	for i := range events {
 		e := &events[i]
 		w.Uvarint(uint64(e.Time - prev))

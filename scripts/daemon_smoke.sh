@@ -6,16 +6,17 @@
 # logs and the same per-month alarm counts and live precision/recall.
 # Exercises the full process topology the distributed_test covers
 # in-memory: join, deterministic partition, binary tick fan-out, artifact
-# pulls on promotion, checkpointed journal truncation with checkpoints in
-# a real on-disk store, and graceful SIGTERM shutdown of the daemons.
+# pulls on promotion, checkpointed journal truncation with checkpoint
+# chains (a full frame and its deltas) in a real on-disk store, and
+# graceful SIGTERM shutdown of the daemons.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 TMP=$(mktemp -d)
-CP=""; N1=""; N2=""
+CP=""; N1=""; N2=""; WATCH=""
 cleanup() {
-    for pid in "$CP" "$N1" "$N2"; do
+    for pid in "$CP" "$N1" "$N2" "$WATCH"; do
         [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
     done
     rm -rf "$TMP"
@@ -51,6 +52,15 @@ CP=$!
 N1=$!
 "$TMP/mlopsd" -node -join "http://127.0.0.1:$PORT" -name smoke-n2 > "$TMP/n2.log" &
 N2=$!
+# Each node's stored checkpoint is a chain: a full frame (ckpt%2F<node>)
+# and the deltas taken on it (ckpt%2F<node>%2F<i>), deleted when the next
+# full frame starts a new chain. Where a chain stands when the replay ends
+# follows delivery timing, so watch the directory while it runs.
+(
+    until ls "$TMP/spill"/ckpt%2F*%2F*.spill >/dev/null 2>&1; do sleep 0.05; done
+    : > "$TMP/saw-delta"
+) &
+WATCH=$!
 
 if ! wait "$CP"; then
     echo "daemon-smoke: control-plane replay failed:" >&2
@@ -98,6 +108,13 @@ case "$JOURNAL" in
 esac
 if ! ls "$TMP/spill"/ckpt%2F*.spill >/dev/null 2>&1; then
     echo "daemon-smoke: no node checkpoints reached the spill dir" >&2
+    exit 1
+fi
+kill "$WATCH" 2>/dev/null || true
+wait "$WATCH" 2>/dev/null || true
+WATCH=""
+if ! [ -e "$TMP/saw-delta" ] && ! ls "$TMP/spill"/ckpt%2F*%2F*.spill >/dev/null 2>&1; then
+    echo "daemon-smoke: no checkpoint delta reached the spill dir" >&2
     exit 1
 fi
 echo "daemon-smoke: $(wc -l < "$REF" | tr -d ' ') alarms byte-identical across in-process and 2-node replay ($JOURNAL)"
