@@ -18,8 +18,13 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# Besides go vet: the naive references and the switches that selected
+# them live in _test.go files, so no production Go file outside bench/
+# may name Oracle or SetWorkers.
 vet:
 	$(GO) vet ./...
+	@out=$$(grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e Oracle -e SetWorkers .); \
+	if [ -n "$$out" ]; then echo "test-only switch named in production code:"; echo "$$out"; exit 1; fi
 
 # Fails if any file needs gofmt.
 fmt:

@@ -17,27 +17,6 @@ func serialize(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// TestForestOracleByteIdentical pins the histogram-subtraction refactor to
-// the legacy row-scanning trainer: same seed, byte-identical model.
-func TestForestOracleByteIdentical(t *testing.T) {
-	X, y := synth(1500, 21)
-	p := DefaultParams()
-	p.Trees = 30
-	p.Seed = 9
-	prod, err := Fit(X, y, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.oracle = true
-	legacy, err := Fit(X, y, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialize(t, prod), serialize(t, legacy)) {
-		t.Fatal("histogram-subtraction forest diverged from the row-scan oracle")
-	}
-}
-
 // TestForestWorkerCountInvariant trains at worker counts {1, 2, 8} and
 // requires byte-identical serialized models: per-tree RNG streams are
 // index-derived, so scheduling cannot leak into the output.

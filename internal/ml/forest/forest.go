@@ -24,11 +24,6 @@ type Params struct {
 	SampleFrac  float64 // bootstrap size relative to the training set
 	Seed        uint64
 	Workers     int // tree-level parallelism (<=0 = one per CPU)
-
-	// oracle routes split finding through the legacy row-scanning path;
-	// settable only by in-package tests verifying the histogram-
-	// subtraction trainer.
-	oracle bool
 }
 
 // DefaultParams mirrors common production settings.
@@ -65,7 +60,7 @@ func Fit(X [][]float64, y []int, p Params) (*Model, error) {
 
 	m := &Model{TreesList: make([]*tree.Node, p.Trees), Dim: len(X[0])}
 	tp := tree.Params{MaxDepth: p.MaxDepth, MinLeaf: p.MinLeaf, FeatureFrac: p.FeatureFrac,
-		MinGain: 1e-7, Oracle: p.oracle}
+		MinGain: 1e-7}
 
 	// Trees already saturate the worker pool, so each tree builds its
 	// histograms serially (tp.Workers left at 0).

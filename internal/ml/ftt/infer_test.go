@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"memfp/internal/features"
-	"memfp/internal/ml/tensor"
 	"memfp/internal/xrand"
 )
 
@@ -95,22 +94,19 @@ var benchSink []float64
 
 // BenchmarkInferServingShape times grad-free scoring at the shape the
 // benchmark workloads serve: every extracted feature, default
-// hyperparameters, and the live and replay median batch sizes, with the
-// tensor kernels inline (workers 1) and at the GOMAXPROCS default
-// (workers 0, what serving runs today).
+// hyperparameters, and the live and replay median batch sizes. The
+// tensor kernels fan out at GOMAXPROCS, so run it with -cpu 1,2 to
+// compare inline kernels against the default serving runs.
 func BenchmarkInferServingShape(b *testing.B) {
 	for _, batch := range []int{8, 512} {
-		for _, workers := range []int{1, 0} {
-			b.Run(fmt.Sprintf("batch%d/workers%d", batch, workers), func(b *testing.B) {
-				m, X := randModel(len(features.Names()), batch)
-				defer tensor.SetWorkers(tensor.SetWorkers(workers))
-				benchSink = m.PredictProba(X) // fill the arena and the pools
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchSink = m.PredictProba(X)
-				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "µs/row")
-			})
-		}
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			m, X := randModel(len(features.Names()), batch)
+			benchSink = m.PredictProba(X) // fill the arena and the pools
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = m.PredictProba(X)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "µs/row")
+		})
 	}
 }

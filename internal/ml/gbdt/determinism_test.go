@@ -18,33 +18,6 @@ func encode(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// TestGBDTOracleByteIdentical pins the histogram-subtraction trainer to
-// the row-scanning oracle: with fixed-point accumulation the two must
-// produce byte-identical boosters — including under row/feature
-// subsampling and validation early stopping.
-func TestGBDTOracleByteIdentical(t *testing.T) {
-	X, y := synth(2000, 31)
-	Xval, yval := synth(600, 32)
-	p := DefaultParams()
-	p.Rounds = 60
-	p.Seed = 9
-	prod, err := Fit(X, y, Xval, yval, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.oracle = true
-	legacy, err := Fit(X, y, Xval, yval, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prod.Rounds != legacy.Rounds {
-		t.Fatalf("early stopping diverged: %d vs %d rounds", prod.Rounds, legacy.Rounds)
-	}
-	if !bytes.Equal(encode(t, prod), encode(t, legacy)) {
-		t.Fatal("histogram-subtraction booster diverged from the row-scan oracle")
-	}
-}
-
 // TestGBDTWorkerCountInvariant trains at worker counts {1, 2, 8} and
 // requires byte-identical serialized models: feature-parallel histogram
 // construction accumulates exact integers into disjoint slab regions, so
@@ -74,9 +47,9 @@ func TestGBDTWorkerCountInvariant(t *testing.T) {
 // TestGBDTSplitMatchesBruteForce pins evalLeafHist's prefix-scan gain
 // scorer to an independent reference: a brute-force evaluator written
 // here that scans the leaf's rows directly for every (feature, cut) —
-// sharing no code with the histogram path. (The oracle byte-identity test
-// above verifies the subtraction machinery; this one verifies the scorer
-// both paths share.)
+// sharing no code with the histogram path. (The tree package's
+// TestSubtractionMatchesRebuild verifies the subtraction machinery,
+// tree.HistBuilder.Children; this one verifies the scorer.)
 func TestGBDTSplitMatchesBruteForce(t *testing.T) {
 	for trial := uint64(0); trial < 150; trial++ {
 		rng := xrand.Derive(0x5eaf, trial)

@@ -29,11 +29,6 @@ type Params struct {
 	EarlyStop    int     // stop after this many rounds without val improvement (0 = off)
 	Seed         uint64
 	Workers      int // feature-parallel histogram workers for large nodes (<=0 = one per CPU)
-
-	// oracle routes split finding through row-scanned (subtraction-free)
-	// histograms; settable only by in-package tests verifying the
-	// histogram-subtraction trainer.
-	oracle bool
 }
 
 // DefaultParams mirrors LightGBM's common defaults scaled to our datasets.

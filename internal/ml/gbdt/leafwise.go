@@ -18,9 +18,9 @@ import (
 // tree.HistBuilder over fixed-point gradient/hessian sums). When a leaf
 // splits, the smaller child's histogram is built by scanning its rows and
 // the larger child's is derived by subtraction — never re-scanning the
-// larger side. With p.oracle set, both children are instead rebuilt by
-// row scans; exact int64 accumulation makes the two paths bit-identical,
-// which the oracle tests assert.
+// larger side. Exact int64 accumulation makes that bit-identical to
+// rebuilding both children from their rows, which the tree package's
+// TestSubtractionMatchesRebuild asserts of tree.HistBuilder.Children.
 
 // candidate is a leaf eligible for splitting.
 type candidate struct {
@@ -107,22 +107,10 @@ func growTree(hb *tree.HistBuilder, idx, feats []int, mapper *tree.BinMapper, p 
 		}
 
 		// Histogram only children that could split further: scan the
-		// smaller child, derive the larger by subtraction from the parent
-		// (the oracle path rebuilds both by row scans instead).
+		// smaller child, derive the larger by subtraction from the parent.
 		needL := c.depth+1 < p.MaxDepth && len(left) >= 2*p.MinLeaf
 		needR := c.depth+1 < p.MaxDepth && len(right) >= 2*p.MinLeaf
-		var hl, hr *tree.Hist
-		if p.oracle {
-			hb.Release(c.hist)
-			if needL {
-				hl = hb.Build(left)
-			}
-			if needR {
-				hr = hb.Build(right)
-			}
-		} else {
-			hl, hr = hb.Children(c.hist, left, right, needL, needR)
-		}
+		hl, hr := hb.Children(c.hist, left, right, needL, needR)
 
 		c.node.Leaf = false
 		c.node.Feature = c.feat

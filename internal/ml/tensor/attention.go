@@ -38,13 +38,9 @@ func Attention(q, k, v *Tensor, batch, T, heads int) *Tensor {
 		probs = getF32(batch * heads * T * T)
 		out.scratch = func() { putF32(probs) }
 	}
-	if Oracle {
-		refAttnForward(out.Data, q.Data, k.Data, v.Data, batch, T, T, heads, dh, C, scale, probs)
-	} else {
-		parallelRows(batch, heads*T*(T+2*dh), func(bLo, bHi int) {
-			attnForwardRange(out.Data, q.Data, k.Data, v.Data, bLo, bHi, T, T, heads, dh, C, scale, probs)
-		})
-	}
+	parallelRows(batch, heads*T*(T+2*dh), func(bLo, bHi int) {
+		attnForwardRange(out.Data, q.Data, k.Data, v.Data, bLo, bHi, T, T, heads, dh, C, scale, probs)
+	})
 
 	out.back = func() {
 		var qG, kG, vG []float32
@@ -59,10 +55,6 @@ func Attention(q, k, v *Tensor, batch, T, heads int) *Tensor {
 		if v.requires {
 			v.ensureGrad()
 			vG = v.Grad
-		}
-		if Oracle {
-			refAttnBackward(qG, kG, vG, out.Grad, q.Data, k.Data, v.Data, probs, batch, T, heads, dh, C, scale)
-			return
 		}
 		// Each batch element touches only its own gradient rows, so
 		// batch-parallel backward is race-free and deterministic.

@@ -9,12 +9,11 @@ import (
 // ops run — same floating-point specification, bit-identical outputs —
 // exposed as plain slice-in/slice-out calls with no graph nodes, no
 // backward closures and no retained state, for callers (the ftt serving
-// fast path) that drive an arena of reused scratch buffers. All honor
-// the SetWorkers/Oracle toggles. Nothing outside tests calls SetWorkers,
-// so serving runs them at the GOMAXPROCS default: a call whose row count
-// spans more than one parallelRows chunk borrows idle workers from
-// internal/par's resident pool, from every shard goroutine at once; a
-// call that fits one chunk (a live tick's handful of rows) runs inline.
+// fast path) that drive an arena of reused scratch buffers. They fan out
+// at GOMAXPROCS like the graph ops: a call whose row count spans more
+// than one parallelRows chunk borrows idle workers from internal/par's
+// resident pool, from every shard goroutine at once; a call that fits
+// one chunk (a live tick's handful of rows) runs inline.
 
 // LinearInto writes dst = x·w (+ bias), where x is m×k, w is k×n and
 // bias (optional) is length n. dst must have m*n capacity ahead of len
@@ -23,21 +22,12 @@ func LinearInto(dst, x, w, bias []float32, m, k, n int) {
 	if len(dst) < m*n || len(x) < m*k || len(w) < k*n {
 		panic(fmt.Sprintf("tensor: LinearInto shape mismatch m=%d k=%d n=%d", m, k, n))
 	}
-	matmul(dst, x, w, m, k, n, false, false, bias, false)
+	fastMatmul(dst, x, w, m, k, n, false, false, bias, false)
 }
 
 // LayerNormInto writes dst = layernorm(x)·gamma + beta over rows×cols.
-// The normalization statistics are never stored: only the reference
-// kernel, which always writes them, is handed scratch to write into.
+// The normalization statistics are never stored.
 func LayerNormInto(dst, x, gamma, beta []float32, rows, cols int, eps float64) {
-	if Oracle {
-		xhat := getF32(rows * cols)
-		invstd := getF32(rows)
-		refLayerNormForward(dst, x, gamma, beta, xhat, invstd, rows, cols, eps)
-		putF32(xhat)
-		putF32(invstd)
-		return
-	}
 	parallelRows(rows, cols*8, func(lo, hi int) {
 		lnForwardRange(dst, x, gamma, beta, nil, nil, cols, eps, lo, hi)
 	})
@@ -73,10 +63,6 @@ func AttentionInto(out, q, k, v []float32, batch, Tq, T, heads, dh int) {
 		panic(fmt.Sprintf("tensor: AttentionInto shape mismatch batch=%d Tq=%d T=%d C=%d", batch, Tq, T, C))
 	}
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	if Oracle {
-		refAttnForward(out, q, k, v, batch, Tq, T, heads, dh, C, scale, nil)
-		return
-	}
 	parallelRows(batch, heads*Tq*(T+2*dh), func(bLo, bHi int) {
 		attnForwardRange(out, q, k, v, bLo, bHi, Tq, T, heads, dh, C, scale, nil)
 	})

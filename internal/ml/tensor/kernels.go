@@ -9,7 +9,7 @@ import "math"
 // reassociate a chain — they interleave the SAME sequential adds of four
 // independent chains (or four sequential adds to one memory-accumulated
 // element, in the scatter loops) so the chains hide each other's
-// latency. reference.go holds the naive mirrors the oracle tests
+// latency. reference_test.go holds the naive mirrors the oracle tests
 // compare against.
 
 // packTranspose writes dst = srcᵀ where src is srcRows×srcCols row-major
@@ -31,7 +31,8 @@ func packTranspose(dst, src []float32, srcRows, srcCols int) {
 // it routes through the SSE2 broadcast micro-kernel (mm_amd64.s);
 // elsewhere — and for shapes the kernel doesn't cover — it uses the
 // packed-panel Go kernel. Both produce the same bits: one ascending-p
-// float32 chain per output element.
+// float32 chain per output element. op(a) is m×k and op(b) is k×n; when
+// ta, a is stored k×m; when tb, b is stored n×k.
 func fastMatmul(c, a, b []float32, m, k, n int, ta, tb bool, bias []float32, accum bool) {
 	if asmMM && m > 0 && k > 0 && n >= 4 {
 		fastMatmulBcast(c, a, b, m, k, n, ta, tb, bias, accum)
@@ -551,9 +552,9 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 }
 
 // lnBackward accumulates layernorm gradients, rows ascending (serial:
-// gamma/beta sum across rows). Shared by the fast and oracle paths —
-// the forward paths differ only in scheduling, so one backward serves
-// both.
+// gamma/beta sum across rows). Being serial it has no reference mirror:
+// only the forward is scheduled in parallel, and the oracle tests hold
+// that to refLayerNormForward.
 func lnBackward(aG, gammaG, betaG, outG, gamma, xhat, invstd []float32, rows, cols int,
 	needGamma, needBeta, needA bool) {
 	nf := float32(cols)

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"memfp/internal/xrand"
@@ -10,9 +11,11 @@ import (
 
 // The oracle property tests pin the package's determinism contract: the
 // fast kernels (tiled, register-blocked, SIMD on amd64, parallel) must
-// produce the SAME BITS as the naive reference kernels in reference.go,
-// for forward values and for gradients, at every worker count. Shapes
-// are randomized and include odd tile remainders, T=1 and heads=1.
+// produce the SAME BITS as the naive reference kernels in
+// reference_test.go, for forward values and for gradients, at every
+// worker count. Shapes are randomized and include odd tile remainders,
+// T=1 and heads=1. The references are called directly on each op's
+// inputs; no production code path can reach them.
 
 func randFill(t *Tensor, rng *xrand.RNG) *Tensor {
 	for i := range t.Data {
@@ -43,7 +46,7 @@ func bitsEqual(t *testing.T, label string, got, want []uint32) {
 	}
 }
 
-// TestMatmulOracleBitwise drives the internal matmul dispatcher over
+// TestMatmulOracleBitwise drives the tiled matmul kernel over
 // randomized shapes — including every ta/tb/bias/accum combination and
 // dimensions that leave 16-, 4- and 1-wide tile remainders — and
 // requires the fast kernel's output to match the reference bit for bit.
@@ -78,10 +81,8 @@ func TestMatmulOracleBitwise(t *testing.T) {
 		}
 		cFast := append([]float32(nil), cInit...)
 		cRef := append([]float32(nil), cInit...)
-		matmul(cFast, a, b, m, k, n, ta, tb, bias, accum)
-		Oracle = true
-		matmul(cRef, a, b, m, k, n, ta, tb, bias, accum)
-		Oracle = false
+		fastMatmul(cFast, a, b, m, k, n, ta, tb, bias, accum)
+		refMatmul(cRef, a, b, m, k, n, ta, tb, bias, accum)
 		if got, want := bitsOf(cFast), bitsOf(cRef); true {
 			for i := range got {
 				if got[i] != want[i] {
@@ -99,38 +100,56 @@ type attnShape struct {
 	batch, T, heads, dh int
 }
 
-// runAttnGraph builds attention → layernorm → matmul(+bias) → GELU over
-// fixed pseudo-random inputs, runs forward and backward, and returns the
-// bits of the output and of every parameter gradient.
-func runAttnGraph(s attnShape) []uint32 {
+// withProcs runs fn with GOMAXPROCS pinned to n — the worker count
+// every kernel fan-out reads — and restores the previous setting.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// attnGraph is one forward+backward run of attention → layernorm →
+// matmul(+bias) → GELU over fixed pseudo-random inputs.
+type attnGraph struct {
+	q, k, v, gamma, beta, w, bias *Tensor
+	att, ln, out                  *Tensor
+}
+
+func runAttnGraph(s attnShape) *attnGraph {
 	C := s.heads * s.dh
 	rng := xrand.New(99)
-	q := randFill(New(s.batch*s.T, C), rng).Param()
-	k := randFill(New(s.batch*s.T, C), rng).Param()
-	v := randFill(New(s.batch*s.T, C), rng).Param()
-	gamma := randFill(New(1, C), rng).Param()
-	beta := randFill(New(1, C), rng).Param()
-	w := randFill(New(C, 5), rng).Param() // n=5 leaves a 1-wide tile tail
-	bias := randFill(New(1, 5), rng).Param()
-	params := []*Tensor{q, k, v, gamma, beta, w, bias}
+	g := &attnGraph{}
+	g.q = randFill(New(s.batch*s.T, C), rng).Param()
+	g.k = randFill(New(s.batch*s.T, C), rng).Param()
+	g.v = randFill(New(s.batch*s.T, C), rng).Param()
+	g.gamma = randFill(New(1, C), rng).Param()
+	g.beta = randFill(New(1, C), rng).Param()
+	g.w = randFill(New(C, 5), rng).Param() // n=5 leaves a 1-wide tile tail
+	g.bias = randFill(New(1, 5), rng).Param()
 
-	att := Attention(q, k, v, s.batch, s.T, s.heads)
-	ln := LayerNorm(att, gamma, beta, 1e-5)
-	out := GELU(MatMulBias(ln, w, bias))
-	loss := sumAll(out)
-	loss.Backward()
+	g.att = Attention(g.q, g.k, g.v, s.batch, s.T, s.heads)
+	g.ln = LayerNorm(g.att, g.gamma, g.beta, 1e-5)
+	g.out = GELU(MatMulBias(g.ln, g.w, g.bias))
+	sumAll(g.out).Backward()
+	return g
+}
 
-	var all []uint32
-	all = append(all, bitsOf(out.Data)...)
-	for _, p := range params {
+// bits returns the bits of the output and of every parameter gradient.
+func (g *attnGraph) bits() []uint32 {
+	all := bitsOf(g.out.Data)
+	for _, p := range []*Tensor{g.q, g.k, g.v, g.gamma, g.beta, g.w, g.bias} {
 		all = append(all, bitsOf(p.Grad)...)
 	}
 	return all
 }
 
 // TestAttentionLayerNormOracleBitwise checks fast-vs-reference bitwise
-// equality of forward outputs AND gradients for full graphs over shapes
-// that include T=1, heads=1, and odd head dims.
+// equality of the attention forward and backward and the layernorm
+// forward over shapes that include T=1, heads=1, and odd head dims. Each
+// reference runs on the op's real inputs from the fast graph, and the
+// attention backward on the upstream gradient the fast graph delivered
+// to it (layernorm, matmul and GELU backward sit between it and the
+// loss). q, k and v feed only the attention, so their gradients are its
+// backward's output alone.
 func TestAttentionLayerNormOracleBitwise(t *testing.T) {
 	shapes := []attnShape{
 		{batch: 1, T: 1, heads: 1, dh: 1},
@@ -141,11 +160,24 @@ func TestAttentionLayerNormOracleBitwise(t *testing.T) {
 		{batch: 4, T: 3, heads: 4, dh: 2},
 	}
 	for _, s := range shapes {
-		fast := runAttnGraph(s)
-		Oracle = true
-		ref := runAttnGraph(s)
-		Oracle = false
-		bitsEqual(t, "fast vs oracle", fast, ref)
+		g := runAttnGraph(s)
+		rows, C := s.batch*s.T, s.heads*s.dh
+		scale := float32(1 / math.Sqrt(float64(s.dh)))
+
+		att := make([]float32, rows*C)
+		probs := make([]float32, s.batch*s.heads*s.T*s.T)
+		refAttnForward(att, g.q.Data, g.k.Data, g.v.Data, s.batch, s.T, s.T, s.heads, s.dh, C, scale, probs)
+		bitsEqual(t, fmt.Sprintf("%+v attention forward", s), bitsOf(g.att.Data), bitsOf(att))
+
+		qG, kG, vG := make([]float32, rows*C), make([]float32, rows*C), make([]float32, rows*C)
+		refAttnBackward(qG, kG, vG, g.att.Grad, g.q.Data, g.k.Data, g.v.Data, probs, s.batch, s.T, s.heads, s.dh, C, scale)
+		bitsEqual(t, fmt.Sprintf("%+v attention dq", s), bitsOf(g.q.Grad), bitsOf(qG))
+		bitsEqual(t, fmt.Sprintf("%+v attention dk", s), bitsOf(g.k.Grad), bitsOf(kG))
+		bitsEqual(t, fmt.Sprintf("%+v attention dv", s), bitsOf(g.v.Grad), bitsOf(vG))
+
+		ln := make([]float32, rows*C)
+		refLayerNormForward(ln, g.att.Data, g.gamma.Data, g.beta.Data, make([]float32, rows*C), make([]float32, rows), rows, C, 1e-5)
+		bitsEqual(t, fmt.Sprintf("%+v layernorm forward", s), bitsOf(g.ln.Data), bitsOf(ln))
 	}
 }
 
@@ -165,7 +197,6 @@ func TestAttentionIntoOracleBitwise(t *testing.T) {
 		{2, 7, 7, 3, 5},
 		{1, 1, 1, 1, 1},
 	}
-	defer SetWorkers(SetWorkers(1))
 	for _, s := range shapes {
 		C := s.heads * s.dh
 		rng := xrand.New(41)
@@ -176,9 +207,8 @@ func TestAttentionIntoOracleBitwise(t *testing.T) {
 		scale := float32(1 / math.Sqrt(float64(s.dh)))
 		refAttnForward(want, q, k, v, s.batch, s.Tq, s.T, s.heads, s.dh, C, scale, nil)
 		for _, w := range []int{1, 2, 8} {
-			SetWorkers(w)
 			got := make([]float32, len(want))
-			AttentionInto(got, q, k, v, s.batch, s.Tq, s.T, s.heads, s.dh)
+			withProcs(w, func() { AttentionInto(got, q, k, v, s.batch, s.Tq, s.T, s.heads, s.dh) })
 			bitsEqual(t, fmt.Sprintf("%+v workers %d", s, w), bitsOf(got), bitsOf(want))
 		}
 	}
@@ -186,32 +216,18 @@ func TestAttentionIntoOracleBitwise(t *testing.T) {
 
 // TestWorkerCountBitwise runs the same graph at worker counts 1, 2 and 8
 // and requires identical bits everywhere: parallel chunking must never
-// change an output element's accumulation chain.
+// change an output element's accumulation chain. The par pool keeps at
+// least 8 resident workers, so a count of 8 fans out even on a
+// smaller box.
 func TestWorkerCountBitwise(t *testing.T) {
 	s := attnShape{batch: 3, T: 13, heads: 2, dh: 8}
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	base := runAttnGraph(s)
+	var base []uint32
+	withProcs(1, func() { base = runAttnGraph(s).bits() })
 	for _, w := range []int{2, 8} {
-		SetWorkers(w)
-		got := runAttnGraph(s)
-		bitsEqual(t, "workers", got, base)
+		var got []uint32
+		withProcs(w, func() { got = runAttnGraph(s).bits() })
+		bitsEqual(t, fmt.Sprintf("workers %d", w), got, base)
 	}
-}
-
-// TestWorkerCountBitwiseOracle pins that the reference kernels are
-// scheduling-independent too (they are serial, so any difference would
-// mean the toggle leaks state).
-func TestWorkerCountBitwiseOracle(t *testing.T) {
-	s := attnShape{batch: 2, T: 5, heads: 2, dh: 4}
-	Oracle = true
-	defer func() { Oracle = false }()
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
-	base := runAttnGraph(s)
-	SetWorkers(8)
-	got := runAttnGraph(s)
-	bitsEqual(t, "oracle workers", got, base)
 }
 
 // TestFexp4MatchesScalar pins the 4-lane transcendental helpers to the

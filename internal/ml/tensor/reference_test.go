@@ -2,15 +2,13 @@ package tensor
 
 import "math"
 
-// Oracle, when true, routes MatMul/Attention/LayerNorm through the naive
-// reference kernels below instead of the tiled fast path. The references
-// implement the exact same floating-point specification — one ascending
-// float32 accumulation chain per output element, shared fexp32/ftanh32
-// nonlinearities — with none of the packing, register blocking or
-// parallel scheduling, so fast and oracle outputs must match bitwise.
-// The oracle property tests flip this toggle and compare bytes; it is
-// not safe to change concurrently with running kernels (tests only).
-var Oracle bool
+// The naive reference kernels the oracle property tests hold the fast
+// path to. They implement the exact same floating-point specification —
+// one ascending float32 accumulation chain per output element, shared
+// fexp32/ftanh32 nonlinearities — with none of the packing, register
+// blocking or parallel scheduling, so fast and reference outputs must
+// match bitwise. They live with the tests: no production call reaches
+// them.
 
 // refMatmul is the reference c (+)= op(a)·op(b) (+ bias): per-element
 // strided gather, no packing, serial. Per the spec, bias seeds each

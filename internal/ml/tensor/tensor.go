@@ -23,9 +23,10 @@
 // layers do. Nonlinearities go through the frozen fexp32 / ftanh32
 // helpers (fexp.go) rather than libm. Consequently kernel output is
 // bit-identical for every worker count and bit-identical between the
-// fast kernels and the naive reference implementations retained in
-// reference.go; the oracle property tests enforce both, and SetWorkers /
-// Oracle are the knobs they use.
+// fast kernels and the naive reference implementations kept beside the
+// tests (reference_test.go); the oracle property tests enforce both,
+// pinning worker counts through runtime.GOMAXPROCS, which the kernel
+// fan-out reads.
 //
 // # Training vs inference
 //
@@ -172,18 +173,18 @@ func matmulNode(a, b, bias *Tensor) *Tensor {
 	if bias != nil {
 		biasData = bias.Data
 	}
-	matmul(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, false, false, biasData, false)
+	fastMatmul(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, false, false, biasData, false)
 	out.back = func() {
 		if a.requires {
 			a.ensureGrad()
 			// dA += dOut · Bᵀ (b stored k×n is already the packed panel
 			// layout for the transposed operand).
-			matmul(a.Grad, out.Grad, b.Data, a.Rows, b.Cols, a.Cols, false, true, nil, true)
+			fastMatmul(a.Grad, out.Grad, b.Data, a.Rows, b.Cols, a.Cols, false, true, nil, true)
 		}
 		if b.requires {
 			b.ensureGrad()
 			// dB += Aᵀ · dOut
-			matmul(b.Grad, a.Data, out.Grad, a.Cols, a.Rows, b.Cols, true, false, nil, true)
+			fastMatmul(b.Grad, a.Data, out.Grad, a.Cols, a.Rows, b.Cols, true, false, nil, true)
 		}
 		if bias != nil && bias.requires {
 			bias.ensureGrad()
@@ -198,17 +199,6 @@ func matmulNode(a, b, bias *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// matmul dispatches c (+)= op(a)·op(b) (+ bias) to the tiled kernel or,
-// under the Oracle toggle, the naive reference. op(a) is m×k and op(b) is
-// k×n; when ta, a is stored k×m; when tb, b is stored n×k.
-func matmul(c, a, b []float32, m, k, n int, ta, tb bool, bias []float32, accum bool) {
-	if Oracle {
-		refMatmul(c, a, b, m, k, n, ta, tb, bias, accum)
-		return
-	}
-	fastMatmul(c, a, b, m, k, n, ta, tb, bias, accum)
 }
 
 // Add returns a+b. b may be 1×cols (row broadcast).
@@ -308,13 +298,9 @@ func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 	xhat := getF32(len(a.Data))
 	invstd := getF32(a.Rows)
 	out.scratch = func() { putF32(xhat); putF32(invstd) }
-	if Oracle {
-		refLayerNormForward(out.Data, a.Data, gamma.Data, beta.Data, xhat, invstd, a.Rows, a.Cols, eps)
-	} else {
-		parallelRows(a.Rows, a.Cols*8, func(lo, hi int) {
-			lnForwardRange(out.Data, a.Data, gamma.Data, beta.Data, xhat, invstd, a.Cols, eps, lo, hi)
-		})
-	}
+	parallelRows(a.Rows, a.Cols*8, func(lo, hi int) {
+		lnForwardRange(out.Data, a.Data, gamma.Data, beta.Data, xhat, invstd, a.Cols, eps, lo, hi)
+	})
 	out.back = func() {
 		// gamma/beta gradients accumulate across rows, so backward runs
 		// serially (rows ascending) to keep one deterministic order.

@@ -33,7 +33,6 @@ type Params struct {
 	FeatureFrac float64 // fraction of features considered per split (1 = all)
 	MinGain     float64 // minimum variance reduction to accept a split
 	Workers     int     // feature-parallel histogram workers for large nodes (<=1 serial)
-	Oracle      bool    // verification only: legacy row-scanning split finder
 }
 
 // BuildShared grows a variance-reduction CART on column-major binned
@@ -47,22 +46,18 @@ type Params struct {
 // parent's per-feature histograms are built once, and each larger child's
 // histograms are derived by subtracting the smaller sibling's from the
 // parent's instead of re-scanning rows. Fixed-point accumulation (see
-// hist.go) keeps the output bit-identical to the row-scanning oracle and
-// independent of Workers. Setting Params.Oracle selects that legacy
-// row-scan path; it exists so tests can verify the production path
-// against an implementation that shares none of the subtraction or
-// feature-parallel machinery.
+// hist.go) keeps the output independent of Workers and bit-identical to
+// a row-scanning grower that shares none of the subtraction or
+// feature-parallel machinery; the tests keep that grower
+// (rowscan_test.go) and hold this one to it.
 func BuildShared(m *ColMatrix, y []float64, yq []int64, idx []int, bm *BinMapper, p Params, rng *xrand.RNG) *Node {
 	if len(idx) == 0 || len(m.Cols) == 0 {
 		return &Node{Leaf: true, Value: 0}
 	}
-	b := &builder{m: m, y: y, mapper: bm, p: p, rng: rng}
-	if !p.Oracle {
-		if yq == nil {
-			yq = QuantizeSlice(nil, y)
-		}
-		b.hb = NewHistBuilder(m, bm, yq, nil, p.Workers)
+	if yq == nil {
+		yq = QuantizeSlice(nil, y)
 	}
+	b := &builder{m: m, y: y, mapper: bm, p: p, rng: rng, hb: NewHistBuilder(m, bm, yq, nil, p.Workers)}
 	return b.grow(idx, 0, nil)
 }
 
@@ -77,7 +72,7 @@ type builder struct {
 
 // grow builds the subtree over idx. h is the node's histogram when the
 // parent already derived it (ownership transfers; nil means build on
-// demand). The oracle path never carries histograms.
+// demand).
 func (b *builder) grow(idx []int, depth int, h *Hist) *Node {
 	sum, sq := 0.0, 0.0
 	for _, i := range idx {
@@ -99,16 +94,10 @@ func (b *builder) grow(idx []int, depth int, h *Hist) *Node {
 	}
 
 	feats := b.featureSubset(len(b.m.Cols))
-	var feat, bin int
-	var gain float64
-	if b.p.Oracle {
-		feat, bin, gain = b.bestSplitRowScan(idx, sum, feats)
-	} else {
-		if h == nil {
-			h = b.hb.Build(idx)
-		}
-		feat, bin, gain = b.bestSplitHist(h, feats)
+	if h == nil {
+		h = b.hb.Build(idx)
 	}
+	feat, bin, gain := b.bestSplitHist(h, feats)
 	if feat < 0 || gain < b.p.MinGain {
 		b.release(h)
 		return node
@@ -133,25 +122,16 @@ func (b *builder) grow(idx []int, depth int, h *Hist) *Node {
 	node.Threshold = b.mapper.Threshold(feat, bin)
 	node.Bin = uint8(bin)
 
-	hl, hr := b.childHists(h, left, right, depth+1)
+	// Children that cannot split again (depth or MinLeaf gated) skip
+	// histogram work entirely; the parent slab is consumed either by
+	// subtraction or by release.
+	need := func(rows []int) bool {
+		return depth+1 < b.p.MaxDepth && len(rows) >= 2*b.p.MinLeaf
+	}
+	hl, hr := b.hb.Children(h, left, right, need(left), need(right))
 	node.Left = b.grow(left, depth+1, hl)
 	node.Right = b.grow(right, depth+1, hr)
 	return node
-}
-
-// childHists derives the children's histograms via the builder's shared
-// scan-smaller/subtract-larger protocol. Children that cannot split again
-// (depth or MinLeaf gated) skip histogram work entirely; the parent slab
-// is consumed either by subtraction or by release.
-func (b *builder) childHists(h *Hist, left, right []int, childDepth int) (hl, hr *Hist) {
-	if b.p.Oracle || h == nil {
-		b.release(h)
-		return nil, nil
-	}
-	need := func(idx []int) bool {
-		return childDepth < b.p.MaxDepth && len(idx) >= 2*b.p.MinLeaf
-	}
-	return b.hb.Children(h, left, right, need(left), need(right))
 }
 
 func (b *builder) release(h *Hist) {
@@ -161,9 +141,9 @@ func (b *builder) release(h *Hist) {
 }
 
 // bestSplitHist scans the node histogram for the split maximizing variance
-// reduction, equivalently maximizing sumL²/nL + sumR²/nR. It mirrors
-// bestSplitRowScan's iteration order and comparisons exactly so that ties
-// break identically.
+// reduction, equivalently maximizing sumL²/nL + sumR²/nR. It mirrors the
+// test-side row-scan split finder's iteration order and comparisons
+// exactly so that ties break identically.
 func (b *builder) bestSplitHist(h *Hist, feats []int) (feat, bin int, gain float64) {
 	n := float64(h.Tot.N)
 	totalSum := Dequantize(h.Tot.G)
@@ -190,57 +170,6 @@ func (b *builder) bestSplitHist(h *Hist, feats []int) (feat, bin int, gain float
 				continue
 			}
 			sl := Dequantize(slq)
-			sr := totalSum - sl
-			score := sl*sl/float64(cl) + sr*sr/float64(cr)
-			if score > bestScore {
-				bestScore, bestFeat, bestBin = score, f, cut
-			}
-		}
-	}
-	if bestFeat < 0 {
-		return -1, -1, 0
-	}
-	return bestFeat, bestBin, (bestScore - base) / n
-}
-
-// bestSplitRowScan is the pre-subtraction split finder, kept verbatim
-// (modulo column-major access) as the independent oracle the histogram
-// path is verified against: it rebuilds every feature histogram from the
-// node's rows with plain float64 accumulation and shares no state with
-// HistBuilder.
-func (b *builder) bestSplitRowScan(idx []int, totalSum float64, feats []int) (feat, bin int, gain float64) {
-	n := float64(len(idx))
-	base := totalSum * totalSum / n
-
-	bestFeat, bestBin, bestScore := -1, -1, base
-	var cnt [MaxBins + 1]int
-	var sum [MaxBins + 1]float64
-	for _, f := range feats {
-		nb := b.mapper.Bins(f)
-		if nb < 2 {
-			continue
-		}
-		for i := 0; i < nb; i++ {
-			cnt[i] = 0
-			sum[i] = 0
-		}
-		col := b.m.Cols[f]
-		for _, i := range idx {
-			bi := col[i]
-			cnt[bi]++
-			sum[bi] += b.y[i]
-		}
-		cl, sl := 0, 0.0
-		for cut := 0; cut < nb-1; cut++ {
-			cl += cnt[cut]
-			sl += sum[cut]
-			cr := len(idx) - cl
-			if cr < b.p.MinLeaf {
-				break // cr only shrinks: no later cut can qualify
-			}
-			if cl < b.p.MinLeaf {
-				continue
-			}
 			sr := totalSum - sl
 			score := sl*sl/float64(cl) + sr*sr/float64(cr)
 			if score > bestScore {

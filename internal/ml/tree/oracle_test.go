@@ -9,7 +9,7 @@ import (
 )
 
 // Oracle equivalence: the histogram-subtraction split finder must make
-// exactly the decisions of the legacy row-scanning path. The generators
+// exactly the decisions of the row-scanning reference (rowscan_test.go). The generators
 // below deliberately produce few distinct feature values (bin ties and
 // constant features), duplicate rows (bootstrap samples), tiny MinLeaf
 // margins, and dyadic targets — multiples of 1/16, which both float64
@@ -114,9 +114,24 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 	}
 }
 
+// histEqual fails the test unless got and want agree cell for cell.
+func histEqual(t *testing.T, label string, got, want *Hist) {
+	t.Helper()
+	if got.Tot != want.Tot {
+		t.Fatalf("%s: totals diverge: %+v vs %+v", label, got.Tot, want.Tot)
+	}
+	for i := range got.Bins {
+		if got.Bins[i] != want.Bins[i] {
+			t.Fatalf("%s: bin %d diverges: %+v vs %+v", label, i, got.Bins[i], want.Bins[i])
+		}
+	}
+}
+
 // TestSubtractionMatchesRebuild verifies the core identity: for any
 // partition of a node's rows, parent − small is cell-for-cell identical
-// to histogramming the large child from its rows.
+// to histogramming the large child from its rows. It also holds
+// Children — the call both the CART and the leaf-wise GBDT grower make —
+// to rebuilding each child from its rows.
 func TestSubtractionMatchesRebuild(t *testing.T) {
 	for trial := uint64(0); trial < 200; trial++ {
 		tc := randomTrial(trial + 1000)
@@ -138,46 +153,47 @@ func TestSubtractionMatchesRebuild(t *testing.T) {
 		rng := xrand.Derive(0xabad, trial)
 		f := rng.Intn(len(cm.Cols))
 		cut := uint8(rng.Intn(m.Bins(f)))
-		var small, large []int
+		var left, right []int
 		for _, i := range tc.idx {
 			if cm.Cols[f][i] <= cut {
-				small = append(small, i)
+				left = append(left, i)
 			} else {
-				large = append(large, i)
+				right = append(right, i)
 			}
 		}
+		small, large := left, right
 		if len(small) > len(large) {
 			small, large = large, small
 		}
 		parent := hb.Build(tc.idx)
 		hs := hb.Build(small)
 		derived := hb.SubtractInto(parent, hs)
-		rebuilt := hb.Build(large)
-		if derived.Tot != rebuilt.Tot {
-			t.Fatalf("trial %d: totals diverge: %+v vs %+v", trial, derived.Tot, rebuilt.Tot)
-		}
-		for i := range derived.Bins {
-			if derived.Bins[i] != rebuilt.Bins[i] {
-				t.Fatalf("trial %d: bin %d diverges: %+v vs %+v",
-					trial, i, derived.Bins[i], rebuilt.Bins[i])
-			}
-		}
+		histEqual(t, fmt.Sprintf("trial %d subtraction", trial), derived, hb.Build(large))
+
+		hl, hr := hb.Children(hb.Build(tc.idx), left, right, true, true)
+		histEqual(t, fmt.Sprintf("trial %d left child", trial), hl, hb.Build(left))
+		histEqual(t, fmt.Sprintf("trial %d right child", trial), hr, hb.Build(right))
 	}
 }
 
-// TestBuildMatchesOracle grows whole trees both ways — same feature
-// subsampling stream, same params — and requires identical structure,
-// thresholds, values, and serialized bytes.
+// TestBuildMatchesOracle grows whole trees both ways — BuildShared and
+// the row-scan grower, same feature subsampling stream, same params —
+// and requires identical structure, thresholds, values, and serialized
+// bytes. Odd trials hand BuildShared a caller-quantized yq, the form
+// forest.Fit shares across its trees.
 func TestBuildMatchesOracle(t *testing.T) {
 	for trial := uint64(0); trial < 150; trial++ {
 		tc := randomTrial(trial + 5000)
 		m := FitBins(tc.X, MaxBins)
 		cm := m.BinColumns(tc.X)
 
-		prod := BuildShared(cm, tc.y, nil, tc.idx, m, tc.p, xrand.New(tc.seed))
-		op := tc.p
-		op.Oracle = true
-		oracle := BuildShared(cm, tc.y, nil, tc.idx, m, op, xrand.New(tc.seed))
+		var yq []int64
+		if trial%2 == 1 {
+			yq = QuantizeSlice(nil, tc.y)
+		}
+		prod := BuildShared(cm, tc.y, yq, tc.idx, m, tc.p, xrand.New(tc.seed))
+		rs := &builder{m: cm, y: tc.y, mapper: m, p: tc.p, rng: xrand.New(tc.seed)}
+		oracle := rs.growRowScan(tc.idx, 0)
 
 		if err := nodesEqual(prod, oracle); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
