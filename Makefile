@@ -64,7 +64,9 @@ cross-check:
 # trainers and tensor kernels, the predictor registry, the serving engine
 # (shard locks, promotion under concurrent ingest, compaction and
 # freeze/thaw churn), the scenario runner and the control plane (handlers,
-# heartbeats and per-node senders on one journal lock).
+# heartbeats and per-node senders on one journal lock). The control
+# plane's node router, which kills and rejoins change under the senders,
+# gets ten more passes.
 test-race:
 	$(GO) test -race -timeout 20m ./internal/par/ ./internal/faultsim/ \
 		./internal/trace/ ./internal/features/ ./internal/pipeline/ \
@@ -72,6 +74,7 @@ test-race:
 		./internal/ml/tensor/ ./internal/ml/ftt/ \
 		./internal/ml/model/ ./internal/mlops/ ./internal/scenario/ \
 		./internal/controlplane/
+	$(GO) test -race -count=10 -run '^TestRouterConcurrentRoutes$$' ./internal/controlplane/
 
 # Short fuzz passes: the bin mapper (the substrate every tree model bins
 # through), the scenario YAML-subset parser (user input — malformed

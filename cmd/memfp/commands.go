@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"memfp"
@@ -210,16 +209,10 @@ func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
 		return err
 	}
 	defer cp.Close()
-	var all []trace.Event
-	failed := map[trace.DIMMID]trace.Minutes{}
 	for _, l := range res.Store.DIMMs() {
 		cp.RegisterDIMM(l.ID, l.Part)
-		all = append(all, l.Events...)
-		if t, ok := l.FirstUE(); ok {
-			failed[l.ID] = t
-		}
 	}
-	sort.Stable(trace.ByTime(all))
+	all, failed := res.Store.Stream()
 	alarms, err := cp.ServeStream(ctx, all)
 	if err != nil {
 		return err

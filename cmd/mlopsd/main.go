@@ -196,17 +196,8 @@ func runControl(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	// Gather the full event stream once, time-ordered, and the ground
-	// outcomes for feedback resolution.
-	var all []trace.Event
-	failed := map[trace.DIMMID]trace.Minutes{}
-	for _, l := range res.Store.DIMMs() {
-		all = append(all, l.Events...)
-		if ue, ok := l.FirstUE(); ok {
-			failed[l.ID] = ue
-		}
-	}
-	sort.Stable(trace.ByTime(all))
+	// The time-ordered stream, and the outcomes feedback resolves against.
+	all, failed := res.Store.Stream()
 
 	pipe := mlops.NewPipeline(id)
 	pipe.Seed = o.seed

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 
 	"memfp/internal/controlplane"
 	"memfp/internal/faultsim"
@@ -71,16 +70,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cp.Close()
-	var all []trace.Event
-	failed := map[trace.DIMMID]trace.Minutes{}
 	for _, l := range res.Store.DIMMs() {
 		cp.RegisterDIMM(l.ID, l.Part)
-		all = append(all, l.Events...)
-		if t, ok := l.FirstUE(); ok {
-			failed[l.ID] = t
-		}
 	}
-	sort.Stable(trace.ByTime(all))
+	all, failed := res.Store.Stream()
 	alarms, err := cp.ServeStream(context.Background(), all)
 	if err != nil {
 		log.Fatal(err)

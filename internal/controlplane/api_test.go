@@ -278,7 +278,7 @@ func TestAPIDistributedGating(t *testing.T) {
 		!strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "-nodes") {
 		t.Errorf("local-mode join: %v", err)
 	}
-	if _, err := cl.Join(JoinRequest{Name: localName, Addr: "http://x"}); err == nil ||
+	if _, err := cl.Join(JoinRequest{Name: "local", Addr: "http://x"}); err == nil ||
 		!strings.Contains(err.Error(), "409") {
 		t.Errorf("join as the in-process node: %v", err)
 	}
@@ -462,7 +462,7 @@ func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 	for id, part := range f.parts {
 		fl.cp.RegisterDIMM(id, part)
 	}
-	_, ts := fl.join(t, "n1")
+	fl.join(t, "n1")
 	var got []mlops.Alarm
 	serve := func(lo, hi int) { // a stream per tick: each flush waits out its checkpoint
 		t.Helper()
@@ -481,9 +481,9 @@ func TestCheckpointStoreFailureSurfaces(t *testing.T) {
 	if !strings.HasPrefix(log, "ckpt/n1 full, refused, ckpt/n1 full, ckpt/n1/1 delta") {
 		t.Errorf("stored %s: want a full frame, the refused delta, a full frame, then a delta on it", log)
 	}
-	ts.Close() // the node dies on a chain that holds a delta
+	fl.kill("n1") // the node dies on a chain that holds a delta
 	serve(6*streamTick, 8*streamTick)
-	if n, _ := fl.join(t, "n1"); n.RestoredFrom() == 0 {
+	if fl.join(t, "n1").RestoredFrom() == 0 {
 		t.Fatal("rejoining node did not restore its checkpoint")
 	}
 	serve(8*streamTick, len(all))
@@ -558,7 +558,8 @@ func (f fill) Read(p []byte) (int, error) {
 // of it reaches the engine behind the endpoint.
 func TestAPIOversizeBodyRefused(t *testing.T) {
 	_, cl, url := newLocalCP(t)
-	node, nodeSrv := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1}).join(t, "n1")
+	fl := bootFleet(t, Config{Pipeline: alwaysFirePipeline(t), ExpectNodes: 1})
+	node := fl.join(t, "n1")
 
 	for _, tc := range []struct {
 		name, url, contentType string
@@ -566,10 +567,11 @@ func TestAPIOversizeBodyRefused(t *testing.T) {
 	}{
 		{"ingest text", url + "/api/v1/ingest", "text/plain", maxTickBytes},
 		{"ingest MFE1", url + "/api/v1/ingest", ContentTypeEvents, maxTickBytes},
-		{"node ingest2", nodeSrv.URL + "/ingest2", ContentTypeTicks, maxFrameBytes},
+		{"node ingest2", "http://" + fl.hosts["n1"] + "/ingest2", ContentTypeTicks, maxFrameBytes},
 	} {
 		// Blank lines: the text codec would skip every byte and accept.
-		resp, err := http.Post(tc.url, tc.contentType, io.LimitReader(fill('\n'), tc.limit+1))
+		// The router reaches the in-process node and the listener alike.
+		resp, err := fl.cp.client.Post(tc.url, tc.contentType, io.LimitReader(fill('\n'), tc.limit+1))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -13,14 +13,15 @@ import (
 	"memfp/internal/mlops"
 )
 
-// TestDistributedByteIdenticalReplay is the PR's core invariant: two node
-// daemons replaying the fleet through the control plane — binary tick
-// batches, pipelined fan-out, checkpointed journal truncation — emit the
-// byte-identical alarm stream of the single-process sharded engine:
-// across a mid-stream model promotion, and across one node being killed
-// mid-stream and rejoining (fresh state, same name) to restore its
-// checkpoint — a stored chain of a full frame and at least one delta,
-// merged — and catch up from a journal whose prefix has been truncated.
+// TestDistributedByteIdenticalReplay is the core invariant: a fleet of
+// 1, 2 or 4 in-process nodes replaying the fleet through the control
+// plane — binary tick batches, pipelined fan-out, checkpointed journal
+// truncation — emits the byte-identical alarm stream of the
+// single-process sharded engine: across a mid-stream model promotion, and
+// across one node being killed mid-stream and rejoining (fresh state,
+// same name) to restore its checkpoint — a stored chain of a full frame
+// and at least one delta, merged — and catch up from a journal whose
+// prefix has been truncated.
 func TestDistributedByteIdenticalReplay(t *testing.T) {
 	f := fleet(t)
 	const tick = 512
@@ -29,7 +30,7 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	if nTicks < 12 {
 		t.Fatalf("fixture too small: %d ticks", nTicks)
 	}
-	promoteAt, killAt, rejoinAt := nTicks/3, nTicks/2, 2*nTicks/3
+	promoteAt := nTicks / 3
 
 	// Reference: the single-process sharded engine, promotion at the same
 	// tick boundary.
@@ -55,106 +56,6 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	if len(refAlarms) == 0 {
 		t.Fatal("reference replay emitted no alarms; fixture cannot discriminate")
 	}
-
-	// Distributed: a control plane and two node daemons over real HTTP.
-	// An aggressive checkpoint cadence so the kill lands on a journal
-	// whose prefix has already been truncated. The node that dies and
-	// rejoins carries a name a query string would mangle unescaped ("+"
-	// decodes to a space, "&" splits the parameter): its checkpoint pull
-	// must still find it.
-	const n2Name = "n+1&x"
-	fl := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: 2, CheckpointEvery: 3}, "n1")
-	cp, cl := fl.cp, fl.cl
-	for id, part := range f.parts {
-		cp.RegisterDIMM(id, part)
-	}
-	_, ts2 := fl.join(t, n2Name)
-	if !cp.Ready() {
-		t.Fatal("control plane not ready after both joins")
-	}
-
-	// The stream is served in segments split at the reference's tick
-	// boundaries; each ServeStream flushes, so every action below lands
-	// on quiescent, deterministic state.
-	var distAlarms []mlops.Alarm
-	serve := func(lo, hi int) {
-		t.Helper()
-		as, err := cp.ServeStream(context.Background(), all[lo:hi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		distAlarms = append(distAlarms, as...)
-	}
-	serve(0, promoteAt*tick)
-	// Promotion over the operator API, at the reference's boundary;
-	// subsequent ticks pin v2 and the nodes pull its artifact on demand.
-	if _, err := cl.Promote(name, 2); err != nil {
-		t.Fatal(err)
-	}
-	serve(promoteAt*tick, killAt*tick)
-	// By now several checkpoints have completed, so the journal prefix
-	// must already be truncated.
-	if js := cp.JournalStats(); js.Base == 0 || js.Truncations == 0 {
-		t.Errorf("journal never truncated before the kill: %+v", js)
-	}
-	// The kill must land on a chain holding a delta, so the rejoin merges
-	// one. Which checkpoint starts a new chain follows delivery timing,
-	// not the stream, so the stream goes on a tick at a time until then:
-	// the alarm stream does not depend on where the kill lands.
-	chain := func() int {
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		return len(cp.byName[n2Name].deltas)
-	}
-	for chain() == 0 && killAt < rejoinAt-1 {
-		serve(killAt*tick, (killAt+1)*tick)
-		killAt++
-	}
-	if chain() == 0 {
-		t.Fatalf("node %s's stored chain holds no delta by tick %d", n2Name, killAt)
-	}
-	ts2.Close() // node n2 dies mid-stream; its ticks go pending
-	serve(killAt*tick, rejoinAt*tick)
-	sawPending := cp.status().Pending > 0
-	// Fresh process, same name: the node restores the checkpointed
-	// snapshot, then journal replay of the suffix rebuilds its serving
-	// state under each tick's pinned model version.
-	if n2b, _ := fl.join(t, n2Name); n2b.RestoredFrom() == 0 {
-		t.Error("rejoining node did not restore a checkpoint; it replayed from zero")
-	}
-	serve(rejoinAt*tick, len(all))
-	for i := 0; i < 10 && cp.status().Pending > 0; i++ {
-		distAlarms = append(distAlarms, cp.Flush().Alarms...)
-	}
-
-	if !sawPending {
-		t.Error("killing a node never left ticks pending; the kill path was not exercised")
-	}
-	js := cp.JournalStats()
-	if js.Truncations == 0 || js.TruncatedTicks == 0 || js.Base == 0 {
-		t.Errorf("journal lifecycle never truncated: %+v", js)
-	}
-	if js.SpillBytes == 0 {
-		t.Errorf("no checkpoint/segment bytes reached the spill store: %+v", js)
-	}
-	if ticks := cp.status().Ticks; js.Depth >= ticks {
-		t.Errorf("journal depth %d not bounded below the %d-tick stream", js.Depth, ticks)
-	}
-	st, err := cl.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ni := range st.Nodes {
-		// The kill left n2 with an error; serving again cleared it.
-		if ni.CheckpointBytes == 0 || ni.LastError != "" {
-			t.Errorf("node %s reports a %d-byte checkpoint and last error %q", ni.Name, ni.CheckpointBytes, ni.LastError)
-		}
-	}
-	got, want := renderAlarms(distAlarms), renderAlarms(refAlarms)
-	if got != want {
-		t.Errorf("distributed alarm stream diverges from single-process reference:\n%s",
-			firstDiff(got, want))
-	}
 	var sawV1, sawV2 bool
 	for _, a := range refAlarms {
 		sawV1 = sawV1 || strings.HasSuffix(a.Model, "-v1")
@@ -162,6 +63,147 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 	}
 	if !sawV1 || !sawV2 {
 		t.Errorf("want alarms under both model versions, got v1=%v v2=%v", sawV1, sawV2)
+	}
+
+	for _, nodes := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%d-nodes", nodes), func(t *testing.T) {
+			killAt, rejoinAt := nTicks/2, 2*nTicks/3
+			// An aggressive checkpoint cadence so the kill lands on a
+			// journal whose prefix has already been truncated. The node
+			// that dies and rejoins carries a name a query string would
+			// mangle unescaped ("+" decodes to a space, "&" splits the
+			// parameter): its checkpoint pull must still find it.
+			const victim = "n+1&x"
+			names := []string{victim}
+			for i := 1; i < nodes; i++ {
+				names = append(names, fmt.Sprintf("n%d", i))
+			}
+			fl := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: nodes, CheckpointEvery: 3}, names...)
+			cp, cl := fl.cp, fl.cl
+			for id, part := range f.parts {
+				cp.RegisterDIMM(id, part)
+			}
+			if !cp.Ready() {
+				t.Fatal("control plane not ready after every join")
+			}
+
+			// The stream is served in segments split at the reference's
+			// tick boundaries; each ServeStream flushes, so every action
+			// below lands on quiescent, deterministic state.
+			var distAlarms []mlops.Alarm
+			serve := func(lo, hi int) {
+				t.Helper()
+				as, err := cp.ServeStream(context.Background(), all[lo:hi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				distAlarms = append(distAlarms, as...)
+			}
+			serve(0, promoteAt*tick)
+			// Promotion over the operator API, at the reference's
+			// boundary; subsequent ticks pin v2 and the nodes pull its
+			// artifact on demand.
+			if _, err := cl.Promote(name, 2); err != nil {
+				t.Fatal(err)
+			}
+			serve(promoteAt*tick, killAt*tick)
+			// By now several checkpoints have completed, so the journal
+			// prefix must already be truncated.
+			if js := cp.JournalStats(); js.Base == 0 || js.Truncations == 0 {
+				t.Errorf("journal never truncated before the kill: %+v", js)
+			}
+			// The kill must land on a chain holding a delta, so the rejoin
+			// merges one. Which checkpoint starts a new chain follows
+			// delivery timing, not the stream, so the stream goes on a tick
+			// at a time until then: the alarm stream does not depend on
+			// where the kill lands.
+			chain := func() int {
+				cp.mu.Lock()
+				defer cp.mu.Unlock()
+				return len(cp.byName[victim].deltas)
+			}
+			for chain() == 0 && killAt < rejoinAt-1 {
+				serve(killAt*tick, (killAt+1)*tick)
+				killAt++
+			}
+			if chain() == 0 {
+				t.Fatalf("node %s's stored chain holds no delta by tick %d", victim, killAt)
+			}
+			fl.kill(victim) // the node dies mid-stream; its ticks go pending
+			serve(killAt*tick, rejoinAt*tick)
+			sawPending := cp.status().Pending > 0
+			// Fresh node, same name: it restores the checkpointed chain,
+			// then journal replay of the suffix rebuilds its serving state
+			// under each tick's pinned model version.
+			if fl.join(t, victim).RestoredFrom() == 0 {
+				t.Error("rejoining node did not restore a checkpoint; it replayed from zero")
+			}
+			serve(rejoinAt*tick, len(all))
+			for i := 0; i < 10 && cp.status().Pending > 0; i++ {
+				distAlarms = append(distAlarms, cp.Flush().Alarms...)
+			}
+
+			if !sawPending {
+				t.Error("killing a node never left ticks pending; the kill path was not exercised")
+			}
+			js := cp.JournalStats()
+			if js.Truncations == 0 || js.TruncatedTicks == 0 || js.Base == 0 {
+				t.Errorf("journal lifecycle never truncated: %+v", js)
+			}
+			if js.SpillBytes == 0 {
+				t.Errorf("no checkpoint bytes reached the spill store: %+v", js)
+			}
+			if ticks := cp.status().Ticks; js.Depth >= ticks {
+				t.Errorf("journal depth %d not bounded below the %d-tick stream", js.Depth, ticks)
+			}
+			st, err := cl.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ni := range st.Nodes {
+				// The kill left the victim with an error; serving again
+				// cleared it.
+				if ni.CheckpointBytes == 0 || ni.LastError != "" {
+					t.Errorf("node %s reports a %d-byte checkpoint and last error %q", ni.Name, ni.CheckpointBytes, ni.LastError)
+				}
+			}
+			if got, want := renderAlarms(distAlarms), renderAlarms(refAlarms); got != want {
+				t.Errorf("distributed alarm stream diverges from single-process reference:\n%s",
+					firstDiff(got, want))
+			}
+		})
+	}
+}
+
+// TestJournalBoundedOverLongRun: without kills, the journal a fleet of
+// in-process nodes holds stays bounded over a run of many checkpoint
+// cycles. Its depth is what sits between the journal head and the lowest
+// truncation mark. Backpressure lets the head run about window ticks
+// ahead of the slowest node; emission comes in bursts of up to window
+// ticks (one delivered batch); and a node's checkpoint lags emission by
+// up to CheckpointEvery−1 ticks, plus the batch of up to window ticks its
+// sender may be delivering when the request comes. Summed, that stays
+// below CheckpointEvery + 3·window ticks.
+func TestJournalBoundedOverLongRun(t *testing.T) {
+	f := fleet(t)
+	const every = 3
+	if n := len(f.all) / streamTick; n < 20*every {
+		t.Fatalf("fixture holds %d ticks, want at least %d", n, 20*every)
+	}
+	cp := bootFleet(t, Config{Pipeline: fastMirror(t), ExpectNodes: 2, CheckpointEvery: every}, "n1", "n2").cp
+	for id, part := range f.parts {
+		cp.RegisterDIMM(id, part)
+	}
+	if _, err := cp.ServeStream(context.Background(), f.all); err != nil {
+		t.Fatal(err)
+	}
+	js := cp.JournalStats()
+	if js.Truncations == 0 {
+		t.Fatalf("journal never truncated over the run: %+v", js)
+	}
+	t.Logf("journal over the run: %+v", js)
+	if bound := every + 3*window; js.DepthHighWater > bound {
+		t.Errorf("journal depth reached %d ticks, want at most %d: %+v", js.DepthHighWater, bound, js)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,12 +60,10 @@ func fleet(tb testing.TB) *fleetFixture {
 			return
 		}
 		parts := map[trace.DIMMID]platform.DIMMPart{}
-		var all []trace.Event
 		for _, l := range res.Store.DIMMs() {
-			all = append(all, l.Events...)
 			parts[l.ID] = l.Part
 		}
-		sort.Stable(trace.ByTime(all))
+		all, _ := res.Store.Stream()
 
 		pipe := mlops.NewPipeline(platform.Purley)
 		pipe.Seed = 31
@@ -125,18 +122,19 @@ func mirror(tb testing.TB) *mlops.Pipeline {
 	return pipe
 }
 
-// testFleet is a control plane served on a loopback listener, with the
-// node daemons joined to it.
+// testFleet is a control plane served on a loopback listener, with
+// in-process nodes joined to it.
 type testFleet struct {
-	cp  *Server
-	url string  // the control plane's base URL
-	cl  *Client // its API over the listener
+	cp    *Server
+	url   string            // the control plane's base URL
+	cl    *Client           // its API over the listener
+	hosts map[string]string // node name -> the in-process host routed to it
 }
 
 // bootFleet builds a control plane from cfg, serves its API on a loopback
-// listener and joins one node daemon per name (none in local mode: the
-// in-process node joined in New). Everything closes at cleanup, the
-// control plane's senders before the listeners.
+// listener and joins one in-process node per name (none in local mode:
+// New joined its own). Everything closes at cleanup, the control plane's
+// senders before the listener.
 func bootFleet(t *testing.T, cfg Config, names ...string) *testFleet {
 	t.Helper()
 	cp, err := New(cfg)
@@ -145,7 +143,7 @@ func bootFleet(t *testing.T, cfg Config, names ...string) *testFleet {
 	}
 	ts := httptest.NewServer(cp.Handler())
 	t.Cleanup(ts.Close)
-	fl := &testFleet{cp: cp, url: ts.URL, cl: NewClient(ts.URL)}
+	fl := &testFleet{cp: cp, url: ts.URL, cl: NewClient(ts.URL), hosts: map[string]string{}}
 	for _, name := range names {
 		fl.join(t, name)
 	}
@@ -153,20 +151,26 @@ func bootFleet(t *testing.T, cfg Config, names ...string) *testFleet {
 	return fl
 }
 
-// join boots node daemon name, with two engine shards, on a loopback
-// listener and joins it to the fleet; a name the fleet knows rejoins.
-// Closing the returned listener kills the node.
-func (fl *testFleet) join(t *testing.T, name string) (*Node, *httptest.Server) {
+// join builds in-process node name, with two engine shards, and joins it
+// to the fleet; a name the fleet knows rejoins (fresh state, same host).
+func (fl *testFleet) join(t *testing.T, name string) *Node {
 	t.Helper()
-	n := NewNode(name, fl.url)
+	host, ok := fl.hosts[name]
+	if !ok {
+		host = fmt.Sprintf("%s-%d", inProcessHost, len(fl.hosts))
+		fl.hosts[name] = host
+	}
+	n := NewNode(name, "http://control-plane")
 	n.Shards = 2
-	ts := httptest.NewServer(n.Handler())
-	t.Cleanup(ts.Close)
-	if err := n.JoinOnce(ts.URL); err != nil {
+	if err := fl.cp.joinInProcess(n, host); err != nil {
 		t.Fatal(err)
 	}
-	return n, ts
+	return n
 }
+
+// kill deletes node name's route: every later request to it fails, as to
+// a daemon whose process died.
+func (fl *testFleet) kill(name string) { fl.cp.hosts.Delete(fl.hosts[name]) }
 
 // refEngine builds the single-process reference engine over pipe's
 // registry and monitor, with every fixture DIMM registered.

@@ -4,23 +4,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-
-	"memfp/internal/mlops"
+	"strings"
+	"sync"
 )
 
-// Local mode is the distributed path with one node that shares the
-// control plane's process. The two sides reach each other through
-// handlerTransport — control plane → node /ingest2, node → control plane
-// join and artifact pull — so a request never touches a listener, yet it
-// carries the same MFT1/MFR1 bytes, meets the same body caps and gets the
-// same JoinResponse as a daemon's.
+// An in-process node is an ordinary node in the control plane's process.
+// The control plane reaches every node through one router keyed by URL
+// host: a routed in-process host (in-process, in-process-<i>) is served
+// by its Node's handler in the caller's goroutine, as the node reaches
+// the control plane's handler — no listener, yet a daemon's bytes, body
+// caps and join. Any other host is a daemon's, over http.DefaultTransport.
 
-// localName and localAddr name the in-process node; no listener answers
-// localAddr.
-const (
-	localName = "local"
-	localAddr = "http://in-process"
-)
+// inProcessHost prefixes every in-process node's URL host.
+const inProcessHost = "in-process"
 
 // handlerTransport is an http.RoundTripper that serves each request with
 // h in the caller's goroutine and hands back the recorded response.
@@ -37,19 +33,27 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// joinLocal builds the in-process node and joins it through the ordinary
-// join, its pull of the production version's artifact included. spill backs the node's evicted
-// DIMM state (nil: on the heap); its dimm/ keys never meet the control
-// plane's ckpt/ keys in a shared store.
-func (s *Server) joinLocal(spill mlops.SpillStore) error {
-	n := NewNode(localName, localAddr)
-	n.Shards = s.pipe.Shards
-	n.Spill = spill
-	n.client.HTTP.Transport = handlerTransport{s.mux}
-	s.client.Transport = handlerTransport{n.Handler()}
-	if err := n.JoinOnce(localAddr); err != nil {
-		return fmt.Errorf("controlplane: in-process node: %w", err)
+// router is the control plane's one transport to its nodes. It holds
+// each in-process node by URL host; deleting one kills that node.
+type router struct{ sync.Map } // host -> *Node
+
+func (rt *router) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasPrefix(req.URL.Host, inProcessHost) {
+		return http.DefaultTransport.RoundTrip(req)
 	}
-	s.local = n
-	return nil
+	if n, ok := rt.Load(req.URL.Host); ok {
+		return handlerTransport{n.(*Node).Handler()}.RoundTrip(req)
+	}
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return nil, fmt.Errorf("controlplane: no in-process node at %s", req.URL.Host)
+}
+
+// joinInProcess routes host to n, points n's client at the control
+// plane's handler and runs the ordinary join; a known name rejoins.
+func (s *Server) joinInProcess(n *Node, host string) error {
+	s.hosts.Store(host, n)
+	n.client.HTTP.Transport = handlerTransport{s.mux}
+	return n.JoinOnce("http://" + host)
 }

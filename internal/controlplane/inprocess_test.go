@@ -3,7 +3,10 @@ package controlplane
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"memfp/internal/mlops"
@@ -44,7 +47,8 @@ func TestLocalModeKeepsNoServedTicks(t *testing.T) {
 		t.Errorf("nodes %+v: want the one in-process node, never checkpointed", st.Nodes)
 	}
 
-	engine, mon := cp.local.engine, cp.local.monitor
+	node, _ := cp.hosts.Load(inProcessHost)
+	engine, mon := node.(*Node).engine, node.(*Node).monitor
 	if mon.PredictionCount() == 0 {
 		t.Fatal("the in-process engine made no predictions; the test proves nothing")
 	}
@@ -148,4 +152,47 @@ func TestServeStreamCancel(t *testing.T) {
 	if g, w := renderAlarms(got), renderAlarms(full); !strings.HasPrefix(w, g) {
 		t.Errorf("canceled stream's alarms are not a prefix of the full stream's:\n%s", firstDiff(g, w))
 	}
+}
+
+// TestRouterConcurrentRoutes: requests through the router race with
+// in-process hosts being routed and unrouted, as a test fleet's kills and
+// rejoins do under the senders. Each request is either served by the node
+// routed at its host or refused at once, and an in-process host that was
+// never routed is refused without reaching the network. make test-race
+// runs it with -count=10.
+func TestRouterConcurrentRoutes(t *testing.T) {
+	var rt router
+	client := &http.Client{Transport: &rt}
+	if _, err := client.Get("http://" + inProcessHost + "-9/healthz"); err == nil ||
+		!strings.Contains(err.Error(), "no in-process node") {
+		t.Fatalf("unrouted in-process host: %v", err)
+	}
+
+	hosts := []string{inProcessHost + "-0", inProcessHost + "-1"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				resp, err := client.Get("http://" + hosts[(g+i)%2] + "/healthz")
+				if err != nil {
+					if !strings.Contains(err.Error(), "no in-process node") {
+						t.Error(err)
+					}
+					continue
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
+					t.Errorf("routed node answered %d %q, %v", resp.StatusCode, body, err)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		rt.Store(hosts[i%2], NewNode("n", "http://control-plane"))
+		rt.Delete(hosts[(i+1)%2])
+	}
+	wg.Wait()
 }

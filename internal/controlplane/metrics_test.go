@@ -209,8 +209,10 @@ func TestMetricsNodeExposition(t *testing.T) {
 		t.Errorf("unjoined node's /metrics = %d, want 503", rec.Code)
 	}
 
-	_, nodeSrv := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: 1}).join(t, "n1")
-	text, err := NewClient(nodeSrv.URL).Metrics()
+	fl := bootFleet(t, Config{Pipeline: mirror(t), ExpectNodes: 1})
+	fl.join(t, "n1")
+	// The node's own surface, reached through the control plane's router.
+	text, err := (&Client{base: "http://" + fl.hosts["n1"], HTTP: fl.cp.client}).Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}

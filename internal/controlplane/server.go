@@ -11,13 +11,15 @@
 // serving, and a hand-rolled Prometheus text-exposition /metrics
 // endpoint.
 //
-// There is one serving path. With N node daemons the fleet is
-// partitioned across them; local mode (ExpectNodes == 0) is the same path
-// with one Node built in-process, reached through an http.RoundTripper
-// that calls its handler directly — no listener, but the same MFT1/MFR1
-// bytes, body caps and join (inprocess.go). Either way the replay emits
-// the byte-identical alarm stream of a single sharded engine, surviving a
-// node restart mid-stream. Four mechanisms carry that guarantee:
+// There is one serving path: the fleet is partitioned across N nodes,
+// reached through one host-routed transport (inprocess.go) — a daemon
+// over HTTP, an in-process node through its handler, with the same
+// MFT1/MFR1 bytes, body caps and join. Local mode (ExpectNodes == 0) is a
+// fleet of one in-process node that cannot rejoin (nothing holds it to
+// restart it), so its truncation mark is its send cursor: it is never
+// checkpointed. The replay emits the byte-identical alarm stream of a
+// single sharded engine, surviving a node restart mid-stream. Four
+// mechanisms carry that guarantee:
 //
 //   - Deterministic partition: DIMMs hash onto 64 hash slots with the
 //     serving engine's own FNV-1a function (mlops.DIMMShard); node i of N
@@ -35,22 +37,17 @@
 //     off the journal lock.
 //     Journaling a tick only appends and applies backpressure, so the
 //     driver overlaps with delivery on every node.
-//   - Checkpointed truncation: every CheckpointEvery emitted ticks the
+//   - Checkpointed truncation: once CheckpointEvery ticks have emitted the
 //     control plane captures each node's engine state (after exactly the
 //     ticks delivered so far) into the spill store, advancing that node's
 //     low-water mark; a node ships only what changed since its last frame
 //     when that frame heads its stored chain (checkpointLocked). Journal
-//     entries below every node's mark and the emission cursor are
-//     truncated, bounding journal memory. A rejoining node (same name,
-//     fresh state) restores its chain, merged into one frame, and replays
-//     only the journal suffix past its checkpoint, each tick pinned to its
-//     historical model version, so throttle/cooldown state rebuilds
-//     exactly; alarms from already-emitted ticks are discarded as
-//     duplicates.
-//
-// The in-process node shares the control plane's process, so nothing can
-// rejoin as it: it is never checkpointed, and a tick is truncated from
-// the journal as soon as it emits.
+//     entries below every node's mark and the emission cursor are truncated,
+//     bounding journal memory. A rejoining node (same name, fresh state)
+//     restores its chain, merged into one frame, and replays only the
+//     journal suffix past its checkpoint, each tick pinned to its historical
+//     model version, so throttle/cooldown state rebuilds exactly; alarms
+//     from already-emitted ticks are discarded as duplicates.
 //
 // The journal itself (journal.go) is a plain data structure — records by
 // absolute index, the emission cursor, prefix truncation — with no lock
@@ -68,6 +65,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -89,9 +87,10 @@ type Config struct {
 	// across; 0 serves through one node built in-process (local mode: no
 	// daemons, the same journal, wire and HTTP API).
 	ExpectNodes int
-	// CheckpointEvery schedules a snapshot from every node each time
-	// this many ticks have been emitted (default 64), advancing the
-	// journal's truncation low-water mark.
+	// CheckpointEvery asks every node that can rejoin for a snapshot (its
+	// truncation mark) once this many ticks have emitted since the last
+	// ask (default 64). The ask is a flag and ticks emit per delivered
+	// batch, so a node checkpoints at most once per delivery round.
 	CheckpointEvery int
 	// Spill stores node checkpoints (default: in-memory). In local mode a
 	// store the caller sets also backs the in-process node's evicted DIMM
@@ -126,6 +125,7 @@ type nodeRec struct {
 	inflight bool
 	wantCkpt bool
 	ckptTick int      // ticks < ckptTick are covered by the stored chain
+	final    bool     // cannot rejoin (local mode's node): never checkpointed, truncated at sent
 	ckptSize int      // the chain's bytes: its base frame plus its deltas
 	ckptBase int      // the base frame's bytes (0: no chain stored)
 	deltas   []string // spill keys of the deltas stored on that base, oldest first
@@ -143,7 +143,7 @@ type nodeRec struct {
 type Server struct {
 	cfg    Config
 	pipe   *mlops.Pipeline
-	local  *Node // the in-process node (local mode), nil with daemons
+	hosts  router // the one transport to the nodes (inprocess.go)
 	client *http.Client
 	mux    *http.ServeMux
 
@@ -163,8 +163,8 @@ type Server struct {
 }
 
 // New builds a control-plane server. With cfg.ExpectNodes == 0 it builds
-// and joins the in-process node before returning; otherwise ingest blocks
-// (ErrNotReady) until every node daemon has joined.
+// and joins local mode's in-process node before returning; otherwise
+// ingest blocks (ErrNotReady) until every node has joined.
 func New(cfg Config) (*Server, error) {
 	if cfg.Pipeline == nil {
 		return nil, errors.New("controlplane: Config.Pipeline is required")
@@ -179,24 +179,29 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Spill == nil {
 		cfg.Spill = mlops.NewMemSpill()
 	}
-	local := cfg.ExpectNodes == 0
-	if local {
-		cfg.ExpectNodes = 1
-	}
 	s := &Server{
 		cfg:    cfg,
 		pipe:   cfg.Pipeline,
-		client: &http.Client{Timeout: nodeTimeout},
 		parts:  map[trace.DIMMID]platform.DIMMPart{},
 		byName: map[string]*nodeRec{},
 	}
+	s.client = &http.Client{Transport: &s.hosts, Timeout: nodeTimeout}
 	s.cond = sync.NewCond(&s.mu)
 	s.routes()
-	if local {
-		if err := s.joinLocal(dimmSpill); err != nil {
-			return nil, err
-		}
+	if cfg.ExpectNodes > 0 {
+		return s, nil
 	}
+	// Local mode. The node's dimm/ spill keys never meet the ckpt/ keys.
+	s.cfg.ExpectNodes = 1
+	n := NewNode("local", "http://control-plane")
+	n.Shards = s.pipe.Shards
+	n.Spill = dimmSpill
+	if err := s.joinInProcess(n, inProcessHost); err != nil {
+		return nil, fmt.Errorf("controlplane: in-process node: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nodes[0].final = true
 	return s, nil
 }
 
@@ -411,10 +416,10 @@ func (s *Server) MemoryStats() mlops.MemoryStats { return s.Fleet().Memory }
 
 // Fleet is what only the serving engines count, summed over the nodes:
 // predictions, the drift of the live score distribution against the
-// training reference, serving memory, and the in-process engine's
-// per-shard tick telemetry (daemons report none). A daemon's share is as
-// fresh as its last heartbeat; the in-process node's is read at call
-// time.
+// training reference, serving memory, and the in-process engines'
+// per-shard tick telemetry (daemons report none), in node order. A
+// daemon's share is as fresh as its last heartbeat; an in-process node's
+// is read at call time.
 type Fleet struct {
 	Predictions int64
 	PSI         float64
@@ -439,8 +444,10 @@ func (s *Server) fleetOf(st StatusResponse) Fleet {
 	if mon := s.pipe.Monitor; mon != nil {
 		fl.PSI = mon.PSIOf(bins)
 	}
-	if s.local != nil {
-		fl.Shards = s.local.shardStats()
+	for _, ni := range st.Nodes {
+		if n, ok := s.hosts.Load(strings.TrimPrefix(ni.Addr, "http://")); ok {
+			fl.Shards = append(fl.Shards, n.(*Node).shardStats()...)
+		}
 	}
 	return fl
 }
@@ -505,9 +512,8 @@ func (s *Server) nodeForSlot(slot int) int {
 // emitLocked emits alarms for fully-served ticks, strictly in journal
 // order, merged (Time, DIMM) within each tick — the same total order
 // the single-process engine produces. Every CheckpointEvery emitted
-// ticks it schedules a snapshot on each node so the journal's truncation
-// low-water mark can advance; in local mode it truncates each emitted
-// tick instead.
+// ticks it schedules a snapshot on each node that can rejoin, and then
+// truncates what the emitted ticks freed.
 func (s *Server) emitLocked() {
 	for t := s.journal.nextReady(); t != nil; t = s.journal.nextReady() {
 		merged := mlops.MergeAlarms(t.res)
@@ -518,30 +524,28 @@ func (s *Server) emitLocked() {
 		}
 		s.alarms = append(s.alarms, merged...)
 		t.res = nil
-		if s.local != nil {
-			// No rejoin will ask for a tick the in-process node was sent.
-			s.journal.truncateBelow(s.nodes[0].sent)
-			continue
-		}
 		s.sinceCkpt++
 		if s.sinceCkpt >= s.cfg.CheckpointEvery {
 			s.sinceCkpt = 0
 			for _, n := range s.nodes {
-				n.wantCkpt = true
+				n.wantCkpt = !n.final
 			}
 		}
 	}
+	s.maybeTruncateLocked()
 }
 
 // maybeTruncateLocked frees the journal entries below every node's
-// checkpoint mark and the emission cursor. Entries a rejoining node
-// might still need (>= its checkpoint) are never truncated.
+// truncation mark and the emission cursor. The mark is the checkpoint a
+// rejoin restores, or the send cursor of a node that cannot rejoin.
 func (s *Server) maybeTruncateLocked() {
 	low := s.journal.end()
 	for _, n := range s.nodes {
-		if n.ckptTick < low {
-			low = n.ckptTick
+		mark := n.ckptTick
+		if n.final {
+			mark = n.sent
 		}
+		low = min(low, mark)
 	}
 	s.journal.truncateBelow(low)
 }
@@ -704,7 +708,6 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 		s.journal.serve(wt.tick, n.index, res[i])
 	}
 	s.emitLocked()
-	s.maybeTruncateLocked()
 	s.cond.Broadcast()
 }
 
@@ -744,9 +747,9 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok := s.byName[req.Name]
-	if ok && s.local != nil {
-		// Its served ticks' events are gone (emitLocked); a replay past no
-		// checkpoint could not be fed.
+	if ok && n.final {
+		// Its served ticks' events are gone; a replay past no checkpoint
+		// could not be fed.
 		return JoinResponse{}, http.StatusConflict, fmt.Errorf("node %q is in-process and cannot rejoin", req.Name)
 	}
 	if ok {
@@ -831,14 +834,15 @@ func (s *Server) heartbeat(req HeartbeatRequest) (HeartbeatResponse, int, error)
 	return resp, http.StatusOK, nil
 }
 
-// status snapshots the control plane. The in-process node sends no
-// heartbeats, so it heartbeats here, before s.mu is taken: its handler
-// holds the node's lock while it pulls an artifact from this server.
+// status snapshots the control plane. In-process nodes send no
+// heartbeats, so they heartbeat here, before s.mu is taken: a handler
+// holds its node's lock while it pulls an artifact from this server.
 func (s *Server) status() StatusResponse {
-	if n := s.local; n != nil {
-		// Cannot fail: the node joined in New, and only an unknown name errs.
+	s.hosts.Range(func(_, v any) bool {
+		n := v.(*Node) // only an unknown name errs: a node routed, not yet joined
 		_, _, _ = s.heartbeat(HeartbeatRequest{Name: n.Name, Stats: n.Stats()})
-	}
+		return true
+	})
 	mon := s.pipe.Monitor
 	st := StatusResponse{
 		Platform:    string(s.pipe.Platform),
@@ -847,15 +851,15 @@ func (s *Server) status() StatusResponse {
 		Epoch:       s.pipe.Registry.Epoch(),
 		ExpectNodes: s.cfg.ExpectNodes,
 	}
-	if s.local != nil {
-		st.Mode = "local"
-	}
 	if mon != nil {
 		st.Events = int64(mon.EventCount(trace.TypeCE) + mon.EventCount(trace.TypeUE) + mon.EventCount(trace.TypeStorm))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Paused = s.paused
+	if len(s.nodes) == 1 && s.nodes[0].final {
+		st.Mode = "local"
+	}
 	st.Ticks = s.journal.end()
 	st.Alarms = len(s.alarms)
 	st.Pending = s.journal.pending()

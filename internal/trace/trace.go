@@ -457,6 +457,20 @@ func (s *Store) DIMMs() []*DIMMLog {
 	return out
 }
 
+// Stream returns every log's events, in registration order, stably sorted
+// ByTime, and each failed DIMM's first UE instant.
+func (s *Store) Stream() (all []Event, firstUE map[DIMMID]Minutes) {
+	firstUE = map[DIMMID]Minutes{}
+	for _, l := range s.DIMMs() {
+		all = append(all, l.Events...)
+		if t, ok := l.FirstUE(); ok {
+			firstUE[l.ID] = t
+		}
+	}
+	sort.Stable(ByTime(all))
+	return all, firstUE
+}
+
 // SortAll sorts every DIMM's events by time and builds each log's query
 // index; call once after bulk loading.
 func (s *Store) SortAll() { s.SortAllWorkers(1) }

@@ -287,3 +287,43 @@ func TestMinutesString(t *testing.T) {
 		t.Errorf("Minutes string = %q", m.String())
 	}
 }
+
+// TestStoreStream: the fleet stream is every log's events, in
+// registration order, stably sorted ByTime — events equal under ByTime
+// keep that order — and the first-UE map holds exactly the DIMMs with a
+// UE, at their first one.
+func TestStoreStream(t *testing.T) {
+	s := NewStore()
+	b := DIMMID{Platform: platform.Purley, Server: 2, Slot: 0}
+	a := DIMMID{Platform: platform.Purley, Server: 1, Slot: 0}
+	for _, id := range []DIMMID{b, a} {
+		if _, err := s.Register(id, testPart(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two CEs of b at minute 5 differ only in address, so ByTime ties them.
+	bEvents := []Event{mkCE(5, b, 1, 1), mkCE(5, b, 7, 7), {Time: 9, Type: TypeUE, DIMM: b}, {Time: 12, Type: TypeUE, DIMM: b}}
+	aEvents := []Event{mkCE(3, a, 1, 1), mkCE(5, a, 1, 1)}
+	if err := s.AppendEvents(b, bEvents); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEvents(a, aEvents); err != nil {
+		t.Fatal(err)
+	}
+	s.SortAll()
+
+	all, firstUE := s.Stream()
+	want := []Event{aEvents[0], aEvents[1], bEvents[0], bEvents[1], bEvents[2], bEvents[3]}
+	if len(all) != len(want) {
+		t.Fatalf("stream holds %d events, want %d", len(all), len(want))
+	}
+	for i := range want {
+		if all[i].Time != want[i].Time || all[i].DIMM != want[i].DIMM || all[i].Addr != want[i].Addr {
+			t.Errorf("event %d = %v %v %v, want %v %v %v", i,
+				all[i].Time, all[i].DIMM, all[i].Addr, want[i].Time, want[i].DIMM, want[i].Addr)
+		}
+	}
+	if len(firstUE) != 1 || firstUE[b] != 9 {
+		t.Errorf("first UEs = %v, want only %s at minute 9", firstUE, b)
+	}
+}
