@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt census bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke daemon-smoke ci
+.PHONY: all build test test-short vet fmt census bench-check cross-check test-race fuzz-short examples-smoke repro-smoke scenario-smoke daemon-smoke ci
 
 all: build
 
@@ -119,6 +119,19 @@ examples-smoke:
 	done && \
 	cmp "$$d/cmp-1" "$$d/cmp-4" && echo "examples-smoke: mlops output identical at -shards 1 and 4"
 
+# The whole paper report at a small scale, at the default worker count
+# and on one worker: `memfp repro` promises the same bytes at any -workers,
+# so the two outputs must be identical once the dashboard's shard timing
+# lines are dropped.
+repro-smoke:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/memfp" ./cmd/memfp && \
+	"$$d/memfp" repro -scale 0.02 -seed 42 > "$$d/out-default" && \
+	"$$d/memfp" repro -scale 0.02 -seed 42 -workers 1 > "$$d/out-1" && \
+	grep -v '^shard [0-9]*:' "$$d/out-default" > "$$d/cmp-default" && \
+	grep -v '^shard [0-9]*:' "$$d/out-1" > "$$d/cmp-1" && \
+	cmp "$$d/cmp-default" "$$d/cmp-1" && echo "repro-smoke: report identical at default workers and -workers 1"
+
 # Run every shipped chaos scenario through the real serving stack; fails
 # if any scenario misses its assertions. (TestShippedScenariosValidate
 # already parses and validates every shipped file.)
@@ -132,4 +145,4 @@ scenario-smoke:
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
-ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke scenario-smoke daemon-smoke test
+ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke repro-smoke scenario-smoke daemon-smoke test

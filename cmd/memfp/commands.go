@@ -11,6 +11,7 @@ import (
 	"memfp"
 	"memfp/internal/analysis"
 	"memfp/internal/controlplane"
+	"memfp/internal/dataset"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
@@ -140,15 +141,16 @@ func cmdTrain(args []string) error {
 		return fmt.Errorf("train: %w", err)
 	}
 	a := memfp.Algo(name)
+	ctx := context.Background()
 	cfg := memfp.Config{Scale: *scale, Seed: *seed}
-	fleet, err := memfp.BuildFleet(cfg, id)
+	fleet, err := memfp.BuildFleet(ctx, cfg, id)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("fleet: %d DIMMs, %d samples (%d train / %d val / %d test)\n",
 		fleet.Result.Store.Len(), len(fleet.Samples),
 		fleet.Split.Train.Len(), fleet.Split.Val.Len(), fleet.Split.Test.Len())
-	cell, err := memfp.EvaluateAlgo(cfg, fleet, a)
+	cell, err := memfp.EvaluateAlgo(ctx, cfg, fleet, a)
 	if err != nil {
 		return err
 	}
@@ -182,8 +184,8 @@ func cmdServe(args []string) error {
 	return runServe(context.Background(), os.Stdout, pipeline.Shared, id, name, *scale, *seed, *shards, *membudget)
 }
 
-// runServe is the serve flow against an explicit writer and cache, so the
-// fig6 scenario can honor its Env contract.
+// runServe is the serve flow against an explicit writer and cache, so
+// repro's fig6 can write into the report and share the run's fleets.
 func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
 	id platform.ID, trainer string, scale float64, seed uint64, shards int, membudgetMiB int64) error {
 	res, err := cache.Get(ctx, faultsim.Config{Platform: id, Scale: scale, Seed: seed})
@@ -195,7 +197,7 @@ func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
 	pipe.TrainerName = trainer
 	pipe.Shards = shards
 	pipe.MemoryBudget = membudgetMiB << 20
-	tr, err := pipe.TrainAndMaybePromote(res.Store, 150*trace.Day, 180*trace.Day)
+	tr, err := pipe.TrainAndMaybePromote(res.Store, dataset.TrainEndDay*trace.Day, dataset.ValEndDay*trace.Day)
 	if err != nil {
 		return err
 	}

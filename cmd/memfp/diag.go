@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"sort"
@@ -27,7 +28,7 @@ func cmdDiag(args []string) error {
 		return err
 	}
 	cfg := memfp.Config{Scale: *scale, Seed: *seed}
-	fleet, err := memfp.BuildFleet(cfg, id)
+	fleet, err := memfp.BuildFleet(context.Background(), cfg, id)
 	if err != nil {
 		return err
 	}

@@ -51,15 +51,15 @@ func TestRunServeSmoke(t *testing.T) {
 	}
 }
 
-// TestReproKnowsEveryExperiment pins the registry `memfp repro` iterates:
-// the root package's tables and figures plus fig6, in report order.
+// TestReproKnowsEveryExperiment pins the list `memfp repro` runs: the
+// root package's tables and figures plus fig6, in report order.
 func TestReproKnowsEveryExperiment(t *testing.T) {
 	var got []string
-	for _, s := range pipeline.All() {
-		got = append(got, s.Name)
+	for _, e := range experiments() {
+		got = append(got, e.Name)
 	}
 	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6", "transfer"}
 	if !slices.Equal(got, want) {
-		t.Errorf("registered experiments %v, want %v", got, want)
+		t.Errorf("repro experiments %v, want %v", got, want)
 	}
 }

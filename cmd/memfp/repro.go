@@ -6,29 +6,32 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"memfp"
 	"memfp/internal/ml/model"
-	"memfp/internal/pipeline"
 	"memfp/internal/platform"
 )
 
-// The paper's tables and figures are pipeline scenarios registered by the
-// memfp root package; repro just iterates the registry. fig6 (the MLOps
-// walkthrough) lives here because its report is the serve command itself.
-func init() {
-	pipeline.Register(pipeline.Scenario{
-		Name: "fig6", Order: 70,
-		Describe: "Figure 6 — MLOps framework walkthrough (Purley fleet)",
-		Run: func(ctx context.Context, env *pipeline.Env) error {
-			env.Printf("Figure 6 — MLOps framework walkthrough (Purley fleet)\n")
-			out := env.Out
-			if out == nil {
-				out = io.Discard
-			}
-			return runServe(ctx, out, env.Fleets(), platform.Purley, model.NameGBDT, env.Scale*0.4, env.Seed, 0, 0)
-		},
-	})
+// experiments is what repro runs: the root package's tables and figures,
+// with fig6 (the MLOps walkthrough, whose report is the serve command
+// itself) before transfer.
+func experiments() []memfp.Experiment {
+	var out []memfp.Experiment
+	for _, e := range memfp.Experiments() {
+		if e.Name == "transfer" {
+			out = append(out, memfp.Experiment{Name: "fig6", Run: runFig6})
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// runFig6 serves the Purley fleet at 40% of the run's scale.
+func runFig6(ctx context.Context, cfg memfp.Config, w io.Writer) error {
+	fmt.Fprintf(w, "Figure 6 — MLOps framework walkthrough (Purley fleet)\n")
+	return runServe(ctx, w, cfg.FleetCache(), platform.Purley, model.NameGBDT, cfg.Scale*0.4, cfg.Seed, 0, 0)
 }
 
 // cmdRepro regenerates the paper's tables and figures.
@@ -36,33 +39,26 @@ func cmdRepro(args []string) error {
 	fs := flag.NewFlagSet("repro", flag.ExitOnError)
 	scale, seed := commonFlags(fs)
 	workers := fs.Int("workers", 0, "experiment-cell concurrency (0 = one per CPU)")
+	exps := experiments()
 	var names []string
-	for _, s := range pipeline.All() {
-		names = append(names, s.Name)
+	for _, e := range exps {
+		names = append(names, e.Name)
 	}
 	exp := fs.String("exp", "all", "experiment: all|"+strings.Join(names, "|"))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *exp != "all" {
-		if _, ok := pipeline.Lookup(*exp); !ok {
-			return fmt.Errorf("repro: unknown experiment %q (want all|%s)", *exp, strings.Join(names, "|"))
-		}
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		return fmt.Errorf("repro: unknown experiment %q (want all|%s)", *exp, strings.Join(names, "|"))
 	}
-	env := &pipeline.Env{
-		Cache:   pipeline.Shared,
-		Workers: *workers,
-		Scale:   *scale,
-		Seed:    *seed,
-		Out:     os.Stdout,
-	}
+	cfg := memfp.Config{Scale: *scale, Seed: *seed, Workers: *workers}
 	ctx := context.Background()
-	for _, s := range pipeline.All() {
-		if *exp != "all" && *exp != s.Name {
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.Name {
 			continue
 		}
-		fmt.Printf("\n───────────────────────── %s ─────────────────────────\n", strings.ToUpper(s.Name))
-		if err := s.Run(ctx, env); err != nil {
+		fmt.Printf("\n───────────────────────── %s ─────────────────────────\n", strings.ToUpper(e.Name))
+		if err := e.Run(ctx, cfg, os.Stdout); err != nil {
 			return err
 		}
 	}

@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"memfp/internal/controlplane"
+	"memfp/internal/dataset"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
@@ -206,9 +207,8 @@ func runControl(ctx context.Context, o *options) error {
 	pipe.MemoryBudget = o.membudget << 20
 
 	// Bootstrap: train on the first five months.
-	bootEnd := 150 * trace.Day
-	valEnd := 180 * trace.Day
-	tr, err := pipe.TrainAndMaybePromote(res.Store, bootEnd, valEnd)
+	valEnd := dataset.ValEndDay * trace.Day
+	tr, err := pipe.TrainAndMaybePromote(res.Store, dataset.TrainEndDay*trace.Day, valEnd)
 	if err != nil {
 		return err
 	}

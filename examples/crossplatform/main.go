@@ -5,8 +5,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
+	"strings"
 	"time"
 
 	"memfp"
@@ -16,7 +19,7 @@ import (
 func main() {
 	cfg := memfp.Config{Scale: 0.06, Seed: 33}
 	start := time.Now()
-	t2, err := memfp.RunTableII(cfg)
+	t2, err := memfp.RunTableII(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,5 +38,11 @@ func main() {
 		}
 		fmt.Printf("  %-14s %.2f (%s)\n", id, best, bestAlgo)
 	}
-	fmt.Println("\npaper: Purley 0.64 (LightGBM) > K920 0.54 (LightGBM) > Whitley 0.50 (FT-Transformer)")
+	best := memfp.Paper.Best()
+	sort.SliceStable(best, func(i, j int) bool { return best[i].F1 > best[j].F1 })
+	var ranked []string
+	for _, c := range best {
+		ranked = append(ranked, fmt.Sprintf("%s %.2f (%s)", c.Platform.Short(), c.F1, c.Algo))
+	}
+	fmt.Println("\npaper: " + strings.Join(ranked, " > "))
 }

@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"memfp/internal/controlplane"
+	"memfp/internal/dataset"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
@@ -53,7 +54,7 @@ func main() {
 		len(fs.ByKind(mlops.KindBitLevel)), len(fs.ByKind(mlops.KindStatic)))
 
 	// CI/CD cycle 1: train on the first five months, benchmark, promote.
-	tr, err := pipe.TrainAndMaybePromote(res.Store, 150*trace.Day, 180*trace.Day)
+	tr, err := pipe.TrainAndMaybePromote(res.Store, dataset.TrainEndDay*trace.Day, dataset.ValEndDay*trace.Day)
 	if err != nil {
 		log.Fatal(err)
 	}

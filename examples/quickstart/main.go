@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,11 +21,12 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "fleet scale")
 	seed := flag.Uint64("seed", 7, "seed")
 	flag.Parse()
+	ctx := context.Background()
 	cfg := memfp.Config{Scale: *scale, Seed: *seed}
 
 	// 1. Generate a fleet (the stand-in for production BMC logs) and
 	//    build labeled samples with the §IV windows.
-	fleet, err := memfp.BuildFleet(cfg, platform.Purley)
+	fleet, err := memfp.BuildFleet(ctx, cfg, platform.Purley)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func main() {
 		fleet.Split.Train.Len(), fleet.Split.Val.Len(), fleet.Split.Test.Len())
 
 	// 2. Train + evaluate the paper's strongest algorithm.
-	cell, err := memfp.EvaluateAlgo(cfg, fleet, model.NameGBDT)
+	cell, err := memfp.EvaluateAlgo(ctx, cfg, fleet, model.NameGBDT)
 	if err != nil {
 		log.Fatal(err)
 	}

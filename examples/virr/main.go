@@ -7,24 +7,30 @@ package main
 import (
 	"fmt"
 
+	"memfp"
 	"memfp/internal/eval"
+	"memfp/internal/ml/model"
 )
 
 func main() {
-	fmt.Println("VIRR = (1 − yc/precision) · recall   (paper §IV, yc=0.1 default)")
+	fmt.Printf("VIRR = (1 − yc/precision) · recall   (paper §IV, yc=%.1f default)\n", eval.DefaultVIRRParams().YC)
 	fmt.Println()
 
-	// The paper's Table II operating points.
-	points := []struct {
-		name string
-		m    eval.Metrics
-	}{
-		{"Purley LightGBM (paper)", eval.Metrics{Precision: 0.54, Recall: 0.80}},
-		{"Whitley FT-Transformer (paper)", eval.Metrics{Precision: 0.53, Recall: 0.49}},
-		{"K920 LightGBM (paper)", eval.Metrics{Precision: 0.51, Recall: 0.57}},
-		{"Rule baseline Purley (paper)", eval.Metrics{Precision: 0.53, Recall: 0.46}},
-		{"High-recall/low-precision", eval.Metrics{Precision: 0.08, Recall: 0.95}},
+	// The paper's best Table II cell per platform, then its rule baseline.
+	type point struct {
+		name              string
+		precision, recall float64
 	}
+	var points []point
+	for _, c := range memfp.Paper.Best() {
+		points = append(points, point{fmt.Sprintf("%s %s (paper)", c.Platform.Short(), c.Algo), c.Precision, c.Recall})
+	}
+	for _, c := range memfp.Paper.TableII {
+		if c.Algo == model.NameRiskyCE {
+			points = append(points, point{fmt.Sprintf("Rule baseline %s (paper)", c.Platform.Short()), c.Precision, c.Recall})
+		}
+	}
+	points = append(points, point{"High-recall/low-precision", 0.08, 0.95})
 	ycs := []float64{0.05, 0.10, 0.15, 0.20, 0.30, 0.50}
 
 	fmt.Printf("%-32s", "operating point")
@@ -35,11 +41,7 @@ func main() {
 	for _, p := range points {
 		fmt.Printf("%-32s", p.name)
 		for _, yc := range ycs {
-			v := 0.0
-			if p.m.Precision > 0 {
-				v = (1 - yc/p.m.Precision) * p.m.Recall
-			}
-			fmt.Printf("  %+.3f", v)
+			fmt.Printf("  %+.3f", eval.VIRR(p.precision, p.recall, yc))
 		}
 		fmt.Println()
 	}

@@ -3,12 +3,11 @@ package memfp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"memfp/internal/analysis"
 	"memfp/internal/eval"
-	"memfp/internal/features"
+	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/par"
 	"memfp/internal/platform"
@@ -16,34 +15,19 @@ import (
 )
 
 // The experiment runners below all share one shape: fan the run's cells
-// (platform × algorithm, figure panels, sweep points) out across the
-// pipeline worker pool, fetching fleets through the shared FleetCache, and
+// (one per platform, or one per platform × algorithm) out across the
+// internal/par worker pool, fetching fleets through the run's FleetCache, and
 // reassemble results in stable platform/algorithm order regardless of
 // which cell finished first. Each cell is deterministic for a given seed
 // and touches no state shared with its siblings, so the parallel output is
 // identical to the sequential one.
 
-// ---------------------------------------------------------------------------
-// Table I
-// ---------------------------------------------------------------------------
-
-// RunTableICtx generates every platform fleet and computes Table I rows.
-func RunTableICtx(ctx context.Context, cfg Config) ([]analysis.DatasetStats, error) {
-	cfg = cfg.withDefaults()
-	return par.Map(ctx, cfg.Workers, cfg.Platforms,
-		func(id platform.ID) string { return "table1/" + string(id) },
-		func(ctx context.Context, id platform.ID) (analysis.DatasetStats, error) {
-			res, err := cfg.generate(ctx, id)
-			if err != nil {
-				return analysis.DatasetStats{}, err
-			}
-			return analysis.TableI(res.Store), nil
-		})
+// RunTableI generates every platform fleet and computes Table I rows.
+func RunTableI(ctx context.Context, cfg Config) ([]analysis.DatasetStats, error) {
+	return perPlatform(ctx, cfg, "table1", platform.All(), func(_ platform.ID, res *faultsim.Result) analysis.DatasetStats {
+		return analysis.TableI(res.Store)
+	})
 }
-
-// ---------------------------------------------------------------------------
-// Figure 4 / Figure 5
-// ---------------------------------------------------------------------------
 
 // Figure4Result is one platform's Figure 4 bars.
 type Figure4Result struct {
@@ -51,21 +35,11 @@ type Figure4Result struct {
 	Cats     []analysis.CategoryStats
 }
 
-// RunFigure4Ctx computes the fault-mode/UE correlation for each platform.
-func RunFigure4Ctx(ctx context.Context, cfg Config) ([]Figure4Result, error) {
-	cfg = cfg.withDefaults()
-	return par.Map(ctx, cfg.Workers, cfg.Platforms,
-		func(id platform.ID) string { return "fig4/" + string(id) },
-		func(ctx context.Context, id platform.ID) (Figure4Result, error) {
-			res, err := cfg.generate(ctx, id)
-			if err != nil {
-				return Figure4Result{}, err
-			}
-			return Figure4Result{
-				Platform: id,
-				Cats:     analysis.Figure4(res.Store, analysis.DefaultThresholds()),
-			}, nil
-		})
+// RunFigure4 computes the fault-mode/UE correlation for each platform.
+func RunFigure4(ctx context.Context, cfg Config) ([]Figure4Result, error) {
+	return perPlatform(ctx, cfg, "fig4", platform.All(), func(id platform.ID, res *faultsim.Result) Figure4Result {
+		return Figure4Result{Platform: id, Cats: analysis.Figure4(res.Store, analysis.DefaultThresholds())}
+	})
 }
 
 // Figure5Result is one platform's four Figure 5 panels.
@@ -74,62 +48,56 @@ type Figure5Result struct {
 	Panels   map[analysis.BitStat][]analysis.BitBucket
 }
 
-// RunFigure5Ctx computes the error-bit analysis for the Intel platforms
-// (the paper's Figure 5 scope).
-func RunFigure5Ctx(ctx context.Context, cfg Config) ([]Figure5Result, error) {
-	cfg = cfg.withDefaults()
-	var intel []platform.ID
-	for _, id := range cfg.Platforms {
-		if id != platform.K920 {
-			intel = append(intel, id)
-		}
-	}
-	return par.Map(ctx, cfg.Workers, intel,
-		func(id platform.ID) string { return "fig5/" + string(id) },
-		func(ctx context.Context, id platform.ID) (Figure5Result, error) {
-			res, err := cfg.generate(ctx, id)
-			if err != nil {
-				return Figure5Result{}, err
-			}
-			return Figure5Result{Platform: id, Panels: analysis.Figure5(res.Store)}, nil
-		})
+// RunFigure5 computes the error-bit analysis for the Intel platforms (the
+// paper's Figure 5 scope).
+func RunFigure5(ctx context.Context, cfg Config) ([]Figure5Result, error) {
+	intel := []platform.ID{platform.Purley, platform.Whitley}
+	return perPlatform(ctx, cfg, "fig5", intel, func(id platform.ID, res *faultsim.Result) Figure5Result {
+		return Figure5Result{Platform: id, Panels: analysis.Figure5(res.Store)}
+	})
 }
 
-// ---------------------------------------------------------------------------
-// Table II
-// ---------------------------------------------------------------------------
+// perPlatform fetches each platform's fleet, one cell per platform named
+// exp/<platform>, and maps it through analyze.
+func perPlatform[T any](ctx context.Context, cfg Config, exp string, ids []platform.ID,
+	analyze func(platform.ID, *faultsim.Result) T) ([]T, error) {
+	cfg = cfg.withDefaults()
+	return par.Map(ctx, cfg.Workers, ids,
+		func(id platform.ID) string { return exp + "/" + string(id) },
+		func(ctx context.Context, id platform.ID) (T, error) {
+			res, err := cfg.generate(ctx, id)
+			if err != nil {
+				var zero T
+				return zero, err
+			}
+			return analyze(id, res), nil
+		})
+}
 
 // Cell is one Table II cell group (one algorithm on one platform).
 type Cell struct {
 	Metrics    eval.Metrics
 	Applicable bool
-	// TrainedOn records training-set shape for the report.
-	TrainSamples, TrainPositives int
 }
 
 // TableII is the full comparison: platform → algorithm → metrics.
 type TableII struct {
-	Cells  map[platform.ID]map[Algo]Cell
-	Config Config
+	Cells map[platform.ID]map[Algo]Cell
 }
 
-// RunTableII trains and evaluates all four algorithms on every platform.
-func RunTableII(cfg Config) (*TableII, error) {
-	return RunTableIICtx(context.Background(), cfg)
-}
-
-// RunTableIICtx runs Table II as a two-stage pipeline: stage one builds
-// each platform's fleet (generation, feature extraction, splitting) in
-// parallel; stage two fans every platform × algorithm cell out across the
-// worker pool. Cell results are keyed by (platform, algorithm), so the
-// assembled table is independent of completion order.
-func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
+// RunTableII trains and evaluates every registered algorithm on every
+// platform as a two-stage pipeline: stage one builds each platform's
+// fleet (generation, feature extraction, splitting) in parallel; stage
+// two fans every platform × algorithm cell out across the worker pool.
+// Cell results are keyed by (platform, algorithm), so the assembled table
+// is independent of completion order.
+func RunTableII(ctx context.Context, cfg Config) (*TableII, error) {
 	cfg = cfg.withDefaults()
-
-	fleets, err := par.Map(ctx, cfg.Workers, cfg.Platforms,
+	ids := platform.All()
+	fleets, err := par.Map(ctx, cfg.Workers, ids,
 		func(id platform.ID) string { return "table2/fleet/" + string(id) },
 		func(ctx context.Context, id platform.ID) (*Fleet, error) {
-			return BuildFleetCtx(ctx, cfg, id)
+			return BuildFleet(ctx, cfg, id)
 		})
 	if err != nil {
 		return nil, err
@@ -141,7 +109,7 @@ func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 	}
 	var tasks []par.Task[Cell]
 	var keys []cellKey
-	for i, id := range cfg.Platforms {
+	for i, id := range ids {
 		fleet := fleets[i]
 		for _, a := range Algos() {
 			a := a
@@ -149,7 +117,7 @@ func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 			tasks = append(tasks, par.Task[Cell]{
 				Name: fmt.Sprintf("table2/%s/%s", id, a),
 				Run: func(ctx context.Context) (Cell, error) {
-					return EvaluateAlgoCtx(ctx, cfg, fleet, a)
+					return EvaluateAlgo(ctx, cfg, fleet, a)
 				},
 			})
 		}
@@ -159,8 +127,8 @@ func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 		return nil, fmt.Errorf("memfp: evaluate: %w", err)
 	}
 
-	t2 := &TableII{Cells: map[platform.ID]map[Algo]Cell{}, Config: cfg}
-	for _, id := range cfg.Platforms {
+	t2 := &TableII{Cells: map[platform.ID]map[Algo]Cell{}}
+	for _, id := range ids {
 		t2.Cells[id] = map[Algo]Cell{}
 	}
 	for i, c := range cells {
@@ -172,27 +140,18 @@ func RunTableIICtx(ctx context.Context, cfg Config) (*TableII, error) {
 // EvaluateAlgo trains one algorithm on the fleet's training partition,
 // tunes its decision threshold on validation DIMMs (max F1), and reports
 // test-partition DIMM-level metrics. It reads the fleet but never mutates
-// it, so concurrent evaluations may share one fleet.
-func EvaluateAlgo(cfg Config, fleet *Fleet, a Algo) (Cell, error) {
-	return EvaluateAlgoCtx(context.Background(), cfg, fleet, a)
-}
-
-// EvaluateAlgoCtx is EvaluateAlgo with cancellation, checked between the
-// cell's phases (before training and before each scoring pass) — model
-// fitting itself runs to completion, so cancellation latency is bounded
-// by the longest single fit, not the whole cell.
+// it, so concurrent evaluations may share one fleet. Cancellation is
+// checked between the cell's phases (before training and before each
+// scoring pass) — model fitting itself runs to completion, so
+// cancellation latency is bounded by the longest single fit.
 //
 // The algorithm comes from the predictor registry: any trainer
 // registered with internal/ml/model evaluates here (and therefore in
 // Table II) with no changes to this function.
-func EvaluateAlgoCtx(ctx context.Context, cfg Config, fleet *Fleet, a Algo) (Cell, error) {
+func EvaluateAlgo(ctx context.Context, cfg Config, fleet *Fleet, a Algo) (Cell, error) {
 	cfg = cfg.withDefaults()
 	vp := eval.DefaultVIRRParams()
-	cell := Cell{
-		Applicable:     true,
-		TrainSamples:   fleet.TrainDown.Len(),
-		TrainPositives: fleet.TrainDown.Positives(),
-	}
+	cell := Cell{Applicable: true}
 
 	trainer, ok := model.Get(string(a))
 	if !ok {
@@ -276,52 +235,3 @@ func (t *TableII) Format() string {
 	}
 	return sb.String()
 }
-
-// ---------------------------------------------------------------------------
-// Figure 2 (VIRR sensitivity)
-// ---------------------------------------------------------------------------
-
-// VIRRPoint is one (yc, precision, recall) → VIRR evaluation.
-type VIRRPoint struct {
-	YC, Precision, Recall, VIRR float64
-}
-
-// RunVIRRSensitivityCtx sweeps the Figure 2 cost model over yc for given
-// operating points, showing where prediction helps vs harms. The points
-// fan out across the worker pool; the rows come back flattened and
-// deterministically sorted.
-func RunVIRRSensitivityCtx(ctx context.Context, workers int, points []eval.Metrics, ycs []float64) ([]VIRRPoint, error) {
-	rows, err := par.Map(ctx, workers, points,
-		func(m eval.Metrics) string { return fmt.Sprintf("virr/p%.2f-r%.2f", m.Precision, m.Recall) },
-		func(ctx context.Context, m eval.Metrics) ([]VIRRPoint, error) {
-			pts := make([]VIRRPoint, 0, len(ycs))
-			for _, yc := range ycs {
-				v := 0.0
-				if m.Precision > 0 {
-					v = (1 - yc/m.Precision) * m.Recall
-				}
-				pts = append(pts, VIRRPoint{YC: yc, Precision: m.Precision, Recall: m.Recall, VIRR: v})
-			}
-			return pts, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var out []VIRRPoint
-	for _, r := range rows {
-		out = append(out, r...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Precision != out[j].Precision {
-			return out[i].Precision < out[j].Precision
-		}
-		return out[i].YC < out[j].YC
-	})
-	return out, nil
-}
-
-// LeadTimeWindows reports the §IV / Figure 3 window configuration in use.
-func LeadTimeWindows() features.Windows { return features.DefaultWindows() }
-
-// ObservationSpanDays returns the simulated collection period in days.
-func ObservationSpanDays() int { return int(trace.ObservationSpan / trace.Day) }

@@ -56,6 +56,14 @@ type Split struct {
 	TrainEnd, ValEnd trace.Minutes
 }
 
+// TrainEndDay and ValEndDay are the boot split every program trains on,
+// in days since the start of the collection window: training before day
+// 150, validation up to day 180, test after.
+const (
+	TrainEndDay = 150
+	ValEndDay   = 180
+)
+
 // TimeSplit partitions samples by prediction instant: train < trainEnd ≤
 // val < valEnd ≤ test. Evaluating strictly later in time than training
 // mirrors production deployment and avoids temporal leakage.

@@ -59,14 +59,19 @@ type VIRRParams struct {
 // DefaultVIRRParams returns the paper's yc = 0.1.
 func DefaultVIRRParams() VIRRParams { return VIRRParams{YC: 0.1} }
 
-// VIRR computes the VM Interruption Reduction Rate:
-// (1 − yc/precision) · recall. Negative when precision < yc.
-func (c Confusion) VIRR(p VIRRParams) float64 {
-	prec := c.Precision()
-	if prec == 0 {
+// VIRR is the §IV closed form of the VM Interruption Reduction Rate,
+// (1 − yc/precision) · recall: negative when precision < yc, and 0 when
+// precision is 0 (no alarm fired, so nothing changed).
+func VIRR(precision, recall, yc float64) float64 {
+	if precision == 0 {
 		return 0
 	}
-	return (1 - p.YC/prec) * c.Recall()
+	return (1 - yc/precision) * recall
+}
+
+// VIRR computes the VM Interruption Reduction Rate of the matrix.
+func (c Confusion) VIRR(p VIRRParams) float64 {
+	return VIRR(c.Precision(), c.Recall(), p.YC)
 }
 
 // Metrics bundles the Table II cell values.

@@ -28,6 +28,9 @@ func TestConfusionDegenerate(t *testing.T) {
 	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("zero confusion should give zero metrics")
 	}
+	if v := c.VIRR(DefaultVIRRParams()); v != 0 {
+		t.Errorf("VIRR %v with no alarms, want 0", v)
+	}
 }
 
 func TestVIRRFormula(t *testing.T) {

@@ -6,51 +6,72 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunStableOrder(t *testing.T) {
-	n := 100
-	tasks := make([]Task[int], n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(context.Context) (int, error) {
-			return i * i, nil
-		}}
-	}
-	for _, workers := range []int{1, 3, 16} {
-		out, err := Run(context.Background(), workers, tasks)
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{0, 100} {
+		tasks := make([]Task[int], n)
+		for i := 0; i < n; i++ {
+			i := i
+			tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(context.Context) (int, error) {
+				// Later tasks finish first.
+				time.Sleep(time.Duration(n-i) * time.Microsecond)
+				return i * i, nil
+			}}
 		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
+		for _, workers := range []int{1, 3, 16} {
+			out, err := Run(context.Background(), workers, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != n {
+				t.Fatalf("n=%d workers=%d: %d results", n, workers, len(out))
+			}
+			for i, v := range out {
+				if v != i*i {
+					t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
+				}
 			}
 		}
 	}
 }
 
 func TestRunFirstErrorCancels(t *testing.T) {
-	var started atomic.Int64
 	boom := errors.New("boom")
-	tasks := make([]Task[int], 64)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
-			started.Add(1)
+	for _, workers := range []int{1, 4} {
+		var started atomic.Int64
+		tasks := make([]Task[int], 64)
+		for i := range tasks {
+			i := i
+			name := fmt.Sprintf("t%d", i)
 			if i == 0 {
-				return 0, boom
+				name = "fails"
 			}
-			<-ctx.Done()
-			return 0, nil
-		}}
-	}
-	_, err := Run(context.Background(), 4, tasks)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if got := started.Load(); got == 64 {
-		t.Error("error did not cancel queued tasks")
+			tasks[i] = Task[int]{Name: name, Run: func(ctx context.Context) (int, error) {
+				started.Add(1)
+				if i == 0 {
+					return 0, boom
+				}
+				<-ctx.Done()
+				return 0, nil
+			}}
+		}
+		_, err := Run(context.Background(), workers, tasks)
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
+		}
+		if got := err.Error(); got != "fails: boom" {
+			t.Errorf("workers=%d: error not wrapped with the task name: %q", workers, got)
+		}
+		got := started.Load()
+		if got == 64 {
+			t.Errorf("workers=%d: error did not cancel queued tasks", workers)
+		}
+		// With one worker the failing task runs first and no sibling starts.
+		if workers == 1 && got != 1 {
+			t.Errorf("workers=1: %d sibling tasks ran after the failure", got-1)
+		}
 	}
 }
 

@@ -59,15 +59,14 @@ func NewFleetCache() *FleetCache {
 }
 
 // Shared is the process-wide default cache. Experiment runners, CLIs and
-// benchmarks all route fleet generation through it unless they supply
-// their own cache.
+// examples route fleet generation through it unless they supply their
+// own cache.
 //
 // The cache has no eviction: every distinct (platform, scale, seed) fleet
-// is retained until Reset() or process exit. That is the intended
-// trade-off — sharing one immutable fleet across every consumer is the
-// point — but long-lived processes sweeping many scales or seeds should
-// use a private NewFleetCache per sweep, or call Reset between sweeps, to
-// bound peak memory.
+// is retained until process exit. That is the intended trade-off —
+// sharing one immutable fleet across every consumer is the point — but
+// long-lived processes sweeping many scales or seeds should use a private
+// NewFleetCache per sweep to bound peak memory.
 var Shared = NewFleetCache()
 
 // Generate fetches a fleet through the Shared cache.
@@ -130,13 +129,4 @@ func (c *FleetCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Bypasses: c.bypasses, Entries: len(c.entries)}
-}
-
-// Reset drops every cached fleet and zeroes the counters. Benchmarks use
-// it to measure the uncached path.
-func (c *FleetCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[FleetKey]*cacheEntry{}
-	c.hits, c.misses, c.bypasses = 0, 0, 0
 }

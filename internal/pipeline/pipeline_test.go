@@ -229,77 +229,19 @@ func TestFleetCacheCancelledContext(t *testing.T) {
 	}
 }
 
-func TestFleetCacheReset(t *testing.T) {
-	c := NewFleetCache()
-	cfg := faultsim.Config{Platform: platform.Purley, Scale: 0.005, Seed: 7}
-	if _, err := c.Get(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Errorf("Reset left state: %+v", st)
-	}
-	if _, err := c.Get(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 1 {
-		t.Errorf("post-Reset Get should regenerate: %+v", st)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Scenario registry
-// ---------------------------------------------------------------------------
-
-// unregister removes a scenario, so the test leaves the global registry
-// as it found it; production code registers from init functions and never
-// unregisters.
-func unregister(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(reg, name)
-}
-
-func TestScenarioRegistry(t *testing.T) {
-	noop := func(ctx context.Context, env *Env) error { return nil }
-	for _, name := range []string{"zz-test-b", "zz-test-a", "zz-test-a2"} {
-		t.Cleanup(func() { unregister(name) })
-	}
-	Register(Scenario{Name: "zz-test-b", Order: 2, Run: noop})
-	Register(Scenario{Name: "zz-test-a", Order: 1, Run: noop})
-	Register(Scenario{Name: "zz-test-a2", Order: 1, Run: noop})
-
-	if _, ok := Lookup("zz-test-a"); !ok {
-		t.Fatal("registered scenario not found")
-	}
-	var names []string
-	for _, s := range All() {
-		names = append(names, s.Name)
-	}
-	// Ordered by (Order, Name).
-	want := []string{"zz-test-a", "zz-test-a2", "zz-test-b"}
-	for i, w := range want {
-		if i >= len(names) || names[i] != w {
-			t.Fatalf("registry order = %v, want prefix %v", names, want)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration must panic")
-		}
-	}()
-	Register(Scenario{Name: "zz-test-a", Run: noop})
-}
-
+// TestEnvDefaults checks the package's default fleet source: Generate,
+// which programs without a cache of their own call, draws from Shared.
 func TestEnvDefaults(t *testing.T) {
-	e := &Env{}
-	if e.Fleets() != Shared {
-		t.Error("nil cache must fall back to Shared")
+	cfg := faultsim.Config{Platform: platform.Purley, Scale: 0.005, Seed: 5}
+	r1, err := Generate(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.Printf("discarded %d", 1) // must not panic with nil Out
-	own := NewFleetCache()
-	if (&Env{Cache: own}).Fleets() != own {
-		t.Error("explicit cache ignored")
+	r2, err := Shared.Get(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Error("Generate must fall back to the Shared cache")
 	}
 }

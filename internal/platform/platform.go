@@ -8,6 +8,7 @@ package platform
 
 import (
 	"fmt"
+	"strings"
 
 	"memfp/internal/dram"
 	"memfp/internal/ecc"
@@ -34,6 +35,9 @@ const (
 
 // All lists the platforms in the paper's presentation order.
 func All() []ID { return []ID{Purley, Whitley, K920} }
+
+// Short is the name the paper's text uses: Purley, Whitley, K920.
+func (id ID) Short() string { return strings.TrimPrefix(string(id), "Intel_") }
 
 // Platform is a full platform descriptor.
 type Platform struct {

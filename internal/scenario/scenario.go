@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"memfp/internal/dataset"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/platform"
@@ -76,7 +77,7 @@ type TrainSpec struct {
 	// Trainer is the predictor-registry name (default LightGBM).
 	Trainer string
 	// TrainEndDay / ValEndDay split the stream time range exactly like
-	// the offline experiments (defaults 150 / 180).
+	// the offline experiments (defaults dataset.TrainEndDay / ValEndDay).
 	TrainEndDay, ValEndDay int
 }
 
@@ -276,7 +277,7 @@ func Parse(src string) (*Scenario, error) {
 	s := &Scenario{
 		Seed:        42,
 		TickMinutes: trace.Day,
-		Train:       TrainSpec{Trainer: model.NameGBDT, TrainEndDay: 150, ValEndDay: 180},
+		Train:       TrainSpec{Trainer: model.NameGBDT, TrainEndDay: dataset.TrainEndDay, ValEndDay: dataset.ValEndDay},
 	}
 	if s.Name, _, err = d.str(root, "name"); err != nil {
 		return nil, err

@@ -47,34 +47,15 @@ func Algos() []Algo {
 	return out
 }
 
-// Config parameterizes an experiment run.
+// Config parameterizes an experiment run. Everything else an experiment
+// depends on is fixed: all three platforms, the dataset.TrainEndDay /
+// ValEndDay split, negativeRatio, trainFocus and the §IV windows.
 type Config struct {
 	// Scale is the fleet-size multiplier relative to the paper's Table I
 	// population (1.0 ≈ 90k DIMMs with CEs). Default 0.25.
 	Scale float64
-	// Seed drives every random choice.
+	// Seed drives every random choice. Default 42.
 	Seed uint64
-	// Platforms restricts the run (default: all three).
-	Platforms []platform.ID
-	// TrainEndDay / ValEndDay bound the time-ordered split (days since
-	// the start of the ten-month window). Defaults 150 / 180.
-	TrainEndDay, ValEndDay int
-	// NegativeRatio is the training negatives-per-positive after
-	// downsampling. Default 4.
-	NegativeRatio float64
-	// DropErrorBitFeatures disables bit-level features (ablation).
-	DropErrorBitFeatures bool
-	// ObservationDays overrides the Δtd observation window (ablation);
-	// 0 keeps the paper's 5 days.
-	ObservationDays int
-	// TrainFocusDays keeps only training positives within this many days
-	// of their UE (interval-focused labeling per [29, 30]); 0 uses the
-	// default 10 days, negative disables filtering.
-	TrainFocusDays int
-	// Trainer names the registry predictor used by single-model
-	// experiments (the transfer matrix). Default LightGBM; Table II
-	// always runs every registered trainer.
-	Trainer string
 	// Workers bounds experiment-cell concurrency: 0 runs one worker per
 	// CPU, 1 forces the sequential path. Results are identical either way.
 	Workers int
@@ -84,8 +65,17 @@ type Config struct {
 	Fleets *pipeline.FleetCache
 }
 
-// fleets returns the cache this run generates through.
-func (c Config) fleets() *pipeline.FleetCache {
+const (
+	// negativeRatio is the training negatives-per-positive after
+	// downsampling.
+	negativeRatio = 4
+	// trainFocus keeps only training positives this close to their UE
+	// (interval-focused labeling per [29, 30]).
+	trainFocus = 10 * trace.Day
+)
+
+// FleetCache returns the cache this run generates through.
+func (c Config) FleetCache() *pipeline.FleetCache {
 	if c.Fleets != nil {
 		return c.Fleets
 	}
@@ -97,7 +87,7 @@ func (c Config) fleets() *pipeline.FleetCache {
 // the cache key because the generated fleet is byte-identical for every
 // worker count.
 func (c Config) generate(ctx context.Context, id platform.ID) (*faultsim.Result, error) {
-	return c.fleets().Get(ctx, faultsim.Config{
+	return c.FleetCache().Get(ctx, faultsim.Config{
 		Platform: id, Scale: c.Scale, Seed: c.Seed, Workers: c.Workers,
 	})
 }
@@ -109,21 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if len(c.Platforms) == 0 {
-		c.Platforms = platform.All()
-	}
-	if c.TrainEndDay == 0 {
-		c.TrainEndDay = 150
-	}
-	if c.ValEndDay == 0 {
-		c.ValEndDay = 180
-	}
-	if c.NegativeRatio == 0 {
-		c.NegativeRatio = 4
-	}
-	if c.Trainer == "" {
-		c.Trainer = model.NameGBDT
 	}
 	return c
 }
@@ -137,48 +112,25 @@ type Fleet struct {
 	Split    *dataset.Split
 	// TrainDown is the downsampled, shuffled training partition.
 	TrainDown *dataset.Dataset
-	Extractor *features.Extractor
 }
 
 // BuildFleet generates the fleet for one platform and prepares datasets.
 // Generation goes through the configured FleetCache, so repeated builds at
 // the same (platform, scale, seed) share one simulated fleet.
-func BuildFleet(cfg Config, id platform.ID) (*Fleet, error) {
-	return BuildFleetCtx(context.Background(), cfg, id)
-}
-
-// BuildFleetCtx is BuildFleet with cancellation.
-func BuildFleetCtx(ctx context.Context, cfg Config, id platform.ID) (*Fleet, error) {
+func BuildFleet(ctx context.Context, cfg Config, id platform.ID) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	res, err := cfg.generate(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("memfp: generate %s: %w", id, err)
 	}
-	x := features.NewExtractor()
-	if cfg.ObservationDays > 0 {
-		x.Windows.Observation = trace.Minutes(cfg.ObservationDays) * trace.Day
-	}
-	samples := features.BuildAllWorkers(x, features.DefaultSamplerConfig(), res.Store, cfg.Workers)
-	if cfg.DropErrorBitFeatures {
-		zeroErrorBitFeatures(samples)
-	}
-	ds := dataset.FromSamples(samples)
-	split, err := dataset.TimeSplit(ds,
-		trace.Minutes(cfg.TrainEndDay)*trace.Day,
-		trace.Minutes(cfg.ValEndDay)*trace.Day)
+	samples := features.BuildAllWorkers(features.NewExtractor(), features.DefaultSamplerConfig(), res.Store, cfg.Workers)
+	split, err := dataset.TimeSplit(dataset.FromSamples(samples),
+		dataset.TrainEndDay*trace.Day, dataset.ValEndDay*trace.Day)
 	if err != nil {
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed ^ 0x5eed)
-	train := split.Train
-	if cfg.TrainFocusDays >= 0 {
-		focus := cfg.TrainFocusDays
-		if focus == 0 {
-			focus = 10
-		}
-		train = dataset.FocusPositives(train, trace.Minutes(focus)*trace.Day)
-	}
-	down := dataset.Downsample(train, cfg.NegativeRatio, rng)
+	down := dataset.Downsample(dataset.FocusPositives(split.Train, trainFocus), negativeRatio, rng)
 	dataset.Shuffle(down, rng)
 	return &Fleet{
 		Platform:  platform.MustGet(id),
@@ -186,7 +138,6 @@ func BuildFleetCtx(ctx context.Context, cfg Config, id platform.ID) (*Fleet, err
 		Samples:   samples,
 		Split:     split,
 		TrainDown: down,
-		Extractor: x,
 	}, nil
 }
 
@@ -205,23 +156,4 @@ func (f *Fleet) TrainSet(cfg Config) model.TrainSet {
 // fleet's raw store so rule-based models can read event histories.
 func (f *Fleet) batch(d *dataset.Dataset) model.Batch {
 	return model.Batch{X: d.X, DIMMs: d.DIMMs, Times: d.Times, Store: f.Result.Store}
-}
-
-// zeroErrorBitFeatures blanks the bit-level feature block (ablation).
-func zeroErrorBitFeatures(samples []features.Sample) {
-	names := features.Names()
-	var idx []int
-	for i, n := range names {
-		switch n {
-		case "frac_dq1", "frac_dq2", "frac_dq4", "frac_dq3plus",
-			"frac_beat2", "frac_beat5", "frac_beatint4",
-			"mean_bits", "max_bits", "dom_dq", "dom_beat", "dom_dqint", "dom_beatint":
-			idx = append(idx, i)
-		}
-	}
-	for _, s := range samples {
-		for _, i := range idx {
-			s.X[i] = 0
-		}
-	}
 }

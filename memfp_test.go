@@ -1,28 +1,36 @@
 package memfp
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
-	"memfp/internal/features"
+	"memfp/internal/eval"
 	"memfp/internal/ml/model"
+	"memfp/internal/pipeline"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Scale != 0.25 || c.Seed != 42 || len(c.Platforms) != 3 {
+	if c.Scale != 0.25 || c.Seed != 42 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if c.TrainEndDay != 150 || c.ValEndDay != 180 || c.NegativeRatio != 4 {
-		t.Errorf("split defaults wrong: %+v", c)
+	if c.FleetCache() != pipeline.Shared {
+		t.Error("nil Fleets must fall back to pipeline.Shared")
+	}
+	own := pipeline.NewFleetCache()
+	if (Config{Fleets: own}).FleetCache() != own {
+		t.Error("explicit Fleets ignored")
 	}
 }
 
 func TestBuildFleetSmall(t *testing.T) {
-	fleet, err := BuildFleet(Config{Scale: 0.01, Seed: 3}, platform.Purley)
+	fleet, err := BuildFleet(context.Background(), Config{Scale: 0.01, Seed: 3}, platform.Purley)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +55,8 @@ func TestBuildFleetSmall(t *testing.T) {
 }
 
 func TestBuildFleetFocusPositives(t *testing.T) {
-	// With focus enabled (default), every positive training sample must
-	// be within 10 days of its UE.
-	fleet, err := BuildFleet(Config{Scale: 0.02, Seed: 4}, platform.Purley)
+	// Every positive training sample must be within 10 days of its UE.
+	fleet, err := BuildFleet(context.Background(), Config{Scale: 0.02, Seed: 4}, platform.Purley)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,36 +65,10 @@ func TestBuildFleetFocusPositives(t *testing.T) {
 			t.Fatalf("training positive %d is %v from its UE", i, fleet.TrainDown.Deltas[i])
 		}
 	}
-	// Disabled: far positives may remain.
-	fleet2, err := BuildFleet(Config{Scale: 0.02, Seed: 4, TrainFocusDays: -1}, platform.Purley)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fleet2.Split.Train.Positives() < fleet.Split.Train.Positives() {
-		t.Error("unfocused split should not have fewer raw positives")
-	}
-}
-
-func TestZeroErrorBitFeatures(t *testing.T) {
-	fleet, err := BuildFleet(Config{Scale: 0.01, Seed: 5, DropErrorBitFeatures: true}, platform.Whitley)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := -1
-	for i, n := range features.Names() {
-		if n == "frac_dq2" {
-			idx = i
-		}
-	}
-	for _, s := range fleet.Samples {
-		if s.X[idx] != 0 {
-			t.Fatal("bit-level feature not zeroed in ablation mode")
-		}
-	}
 }
 
 func TestRunTableIShapes(t *testing.T) {
-	rows, err := RunTableICtx(context.Background(), Config{Scale: 0.02, Seed: 6})
+	rows, err := RunTableI(context.Background(), Config{Scale: 0.02, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +86,7 @@ func TestRunTableIShapes(t *testing.T) {
 }
 
 func TestRunFigure5SkipsK920(t *testing.T) {
-	res, err := RunFigure5Ctx(context.Background(), Config{Scale: 0.01, Seed: 7})
+	res, err := RunFigure5(context.Background(), Config{Scale: 0.01, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +100,44 @@ func TestRunFigure5SkipsK920(t *testing.T) {
 	}
 }
 
+// TestRunVIRRSensitivity checks fig2's sweep: one row per operating
+// point and yc, sorted by precision, then yc, each VIRR the closed form.
 func TestRunVIRRSensitivity(t *testing.T) {
-	pts, err := RunVIRRSensitivityCtx(context.Background(), 0, nil, []float64{0.1})
-	if err != nil || len(pts) != 0 {
-		t.Error("no operating points → no rows")
+	var out bytes.Buffer
+	if err := runFig2(context.Background(), Config{Seed: 42}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][4]float64
+	for _, line := range strings.Split(out.String(), "\n") {
+		var r [4]float64
+		if n, _ := fmt.Sscanf(line, "%f %f %f %f", &r[0], &r[1], &r[2], &r[3]); n == 4 {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) != 16 {
+		t.Fatalf("%d sweep rows, want 4 points × 4 yc:\n%s", len(rows), out.String())
+	}
+	for i, r := range rows {
+		yc, p, rec, virr := r[0], r[1], r[2], r[3]
+		if want := eval.VIRR(p, rec, yc); math.Abs(virr-want) > 0.0005 {
+			t.Errorf("row %d: VIRR %.3f, closed form %.3f", i, virr, want)
+		}
+		if i > 0 {
+			prev := rows[i-1]
+			if p < prev[1] || (p == prev[1] && yc <= prev[0]) {
+				t.Errorf("row %d %v not after %v (sorted by precision, then yc)", i, r, prev)
+			}
+		}
 	}
 }
 
 func TestEvaluateAlgoBaselineInapplicable(t *testing.T) {
-	fleet, err := BuildFleet(Config{Scale: 0.01, Seed: 8}, platform.K920)
+	ctx := context.Background()
+	fleet, err := BuildFleet(ctx, Config{Scale: 0.01, Seed: 8}, platform.K920)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := EvaluateAlgo(Config{Scale: 0.01, Seed: 8}, fleet, model.NameRiskyCE)
+	cell, err := EvaluateAlgo(ctx, Config{Scale: 0.01, Seed: 8}, fleet, model.NameRiskyCE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +147,12 @@ func TestEvaluateAlgoBaselineInapplicable(t *testing.T) {
 }
 
 func TestEvaluateAlgoUnknown(t *testing.T) {
-	fleet, err := BuildFleet(Config{Scale: 0.01, Seed: 9}, platform.Purley)
+	ctx := context.Background()
+	fleet, err := BuildFleet(ctx, Config{Scale: 0.01, Seed: 9}, platform.Purley)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateAlgo(Config{}, fleet, Algo("nope")); err == nil {
+	if _, err := EvaluateAlgo(ctx, Config{}, fleet, Algo("nope")); err == nil {
 		t.Error("unknown algorithm should error")
 	}
 }

@@ -3,6 +3,8 @@ package memfp
 import (
 	"context"
 	"errors"
+	"io"
+	"slices"
 	"testing"
 
 	"memfp/internal/pipeline"
@@ -19,7 +21,7 @@ func TestExperimentRunnersShareFleetCache(t *testing.T) {
 	cache := pipeline.NewFleetCache()
 	cfg := Config{Scale: 0.005, Seed: 13, Fleets: cache}
 
-	if _, err := RunTableICtx(context.Background(), cfg); err != nil {
+	if _, err := RunTableI(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -27,10 +29,10 @@ func TestExperimentRunnersShareFleetCache(t *testing.T) {
 		t.Fatalf("Table I over 3 platforms: %+v, want 3 misses / 0 hits", st)
 	}
 
-	if _, err := RunFigure4Ctx(context.Background(), cfg); err != nil {
+	if _, err := RunFigure4(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFigure5Ctx(context.Background(), cfg); err != nil {
+	if _, err := RunFigure5(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
@@ -51,20 +53,20 @@ func TestRunnersCancelledContext(t *testing.T) {
 	cache := pipeline.NewFleetCache()
 	cfg := Config{Scale: 0.005, Seed: 13, Fleets: cache}
 
-	if _, err := RunTableICtx(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunTableICtx err = %v, want context.Canceled", err)
+	if _, err := RunTableI(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTableI err = %v, want context.Canceled", err)
 	}
-	if _, err := RunTableIICtx(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunTableIICtx err = %v, want context.Canceled", err)
+	if _, err := RunTableII(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTableII err = %v, want context.Canceled", err)
 	}
-	if _, err := RunFigure4Ctx(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunFigure4Ctx err = %v, want context.Canceled", err)
+	if _, err := RunFigure4(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunFigure4 err = %v, want context.Canceled", err)
 	}
-	if _, err := RunFigure5Ctx(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunFigure5Ctx err = %v, want context.Canceled", err)
+	if _, err := RunFigure5(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunFigure5 err = %v, want context.Canceled", err)
 	}
-	if _, err := RunTransferMatrixCtx(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunTransferMatrixCtx err = %v, want context.Canceled", err)
+	if _, err := RunTransferMatrix(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTransferMatrix err = %v, want context.Canceled", err)
 	}
 	if st := cache.Stats(); st.Misses != 0 || st.Hits != 0 {
 		t.Errorf("cancelled runners still touched the cache: %+v", st)
@@ -77,7 +79,7 @@ func TestWorkersKnobDeterminism(t *testing.T) {
 	var ref []Figure4Result
 	for _, workers := range []int{1, 2, 8} {
 		cfg := Config{Scale: 0.005, Seed: 17, Workers: workers, Fleets: pipeline.NewFleetCache()}
-		out, err := RunFigure4Ctx(context.Background(), cfg)
+		out, err := RunFigure4(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,37 +104,33 @@ func TestWorkersKnobDeterminism(t *testing.T) {
 	}
 }
 
-// TestScenarioRegistryComplete checks that every paper artifact is
-// registered and ordered like the paper.
+// TestScenarioRegistryComplete pins the experiment list: every paper
+// artifact plus the transfer extension, in the paper's order.
 func TestScenarioRegistryComplete(t *testing.T) {
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "transfer"}
-	for _, name := range want {
-		if _, ok := pipeline.Lookup(name); !ok {
-			t.Errorf("scenario %q not registered", name)
-		}
+	var got []string
+	for _, e := range Experiments() {
+		got = append(got, e.Name)
 	}
-	all := pipeline.All()
-	for i := 1; i < len(all); i++ {
-		if all[i-1].Order > all[i].Order {
-			t.Errorf("registry out of order at %q", all[i].Name)
-		}
+	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "transfer"}
+	if !slices.Equal(got, want) {
+		t.Errorf("experiments %v, want %v", got, want)
 	}
 }
 
-// TestScenarioRunsCheap executes the cheap registered scenarios end to end
-// through an Env, discarding output.
+// TestScenarioRunsCheap executes the cheap experiments end to end,
+// discarding output, and requires them to share one generation per fleet.
 func TestScenarioRunsCheap(t *testing.T) {
-	env := &pipeline.Env{Cache: pipeline.NewFleetCache(), Scale: 0.005, Seed: 19}
-	for _, name := range []string{"table1", "fig2", "fig3", "fig4", "fig5"} {
-		s, ok := pipeline.Lookup(name)
-		if !ok {
-			t.Fatalf("scenario %q missing", name)
+	cfg := Config{Scale: 0.005, Seed: 19, Fleets: pipeline.NewFleetCache()}
+	cheap := map[string]bool{"table1": true, "fig2": true, "fig3": true, "fig4": true, "fig5": true}
+	for _, e := range Experiments() {
+		if !cheap[e.Name] {
+			continue
 		}
-		if err := s.Run(context.Background(), env); err != nil {
-			t.Errorf("scenario %s: %v", name, err)
+		if err := e.Run(context.Background(), cfg, io.Discard); err != nil {
+			t.Errorf("experiment %s: %v", e.Name, err)
 		}
 	}
-	if st := env.Fleets().Stats(); st.Misses != 3 {
-		t.Errorf("scenarios regenerated fleets: %+v", st)
+	if st := cfg.Fleets.Stats(); st.Misses != 3 {
+		t.Errorf("experiments regenerated fleets: %+v", st)
 	}
 }

@@ -2,162 +2,184 @@ package memfp
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"strings"
 
 	"memfp/internal/analysis"
 	"memfp/internal/eval"
-	"memfp/internal/pipeline"
+	"memfp/internal/features"
+	"memfp/internal/ml/model"
 	"memfp/internal/platform"
 	"memfp/internal/ras"
 	"memfp/internal/trace"
 	"memfp/internal/xrand"
 )
 
-// The paper's tables and figures are registered as pipeline scenarios, so
-// any driver that iterates the registry (cmd/memfp repro, future sweep
-// harnesses) picks them up automatically. A new experiment is one
-// pipeline.Register call away.
-
-func init() {
-	pipeline.Register(pipeline.Scenario{Name: "table1", Order: 10,
-		Describe: "Table I — dataset description per platform", Run: scenarioTable1})
-	pipeline.Register(pipeline.Scenario{Name: "fig2", Order: 20,
-		Describe: "Figure 2 — VIRR cost model sweep + RAS simulation", Run: scenarioFig2})
-	pipeline.Register(pipeline.Scenario{Name: "fig3", Order: 30,
-		Describe: "Figure 3 — prediction window configuration", Run: scenarioFig3})
-	pipeline.Register(pipeline.Scenario{Name: "fig4", Order: 40,
-		Describe: "Figure 4 — fault mode vs UE correlation", Run: scenarioFig4})
-	pipeline.Register(pipeline.Scenario{Name: "fig5", Order: 50,
-		Describe: "Figure 5 — error-bit analysis (Intel platforms)", Run: scenarioFig5})
-	pipeline.Register(pipeline.Scenario{Name: "table2", Order: 60,
-		Describe: "Table II — algorithm comparison across platforms", Run: scenarioTable2})
-	pipeline.Register(pipeline.Scenario{Name: "transfer", Order: 80,
-		Describe: "cross-platform transfer matrix (extension)", Run: scenarioTransfer})
+// Experiment is one artifact of the reproduction report: a paper table or
+// figure, or an extension beyond the paper.
+type Experiment struct {
+	// Name selects the experiment (`memfp repro -exp table2`).
+	Name string
+	// Run computes the artifact and writes its report to w.
+	Run func(ctx context.Context, cfg Config, w io.Writer) error
 }
 
-// envConfig maps a scenario environment onto an experiment Config.
-func envConfig(env *pipeline.Env) Config {
-	return Config{Scale: env.Scale, Seed: env.Seed, Workers: env.Workers, Fleets: env.Fleets()}
+// Experiments lists the paper's artifacts in report order. `memfp repro`
+// runs them, with its Figure 6 walkthrough inserted before transfer.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"table1", runTable1},     // Table I — dataset description per platform
+		{"fig2", runFig2},         // Figure 2 — VIRR cost model sweep + RAS simulation
+		{"fig3", runFig3},         // Figure 3 — prediction window configuration
+		{"fig4", runFig4},         // Figure 4 — fault mode vs UE correlation
+		{"fig5", runFig5},         // Figure 5 — error-bit analysis (Intel platforms)
+		{"table2", runTable2},     // Table II — algorithm comparison across platforms
+		{"transfer", runTransfer}, // cross-platform transfer matrix (extension)
+	}
 }
 
-func scenarioTable1(ctx context.Context, env *pipeline.Env) error {
-	rows, err := RunTableICtx(ctx, envConfig(env))
+func runTable1(ctx context.Context, cfg Config, w io.Writer) error {
+	rows, err := RunTableI(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	env.Printf("Table I — Description of Dataset (synthetic fleet, scale-adjusted)\n")
-	env.Printf("%s", analysis.FormatTableI(rows))
-	env.Printf("\npaper: Purley 73%%/27%%, Whitley 42%%/58%%, K920 82%%/18%% predictable/sudden\n")
+	fmt.Fprintf(w, "Table I — Description of Dataset (synthetic fleet, scale-adjusted)\n")
+	fmt.Fprintf(w, "%s", analysis.FormatTableI(rows))
+	var shares []string
+	for _, s := range Paper.TableI {
+		shares = append(shares, fmt.Sprintf("%s %d%%/%d%%", s.Platform.Short(), s.PredictablePct, s.SuddenPct))
+	}
+	fmt.Fprintf(w, "\npaper: %s predictable/sudden\n", strings.Join(shares, ", "))
 	return nil
 }
 
-func scenarioFig2(ctx context.Context, env *pipeline.Env) error {
-	env.Printf("Figure 2 — VIRR cost model: VIRR = (1 − yc/precision)·recall\n")
-	points := []eval.Metrics{
-		{Precision: 0.54, Recall: 0.80}, // paper's Purley LightGBM operating point
-		{Precision: 0.46, Recall: 0.54}, // Whitley LightGBM
-		{Precision: 0.51, Recall: 0.57}, // K920 LightGBM
-		{Precision: 0.09, Recall: 0.90}, // below-yc pathology
+func runFig2(ctx context.Context, cfg Config, w io.Writer) error {
+	fmt.Fprintf(w, "Figure 2 — VIRR cost model: VIRR = (1 − yc/precision)·recall\n")
+	var points []eval.Metrics
+	var op PaperCell // the operating point the RAS simulation replays
+	for _, c := range Paper.TableII {
+		if c.Algo != model.NameGBDT {
+			continue
+		}
+		points = append(points, eval.Metrics{Precision: c.Precision, Recall: c.Recall})
+		if c.Platform == platform.Purley {
+			op = c
+		}
 	}
-	ycs := []float64{0.05, 0.10, 0.20, 0.30}
-	rows, err := RunVIRRSensitivityCtx(ctx, env.Workers, points, ycs)
-	if err != nil {
-		return err
+	points = append(points, eval.Metrics{Precision: 0.09, Recall: 0.90}) // below-yc pathology
+	sort.Slice(points, func(i, j int) bool { return points[i].Precision < points[j].Precision })
+	fmt.Fprintf(w, "%8s %10s %8s %8s\n", "yc", "precision", "recall", "VIRR")
+	for _, m := range points {
+		for _, yc := range []float64{0.05, 0.10, 0.20, 0.30} {
+			fmt.Fprintf(w, "%8.2f %10.2f %8.2f %8.3f\n", yc, m.Precision, m.Recall, eval.VIRR(m.Precision, m.Recall, yc))
+		}
 	}
-	env.Printf("%8s %10s %8s %8s\n", "yc", "precision", "recall", "VIRR")
-	for _, p := range rows {
-		env.Printf("%8.2f %10.2f %8.2f %8.3f\n", p.YC, p.Precision, p.Recall, p.VIRR)
-	}
-	env.Printf("\nVIRR < 0 whenever precision < yc: prediction then *adds* interruptions\n")
+	fmt.Fprintf(w, "\nVIRR < 0 whenever precision < yc: prediction then *adds* interruptions\n")
 
 	// Executable version of the cost model: replay synthetic alarms and
-	// failures through the RAS mitigation pipeline and compare the
-	// simulated VIRR against the closed form.
-	env.Printf("\nRAS pipeline simulation (P=0.54, R=0.80 operating point):\n")
-	rng := xrand.New(env.Seed)
+	// failures at the operating point through the RAS mitigation pipeline
+	// and compare the simulated VIRR against the closed form.
+	fmt.Fprintf(w, "\nRAS pipeline simulation (P=%.2f, R=%.2f operating point):\n", op.Precision, op.Recall)
+	// DIMMs [0, tp) are TPs, [tp, fpEnd) FPs and [fpEnd, fnEnd) FNs.
+	const tp = 1600
+	fpEnd := tp + int(math.Round(tp*(1-op.Precision)/op.Precision))
+	fnEnd := fpEnd + int(math.Round(tp*(1-op.Recall)/op.Recall))
+	rng := xrand.New(cfg.Seed)
 	var alarms []ras.Alarm
 	var failures []ras.Failure
-	mk := func(i int) trace.DIMMID {
-		return trace.DIMMID{Platform: platform.Purley, Server: i, Slot: 0}
-	}
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < fnEnd; i++ {
+		d := trace.DIMMID{Platform: platform.Purley, Server: i}
+		if i < fpEnd {
+			alarms = append(alarms, ras.Alarm{Time: 100, DIMM: d})
+		}
 		switch {
-		case i < 1600: // TP
-			alarms = append(alarms, ras.Alarm{Time: 100, DIMM: mk(i)})
-			failures = append(failures, ras.Failure{Time: 200 + trace.Minutes(rng.Intn(20000)), DIMM: mk(i)})
-		case i < 2963: // FP (1363 ≈ precision 0.54)
-			alarms = append(alarms, ras.Alarm{Time: 100, DIMM: mk(i)})
-		case i < 3363: // FN (400 ≈ recall 0.80)
-			failures = append(failures, ras.Failure{Time: 500, DIMM: mk(i)})
+		case i < tp:
+			failures = append(failures, ras.Failure{Time: 200 + trace.Minutes(rng.Intn(20000)), DIMM: d})
+		case i >= fpEnd:
+			failures = append(failures, ras.Failure{Time: 500, DIMM: d})
 		}
 	}
 	out, err := ras.Simulate(ras.DefaultConfig(), alarms, failures, 30*trace.Day)
 	if err != nil {
 		return err
 	}
-	env.Printf("  simulated: P=%.2f R=%.2f VIRR=%.3f (closed form %.3f)\n",
+	fmt.Fprintf(w, "  simulated: P=%.2f R=%.2f VIRR=%.3f (closed form %.3f)\n",
 		out.Precision(), out.Recall(), out.VIRR(),
-		(1-0.1/out.Precision())*out.Recall())
-	env.Printf("  actions: live=%d cold=%d offline=%d sparing=%d\n",
+		eval.VIRR(out.Precision(), out.Recall(), eval.DefaultVIRRParams().YC))
+	fmt.Fprintf(w, "  actions: live=%d cold=%d offline=%d sparing=%d\n",
 		out.Actions[ras.ActionLiveMigration], out.Actions[ras.ActionColdMigration],
 		out.Actions[ras.ActionPageOffline], out.Actions[ras.ActionSparing])
 	return nil
 }
 
-func scenarioFig3(ctx context.Context, env *pipeline.Env) error {
-	w := LeadTimeWindows()
-	env.Printf("Figure 3 — failure prediction problem definition (window configuration)\n")
-	env.Printf("  observation window Δtd = %v\n", w.Observation)
-	env.Printf("  lead window        Δtl = %v\n", w.Lead)
-	env.Printf("  prediction window  Δtp = %v\n", w.Prediction)
-	env.Printf("  collection span        = %d days (paper: Jan–Oct 2023)\n", ObservationSpanDays())
+func runFig3(ctx context.Context, cfg Config, w io.Writer) error {
+	win := features.DefaultWindows()
+	fmt.Fprintf(w, "Figure 3 — failure prediction problem definition (window configuration)\n")
+	fmt.Fprintf(w, "  observation window Δtd = %v\n", win.Observation)
+	fmt.Fprintf(w, "  lead window        Δtl = %v\n", win.Lead)
+	fmt.Fprintf(w, "  prediction window  Δtp = %v\n", win.Prediction)
+	fmt.Fprintf(w, "  collection span        = %d days (paper: Jan–Oct 2023)\n", int(trace.ObservationSpan/trace.Day))
 	return nil
 }
 
-func scenarioFig4(ctx context.Context, env *pipeline.Env) error {
-	res, err := RunFigure4Ctx(ctx, envConfig(env))
+func runFig4(ctx context.Context, cfg Config, w io.Writer) error {
+	res, err := RunFigure4(ctx, cfg)
 	if err != nil {
 		return err
 	}
 	for _, r := range res {
-		env.Printf("%s", analysis.FormatFigure4(string(r.Platform), r.Cats))
+		fmt.Fprintf(w, "%s", analysis.FormatFigure4(string(r.Platform), r.Cats))
 	}
-	env.Printf("paper: single-device dominant on Purley; multi-device dominant on Whitley & K920\n")
+	fmt.Fprintf(w, "paper: single-device dominant on Purley; multi-device dominant on Whitley & K920\n")
 	return nil
 }
 
-func scenarioFig5(ctx context.Context, env *pipeline.Env) error {
-	res, err := RunFigure5Ctx(ctx, envConfig(env))
+func runFig5(ctx context.Context, cfg Config, w io.Writer) error {
+	res, err := RunFigure5(ctx, cfg)
 	if err != nil {
 		return err
 	}
 	for _, r := range res {
-		env.Printf("%s", analysis.FormatFigure5(string(r.Platform), r.Panels))
+		fmt.Fprintf(w, "%s", analysis.FormatFigure5(string(r.Platform), r.Panels))
 	}
-	env.Printf("paper: Purley risky = 2 DQs / 2 beats / 4-beat interval; Whitley risky = 4 DQs / 5 beats\n")
+	var risky []string
+	for _, r := range Paper.Figure5 {
+		s := fmt.Sprintf("%s risky = %d DQs / %d beats", r.Platform.Short(), r.DQs, r.Beats)
+		if r.BeatInterval > 0 {
+			s += fmt.Sprintf(" / %d-beat interval", r.BeatInterval)
+		}
+		risky = append(risky, s)
+	}
+	fmt.Fprintf(w, "paper: %s\n", strings.Join(risky, "; "))
 	return nil
 }
 
-func scenarioTable2(ctx context.Context, env *pipeline.Env) error {
-	t2, err := RunTableIICtx(ctx, envConfig(env))
+func runTable2(ctx context.Context, cfg Config, w io.Writer) error {
+	t2, err := RunTableII(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	env.Printf("Table II — Algorithm performance comparison (X = not applicable)\n")
-	env.Printf("%s", t2.Format())
-	env.Printf("\npaper best F1: Purley 0.64 (LightGBM), Whitley 0.50 (FT-Transformer), K920 0.54 (LightGBM)\n")
+	fmt.Fprintf(w, "Table II — Algorithm performance comparison (X = not applicable)\n")
+	fmt.Fprintf(w, "%s", t2.Format())
+	var best []string
+	for _, c := range Paper.Best() {
+		best = append(best, fmt.Sprintf("%s %.2f (%s)", c.Platform.Short(), c.F1, c.Algo))
+	}
+	fmt.Fprintf(w, "\npaper best F1: %s\n", strings.Join(best, ", "))
 	return nil
 }
 
-func scenarioTransfer(ctx context.Context, env *pipeline.Env) error {
-	cfg := envConfig(env)
-	cfg.Scale = cfg.Scale * 0.5 // 9 train/eval cells; keep it tractable
-	cfg = cfg.withDefaults()    // resolve the trainer name for the report
-	res, err := RunTransferMatrixCtx(ctx, cfg)
+func runTransfer(ctx context.Context, cfg Config, w io.Writer) error {
+	cfg.Scale *= 0.5 // 9 train/eval cells; keep it tractable
+	res, err := RunTransferMatrix(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	env.Printf("Cross-platform transfer (%s; extension beyond the paper)\n", cfg.Trainer)
-	env.Printf("%s", FormatTransferMatrix(res))
-	env.Printf("\ndiagonal dominance = per-platform models are necessary (paper Findings 2-4)\n")
+	fmt.Fprintf(w, "Cross-platform transfer (%s; extension beyond the paper)\n", transferTrainer)
+	fmt.Fprintf(w, "%s", FormatTransferMatrix(res))
+	fmt.Fprintf(w, "\ndiagonal dominance = per-platform models are necessary (paper Findings 2-4)\n")
 	return nil
 }

@@ -1,6 +1,7 @@
 package memfp
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -21,14 +22,15 @@ func TestCaptureTableII(t *testing.T) {
 	if os.Getenv("MEMFP_CAPTURE") == "" {
 		t.Skip("set MEMFP_CAPTURE=1 to regenerate Table II pins")
 	}
+	ctx := context.Background()
 	cfg := Config{Scale: 0.02, Seed: 42, Workers: 1}
 	for _, id := range platform.All() {
-		fleet, err := BuildFleet(cfg, id)
+		fleet, err := BuildFleet(ctx, cfg, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range []Algo{model.NameRiskyCE, model.NameForest, model.NameGBDT, model.NameFTT} {
-			cell, err := EvaluateAlgo(cfg, fleet, a)
+			cell, err := EvaluateAlgo(ctx, cfg, fleet, a)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, a, err)
 			}

@@ -1,6 +1,7 @@
 package memfp
 
 import (
+	"context"
 	"testing"
 
 	"memfp/internal/ml/model"
@@ -25,6 +26,7 @@ func TestTableIIGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline is slow")
 	}
+	ctx := context.Background()
 	cfg := Config{Scale: 0.02, Seed: 42}
 
 	// Old sequential path: one platform at a time, one algorithm at a
@@ -32,15 +34,15 @@ func TestTableIIGrid(t *testing.T) {
 	seqCfg := cfg
 	seqCfg.Workers = 1
 	seqCfg.Fleets = pipeline.NewFleetCache()
-	seq := &TableII{Cells: map[platform.ID]map[Algo]Cell{}, Config: seqCfg.withDefaults()}
-	for _, id := range seqCfg.withDefaults().Platforms {
-		fleet, err := BuildFleet(seqCfg, id)
+	seq := &TableII{Cells: map[platform.ID]map[Algo]Cell{}}
+	for _, id := range platform.All() {
+		fleet, err := BuildFleet(ctx, seqCfg, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cells := map[Algo]Cell{}
 		for _, a := range Algos() {
-			cell, err := EvaluateAlgo(seqCfg, fleet, a)
+			cell, err := EvaluateAlgo(ctx, seqCfg, fleet, a)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, a, err)
 			}
@@ -55,7 +57,7 @@ func TestTableIIGrid(t *testing.T) {
 	parCfg := cfg
 	parCfg.Workers = 8
 	parCfg.Fleets = pipeline.NewFleetCache()
-	t2, err := RunTableII(parCfg)
+	t2, err := RunTableII(ctx, parCfg)
 	if err != nil {
 		t.Fatalf("RunTableII: %v", err)
 	}

@@ -1,6 +1,7 @@
 package memfp
 
 import (
+	"context"
 	"testing"
 
 	"memfp/internal/eval"
@@ -15,7 +16,7 @@ import (
 // are the regression contract for the algorithm layer. If a deliberate
 // modeling change moves them, re-capture with:
 //
-//	for each platform: BuildFleet(Config{Scale: 0.02, Seed: 42}) and
+//	for each platform: BuildFleet(ctx, Config{Scale: 0.02, Seed: 42}) and
 //	EvaluateAlgo per algorithm, printing %.17g metrics.
 type pinnedCell struct {
 	applicable     bool
@@ -78,14 +79,15 @@ func TestTableIIPinnedFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models on full fleets")
 	}
+	ctx := context.Background()
 	cfg := Config{Scale: 0.02, Seed: 42, Workers: 1}
 	for _, id := range platform.All() {
-		fleet, err := BuildFleet(cfg, id)
+		fleet, err := BuildFleet(ctx, cfg, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range []Algo{model.NameRiskyCE, model.NameForest, model.NameGBDT} {
-			cell, err := EvaluateAlgo(cfg, fleet, a)
+			cell, err := EvaluateAlgo(ctx, cfg, fleet, a)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, a, err)
 			}

@@ -23,32 +23,30 @@ type TransferResult struct {
 	Metrics         eval.Metrics
 }
 
-// RunTransferMatrixCtx trains cfg.Trainer (default LightGBM) per platform
-// and evaluates every model on every platform's test partition, as a
-// two-stage pipeline: stage one builds and trains one model per platform
-// in parallel; stage two fans the source × destination evaluation cells
-// out across the pool.
-// The predictor comes from the registry via cfg.Trainer, so any
-// registered algorithm can fill the matrix.
-func RunTransferMatrixCtx(ctx context.Context, cfg Config) ([]TransferResult, error) {
+// transferTrainer is the predictor the transfer matrix trains: the
+// paper's LightGBM, applicable on every platform.
+const transferTrainer = model.NameGBDT
+
+// RunTransferMatrix trains transferTrainer per platform and evaluates
+// every model on every platform's test partition, as a two-stage
+// pipeline: stage one builds and trains one model per platform in
+// parallel; stage two fans the source × destination evaluation cells out
+// across the pool.
+func RunTransferMatrix(ctx context.Context, cfg Config) ([]TransferResult, error) {
 	cfg = cfg.withDefaults()
-	trainer, ok := model.Get(cfg.Trainer)
+	trainer, ok := model.Get(transferTrainer)
 	if !ok {
-		return nil, fmt.Errorf("memfp: transfer: unknown trainer %q (registered: %v)", cfg.Trainer, model.Names())
+		return nil, fmt.Errorf("memfp: transfer: trainer %q is not registered", transferTrainer)
 	}
-	for _, id := range cfg.Platforms {
-		if !trainer.Applicable(id) {
-			return nil, fmt.Errorf("memfp: transfer: trainer %q is not applicable on %s", cfg.Trainer, id)
-		}
-	}
+	ids := platform.All()
 	type trained struct {
 		fleet *Fleet
 		model model.Model
 	}
-	ts, err := par.Map(ctx, cfg.Workers, cfg.Platforms,
+	ts, err := par.Map(ctx, cfg.Workers, ids,
 		func(id platform.ID) string { return "transfer/train/" + string(id) },
 		func(ctx context.Context, id platform.ID) (trained, error) {
-			fleet, err := BuildFleetCtx(ctx, cfg, id)
+			fleet, err := BuildFleet(ctx, cfg, id)
 			if err != nil {
 				return trained{}, err
 			}
@@ -62,14 +60,14 @@ func RunTransferMatrixCtx(ctx context.Context, cfg Config) ([]TransferResult, er
 		return nil, err
 	}
 	models := map[platform.ID]trained{}
-	for i, id := range cfg.Platforms {
+	for i, id := range ids {
 		models[id] = ts[i]
 	}
 
 	type pair struct{ src, dst platform.ID }
 	var pairs []pair
-	for _, src := range cfg.Platforms {
-		for _, dst := range cfg.Platforms {
+	for _, src := range ids {
+		for _, dst := range ids {
 			pairs = append(pairs, pair{src, dst})
 		}
 	}
