@@ -53,10 +53,13 @@ bench-check:
 # tag, which takes the portable mmBlocked path arm64 would run in place
 # of the SSE2 micro-kernel. Both paths equalling the oracle is what makes
 # a model trained on one architecture score identically on the other.
+# The last line runs the ftt package benchmarks once each (under a
+# second), so the timing tools no other target compiles cannot rot.
 cross-check:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/ml/...
 	$(GO) test -tags purego ./internal/ml/tensor/ ./internal/ml/ftt/
+	$(GO) test -run '^$$' -bench 'InferServingShape|FitStep' -benchtime 1x ./internal/ml/ftt/
 
 # Race-detector pass over the packages that share state between
 # goroutines: the worker pool and parallel generator, the indexed trace

@@ -8,7 +8,11 @@
 // Training runs through the tensor package's autodiff graph; scoring
 // (PredictProba and the validation logloss inside Fit) runs through the
 // grad-free inference path in infer.go, which reuses the same kernels and
-// produces bit-identical logits without building a graph.
+// produces bit-identical logits without building a graph. Both paths
+// evaluate the last transformer block for the CLS query only — the head
+// reads nothing else — and both are exact: the logits, and in training
+// every gradient, carry the same bits as the all-rows graph the tests
+// keep (fullForward).
 package ftt
 
 import (
@@ -158,18 +162,42 @@ func (m *Model) tokenize(X [][]float64) *tensor.Tensor {
 // forward computes logits (batch×1) for a raw feature batch through the
 // autodiff graph (training path). Bias adds are fused into the matmuls —
 // numerically identical to separate Add nodes, one graph node cheaper.
+//
+// The last block is built for CLS queries only, as inferLogits evaluates
+// it: the head reads nothing but each sequence's CLS row, so Q, the
+// attention output, the residual, LN2, the FFN and the final layernorm
+// run on batch rows while K and V still span all T tokens. This is exact,
+// not an approximation: in the all-rows graph (fullForward in the tests)
+// the dropped rows receive gradient exactly ±0, every accumulator they
+// would touch is +0-seeded and so never −0, and adding ±0 to such a value
+// leaves its bits unchanged. The graph order keeps n1's gradient
+// accumulating from V, then K, then Q, as in the all-rows graph, so the
+// logits and every parameter gradient are bit-identical to it
+// (TestForwardMatchesFullGraph).
 func (m *Model) forward(X [][]float64) *tensor.Tensor {
 	batch := len(X)
 	T := m.nf + 1
+	clsRows := make([]int, batch)
+	for i := range clsRows {
+		clsRows[i] = i * T
+	}
 	h := m.tokenize(X)
-	for _, b := range m.blocks {
+	last := len(m.blocks) - 1
+	for l, b := range m.blocks {
 		// Pre-norm attention with residual.
 		n1 := tensor.LayerNorm(h, b.ln1g, b.ln1b, 1e-5)
-		q := tensor.MatMulBias(n1, b.wq, b.bq)
+		qIn, Tq := n1, T
+		if l == last { // CLS queries only; K and V span all T rows
+			qIn, Tq = tensor.Rows(n1, clsRows), 1
+		}
+		q := tensor.MatMulBias(qIn, b.wq, b.bq)
 		k := tensor.MatMulBias(n1, b.wk, b.bk)
 		v := tensor.MatMulBias(n1, b.wv, b.bv)
-		att := tensor.Attention(q, k, v, batch, T, m.p.Heads)
+		att := tensor.Attention(q, k, v, batch, Tq, T, m.p.Heads)
 		att = tensor.MatMulBias(att, b.wo, b.bo)
+		if l == last {
+			h = tensor.Rows(h, clsRows)
+		}
 		h = tensor.Add(h, att)
 		// Pre-norm FFN with residual.
 		n2 := tensor.LayerNorm(h, b.ln2g, b.ln2b, 1e-5)
@@ -178,12 +206,11 @@ func (m *Model) forward(X [][]float64) *tensor.Tensor {
 		ff = tensor.MatMulBias(ff, b.w2, b.b2)
 		h = tensor.Add(h, ff)
 	}
-	clsRows := make([]int, batch)
-	for i := range clsRows {
-		clsRows[i] = i * T
+	if last < 0 {
+		// No transformer blocks: the head reads the raw CLS token rows.
+		h = tensor.Rows(h, clsRows)
 	}
-	cls := tensor.Rows(h, clsRows)
-	cls = tensor.LayerNorm(cls, m.lngF, m.lnbF, 1e-5)
+	cls := tensor.LayerNorm(h, m.lngF, m.lnbF, 1e-5)
 	return tensor.MatMulBias(cls, m.wHead, m.bHead)
 }
 
@@ -192,6 +219,9 @@ func (m *Model) forward(X [][]float64) *tensor.Tensor {
 func (m *Model) Fit(X [][]float64, y []int, Xval [][]float64, yval []int) error {
 	if len(X) == 0 || len(X) != len(y) {
 		return fmt.Errorf("ftt: bad training set: %d rows, %d labels", len(X), len(y))
+	}
+	if len(Xval) != len(yval) {
+		return fmt.Errorf("ftt: bad validation set: %d rows, %d labels", len(Xval), len(yval))
 	}
 	if m.p.MaxRows > 0 && len(X) > m.p.MaxRows {
 		// Prefix truncation: callers hand Fit a pre-shuffled set, so the
@@ -234,13 +264,7 @@ func (m *Model) Fit(X [][]float64, y []int, Xval [][]float64, yval []int) error 
 				xb = append(xb, X[i])
 				yb = append(yb, float64(y[i]))
 			}
-			opt.ZeroGrad()
-			loss := tensor.BCEWithLogits(m.forward(xb), yb, posW)
-			loss.Backward()
-			opt.Step()
-			// Return the step's whole graph (activations, gradients,
-			// retained attention/layernorm scratch) to the buffer pools.
-			tensor.Release(loss)
+			m.step(opt, xb, yb, posW)
 		}
 		if len(Xval) > 0 && m.p.Patience > 0 {
 			vl := m.logloss(Xval, yval, posW)
@@ -263,6 +287,17 @@ func (m *Model) Fit(X [][]float64, y []int, Xval [][]float64, yval []int) error 
 		restore(m.params, best)
 	}
 	return nil
+}
+
+// step runs one optimizer step on a mini-batch: forward, weighted BCE,
+// backward, Adam, then the step's whole graph (activations, gradients,
+// retained attention/layernorm scratch) goes back to the buffer pools.
+func (m *Model) step(opt *tensor.Adam, xb [][]float64, yb []float64, posW float64) {
+	opt.ZeroGrad()
+	loss := tensor.BCEWithLogits(m.forward(xb), yb, posW)
+	loss.Backward()
+	opt.Step()
+	tensor.Release(loss)
 }
 
 func snapshot(params []*tensor.Tensor) [][]float32 {

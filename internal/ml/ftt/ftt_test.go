@@ -1,6 +1,7 @@
 package ftt
 
 import (
+	"strings"
 	"testing"
 
 	"memfp/internal/xrand"
@@ -104,6 +105,21 @@ func TestFTTRejectsDegenerate(t *testing.T) {
 	}
 	if err := m.Fit([][]float64{{1, 2}}, []int{0}, nil, nil); err == nil {
 		t.Error("single-class labels should error")
+	}
+}
+
+// TestFTTRejectsMismatchedValidation: a validation set with fewer labels
+// than rows used to panic in the validation logloss; Fit must refuse it
+// up front and name both lengths.
+func TestFTTRejectsMismatchedValidation(t *testing.T) {
+	X, y := synth(200, 7)
+	Xval, yval := synth(11, 8)
+	p := smallParams()
+	p.Epochs = 1
+	p.Patience = 2
+	err := New(3, p).Fit(X, y, Xval, yval[:10])
+	if err == nil || !strings.Contains(err.Error(), "11 rows, 10 labels") {
+		t.Fatalf("Fit with 11 validation rows and 10 labels: err %v", err)
 	}
 }
 

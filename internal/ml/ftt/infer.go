@@ -14,11 +14,13 @@ import (
 // float32 expression), inferLogits is bit-identical to the graph
 // forward; TestInferMatchesForward enforces that.
 //
-// The last transformer layer is evaluated for CLS queries only: the head
-// reads nothing but each sequence's CLS row, attention is independent
-// per query row, and every other op is rowwise, so truncating the final
-// layer's query set to CLS is exact (same bits) while skipping ~1/T of
-// its attention work and T-1 of T rows of its projection/FFN work.
+// The last transformer layer is evaluated for CLS queries only, as the
+// training graph (Model.forward) builds it: the head reads nothing but
+// each sequence's CLS row, attention is independent per query row, and
+// every other op is rowwise, so truncating the final layer's query set
+// to CLS is exact (same bits) while skipping T-1 of T query rows of its
+// attention work and of its projection/FFN work. TestInferMatchesForward
+// also holds the logits to the all-rows graph kept in the tests.
 
 // inferChunk is the row chunk PredictProba and logloss score per arena
 // pass (matches the training batch size, so serving and validation reuse

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memfp/internal/features"
+	"memfp/internal/ml/tensor"
 	"memfp/internal/xrand"
 )
 
@@ -28,7 +29,10 @@ func randModel(nf, rows int) (*Model, [][]float64) {
 // TestInferMatchesForward pins the grad-free inference path (infer.go —
 // arena scratch, CLS-only last layer) to the autodiff graph forward, bit
 // for bit: both paths must share one kernel per op, so any divergence
-// means the CLS truncation or an Into kernel broke the spec.
+// means the CLS truncation or an Into kernel broke the spec. Both
+// inferLogits and forward truncate the last layer to CLS queries, so the
+// logits are also held to the all-rows fullForward: the truncation stays
+// checked against a graph that does not make it.
 //
 // The table crosses a small feature count with the one every workload
 // serves (T = len(features.Names())+1, whose n%4 column tail the
@@ -47,14 +51,19 @@ func TestInferMatchesForward(t *testing.T) {
 					}
 					fast = m.inferLogits(X[lo:hi], fast)
 				}
-				graph := m.forward(X)
-				if graph.Rows != len(X) || graph.Cols != 1 {
-					t.Fatalf("graph forward returned %dx%d", graph.Rows, graph.Cols)
-				}
-				for i := range X {
-					want := float64(graph.Data[i])
-					if math.Float64bits(fast[i]) != math.Float64bits(want) {
-						t.Fatalf("row %d: infer logit %v != graph logit %v", i, fast[i], want)
+				for _, g := range []struct {
+					name string
+					fwd  func([][]float64) *tensor.Tensor
+				}{{"forward", m.forward}, {"fullForward", m.fullForward}} {
+					graph := g.fwd(X)
+					if graph.Rows != len(X) || graph.Cols != 1 {
+						t.Fatalf("%s returned %dx%d", g.name, graph.Rows, graph.Cols)
+					}
+					for i := range X {
+						want := float64(graph.Data[i])
+						if math.Float64bits(fast[i]) != math.Float64bits(want) {
+							t.Fatalf("row %d: infer logit %v != %s logit %v", i, fast[i], g.name, want)
+						}
 					}
 				}
 			})

@@ -65,6 +65,9 @@ func Fit(X [][]float64, y []int, Xval [][]float64, yval []int, p Params) (*Model
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("gbdt: bad training set: %d rows, %d labels", len(X), len(y))
 	}
+	if len(Xval) != len(yval) {
+		return nil, fmt.Errorf("gbdt: bad validation set: %d rows, %d labels", len(Xval), len(yval))
+	}
 	if p.Rounds <= 0 {
 		return nil, fmt.Errorf("gbdt: Rounds must be positive")
 	}

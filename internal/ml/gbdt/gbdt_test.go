@@ -1,6 +1,7 @@
 package gbdt
 
 import (
+	"strings"
 	"testing"
 
 	"memfp/internal/xrand"
@@ -110,6 +111,20 @@ func TestGBDTLeafwiseRespectsMaxLeaves(t *testing.T) {
 		if l := tr.Leaves(); l > 8 {
 			t.Fatalf("tree has %d leaves, budget 8", l)
 		}
+	}
+}
+
+// TestGBDTRejectsMismatchedValidation: a validation set with fewer labels
+// than rows used to panic in the early-stopping walk; Fit must refuse it
+// up front and name both lengths.
+func TestGBDTRejectsMismatchedValidation(t *testing.T) {
+	X, y := synth(200, 5)
+	Xval, yval := synth(11, 6)
+	p := DefaultParams()
+	p.EarlyStop = 5
+	_, err := Fit(X, y, Xval, yval[:10], p)
+	if err == nil || !strings.Contains(err.Error(), "11 rows, 10 labels") {
+		t.Fatalf("Fit with 11 validation rows and 10 labels: err %v", err)
 	}
 }
 

@@ -51,9 +51,10 @@ func AddInto(dst, a, b []float32) {
 // AttentionInto computes multi-head attention with q holding batch*Tq
 // query rows against k, v holding batch*T key/value rows (all [·, H*dh]
 // row-major with C = heads*dh columns). Tq < T is the truncated-query
-// form: the inference path scores only each sequence's CLS query, which
-// is exact for the CLS output rows because attention is independent per
-// query row. out receives batch*Tq rows. Scores and the value reduction
+// form Attention also takes: the FT-Transformer's last layer scores only
+// each sequence's CLS query, which is exact for the CLS output rows
+// because attention is independent per query row. out receives batch*Tq
+// rows. Scores and the value reduction
 // are two matmuls per (sequence, head) over gathered head panels — the
 // same kernel LinearInto runs — with the row softmax streamed between
 // them over a pooled Tq×T block; probabilities are not retained.

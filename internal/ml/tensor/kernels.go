@@ -261,8 +261,9 @@ func axpy1(dst []float32, w float32, r []float32) {
 // through fastMatmul with a nil bias — the same +0-seeded ascending
 // chain per element the reference spells out — and Oh is scattered back
 // into out's head columns. Only the row softmax between them is streamed
-// here. Queries may be a truncated sequence (Tq < T — the inference path
-// scores only the CLS query); keys/values always span T tokens. When
+// here. Queries may be a truncated sequence (Tq < T — the FT-Transformer's
+// last layer, trained and served, scores only the CLS query); keys/values
+// always span T tokens. When
 // probs is non-nil S is that (b, h) pair's Tq×T block of it, so the
 // post-softmax rows are retained for backward; otherwise S is pooled
 // scratch and nothing survives the call.
@@ -342,62 +343,64 @@ func softmaxRow(a []float32, scale float32) {
 }
 
 // attnBackwardRange accumulates attention gradients for batch elements
-// [bLo, bHi), reading the retained post-softmax probs. Gradient rows
-// belong to this chunk's batch elements only, so chunk-parallel calls
-// are race-free; within a (b, h) pair the pass order (dA, dV, softmax
-// backward, dQ, dK) and each element's ascending reduction order are
-// fixed.
-func attnBackwardRange(qG, kG, vG, outG, q, k, v, probs []float32, bLo, bHi, T, heads, dh, C int, scale float32) {
-	dS := getF32(T * T)
+// [bLo, bHi), reading the retained post-softmax probs ([Tq, T] per
+// sequence and head). Query-side rows (q, qG, outG) are indexed by b·Tq,
+// key/value rows (k, kG, v, vG) by b·T. Gradient rows belong to this
+// chunk's batch elements only, so chunk-parallel calls are race-free;
+// within a (b, h) pair the pass order (dA, dV, softmax backward, dQ, dK)
+// and each element's ascending reduction order are fixed.
+func attnBackwardRange(qG, kG, vG, outG, q, k, v, probs []float32, bLo, bHi, Tq, T, heads, dh, C int, scale float32) {
+	dS := getF32(Tq * T)
 	defer putF32(dS)
 	for b := bLo; b < bHi; b++ {
 		for h := 0; h < heads; h++ {
-			base := b*T*C + h*dh
-			a := probs[(b*heads+h)*T*T : (b*heads+h+1)*T*T]
+			qbase := b*Tq*C + h*dh
+			kbase := b*T*C + h*dh
+			a := probs[(b*heads+h)*Tq*T : (b*heads+h+1)*Tq*T]
 			// dA[i,j] = Σ_d g[i,d]·v[j,d], four value rows at a time.
-			for i := 0; i < T; i++ {
-				gi := outG[base+i*C : base+i*C+dh]
+			for i := 0; i < Tq; i++ {
+				gi := outG[qbase+i*C : qbase+i*C+dh]
 				dAi := dS[i*T : (i+1)*T]
 				j := 0
 				for ; j+4 <= T; j += 4 {
 					s0, s1, s2, s3 := dot4(gi,
-						v[base+(j+0)*C:base+(j+0)*C+dh],
-						v[base+(j+1)*C:base+(j+1)*C+dh],
-						v[base+(j+2)*C:base+(j+2)*C+dh],
-						v[base+(j+3)*C:base+(j+3)*C+dh])
+						v[kbase+(j+0)*C:kbase+(j+0)*C+dh],
+						v[kbase+(j+1)*C:kbase+(j+1)*C+dh],
+						v[kbase+(j+2)*C:kbase+(j+2)*C+dh],
+						v[kbase+(j+3)*C:kbase+(j+3)*C+dh])
 					dAi[j+0] = s0
 					dAi[j+1] = s1
 					dAi[j+2] = s2
 					dAi[j+3] = s3
 				}
 				for ; j < T; j++ {
-					dAi[j] = dot1(gi, v[base+j*C:base+j*C+dh])
+					dAi[j] = dot1(gi, v[kbase+j*C:kbase+j*C+dh])
 				}
 			}
 			// dV[j,d] += Σ_i a[i,j]·g[i,d], i ascending (four query rows
 			// per pass: axpy4's add order keeps i0<i1<i2<i3 per element).
 			if vG != nil {
 				i := 0
-				for ; i+4 <= T; i += 4 {
-					g0 := outG[base+(i+0)*C : base+(i+0)*C+dh]
-					g1 := outG[base+(i+1)*C : base+(i+1)*C+dh]
-					g2 := outG[base+(i+2)*C : base+(i+2)*C+dh]
-					g3 := outG[base+(i+3)*C : base+(i+3)*C+dh]
+				for ; i+4 <= Tq; i += 4 {
+					g0 := outG[qbase+(i+0)*C : qbase+(i+0)*C+dh]
+					g1 := outG[qbase+(i+1)*C : qbase+(i+1)*C+dh]
+					g2 := outG[qbase+(i+2)*C : qbase+(i+2)*C+dh]
+					g3 := outG[qbase+(i+3)*C : qbase+(i+3)*C+dh]
 					for j := 0; j < T; j++ {
-						axpy4(vG[base+j*C:base+j*C+dh],
+						axpy4(vG[kbase+j*C:kbase+j*C+dh],
 							a[(i+0)*T+j], a[(i+1)*T+j], a[(i+2)*T+j], a[(i+3)*T+j],
 							g0, g1, g2, g3)
 					}
 				}
-				for ; i < T; i++ {
-					gi := outG[base+i*C : base+i*C+dh]
+				for ; i < Tq; i++ {
+					gi := outG[qbase+i*C : qbase+i*C+dh]
 					for j := 0; j < T; j++ {
-						axpy1(vG[base+j*C:base+j*C+dh], a[i*T+j], gi)
+						axpy1(vG[kbase+j*C:kbase+j*C+dh], a[i*T+j], gi)
 					}
 				}
 			}
 			// Softmax backward in place: dS = A ⊙ (dA − rowdot(dA, A)) · scale.
-			for i := 0; i < T; i++ {
+			for i := 0; i < Tq; i++ {
 				dAi := dS[i*T : (i+1)*T]
 				ai := a[i*T : (i+1)*T]
 				var dot float32
@@ -410,40 +413,40 @@ func attnBackwardRange(qG, kG, vG, outG, q, k, v, probs []float32, bLo, bHi, T, 
 			}
 			// dQ[i,d] += Σ_j dS[i,j]·k[j,d], j ascending per query row.
 			if qG != nil {
-				for i := 0; i < T; i++ {
+				for i := 0; i < Tq; i++ {
 					dSi := dS[i*T : (i+1)*T]
-					qgi := qG[base+i*C : base+i*C+dh]
+					qgi := qG[qbase+i*C : qbase+i*C+dh]
 					j := 0
 					for ; j+4 <= T; j += 4 {
 						axpy4(qgi, dSi[j], dSi[j+1], dSi[j+2], dSi[j+3],
-							k[base+(j+0)*C:base+(j+0)*C+dh],
-							k[base+(j+1)*C:base+(j+1)*C+dh],
-							k[base+(j+2)*C:base+(j+2)*C+dh],
-							k[base+(j+3)*C:base+(j+3)*C+dh])
+							k[kbase+(j+0)*C:kbase+(j+0)*C+dh],
+							k[kbase+(j+1)*C:kbase+(j+1)*C+dh],
+							k[kbase+(j+2)*C:kbase+(j+2)*C+dh],
+							k[kbase+(j+3)*C:kbase+(j+3)*C+dh])
 					}
 					for ; j < T; j++ {
-						axpy1(qgi, dSi[j], k[base+j*C:base+j*C+dh])
+						axpy1(qgi, dSi[j], k[kbase+j*C:kbase+j*C+dh])
 					}
 				}
 			}
 			// dK[j,d] += Σ_i dS[i,j]·q[i,d], i ascending per key row.
 			if kG != nil {
 				i := 0
-				for ; i+4 <= T; i += 4 {
-					q0 := q[base+(i+0)*C : base+(i+0)*C+dh]
-					q1 := q[base+(i+1)*C : base+(i+1)*C+dh]
-					q2 := q[base+(i+2)*C : base+(i+2)*C+dh]
-					q3 := q[base+(i+3)*C : base+(i+3)*C+dh]
+				for ; i+4 <= Tq; i += 4 {
+					q0 := q[qbase+(i+0)*C : qbase+(i+0)*C+dh]
+					q1 := q[qbase+(i+1)*C : qbase+(i+1)*C+dh]
+					q2 := q[qbase+(i+2)*C : qbase+(i+2)*C+dh]
+					q3 := q[qbase+(i+3)*C : qbase+(i+3)*C+dh]
 					for j := 0; j < T; j++ {
-						axpy4(kG[base+j*C:base+j*C+dh],
+						axpy4(kG[kbase+j*C:kbase+j*C+dh],
 							dS[(i+0)*T+j], dS[(i+1)*T+j], dS[(i+2)*T+j], dS[(i+3)*T+j],
 							q0, q1, q2, q3)
 					}
 				}
-				for ; i < T; i++ {
-					qi := q[base+i*C : base+i*C+dh]
+				for ; i < Tq; i++ {
+					qi := q[qbase+i*C : qbase+i*C+dh]
 					for j := 0; j < T; j++ {
-						axpy1(kG[base+j*C:base+j*C+dh], dS[i*T+j], qi)
+						axpy1(kG[kbase+j*C:kbase+j*C+dh], dS[i*T+j], qi)
 					}
 				}
 			}

@@ -95,9 +95,10 @@ func TestMatmulOracleBitwise(t *testing.T) {
 	}
 }
 
-// attnShape is one randomized attention/layernorm graph configuration.
+// attnShape is one attention/layernorm graph configuration: batch·Tq
+// query rows against batch·T key/value rows (Tq = T is self-attention).
 type attnShape struct {
-	batch, T, heads, dh int
+	batch, Tq, T, heads, dh int
 }
 
 // withProcs runs fn with GOMAXPROCS pinned to n — the worker count
@@ -118,7 +119,7 @@ func runAttnGraph(s attnShape) *attnGraph {
 	C := s.heads * s.dh
 	rng := xrand.New(99)
 	g := &attnGraph{}
-	g.q = randFill(New(s.batch*s.T, C), rng).Param()
+	g.q = randFill(New(s.batch*s.Tq, C), rng).Param()
 	g.k = randFill(New(s.batch*s.T, C), rng).Param()
 	g.v = randFill(New(s.batch*s.T, C), rng).Param()
 	g.gamma = randFill(New(1, C), rng).Param()
@@ -126,7 +127,7 @@ func runAttnGraph(s attnShape) *attnGraph {
 	g.w = randFill(New(C, 5), rng).Param() // n=5 leaves a 1-wide tile tail
 	g.bias = randFill(New(1, 5), rng).Param()
 
-	g.att = Attention(g.q, g.k, g.v, s.batch, s.T, s.heads)
+	g.att = Attention(g.q, g.k, g.v, s.batch, s.Tq, s.T, s.heads)
 	g.ln = LayerNorm(g.att, g.gamma, g.beta, 1e-5)
 	g.out = GELU(MatMulBias(g.ln, g.w, g.bias))
 	sumAll(g.out).Backward()
@@ -144,7 +145,9 @@ func (g *attnGraph) bits() []uint32 {
 
 // TestAttentionLayerNormOracleBitwise checks fast-vs-reference bitwise
 // equality of the attention forward and backward and the layernorm
-// forward over shapes that include T=1, heads=1, and odd head dims. Each
+// forward over shapes that include T=1, heads=1, odd head dims and the
+// CLS-only Tq = 1 form the FT-Transformer's last layer trains (at the
+// served T = 50, the 12-feature T = 13, and the degenerate T = 1). Each
 // reference runs on the op's real inputs from the fast graph, and the
 // attention backward on the upstream gradient the fast graph delivered
 // to it (layernorm, matmul and GELU backward sit between it and the
@@ -152,25 +155,28 @@ func (g *attnGraph) bits() []uint32 {
 // backward's output alone.
 func TestAttentionLayerNormOracleBitwise(t *testing.T) {
 	shapes := []attnShape{
-		{batch: 1, T: 1, heads: 1, dh: 1},
-		{batch: 2, T: 1, heads: 2, dh: 3},
-		{batch: 3, T: 5, heads: 1, dh: 4},
-		{batch: 2, T: 13, heads: 2, dh: 8},
-		{batch: 1, T: 7, heads: 3, dh: 5},
-		{batch: 4, T: 3, heads: 4, dh: 2},
+		{batch: 1, Tq: 1, T: 1, heads: 1, dh: 1},
+		{batch: 2, Tq: 1, T: 1, heads: 2, dh: 3},
+		{batch: 3, Tq: 5, T: 5, heads: 1, dh: 4},
+		{batch: 2, Tq: 13, T: 13, heads: 2, dh: 8},
+		{batch: 1, Tq: 7, T: 7, heads: 3, dh: 5},
+		{batch: 4, Tq: 3, T: 3, heads: 4, dh: 2},
+		{batch: 3, Tq: 1, T: 50, heads: 2, dh: 8},
+		{batch: 2, Tq: 1, T: 13, heads: 2, dh: 8},
+		{batch: 2, Tq: 1, T: 1, heads: 1, dh: 1},
 	}
 	for _, s := range shapes {
 		g := runAttnGraph(s)
-		rows, C := s.batch*s.T, s.heads*s.dh
+		rows, kvRows, C := s.batch*s.Tq, s.batch*s.T, s.heads*s.dh
 		scale := float32(1 / math.Sqrt(float64(s.dh)))
 
 		att := make([]float32, rows*C)
-		probs := make([]float32, s.batch*s.heads*s.T*s.T)
-		refAttnForward(att, g.q.Data, g.k.Data, g.v.Data, s.batch, s.T, s.T, s.heads, s.dh, C, scale, probs)
+		probs := make([]float32, s.batch*s.heads*s.Tq*s.T)
+		refAttnForward(att, g.q.Data, g.k.Data, g.v.Data, s.batch, s.Tq, s.T, s.heads, s.dh, C, scale, probs)
 		bitsEqual(t, fmt.Sprintf("%+v attention forward", s), bitsOf(g.att.Data), bitsOf(att))
 
-		qG, kG, vG := make([]float32, rows*C), make([]float32, rows*C), make([]float32, rows*C)
-		refAttnBackward(qG, kG, vG, g.att.Grad, g.q.Data, g.k.Data, g.v.Data, probs, s.batch, s.T, s.heads, s.dh, C, scale)
+		qG, kG, vG := make([]float32, rows*C), make([]float32, kvRows*C), make([]float32, kvRows*C)
+		refAttnBackward(qG, kG, vG, g.att.Grad, g.q.Data, g.k.Data, g.v.Data, probs, s.batch, s.Tq, s.T, s.heads, s.dh, C, scale)
 		bitsEqual(t, fmt.Sprintf("%+v attention dq", s), bitsOf(g.q.Grad), bitsOf(qG))
 		bitsEqual(t, fmt.Sprintf("%+v attention dk", s), bitsOf(g.k.Grad), bitsOf(kG))
 		bitsEqual(t, fmt.Sprintf("%+v attention dv", s), bitsOf(g.v.Grad), bitsOf(vG))
@@ -214,19 +220,24 @@ func TestAttentionIntoOracleBitwise(t *testing.T) {
 	}
 }
 
-// TestWorkerCountBitwise runs the same graph at worker counts 1, 2 and 8
-// and requires identical bits everywhere: parallel chunking must never
-// change an output element's accumulation chain. The par pool keeps at
-// least 8 resident workers, so a count of 8 fans out even on a
-// smaller box.
+// TestWorkerCountBitwise runs the same graphs — full self-attention and
+// the CLS-only Tq = 1 form at the training shape, whose 256 sequences
+// span several attention chunks — at worker counts 1, 2 and 8 and requires
+// identical bits everywhere: parallel chunking must never change an
+// output element's accumulation chain. The par pool keeps at least 8
+// resident workers, so a count of 8 fans out even on a smaller box.
 func TestWorkerCountBitwise(t *testing.T) {
-	s := attnShape{batch: 3, T: 13, heads: 2, dh: 8}
-	var base []uint32
-	withProcs(1, func() { base = runAttnGraph(s).bits() })
-	for _, w := range []int{2, 8} {
-		var got []uint32
-		withProcs(w, func() { got = runAttnGraph(s).bits() })
-		bitsEqual(t, fmt.Sprintf("workers %d", w), got, base)
+	for _, s := range []attnShape{
+		{batch: 3, Tq: 13, T: 13, heads: 2, dh: 8},
+		{batch: 256, Tq: 1, T: 50, heads: 2, dh: 8},
+	} {
+		var base []uint32
+		withProcs(1, func() { base = runAttnGraph(s).bits() })
+		for _, w := range []int{2, 8} {
+			var got []uint32
+			withProcs(w, func() { got = runAttnGraph(s).bits() })
+			bitsEqual(t, fmt.Sprintf("%+v workers %d", s, w), got, base)
+		}
 	}
 }
 

@@ -96,33 +96,36 @@ func refAttnForward(out, q, k, v []float32, batch, Tq, T, heads, dh, C int, scal
 
 // refAttnBackward is the reference attention backward: same pass order
 // and per-element reduction order as attnBackwardRange, naive indexing,
-// serial over the whole batch.
-func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, T, heads, dh, C int, scale float32) {
-	idx := func(b, t, h, d int) int { return (b*T+t)*C + h*dh + d }
-	dS := make([]float32, T*T)
+// serial over the whole batch. Query-side rows (q, qG, outG) are batch×Tq,
+// key/value rows batch×T, and probs is [Tq, T] per (b, h), as
+// refAttnForward retains it.
+func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, Tq, T, heads, dh, C int, scale float32) {
+	qidx := func(b, t, h, d int) int { return (b*Tq+t)*C + h*dh + d }
+	kidx := func(b, t, h, d int) int { return (b*T+t)*C + h*dh + d }
+	dS := make([]float32, Tq*T)
 	for b := 0; b < batch; b++ {
 		for h := 0; h < heads; h++ {
-			a := probs[(b*heads+h)*T*T : (b*heads+h+1)*T*T]
-			for i := 0; i < T; i++ {
+			a := probs[(b*heads+h)*Tq*T : (b*heads+h+1)*Tq*T]
+			for i := 0; i < Tq; i++ {
 				for j := 0; j < T; j++ {
 					var s float32
 					for d := 0; d < dh; d++ {
-						s += outG[idx(b, i, h, d)] * v[idx(b, j, h, d)]
+						s += outG[qidx(b, i, h, d)] * v[kidx(b, j, h, d)]
 					}
 					dS[i*T+j] = s
 				}
 			}
 			if vG != nil {
-				for i := 0; i < T; i++ {
+				for i := 0; i < Tq; i++ {
 					for j := 0; j < T; j++ {
 						av := a[i*T+j]
 						for d := 0; d < dh; d++ {
-							vG[idx(b, j, h, d)] += av * outG[idx(b, i, h, d)]
+							vG[kidx(b, j, h, d)] += av * outG[qidx(b, i, h, d)]
 						}
 					}
 				}
 			}
-			for i := 0; i < T; i++ {
+			for i := 0; i < Tq; i++ {
 				var dot float32
 				for j := 0; j < T; j++ {
 					dot += dS[i*T+j] * a[i*T+j]
@@ -131,12 +134,12 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, T, heads
 					dS[i*T+j] = a[i*T+j] * (dS[i*T+j] - dot) * scale
 				}
 			}
-			for i := 0; i < T; i++ {
+			for i := 0; i < Tq; i++ {
 				if qG != nil {
 					for j := 0; j < T; j++ {
 						ds := dS[i*T+j]
 						for d := 0; d < dh; d++ {
-							qG[idx(b, i, h, d)] += ds * k[idx(b, j, h, d)]
+							qG[qidx(b, i, h, d)] += ds * k[kidx(b, j, h, d)]
 						}
 					}
 				}
@@ -144,7 +147,7 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, T, heads
 					for j := 0; j < T; j++ {
 						ds := dS[i*T+j]
 						for d := 0; d < dh; d++ {
-							kG[idx(b, j, h, d)] += ds * q[idx(b, i, h, d)]
+							kG[kidx(b, j, h, d)] += ds * q[qidx(b, i, h, d)]
 						}
 					}
 				}

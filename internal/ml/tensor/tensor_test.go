@@ -111,15 +111,19 @@ func TestLayerNormGrad(t *testing.T) {
 	}, 2e-2)
 }
 
+// TestAttentionGrad gradchecks self-attention and the truncated-query
+// form (Tq = 1: one query row per sequence against all T keys).
 func TestAttentionGrad(t *testing.T) {
-	rng := xrand.New(10)
 	const batch, T, heads, d = 2, 3, 2, 4
-	q := NormalInit(New(batch*T, d), 1, rng).Param()
-	k := NormalInit(New(batch*T, d), 1, rng).Param()
-	v := NormalInit(New(batch*T, d), 1, rng).Param()
-	checkGrads(t, []*Tensor{q, k, v}, func() *Tensor {
-		return sumAll(GELU(Attention(q, k, v, batch, T, heads)))
-	}, 3e-2)
+	for _, Tq := range []int{T, 1} {
+		rng := xrand.New(10)
+		q := NormalInit(New(batch*Tq, d), 1, rng).Param()
+		k := NormalInit(New(batch*T, d), 1, rng).Param()
+		v := NormalInit(New(batch*T, d), 1, rng).Param()
+		checkGrads(t, []*Tensor{q, k, v}, func() *Tensor {
+			return sumAll(GELU(Attention(q, k, v, batch, Tq, T, heads)))
+		}, 3e-2)
+	}
 }
 
 func TestBCEGrad(t *testing.T) {
@@ -157,7 +161,7 @@ func TestTransformerBlockGrad(t *testing.T) {
 		q := matMul(n, wq)
 		k := matMul(n, wk)
 		v := matMul(n, wv)
-		att := Attention(q, k, v, batch, T, heads)
+		att := Attention(q, k, v, batch, T, T, heads)
 		att = matMul(att, wo)
 		return sumAll(Add(h0, att))
 	}, 3e-2)
