@@ -53,11 +53,28 @@ bench-check:
 # tag, which takes the portable mmBlocked path arm64 would run in place
 # of the SSE2 micro-kernel. Both paths equalling the oracle is what makes
 # a model trained on one architecture score identically on the other.
-# The last line runs the ftt package benchmarks once each (under a
-# second), so the timing tools no other target compiles cannot rot.
+# Go may fuse x*y + z into one FMA instruction on arm64 (never on amd64
+# at GOAMD64=v1), which would round an ARM host's kernels differently, so
+# the loop disassembles both packages' arm64 test binaries (the reference
+# kernels included) and fails on any fused multiply-add: write the product
+# as float32(a*b), the spec's fusion barrier. It disassembles the binary
+# rather than reading -gcflags=-S, which prints nothing on a cached build,
+# and requires float multiplies in the dump so a pattern that matched no
+# function cannot pass. The last line runs the ftt package benchmarks once
+# each (under a second), so the timing tools no other target compiles
+# cannot rot.
 cross-check:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/ml/...
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	for p in tensor ftt; do \
+		GOOS=linux GOARCH=arm64 $(GO) test -c -o "$$d/$$p.test" ./internal/ml/$$p/ && \
+		$(GO) tool objdump -s 'memfp/internal/ml/(tensor|ftt)\.' "$$d/$$p.test" > "$$d/$$p.s" || exit 1; \
+		grep -q 'FMULS' "$$d/$$p.s" || { echo "cross-check: no float code disassembled for $$p"; exit 1; }; \
+		if grep -E '\bF(N)?M(ADD|SUB)[SD]\b' "$$d/$$p.s"; then \
+			echo "cross-check: fused multiply-add in the arm64 build of $$p"; exit 1; \
+		fi; \
+	done && echo "cross-check: no fused multiply-add in the arm64 tensor and ftt code"
 	$(GO) test -tags purego ./internal/ml/tensor/ ./internal/ml/ftt/
 	$(GO) test -run '^$$' -bench 'InferServingShape|FitStep' -benchtime 1x ./internal/ml/ftt/
 

@@ -150,7 +150,7 @@ func (m *Model) tokenize(X [][]float64) *tensor.Tensor {
 				base := (b*T + 1 + f) * d
 				for j := 0; j < d; j++ {
 					g := out.Grad[base+j]
-					m.wNum.Grad[f*d+j] += v * g
+					m.wNum.Grad[f*d+j] += float32(v * g)
 					m.bNum.Grad[f*d+j] += g
 				}
 			}
@@ -328,7 +328,7 @@ func (m *Model) logloss(X [][]float64, y []int, posW float64) float64 {
 		for i, z := range logits {
 			p := 1 / (1 + math.Exp(-z))
 			if y[s+i] == 1 {
-				total += -posW * math.Log(math.Max(p, 1e-12))
+				total += float64(-posW * math.Log(math.Max(p, 1e-12)))
 			} else {
 				total += -math.Log(math.Max(1-p, 1e-12))
 			}

@@ -172,8 +172,8 @@ func TestParamCountMatchesNew(t *testing.T) {
 		for _, w := range m.params {
 			n += len(w.Data)
 		}
-		if got := paramCount(c.nf, p); got != float64(n) {
-			t.Errorf("%+v: paramCount %g, New allocates %d", c, got, n)
+		if got := paramCount(c.nf, p); got != uint64(n) {
+			t.Errorf("%+v: paramCount %d, New allocates %d", c, got, n)
 		}
 	}
 }

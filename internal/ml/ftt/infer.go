@@ -82,7 +82,7 @@ func (m *Model) tokenizeInto(dst []float32, X [][]float64) {
 			w := m.wNum.Data[f*d : (f+1)*d]
 			bb := m.bNum.Data[f*d : (f+1)*d]
 			for j := range row {
-				row[j] = v*w[j] + bb[j]
+				row[j] = float32(v*w[j]) + bb[j]
 			}
 		}
 	}

@@ -14,7 +14,7 @@ func synthDim(n, dim int, seed uint64) ([][]float64, []int) {
 	for i := range X {
 		x := make([]float64, dim)
 		for j := range x {
-			x[j] = rng.Float64()*2 - 1
+			x[j] = float64(rng.Float64())*2 - 1
 		}
 		X[i] = x
 		if x[0]-x[1] > 0 {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 )
 
 // modelJSON is the on-disk form of a trained FT-Transformer: the
@@ -35,13 +37,46 @@ func (m *Model) Encode(w io.Writer) error {
 	return json.NewEncoder(w).Encode(out)
 }
 
-// paramCount is the number of values New(nf, p) allocates, in floating
-// point so a hostile configuration cannot overflow it: Decode checks it
-// against the payload before New allocates anything.
-func paramCount(nf int, p Params) float64 {
-	d, f := float64(p.Dim), float64(p.FFNMult)
-	block := 4*d + 4*(d*d+d) + 2*d*d*f + d*f + d // two norms, q/k/v/o, FFN
-	return 2*float64(nf)*d + d + float64(p.Layers)*block + 3*d + 1
+// paramCount is the number of values New(nf, p) allocates, for
+// non-negative nf and p fields. Its arithmetic saturates at
+// math.MaxUint64 instead of wrapping, so a hostile configuration cannot
+// pass for a small one: Decode checks it against the payload before New
+// allocates anything.
+func paramCount(nf int, p Params) uint64 {
+	n, d, f, l := uint64(nf), uint64(p.Dim), uint64(p.FFNMult), uint64(p.Layers)
+	block := satSum(satProd(4, d), satProd(4, d, d), satProd(4, d), // two norms, q/k/v/o
+		satProd(2, d, d, f), satProd(d, f), d) // FFN
+	return satSum(satProd(2, n, d), d, satProd(l, block), satProd(3, d), 1)
+}
+
+// satProd multiplies its arguments, sticking at math.MaxUint64 on
+// overflow.
+func satProd(xs ...uint64) uint64 {
+	p := uint64(1)
+	for _, x := range xs {
+		if x == 0 {
+			return 0
+		}
+		hi, lo := bits.Mul64(p, x)
+		if hi != 0 {
+			p = math.MaxUint64
+			continue
+		}
+		p = lo
+	}
+	return p
+}
+
+// satSum adds its arguments, sticking at math.MaxUint64 on overflow.
+func satSum(xs ...uint64) uint64 {
+	var s uint64
+	for _, x := range xs {
+		var carry uint64
+		if s, carry = bits.Add64(s, x, 0); carry != 0 {
+			return math.MaxUint64
+		}
+	}
+	return s
 }
 
 // Decode loads a model written by Encode (current or v1 format).
@@ -61,8 +96,8 @@ func Decode(r io.Reader) (*Model, error) {
 	for _, data := range in.Tensors {
 		carried += len(data)
 	}
-	if need := paramCount(in.NF, p); need != float64(carried) {
-		return nil, fmt.Errorf("ftt: configuration needs %g values, payload carries %d", need, carried)
+	if need := paramCount(in.NF, p); need != uint64(carried) {
+		return nil, fmt.Errorf("ftt: configuration needs %d values, payload carries %d", need, carried)
 	}
 	m := New(in.NF, p)
 	if len(in.Tensors) != len(m.params) {

@@ -38,10 +38,10 @@ func (a *Adam) Step() {
 		for i, gf := range p.Grad {
 			g := float64(gf)
 			if a.WeightDecay > 0 {
-				g += a.WeightDecay * float64(p.Data[i])
+				g += float64(a.WeightDecay * float64(p.Data[i]))
 			}
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
 			p.Data[i] = float32(float64(p.Data[i]) - a.LR*(m[i]/bc1)/(math.Sqrt(v[i]/bc2)+a.Eps))
 		}
 	}

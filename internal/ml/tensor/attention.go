@@ -43,7 +43,7 @@ func Attention(q, k, v *Tensor, batch, Tq, T, heads int) *Tensor {
 		probs = getF32(batch * heads * Tq * T)
 		out.scratch = func() { putF32(probs) }
 	}
-	parallelRows(batch, heads*Tq*(T+2*dh), func(bLo, bHi int) {
+	parallelRows(batch, attnFwdWork(Tq, T, heads, dh), func(bLo, bHi int) {
 		attnForwardRange(out.Data, q.Data, k.Data, v.Data, bLo, bHi, Tq, T, heads, dh, C, scale, probs)
 	})
 
@@ -63,9 +63,15 @@ func Attention(q, k, v *Tensor, batch, Tq, T, heads int) *Tensor {
 		}
 		// Each batch element touches only its own gradient rows, so
 		// batch-parallel backward is race-free and deterministic.
-		parallelRows(batch, heads*Tq*(3*T+4*dh), func(bLo, bHi int) {
+		parallelRows(batch, attnBwdWork(Tq, T, heads, dh), func(bLo, bHi int) {
 			attnBackwardRange(qG, kG, vG, out.Grad, q.Data, k.Data, v.Data, probs, bLo, bHi, Tq, T, heads, dh, C, scale)
 		})
 	}
 	return out
 }
+
+// attnFwdWork and attnBwdWork are the per-sequence work estimates the
+// attention forward (Attention, AttentionInto) and backward hand to
+// parallelRows.
+func attnFwdWork(Tq, T, heads, dh int) int { return heads * Tq * (T + 2*dh) }
+func attnBwdWork(Tq, T, heads, dh int) int { return heads * Tq * (3*T + 4*dh) }

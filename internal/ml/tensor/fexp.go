@@ -8,9 +8,11 @@ import "math"
 // may change across Go releases — are part of this package's frozen
 // floating-point specification: both the fast and the reference kernels
 // call them, so fast-vs-oracle comparisons stay bitwise even through
-// nonlinearities. Internals are float64 (Go never contracts float64
-// expressions into FMA on amd64; every intermediate rounding below is
-// pinned by the expression order), rounded once to float32 at the end.
+// nonlinearities. Internals are float64, rounded once to float32 at the
+// end; every intermediate rounding below is pinned by the expression
+// order and by the explicit float64(...) around each product that feeds
+// an add, which keeps arm64 from fusing the pair into one FMA (amd64 at
+// GOAMD64=v1 never fuses). fexpCore's inline cost is at the budget of 80.
 //
 // fexp4/ftanh4 are 4-lane variants for the hot loops: each lane performs
 // EXACTLY the scalar function's operation sequence (TestFexp4MatchesScalar
@@ -37,14 +39,13 @@ const (
 // ~2.4e-6 — a few float32 ulps, frozen as spec), scaled by 2^n through
 // exponent-field construction.
 func fexpCore(xd float64) float32 {
-	n := xd*fexpLog2E + fexpMagic - fexpMagic
-	r := xd - n*fexpLn2
-	p := 1.0 / 120
-	p = p*r + 1.0/24
-	p = p*r + 1.0/6
-	p = p*r + 0.5
-	p = p*r + 1
-	p = p*r + 1
+	n := float64(xd*fexpLog2E) + fexpMagic - fexpMagic
+	r := xd - float64(n*fexpLn2)
+	p := float64(r*(1.0/120)) + 1.0/24
+	p = float64(p*r) + 1.0/6
+	p = float64(p*r) + 0.5
+	p = float64(p*r) + 1
+	p = float64(p*r) + 1
 	return float32(p * math.Float64frombits(uint64(1023+int64(n))<<52))
 }
 
@@ -89,38 +90,34 @@ func fexp4(x0, x1, x2, x3 float32) (float32, float32, float32, float32) {
 	if d3 > fexpHi {
 		d3 = fexpHi
 	}
-	n0 := d0*fexpLog2E + fexpMagic - fexpMagic
-	n1 := d1*fexpLog2E + fexpMagic - fexpMagic
-	n2 := d2*fexpLog2E + fexpMagic - fexpMagic
-	n3 := d3*fexpLog2E + fexpMagic - fexpMagic
-	r0 := d0 - n0*fexpLn2
-	r1 := d1 - n1*fexpLn2
-	r2 := d2 - n2*fexpLn2
-	r3 := d3 - n3*fexpLn2
-	p0 := 1.0 / 120
-	p1 := 1.0 / 120
-	p2 := 1.0 / 120
-	p3 := 1.0 / 120
-	p0 = p0*r0 + 1.0/24
-	p1 = p1*r1 + 1.0/24
-	p2 = p2*r2 + 1.0/24
-	p3 = p3*r3 + 1.0/24
-	p0 = p0*r0 + 1.0/6
-	p1 = p1*r1 + 1.0/6
-	p2 = p2*r2 + 1.0/6
-	p3 = p3*r3 + 1.0/6
-	p0 = p0*r0 + 0.5
-	p1 = p1*r1 + 0.5
-	p2 = p2*r2 + 0.5
-	p3 = p3*r3 + 0.5
-	p0 = p0*r0 + 1
-	p1 = p1*r1 + 1
-	p2 = p2*r2 + 1
-	p3 = p3*r3 + 1
-	p0 = p0*r0 + 1
-	p1 = p1*r1 + 1
-	p2 = p2*r2 + 1
-	p3 = p3*r3 + 1
+	n0 := float64(d0*fexpLog2E) + fexpMagic - fexpMagic
+	n1 := float64(d1*fexpLog2E) + fexpMagic - fexpMagic
+	n2 := float64(d2*fexpLog2E) + fexpMagic - fexpMagic
+	n3 := float64(d3*fexpLog2E) + fexpMagic - fexpMagic
+	r0 := d0 - float64(n0*fexpLn2)
+	r1 := d1 - float64(n1*fexpLn2)
+	r2 := d2 - float64(n2*fexpLn2)
+	r3 := d3 - float64(n3*fexpLn2)
+	p0 := float64(r0*(1.0/120)) + 1.0/24
+	p1 := float64(r1*(1.0/120)) + 1.0/24
+	p2 := float64(r2*(1.0/120)) + 1.0/24
+	p3 := float64(r3*(1.0/120)) + 1.0/24
+	p0 = float64(p0*r0) + 1.0/6
+	p1 = float64(p1*r1) + 1.0/6
+	p2 = float64(p2*r2) + 1.0/6
+	p3 = float64(p3*r3) + 1.0/6
+	p0 = float64(p0*r0) + 0.5
+	p1 = float64(p1*r1) + 0.5
+	p2 = float64(p2*r2) + 0.5
+	p3 = float64(p3*r3) + 0.5
+	p0 = float64(p0*r0) + 1
+	p1 = float64(p1*r1) + 1
+	p2 = float64(p2*r2) + 1
+	p3 = float64(p3*r3) + 1
+	p0 = float64(p0*r0) + 1
+	p1 = float64(p1*r1) + 1
+	p2 = float64(p2*r2) + 1
+	p3 = float64(p3*r3) + 1
 	return float32(p0 * math.Float64frombits(uint64(1023+int64(n0))<<52)),
 		float32(p1 * math.Float64frombits(uint64(1023+int64(n1))<<52)),
 		float32(p2 * math.Float64frombits(uint64(1023+int64(n2))<<52)),

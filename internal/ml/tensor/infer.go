@@ -64,7 +64,7 @@ func AttentionInto(out, q, k, v []float32, batch, Tq, T, heads, dh int) {
 		panic(fmt.Sprintf("tensor: AttentionInto shape mismatch batch=%d Tq=%d T=%d C=%d", batch, Tq, T, C))
 	}
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	parallelRows(batch, heads*Tq*(T+2*dh), func(bLo, bHi int) {
+	parallelRows(batch, attnFwdWork(Tq, T, heads, dh), func(bLo, bHi int) {
 		attnForwardRange(out, q, k, v, bLo, bHi, Tq, T, heads, dh, C, scale, nil)
 	})
 }

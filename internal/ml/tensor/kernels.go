@@ -131,29 +131,29 @@ func mmBlocked(c, aR, bT []float32, k, n int, bias []float32, accum bool, lo, hi
 			p := 0
 			for ; p+4 <= k; p += 4 {
 				b0, b1, b2, b3 := bj[p], bj[p+1], bj[p+2], bj[p+3]
-				s0 += a0[p] * b0
-				s1 += a1[p] * b0
-				s2 += a2[p] * b0
-				s3 += a3[p] * b0
-				s0 += a0[p+1] * b1
-				s1 += a1[p+1] * b1
-				s2 += a2[p+1] * b1
-				s3 += a3[p+1] * b1
-				s0 += a0[p+2] * b2
-				s1 += a1[p+2] * b2
-				s2 += a2[p+2] * b2
-				s3 += a3[p+2] * b2
-				s0 += a0[p+3] * b3
-				s1 += a1[p+3] * b3
-				s2 += a2[p+3] * b3
-				s3 += a3[p+3] * b3
+				s0 += float32(a0[p] * b0)
+				s1 += float32(a1[p] * b0)
+				s2 += float32(a2[p] * b0)
+				s3 += float32(a3[p] * b0)
+				s0 += float32(a0[p+1] * b1)
+				s1 += float32(a1[p+1] * b1)
+				s2 += float32(a2[p+1] * b1)
+				s3 += float32(a3[p+1] * b1)
+				s0 += float32(a0[p+2] * b2)
+				s1 += float32(a1[p+2] * b2)
+				s2 += float32(a2[p+2] * b2)
+				s3 += float32(a3[p+2] * b2)
+				s0 += float32(a0[p+3] * b3)
+				s1 += float32(a1[p+3] * b3)
+				s2 += float32(a2[p+3] * b3)
+				s3 += float32(a3[p+3] * b3)
 			}
 			for ; p < k; p++ {
 				bv := bj[p]
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
+				s0 += float32(a0[p] * bv)
+				s1 += float32(a1[p] * bv)
+				s2 += float32(a2[p] * bv)
+				s3 += float32(a3[p] * bv)
 			}
 			if accum {
 				c0[j] += s0
@@ -178,7 +178,7 @@ func mmBlocked(c, aR, bT []float32, k, n int, bias []float32, accum bool, lo, hi
 				s = bias[j]
 			}
 			for p, bv := range bj {
-				s += ai[p] * bv
+				s += float32(ai[p] * bv)
 			}
 			if accum {
 				ci[j] += s
@@ -197,29 +197,29 @@ func dot4(qi, k0, k1, k2, k3 []float32) (s0, s1, s2, s3 float32) {
 	d := 0
 	for ; d+4 <= len(qi); d += 4 {
 		q0, q1, q2, q3 := qi[d], qi[d+1], qi[d+2], qi[d+3]
-		s0 += q0 * k0[d]
-		s1 += q0 * k1[d]
-		s2 += q0 * k2[d]
-		s3 += q0 * k3[d]
-		s0 += q1 * k0[d+1]
-		s1 += q1 * k1[d+1]
-		s2 += q1 * k2[d+1]
-		s3 += q1 * k3[d+1]
-		s0 += q2 * k0[d+2]
-		s1 += q2 * k1[d+2]
-		s2 += q2 * k2[d+2]
-		s3 += q2 * k3[d+2]
-		s0 += q3 * k0[d+3]
-		s1 += q3 * k1[d+3]
-		s2 += q3 * k2[d+3]
-		s3 += q3 * k3[d+3]
+		s0 += float32(q0 * k0[d])
+		s1 += float32(q0 * k1[d])
+		s2 += float32(q0 * k2[d])
+		s3 += float32(q0 * k3[d])
+		s0 += float32(q1 * k0[d+1])
+		s1 += float32(q1 * k1[d+1])
+		s2 += float32(q1 * k2[d+1])
+		s3 += float32(q1 * k3[d+1])
+		s0 += float32(q2 * k0[d+2])
+		s1 += float32(q2 * k1[d+2])
+		s2 += float32(q2 * k2[d+2])
+		s3 += float32(q2 * k3[d+2])
+		s0 += float32(q3 * k0[d+3])
+		s1 += float32(q3 * k1[d+3])
+		s2 += float32(q3 * k2[d+3])
+		s3 += float32(q3 * k3[d+3])
 	}
 	for ; d < len(qi); d++ {
 		qd := qi[d]
-		s0 += qd * k0[d]
-		s1 += qd * k1[d]
-		s2 += qd * k2[d]
-		s3 += qd * k3[d]
+		s0 += float32(qd * k0[d])
+		s1 += float32(qd * k1[d])
+		s2 += float32(qd * k2[d])
+		s3 += float32(qd * k3[d])
 	}
 	return
 }
@@ -228,7 +228,7 @@ func dot4(qi, k0, k1, k2, k3 []float32) (s0, s1, s2, s3 float32) {
 func dot1(qi, kj []float32) float32 {
 	var s float32
 	for d, qd := range qi {
-		s += qd * kj[d]
+		s += float32(qd * kj[d])
 	}
 	return s
 }
@@ -239,10 +239,10 @@ func dot1(qi, kj []float32) float32 {
 func axpy4(dst []float32, w0, w1, w2, w3 float32, r0, r1, r2, r3 []float32) {
 	for d := range dst {
 		s := dst[d]
-		s += w0 * r0[d]
-		s += w1 * r1[d]
-		s += w2 * r2[d]
-		s += w3 * r3[d]
+		s += float32(w0 * r0[d])
+		s += float32(w1 * r1[d])
+		s += float32(w2 * r2[d])
+		s += float32(w3 * r3[d])
 		dst[d] = s
 	}
 }
@@ -250,7 +250,7 @@ func axpy4(dst []float32, w0, w1, w2, w3 float32, r0, r1, r2, r3 []float32) {
 // axpy1 accumulates one weighted row: dst[d] += w·r[d].
 func axpy1(dst []float32, w float32, r []float32) {
 	for d, rv := range r {
-		dst[d] += w * rv
+		dst[d] += float32(w * rv)
 	}
 }
 
@@ -405,7 +405,7 @@ func attnBackwardRange(qG, kG, vG, outG, q, k, v, probs []float32, bLo, bHi, Tq,
 				ai := a[i*T : (i+1)*T]
 				var dot float32
 				for j, da := range dAi {
-					dot += da * ai[j]
+					dot += float32(da * ai[j])
 				}
 				for j, da := range dAi {
 					dAi[j] = ai[j] * (da - dot) * scale
@@ -482,10 +482,10 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 			d1 := r1[j] - m1
 			d2 := r2[j] - m2
 			d3 := r3[j] - m3
-			v0 += d0 * d0
-			v1 += d1 * d1
-			v2 += d2 * d2
-			v3 += d3 * d3
+			v0 += float32(d0 * d0)
+			v1 += float32(d1 * d1)
+			v2 += float32(d2 * d2)
+			v3 += float32(d3 * d3)
 		}
 		s0 := float32(1 / math.Sqrt(float64(v0/nf)+eps))
 		s1 := float32(1 / math.Sqrt(float64(v1/nf)+eps))
@@ -518,10 +518,10 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 				x2[j] = h2
 				x3[j] = h3
 			}
-			o0[j] = h0*g + bt
-			o1[j] = h1*g + bt
-			o2[j] = h2*g + bt
-			o3[j] = h3*g + bt
+			o0[j] = float32(h0*g) + bt
+			o1[j] = float32(h1*g) + bt
+			o2[j] = float32(h2*g) + bt
+			o3[j] = float32(h3*g) + bt
 		}
 	}
 	for ; i < hi; i++ {
@@ -534,7 +534,7 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 		var va float32
 		for _, v := range row {
 			d := v - mu
-			va += d * d
+			va += float32(d * d)
 		}
 		va /= nf
 		is := float32(1 / math.Sqrt(float64(va)+eps))
@@ -549,7 +549,7 @@ func lnForwardRange(out, x, gamma, beta, xhat, invstd []float32, cols int, eps f
 			if xhat != nil {
 				xrow[j] = xh
 			}
-			orow[j] = xh*gamma[j] + beta[j]
+			orow[j] = float32(xh*gamma[j]) + beta[j]
 		}
 	}
 }
@@ -567,7 +567,7 @@ func lnBackward(aG, gammaG, betaG, outG, gamma, xhat, invstd []float32, rows, co
 		xrow := xhat[base : base+cols]
 		if needGamma {
 			for j, gv := range g {
-				gammaG[j] += gv * xrow[j]
+				gammaG[j] += float32(gv * xrow[j])
 			}
 		}
 		if needBeta {
@@ -578,16 +578,16 @@ func lnBackward(aG, gammaG, betaG, outG, gamma, xhat, invstd []float32, rows, co
 		if needA {
 			var sumDy, sumDyXhat float32
 			for j, gv := range g {
-				dy := gv * gamma[j]
+				dy := float32(gv * gamma[j])
 				sumDy += dy
-				sumDyXhat += dy * xrow[j]
+				sumDyXhat += float32(dy * xrow[j])
 			}
 			t1 := sumDy / nf
 			t2 := sumDyXhat / nf
 			is := invstd[i]
 			for j, gv := range g {
-				dy := gv * gamma[j]
-				aG[base+j] += is * ((dy - t1) - xrow[j]*t2)
+				dy := float32(gv * gamma[j])
+				aG[base+j] += float32(is * ((dy - t1) - float32(xrow[j]*t2)))
 			}
 		}
 	}
@@ -600,10 +600,10 @@ func geluFwdSlice(dst, src []float32) {
 	i := 0
 	for ; i+4 <= len(src); i += 4 {
 		x0, x1, x2, x3 := src[i], src[i+1], src[i+2], src[i+3]
-		u0 := c * (x0 + 0.044715*x0*x0*x0)
-		u1 := c * (x1 + 0.044715*x1*x1*x1)
-		u2 := c * (x2 + 0.044715*x2*x2*x2)
-		u3 := c * (x3 + 0.044715*x3*x3*x3)
+		u0 := c * (x0 + float32(0.044715*x0*x0*x0))
+		u1 := c * (x1 + float32(0.044715*x1*x1*x1))
+		u2 := c * (x2 + float32(0.044715*x2*x2*x2))
+		u3 := c * (x3 + float32(0.044715*x3*x3*x3))
 		t0, t1, t2, t3 := ftanh4(u0, u1, u2, u3)
 		dst[i+0] = 0.5 * x0 * (1 + t0)
 		dst[i+1] = 0.5 * x1 * (1 + t1)
@@ -622,21 +622,21 @@ func geluBwdSlice(dst, src, g []float32) {
 	i := 0
 	for ; i+4 <= len(src); i += 4 {
 		x0, x1, x2, x3 := src[i], src[i+1], src[i+2], src[i+3]
-		u0 := c * (x0 + 0.044715*x0*x0*x0)
-		u1 := c * (x1 + 0.044715*x1*x1*x1)
-		u2 := c * (x2 + 0.044715*x2*x2*x2)
-		u3 := c * (x3 + 0.044715*x3*x3*x3)
+		u0 := c * (x0 + float32(0.044715*x0*x0*x0))
+		u1 := c * (x1 + float32(0.044715*x1*x1*x1))
+		u2 := c * (x2 + float32(0.044715*x2*x2*x2))
+		u3 := c * (x3 + float32(0.044715*x3*x3*x3))
 		t0, t1, t2, t3 := ftanh4(u0, u1, u2, u3)
-		d0 := 0.5*(1+t0) + 0.5*x0*(1-t0*t0)*(c*(1+3*0.044715*x0*x0))
-		d1 := 0.5*(1+t1) + 0.5*x1*(1-t1*t1)*(c*(1+3*0.044715*x1*x1))
-		d2 := 0.5*(1+t2) + 0.5*x2*(1-t2*t2)*(c*(1+3*0.044715*x2*x2))
-		d3 := 0.5*(1+t3) + 0.5*x3*(1-t3*t3)*(c*(1+3*0.044715*x3*x3))
-		dst[i+0] += d0 * g[i+0]
-		dst[i+1] += d1 * g[i+1]
-		dst[i+2] += d2 * g[i+2]
-		dst[i+3] += d3 * g[i+3]
+		d0 := float32(0.5*(1+t0)) + float32(0.5*x0*(1-float32(t0*t0))*(c*(1+float32(3*0.044715*x0*x0))))
+		d1 := float32(0.5*(1+t1)) + float32(0.5*x1*(1-float32(t1*t1))*(c*(1+float32(3*0.044715*x1*x1))))
+		d2 := float32(0.5*(1+t2)) + float32(0.5*x2*(1-float32(t2*t2))*(c*(1+float32(3*0.044715*x2*x2))))
+		d3 := float32(0.5*(1+t3)) + float32(0.5*x3*(1-float32(t3*t3))*(c*(1+float32(3*0.044715*x3*x3))))
+		dst[i+0] += float32(d0 * g[i+0])
+		dst[i+1] += float32(d1 * g[i+1])
+		dst[i+2] += float32(d2 * g[i+2])
+		dst[i+3] += float32(d3 * g[i+3])
 	}
 	for ; i < len(src); i++ {
-		dst[i] += geluBwd(src[i]) * g[i]
+		dst[i] += float32(geluBwd(src[i]) * g[i])
 	}
 }

@@ -220,17 +220,24 @@ func TestAttentionIntoOracleBitwise(t *testing.T) {
 	}
 }
 
-// TestWorkerCountBitwise runs the same graphs — full self-attention and
-// the CLS-only Tq = 1 form at the training shape, whose 256 sequences
-// span several attention chunks — at worker counts 1, 2 and 8 and requires
-// identical bits everywhere: parallel chunking must never change an
-// output element's accumulation chain. The par pool keeps at least 8
-// resident workers, so a count of 8 fans out even on a smaller box.
+// TestWorkerCountBitwise runs the same graphs — full self-attention at
+// the served first layer's shape and the CLS-only Tq = 1 form at the
+// training shape — at worker counts 1, 2 and 8 and requires identical
+// bits everywhere: parallel chunking must never change an output
+// element's accumulation chain. Each shape must cut its sequences into at
+// least two attention chunks forward and backward, or the comparison
+// would hold trivially. The par pool keeps at least 8 resident workers,
+// so a count of 8 fans out even on a smaller box.
 func TestWorkerCountBitwise(t *testing.T) {
 	for _, s := range []attnShape{
-		{batch: 3, Tq: 13, T: 13, heads: 2, dh: 8},
+		{batch: 8, Tq: 50, T: 50, heads: 2, dh: 8},
 		{batch: 256, Tq: 1, T: 50, heads: 2, dh: 8},
 	} {
+		chunks := func(work int) int { c := chunkRows(work); return (s.batch + c - 1) / c }
+		fwd, bwd := chunks(attnFwdWork(s.Tq, s.T, s.heads, s.dh)), chunks(attnBwdWork(s.Tq, s.T, s.heads, s.dh))
+		if fwd < 2 || bwd < 2 {
+			t.Fatalf("%+v: attention runs in %d chunks forward and %d backward; the shape must span at least two each way", s, fwd, bwd)
+		}
 		var base []uint32
 		withProcs(1, func() { base = runAttnGraph(s).bits() })
 		for _, w := range []int{2, 8} {
@@ -251,7 +258,7 @@ func TestFexp4MatchesScalar(t *testing.T) {
 	}
 	rng := xrand.New(5)
 	for i := 0; i < 256; i++ {
-		inputs = append(inputs, float32((rng.Float64()-0.5)*260))
+		inputs = append(inputs, float32((float64(rng.Float64())-0.5)*260))
 	}
 	for i := 0; i+4 <= len(inputs); i += 4 {
 		x0, x1, x2, x3 := inputs[i], inputs[i+1], inputs[i+2], inputs[i+3]
@@ -275,7 +282,7 @@ func TestFexp4MatchesScalar(t *testing.T) {
 func TestFexpAccuracy(t *testing.T) {
 	rng := xrand.New(17)
 	for i := 0; i < 4096; i++ {
-		x := (rng.Float64() - 0.5) * 170
+		x := (float64(rng.Float64()) - 0.5) * 170
 		got := float64(fexp32(float32(x)))
 		want := math.Exp(float64(float32(x)))
 		if want == 0 || math.IsInf(want, 0) {
@@ -286,7 +293,7 @@ func TestFexpAccuracy(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4096; i++ {
-		x := (rng.Float64() - 0.5) * 24
+		x := (float64(rng.Float64()) - 0.5) * 24
 		got := float64(ftanh32(float32(x)))
 		want := math.Tanh(float64(float32(x)))
 		if diff := math.Abs(got - want); diff > 1e-5 {
@@ -318,7 +325,7 @@ func TestGELUSliceMatchesScalar(t *testing.T) {
 		accFast := append([]float32(nil), acc...)
 		geluBwdSlice(accFast, src, g)
 		for i := range src {
-			want := acc[i] + geluBwd(src[i])*g[i]
+			want := acc[i] + float32(geluBwd(src[i])*g[i])
 			if math.Float32bits(accFast[i]) != math.Float32bits(want) {
 				t.Fatalf("geluBwdSlice n=%d elem %d: %g vs %g", n, i, accFast[i], want)
 			}

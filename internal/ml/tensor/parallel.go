@@ -12,13 +12,15 @@ import "memfp/internal/par"
 // GOMAXPROCS to {1, 2, 8} and compare bytes (at 1, kernels run fully
 // inline with zero synchronization).
 func parallelRows(rows, workPerRow int, fn func(lo, hi int)) {
+	par.ForEachChunk(0, rows, chunkRows(workPerRow), fn)
+}
+
+// chunkRows is parallelRows' chunk size: as many rows as reach a work
+// estimate of 1<<15, and at least one.
+func chunkRows(workPerRow int) int {
 	const minWork = 1 << 15
 	if workPerRow < 1 {
 		workPerRow = 1
 	}
-	chunk := minWork / workPerRow
-	if chunk < 1 {
-		chunk = 1
-	}
-	par.ForEachChunk(0, rows, chunk, fn)
+	return max(minWork/workPerRow, 1)
 }

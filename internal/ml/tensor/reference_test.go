@@ -32,7 +32,7 @@ func refMatmul(c, a, b []float32, m, k, n int, ta, tb bool, bias []float32, accu
 				} else {
 					bv = b[p*n+j]
 				}
-				s += av * bv
+				s += float32(av * bv)
 			}
 			if accum {
 				c[i*n+j] += s
@@ -62,7 +62,7 @@ func refAttnForward(out, q, k, v []float32, batch, Tq, T, heads, dh, C int, scal
 				for j := 0; j < T; j++ {
 					var s float32
 					for d := 0; d < dh; d++ {
-						s += q[qidx(b, i, h, d)] * k[kidx(b, j, h, d)]
+						s += float32(q[qidx(b, i, h, d)] * k[kidx(b, j, h, d)])
 					}
 					a[j] = s * scale
 				}
@@ -85,7 +85,7 @@ func refAttnForward(out, q, k, v []float32, batch, Tq, T, heads, dh, C int, scal
 				for d := 0; d < dh; d++ {
 					var o float32
 					for j := 0; j < T; j++ {
-						o += a[j] * v[kidx(b, j, h, d)]
+						o += float32(a[j] * v[kidx(b, j, h, d)])
 					}
 					out[qidx(b, i, h, d)] = o
 				}
@@ -110,7 +110,7 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, Tq, T, h
 				for j := 0; j < T; j++ {
 					var s float32
 					for d := 0; d < dh; d++ {
-						s += outG[qidx(b, i, h, d)] * v[kidx(b, j, h, d)]
+						s += float32(outG[qidx(b, i, h, d)] * v[kidx(b, j, h, d)])
 					}
 					dS[i*T+j] = s
 				}
@@ -120,7 +120,7 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, Tq, T, h
 					for j := 0; j < T; j++ {
 						av := a[i*T+j]
 						for d := 0; d < dh; d++ {
-							vG[kidx(b, j, h, d)] += av * outG[qidx(b, i, h, d)]
+							vG[kidx(b, j, h, d)] += float32(av * outG[qidx(b, i, h, d)])
 						}
 					}
 				}
@@ -128,7 +128,7 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, Tq, T, h
 			for i := 0; i < Tq; i++ {
 				var dot float32
 				for j := 0; j < T; j++ {
-					dot += dS[i*T+j] * a[i*T+j]
+					dot += float32(dS[i*T+j] * a[i*T+j])
 				}
 				for j := 0; j < T; j++ {
 					dS[i*T+j] = a[i*T+j] * (dS[i*T+j] - dot) * scale
@@ -139,7 +139,7 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, Tq, T, h
 					for j := 0; j < T; j++ {
 						ds := dS[i*T+j]
 						for d := 0; d < dh; d++ {
-							qG[qidx(b, i, h, d)] += ds * k[kidx(b, j, h, d)]
+							qG[qidx(b, i, h, d)] += float32(ds * k[kidx(b, j, h, d)])
 						}
 					}
 				}
@@ -147,7 +147,7 @@ func refAttnBackward(qG, kG, vG, outG, q, k, v, probs []float32, batch, Tq, T, h
 					for j := 0; j < T; j++ {
 						ds := dS[i*T+j]
 						for d := 0; d < dh; d++ {
-							kG[kidx(b, j, h, d)] += ds * q[qidx(b, i, h, d)]
+							kG[kidx(b, j, h, d)] += float32(ds * q[qidx(b, i, h, d)])
 						}
 					}
 				}
@@ -169,7 +169,7 @@ func refLayerNormForward(out, x, gamma, beta, xhat, invstd []float32, rows, cols
 		var va float32
 		for j := 0; j < cols; j++ {
 			d := x[i*cols+j] - mu
-			va += d * d
+			va += float32(d * d)
 		}
 		va /= nf
 		is := float32(1 / math.Sqrt(float64(va)+eps))
@@ -177,7 +177,7 @@ func refLayerNormForward(out, x, gamma, beta, xhat, invstd []float32, rows, cols
 		for j := 0; j < cols; j++ {
 			xh := (x[i*cols+j] - mu) * is
 			xhat[i*cols+j] = xh
-			out[i*cols+j] = xh*gamma[j] + beta[j]
+			out[i*cols+j] = float32(xh*gamma[j]) + beta[j]
 		}
 	}
 }

@@ -21,7 +21,14 @@
 // two contractions (scores and value reduction, over per-head panels)
 // all call it, so attention rides the micro-kernel wherever the linear
 // layers do. Nonlinearities go through the frozen fexp32 / ftanh32
-// helpers (fexp.go) rather than libm. Consequently kernel output is
+// helpers (fexp.go) rather than libm. Every product that feeds an add is
+// written with an explicit conversion, float32(a*b) (float64 inside
+// fexp.go and Adam), which the Go spec makes a fusion barrier: arm64 may
+// otherwise contract x*y + z into one FMA instruction with a single
+// rounding, which amd64 at GOAMD64=v1 never does, and the two
+// architectures would round differently. The conversions are no-ops on
+// amd64; `make cross-check` disassembles the arm64 test binaries and fails
+// on any fused multiply-add. Consequently kernel output is
 // bit-identical for every worker count and bit-identical between the
 // fast kernels and the naive reference implementations kept beside the
 // tests (reference_test.go); the oracle property tests enforce both,
@@ -254,17 +261,17 @@ func Add(a, b *Tensor) *Tensor {
 // op and the grad-free inference path.
 func geluFwd(x float32) float32 {
 	const c = 0.7978845608028654 // sqrt(2/pi)
-	u := c * (x + 0.044715*x*x*x)
+	u := c * (x + float32(0.044715*x*x*x))
 	return 0.5 * x * (1 + ftanh32(u))
 }
 
 // geluBwd is d(gelu)/dx at x.
 func geluBwd(x float32) float32 {
 	const c = 0.7978845608028654
-	u := c * (x + 0.044715*x*x*x)
+	u := c * (x + float32(0.044715*x*x*x))
 	th := ftanh32(u)
-	du := c * (1 + 3*0.044715*x*x)
-	return 0.5*(1+th) + 0.5*x*(1-th*th)*du
+	du := c * (1 + float32(3*0.044715*x*x))
+	return float32(0.5*(1+th)) + float32(0.5*x*(1-float32(th*th))*du)
 }
 
 // GELU applies the Gaussian error linear unit elementwise (tanh
@@ -363,9 +370,9 @@ func BCEWithLogits(logits *Tensor, y []float64, posWeight float64) *Tensor {
 		weights[i] = w
 		// Numerically stable logloss.
 		if y[i] == 1 {
-			total += -w * math.Log(math.Max(p, 1e-12))
+			total += float64(-w * math.Log(math.Max(p, 1e-12)))
 		} else {
-			total += -w * math.Log(math.Max(1-p, 1e-12))
+			total += float64(-w * math.Log(math.Max(1-p, 1e-12)))
 		}
 	}
 	out.Data[0] = float32(total / n)
@@ -385,7 +392,7 @@ func BCEWithLogits(logits *Tensor, y []float64, posWeight float64) *Tensor {
 func XavierInit(t *Tensor, rng *xrand.RNG) *Tensor {
 	limit := math.Sqrt(6.0 / float64(t.Rows+t.Cols))
 	for i := range t.Data {
-		t.Data[i] = float32((rng.Float64()*2 - 1) * limit)
+		t.Data[i] = float32((float64(rng.Float64())*2 - 1) * limit)
 	}
 	return t
 }

@@ -478,46 +478,87 @@ func TestSnapshotConcurrentWithServing(t *testing.T) {
 }
 
 // TestSpillBoundedIngest runs the bounded eviction churn of
-// TestEvictionTransparent with a disk-backed spill store: the alarm
-// stream must stay byte-identical while frozen records actually leave
-// the heap (spill counters move, and thaws read records back).
+// TestEvictionTransparent with a spill store underneath: the alarm stream
+// must stay byte-identical while frozen records actually leave the heap
+// (spill counters move, and thaws read records back). The whole stream
+// runs on MemSpill; a short prefix runs through DirSpill, so the
+// directory store also sees the engine's Put, Get and Delete traffic
+// without a file write per eviction of the whole stream.
 func TestSpillBoundedIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
 	}
 	pipe, stream, register := snapshotStream(t)
 
-	run := func(budget int64, spill SpillStore) ([]Alarm, MemoryStats) {
+	run := func(stream []trace.Event, budget int64, spill SpillStore) ([]Alarm, MemoryStats) {
 		s := NewShardedServer(pipe.Platform, pipe.Features, pipe.Registry, pipe.ModelName, nil, 4)
 		s.MemoryBudget = budget
 		s.Spill = spill
 		register(s)
 		return ingestChunks(t, s, stream), s.MemoryStats()
 	}
-
-	want, _ := run(0, nil)
-	if len(want) == 0 {
-		t.Fatal("no alarms; fixture proves nothing")
+	check := func(name string, stream []trace.Event, spill SpillStore) {
+		t.Helper()
+		want, _ := run(stream, 0, nil)
+		if len(want) == 0 {
+			t.Fatalf("%s: no alarms; fixture proves nothing", name)
+		}
+		got, ms := run(stream, 64<<10, spill)
+		if ms.Spills == 0 {
+			t.Fatalf("%s: spill never exercised (evictions=%d)", name, ms.Evictions)
+		}
+		if ms.SpilledBytes < 0 {
+			t.Fatalf("%s: spilled-bytes gauge went negative: %d", name, ms.SpilledBytes)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d alarms with spill, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: alarm %d differs with spill:\n got %+v\nwant %+v", name, i, got[i], want[i])
+			}
+		}
 	}
-	spill, err := NewDirSpill(t.TempDir())
+
+	check("MemSpill", stream, NewMemSpill())
+
+	dir, err := NewDirSpill(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ms := run(64<<10, spill)
-	if ms.Spills == 0 {
-		t.Fatalf("spill never exercised (evictions=%d)", ms.Evictions)
+	cs := &countingSpill{SpillStore: dir}
+	check("DirSpill", stream[:len(stream)/8], cs)
+	if cs.puts == 0 || cs.gets == 0 || cs.deletes == 0 {
+		t.Fatalf("DirSpill saw %d puts, %d gets and %d deletes; want each", cs.puts, cs.gets, cs.deletes)
 	}
-	if ms.SpilledBytes < 0 {
-		t.Fatalf("spilled-bytes gauge went negative: %d", ms.SpilledBytes)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d alarms with disk spill, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("alarm %d differs with disk spill:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
+}
+
+// countingSpill counts the calls a SpillStore receives.
+type countingSpill struct {
+	SpillStore
+	mu                  sync.Mutex
+	puts, gets, deletes int
+}
+
+func (c *countingSpill) Put(key string, data []byte) error {
+	c.mu.Lock()
+	c.puts++
+	c.mu.Unlock()
+	return c.SpillStore.Put(key, data)
+}
+
+func (c *countingSpill) Get(key string) ([]byte, error) {
+	c.mu.Lock()
+	c.gets++
+	c.mu.Unlock()
+	return c.SpillStore.Get(key)
+}
+
+func (c *countingSpill) Delete(key string) error {
+	c.mu.Lock()
+	c.deletes++
+	c.mu.Unlock()
+	return c.SpillStore.Delete(key)
 }
 
 // lyingSnapshot is a one-record snapshot whose event count (1<<62) its

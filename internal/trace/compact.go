@@ -18,7 +18,9 @@ import "sort"
 //     pre-drop firsts are captured and merged back by every index rebuild.
 //   - The per-type index stays current: the compaction advances each view
 //     (CEs, UEs, StormTimes) past the dropped counts into a fresh array, so
-//     a view handed out earlier keeps its old contents. No event is
+//     a view handed out earlier keeps its old contents. When every
+//     retained event is a CE, the CE view is the fresh retained array
+//     itself, as in any all-CE log. No event is
 //     reordered, so IndexGen does not advance; a consumer holding positions
 //     into the views (features.ServeCursor) shifts them by the change in
 //     CompactedCEs and CompactedStorms since it last looked.
@@ -67,8 +69,11 @@ func (d *DIMMLog) CompactBefore(cut Minutes, fold func(Event)) int {
 	retained := make([]Event, len(d.Events)-k)
 	copy(retained, d.Events[k:])
 	d.Events = retained
-	d.ces = dropPrefix(d.ces, nCE)
-	d.ceTimes = dropPrefix(d.ceTimes, nCE)
+	if n := len(retained); len(d.ces)-nCE == n && n > 0 {
+		d.ces = retained[:n:n] // every retained event is a CE: the view is the log
+	} else {
+		d.ces = dropPrefix(d.ces, nCE)
+	}
 	d.ues = dropPrefix(d.ues, nUE)
 	d.storms = dropPrefix(d.storms, nStorm)
 	d.idxLen = len(d.Events)

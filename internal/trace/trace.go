@@ -116,9 +116,13 @@ func (s ByTime) Less(i, j int) bool {
 // feature extraction, and labeling.
 //
 // SortEvents (and Store.SortAll) additionally builds a per-type index —
-// cached CE/UE subsets, a CE-times slice for binary search, first-CE/UE
-// instants — that turns the hot window queries (CEsBetween, FirstUE,
-// FirstCE, CEs, UEs) into O(log n) or O(1) lookups with no allocation.
+// cached CE/UE subsets and first-CE/UE instants — that turns the hot
+// window queries (CEsBetween, FirstUE, FirstCE, CEs, UEs) into O(log n)
+// or O(1) lookups with no allocation. While every event in the log is a
+// CE, the CE view is the event array itself (Events[:n:n]), so the log
+// holds each event once. The view's capacity ends at its length, so
+// after the first UE or storm the next CE's append copies it into an
+// array of its own, once: a copy of what is then the log's CE prefix.
 // The index is keyed to len(Events): mutating Events directly (bulk
 // loading, tests) silently degrades queries to the original linear scans
 // until the next SortEvents, and never mutates the log, so a fully sorted
@@ -134,9 +138,8 @@ type DIMMLog struct {
 	// valid index for an empty log.
 	idxLen  int
 	idxGen  uint64    // bumped on every full index rebuild (buildIndex)
-	ces     []Event   // CE events in time order
+	ces     []Event   // CE events in time order; Events[:n:n] while all are CEs
 	ues     []Event   // UE events in time order
-	ceTimes []Minutes // ceTimes[i] == ces[i].Time, for binary search
 	storms  []Minutes // storm event times in order
 	firstCE Minutes
 	firstUE Minutes
@@ -154,22 +157,45 @@ type DIMMLog struct {
 	foldState                                FoldState
 }
 
-// SortEvents sorts the event slice in place by time and rebuilds the
-// query index.
+// SortEvents sorts the events by time and rebuilds the query index. The
+// sort is in place, except when the CE view shares the event array: then
+// it sorts a copy of the same capacity, so a CE view handed out earlier
+// keeps its contents. A log that was never indexed (a bulk load) pays no
+// copy.
 func (d *DIMMLog) SortEvents() {
+	if len(d.ces) > 0 && len(d.Events) > 0 && &d.ces[0] == &d.Events[0] {
+		events := make([]Event, len(d.Events), cap(d.Events))
+		copy(events, d.Events)
+		d.Events = events
+	}
 	sort.Sort(ByTime(d.Events))
 	d.buildIndex()
 }
 
-// buildIndex recomputes the cached per-type views from Events. The
-// slices are allocated fresh rather than reusing the old backing arrays:
-// views handed out before a re-sort (CEs, UEs, CEsBetween, StormTimes)
-// then stay stale-but-consistent snapshots instead of being overwritten
-// in place under the holder.
+// buildIndex recomputes the cached per-type views from Events. The UE,
+// storm and (in a log that holds anything but CEs) CE views are allocated
+// fresh rather than reusing the old backing arrays: views handed out
+// before a re-sort (CEs, UEs, CEsBetween, StormTimes) then stay
+// stale-but-consistent snapshots instead of being overwritten in place
+// under the holder. An all-CE log's view is Events itself, which
+// SortEvents has already made fresh when an earlier view shared it.
 func (d *DIMMLog) buildIndex() {
-	d.ces = nil
+	nCE := 0
+	for i := range d.Events {
+		if d.Events[i].Type == TypeCE {
+			nCE++
+		}
+	}
+	n := len(d.Events)
+	switch {
+	case nCE == 0:
+		d.ces = nil
+	case nCE == n:
+		d.ces = d.Events[:n:n]
+	default:
+		d.ces = make([]Event, 0, nCE)
+	}
 	d.ues = nil
-	d.ceTimes = nil
 	d.storms = nil
 	d.hasCE, d.hasUE = false, false
 	d.firstCE, d.firstUE = 0, 0
@@ -179,8 +205,9 @@ func (d *DIMMLog) buildIndex() {
 			if !d.hasCE {
 				d.hasCE, d.firstCE = true, e.Time
 			}
-			d.ces = append(d.ces, e)
-			d.ceTimes = append(d.ceTimes, e.Time)
+			if nCE < n {
+				d.ces = append(d.ces, e)
+			}
 		case TypeUE:
 			if !d.hasUE {
 				d.hasUE, d.firstUE = true, e.Time
@@ -228,9 +255,16 @@ func (d *DIMMLog) IndexGen() uint64 { return d.idxGen }
 // indexed O(1)/O(log n) costs. An out-of-order append (or an append to an
 // already-degraded log) falls back to the documented stale-index
 // semantics: queries revert to linear scans until the next SortEvents.
+//
+// While the log holds only CEs, an in-order CE re-slices the CE view over
+// Events instead of copying the event a second time. The view's capacity
+// ends at its length, so after the first UE or storm the next CE's append
+// copies it into an array of its own, once, and nothing written to Events
+// ever lands inside a view handed out earlier.
 func (d *DIMMLog) Append(e Event) {
 	inOrder := d.indexed() &&
 		(len(d.Events) == 0 || e.Time >= d.Events[len(d.Events)-1].Time)
+	allCE := inOrder && len(d.ces) == len(d.Events)
 	d.Events = append(d.Events, e)
 	if !inOrder {
 		return // index now (or already) stale; linear fallback answers
@@ -240,8 +274,11 @@ func (d *DIMMLog) Append(e Event) {
 		if !d.hasCE {
 			d.hasCE, d.firstCE = true, e.Time
 		}
-		d.ces = append(d.ces, e)
-		d.ceTimes = append(d.ceTimes, e.Time)
+		if n := len(d.Events); allCE {
+			d.ces = d.Events[:n:n]
+		} else {
+			d.ces = append(d.ces, e)
+		}
 	case TypeUE:
 		if !d.hasUE {
 			d.hasUE, d.firstUE = true, e.Time
@@ -340,8 +377,9 @@ func (d *DIMMLog) CEsBetween(from, to Minutes) []Event {
 // ceRange returns the index range [lo, hi) of cached CEs with Time in
 // [from, to). Callers must hold an indexed log.
 func (d *DIMMLog) ceRange(from, to Minutes) (lo, hi int) {
-	lo = sort.Search(len(d.ceTimes), func(i int) bool { return d.ceTimes[i] >= from })
-	hi = sort.Search(len(d.ceTimes), func(i int) bool { return d.ceTimes[i] >= to })
+	ces := d.ces
+	lo = sort.Search(len(ces), func(i int) bool { return ces[i].Time >= from })
+	hi = sort.Search(len(ces), func(i int) bool { return ces[i].Time >= to })
 	return lo, hi
 }
 
