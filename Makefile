@@ -60,9 +60,13 @@ bench-check:
 # as float32(a*b), the spec's fusion barrier. It disassembles the binary
 # rather than reading -gcflags=-S, which prints nothing on a cached build,
 # and requires float multiplies in the dump so a pattern that matched no
-# function cannot pass. The last line runs the ftt package benchmarks once
-# each (under a second), so the timing tools no other target compiles
-# cannot rot.
+# function cannot pass. The same dumps must hold no call to the hot
+# tensor helpers the kernels rely on the compiler to inline (fexpCore sits
+# exactly at the inline budget; `go build -gcflags=-m=2
+# ./internal/ml/tensor/` prints each one's cost): an out-of-line call
+# there puts a call into every softmax, GELU or attention element. The
+# last line runs the ftt package benchmarks once each (under a second), so
+# the timing tools no other target compiles cannot rot.
 cross-check:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/ml/...
@@ -74,7 +78,10 @@ cross-check:
 		if grep -E '\bF(N)?M(ADD|SUB)[SD]\b' "$$d/$$p.s"; then \
 			echo "cross-check: fused multiply-add in the arm64 build of $$p"; exit 1; \
 		fi; \
-	done && echo "cross-check: no fused multiply-add in the arm64 tensor and ftt code"
+		if grep -E 'CALL memfp/internal/ml/tensor\.(fexpCore|axpy4|axpy1|dot1)\(SB\)' "$$d/$$p.s"; then \
+			echo "cross-check: a hot tensor helper is called out of line in the arm64 build of $$p"; exit 1; \
+		fi; \
+	done && echo "cross-check: no fused multiply-add and no out-of-line hot helper in the arm64 tensor and ftt code"
 	$(GO) test -tags purego ./internal/ml/tensor/ ./internal/ml/ftt/
 	$(GO) test -run '^$$' -bench 'InferServingShape|FitStep' -benchtime 1x ./internal/ml/ftt/
 

@@ -4,17 +4,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"memfp"
 	"memfp/internal/analysis"
-	"memfp/internal/controlplane"
-	"memfp/internal/dataset"
 	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
-	"memfp/internal/mlops"
 	"memfp/internal/pipeline"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
@@ -162,7 +158,8 @@ func cmdTrain(args []string) error {
 	return nil
 }
 
-// cmdServe runs the MLOps pipeline end to end on a simulated stream.
+// cmdServe runs the paper's Figure 6 loop on a simulated stream, served
+// whole.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	scale, seed := commonFlags(fs)
@@ -177,59 +174,6 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	name, err := resolveAlgo(*trainer)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return runServe(context.Background(), os.Stdout, pipeline.Shared, id, name, *scale, *seed, *shards, *membudget)
-}
-
-// runServe is the serve flow against an explicit writer and cache, so
-// repro's fig6 can write into the report and share the run's fleets.
-func runServe(ctx context.Context, w io.Writer, cache *pipeline.FleetCache,
-	id platform.ID, trainer string, scale float64, seed uint64, shards int, membudgetMiB int64) error {
-	res, err := cache.Get(ctx, faultsim.Config{Platform: id, Scale: scale, Seed: seed})
-	if err != nil {
-		return err
-	}
-	pipe := mlops.NewPipeline(id)
-	pipe.Seed = seed
-	pipe.TrainerName = trainer
-	pipe.Shards = shards
-	pipe.MemoryBudget = membudgetMiB << 20
-	tr, err := pipe.TrainAndMaybePromote(res.Store, dataset.TrainEndDay*trace.Day, dataset.ValEndDay*trace.Day)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "trained %s v%d: promoted=%v (%s), benchmark %s\n",
-		tr.Version.Name, tr.Version.Version, tr.Promoted, tr.Reason, tr.Benchmark)
-
-	// Serve the fleet's time-ordered stream through the control plane's
-	// in-process node, tick by tick, the way mlopsd does.
-	cp, err := controlplane.New(controlplane.Config{Pipeline: pipe})
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
-	for _, l := range res.Store.DIMMs() {
-		cp.RegisterDIMM(l.ID, l.Part)
-	}
-	all, failed := res.Store.Stream()
-	alarms, err := cp.ServeStream(ctx, all)
-	if err != nil {
-		return err
-	}
-	pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
-	fmt.Fprintf(w, "replayed stream: %d alarms emitted\n", len(alarms))
-	fl := cp.Fleet()
-	if membudgetMiB > 0 {
-		ms := fl.Memory
-		fmt.Fprintf(w, "memory budget %d MiB: resident=%dB (%d DIMMs live, %d frozen), evictions=%d rehydrations=%d compactions=%d\n",
-			membudgetMiB, ms.ResidentBytes, ms.ResidentDIMMs, ms.FrozenDIMMs,
-			ms.Evictions, ms.Rehydrations, ms.Compactions)
-	}
-	fmt.Fprint(w, pipe.Monitor.DashboardOf(fl.Predictions, fl.Shards))
-	dec := pipe.Monitor.ShouldRetrain(fl.PSI, 0.25, 0.2)
-	fmt.Fprintf(w, "retraining decision: retrain=%v (%s)\n", dec.Retrain, dec.Reason)
-	return nil
+	return memfp.RunFigure6(context.Background(), memfp.Config{Scale: *scale, Seed: *seed},
+		memfp.Figure6{Platform: id, Trainer: *trainer, Shards: *shards, MemoryBudgetMiB: *membudget}, os.Stdout)
 }

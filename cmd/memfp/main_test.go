@@ -8,17 +8,19 @@ import (
 	"strings"
 	"testing"
 
+	"memfp"
 	"memfp/internal/ml/model"
 	"memfp/internal/pipeline"
 	"memfp/internal/platform"
 )
 
-// TestRunServeSmoke runs the serve flow (train → gate → serve through the
-// control plane's in-process node → dashboard) at the examples-smoke
-// scale, requires the same report at one shard and at four, and pins the
-// fleet's alarm, prediction and feedback lines, so a change to how the
-// stream reaches the engine cannot move the alarm stream unnoticed. The
-// dashboard's shard lines are wall-clock and are not compared.
+// TestRunServeSmoke runs serve's Figure 6 loop (train → gate → serve the
+// whole stream through the control plane's in-process node → dashboard)
+// at the examples-smoke scale, requires the same report at one shard and
+// at four, and pins the fleet's alarm, prediction and feedback lines, so a
+// change to how the stream reaches the engine cannot move the alarm
+// stream unnoticed. The dashboard's shard lines are wall-clock and are
+// not compared.
 func TestRunServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
@@ -29,11 +31,12 @@ func TestRunServeSmoke(t *testing.T) {
 		"feedback: TP=27 FP=65 FN=33 (live P=0.29 R=0.45)",
 	}
 	shardLine := regexp.MustCompile(`(?m)^shard \d+: .*\n`)
-	cache := pipeline.NewFleetCache()
+	cfg := memfp.Config{Scale: 0.03, Seed: 31, Fleets: pipeline.NewFleetCache()}
 	var want string
 	for _, shards := range []int{1, 4} {
 		var out bytes.Buffer
-		if err := runServe(context.Background(), &out, cache, platform.Purley, model.NameGBDT, 0.03, 31, shards, 0); err != nil {
+		set := memfp.Figure6{Platform: platform.Purley, Trainer: model.NameGBDT, Shards: shards}
+		if err := memfp.RunFigure6(context.Background(), cfg, set, &out); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		got := shardLine.ReplaceAllString(out.String(), "")
@@ -51,15 +54,15 @@ func TestRunServeSmoke(t *testing.T) {
 	}
 }
 
-// TestReproKnowsEveryExperiment pins the list `memfp repro` runs: the
-// root package's tables and figures plus fig6, in report order.
+// TestReproKnowsEveryExperiment requires `memfp repro -exp` to offer
+// exactly the root package's experiment list, in report order.
 func TestReproKnowsEveryExperiment(t *testing.T) {
-	var got []string
-	for _, e := range experiments() {
-		got = append(got, e.Name)
+	var names []string
+	for _, e := range memfp.Experiments() {
+		names = append(names, e.Name)
 	}
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6", "transfer"}
-	if !slices.Equal(got, want) {
-		t.Errorf("repro experiments %v, want %v", got, want)
+	want := "(want all|" + strings.Join(names, "|") + ")"
+	if err := cmdRepro([]string{"-exp", "no-such-experiment"}); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("repro -exp no-such-experiment: %v, want an error ending %q", err, want)
 	}
 }

@@ -5,11 +5,13 @@
 // at each cycle — the "continuous improvement over the production
 // lifecycle" the paper argues for.
 //
-// Control-plane mode (default) owns the pipeline, registry and monitor,
-// and optionally exposes the HTTP API + Prometheus /metrics. It serves
-// through one node built in-process; with -nodes N it partitions the
-// fleet across N node daemons instead, and emits the byte-identical alarm
-// stream:
+// Control-plane mode (default) is memfp's Figure 6 loop in monthly
+// cycles (memfp.BootFigure6, then Serve; `memfp serve` runs the same loop
+// over the whole stream at once). It owns the pipeline, registry and
+// monitor, and optionally exposes the HTTP API + Prometheus /metrics
+// between the loop's boot and its replay. It serves through one node
+// built in-process; with -nodes N it partitions the fleet across N node
+// daemons instead, and emits the byte-identical alarm stream:
 //
 //	mlopsd [-platform Intel_Purley] [-scale 0.05] [-seed 42]
 //	       [-trainer LightGBM] [-shards 0] [-membudget 0]
@@ -18,7 +20,8 @@
 //
 // Either way the bootstrap history and then each month go through the
 // control plane's ServeStream — 1,024-event ticks, delivery flushed at
-// the end — so every month's line counts that month's alarms. With
+// the end — so every month's line counts that month's alarms. The
+// -alarm-log renders every alarm, the history's too, one line each. With
 // daemons the control plane also checkpoints each node's serving state
 // every -checkpoint-every emitted ticks and frees the journal prefix
 // every checkpoint covers; -spill-dir keeps the checkpoints on disk
@@ -50,19 +53,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"syscall"
 	"time"
 
+	"memfp"
 	"memfp/internal/controlplane"
-	"memfp/internal/dataset"
-	"memfp/internal/faultsim"
 	"memfp/internal/ml/model"
 	"memfp/internal/mlops"
-	"memfp/internal/pipeline"
 	"memfp/internal/platform"
-	"memfp/internal/trace"
 )
 
 type options struct {
@@ -161,107 +160,36 @@ func runNode(ctx context.Context, o *options) error {
 		return err
 	}
 	fmt.Print(n.Dashboard())
-	printMemory(n.Stats().MemoryStats)
+	// The memory counters live on the engine, not the monitor.
+	ms := n.Stats().MemoryStats
+	fmt.Printf("memory: resident=%dB evictions=%d rehydrations=%d compactions=%d (-%d events)\n",
+		ms.ResidentBytes, ms.Evictions, ms.Rehydrations, ms.Compactions, ms.CompactedEvents)
 	return nil
 }
 
-// printMemory prints the serving-memory line that goes beside a monitor
-// dashboard: the counters live on the engines, not the monitor.
-func printMemory(ms mlops.MemoryStats) {
-	fmt.Printf("memory: resident=%dB evictions=%d rehydrations=%d compactions=%d (-%d events)\n",
-		ms.ResidentBytes, ms.Evictions, ms.Rehydrations, ms.Compactions, ms.CompactedEvents)
-}
-
-// runControl runs the control plane: bootstrap training, the monthly
-// replay/retrain loop, and the final dashboard. With -nodes N the replay
-// is served by N joined daemons instead of the in-process node.
+// runControl runs the control plane: memfp's Figure 6 loop in monthly
+// cycles, with the HTTP API served between its boot and its replay. With
+// -nodes N the replay is served by N joined daemons instead of the
+// in-process node.
 func runControl(ctx context.Context, o *options) error {
-	id := platform.ID(o.platform)
-	if _, err := platform.Get(id); err != nil {
-		return err
-	}
-	// Resolve the trainer before paying for fleet generation; this also
-	// accepts the CLI shorthands (lightgbm, ftt, ...).
-	resolved, err := model.Resolve(o.trainer)
-	if err != nil {
-		return err
-	}
-	if !resolved.Applicable(id) {
-		return fmt.Errorf("mlopsd: trainer %q is not applicable on %s", resolved.Name(), id)
-	}
 	if o.nodes > 0 && o.addr == "" {
 		return errors.New("-nodes requires -addr so daemons can join")
 	}
-
-	res, err := pipeline.Generate(ctx, faultsim.Config{Platform: id, Scale: o.scale, Seed: o.seed})
-	if err != nil {
-		return err
+	set := memfp.Figure6{
+		Platform: platform.ID(o.platform), Trainer: o.trainer,
+		Shards: o.shards, MemoryBudgetMiB: o.membudget, Cycles: true,
+		ControlPlane: controlplane.Config{ExpectNodes: o.nodes, CheckpointEvery: o.ckptEvery},
 	}
-	// The time-ordered stream, and the outcomes feedback resolves against.
-	all, failed := res.Store.Stream()
-
-	pipe := mlops.NewPipeline(id)
-	pipe.Seed = o.seed
-	pipe.TrainerName = resolved.Name()
-	pipe.Shards = o.shards
-	pipe.MemoryBudget = o.membudget << 20
-
-	// Bootstrap: train on the first five months.
-	valEnd := dataset.ValEndDay * trace.Day
-	tr, err := pipe.TrainAndMaybePromote(res.Store, dataset.TrainEndDay*trace.Day, valEnd)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("[cycle 0] trained %s v%d  promoted=%v (%s)  benchmark %s\n",
-		tr.Version.Name, tr.Version.Version, tr.Promoted, tr.Reason, tr.Benchmark)
-
-	ccfg := controlplane.Config{Pipeline: pipe, ExpectNodes: o.nodes, CheckpointEvery: o.ckptEvery}
 	if o.spillDir != "" {
 		sp, err := mlops.NewDirSpill(o.spillDir)
 		if err != nil {
 			return err
 		}
-		ccfg.Spill = sp
+		set.ControlPlane.Spill = sp
 	}
-	cp, err := controlplane.New(ccfg)
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
-	for _, l := range res.Store.DIMMs() {
-		cp.RegisterDIMM(l.ID, l.Part)
-	}
-
-	var srv *http.Server
-	if o.addr != "" {
-		ln, err := net.Listen("tcp", o.addr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("control plane listening on http://%s\n", ln.Addr())
-		// Bodies are capped by the handlers; this bounds a client that
-		// opens a connection and never finishes its headers.
-		srv = &http.Server{Handler: cp.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go srv.Serve(ln)
-		defer func() {
-			shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(shCtx)
-		}()
-	}
-	if o.nodes > 0 {
-		fmt.Printf("waiting for %d node daemons to join...\n", o.nodes)
-		for !cp.Ready() {
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(100 * time.Millisecond):
-			}
-		}
-		fmt.Println("fleet complete; replaying")
-	}
-
-	var alarmW *bufio.Writer
+	// closeLog reports a failed alarm-log write and closes the file after
+	// a complete replay; the deferred Close covers the other paths.
+	closeLog := func() error { return nil }
 	if o.alarmLog != "" {
 		out := os.Stdout
 		if o.alarmLog != "-" {
@@ -272,103 +200,65 @@ func runControl(ctx context.Context, o *options) error {
 			defer f.Close()
 			out = f
 		}
-		alarmW = bufio.NewWriter(out)
-		defer alarmW.Flush()
+		alarmW := bufio.NewWriter(out)
+		// One line per alarm, scores as hex floats — exact, so the logs of
+		// an in-process and a distributed replay can be byte-compared. Each
+		// batch is flushed with its month; a write error sticks to alarmW.
+		set.Alarms = func(as []mlops.Alarm) {
+			for _, a := range as {
+				fmt.Fprintf(alarmW, "ALARM %d %s %d %d %s %s\n",
+					int64(a.Time), a.DIMM.Platform, a.DIMM.Server, a.DIMM.Slot,
+					strconv.FormatFloat(a.Score, 'x', -1, 64), a.Model)
+			}
+			alarmW.Flush()
+		}
+		closeLog = func() error {
+			if err := alarmW.Flush(); err != nil || out == os.Stdout {
+				return err
+			}
+			return out.Close()
+		}
 	}
-	// logAlarms renders the emitted stream one line per alarm, scores as
-	// hex floats — exact, so mode A and mode B logs can be byte-compared.
-	logAlarms := func(as []mlops.Alarm) {
-		if alarmW == nil {
-			return
-		}
-		for _, a := range as {
-			fmt.Fprintf(alarmW, "ALARM %d %s %d %d %s %s\n",
-				int64(a.Time), a.DIMM.Platform, a.DIMM.Server, a.DIMM.Slot,
-				strconv.FormatFloat(a.Score, 'x', -1, 64), a.Model)
-		}
-	}
-
-	// ingestRange serves all[lo:hi) through the control plane, which
-	// flushes delivery at the end so the range's alarms are collected with
-	// the range. An interrupt only cuts the range short: the final
-	// dashboard still prints.
-	ingestRange := func(lo, hi int, collect *[]mlops.Alarm) error {
-		as, err := cp.ServeStream(ctx, all[lo:hi])
-		logAlarms(as)
-		if collect != nil {
-			*collect = append(*collect, as...)
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
+	loop, err := memfp.BootFigure6(ctx, memfp.Config{Scale: o.scale, Seed: o.seed}, set, os.Stdout)
+	if err != nil {
 		return err
 	}
+	defer loop.Close()
 
-	// Serve the post-validation stream month by month, retraining after
-	// each month with the accumulated data.
-	cycle := 1
-	var alarms []mlops.Alarm
-	// Skip history the bootstrap model was trained on (it is replayed
-	// into the serving state silently so live features see full context).
-	cursor := sort.Search(len(all), func(i int) bool { return all[i].Time >= valEnd })
-	if err := ingestRange(0, cursor, nil); err != nil {
-		return err
-	}
-	for monthStart := valEnd; monthStart < trace.ObservationSpan && ctx.Err() == nil; monthStart += 30 * trace.Day {
-		monthEnd := monthStart + 30*trace.Day
-		hi := cursor + sort.Search(len(all)-cursor, func(i int) bool { return all[cursor+i].Time >= monthEnd })
-		before := len(alarms)
-		if err := ingestRange(cursor, hi, &alarms); err != nil {
+	if o.addr != "" {
+		ln, err := net.Listen("tcp", o.addr)
+		if err != nil {
 			return err
 		}
-		cursor = hi
-		pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
-		prec, rec := pipe.Monitor.LivePrecisionRecall()
-		dec := pipe.Monitor.ShouldRetrain(cp.Fleet().PSI, 0.25, 0.15)
-		fmt.Printf("[month %d] alarms=%d  live P=%.2f R=%.2f  PSI=%.3f  retrain=%v (%s)\n",
-			int(monthStart/(30*trace.Day)), len(alarms)-before, prec, rec, dec.PSI, dec.Retrain, dec.Reason)
-
-		// Retraining cycle with all data seen so far, gated.
-		tr, err := pipe.TrainAndMaybePromote(res.Store, monthStart, monthEnd)
-		if err != nil {
-			fmt.Printf("[cycle %d] retraining skipped: %v\n", cycle, err)
-		} else {
-			fmt.Printf("[cycle %d] candidate v%d  promoted=%v (%s)\n",
-				cycle, tr.Version.Version, tr.Promoted, tr.Reason)
-		}
-		cycle++
+		fmt.Printf("control plane listening on http://%s\n", ln.Addr())
+		// Bodies are capped by the handlers; this bounds a client that
+		// opens a connection and never finishes its headers.
+		srv := &http.Server{Handler: loop.Server.Handler(), ReadHeaderTimeout: 10 * time.Second}
+		go srv.Serve(ln)
+		defer func() {
+			shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			srv.Shutdown(shCtx)
+		}()
+	}
+	if err := loop.Serve(ctx); err != nil {
+		return err
+	}
+	if err := closeLog(); err != nil {
+		return fmt.Errorf("alarm log: %w", err)
 	}
 
-	// Drain work a dead-then-rejoined node may have left pending, and
-	// flush the final alarms (also the graceful-shutdown path).
-	for i := 0; i < 600; i++ {
-		res := cp.Flush()
-		logAlarms(res.Alarms)
-		alarms = append(alarms, res.Alarms...)
-		if res.Pending == 0 || ctx.Err() != nil {
-			break
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	if alarmW != nil {
-		alarmW.Flush()
-	}
-
-	fmt.Println()
 	if o.nodes > 0 {
-		js := cp.JournalStats()
+		js := loop.Server.JournalStats()
 		fmt.Printf("journal: depth=%d highwater=%d base=%d truncations=%d truncated_ticks=%d spill_bytes=%d\n",
 			js.Depth, js.DepthHighWater, js.Base, js.Truncations, js.TruncatedTicks, js.SpillBytes)
 	}
-	fl := cp.Fleet()
-	fmt.Print(pipe.Monitor.DashboardOf(fl.Predictions, fl.Shards))
-	printMemory(fl.Memory)
 	fmt.Println("registry state:")
-	for _, v := range pipe.Registry.List() {
+	for _, v := range loop.Pipeline.Registry.List() {
 		fmt.Printf("  %s v%d stage=%-10s F1=%.2f threshold=%.2f\n",
 			v.Name, v.Version, v.Stage, v.Metrics.F1, v.Threshold)
 	}
-	if o.hold && o.addr != "" && ctx.Err() == nil {
+	if o.hold && o.addr != "" {
 		fmt.Println("replay complete; holding for scrapes (interrupt to exit)")
 		<-ctx.Done()
 	}

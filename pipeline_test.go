@@ -111,7 +111,7 @@ func TestScenarioRegistryComplete(t *testing.T) {
 	for _, e := range Experiments() {
 		got = append(got, e.Name)
 	}
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "transfer"}
+	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6", "transfer"}
 	if !slices.Equal(got, want) {
 		t.Errorf("experiments %v, want %v", got, want)
 	}

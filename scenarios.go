@@ -27,8 +27,8 @@ type Experiment struct {
 	Run func(ctx context.Context, cfg Config, w io.Writer) error
 }
 
-// Experiments lists the paper's artifacts in report order. `memfp repro`
-// runs them, with its Figure 6 walkthrough inserted before transfer.
+// Experiments lists the paper's artifacts in report order; `memfp repro`
+// runs them.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", runTable1},     // Table I — dataset description per platform
@@ -37,6 +37,7 @@ func Experiments() []Experiment {
 		{"fig4", runFig4},         // Figure 4 — fault mode vs UE correlation
 		{"fig5", runFig5},         // Figure 5 — error-bit analysis (Intel platforms)
 		{"table2", runTable2},     // Table II — algorithm comparison across platforms
+		{"fig6", runFig6},         // Figure 6 — the MLOps loop on the Purley fleet
 		{"transfer", runTransfer}, // cross-platform transfer matrix (extension)
 	}
 }
