@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet fmt census bench-check cross-check test-race fuzz-short examples-smoke repro-smoke scenario-smoke daemon-smoke ci
+.PHONY: all build test test-short vet fmt census bench-check cross-check test-race fuzz-short examples-smoke repro-smoke scenario-smoke daemon-smoke log-smoke ci
 
 all: build
 
@@ -172,4 +172,16 @@ scenario-smoke:
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
-ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke repro-smoke scenario-smoke daemon-smoke test
+# The outside-input path of the BMC text log: a generated log and its
+# line-reversed copy must analyze to the same bytes, since the reader bulk
+# loads each DIMM's lines and sorts them once, whatever order they came in.
+log-smoke:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/memfp" ./cmd/memfp && \
+	"$$d/memfp" generate -platform Intel_Purley -scale 0.05 -seed 42 -out "$$d/fwd.log" && \
+	tac "$$d/fwd.log" > "$$d/rev.log" && \
+	"$$d/memfp" analyze -in "$$d/fwd.log" > "$$d/out-fwd" && \
+	"$$d/memfp" analyze -in "$$d/rev.log" > "$$d/out-rev" && \
+	cmp "$$d/out-fwd" "$$d/out-rev" && echo "log-smoke: analyze output identical on the log and its reversed copy"
+
+ci: build vet fmt bench-check cross-check test-race fuzz-short examples-smoke repro-smoke scenario-smoke daemon-smoke log-smoke test

@@ -44,8 +44,10 @@ type Figure6 struct {
 	MemoryBudgetMiB int64
 	// Cycles serves the history before dataset.ValEndDay silently, then
 	// the rest month by month, resolving feedback and running a gated
-	// retraining after each month. Unset, the whole stream is served at
-	// once and resolved at the end.
+	// retraining after each month: the feedback after a month resolves
+	// every alarm served since ValEndDay against the DIMMs that failed
+	// from ValEndDay to the month's end. Unset, the whole stream is served
+	// at once and resolved at the end.
 	Cycles bool
 	// ControlPlane sets expected node daemons, checkpoint cadence and
 	// spill store; its Pipeline is the loop's own.
@@ -174,7 +176,13 @@ func (l *Figure6Loop) Serve(ctx context.Context) error {
 			}
 			cursor = hi
 			alarms = append(alarms, as...)
-			pipe.ResolveAlarms(alarms, failed, month)
+			failedSince := map[trace.DIMMID]trace.Minutes{}
+			for id, ue := range failed {
+				if ue >= valEnd && ue < start+month {
+					failedSince[id] = ue
+				}
+			}
+			pipe.ResolveAlarms(alarms, failedSince, month)
 			prec, rec := pipe.Monitor.LivePrecisionRecall()
 			dec := pipe.Monitor.ShouldRetrain(cp.Fleet().PSI, retrainPSI, retrainPrecision)
 			fmt.Fprintf(w, "[month %d] alarms=%d  live P=%.2f R=%.2f  PSI=%.3f  retrain=%v (%s)\n",

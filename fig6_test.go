@@ -16,7 +16,9 @@ import (
 // in-process at the daemon smoke's fleet: the silent history replay, four
 // served months with their feedback and retrain decisions, four gated
 // retraining cycles, and every alarm through the callback. The month and
-// cycle lines are pinned as the daemon prints them.
+// cycle lines are pinned as the daemon prints them; a month's live P/R
+// resolve each alarm served since ValEndDay once, against the DIMMs that
+// failed from ValEndDay to the month's end.
 func TestFigure6Cycles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains five models on a generated fleet")
@@ -32,13 +34,13 @@ func TestFigure6Cycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"[month 6] alarms=195  live P=0.28 R=0.06",
+		"[month 6] alarms=195  live P=0.28 R=0.56",
 		"[cycle 1] candidate v2  promoted=true",
-		"[month 7] alarms=46  live P=0.27 R=0.06",
+		"[month 7] alarms=46  live P=0.26 R=0.33",
 		"[cycle 2] candidate v3  promoted=false",
-		"[month 8] alarms=16  live P=0.28 R=0.06",
+		"[month 8] alarms=16  live P=0.30 R=0.25",
 		"[cycle 3] candidate v4  promoted=false",
-		"[month 9] alarms=0  live P=0.29 R=0.07",
+		"[month 9] alarms=0  live P=0.30 R=0.25",
 		"[cycle 4] candidate v5  promoted=false",
 	}
 	var got []string

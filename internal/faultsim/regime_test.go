@@ -63,7 +63,7 @@ func TestRegimeShiftsRates(t *testing.T) {
 	countFrom := func(r *Result, from trace.Minutes) int {
 		n := 0
 		for _, l := range r.Store.DIMMs() {
-			n += l.CountCEsBetween(from, trace.ObservationSpan)
+			n += len(l.CEsBetween(from, trace.ObservationSpan))
 		}
 		return n
 	}

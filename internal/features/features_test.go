@@ -24,7 +24,7 @@ func addCE(l *trace.DIMMLog, tm trace.Minutes, row, col int) {
 	bits := dram.NewErrorBits(dram.X4)
 	bits.Set(0, 0)
 	bits.Set(1, 4)
-	l.Events = append(l.Events, trace.Event{
+	l.Append(trace.Event{
 		Time: tm, Type: trace.TypeCE, DIMM: l.ID,
 		Addr: dram.Addr{Rank: 0, Device: 3, Bank: 2, Row: row, Column: col},
 		Bits: bits,

@@ -58,7 +58,7 @@ func DecodeFoldState(r *trace.BinReader) *FoldState {
 // CompactLog drops the log's events before cut (trace.DIMMLog.
 // CompactBefore), folding them into the log's FoldState so feature
 // extraction over the compacted log stays exact. It returns the number of
-// events dropped; a degraded (unindexed) log is left untouched. The
+// events dropped. The
 // serving engine calls this behind each prediction with
 // cut = predictionTime - Observation: any later prediction's observation
 // window then starts at or above the compaction horizon, so window

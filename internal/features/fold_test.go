@@ -55,11 +55,11 @@ func TestCompactLogCursorEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompactLogOutOfOrderRecovery drives the fallback path on a compacted
-// log: an out-of-order append (above the horizon) degrades the index; the
-// degraded extraction must honor the documented contract (equal to a fresh
-// offline Extract over the same log), and after the re-sort the serving
-// engine performs, vectors must again match the uncompacted oracle exactly.
+// TestCompactLogOutOfOrderRecovery: a late event (above the horizon, below
+// the last served instant) appended to a compacted log re-sorts it, and
+// the cursor, which sees the new index generation, must answer as a fresh
+// Extract over the same compacted log — and from then on as the full-scan
+// oracle over the uncompacted log given the same events.
 func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 	w := x0.Windows.Observation
 	src := busyLogs(t, 30, 1)[0]
@@ -82,23 +82,21 @@ func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 		t.Fatal("compaction dropped nothing; pick a busier fixture")
 	}
 
-	// A late event newer than the horizon but older than the last served
-	// instant: legal retrograde traffic that degrades the index.
 	stale := ces[0]
 	stale.Time = lastT - 1
+	gen := live.IndexGen()
 	live.Append(stale)
 	oracle.Append(stale)
-	if live.Indexed() {
-		t.Fatal("out-of-order append should degrade the index")
+	if live.IndexGen() == gen {
+		t.Fatal("a late append must re-sort the log and advance IndexGen")
 	}
 	if got, want := sc.ExtractAt(lastT+1), x0.Extract(live, lastT+1); !reflect.DeepEqual(got, want) {
-		t.Fatal("degraded cursor diverged from offline extraction over the same compacted log")
+		t.Fatal("cursor diverged from offline extraction over the same compacted log")
+	}
+	if got, want := sc.ExtractAt(lastT+1), naiveExtract(x0, oracle, lastT+1); !reflect.DeepEqual(got, want) {
+		t.Fatal("cursor over the compacted log diverged from the uncompacted oracle")
 	}
 
-	// The serving engine re-sorts immediately; from then on the compacted
-	// log must track the (equally re-sorted) uncompacted oracle exactly.
-	live.SortEvents()
-	oracle.SortEvents()
 	checked := 0
 	for _, e := range src.Events[half:] {
 		live.Append(e)

@@ -10,23 +10,16 @@ import (
 // lifetime accumulators instead of re-walking the full history on every
 // prediction.
 //
-// The fast path requires the forward-only contract the serving engine
-// maintains: the log stays indexed (appends arrive in time order) and
-// extraction instants are nondecreasing. Violations are detected, not
-// trusted:
+// The fast path holds while appends arrive in time order and extraction
+// instants are nondecreasing. The rest is detected, not trusted:
 //
-//   - An out-of-order append degrades the log's index
-//     (trace.DIMMLog.Indexed turns false); every subsequent ExtractAt
-//     falls back to a fresh full extraction — exactly what the offline
-//     Extractor.Extract computes on such a log — until the log is
-//     re-sorted.
-//   - A full re-index (SortEvents) may reorder events beneath the cursor;
-//     the generation counter (trace.DIMMLog.IndexGen) detects it and the
-//     cursor rebuilds from scratch.
+//   - A late event makes Append re-sort the log, which may reorder events
+//     beneath the cursor; the generation counter (trace.DIMMLog.IndexGen)
+//     detects the rebuild and the cursor starts over.
 //   - A non-monotonic instant (t below the previous call's t) rebuilds
 //     the incremental state and replays the history up to t.
 //
-// A compaction (Extractor.CompactLog) is none of these. It drops a prefix
+// A compaction (Extractor.CompactLog) is neither. It drops a prefix
 // of the views the cursor indexes into and folds it into the log's
 // FoldState; when everything dropped had already been consumed into the
 // lifetime accumulators and expired from the window state — always, for a
@@ -56,16 +49,8 @@ func (x *Extractor) NewServeCursor(l *trace.DIMMLog) *ServeCursor {
 
 // ExtractAt computes the feature vector at instant t, equal to
 // Extractor.Extract(l, t) at incremental cost on the fast path (see the
-// type comment for the degraded paths).
+// type comment for when the cursor starts over).
 func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
-	if !sc.l.Indexed() {
-		// Out-of-order appends degraded the log: the cached views are no
-		// longer append-only time-sorted prefixes, so incremental state
-		// cannot be trusted. Mirror the offline extraction path.
-		sc.inner = nil
-		sc.begun = false
-		return sc.x.Extract(sc.l, t)
-	}
 	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) || !sc.inner.rebase() {
 		sc.inner = sc.x.NewCursor(sc.l)
 		sc.gen = sc.l.IndexGen()
@@ -74,10 +59,10 @@ func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 	return sc.inner.ExtractAt(t)
 }
 
-// rebase renews the cursor's views of an indexed log whose index was not
-// rebuilt since the cursor last read it. ceBase and stormBase are the
-// log's CompactedCEs and CompactedStorms as of the views the cursor holds,
-// so their distance to the log's counts now is the prefix compacted away
+// rebase renews the cursor's views of a log whose index was not rebuilt
+// since the cursor last read it. ceBase and stormBase are the log's
+// CompactedCEs and CompactedStorms as of the views the cursor holds, so
+// their distance to the log's counts now is the prefix compacted away
 // since. In-order appends only grow the views, so with nothing dropped
 // renewing the slice headers is all there is to do. A dropped prefix that lies wholly below the window start
 // (and below the consumed storms) is already in life and no longer in

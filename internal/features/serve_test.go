@@ -58,8 +58,8 @@ func TestServeCursorMatchesFreshExtract(t *testing.T) {
 			}
 			checked++
 		}
-		if !live.Indexed() {
-			t.Fatalf("%s: in-order replay degraded the log", src.ID)
+		if live.IndexGen() != 0 {
+			t.Fatalf("%s: an in-order replay re-sorted the log", src.ID)
 		}
 		if checked == 0 {
 			t.Fatalf("%s: no CE instants checked", src.ID)
@@ -67,10 +67,11 @@ func TestServeCursorMatchesFreshExtract(t *testing.T) {
 	}
 }
 
-// TestServeCursorOutOfOrderFallback degrades the log mid-stream with an
-// out-of-order append: the cursor must detect it and keep answering with
-// the offline-equivalent extraction, then recover the incremental path
-// after the log is re-sorted (a new index generation).
+// TestServeCursorOutOfOrderFallback appends a late event mid-stream: Append
+// re-sorts the log, the cursor sees the new index generation and starts
+// over, and every vector — at the late event's instant and after it —
+// equals Extract over the live log and the full-scan oracle over a bulk
+// load of the same events sorted by SortEvents.
 func TestServeCursorOutOfOrderFallback(t *testing.T) {
 	src := busyLogs(t, 20, 1)[0]
 	ces := src.CEs()
@@ -83,25 +84,34 @@ func TestServeCursorOutOfOrderFallback(t *testing.T) {
 	// A late-arriving event older than everything served so far.
 	stale := ces[0]
 	stale.Time = ces[0].Time - 10
+	gen, before := live.IndexGen(), sc.inner
 	live.Append(stale)
-	if live.Indexed() {
-		t.Fatal("out-of-order append should degrade the index")
+	if live.IndexGen() == gen {
+		t.Fatal("a late append must re-sort the log and advance IndexGen")
 	}
-	at := ces[9].Time + 1
-	if got, want := sc.ExtractAt(at), x0.Extract(live, at); !reflect.DeepEqual(got, want) {
-		t.Fatal("degraded cursor diverged from offline extraction")
+	if live.Events[0] != stale {
+		t.Fatal("the late event was not sorted to the front")
 	}
-	// Re-sorting restores the fast path; vectors must now match the
-	// full-scan oracle over the re-sorted history, including the late event.
-	live.SortEvents()
-	for _, e := range ces[10:14] {
-		live.Append(e)
-		if got, want := sc.ExtractAt(e.Time), naiveExtract(x0, live, e.Time); !reflect.DeepEqual(got, want) {
-			t.Fatalf("@%v: post-recovery cursor diverged", e.Time)
+	check := func(at trace.Minutes, n int) {
+		t.Helper()
+		bulk := &trace.DIMMLog{ID: src.ID, Part: src.Part,
+			Events: append([]trace.Event{stale}, ces[:n]...)}
+		bulk.SortEvents()
+		got := sc.ExtractAt(at)
+		if want := x0.Extract(live, at); !reflect.DeepEqual(got, want) {
+			t.Fatalf("@%v: cursor diverged from Extract", at)
+		}
+		if want := naiveExtract(x0, bulk, at); !reflect.DeepEqual(got, want) {
+			t.Fatalf("@%v: cursor diverged from the sorted bulk load", at)
 		}
 	}
-	if !live.Indexed() {
-		t.Fatal("recovered log should be indexed again")
+	check(ces[9].Time+1, 10)
+	if sc.inner == before {
+		t.Fatal("cursor survived the re-sort")
+	}
+	for i, e := range ces[10:14] {
+		live.Append(e)
+		check(e.Time, 11+i)
 	}
 }
 
@@ -272,8 +282,8 @@ func TestServeCursorUEOnlyCompaction(t *testing.T) {
 	sc := x0.NewServeCursor(live)
 	sc.ExtractAt(at)
 	before, state := sc.inner, *sc.inner
-	if n := live.CompactBefore(ces[0].Time-1, nil); n != 1 || live.CompactedUEs() != 1 {
-		t.Fatalf("dropped %d events, %d UEs; want the one UE", n, live.CompactedUEs())
+	if n := live.CompactBefore(ces[0].Time-1, nil); n != 1 || live.Compaction().UEs != 1 {
+		t.Fatalf("dropped %d events, %d UEs; want the one UE", n, live.Compaction().UEs)
 	}
 	sameVec(t, sc.ExtractAt(at), naiveExtract(x0, oracle, at), "@%v", at)
 	c := sc.inner

@@ -120,8 +120,7 @@ func (fs *FeatureStore) BatchTransform(s *trace.Store, cfg features.SamplerConfi
 // incremental extractor over one DIMM's growing log whose vectors equal a
 // full-history extraction at every instant, but which folds in only the
 // events appended since the previous prediction (see features.ServeCursor
-// for the out-of-order and non-monotonic fallbacks). The sharded engine
-// keeps one per served DIMM.
+// for when it starts over). The sharded engine keeps one per served DIMM.
 func (fs *FeatureStore) NewServeCursor(l *trace.DIMMLog) *features.ServeCursor {
 	return fs.extractor.NewServeCursor(l)
 }

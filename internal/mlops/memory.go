@@ -91,15 +91,9 @@ type frozenDIMM struct {
 }
 
 // freezeDIMM serializes one DIMM's live serving state, its events
-// appended to blob (nil: a new one). The log is sorted at every eviction
-// point (ingestLocked restores the index immediately after any
-// out-of-order append), so delta coding is safe; the defensive sort
-// covers misuse.
+// appended to blob (nil: a new one). Append keeps the log sorted, so
+// delta coding is safe.
 func freezeDIMM(st *dimmState, blob []byte) *frozenDIMM {
-	if !st.log.Indexed() {
-		st.log.SortEvents()
-		st.recBlob = nil
-	}
 	events := st.log.Events
 	fz := &frozenDIMM{
 		part:     st.log.Part,

@@ -139,7 +139,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 			}
 		}
 		if th.log.CompactedEvents() != st.log.CompactedEvents() ||
-			th.log.CompactHorizon() != st.log.CompactHorizon() {
+			th.log.Compaction().Horizon != st.log.Compaction().Horizon {
 			t.Fatalf("%s: compaction bookkeeping lost in round trip", l.ID)
 		}
 		gf, okf := th.log.FirstCE()

@@ -180,6 +180,32 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestResolveAlarmsCountsEachOutcomeOnce: a DIMM counts once, at its first
+// alarm — a TP with its lead when it fails within the window after it, an
+// FP when it fails before the alarm, too late or never — an unalarmed
+// failure is an FN, and resolving the same alarms again replaces the
+// monitor's feedback instead of adding to it.
+func TestResolveAlarmsCountsEachOutcomeOnce(t *testing.T) {
+	id := func(n int) trace.DIMMID { return trace.DIMMID{Platform: platform.Purley, Server: n} }
+	alarms := []Alarm{
+		{Time: 10, DIMM: id(1)}, {Time: 20, DIMM: id(1)}, // fails at 100: TP, lead 90
+		{Time: 50, DIMM: id(2)}, // never fails: FP
+		{Time: 80, DIMM: id(4)}, // failed at 60, before its alarm: FP
+		{Time: 90, DIMM: id(5)}, // fails at 400, past the window: FP
+	}
+	failed := map[trace.DIMMID]trace.Minutes{id(1): 100, id(3): 70, id(4): 60, id(5): 400}
+	pipe := NewPipeline(platform.Purley)
+	for pass := 0; pass < 2; pass++ {
+		tp, fp, fn, leads := pipe.ResolveAlarms(alarms, failed, 200)
+		if tp != 1 || fp != 3 || fn != 1 || len(leads) != 1 || leads[0] != 90 {
+			t.Fatalf("pass %d: TP=%d FP=%d FN=%d leads=%v, want 1 3 1 [90]", pass, tp, fp, fn, leads)
+		}
+		if tp, fp, fn := pipe.Monitor.FeedbackCounts(); tp != 1 || fp != 3 || fn != 1 {
+			t.Fatalf("pass %d: monitor holds TP=%d FP=%d FN=%d, want 1 3 1", pass, tp, fp, fn)
+		}
+	}
+}
+
 func TestServerRejectsUnknownDIMM(t *testing.T) {
 	server := NewShardedServer(platform.K920, NewFeatureStore(), NewRegistry(), "m", nil, 0)
 	_, err := ingestOne(server, trace.Event{

@@ -143,15 +143,13 @@ func (m *Monitor) PSIOf(liveBins [10]int64) float64 {
 	return psi
 }
 
-// Feedback resolves alarms against ground outcomes once the prediction
-// window has elapsed: an alarm for a DIMM that failed within the window
-// is a TP, otherwise FP; a failure with no preceding alarm is an FN.
+// Feedback records the TPs, FPs and FNs of the alarms served so far
+// (Pipeline.ResolveAlarms), replacing the previous resolution, which the
+// new one covers.
 func (m *Monitor) Feedback(tp, fp, fn int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.resolvedTP += tp
-	m.resolvedFP += fp
-	m.missedFN += fn
+	m.resolvedTP, m.resolvedFP, m.missedFN = tp, fp, fn
 }
 
 // FeedbackCounts returns the resolved alarm outcomes (TP, FP, FN).

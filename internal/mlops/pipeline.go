@@ -125,31 +125,44 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 	return &TrainResult{Version: mv, Promoted: promoted, Reason: reason, Benchmark: metrics}, nil
 }
 
-// ResolveAlarms replays ground outcomes into monitoring feedback: each
-// alarmed DIMM that fails within the prediction window is a TP, alarmed
-// DIMMs that never fail are FPs, failed DIMMs never alarmed are FNs.
-// Callers invoke it after the prediction window has elapsed.
-func (p *Pipeline) ResolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes, window trace.Minutes) {
-	alarmed := map[trace.DIMMID]trace.Minutes{}
+// ResolveAlarms resolves alarms (resolveAlarms) once their prediction
+// window has elapsed and makes the result the monitor's feedback, replacing
+// the previous one, so resolving a growing list counts each outcome once.
+func (p *Pipeline) ResolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes, window trace.Minutes) (tp, fp, fn int, leads []trace.Minutes) {
+	tp, fp, fn, leads = resolveAlarms(alarms, failed, window)
+	p.Monitor.Feedback(tp, fp, fn)
+	return tp, fp, fn, leads
+}
+
+// resolveAlarms resolves alarms against failures: each alarmed DIMM, taken
+// at its first alarm, is a TP when it fails after the alarm and within
+// window of it, and an FP otherwise; a failed DIMM never alarmed is an FN.
+// leads holds each TP's failure time minus its alarm time, in the order
+// the DIMMs first alarmed.
+func resolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes, window trace.Minutes) (tp, fp, fn int, leads []trace.Minutes) {
+	first := map[trace.DIMMID]trace.Minutes{}
 	for _, a := range alarms {
-		if t, ok := alarmed[a.DIMM]; !ok || a.Time < t {
-			alarmed[a.DIMM] = a.Time
+		if t, ok := first[a.DIMM]; !ok || a.Time < t {
+			first[a.DIMM] = a.Time
 		}
 	}
-	tp, fp := 0, 0
-	for dimm, at := range alarmed {
-		ue, ok := failed[dimm]
+	fn = len(failed)
+	for _, a := range alarms {
+		at, ok := first[a.DIMM]
+		if !ok {
+			continue // resolved at its first alarm
+		}
+		delete(first, a.DIMM)
+		ue, ok := failed[a.DIMM]
+		if ok {
+			fn--
+		}
 		if ok && ue > at && ue-at <= window {
 			tp++
+			leads = append(leads, ue-at)
 		} else {
 			fp++
 		}
 	}
-	fn := 0
-	for dimm := range failed {
-		if _, ok := alarmed[dimm]; !ok {
-			fn++
-		}
-	}
-	p.Monitor.Feedback(tp, fp, fn)
+	return tp, fp, fn, leads
 }

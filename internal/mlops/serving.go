@@ -45,8 +45,8 @@ type Alarm struct {
 //     the events appended since the previous prediction instead of
 //     re-extracting the full history.
 //   - Ingested events are appended through trace.DIMMLog.Append, which
-//     maintains the per-type query index incrementally for in-order
-//     streams instead of degrading it to linear scans.
+//     extends the per-type query index incrementally for in-order
+//     streams and re-sorts the DIMM's log once for a late event.
 //
 // IngestBatch is the one way in, and the control plane's node is its tick
 // source. Within a tick, the vector
@@ -290,16 +290,11 @@ func (s *Server) ingestLocked(sh *shard, e trace.Event, pend *[]pendingPred) (*A
 			return nil, err
 		}
 	}
+	gen := st.log.IndexGen()
 	st.log.Append(e)
 	st.dirty = true // the kept snapshot record is stale from here on
-	if !st.log.Indexed() {
-		st.recBlob = nil // ... and so is its log prefix
-		// A late event arrived out of time order. Re-sort once so the
-		// index — and with it the incremental cursor path (the generation
-		// bump makes the cursor rebuild) — recovers immediately, instead
-		// of silently degrading every later prediction on this DIMM to a
-		// full-history linear re-extraction.
-		st.log.SortEvents()
+	if st.log.IndexGen() != gen {
+		st.recBlob = nil // a late event re-sorted the log under its encoded prefix
 	}
 	if s.monitor != nil {
 		s.monitor.CountEvent(e)

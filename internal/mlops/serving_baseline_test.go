@@ -56,7 +56,7 @@ func (s *Server) ReplayBaseline(ctx context.Context, st *trace.Store, onAlarm fu
 		default:
 		}
 		l := logs[e.DIMM]
-		l.Events = append(l.Events, e)
+		l.Append(e)
 		if s.monitor != nil {
 			s.monitor.CountEvent(e)
 		}

@@ -131,7 +131,8 @@ func AlarmDigest(alarms []mlops.Alarm) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// buildReport assembles the report from the finished run state and
+// buildReport resolves each platform's alarms into its monitor's
+// feedback, assembles the report from the finished run state and
 // evaluates the scenario's assertions.
 func buildReport(s *Scenario, st *runState, generated int, reporters []statsReporter) *Report {
 	rep := &Report{
@@ -157,36 +158,23 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 		rep.Counters.EventsLagged += is.Lagged
 	}
 
-	// Pool outcome resolution across platforms, mirroring
-	// Pipeline.ResolveAlarms: first alarm per DIMM, failure inside the
-	// feedback window ⇒ TP with a lead time.
-	firstAlarm := map[trace.DIMMID]trace.Minutes{}
-	for _, a := range st.alarms {
-		if _, ok := firstAlarm[a.DIMM]; !ok {
-			firstAlarm[a.DIMM] = a.Time
-		}
-	}
+	// Resolve each platform's alarms against its failures (feeding its
+	// pipeline's monitor) and pool the outcomes.
 	tp, fp, fn := 0, 0, 0
 	var leads []float64
 	for _, pf := range st.order {
 		pr := st.runs[pf]
 		rep.Fleet.Failures += len(pr.failed)
-		for id, at := range firstAlarm {
-			if id.Platform != pf {
-				continue
-			}
-			ue, failed := pr.failed[id]
-			if failed && ue > at && ue-at <= feedbackWindow {
-				tp++
-				leads = append(leads, float64(ue-at)/float64(trace.Day))
-			} else {
-				fp++
+		var pa []mlops.Alarm
+		for _, a := range st.alarms {
+			if a.DIMM.Platform == pf {
+				pa = append(pa, a)
 			}
 		}
-		for id := range pr.failed {
-			if _, ok := firstAlarm[id]; !ok {
-				fn++
-			}
+		ptp, pfp, pfn, pleads := pr.pipe.ResolveAlarms(pa, pr.failed, feedbackWindow)
+		tp, fp, fn = tp+ptp, fp+pfp, fn+pfn
+		for _, lead := range pleads {
+			leads = append(leads, float64(lead)/float64(trace.Day))
 		}
 
 		// The node's monitor counts predictions and scores; the pipeline's
@@ -201,17 +189,13 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 			Platform:    string(pf),
 			DIMMs:       pr.store.Len(),
 			Predictions: int(fl.Predictions),
+			Alarms:      len(pa),
 			Precision:   prec,
 			Recall:      rec,
 			PSI:         fl.PSI,
 		}
 		for _, t := range []trace.EventType{trace.TypeCE, trace.TypeUE, trace.TypeStorm} {
 			ps.Events += mon.EventCount(t)
-		}
-		for _, a := range st.alarms {
-			if a.DIMM.Platform == pf {
-				ps.Alarms++
-			}
 		}
 		rep.Perform = append(rep.Perform, ps)
 	}

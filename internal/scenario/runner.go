@@ -288,16 +288,6 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 	}
 
 	// --- Outcome resolution and report assembly.
-	for _, pf := range order {
-		pr := runs[pf]
-		var pa []mlops.Alarm
-		for _, a := range st.alarms {
-			if a.DIMM.Platform == pf {
-				pa = append(pa, a)
-			}
-		}
-		pr.pipe.ResolveAlarms(pa, pr.failed, feedbackWindow)
-	}
 	rep := buildReport(s, st, len(stream), reporters)
 	logf("run: %d events delivered, %d alarms, passed=%v",
 		rep.Counters.EventsDelivered, rep.Counters.Alarms, rep.Passed)

@@ -10,12 +10,12 @@ import "sort"
 //
 // Contract after CompactBefore(cut, fold):
 //
-//   - Window queries (CEsBetween, CountCEsBetween) are exact for any
-//     [from, to) with from >= CompactHorizon(); below the horizon the
-//     dropped events are simply absent.
-//   - FirstCE and FirstUE remain exact lifetime answers on both the
-//     indexed and the degraded (out-of-order append) query paths: the
-//     pre-drop firsts are captured and merged back by every index rebuild.
+//   - Window queries (CEsBetween) are exact for any [from, to) with
+//     from >= Compaction().Horizon; below the horizon the dropped events
+//     are simply absent.
+//   - FirstCE and FirstUE remain exact lifetime answers: the pre-drop
+//     firsts are captured and merged back by every index rebuild, so a
+//     late event that Append sorts in cannot lose them.
 //   - The per-type index stays current: the compaction advances each view
 //     (CEs, UEs, StormTimes) past the dropped counts into a fresh array, so
 //     a view handed out earlier keeps its old contents. When every
@@ -27,15 +27,12 @@ import "sort"
 
 // CompactBefore drops all events with Time < cut from the log, invoking
 // fold (when non-nil) for each dropped event in time order first, and
-// returns the number of events dropped. It requires an indexed log —
-// compacting a degraded log would drop events whose positions are
-// unknown — and is a no-op returning 0 when the log is degraded, empty,
-// or holds nothing before cut. The retained events are copied to a fresh
-// backing array so the dropped prefix becomes collectable.
+// returns the number of events dropped (0 when the log holds nothing
+// before cut). Like a query, it panics on a bulk-loaded log that was not
+// sorted. The retained events are copied to a fresh backing array so the
+// dropped prefix becomes collectable.
 func (d *DIMMLog) CompactBefore(cut Minutes, fold func(Event)) int {
-	if !d.indexed() || len(d.Events) == 0 {
-		return 0
-	}
+	d.mustBeIndexed()
 	k := sort.Search(len(d.Events), func(i int) bool { return d.Events[i].Time >= cut })
 	if k == 0 {
 		return 0
@@ -96,26 +93,14 @@ func dropPrefix[T any](s []T, n int) []T {
 	return out
 }
 
-// Compacted reports whether any events have been dropped by CompactBefore
-// (directly or via RestoreCompaction).
-func (d *DIMMLog) Compacted() bool { return d.compEvents > 0 }
-
 // CompactedEvents returns the total number of events dropped so far.
 func (d *DIMMLog) CompactedEvents() int { return d.compEvents }
 
 // CompactedCEs returns the number of dropped CE events.
 func (d *DIMMLog) CompactedCEs() int { return d.compCEs }
 
-// CompactedUEs returns the number of dropped UE events.
-func (d *DIMMLog) CompactedUEs() int { return d.compUEs }
-
 // CompactedStorms returns the number of dropped storm events.
 func (d *DIMMLog) CompactedStorms() int { return d.compStorms }
-
-// CompactHorizon returns the exactness horizon: every event with
-// Time >= CompactHorizon() is still present, so window queries from the
-// horizon onward are exact. Zero when never compacted.
-func (d *DIMMLog) CompactHorizon() Minutes { return d.compBefore }
 
 // FoldState is a consumer-owned summary of a log's dropped prefix (the
 // feature extractor's lifetime accumulators). The log carries it without
@@ -149,22 +134,17 @@ type CompactionSnapshot struct {
 	Fold                     FoldState
 }
 
-// Compaction returns the log's current compaction snapshot. On an indexed
-// log the first-CE/UE fields carry the full lifetime answers (retained
-// events included); on a degraded log they carry the values captured at
-// the last compaction.
+// Compaction returns the log's current compaction snapshot. Its
+// first-CE/UE fields carry the full lifetime answers, retained events
+// included.
 func (d *DIMMLog) Compaction() CompactionSnapshot {
-	cs := CompactionSnapshot{
+	d.mustBeIndexed()
+	return CompactionSnapshot{
 		Events: d.compEvents, CEs: d.compCEs, UEs: d.compUEs, Storms: d.compStorms,
 		Horizon: d.compBefore, Fold: d.foldState,
-		HasCE: d.lifeHasCE, HasUE: d.lifeHasUE,
-		FirstCE: d.lifeFirstCE, FirstUE: d.lifeFirstUE,
+		HasCE: d.hasCE, HasUE: d.hasUE,
+		FirstCE: d.firstCE, FirstUE: d.firstUE,
 	}
-	if d.indexed() {
-		cs.HasCE, cs.FirstCE = d.hasCE, d.firstCE
-		cs.HasUE, cs.FirstUE = d.hasUE, d.firstUE
-	}
-	return cs
 }
 
 // RestoreCompaction reinstates a snapshot taken by Compaction on a log

@@ -12,7 +12,7 @@ import (
 // random cut. Returns the pair and the cut.
 func compactPair(t *testing.T, rng *xrand.RNG, nEvents int) (oracle, compacted *DIMMLog, cut Minutes) {
 	t.Helper()
-	oracle, _ = randomLog(t, rng, nEvents)
+	oracle = randomLog(t, rng, nEvents)
 	compacted = &DIMMLog{ID: oracle.ID, Part: oracle.Part,
 		Events: append([]Event(nil), oracle.Events...)}
 	compacted.SortEvents()
@@ -30,7 +30,7 @@ func compactPair(t *testing.T, rng *xrand.RNG, nEvents int) (oracle, compacted *
 func checkIndexMatchesRebuild(t *testing.T, comp *DIMMLog) {
 	t.Helper()
 	rng := xrand.New(uint64(comp.CompactedEvents()))
-	if !comp.Indexed() {
+	if !isIndexed(comp) {
 		t.Fatal("compaction left the log unindexed")
 	}
 	rebuilt := &DIMMLog{ID: comp.ID, Part: comp.Part, Events: append([]Event(nil), comp.Events...)}
@@ -59,7 +59,7 @@ func checkIndexMatchesRebuild(t *testing.T, comp *DIMMLog) {
 		t.Fatalf("FirstUE (%v,%v), rebuilt index has (%v,%v)", gt, gok, wt, wok)
 	}
 	for q := 0; q < 10; q++ {
-		from := comp.CompactHorizon() + Minutes(rng.Int63n(int64(ObservationSpan)))
+		from := comp.Compaction().Horizon + Minutes(rng.Int63n(int64(ObservationSpan)))
 		to := from + Minutes(rng.Int63n(int64(10*Day)))
 		sameEvents("CEsBetween", comp.CEsBetween(from, to), rebuilt.CEsBetween(from, to))
 	}
@@ -73,7 +73,7 @@ func checkIndexMatchesRebuild(t *testing.T, comp *DIMMLog) {
 func TestCompactBeforeKeepsViewsAndGeneration(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 40; trial++ {
-		comp, _ := randomLog(t, rng, 20+rng.Intn(150))
+		comp := randomLog(t, rng, 20+rng.Intn(150))
 		ces, ues, storms := comp.CEs(), comp.UEs(), comp.StormTimes()
 		wantCEs := append([]Event(nil), ces...)
 		wantUEs := append([]Event(nil), ues...)
@@ -129,8 +129,8 @@ func TestCompactBeforeQueriesMatchOracle(t *testing.T) {
 			t.Fatalf("trial %d: %d dropped + %d retained != %d total",
 				trial, dropped, len(comp.Events), len(oracle.Events))
 		}
-		if dropped > 0 && comp.CompactHorizon() != cut {
-			t.Fatalf("trial %d: horizon %v, want %v", trial, comp.CompactHorizon(), cut)
+		if h := comp.Compaction().Horizon; dropped > 0 && h != cut {
+			t.Fatalf("trial %d: horizon %v, want %v", trial, h, cut)
 		}
 
 		// Window queries with from >= horizon are exact.
@@ -148,79 +148,65 @@ func TestCompactBeforeQueriesMatchOracle(t *testing.T) {
 					t.Fatalf("trial %d: CEsBetween[%v,%v) event %d differs", trial, from, to, i)
 				}
 			}
-			if oracle.CountCEsBetween(from, to) != comp.CountCEsBetween(from, to) {
-				t.Fatalf("trial %d: CountCEsBetween[%v,%v) differs", trial, from, to)
-			}
 		}
 	}
 }
 
-// TestCompactBeforeOutOfOrderFallback pins the degraded path: after an
-// out-of-order append, a compacted log's linear-scan queries still match
-// the uncompacted oracle mutated the same way — FirstCE/FirstUE answer
-// from the preserved lifetime firsts, and a SortEvents on both restores
-// full indexed agreement.
+// TestCompactBeforeOutOfOrderFallback: late events appended to a
+// compacted log re-sort it (IndexGen advances) and leave it indexed, with
+// Events and every query equal to a bulk load of the same retained and
+// late events restored onto the same compaction snapshot and sorted;
+// lifetime firsts and windows at or above the horizon still equal the
+// uncompacted log given the same events, and the log compacts again.
 func TestCompactBeforeOutOfOrderFallback(t *testing.T) {
 	rng := xrand.New(271828)
 	for trial := 0; trial < 60; trial++ {
 		oracle, comp, cut := compactPair(t, rng, 5+rng.Intn(150))
+		retained, snap := append([]Event(nil), comp.Events...), comp.Compaction()
 
-		// A late batch of out-of-order events; the first degrades both logs.
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			late := Event{
 				Time: Minutes(rng.Int63n(int64(ObservationSpan))),
 				Type: []EventType{TypeCE, TypeUE, TypeStorm}[rng.Intn(3)],
 				DIMM: oracle.ID,
 			}
-			oracle.Events = append(oracle.Events, late)
+			n := len(comp.Events)
+			isLate := n > 0 && late.Time < comp.Events[n-1].Time
+			gen := comp.IndexGen()
+			oracle.Append(late)
 			comp.Append(late)
+			retained = append(retained, late)
+			if moved := comp.IndexGen() != gen; moved != isLate {
+				t.Fatalf("trial %d: late=%v but IndexGen moved=%v", trial, isLate, moved)
+			}
 		}
-		if comp.Indexed() && len(comp.Events) > 1 {
-			// Every appended time above could legally be in order; only
-			// check the degraded contract when it actually degraded.
-			continue
-		}
+		sameAsBulkLoad(t, trial, comp, retained, snap)
+		checkIndexMatchesRebuild(t, comp)
 
 		of, ohas := oracle.FirstCE()
 		cf, chas := comp.FirstCE()
 		if of != cf || ohas != chas {
-			t.Fatalf("trial %d degraded: FirstCE (%v,%v) != oracle (%v,%v)", trial, cf, chas, of, ohas)
+			t.Fatalf("trial %d: FirstCE (%v,%v) != oracle (%v,%v)", trial, cf, chas, of, ohas)
 		}
 		ou, ouhas := oracle.FirstUE()
 		cu, cuhas := comp.FirstUE()
 		if ou != cu || ouhas != cuhas {
-			t.Fatalf("trial %d degraded: FirstUE (%v,%v) != oracle (%v,%v)", trial, cu, cuhas, ou, ouhas)
+			t.Fatalf("trial %d: FirstUE (%v,%v) != oracle (%v,%v)", trial, cu, cuhas, ou, ouhas)
 		}
 		for q := 0; q < 10; q++ {
 			from := cut + Minutes(rng.Int63n(int64(ObservationSpan)))
 			to := from + Minutes(rng.Int63n(int64(10*Day)))
-			want := oracle.CEsBetween(from, to)
-			got := comp.CEsBetween(from, to)
-			if len(want) != len(got) {
-				t.Fatalf("trial %d degraded: CEsBetween %d CEs, oracle %d", trial, len(got), len(want))
+			if got, want := len(comp.CEsBetween(from, to)), len(oracle.CEsBetween(from, to)); got != want {
+				t.Fatalf("trial %d: CEsBetween %d CEs, oracle %d", trial, got, want)
 			}
 		}
 
-		// Compacting a degraded log must refuse.
-		if n := comp.CompactBefore(ObservationSpan, nil); n != 0 {
-			t.Fatalf("trial %d: CompactBefore on degraded log dropped %d events", trial, n)
-		}
-
-		// Re-sort both: indexed queries agree again, including lifetime
-		// firsts merged across the compacted prefix and the late events.
-		oracle.SortEvents()
-		comp.SortEvents()
-		of, ohas = oracle.FirstCE()
-		cf, chas = comp.FirstCE()
-		if of != cf || ohas != chas {
-			t.Fatalf("trial %d resorted: FirstCE (%v,%v) != oracle (%v,%v)", trial, cf, chas, of, ohas)
-		}
-		for q := 0; q < 10; q++ {
-			from := cut + Minutes(rng.Int63n(int64(ObservationSpan)))
-			to := from + Minutes(rng.Int63n(int64(10*Day)))
-			if oracle.CountCEsBetween(from, to) != comp.CountCEsBetween(from, to) {
-				t.Fatalf("trial %d resorted: CountCEsBetween differs", trial)
-			}
+		// The late events are part of the log like any other: a later
+		// compaction drops them too.
+		comp.CompactBefore(ObservationSpan, nil)
+		checkIndexMatchesRebuild(t, comp)
+		if len(comp.Events) != 0 {
+			t.Fatalf("trial %d: %d events survived a compaction at the end of time", trial, len(comp.Events))
 		}
 	}
 }
@@ -230,7 +216,7 @@ func TestCompactBeforeOutOfOrderFallback(t *testing.T) {
 // retained slice no longer aliases the pre-compaction backing array.
 func TestCompactBeforeFoldAndRepeat(t *testing.T) {
 	rng := xrand.New(13)
-	oracle, _ := randomLog(t, rng, 300)
+	oracle := randomLog(t, rng, 300)
 	comp := &DIMMLog{ID: oracle.ID, Part: oracle.Part,
 		Events: append([]Event(nil), oracle.Events...)}
 	comp.SortEvents()
@@ -267,12 +253,9 @@ func TestCompactBeforeFoldAndRepeat(t *testing.T) {
 			storms++
 		}
 	}
-	if comp.CompactedCEs() != ces || comp.CompactedUEs() != ues || comp.CompactedStorms() != storms {
-		t.Fatalf("per-type compacted counts (%d,%d,%d), want (%d,%d,%d)",
-			comp.CompactedCEs(), comp.CompactedUEs(), comp.CompactedStorms(), ces, ues, storms)
-	}
-	if !comp.Compacted() && total > 0 {
-		t.Fatal("Compacted() false after dropping events")
+	if cs := comp.Compaction(); cs.CEs != ces || cs.UEs != ues || cs.Storms != storms || cs.Events != total {
+		t.Fatalf("compacted counts (%d,%d,%d of %d), want (%d,%d,%d of %d)",
+			cs.CEs, cs.UEs, cs.Storms, cs.Events, ces, ues, storms, total)
 	}
 }
 
@@ -300,14 +283,14 @@ func TestCompactionSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: rebuilt FirstUE (%v,%v) != oracle (%v,%v)", trial, ru, ruhas, ou, ouhas)
 		}
 		if rebuilt.CompactedEvents() != comp.CompactedEvents() ||
-			rebuilt.CompactHorizon() != comp.CompactHorizon() {
+			rebuilt.Compaction().Horizon != comp.Compaction().Horizon {
 			t.Fatalf("trial %d: snapshot counts/horizon not restored", trial)
 		}
 		for q := 0; q < 10; q++ {
 			from := cut + Minutes(rng.Int63n(int64(ObservationSpan)))
 			to := from + Minutes(rng.Int63n(int64(10*Day)))
-			if oracle.CountCEsBetween(from, to) != rebuilt.CountCEsBetween(from, to) {
-				t.Fatalf("trial %d: rebuilt CountCEsBetween differs", trial)
+			if len(oracle.CEsBetween(from, to)) != len(rebuilt.CEsBetween(from, to)) {
+				t.Fatalf("trial %d: rebuilt CEsBetween differs", trial)
 			}
 		}
 	}

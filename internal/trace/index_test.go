@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"memfp/internal/platform"
@@ -9,9 +11,8 @@ import (
 )
 
 // randomLog builds a sorted DIMM log with a random mix of CE/UE/storm
-// events, returning it alongside an unsorted twin that forces the legacy
-// linear query paths (its index is stale by construction).
-func randomLog(t *testing.T, rng *xrand.RNG, nEvents int) (indexed, linear *DIMMLog) {
+// events.
+func randomLog(t *testing.T, rng *xrand.RNG, nEvents int) *DIMMLog {
 	t.Helper()
 	parts := platform.Catalog()
 	id := DIMMID{Platform: platform.Purley, Server: rng.Intn(1000), Slot: rng.Intn(16)}
@@ -32,19 +33,21 @@ func randomLog(t *testing.T, rng *xrand.RNG, nEvents int) (indexed, linear *DIMM
 			DIMM: id,
 		})
 	}
-	indexed = &DIMMLog{ID: id, Part: parts[0], Events: append([]Event(nil), events...)}
-	indexed.SortEvents()
-	// The twin gets the same sorted events but a stale index: copy the
-	// sorted slice in and never call SortEvents.
-	linear = &DIMMLog{ID: id, Part: parts[0], Events: append([]Event(nil), indexed.Events...)}
-	return indexed, linear
+	l := &DIMMLog{ID: id, Part: parts[0], Events: events}
+	l.SortEvents()
+	return l
 }
 
-// linearReference reimplements the original O(n) queries as the oracle.
-func linearCEsBetween(l *DIMMLog, from, to Minutes) []Event {
-	out := []Event{}
+// isIndexed reports whether l's index covers its events.
+func isIndexed(l *DIMMLog) bool { return l.idxLen == len(l.Events) }
+
+// filterEvents is the linear reference every indexed query must agree
+// with: the log's events of type typ with Time in [from, to), in Events
+// order.
+func filterEvents(l *DIMMLog, typ EventType, from, to Minutes) []Event {
+	var out []Event
 	for _, e := range l.Events {
-		if e.Type == TypeCE && e.Time >= from && e.Time < to {
+		if e.Type == typ && e.Time >= from && e.Time < to {
 			out = append(out, e)
 		}
 	}
@@ -52,41 +55,49 @@ func linearCEsBetween(l *DIMMLog, from, to Minutes) []Event {
 }
 
 // TestIndexedQueriesMatchLinear property-tests the binary-searched /
-// cached query paths against the original linear scans on randomized
+// cached query paths against linear filters over Events on randomized
 // logs, including empty and single-event logs.
 func TestIndexedQueriesMatchLinear(t *testing.T) {
+	const lo, hi = Minutes(math.MinInt64), Minutes(math.MaxInt64)
+	first := func(l *DIMMLog, typ EventType) (Minutes, bool) {
+		if es := filterEvents(l, typ, lo, hi); len(es) > 0 {
+			return es[0].Time, true
+		}
+		return 0, false
+	}
 	rng := xrand.New(99)
 	for trial := 0; trial < 50; trial++ {
 		n := 0
 		if trial > 0 {
 			n = 1 + rng.Intn(400)
 		}
-		idx, lin := randomLog(t, rng, n)
-		if !idx.indexed() {
+		idx := randomLog(t, rng, n)
+		if !isIndexed(idx) {
 			t.Fatal("sorted log should be indexed")
 		}
-		if n > 0 && lin.indexed() {
-			t.Fatal("twin log should not be indexed")
-		}
 
-		if got, want := idx.CEs(), lin.CEs(); !sameEvents(got, want) {
+		if got, want := idx.CEs(), filterEvents(idx, TypeCE, lo, hi); !sameEvents(got, want) {
 			t.Fatalf("trial %d: CEs() mismatch: %d vs %d events", trial, len(got), len(want))
 		}
-		if got, want := idx.UEs(), lin.UEs(); !sameEvents(got, want) {
+		if got, want := idx.UEs(), filterEvents(idx, TypeUE, lo, hi); !sameEvents(got, want) {
 			t.Fatalf("trial %d: UEs() mismatch", trial)
 		}
 		gotT, gotOK := idx.FirstUE()
-		wantT, wantOK := lin.FirstUE()
+		wantT, wantOK := first(idx, TypeUE)
 		if gotT != wantT || gotOK != wantOK {
 			t.Fatalf("trial %d: FirstUE (%v,%v) vs (%v,%v)", trial, gotT, gotOK, wantT, wantOK)
 		}
 		gotT, gotOK = idx.FirstCE()
-		wantT, wantOK = lin.FirstCE()
+		wantT, wantOK = first(idx, TypeCE)
 		if gotT != wantT || gotOK != wantOK {
 			t.Fatalf("trial %d: FirstCE (%v,%v) vs (%v,%v)", trial, gotT, gotOK, wantT, wantOK)
 		}
-		if got, want := idx.StormTimes(), lin.StormTimes(); !reflect.DeepEqual(
-			append([]Minutes{}, got...), append([]Minutes{}, want...)) {
+		var storms []Minutes
+		for _, e := range filterEvents(idx, TypeStorm, lo, hi) {
+			storms = append(storms, e.Time)
+		}
+		if got := idx.StormTimes(); !reflect.DeepEqual(
+			append([]Minutes{}, got...), append([]Minutes{}, storms...)) {
 			t.Fatalf("trial %d: StormTimes mismatch", trial)
 		}
 
@@ -103,16 +114,55 @@ func TestIndexedQueriesMatchLinear(t *testing.T) {
 			windows = append(windows, [2]Minutes{a, b})
 		}
 		for _, w := range windows {
-			want := linearCEsBetween(lin, w[0], w[1])
+			want := filterEvents(idx, TypeCE, w[0], w[1])
 			if got := idx.CEsBetween(w[0], w[1]); !sameEvents(got, want) {
 				t.Fatalf("trial %d: CEsBetween(%v,%v): %d vs %d events",
 					trial, w[0], w[1], len(got), len(want))
 			}
-			if got := idx.CountCEsBetween(w[0], w[1]); got != len(want) {
-				t.Fatalf("trial %d: CountCEsBetween(%v,%v) = %d, want %d",
-					trial, w[0], w[1], got, len(want))
-			}
 		}
+	}
+}
+
+// TestQueryBeforeSortPanics: a bulk load leaves the index behind until
+// SortEvents, and a query in between panics with a message that says so
+// instead of answering from a stale index.
+func TestQueryBeforeSortPanics(t *testing.T) {
+	s := NewStore()
+	id := DIMMID{Platform: platform.Purley, Server: 1}
+	l, err := s.Register(id, platform.Catalog()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendEvents(id, []Event{{Time: 9, DIMM: id}, {Time: 3, Type: TypeUE, DIMM: id}}); err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]func(){
+		"CEs":           func() { l.CEs() },
+		"UEs":           func() { l.UEs() },
+		"FirstCE":       func() { l.FirstCE() },
+		"FirstUE":       func() { l.FirstUE() },
+		"CEsBetween":    func() { l.CEsBetween(0, 10) },
+		"StormTimes":    func() { l.StormTimes() },
+		"Compaction":    func() { l.Compaction() },
+		"CompactBefore": func() { l.CompactBefore(5, nil) },
+	}
+	for name, q := range queries {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "SortEvents") {
+					t.Errorf("%s on an unsorted bulk load: recovered %q, want a panic naming SortEvents", name, msg)
+				}
+			}()
+			q()
+		}()
+	}
+	s.SortAll()
+	if ue, ok := l.FirstUE(); !ok || ue != 3 {
+		t.Fatalf("FirstUE after SortAll = %v, %v; want 3, true", ue, ok)
+	}
+	for _, q := range queries {
+		q()
 	}
 }
 
@@ -133,7 +183,7 @@ func sameEvents(a, b []Event) bool {
 // view, not a copy.
 func TestCEsBetweenSharesIndex(t *testing.T) {
 	rng := xrand.New(7)
-	idx, _ := randomLog(t, rng, 200)
+	idx := randomLog(t, rng, 200)
 	ces := idx.CEs()
 	if len(ces) < 3 {
 		t.Skip("log too small")

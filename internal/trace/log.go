@@ -140,7 +140,9 @@ func WriteStore(w io.Writer, s *Store) error {
 }
 
 // ReadStore parses a log stream back into a store. DIMMs are registered on
-// first sight using the part number recorded on the line.
+// first sight using the part number recorded on the line. Lines are bulk
+// loaded and each log is sorted once at the end, so a file in any order
+// costs one sort per DIMM.
 func ReadStore(r io.Reader) (*Store, error) {
 	s := NewStore()
 	sc := bufio.NewScanner(r)
@@ -165,7 +167,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 				return nil, err
 			}
 		}
-		if err := s.Append(e); err != nil {
+		if err := s.AppendEvents(e.DIMM, []Event{e}); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,11 @@
 // uncorrectable-error (UE) events, and CE-storm events. It also provides an
 // in-memory, time-indexed event store and a BMC-style text log codec so the
 // data pipeline has a concrete serialization format to parse.
+//
+// A DIMM log answers queries only while it is sorted and indexed.
+// DIMMLog.Append keeps it so for streamed events in any order; a bulk load
+// (Store.AppendEvents, the generator, ReadStore) is sorted once by
+// Store.SortAll before the first query.
 package trace
 
 import (
@@ -115,20 +120,18 @@ func (s ByTime) Less(i, j int) bool {
 // static part attributes — the unit of analysis for fault classification,
 // feature extraction, and labeling.
 //
-// SortEvents (and Store.SortAll) additionally builds a per-type index —
-// cached CE/UE subsets and first-CE/UE instants — that turns the hot
-// window queries (CEsBetween, FirstUE, FirstCE, CEs, UEs) into O(log n)
-// or O(1) lookups with no allocation. While every event in the log is a
-// CE, the CE view is the event array itself (Events[:n:n]), so the log
-// holds each event once. The view's capacity ends at its length, so
-// after the first UE or storm the next CE's append copies it into an
-// array of its own, once: a copy of what is then the log's CE prefix.
-// The index is keyed to len(Events): mutating Events directly (bulk
-// loading, tests) silently degrades queries to the original linear scans
-// until the next SortEvents, and never mutates the log, so a fully sorted
-// log is safe for concurrent readers. Streaming ingestion should use
-// Append, which maintains the index incrementally for in-order arrivals
-// instead of degrading it.
+// A log keeps a per-type index — cached CE/UE subsets and first-CE/UE
+// instants — that turns the window queries (CEsBetween, FirstUE, FirstCE,
+// CEs, UEs, StormTimes) into O(log n) or O(1) lookups with no allocation.
+// Append keeps the log sorted and indexed whatever order events arrive in.
+// A bulk load (Store.AppendEvents, a direct write to Events) leaves the
+// index behind until SortEvents (Store.SortAll) rebuilds it, and a query
+// in between panics. While every event in the log is a CE, the CE view is
+// the event array itself (Events[:n:n]), so the log holds each event
+// once. The view's capacity ends at its length, so after the first UE or
+// storm the next CE's append copies it into an array of its own, once: a
+// copy of what is then the log's CE prefix. Queries never mutate the log,
+// so a sorted log is safe for concurrent readers.
 type DIMMLog struct {
 	ID     DIMMID
 	Part   platform.DIMMPart
@@ -148,8 +151,8 @@ type DIMMLog struct {
 
 	// Compaction bookkeeping (see CompactBefore): counts of dropped
 	// events, the horizon below which history is gone, and the lifetime
-	// first-CE/UE instants captured before the drop so FirstCE/FirstUE
-	// stay exact on both the indexed and the degraded query paths.
+	// first-CE/UE instants captured before the drop, which every index
+	// rebuild merges back so FirstCE/FirstUE stay exact.
 	compEvents, compCEs, compUEs, compStorms int
 	compBefore                               Minutes
 	lifeFirstCE, lifeFirstUE                 Minutes
@@ -231,30 +234,28 @@ func (d *DIMMLog) buildIndex() {
 	d.idxGen++
 }
 
-// indexed reports whether the cached views match the current Events slice.
-func (d *DIMMLog) indexed() bool { return d.idxLen == len(d.Events) }
-
-// Indexed reports whether the log's query index is current: every query
-// runs at its indexed cost and the cached views (CEs, UEs, StormTimes)
-// are time-sorted and grow only by appending. Online consumers holding
-// incremental state over those views (features.ServeCursor) check this to
-// decide whether their prefix is still trustworthy.
-func (d *DIMMLog) Indexed() bool { return d.indexed() }
+// mustBeIndexed panics unless the index covers Events: only a bulk load
+// that SortEvents has not yet followed leaves it behind.
+func (d *DIMMLog) mustBeIndexed() {
+	if d.idxLen != len(d.Events) {
+		panic("trace: DIMM log queried after a bulk load; call SortEvents first")
+	}
+}
 
 // IndexGen returns a generation counter that advances on every full index
-// rebuild (SortEvents). In-order Appends extend the index and
-// CompactBefore drops a prefix of it without advancing the generation —
-// neither reorders an event — so a consumer that cached view positions can
-// detect a rebuild, which may reorder events beneath it, and start over.
+// rebuild (SortEvents, or an Append out of time order). In-order Appends
+// extend the index and CompactBefore drops a prefix of it without
+// advancing the generation — neither reorders an event — so a consumer
+// that cached view positions can detect a rebuild, which may reorder
+// events beneath it, and start over.
 func (d *DIMMLog) IndexGen() uint64 { return d.idxGen }
 
-// Append adds one event to the log. When the log is indexed and the event
-// arrives in time order (e.Time >= the last event's time), the per-type
-// index is extended incrementally, so streaming ingestion keeps FirstUE,
-// FirstCE, CEsBetween, CountCEsBetween, CEs, UEs and StormTimes at their
-// indexed O(1)/O(log n) costs. An out-of-order append (or an append to an
-// already-degraded log) falls back to the documented stale-index
-// semantics: queries revert to linear scans until the next SortEvents.
+// Append adds one event to the log and leaves it sorted and indexed. An
+// event in time order (e.Time >= the last event's time) extends the
+// per-type index incrementally, so streaming ingestion keeps every query
+// at its indexed O(1)/O(log n) cost. A late event — or any event appended
+// to a bulk-loaded log that was never sorted — is appended and then
+// SortEvents runs, which advances IndexGen.
 //
 // While the log holds only CEs, an in-order CE re-slices the CE view over
 // Events instead of copying the event a second time. The view's capacity
@@ -262,20 +263,21 @@ func (d *DIMMLog) IndexGen() uint64 { return d.idxGen }
 // copies it into an array of its own, once, and nothing written to Events
 // ever lands inside a view handed out earlier.
 func (d *DIMMLog) Append(e Event) {
-	inOrder := d.indexed() &&
-		(len(d.Events) == 0 || e.Time >= d.Events[len(d.Events)-1].Time)
-	allCE := inOrder && len(d.ces) == len(d.Events)
-	d.Events = append(d.Events, e)
-	if !inOrder {
-		return // index now (or already) stale; linear fallback answers
+	n := len(d.Events)
+	if d.idxLen != n || (n > 0 && e.Time < d.Events[n-1].Time) {
+		d.Events = append(d.Events, e)
+		d.SortEvents()
+		return
 	}
+	allCE := len(d.ces) == n
+	d.Events = append(d.Events, e)
 	switch e.Type {
 	case TypeCE:
 		if !d.hasCE {
 			d.hasCE, d.firstCE = true, e.Time
 		}
-		if n := len(d.Events); allCE {
-			d.ces = d.Events[:n:n]
+		if allCE {
+			d.ces = d.Events[: n+1 : n+1]
 		} else {
 			d.ces = append(d.ces, e)
 		}
@@ -290,123 +292,50 @@ func (d *DIMMLog) Append(e Event) {
 	d.idxLen = len(d.Events)
 }
 
-// CEs returns the CE events in time order. On an indexed log the slice is
-// cached and shared — callers must treat it as read-only.
+// CEs returns the CE events in time order. The slice is cached and shared
+// — callers must treat it as read-only.
 func (d *DIMMLog) CEs() []Event {
-	if d.indexed() {
-		return d.ces
-	}
-	return d.eventsOf(TypeCE)
+	d.mustBeIndexed()
+	return d.ces
 }
 
-// UEs returns the UE events in time order. On an indexed log the slice is
-// cached and shared — callers must treat it as read-only.
+// UEs returns the UE events in time order. The slice is cached and shared
+// — callers must treat it as read-only.
 func (d *DIMMLog) UEs() []Event {
-	if d.indexed() {
-		return d.ues
-	}
-	return d.eventsOf(TypeUE)
-}
-
-func (d *DIMMLog) eventsOf(t EventType) []Event {
-	out := make([]Event, 0, len(d.Events))
-	for _, e := range d.Events {
-		if e.Type == t {
-			out = append(out, e)
-		}
-	}
-	return out
+	d.mustBeIndexed()
+	return d.ues
 }
 
 // FirstUE returns the time of the first UE and true, or (0, false) when the
-// DIMM never experienced a UE. O(1) on an indexed log.
+// DIMM never experienced a UE. O(1); a compacted-away first UE still counts.
 func (d *DIMMLog) FirstUE() (Minutes, bool) {
-	if d.indexed() {
-		return d.firstUE, d.hasUE
-	}
-	if d.compEvents > 0 && d.lifeHasUE {
-		// Compacted history held the lifetime first UE; the degraded scan
-		// below could only find a later (retained) one.
-		return d.lifeFirstUE, true
-	}
-	for _, e := range d.Events {
-		if e.Type == TypeUE {
-			return e.Time, true
-		}
-	}
-	return 0, false
+	d.mustBeIndexed()
+	return d.firstUE, d.hasUE
 }
 
-// FirstCE returns the time of the first CE and true, or (0, false). O(1) on
-// an indexed log.
+// FirstCE returns the time of the first CE and true, or (0, false). O(1); a
+// compacted-away first CE still counts.
 func (d *DIMMLog) FirstCE() (Minutes, bool) {
-	if d.indexed() {
-		return d.firstCE, d.hasCE
-	}
-	if d.compEvents > 0 && d.lifeHasCE {
-		return d.lifeFirstCE, true
-	}
-	for _, e := range d.Events {
-		if e.Type == TypeCE {
-			return e.Time, true
-		}
-	}
-	return 0, false
+	d.mustBeIndexed()
+	return d.firstCE, d.hasCE
 }
 
-// CEsBetween returns CE events with Time in [from, to). On an indexed log
-// this is a binary-searched subslice of the cached CE view — O(log n), no
-// allocation — and must be treated as read-only.
+// CEsBetween returns CE events with Time in [from, to): a binary-searched
+// subslice of the cached CE view — O(log n), no allocation — that must be
+// treated as read-only.
 func (d *DIMMLog) CEsBetween(from, to Minutes) []Event {
-	if d.indexed() {
-		lo, hi := d.ceRange(from, to)
-		return d.ces[lo:hi]
-	}
-	out := []Event{}
-	for _, e := range d.Events {
-		if e.Type != TypeCE {
-			continue
-		}
-		if e.Time >= from && e.Time < to {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ceRange returns the index range [lo, hi) of cached CEs with Time in
-// [from, to). Callers must hold an indexed log.
-func (d *DIMMLog) ceRange(from, to Minutes) (lo, hi int) {
+	d.mustBeIndexed()
 	ces := d.ces
-	lo = sort.Search(len(ces), func(i int) bool { return ces[i].Time >= from })
-	hi = sort.Search(len(ces), func(i int) bool { return ces[i].Time >= to })
-	return lo, hi
+	lo := sort.Search(len(ces), func(i int) bool { return ces[i].Time >= from })
+	hi := sort.Search(len(ces), func(i int) bool { return ces[i].Time >= to })
+	return ces[lo:hi]
 }
 
 // StormTimes returns the times of the DIMM's storm events in time order.
-// On an indexed log the slice is cached and shared — callers must treat it
-// as read-only.
+// The slice is cached and shared — callers must treat it as read-only.
 func (d *DIMMLog) StormTimes() []Minutes {
-	if d.indexed() {
-		return d.storms
-	}
-	var out []Minutes
-	for _, e := range d.Events {
-		if e.Type == TypeStorm {
-			out = append(out, e.Time)
-		}
-	}
-	return out
-}
-
-// CountCEsBetween returns the number of CE events with Time in [from, to)
-// without materializing them. O(log n) on an indexed log.
-func (d *DIMMLog) CountCEsBetween(from, to Minutes) int {
-	if d.indexed() {
-		lo, hi := d.ceRange(from, to)
-		return hi - lo
-	}
-	return len(d.CEsBetween(from, to))
+	d.mustBeIndexed()
+	return d.storms
 }
 
 // Store is an in-memory event store for a fleet: the "data lake" stage of
@@ -439,9 +368,10 @@ func (s *Store) Register(id DIMMID, part platform.DIMMPart) (*DIMMLog, error) {
 	return l, nil
 }
 
-// Append adds an event to its DIMM's log via DIMMLog.Append, so a store
-// fed an in-order stream stays fully indexed without re-sorting. The DIMM
-// must be registered.
+// Append adds an event to its DIMM's log via DIMMLog.Append, so every log
+// stays sorted and indexed: an in-order stream without re-sorting, a late
+// event at the cost of one sort of its DIMM's log. The DIMM must be
+// registered.
 func (s *Store) Append(e Event) error {
 	l, ok := s.logs[e.DIMM]
 	if !ok {
@@ -453,8 +383,10 @@ func (s *Store) Append(e Event) error {
 }
 
 // AppendEvents bulk-appends events to one DIMM's log with a single map
-// lookup — the merge path of the parallel fleet generator. Every event
-// must belong to the given DIMM.
+// lookup — the merge path of the parallel fleet generator and the log
+// reader. Every event must belong to the given DIMM. The log is not
+// indexed again until SortAll (or its SortEvents) runs, and a query
+// before that panics.
 func (s *Store) AppendEvents(id DIMMID, events []Event) error {
 	if len(events) == 0 {
 		return nil
