@@ -104,8 +104,8 @@ test-race:
 	$(GO) test -race -count=10 -run '^TestRouterConcurrentRoutes$$' ./internal/controlplane/
 
 # Short fuzz passes: the bin mapper (the substrate every tree model bins
-# through), the scenario YAML-subset parser (user input — malformed
-# files must error, never panic), the binary event-frame decoder
+# through), the scenario YAML-subset parser and the schema decoder behind
+# it (user input — malformed files must error, never panic), the binary event-frame decoder
 # (untrusted wire input to the control plane's ingest endpoint), the
 # engine-snapshot restore a rejoining node runs on bytes pulled over
 # HTTP, the checkpoint-chain merge the control plane runs before it
@@ -121,6 +121,7 @@ test-race:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinMapper$$' -fuzztime 15s ./internal/ml/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseYAML$$' -fuzztime 15s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime 15s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventFrame$$' -fuzztime 15s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 15s ./internal/mlops/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeSnapshot$$' -fuzztime 15s ./internal/mlops/

@@ -16,15 +16,6 @@ import (
 	"memfp/internal/trace"
 )
 
-func parsePlatform(s string) (platform.ID, error) {
-	for _, id := range platform.All() {
-		if string(id) == s {
-			return id, nil
-		}
-	}
-	return "", fmt.Errorf("unknown platform %q (want one of %v)", s, platform.All())
-}
-
 // cmdGenerate simulates one fleet and writes its BMC log.
 func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
@@ -34,8 +25,8 @@ func cmdGenerate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	id, err := parsePlatform(*pf)
-	if err != nil {
+	id := platform.ID(*pf)
+	if _, err := platform.Get(id); err != nil {
 		return err
 	}
 	res, err := pipeline.Generate(context.Background(),
@@ -128,8 +119,8 @@ func cmdTrain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	id, err := parsePlatform(*pf)
-	if err != nil {
+	id := platform.ID(*pf)
+	if _, err := platform.Get(id); err != nil {
 		return err
 	}
 	name, err := resolveAlgo(*algo)
@@ -170,10 +161,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	id, err := parsePlatform(*pf)
-	if err != nil {
-		return err
-	}
+	// BootFigure6 checks the platform through platform.Get.
 	return memfp.RunFigure6(context.Background(), memfp.Config{Scale: *scale, Seed: *seed},
-		memfp.Figure6{Platform: id, Trainer: *trainer, Shards: *shards, MemoryBudgetMiB: *membudget}, os.Stdout)
+		memfp.Figure6{Platform: platform.ID(*pf), Trainer: *trainer, Shards: *shards, MemoryBudgetMiB: *membudget}, os.Stdout)
 }

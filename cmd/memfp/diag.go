@@ -10,6 +10,7 @@ import (
 	"memfp/internal/eval"
 	"memfp/internal/features"
 	"memfp/internal/ml/gbdt"
+	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
 
@@ -23,8 +24,8 @@ func cmdDiag(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	id, err := parsePlatform(*pf)
-	if err != nil {
+	id := platform.ID(*pf)
+	if _, err := platform.Get(id); err != nil {
 		return err
 	}
 	cfg := memfp.Config{Scale: *scale, Seed: *seed}

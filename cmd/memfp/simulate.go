@@ -16,7 +16,7 @@ import (
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	validate := fs.Bool("validate", false, "parse and validate the scenario files, run nothing")
-	shards := fs.Int("shards", 0, "serving-engine shard count override (0 = scenario default)")
+	shards := fs.Int("shards", 0, "serving-engine shard count (0 = one per CPU); any value gives the same report")
 	seed := fs.Uint64("seed", 0, "seed override (0 = scenario's own seed)")
 	out := fs.String("o", "", "write the JSON report(s) to this file or directory (default stdout)")
 	verbose := fs.Bool("v", false, "log fleet generation and chaos actions to stderr")

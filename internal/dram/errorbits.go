@@ -145,6 +145,9 @@ func ParseErrorBits(w Width, s string) (ErrorBits, error) {
 		if _, err := fmt.Sscanf(tok[:colon], "b%d", &beat); err != nil {
 			return e, fmt.Errorf("dram: bad beat in token %q: %w", tok, err)
 		}
+		if beat < 0 || beat >= BurstLength {
+			return e, fmt.Errorf("dram: beat in token %q outside the %d-beat burst", tok, BurstLength)
+		}
 		bitsPart := tok[colon+1:]
 		if len(bitsPart) != int(w) {
 			return e, fmt.Errorf("dram: token %q has %d bits, want %d", tok, len(bitsPart), int(w))

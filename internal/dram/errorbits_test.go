@@ -120,7 +120,7 @@ func TestErrorBitsStringRoundTrip(t *testing.T) {
 }
 
 func TestParseErrorBitsRejectsGarbage(t *testing.T) {
-	for _, s := range []string{"x", "b0:12345", "b0:102", "bx:1000", "b0:1000 b1:"} {
+	for _, s := range []string{"x", "b0:12345", "b0:102", "bx:1000", "b0:1000 b1:", "b10:0100", "b-1:0100"} {
 		if _, err := ParseErrorBits(X4, s); err == nil {
 			t.Errorf("ParseErrorBits(%q) should fail", s)
 		}

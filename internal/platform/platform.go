@@ -91,7 +91,7 @@ func Get(id ID) (*Platform, error) {
 			Sockets:           2,
 		}, nil
 	default:
-		return nil, fmt.Errorf("platform: unknown platform %q", id)
+		return nil, fmt.Errorf("platform: unknown platform %q (want one of %v)", id, All())
 	}
 }
 

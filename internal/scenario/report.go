@@ -220,7 +220,7 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 
 	rep.Passed = true
 	for _, as := range s.Assertions {
-		obs := rep.observe(as.Type)
+		obs := observers[as.Type](rep)
 		res := AssertionResult{Type: as.Type, Min: as.Min, Max: as.Max, Observed: obs, Pass: true}
 		if as.Min != nil && obs < *as.Min {
 			res.Pass = false
@@ -236,41 +236,24 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 	return rep
 }
 
-// observe maps an assertion type to its observed value.
-func (r *Report) observe(typ string) float64 {
-	switch typ {
-	case "alarm_count":
-		return float64(r.Counters.Alarms)
-	case "predictions":
-		return float64(r.Counters.Predictions)
-	case "events_delivered":
-		return float64(r.Counters.EventsDelivered)
-	case "events_injected":
-		return float64(r.Counters.EventsInjected)
-	case "events_dropped":
-		return float64(r.Counters.EventsDropped)
-	case "events_lagged":
-		return float64(r.Counters.EventsLagged)
-	case "events_held":
-		return float64(r.Counters.EventsHeld)
-	case "hotswaps":
-		return float64(r.Counters.Hotswaps)
-	case "promotions":
-		return float64(r.Counters.Promotions)
-	case "rollbacks":
-		return float64(r.Counters.Rollbacks)
-	case "precision":
-		return r.Metrics.Precision
-	case "recall":
-		return r.Metrics.Recall
-	case "lead_time_p50":
-		return r.Metrics.LeadP50Days
-	case "lead_time_p90":
-		return r.Metrics.LeadP90Days
-	case "psi":
-		return r.Metrics.PSI
-	}
-	return 0
+// observers maps each assertion type to the report value it bounds; its
+// keys are the valid Assertion.Type values.
+var observers = map[string]func(*Report) float64{
+	"alarm_count":      func(r *Report) float64 { return float64(r.Counters.Alarms) },
+	"predictions":      func(r *Report) float64 { return float64(r.Counters.Predictions) },
+	"events_delivered": func(r *Report) float64 { return float64(r.Counters.EventsDelivered) },
+	"events_injected":  func(r *Report) float64 { return float64(r.Counters.EventsInjected) },
+	"events_dropped":   func(r *Report) float64 { return float64(r.Counters.EventsDropped) },
+	"events_lagged":    func(r *Report) float64 { return float64(r.Counters.EventsLagged) },
+	"events_held":      func(r *Report) float64 { return float64(r.Counters.EventsHeld) },
+	"hotswaps":         func(r *Report) float64 { return float64(r.Counters.Hotswaps) },
+	"promotions":       func(r *Report) float64 { return float64(r.Counters.Promotions) },
+	"rollbacks":        func(r *Report) float64 { return float64(r.Counters.Rollbacks) },
+	"precision":        func(r *Report) float64 { return r.Metrics.Precision },
+	"recall":           func(r *Report) float64 { return r.Metrics.Recall },
+	"lead_time_p50":    func(r *Report) float64 { return r.Metrics.LeadP50Days },
+	"lead_time_p90":    func(r *Report) float64 { return r.Metrics.LeadP90Days },
+	"psi":              func(r *Report) float64 { return r.Metrics.PSI },
 }
 
 // Summary renders a short human-readable pass/fail table.

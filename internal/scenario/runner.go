@@ -18,7 +18,7 @@ import (
 // Every option is determinism-neutral: any combination produces the
 // byte-identical report and alarm stream.
 type Options struct {
-	// Shards overrides the scenario's serving shard count (0 keeps it).
+	// Shards is each serving engine's shard count (0 = one per CPU).
 	Shards int
 	// Workers bounds fleet-generation concurrency (0 = one per CPU).
 	Workers int
@@ -140,10 +140,6 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 	}
 
 	// --- Bootstrap training + serving control planes.
-	shards := s.Shards
-	if opt.Shards > 0 {
-		shards = opt.Shards
-	}
 	trainEnd := trace.Minutes(s.Train.TrainEndDay) * trace.Day
 	valEnd := trace.Minutes(s.Train.ValEndDay) * trace.Day
 	for pi, pf := range order {
@@ -162,7 +158,7 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 				return nil, err
 			}
 		}
-		pr.pipe.Shards = shards
+		pr.pipe.Shards = opt.Shards
 		if pr.cp, err = controlplane.New(controlplane.Config{Pipeline: pr.pipe}); err != nil {
 			return nil, fmt.Errorf("scenario: serving %s: %w", pf, err)
 		}

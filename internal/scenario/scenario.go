@@ -15,13 +15,20 @@
 // reaches controlplane.Server.ServeStream) and every random draw comes from
 // an index-addressable xrand.Derive stream.
 //
+// The schema is written once: each section is decoded through one table
+// that maps its keys to their destinations (see decoder.fields), so a
+// key is declared in exactly one place, and a day or minute count is
+// checked against the observation span before it is converted.
+//
 // Run scenarios with `memfp simulate scenarios/<name>.yaml`; check a
 // file against the schema with `memfp simulate -validate <file>`.
 package scenario
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -40,9 +47,6 @@ type Scenario struct {
 	// TickMinutes is the serving tick: events are delivered to the engine
 	// in batches covering this much simulated time (default one day).
 	TickMinutes trace.Minutes
-	// Shards is the default serving-engine shard count (0 = one per
-	// CPU). Any value yields the identical report; runners may override.
-	Shards int
 	// RecordAlarms embeds the full alarm stream in the report (the
 	// digest is always present).
 	RecordAlarms bool
@@ -137,27 +141,24 @@ type Action struct {
 // Assertion is one end-of-run check. Metrics are aggregated across
 // platforms (counts summed, PSI maximized, lead times pooled).
 type Assertion struct {
-	// Type names the observed metric: alarm_count, predictions,
-	// events_delivered, events_injected, events_dropped, events_lagged,
-	// events_held, hotswaps, promotions, rollbacks, precision, recall,
-	// lead_time_p50, lead_time_p90 (days), psi.
+	// Type names the observed metric, a key of observers.
 	Type string
 	// Min/Max bound the observation inclusively; nil means unbounded.
 	Min, Max *float64
 }
 
-// assertionTypes lists the valid Assertion.Type values.
-var assertionTypes = map[string]bool{
-	"alarm_count": true, "predictions": true, "events_delivered": true,
-	"events_injected": true, "events_dropped": true, "events_lagged": true,
-	"events_held": true, "hotswaps": true, "promotions": true,
-	"rollbacks": true, "precision": true, "recall": true,
-	"lead_time_p50": true, "lead_time_p90": true, "psi": true,
-}
-
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
+
+// Keys two sections share, with one meaning in both: a platform (a
+// template's, or the one an action is restricted to) and a training
+// split (train: and train_promote).
+const (
+	keyPlatform = "platform"
+	keyTrainEnd = "train_end_day"
+	keyValEnd   = "val_end_day"
+)
 
 // decoder tracks the path through the document for positioned errors.
 type decoder struct{ path []string }
@@ -170,95 +171,136 @@ func (d *decoder) errf(format string, args ...any) error {
 	return fmt.Errorf("scenario: %s: %s", p, fmt.Sprintf(format, args...))
 }
 
-func (d *decoder) push(k string) { d.path = append(d.path, k) }
-func (d *decoder) pop()          { d.path = d.path[:len(d.path)-1] }
+// items is the table destination of a sequence section: it decodes each
+// item in turn, with the item's index on the error path (chaos[3]).
+type items func(item any) error
 
-// mapNode asserts a node is a mapping and checks for unknown keys.
-func (d *decoder) mapNode(n any, known ...string) (map[string]any, error) {
+// within is the table destination of a day (unit trace.Day) or minute
+// (unit 1) count. The count is refused outside [0, the observation span]
+// before anything converts or adds it, so no count can wrap. dst is an
+// *int, or an **int where presence matters.
+type within struct {
+	unit trace.Minutes
+	dst  any
+}
+
+// fields decodes one mapping section through its table. The table's keys
+// are the section's known keys, and each destination's type picks the
+// conversion: *string, *int, *float64, *bool, *platform.ID,
+// *faultsim.Mode, **int and **float64 (set only when the key is given),
+// within (a time count), func(any) error (a nested mapping) and items (a
+// nested sequence). Keys decode in sorted order, so the first error is
+// the same on every run.
+func (d *decoder) fields(n any, table map[string]any) error {
 	m, ok := n.(map[string]any)
 	if !ok {
-		return nil, d.errf("expected a mapping, got %T", n)
+		return d.errf("expected a mapping, got %T", n)
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		dst, known := table[k]
+		if !known {
+			return d.errf("unknown key %q (known: %s)", k, strings.Join(slices.Sorted(maps.Keys(table)), ", "))
+		}
+		if err := d.set(k, m[k], dst); err != nil {
+			return err
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		found := false
-		for _, w := range known {
-			if k == w {
-				found = true
-				break
+	return nil
+}
+
+// set decodes the value under key into one table destination.
+func (d *decoder) set(key string, v, dst any) error {
+	switch p := dst.(type) {
+	case func(any) error:
+		d.path = append(d.path, key)
+		defer func() { d.path = d.path[:len(d.path)-1] }()
+		return p(v)
+	case items:
+		seq, ok := v.([]any)
+		if !ok {
+			return d.errf("%s: expected a sequence, got %T", key, v)
+		}
+		for i, it := range seq {
+			d.path = append(d.path, fmt.Sprintf("%s[%d]", key, i))
+			if err := p(it); err != nil {
+				return err
 			}
+			d.path = d.path[:len(d.path)-1]
 		}
-		if !found {
-			return nil, d.errf("unknown key %q (known: %s)", k, strings.Join(known, ", "))
+		return nil
+	}
+	s, ok := v.(string)
+	if !ok {
+		return d.errf("%s: expected a scalar, got %T", key, v)
+	}
+	var err error
+	switch p := dst.(type) {
+	case *string:
+		*p = s
+	case *bool:
+		switch s {
+		case "true", "yes", "on":
+			*p = true
+		case "false", "no", "off":
+			*p = false
+		default:
+			return d.errf("%s: %q is not a boolean", key, s)
 		}
+	case *int:
+		if *p, err = strconv.Atoi(s); err != nil {
+			return d.errf("%s: %q is not an integer", key, s)
+		}
+	case **int:
+		*p = new(int)
+		return d.set(key, v, *p)
+	case *float64:
+		if *p, err = strconv.ParseFloat(s, 64); err != nil {
+			return d.errf("%s: %q is not a number", key, s)
+		}
+		if math.IsNaN(*p) || math.IsInf(*p, 0) {
+			// NaN compares false, so it would pass every range check.
+			return d.errf("%s: %q is not finite", key, s)
+		}
+	case **float64:
+		*p = new(float64)
+		return d.set(key, v, *p)
+	case within:
+		var n int
+		if err := d.set(key, v, &n); err != nil {
+			return err
+		}
+		if n < 0 || trace.Minutes(n) > trace.ObservationSpan/p.unit {
+			return d.errf("%s: %d is outside the observation span", key, n)
+		}
+		return d.set(key, v, p.dst)
+	case *platform.ID:
+		if _, err := platform.Get(platform.ID(s)); err != nil {
+			return d.errf("%v", err)
+		}
+		*p = platform.ID(s)
+	case *faultsim.Mode:
+		if *p, err = faultsim.ParseMode(s); err != nil {
+			return d.errf("%v", err)
+		}
+	default:
+		panic(fmt.Sprintf("scenario: %s: no conversion to %T", key, dst))
 	}
-	return m, nil
+	return nil
 }
 
-func (d *decoder) str(m map[string]any, key string) (string, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return "", false, nil
+// either converts an either/or pair of day and minute counts, both
+// already inside the observation span, to minutes; ok is false when
+// neither was given.
+func (d *decoder) either(keys string, days, mins *int) (t trace.Minutes, ok bool, err error) {
+	switch {
+	case days != nil && mins != nil:
+		return 0, false, d.errf("give %s, not both", keys)
+	case days != nil:
+		return trace.Minutes(*days) * trace.Day, true, nil
+	case mins != nil:
+		return trace.Minutes(*mins), true, nil
 	}
-	s, isStr := v.(string)
-	if !isStr {
-		return "", false, d.errf("%s: expected a scalar, got %T", key, v)
-	}
-	return s, true, nil
-}
-
-func (d *decoder) float(m map[string]any, key string) (float64, bool, error) {
-	s, ok, err := d.str(m, key)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, false, d.errf("%s: %q is not a number", key, s)
-	}
-	return f, true, nil
-}
-
-func (d *decoder) integer(m map[string]any, key string) (int, bool, error) {
-	s, ok, err := d.str(m, key)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	i, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, false, d.errf("%s: %q is not an integer", key, s)
-	}
-	return i, true, nil
-}
-
-func (d *decoder) boolean(m map[string]any, key string) (bool, bool, error) {
-	s, ok, err := d.str(m, key)
-	if err != nil || !ok {
-		return false, ok, err
-	}
-	switch s {
-	case "true", "yes", "on":
-		return true, true, nil
-	case "false", "no", "off":
-		return false, true, nil
-	}
-	return false, false, d.errf("%s: %q is not a boolean", key, s)
-}
-
-func (d *decoder) seq(m map[string]any, key string) ([]any, bool, error) {
-	v, ok := m[key]
-	if !ok {
-		return nil, false, nil
-	}
-	s, isSeq := v.([]any)
-	if !isSeq {
-		return nil, false, d.errf("%s: expected a sequence, got %T", key, v)
-	}
-	return s, true, nil
+	return 0, false, nil
 }
 
 // Parse decodes and validates one scenario document.
@@ -268,320 +310,155 @@ func Parse(src string) (*Scenario, error) {
 		return nil, err
 	}
 	d := &decoder{}
-	root, err := d.mapNode(node, "name", "description", "seed", "tick_minutes",
-		"shards", "record_alarms", "fleet", "train", "chaos", "assertions")
-	if err != nil {
-		return nil, err
-	}
-
 	s := &Scenario{
-		Seed:        42,
-		TickMinutes: trace.Day,
-		Train:       TrainSpec{Trainer: model.NameGBDT, TrainEndDay: dataset.TrainEndDay, ValEndDay: dataset.ValEndDay},
+		Train: TrainSpec{Trainer: model.NameGBDT, TrainEndDay: dataset.TrainEndDay, ValEndDay: dataset.ValEndDay},
 	}
-	if s.Name, _, err = d.str(root, "name"); err != nil {
+	seed, tick := 42, int(trace.Day)
+	if err := d.fields(node, map[string]any{
+		"name": &s.Name, "description": &s.Description, "seed": &seed,
+		"tick_minutes": &tick, "record_alarms": &s.RecordAlarms,
+		"fleet":      func(n any) error { return d.fleet(n, &s.Fleet) },
+		"train":      func(n any) error { return d.train(n, &s.Train) },
+		"chaos":      items(func(n any) error { return d.action(n, s) }),
+		"assertions": items(func(n any) error { return d.assertion(n, s) }),
+	}); err != nil {
 		return nil, err
 	}
-	if s.Name == "" {
+	switch {
+	case s.Name == "":
 		return nil, d.errf("name is required")
+	case len(s.Fleet.Templates) == 0: // fleet refuses a section without one
+		return nil, d.errf("fleet section is required")
+	case seed < 0:
+		return nil, d.errf("seed must be non-negative")
+	case tick <= 0:
+		return nil, d.errf("tick_minutes must be positive")
 	}
-	if s.Description, _, err = d.str(root, "description"); err != nil {
-		return nil, err
-	}
-	if v, ok, err := d.integer(root, "seed"); err != nil {
-		return nil, err
-	} else if ok {
-		if v < 0 {
-			return nil, d.errf("seed must be non-negative")
-		}
-		s.Seed = uint64(v)
-	}
-	if v, ok, err := d.integer(root, "tick_minutes"); err != nil {
-		return nil, err
-	} else if ok {
-		if v <= 0 {
-			return nil, d.errf("tick_minutes must be positive")
-		}
-		s.TickMinutes = trace.Minutes(v)
-	}
-	if v, ok, err := d.integer(root, "shards"); err != nil {
-		return nil, err
-	} else if ok {
-		s.Shards = v
-	}
-	if v, ok, err := d.boolean(root, "record_alarms"); err != nil {
-		return nil, err
-	} else if ok {
-		s.RecordAlarms = v
-	}
-
-	if err := d.decodeFleet(root, s); err != nil {
-		return nil, err
-	}
-	if err := d.decodeTrain(root, s); err != nil {
-		return nil, err
-	}
-	if err := d.decodeChaos(root, s); err != nil {
-		return nil, err
-	}
-	if err := d.decodeAssertions(root, s); err != nil {
-		return nil, err
-	}
-	return s, s.validate()
+	s.Seed, s.TickMinutes = uint64(seed), trace.Minutes(tick)
+	return s, nil
 }
 
-func (d *decoder) decodeFleet(root map[string]any, s *Scenario) error {
-	v, ok := root["fleet"]
-	if !ok {
-		return d.errf("fleet section is required")
-	}
-	d.push("fleet")
-	defer d.pop()
-	m, err := d.mapNode(v, "scale", "templates", "regimes", "max_events_per_dimm")
-	if err != nil {
+func (d *decoder) fleet(n any, f *FleetGen) error {
+	if err := d.fields(n, map[string]any{
+		"scale": &f.Scale, "max_events_per_dimm": &f.MaxEventsPerDIMM,
+		"templates": items(func(n any) error { return d.template(n, f) }),
+		"regimes":   items(func(n any) error { return d.regime(n, f) }),
+	}); err != nil {
 		return err
 	}
-	if s.Fleet.Scale, ok, err = d.float(m, "scale"); err != nil {
-		return err
-	} else if !ok || s.Fleet.Scale <= 0 {
+	if f.Scale <= 0 {
 		return d.errf("scale must be a positive number")
 	}
-	if s.Fleet.MaxEventsPerDIMM, _, err = d.integer(m, "max_events_per_dimm"); err != nil {
-		return err
-	}
-	items, ok, err := d.seq(m, "templates")
-	if err != nil {
-		return err
-	}
-	if !ok || len(items) == 0 {
+	if len(f.Templates) == 0 {
 		return d.errf("templates must list at least one platform")
-	}
-	for i, it := range items {
-		d.push(fmt.Sprintf("templates[%d]", i))
-		tm, err := d.mapNode(it, "platform", "weight")
-		if err != nil {
-			return err
-		}
-		var t Template
-		pf, ok, err := d.str(tm, "platform")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return d.errf("platform is required")
-		}
-		t.Platform, err = parsePlatform(pf)
-		if err != nil {
-			return d.errf("%v", err)
-		}
-		t.Weight = 1
-		if w, ok, err := d.float(tm, "weight"); err != nil {
-			return err
-		} else if ok {
-			if w <= 0 {
-				return d.errf("weight must be positive")
-			}
-			t.Weight = w
-		}
-		s.Fleet.Templates = append(s.Fleet.Templates, t)
-		d.pop()
-	}
-	regs, _, err := d.seq(m, "regimes")
-	if err != nil {
-		return err
-	}
-	for i, it := range regs {
-		d.push(fmt.Sprintf("regimes[%d]", i))
-		rm, err := d.mapNode(it, "from_day", "to_day", "rate_mult", "modes")
-		if err != nil {
-			return err
-		}
-		var r faultsim.Regime
-		if r.FromDay, ok, err = d.integer(rm, "from_day"); err != nil {
-			return err
-		} else if !ok {
-			return d.errf("from_day is required")
-		}
-		if r.ToDay, _, err = d.integer(rm, "to_day"); err != nil {
-			return err
-		}
-		if r.RateMult, _, err = d.float(rm, "rate_mult"); err != nil {
-			return err
-		}
-		if mv, ok := rm["modes"]; ok {
-			mm, isMap := mv.(map[string]any)
-			if !isMap {
-				return d.errf("modes: expected a mapping of mode name to multiplier")
-			}
-			r.ModeMult = map[faultsim.Mode]float64{}
-			names := make([]string, 0, len(mm))
-			for name := range mm {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				mode, err := faultsim.ParseMode(name)
-				if err != nil {
-					return d.errf("modes: %v", err)
-				}
-				fs, isStr := mm[name].(string)
-				if !isStr {
-					return d.errf("modes.%s: expected a number", name)
-				}
-				f, err := strconv.ParseFloat(fs, 64)
-				if err != nil {
-					return d.errf("modes.%s: %q is not a number", name, fs)
-				}
-				r.ModeMult[mode] = f
-			}
-		}
-		if err := r.Validate(); err != nil {
-			return d.errf("%v", err)
-		}
-		s.Fleet.Regimes = append(s.Fleet.Regimes, r)
-		d.pop()
 	}
 	return nil
 }
 
-func (d *decoder) decodeTrain(root map[string]any, s *Scenario) error {
-	v, ok := root["train"]
+func (d *decoder) template(n any, f *FleetGen) error {
+	t := Template{Weight: 1}
+	if err := d.fields(n, map[string]any{keyPlatform: &t.Platform, "weight": &t.Weight}); err != nil {
+		return err
+	}
+	if t.Platform == "" {
+		return d.errf("platform is required")
+	}
+	if t.Weight <= 0 {
+		return d.errf("weight must be positive")
+	}
+	f.Templates = append(f.Templates, t)
+	return nil
+}
+
+func (d *decoder) regime(n any, f *FleetGen) error {
+	var r faultsim.Regime
+	var from *int
+	if err := d.fields(n, map[string]any{
+		"from_day": &from, "to_day": &r.ToDay, "rate_mult": &r.RateMult,
+		"modes": func(n any) error { return d.modes(n, &r) },
+	}); err != nil {
+		return err
+	}
+	if from == nil {
+		return d.errf("from_day is required")
+	}
+	r.FromDay = *from
+	if err := r.Validate(); err != nil {
+		return d.errf("%v", err)
+	}
+	f.Regimes = append(f.Regimes, r)
+	return nil
+}
+
+// modes decodes a regime's mapping of fault-mode name to multiplier.
+func (d *decoder) modes(n any, r *faultsim.Regime) error {
+	m, ok := n.(map[string]any)
 	if !ok {
-		return nil
+		return d.errf("expected a mapping of mode name to multiplier")
 	}
-	d.push("train")
-	defer d.pop()
-	m, err := d.mapNode(v, "trainer", "train_end_day", "val_end_day")
-	if err != nil {
-		return err
-	}
-	if name, ok, err := d.str(m, "trainer"); err != nil {
-		return err
-	} else if ok {
-		t, err := model.Resolve(name)
+	r.ModeMult = map[faultsim.Mode]float64{}
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		mode, err := faultsim.ParseMode(name)
 		if err != nil {
 			return d.errf("%v", err)
 		}
-		s.Train.Trainer = t.Name()
+		var f float64
+		if err := d.set(name, m[name], &f); err != nil {
+			return err
+		}
+		r.ModeMult[mode] = f
 	}
-	if v, ok, err := d.integer(m, "train_end_day"); err != nil {
+	return nil
+}
+
+func (d *decoder) train(n any, t *TrainSpec) error {
+	if err := d.fields(n, map[string]any{
+		"trainer":   &t.Trainer,
+		keyTrainEnd: within{trace.Day, &t.TrainEndDay}, keyValEnd: within{trace.Day, &t.ValEndDay},
+	}); err != nil {
 		return err
-	} else if ok {
-		s.Train.TrainEndDay = v
 	}
-	if v, ok, err := d.integer(m, "val_end_day"); err != nil {
-		return err
-	} else if ok {
-		s.Train.ValEndDay = v
+	tr, err := model.Resolve(t.Trainer)
+	if err != nil {
+		return d.errf("%v", err)
 	}
-	if s.Train.TrainEndDay <= 0 || s.Train.ValEndDay <= s.Train.TrainEndDay {
+	t.Trainer = tr.Name()
+	if t.TrainEndDay <= 0 || t.ValEndDay <= t.TrainEndDay {
 		return d.errf("need 0 < train_end_day < val_end_day")
 	}
 	return nil
 }
 
-func (d *decoder) decodeChaos(root map[string]any, s *Scenario) error {
-	items, _, err := d.seq(root, "chaos")
+func (d *decoder) action(n any, s *Scenario) error {
+	var a Action
+	var atDay, atMin, durDays, durMin *int
+	if err := d.fields(n, map[string]any{
+		"action": &a.Kind,
+		"at_day": within{trace.Day, &atDay}, "at_minutes": within{1, &atMin},
+		"duration_days": within{trace.Day, &durDays}, "duration_minutes": within{1, &durMin},
+		keyPlatform: &a.Platform, "fraction": &a.Fraction, "rate_per_day": &a.RatePerDay,
+		"mode": &a.Mode, "risky": &a.Risky, "count": &a.Count, "burst_ces": &a.BurstCEs,
+		"selector": &a.Selector, "max_targets": &a.MaxTargets,
+		keyTrainEnd: within{trace.Day, &a.TrainEndDay}, keyValEnd: within{trace.Day, &a.ValEndDay},
+		"force": &a.Force,
+	}); err != nil {
+		return err
+	}
+	at, ok, err := d.either("at_day or at_minutes", atDay, atMin)
 	if err != nil {
 		return err
 	}
-	for i, it := range items {
-		d.push(fmt.Sprintf("chaos[%d]", i))
-		m, err := d.mapNode(it, "at_day", "at_minutes", "action", "duration_days",
-			"duration_minutes", "platform", "fraction", "rate_per_day", "mode",
-			"risky", "count", "burst_ces", "selector", "max_targets",
-			"train_end_day", "val_end_day", "force")
-		if err != nil {
-			return err
-		}
-		var a Action
-		if a.Kind, _, err = d.str(m, "action"); err != nil {
-			return err
-		}
-		atDay, dayOK, err := d.integer(m, "at_day")
-		if err != nil {
-			return err
-		}
-		atMin, minOK, err := d.integer(m, "at_minutes")
-		if err != nil {
-			return err
-		}
-		switch {
-		case dayOK && minOK:
-			return d.errf("give at_day or at_minutes, not both")
-		case dayOK:
-			a.At = trace.Minutes(atDay) * trace.Day
-		case minOK:
-			a.At = trace.Minutes(atMin)
-		default:
-			return d.errf("at_day (or at_minutes) is required")
-		}
-		durD, dOK, err := d.integer(m, "duration_days")
-		if err != nil {
-			return err
-		}
-		durM, mOK, err := d.integer(m, "duration_minutes")
-		if err != nil {
-			return err
-		}
-		switch {
-		case dOK && mOK:
-			return d.errf("give duration_days or duration_minutes, not both")
-		case dOK:
-			a.Duration = trace.Minutes(durD) * trace.Day
-		case mOK:
-			a.Duration = trace.Minutes(durM)
-		}
-		if pf, ok, err := d.str(m, "platform"); err != nil {
-			return err
-		} else if ok {
-			if a.Platform, err = parsePlatform(pf); err != nil {
-				return d.errf("%v", err)
-			}
-		}
-		if a.Fraction, _, err = d.float(m, "fraction"); err != nil {
-			return err
-		}
-		if a.RatePerDay, _, err = d.float(m, "rate_per_day"); err != nil {
-			return err
-		}
-		if ms, ok, err := d.str(m, "mode"); err != nil {
-			return err
-		} else if ok {
-			if a.Mode, err = faultsim.ParseMode(ms); err != nil {
-				return d.errf("%v", err)
-			}
-		}
-		if a.Risky, _, err = d.boolean(m, "risky"); err != nil {
-			return err
-		}
-		if a.Count, _, err = d.integer(m, "count"); err != nil {
-			return err
-		}
-		if a.BurstCEs, _, err = d.integer(m, "burst_ces"); err != nil {
-			return err
-		}
-		if a.Selector, _, err = d.str(m, "selector"); err != nil {
-			return err
-		}
-		if a.MaxTargets, _, err = d.integer(m, "max_targets"); err != nil {
-			return err
-		}
-		if a.TrainEndDay, _, err = d.integer(m, "train_end_day"); err != nil {
-			return err
-		}
-		if a.ValEndDay, _, err = d.integer(m, "val_end_day"); err != nil {
-			return err
-		}
-		if a.Force, _, err = d.boolean(m, "force"); err != nil {
-			return err
-		}
-		if err := a.validate(d); err != nil {
-			return err
-		}
-		s.Chaos = append(s.Chaos, a)
-		d.pop()
+	if !ok {
+		return d.errf("at_day (or at_minutes) is required")
 	}
+	a.At = at
+	if a.Duration, _, err = d.either("duration_days or duration_minutes", durDays, durMin); err != nil {
+		return err
+	}
+	if err := a.validate(d); err != nil {
+		return err
+	}
+	s.Chaos = append(s.Chaos, a)
 	return nil
 }
 
@@ -652,64 +529,20 @@ func (a *Action) validate(d *decoder) error {
 	return nil
 }
 
-func (d *decoder) decodeAssertions(root map[string]any, s *Scenario) error {
-	items, _, err := d.seq(root, "assertions")
-	if err != nil {
+func (d *decoder) assertion(n any, s *Scenario) error {
+	var a Assertion
+	if err := d.fields(n, map[string]any{"type": &a.Type, "min": &a.Min, "max": &a.Max}); err != nil {
 		return err
 	}
-	for i, it := range items {
-		d.push(fmt.Sprintf("assertions[%d]", i))
-		m, err := d.mapNode(it, "type", "min", "max")
-		if err != nil {
-			return err
-		}
-		var a Assertion
-		if a.Type, _, err = d.str(m, "type"); err != nil {
-			return err
-		}
-		if !assertionTypes[a.Type] {
-			return d.errf("unknown assertion type %q", a.Type)
-		}
-		if v, ok, err := d.float(m, "min"); err != nil {
-			return err
-		} else if ok {
-			a.Min = &v
-		}
-		if v, ok, err := d.float(m, "max"); err != nil {
-			return err
-		} else if ok {
-			a.Max = &v
-		}
-		if a.Min == nil && a.Max == nil {
-			return d.errf("assertion needs min and/or max")
-		}
-		if a.Min != nil && a.Max != nil && *a.Min > *a.Max {
-			return d.errf("min %v exceeds max %v", *a.Min, *a.Max)
-		}
-		s.Assertions = append(s.Assertions, a)
-		d.pop()
+	if observers[a.Type] == nil {
+		return d.errf("unknown assertion type %q", a.Type)
 	}
+	if a.Min == nil && a.Max == nil {
+		return d.errf("assertion needs min and/or max")
+	}
+	if a.Min != nil && a.Max != nil && *a.Min > *a.Max {
+		return d.errf("min %v exceeds max %v", *a.Min, *a.Max)
+	}
+	s.Assertions = append(s.Assertions, a)
 	return nil
-}
-
-// validate runs the cross-section checks after decoding.
-func (s *Scenario) validate() error {
-	tdEnd := trace.Minutes(s.Train.ValEndDay) * trace.Day
-	if tdEnd > trace.ObservationSpan {
-		return fmt.Errorf("scenario: train: val_end_day past the observation span")
-	}
-	if _, ok := model.Get(s.Train.Trainer); !ok {
-		return fmt.Errorf("scenario: train: unknown trainer %q", s.Train.Trainer)
-	}
-	return nil
-}
-
-// parsePlatform resolves a platform name.
-func parsePlatform(s string) (platform.ID, error) {
-	for _, id := range platform.All() {
-		if string(id) == s {
-			return id, nil
-		}
-	}
-	return "", fmt.Errorf("unknown platform %q (want one of %v)", s, platform.All())
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"memfp/internal/trace"
 )
 
 func TestParseYAMLDocument(t *testing.T) {
@@ -121,12 +123,25 @@ func FuzzParseYAML(f *testing.F) {
 }
 
 // FuzzParseScenario extends the fuzz surface through the schema decoder:
-// arbitrary documents must produce a scenario or an error, never a panic.
+// arbitrary documents must produce a scenario or an error, never a panic,
+// and an accepted scenario's times lie inside the observation span.
 func FuzzParseScenario(f *testing.F) {
 	f.Add("name: x\nfleet:\n  scale: 0.01\n  templates:\n    - platform: Intel_Purley")
 	f.Add("name: x\nfleet:\n  scale: -3\n  templates:\n    - platform: bogus")
 	f.Add("name: x\nchaos:\n  - at_day: 10\n    action: ce_storm")
+	f.Add(everyKeyDoc)
 	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = Parse(src) // must not panic
+		s, err := Parse(src) // must not panic
+		if err != nil {
+			return
+		}
+		if s.Train.ValEndDay > int(trace.ObservationSpan/trace.Day) {
+			t.Fatalf("accepted a split past the observation span: %+v", s.Train)
+		}
+		for _, a := range s.Chaos {
+			if a.At < 0 || a.Duration < 0 || a.At+a.Duration > trace.ObservationSpan {
+				t.Fatalf("accepted an action outside the observation span: %+v", a)
+			}
+		}
 	})
 }
