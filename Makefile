@@ -20,9 +20,12 @@ test-short:
 
 # Besides go vet: the naive references and the switches that selected
 # them live in _test.go files, so no production Go file outside bench/
-# may name Oracle or SetWorkers.
+# may name Oracle or SetWorkers; and no exported declaration may go
+# unnamed by non-test code (bench/ counts as a user), which
+# TestNoUnusedExports (unused_test.go) lists by name.
 vet:
 	$(GO) vet ./...
+	$(GO) test -run '^TestNoUnusedExports$$' .
 	@out=$$(grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e Oracle -e SetWorkers .); \
 	if [ -n "$$out" ]; then echo "test-only switch named in production code:"; echo "$$out"; exit 1; fi
 

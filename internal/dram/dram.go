@@ -28,13 +28,6 @@ func (w Width) String() string {
 // BurstLength is the number of beats in a DDR4 burst transfer.
 const BurstLength = 8
 
-// DataBitsPerBeat is the number of data bits transferred per beat,
-// excluding ECC check bits.
-const DataBitsPerBeat = 64
-
-// ECCBitsPerBeat is the number of ECC check bits transferred per beat.
-const ECCBitsPerBeat = 8
-
 // Geometry describes the addressable shape of a DRAM device and the rank
 // that contains it. Values reflect common 8Gb DDR4 parts; the analysis only
 // relies on the ordering of levels, not absolute sizes.

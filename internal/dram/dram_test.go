@@ -15,10 +15,10 @@ func TestDefaultGeometryX4(t *testing.T) {
 		t.Errorf("x4 total devices %d, want 18", g.TotalDevices())
 	}
 	// 16 data devices × 4 DQ = 64 data bits per beat, 2 ECC × 4 = 8.
-	if g.DevicesPerRank*int(g.Width) != DataBitsPerBeat {
+	if g.DevicesPerRank*int(g.Width) != 64 {
 		t.Errorf("data bits per beat: %d", g.DevicesPerRank*int(g.Width))
 	}
-	if g.ECCDevices*int(g.Width) != ECCBitsPerBeat {
+	if g.ECCDevices*int(g.Width) != 8 {
 		t.Errorf("ecc bits per beat: %d", g.ECCDevices*int(g.Width))
 	}
 }

@@ -29,14 +29,6 @@ func (e *ErrorBits) Set(dq, beat int) {
 	e.Mask |= 1 << uint(beat*int(e.Width)+dq)
 }
 
-// Has reports whether the (dq, beat) position saw an error.
-func (e ErrorBits) Has(dq, beat int) bool {
-	if dq < 0 || dq >= int(e.Width) || beat < 0 || beat >= BurstLength {
-		return false
-	}
-	return e.Mask&(1<<uint(beat*int(e.Width)+dq)) != 0
-}
-
 // IsZero reports whether no error bits are set.
 func (e ErrorBits) IsZero() bool { return e.Mask == 0 }
 
@@ -92,14 +84,6 @@ func (e ErrorBits) DQInterval() int { return maskInterval(e.dqMask()) }
 // BeatInterval returns the span between the min and max erroneous beat
 // (paper Fig. 5 "Beat interval"); 0 when fewer than two beats erred.
 func (e ErrorBits) BeatInterval() int { return maskInterval(e.beatMask()) }
-
-// Union returns the merged signature of e and o. Both must share a width.
-func (e ErrorBits) Union(o ErrorBits) ErrorBits {
-	if e.Width != o.Width {
-		panic("dram: union of mismatched widths")
-	}
-	return ErrorBits{Width: e.Width, Mask: e.Mask | o.Mask}
-}
 
 // String renders the signature as a beat×DQ grid, e.g. "b0:1000 b4:1000".
 func (e ErrorBits) String() string {

@@ -32,8 +32,8 @@ func TestErrorBitsBasics(t *testing.T) {
 	if e.BeatInterval() != 4 {
 		t.Errorf("beat interval %d, want 4", e.BeatInterval())
 	}
-	if !e.Has(1, 0) || !e.Has(3, 4) || e.Has(0, 0) {
-		t.Error("Has misreports positions")
+	if e.Mask != 1<<1|1<<(4*4+3) {
+		t.Errorf("mask %#x, want bits (beat 0, dq 1) and (beat 4, dq 3)", e.Mask)
 	}
 }
 
@@ -75,26 +75,6 @@ func TestErrorBitsX8(t *testing.T) {
 	if e.DQCount() != 2 || e.DQInterval() != 7 || e.BeatInterval() != 7 {
 		t.Errorf("x8 stats wrong: %+v", e)
 	}
-}
-
-func TestErrorBitsUnion(t *testing.T) {
-	a := NewErrorBits(X4)
-	a.Set(0, 0)
-	b := NewErrorBits(X4)
-	b.Set(3, 7)
-	u := a.Union(b)
-	if u.BitCount() != 2 || !u.Has(0, 0) || !u.Has(3, 7) {
-		t.Errorf("union wrong: %v", u)
-	}
-}
-
-func TestErrorBitsUnionWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("union across widths should panic")
-		}
-	}()
-	NewErrorBits(X4).Union(NewErrorBits(X8))
 }
 
 func TestErrorBitsStringRoundTrip(t *testing.T) {

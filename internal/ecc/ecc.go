@@ -3,14 +3,17 @@
 // §II-B: "the exact ECC algorithms are highly confidential and never
 // exposed"), so these models encode only what the paper's analysis relies
 // on: the *relative* correction strength of each platform against error
-// patterns of different shapes.
+// patterns of different shapes. The classic codes are the yardsticks: a
+// SEC-DED (72,64) code corrects any single bit and detects double bits,
+// and a Chipkill single-symbol code corrects every bit of one device. The
+// platforms' own codes sit between and beyond them:
 //
-//   - SEC-DED corrects any single bit and detects double bits.
-//   - Chipkill-SSC corrects all bits from one device (symbol).
-//   - Intel-SDDC-like codes correct most single-device errors but, because
-//     some check bits are re-purposed (paper §III, citing Li et al. SC'22),
-//     fail on specific multi-bit patterns even within a single chip.
-//   - K920-SDDC corrects all single-device errors and some two-device ones.
+//   - Intel-SDDC-like codes (Purley, Whitley) correct most single-device
+//     errors but, because some check bits are re-purposed (paper §III,
+//     citing Li et al. SC'22), fail on specific multi-bit patterns even
+//     within a single chip.
+//   - K920-SDDC (ARM) corrects all single-device errors and some
+//     two-device ones.
 //
 // Classification takes the per-device error signature(s) of one memory
 // transaction and decides whether the platform would have corrected it
@@ -62,52 +65,12 @@ func (t Transaction) Devices() int {
 	return n
 }
 
-// TotalBits returns the total corrupted bit count across devices.
-func (t Transaction) TotalBits() int {
-	n := 0
-	for _, e := range t.PerDevice {
-		n += e.BitCount()
-	}
-	return n
-}
-
 // Code is one platform's ECC scheme.
 type Code interface {
 	// Name identifies the scheme in logs and reports.
 	Name() string
 	// Classify decides whether the transaction is corrected or not.
 	Classify(t Transaction) Outcome
-}
-
-// SECDED is the classic (72,64) Hsiao code: single-error correct,
-// double-error detect. Anything beyond one corrupted bit is uncorrectable.
-type SECDED struct{}
-
-// Name implements Code.
-func (SECDED) Name() string { return "SEC-DED" }
-
-// Classify implements Code.
-func (SECDED) Classify(t Transaction) Outcome {
-	if t.TotalBits() <= 1 {
-		return Corrected
-	}
-	return Uncorrected
-}
-
-// ChipkillSSC is a single-symbol-correct code: all errors confined to one
-// device are corrected regardless of the bit pattern; any two-device error
-// is uncorrectable.
-type ChipkillSSC struct{}
-
-// Name implements Code.
-func (ChipkillSSC) Name() string { return "Chipkill-SSC" }
-
-// Classify implements Code.
-func (ChipkillSSC) Classify(t Transaction) Outcome {
-	if t.Devices() <= 1 {
-		return Corrected
-	}
-	return Uncorrected
 }
 
 // IntelSDDC models the contemporary Intel x4 SDDC-style code. Real SDDC
@@ -201,8 +164,6 @@ func (K920SDDC) Classify(t Transaction) Outcome {
 
 // Interface compliance checks.
 var (
-	_ Code = SECDED{}
-	_ Code = ChipkillSSC{}
 	_ Code = (*IntelSDDC)(nil)
 	_ Code = K920SDDC{}
 )

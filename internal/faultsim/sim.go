@@ -12,6 +12,10 @@ import (
 	"memfp/internal/xrand"
 )
 
+// DefaultMaxEventsPerDIMM caps one DIMM's CE count when Config leaves
+// MaxEventsPerDIMM unset.
+const DefaultMaxEventsPerDIMM = 2500
+
 // Config parameterizes fleet generation for one platform.
 type Config struct {
 	Platform platform.ID
@@ -20,7 +24,8 @@ type Config struct {
 	Scale float64
 	// Seed makes the fleet fully reproducible.
 	Seed uint64
-	// MaxEventsPerDIMM caps a single DIMM's CE count (default 2500).
+	// MaxEventsPerDIMM caps a single DIMM's CE count (0 or less:
+	// DefaultMaxEventsPerDIMM).
 	MaxEventsPerDIMM int
 	// Calib overrides the default calibration when non-nil (used by
 	// calibration tests and ablations).
@@ -132,7 +137,7 @@ func buildEnv(cfg Config) (*genEnv, int, error) {
 	}
 	maxEvents := cfg.MaxEventsPerDIMM
 	if maxEvents <= 0 {
-		maxEvents = 2500
+		maxEvents = DefaultMaxEventsPerDIMM
 	}
 	for _, reg := range cfg.Regimes {
 		if err := reg.Validate(); err != nil {

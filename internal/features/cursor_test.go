@@ -15,8 +15,8 @@ import (
 
 // naiveExtract is the pre-cursor linear extractor, preserved verbatim as
 // an independent oracle: one full scan of the event history per instant.
-// Extract is now implemented on top of Cursor, so comparing against
-// Extract alone would be circular — this copy pins the original
+// Every extraction now runs through Cursor, so comparing a cursor against
+// another cursor alone would be circular — this copy pins the original
 // semantics.
 func naiveExtract(x *Extractor, l *trace.DIMMLog, t trace.Minutes) []float64 {
 	f := make([]float64, Dim())

@@ -43,8 +43,8 @@ const (
 	LabelDropped  Label = -1
 )
 
-// Names lists the feature vector layout. Extract must fill exactly these,
-// in order. The set follows §VI: "DRAM characteristics such as
+// Names lists the feature vector layout. Cursor.ExtractAt fills exactly
+// these, in order. The set follows §VI: "DRAM characteristics such as
 // manufacturer, data width, frequency, chip process, CE error rate, our
 // conducted failure analysis, and memory events."
 func Names() []string {
@@ -83,16 +83,6 @@ type Extractor struct {
 // classification thresholds.
 func NewExtractor() *Extractor {
 	return &Extractor{Windows: DefaultWindows(), Thresholds: analysis.DefaultThresholds()}
-}
-
-// Extract computes the feature vector for DIMM l at prediction instant t.
-// Only events strictly before or at t are consulted; the function is safe
-// to call at any t regardless of the DIMM's future. For repeated
-// extraction over one DIMM's instants, use NewCursor — it shares the
-// lifetime accumulators across instants instead of re-scanning the full
-// history each time.
-func (x *Extractor) Extract(l *trace.DIMMLog, t trace.Minutes) []float64 {
-	return x.NewCursor(l).ExtractAt(t)
 }
 
 // Cursor walks one DIMM's event history forward, extracting feature

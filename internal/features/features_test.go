@@ -34,7 +34,7 @@ func addCE(l *trace.DIMMLog, tm trace.Minutes, row, col int) {
 func TestExtractDim(t *testing.T) {
 	l := testLog(t)
 	addCE(l, 100, 1, 1)
-	x := NewExtractor().Extract(l, 200)
+	x := NewExtractor().NewCursor(l).ExtractAt(200)
 	if len(x) != Dim() {
 		t.Fatalf("vector length %d, want %d", len(x), Dim())
 	}
@@ -51,8 +51,8 @@ func TestExtractNoFuture(t *testing.T) {
 	addCE(l2, 100, 1, 1)
 	addCE(l2, 5000, 2, 2) // future event
 	x := NewExtractor()
-	a := x.Extract(l1, 200)
-	b := x.Extract(l2, 200)
+	a := x.NewCursor(l1).ExtractAt(200)
+	b := x.NewCursor(l2).ExtractAt(200)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("feature %q leaked future data: %v vs %v", Names()[i], a[i], b[i])
@@ -70,8 +70,8 @@ func TestExtractWindowCounts(t *testing.T) {
 	addCE(l, now-20*trace.Hour, 1, 4) // within 1d
 	addCE(l, now-4*trace.Day, 1, 5)   // within 5d
 	addCE(l, now-100*trace.Day, 1, 6) // lifetime only
-	l.SortEvents()                    // Extract requires a time-sorted log
-	v := x.Extract(l, now)
+	l.SortEvents()                    // a cursor requires a time-sorted log
+	v := x.NewCursor(l).ExtractAt(now)
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i
@@ -104,7 +104,7 @@ func TestExtractWindowCounts(t *testing.T) {
 
 func TestExtractNoHistory(t *testing.T) {
 	l := testLog(t)
-	v := NewExtractor().Extract(l, 1000)
+	v := NewExtractor().NewCursor(l).ExtractAt(1000)
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i
@@ -128,7 +128,7 @@ func TestErrorBitFeatures(t *testing.T) {
 	l := testLog(t)
 	now := trace.Minutes(10 * trace.Day)
 	addCE(l, now-10, 1, 1) // signature: 2 DQs, 2 beats, beat interval 4
-	v := NewExtractor().Extract(l, now)
+	v := NewExtractor().NewCursor(l).ExtractAt(now)
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i

@@ -58,7 +58,7 @@ func TestCompactLogCursorEquivalence(t *testing.T) {
 // TestCompactLogOutOfOrderRecovery: a late event (above the horizon, below
 // the last served instant) appended to a compacted log re-sorts it, and
 // the cursor, which sees the new index generation, must answer as a fresh
-// Extract over the same compacted log — and from then on as the full-scan
+// cursor over the same compacted log — and from then on as the full-scan
 // oracle over the uncompacted log given the same events.
 func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 	w := x0.Windows.Observation
@@ -90,7 +90,7 @@ func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 	if live.IndexGen() == gen {
 		t.Fatal("a late append must re-sort the log and advance IndexGen")
 	}
-	if got, want := sc.ExtractAt(lastT+1), x0.Extract(live, lastT+1); !reflect.DeepEqual(got, want) {
+	if got, want := sc.ExtractAt(lastT+1), x0.NewCursor(live).ExtractAt(lastT+1); !reflect.DeepEqual(got, want) {
 		t.Fatal("cursor diverged from offline extraction over the same compacted log")
 	}
 	if got, want := sc.ExtractAt(lastT+1), naiveExtract(x0, oracle, lastT+1); !reflect.DeepEqual(got, want) {

@@ -30,7 +30,7 @@ import (
 // FoldState like the paths above.
 //
 // In every case the returned vector is identical to a fresh
-// Extractor.Extract(l, t) on the same log; the contract only decides the
+// NewCursor(l).ExtractAt(t) on the same log; the contract only decides the
 // cost. A ServeCursor is not safe for concurrent use; the serving engine
 // guards each one with its shard lock.
 type ServeCursor struct {
@@ -47,8 +47,8 @@ func (x *Extractor) NewServeCursor(l *trace.DIMMLog) *ServeCursor {
 	return &ServeCursor{x: x, l: l}
 }
 
-// ExtractAt computes the feature vector at instant t, equal to
-// Extractor.Extract(l, t) at incremental cost on the fast path (see the
+// ExtractAt computes the feature vector at instant t, equal to a fresh
+// NewCursor(l).ExtractAt(t) at incremental cost on the fast path (see the
 // type comment for when the cursor starts over).
 func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) || !sc.inner.rebase() {

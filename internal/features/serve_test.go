@@ -70,8 +70,8 @@ func TestServeCursorMatchesFreshExtract(t *testing.T) {
 // TestServeCursorOutOfOrderFallback appends a late event mid-stream: Append
 // re-sorts the log, the cursor sees the new index generation and starts
 // over, and every vector — at the late event's instant and after it —
-// equals Extract over the live log and the full-scan oracle over a bulk
-// load of the same events sorted by SortEvents.
+// equals a fresh cursor over the live log and the full-scan oracle over a
+// bulk load of the same events sorted by SortEvents.
 func TestServeCursorOutOfOrderFallback(t *testing.T) {
 	src := busyLogs(t, 20, 1)[0]
 	ces := src.CEs()
@@ -98,8 +98,8 @@ func TestServeCursorOutOfOrderFallback(t *testing.T) {
 			Events: append([]trace.Event{stale}, ces[:n]...)}
 		bulk.SortEvents()
 		got := sc.ExtractAt(at)
-		if want := x0.Extract(live, at); !reflect.DeepEqual(got, want) {
-			t.Fatalf("@%v: cursor diverged from Extract", at)
+		if want := x0.NewCursor(live).ExtractAt(at); !reflect.DeepEqual(got, want) {
+			t.Fatalf("@%v: cursor diverged from a fresh cursor", at)
 		}
 		if want := naiveExtract(x0, bulk, at); !reflect.DeepEqual(got, want) {
 			t.Fatalf("@%v: cursor diverged from the sorted bulk load", at)
@@ -188,7 +188,7 @@ func TestServeCursorRebasesAcrossCompaction(t *testing.T) {
 
 // TestServeCursorCompactionFallbacks pins the three cases where a
 // compaction cannot be absorbed by shifting positions: each must rebuild
-// the cursor and still answer like a fresh Extract over the same log.
+// the cursor and still answer like a fresh cursor over the same log.
 func TestServeCursorCompactionFallbacks(t *testing.T) {
 	w := x0.Windows.Observation
 	src := busyLogs(t, 30, 1)[0]
@@ -230,7 +230,7 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 		if x0.CompactLog(live, lastT) == 0 {
 			t.Fatal("compaction dropped nothing")
 		}
-		sameVec(t, sc.ExtractAt(lastT+1), x0.Extract(live, lastT+1), "@%v", lastT+1)
+		sameVec(t, sc.ExtractAt(lastT+1), x0.NewCursor(live).ExtractAt(lastT+1), "@%v", lastT+1)
 		if sc.inner == before {
 			t.Fatal("cursor kept window state over dropped events")
 		}
@@ -250,7 +250,7 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 			t.Fatal("no second compaction; pick a busier fixture")
 		}
 		oracle := &trace.DIMMLog{ID: src.ID, Part: src.Part, Events: src.Events[:fed]}
-		sameVec(t, sc.ExtractAt(now), x0.Extract(live, now), "@%v", now)
+		sameVec(t, sc.ExtractAt(now), x0.NewCursor(live).ExtractAt(now), "@%v", now)
 		sameVec(t, sc.ExtractAt(now), naiveExtract(x0, oracle, now), "@%v vs oracle", now)
 		if sc.inner == before {
 			t.Fatal("cursor survived an index rebuild")
@@ -259,7 +259,7 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 	t.Run("instant goes backwards", func(t *testing.T) {
 		live, sc := serve()
 		before := sc.inner
-		sameVec(t, sc.ExtractAt(lastT-1), x0.Extract(live, lastT-1), "@%v", lastT-1)
+		sameVec(t, sc.ExtractAt(lastT-1), x0.NewCursor(live).ExtractAt(lastT-1), "@%v", lastT-1)
 		if sc.inner == before {
 			t.Fatal("cursor did not rewind")
 		}

@@ -23,91 +23,21 @@
 package mlops
 
 import (
-	"sort"
-
 	"memfp/internal/features"
 	"memfp/internal/trace"
 )
 
-// FeatureKind categorizes registry entries, mirroring the paper's
-// temporal / spatial / static feature taxonomy.
-type FeatureKind string
-
-// Feature kinds.
-const (
-	KindTemporal FeatureKind = "temporal"
-	KindSpatial  FeatureKind = "spatial"
-	KindBitLevel FeatureKind = "bit-level"
-	KindStatic   FeatureKind = "static"
-)
-
-// FeatureDef is one cataloged feature.
-type FeatureDef struct {
-	Name        string
-	Kind        FeatureKind
-	Description string
-	Index       int // position in the served vector
-}
-
-// FeatureStore is the centralized feature repository: it catalogs feature
-// definitions (registry), computes them in batch for training, and serves
-// them per-DIMM for online prediction. The catalog is fixed at
+// FeatureStore is the centralized feature store: it computes the §VI
+// features in batch for training and serves them per DIMM for online
+// prediction, both through one extractor. The extractor is fixed at
 // construction, so the store is safe for concurrent use.
 type FeatureStore struct {
-	defs      map[string]FeatureDef
 	extractor *features.Extractor
 }
 
-// NewFeatureStore builds the store with the full §VI feature catalog
-// registered.
+// NewFeatureStore builds the store over the default extractor.
 func NewFeatureStore() *FeatureStore {
-	fs := &FeatureStore{
-		defs:      map[string]FeatureDef{},
-		extractor: features.NewExtractor(),
-	}
-	kind := func(name string) FeatureKind {
-		switch {
-		case name == "ce_15m" || name == "ce_1h" || name == "ce_6h" || name == "ce_1d" ||
-			name == "ce_5d" || name == "ce_total" || name == "ce_rate_accel" ||
-			name == "storms_5d" || name == "storms_total" ||
-			name == "mins_since_first_ce" || name == "mins_since_last_ce" || name == "active_days_5d":
-			return KindTemporal
-		case len(name) > 5 && (name[:5] == "frac_" || name[:4] == "dom_") ||
-			name == "mean_bits" || name == "max_bits":
-			return KindBitLevel
-		case name == "vendor_a" || name == "vendor_b" || name == "vendor_c" ||
-			name == "vendor_d" || name == "width_x8" || name == "speed_mts" ||
-			name == "process_nm" || name == "capacity_gib":
-			return KindStatic
-		default:
-			return KindSpatial
-		}
-	}
-	for i, n := range features.Names() {
-		fs.defs[n] = FeatureDef{Name: n, Kind: kind(n), Description: "see features package", Index: i}
-	}
-	return fs
-}
-
-// Definitions lists the catalog sorted by served index.
-func (fs *FeatureStore) Definitions() []FeatureDef {
-	out := make([]FeatureDef, 0, len(fs.defs))
-	for _, d := range fs.defs {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// ByKind returns the catalog entries of one kind.
-func (fs *FeatureStore) ByKind(k FeatureKind) []FeatureDef {
-	var out []FeatureDef
-	for _, d := range fs.Definitions() {
-		if d.Kind == k {
-			out = append(out, d)
-		}
-	}
-	return out
+	return &FeatureStore{extractor: features.NewExtractor()}
 }
 
 // BatchTransform computes training samples for a full store of logs — the

@@ -71,7 +71,7 @@ func (st *dimmState) footprint() int64 {
 // needed to reconstruct scoring-identical live state on the next event.
 type frozenDIMM struct {
 	part   platform.DIMMPart
-	blob   []byte // retained events in the trace log form (trace.AppendLogEvents)
+	blob   []byte // retained events in the trace log form (trace.AppendLogEventsAfter)
 	events int
 	snap   trace.CompactionSnapshot // carries the live fold state pointer
 
@@ -210,7 +210,7 @@ func (s *Server) maybeEvict(sh *shard, now trace.Minutes) {
 				break
 			}
 			st := el.Value.(*dimmState)
-			if pass == 0 && st.alarmed && now-st.lastAlarm < s.Cooldown {
+			if pass == 0 && st.alarmed && now-st.lastAlarm < cooldown {
 				el = next
 				continue
 			}

@@ -6,30 +6,9 @@ import (
 
 	"memfp/internal/eval"
 	"memfp/internal/faultsim"
-	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
-
-func TestFeatureStoreCatalog(t *testing.T) {
-	fs := NewFeatureStore()
-	defs := fs.Definitions()
-	if len(defs) != features.Dim() {
-		t.Fatalf("catalog has %d features, want %d", len(defs), features.Dim())
-	}
-	// Indices must be the served positions, in order.
-	for i, d := range defs {
-		if d.Index != i {
-			t.Fatalf("definition %s at index %d, want %d", d.Name, d.Index, i)
-		}
-	}
-	// Every kind must be represented.
-	for _, k := range []FeatureKind{KindTemporal, KindSpatial, KindBitLevel, KindStatic} {
-		if len(fs.ByKind(k)) == 0 {
-			t.Errorf("no features of kind %s", k)
-		}
-	}
-}
 
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry()
@@ -68,22 +47,21 @@ func TestRegistryLifecycle(t *testing.T) {
 }
 
 func TestPromotionGate(t *testing.T) {
-	g := DefaultGate()
 	cand := &ModelVersion{Metrics: eval.Metrics{F1: 0.5, Precision: 0.4}}
-	ok, _ := g.Decide(nil, cand)
+	ok, _ := decide(nil, cand)
 	if !ok {
 		t.Error("bootstrap should promote")
 	}
 	cur := &ModelVersion{Metrics: eval.Metrics{F1: 0.5, Precision: 0.4}}
-	ok, _ = g.Decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.505, Precision: 0.4}})
+	ok, _ = decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.505, Precision: 0.4}})
 	if ok {
 		t.Error("insufficient gain should not promote")
 	}
-	ok, _ = g.Decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.6, Precision: 0.4}})
+	ok, _ = decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.6, Precision: 0.4}})
 	if !ok {
 		t.Error("clear gain should promote")
 	}
-	ok, reason := g.Decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.9, Precision: 0.1}})
+	ok, reason := decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.9, Precision: 0.1}})
 	if ok {
 		t.Errorf("precision floor should block (%s)", reason)
 	}

@@ -21,14 +21,12 @@ type Pipeline struct {
 	Features *FeatureStore
 	Registry *Registry
 	Monitor  *Monitor
-	Gate     PromotionGate
 	// ModelName is the registry key for this platform's predictor.
 	ModelName string
 	// TrainerName selects the predictor from the model registry; the
 	// mlops loop ships whichever registered algorithm it names.
-	TrainerName   string
-	NegativeRatio float64
-	Seed          uint64
+	TrainerName string
+	Seed        uint64
 	// Shards is the serving engine's shard count (<= 0: one per CPU).
 	// Any value produces the identical alarm stream; it only sets the
 	// ingestion fan-out.
@@ -42,17 +40,19 @@ type Pipeline struct {
 // best performer, as the trainer).
 func NewPipeline(pf platform.ID) *Pipeline {
 	return &Pipeline{
-		Platform:      pf,
-		Features:      NewFeatureStore(),
-		Registry:      NewRegistry(),
-		Monitor:       NewMonitor(),
-		Gate:          DefaultGate(),
-		ModelName:     fmt.Sprintf("memfp-%s", pf),
-		TrainerName:   model.NameGBDT,
-		NegativeRatio: 4,
-		Seed:          1,
+		Platform:    pf,
+		Features:    NewFeatureStore(),
+		Registry:    NewRegistry(),
+		Monitor:     NewMonitor(),
+		ModelName:   fmt.Sprintf("memfp-%s", pf),
+		TrainerName: model.NameGBDT,
+		Seed:        1,
 	}
 }
+
+// negativeRatio is the negatives kept per positive when the training split
+// is downsampled.
+const negativeRatio = 4
 
 // TrainResult reports one training cycle.
 type TrainResult struct {
@@ -84,7 +84,7 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 		return nil, err
 	}
 	rng := xrand.New(p.Seed ^ 0xfeed)
-	train := dataset.Downsample(split.Train, p.NegativeRatio, rng)
+	train := dataset.Downsample(split.Train, negativeRatio, rng)
 	dataset.Shuffle(train, rng)
 	if train.Positives() == 0 {
 		return nil, fmt.Errorf("mlops: no positive samples before %v", trainEnd)
@@ -118,7 +118,7 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 	}
 	p.Monitor.SetReferenceScores(valScores)
 
-	promoted, reason, err := p.Registry.RunGate(p.ModelName, p.Gate)
+	promoted, reason, err := p.Registry.RunGate(p.ModelName)
 	if err != nil {
 		return nil, err
 	}

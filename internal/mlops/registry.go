@@ -286,41 +286,38 @@ func LoadRegistry(rd io.Reader) (*Registry, error) {
 	return r, nil
 }
 
-// PromotionGate is the CI/CD quality gate: a staged candidate replaces
-// production only when its benchmark F1 improves by at least MinF1Gain
-// and its precision does not regress below MinPrecision.
-type PromotionGate struct {
-	MinF1Gain    float64
-	MinPrecision float64
-}
+// The CI/CD quality gate: a staged candidate replaces production only
+// when its benchmark precision is at least minPrecision and its F1
+// improves on production's by at least minF1Gain.
+const (
+	minF1Gain    = 0.01
+	minPrecision = 0.2
+)
 
-// DefaultGate requires a 0.01 F1 gain and ≥0.2 precision.
-func DefaultGate() PromotionGate { return PromotionGate{MinF1Gain: 0.01, MinPrecision: 0.2} }
-
-// Decide returns whether candidate should replace current (nil current
+// decide returns whether candidate should replace current (nil current
 // always promotes) and a human-readable reason.
-func (g PromotionGate) Decide(current *ModelVersion, candidate *ModelVersion) (bool, string) {
-	if candidate.Metrics.Precision < g.MinPrecision {
-		return false, fmt.Sprintf("precision %.3f below floor %.3f", candidate.Metrics.Precision, g.MinPrecision)
+func decide(current, candidate *ModelVersion) (bool, string) {
+	if candidate.Metrics.Precision < minPrecision {
+		return false, fmt.Sprintf("precision %.3f below floor %.3f", candidate.Metrics.Precision, minPrecision)
 	}
 	if current == nil {
 		return true, "no production model; bootstrapping"
 	}
 	gain := candidate.Metrics.F1 - current.Metrics.F1
-	if gain < g.MinF1Gain {
-		return false, fmt.Sprintf("F1 gain %.3f below required %.3f", gain, g.MinF1Gain)
+	if gain < minF1Gain {
+		return false, fmt.Sprintf("F1 gain %.3f below required %.3f", gain, minF1Gain)
 	}
 	return true, fmt.Sprintf("F1 improved %.3f → %.3f", current.Metrics.F1, candidate.Metrics.F1)
 }
 
 // RunGate evaluates the gate and promotes on success — one CI/CD cycle.
-func (r *Registry) RunGate(name string, gate PromotionGate) (bool, string, error) {
+func (r *Registry) RunGate(name string) (bool, string, error) {
 	cand, err := r.Latest(name)
 	if err != nil {
 		return false, "", err
 	}
 	cur, _ := r.Production(name)
-	ok, reason := gate.Decide(cur, cand)
+	ok, reason := decide(cur, cand)
 	if ok {
 		if err := r.Promote(name, cand.Version); err != nil {
 			return false, reason, err

@@ -63,8 +63,6 @@ type Server struct {
 	// Δip is 5 minutes; serving at each CE with a floor works identically
 	// on sparse streams).
 	PredictEvery trace.Minutes
-	// Cooldown suppresses repeat alarms for the same DIMM.
-	Cooldown trace.Minutes
 	// MemoryBudget bounds the engine's resident serving-state bytes
 	// (0 = unbounded). When set, logs are compacted behind each
 	// prediction's observation window and idle DIMM state is frozen under
@@ -156,12 +154,12 @@ type prodCache struct {
 	logScorer model.LogScorer
 }
 
-// Serving defaults a new engine starts with: the paper's Δip prediction
-// interval and the repeat-alarm cooldown.
-const (
-	DefaultPredictEvery = 5 * trace.Minute
-	DefaultCooldown     = 12 * trace.Hour
-)
+// DefaultPredictEvery is the prediction interval a new engine starts
+// with: the paper's Δip.
+const DefaultPredictEvery = 5 * trace.Minute
+
+// cooldown suppresses repeat alarms for the same DIMM.
+const cooldown = 12 * trace.Hour
 
 // NewShardedServer builds a serving engine with an explicit shard count;
 // shards <= 0 uses one per CPU. The shard count fixes the concurrency
@@ -175,7 +173,6 @@ func NewShardedServer(pf platform.ID, fs *FeatureStore, reg *Registry, model str
 		Registry:     reg,
 		Model:        model,
 		PredictEvery: DefaultPredictEvery,
-		Cooldown:     DefaultCooldown,
 		shards:       make([]*shard, n),
 		monitor:      mon,
 	}
@@ -341,7 +338,7 @@ func (s *Server) finishPrediction(st *dimmState, e trace.Event, pc *prodCache, s
 	if score < pc.mv.Threshold {
 		return nil
 	}
-	if st.alarmed && e.Time-st.lastAlarm < s.Cooldown {
+	if st.alarmed && e.Time-st.lastAlarm < cooldown {
 		return nil
 	}
 	st.alarmed, st.lastAlarm = true, e.Time

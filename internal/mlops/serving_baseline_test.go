@@ -82,7 +82,7 @@ func (s *Server) ReplayBaseline(ctx context.Context, st *trace.Store, onAlarm fu
 			score = ls.ScoreLog(l, e.Time)
 		} else {
 			// One row per call: the oracle never batches.
-			score = m.ScoreBatch(model.Batch{X: [][]float64{s.Store.extractor.Extract(l, e.Time)}})[0]
+			score = m.ScoreBatch(model.Batch{X: [][]float64{s.Store.extractor.NewCursor(l).ExtractAt(e.Time)}})[0]
 		}
 		if s.monitor != nil {
 			s.monitor.CountPrediction(score)
@@ -90,7 +90,7 @@ func (s *Server) ReplayBaseline(ctx context.Context, st *trace.Store, onAlarm fu
 		if score < mv.Threshold {
 			continue
 		}
-		if as.alarmed && e.Time-as.lastAlarm < s.Cooldown {
+		if as.alarmed && e.Time-as.lastAlarm < cooldown {
 			continue
 		}
 		as.alarmed, as.lastAlarm = true, e.Time

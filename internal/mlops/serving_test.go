@@ -278,7 +278,7 @@ func TestCooldownSuppressesTimeZeroAlarm(t *testing.T) {
 	if a1 != nil {
 		t.Fatal("repeat alarm inside cooldown after a minute-0 alarm (sentinel regression)")
 	}
-	a2, err := ingestOne(server, mk(server.Cooldown+1))
+	a2, err := ingestOne(server, mk(cooldown+1))
 	if err != nil || a2 == nil {
 		t.Fatalf("post-cooldown alarm missing: %v %v", a2, err)
 	}
@@ -318,7 +318,7 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 	for _, tm := range []trace.Minutes{100, 250, 400, 700} {
 		oracle.Append(trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id})
 	}
-	want := fs.extractor.Extract(oracle, 700)
+	want := fs.extractor.NewCursor(oracle).ExtractAt(700)
 	if len(lastVec) != len(want) {
 		t.Fatalf("vector length %d vs %d", len(lastVec), len(want))
 	}

@@ -40,7 +40,7 @@ import (
 // the deltas after it into the last one's full frame.
 
 // snapshotMagic versions the engine snapshot format. MFS3 records hold
-// their events in the trace log form (trace.AppendLogEvents) and their
+// their events in the trace log form (trace.AppendLogEventsAfter) and their
 // fold state as first/last CE instants plus the classifier's thresholds
 // and cell counts. MFS2, whose fold state also wrote every map and tally
 // derived from those counts, and MFS1, whose blobs wrote address and bit

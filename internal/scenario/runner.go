@@ -20,8 +20,6 @@ import (
 type Options struct {
 	// Shards is each serving engine's shard count (0 = one per CPU).
 	Shards int
-	// Workers bounds fleet-generation concurrency (0 = one per CPU).
-	Workers int
 	// Log receives human-readable progress lines (nil = silent).
 	Log io.Writer
 	// TickHook, when set, is called with the tick index at every window
@@ -100,7 +98,6 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 			Scale:            s.Fleet.Scale * t.Weight / totalW,
 			Seed:             xrand.Derive(s.Seed, uint64(ti)).Uint64(),
 			MaxEventsPerDIMM: s.Fleet.MaxEventsPerDIMM,
-			Workers:          opt.Workers,
 			Regimes:          s.Fleet.Regimes,
 			ServerBase:       ti << 20,
 		})

@@ -93,7 +93,7 @@ func TestRunDeterministicAcrossShards(t *testing.T) {
 		t.Fatalf("reference run proves nothing: %+v", ref.Counters)
 	}
 	for _, shards := range []int{4, 16} {
-		rep, blob := runDoc(t, chaosDoc, Options{Shards: shards, Workers: shards})
+		rep, blob := runDoc(t, chaosDoc, Options{Shards: shards})
 		if rep.AlarmDigest != ref.AlarmDigest {
 			t.Fatalf("alarm digest diverges at %d shards: %s vs %s",
 				shards, rep.AlarmDigest, ref.AlarmDigest)

@@ -335,7 +335,41 @@ func Parse(src string) (*Scenario, error) {
 		return nil, d.errf("tick_minutes must be positive")
 	}
 	s.Seed, s.TickMinutes = uint64(seed), trace.Minutes(tick)
+
+	// Checks across sections, made once every section is decoded: the
+	// trainer must run on every fleet platform, and no action may inject
+	// more CEs into one DIMM than the generator lets a DIMM have.
+	tr, _ := model.Resolve(s.Train.Trainer) // resolved when decoded, or the default
+	for _, t := range s.Fleet.Templates {
+		if !tr.Applicable(t.Platform) {
+			d.path = []string{"train", "trainer"}
+			return nil, d.errf("%s is not applicable on %s", tr.Name(), t.Platform)
+		}
+	}
+	limit := s.Fleet.MaxEventsPerDIMM
+	if limit <= 0 {
+		limit = faultsim.DefaultMaxEventsPerDIMM
+	}
+	for i, a := range s.Chaos {
+		if key, n := a.cesPerDIMM(); n > float64(limit) {
+			d.path = []string{fmt.Sprintf("chaos[%d]", i)}
+			return nil, d.errf("%s: %g CEs per DIMM exceed the cap of %d (fleet.max_events_per_dimm)", key, n, limit)
+		}
+	}
 	return s, nil
+}
+
+// cesPerDIMM is what the action injects into each DIMM it targets, and
+// the keys that set it: a fault burst's CE count, or a CE storm's Poisson
+// mean; 0 for the other kinds.
+func (a *Action) cesPerDIMM() (key string, n float64) {
+	switch a.Kind {
+	case ActionFaultBurst:
+		return "burst_ces", float64(a.BurstCEs)
+	case ActionCEStorm:
+		return "rate_per_day × duration", a.RatePerDay * float64(a.Duration) / float64(trace.Day)
+	}
+	return "", 0
 }
 
 func (d *decoder) fleet(n any, f *FleetGen) error {

@@ -240,6 +240,14 @@ func TestParseScenarioErrors(t *testing.T) {
 		// Non-finite numbers, which every range check lets through.
 		{"nan fraction", validDoc + "  - at_day: 1\n    action: ce_storm\n    fraction: nan\n    rate_per_day: 5\n    duration_days: 1", `fraction: "nan" is not finite`},
 		{"infinite scale", "name: x\nfleet:\n  scale: +Inf\n  templates:\n    - platform: K920", `scale: "+Inf" is not finite`},
+
+		// Checks across sections: the trainer runs on every fleet platform,
+		// and an action injects no more CEs per DIMM than the generator's cap.
+		{"trainer not applicable", fleetDoc + "train:\n  trainer: riskyce", "train.trainer: Risky CE Pattern is not applicable on K920"},
+		{"burst over default cap", validDoc + "  - at_day: 1\n    action: fault_burst\n    count: 2\n    burst_ces: 2000000000", "chaos[1]: burst_ces: 2e+09 CEs per DIMM exceed the cap of 2500"},
+		{"burst over set cap", "name: x\nfleet:\n  scale: 0.01\n  max_events_per_dimm: 100\n  templates:\n    - platform: K920\nchaos:\n  - at_day: 1\n    action: fault_burst\n    count: 1\n    burst_ces: 120", "chaos[0]: burst_ces: 120 CEs per DIMM exceed the cap of 100"},
+		{"storm rate over cap", validDoc + "  - at_day: 1\n    action: ce_storm\n    fraction: 0.5\n    rate_per_day: 1e15\n    duration_days: 1", "chaos[1]: rate_per_day × duration: 1e+15 CEs per DIMM exceed the cap of 2500"},
+		{"storm mean over cap", validDoc + "  - at_day: 1\n    action: ce_storm\n    fraction: 0.5\n    rate_per_day: 251\n    duration_days: 10", "rate_per_day × duration: 2510 CEs per DIMM"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

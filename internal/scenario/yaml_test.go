@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"memfp/internal/faultsim"
 	"memfp/internal/trace"
 )
 
@@ -123,13 +124,15 @@ func FuzzParseYAML(f *testing.F) {
 }
 
 // FuzzParseScenario extends the fuzz surface through the schema decoder:
-// arbitrary documents must produce a scenario or an error, never a panic,
-// and an accepted scenario's times lie inside the observation span.
+// arbitrary documents must produce a scenario or an error, never a panic;
+// an accepted scenario's times lie inside the observation span, and none
+// of its actions injects more CEs into one DIMM than the generator's cap.
 func FuzzParseScenario(f *testing.F) {
 	f.Add("name: x\nfleet:\n  scale: 0.01\n  templates:\n    - platform: Intel_Purley")
 	f.Add("name: x\nfleet:\n  scale: -3\n  templates:\n    - platform: bogus")
 	f.Add("name: x\nchaos:\n  - at_day: 10\n    action: ce_storm")
 	f.Add(everyKeyDoc)
+	f.Add("name: x\nfleet:\n  scale: 0.01\n  max_events_per_dimm: 100\n  templates:\n    - platform: K920\nchaos:\n  - at_day: 1\n    action: fault_burst\n    count: 1\n    burst_ces: 100")
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := Parse(src) // must not panic
 		if err != nil {
@@ -138,9 +141,18 @@ func FuzzParseScenario(f *testing.F) {
 		if s.Train.ValEndDay > int(trace.ObservationSpan/trace.Day) {
 			t.Fatalf("accepted a split past the observation span: %+v", s.Train)
 		}
+		limit := s.Fleet.MaxEventsPerDIMM
+		if limit <= 0 {
+			limit = faultsim.DefaultMaxEventsPerDIMM
+		}
 		for _, a := range s.Chaos {
 			if a.At < 0 || a.Duration < 0 || a.At+a.Duration > trace.ObservationSpan {
 				t.Fatalf("accepted an action outside the observation span: %+v", a)
+			}
+			burst := a.Kind == ActionFaultBurst && a.BurstCEs > limit
+			storm := a.Kind == ActionCEStorm && a.RatePerDay*float64(a.Duration)/float64(trace.Day) > float64(limit)
+			if burst || storm {
+				t.Fatalf("accepted an action above the cap of %d CEs per DIMM: %+v", limit, a)
 			}
 		}
 	})

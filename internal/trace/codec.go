@@ -13,8 +13,8 @@ import (
 // log codec (log.go) remains the human-readable interchange form and the
 // equivalence oracle; this file provides the compact wire form the
 // control plane and node daemons exchange on the hot path, and the
-// DIMM-implicit log form (AppendLogEvents) the serving engine freezes one
-// DIMM's retained events into. Both forms write an event's
+// DIMM-implicit log form (AppendLogEventsAfter) the serving engine freezes
+// one DIMM's retained events into. Both forms write an event's
 // type-dependent fields through the one appendEventFields/readEventFields
 // pair, so the field layout lives here and nowhere else.
 //
@@ -318,12 +318,10 @@ func readEventFields(r *BinReader, e *Event) {
 	}
 }
 
-// AppendLogEvents encodes one DIMM's time-sorted events in the log form.
-func AppendLogEvents(dst []byte, events []Event) []byte { return AppendLogEventsAfter(dst, 0, events) }
-
-// AppendLogEventsAfter continues a log-form encoding whose last event was
-// at prev: appended to the encoding of a log's prefix, it gives the
-// encoding AppendLogEvents writes for the whole log.
+// AppendLogEventsAfter encodes time-sorted events of one DIMM in the log
+// form, continuing an encoding whose last event was at prev (0 for a
+// whole log): appended to the encoding of a log's prefix, it gives the
+// encoding of the whole log.
 func AppendLogEventsAfter(dst []byte, prev Minutes, events []Event) []byte {
 	w := BinWriter{Buf: dst}
 	for i := range events {

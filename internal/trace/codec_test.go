@@ -289,7 +289,7 @@ func TestLogEventsRoundTrip(t *testing.T) {
 	id := DIMMID{Platform: platform.Purley, Server: 12, Slot: 3}
 	for trial := 0; trial < 50; trial++ {
 		log := sortedLog(rng, rng.Intn(200), id)
-		blob := AppendLogEvents(nil, log)
+		blob := AppendLogEventsAfter(nil, 0, log)
 		r := NewBinReader(blob)
 		got, err := ReadLogEvents(r, len(log), id)
 		if err != nil {
@@ -325,7 +325,7 @@ func TestLogEventsRoundTrip(t *testing.T) {
 func TestLogEventsPinnedSize(t *testing.T) {
 	log := sortedLog(rand.New(rand.NewSource(5)), 300, DIMMID{Platform: platform.Purley, Server: 12, Slot: 3})
 	const mfs1Bytes, want = 3873, 3014 // 104 UEs shed 2 bytes each, 93 storms 7
-	if got := len(AppendLogEvents(nil, log)); got != want || got > mfs1Bytes {
+	if got := len(AppendLogEventsAfter(nil, 0, log)); got != want || got > mfs1Bytes {
 		t.Fatalf("log form is %d bytes, want %d (MFS1 blob: %d)", got, want, mfs1Bytes)
 	}
 }

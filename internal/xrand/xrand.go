@@ -109,19 +109,6 @@ func (r *RNG) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-// It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Poisson returns a Poisson variate with the given mean. For large means it
 // uses a normal approximation, which is accurate enough for the CE-count
 // processes simulated here.

@@ -131,19 +131,6 @@ func TestPoissonZeroMean(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(8)
-	n := 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2.0)
-	}
-	got := sum / float64(n)
-	if math.Abs(got-0.5) > 0.02 {
-		t.Errorf("Exp(2) mean %.4f, want ≈0.5", got)
-	}
-}
-
 func TestCategoricalDistribution(t *testing.T) {
 	r := New(9)
 	w := []float64{1, 3, 6}
