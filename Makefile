@@ -165,9 +165,11 @@ repro-smoke:
 
 # Run every shipped chaos scenario through the real serving stack; fails
 # if any scenario misses its assertions. (TestShippedScenariosValidate
-# already parses and validates every shipped file.)
+# already parses and validates every shipped file.) The reports go to a
+# temporary directory removed on exit.
 scenario-smoke:
-	$(GO) run ./cmd/memfp simulate -o /tmp scenarios/*.yaml
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) run ./cmd/memfp simulate -o "$$d" scenarios/*.yaml
 
 # Process-level distribution smoke: replay the same tiny fleet through
 # the real mlopsd binary twice — single process, then control plane +

@@ -73,7 +73,7 @@ func cmdAnalyze(args []string) error {
 	st := analysis.TableI(store)
 	fmt.Print(analysis.FormatTableI([]analysis.DatasetStats{st}))
 	fmt.Println()
-	fmt.Print(analysis.FormatFigure4(st.Platform, analysis.Figure4(store, analysis.DefaultThresholds())))
+	fmt.Print(analysis.FormatFigure4(st.Platform, analysis.Figure4(store)))
 	fmt.Println()
 	fmt.Print(analysis.FormatFigure5(st.Platform, analysis.Figure5(store)))
 	return nil

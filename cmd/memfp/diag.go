@@ -11,7 +11,6 @@ import (
 	"memfp/internal/features"
 	"memfp/internal/ml/gbdt"
 	"memfp/internal/platform"
-	"memfp/internal/trace"
 )
 
 // cmdDiag prints split statistics, score quality (AUPRC), threshold
@@ -47,7 +46,6 @@ func cmdDiag(args []string) error {
 	}
 	fmt.Printf("gbdt rounds kept: %d\n", model.Rounds)
 
-	vp := eval.DefaultVIRRParams()
 	count := func(ds []eval.DIMMScore) (int, int) {
 		pos := 0
 		for _, d := range ds {
@@ -57,24 +55,24 @@ func cmdDiag(args []string) error {
 		}
 		return len(ds), pos
 	}
-	valDS := eval.AggregateByDIMMWindow(sp.Val.DIMMs, sp.Val.Times, model.PredictBatch(sp.Val.X), sp.Val.Y, 30*trace.Day)
-	testDS := eval.AggregateByDIMMWindow(sp.Test.DIMMs, sp.Test.Times, model.PredictBatch(sp.Test.X), sp.Test.Y, 30*trace.Day)
+	valDS := eval.AggregateByDIMMWindow(sp.Val.DIMMs, sp.Val.Times, model.PredictBatch(sp.Val.X), sp.Val.Y)
+	testDS := eval.AggregateByDIMMWindow(sp.Test.DIMMs, sp.Test.Times, model.PredictBatch(sp.Test.X), sp.Test.Y)
 	vn, vpos := count(valDS)
 	tn, tpos := count(testDS)
 	fmt.Printf("val DIMMs %d (pos %d) AUPRC %.3f | test DIMMs %d (pos %d) AUPRC %.3f\n",
-		vn, vpos, eval.AUPRC(valDS, vp), tn, tpos, eval.AUPRC(testDS, vp))
+		vn, vpos, eval.AUPRC(valDS), tn, tpos, eval.AUPRC(testDS))
 
-	trainDS := eval.AggregateByDIMMWindow(sp.Train.DIMMs, sp.Train.Times, make([]float64, sp.Train.Len()), sp.Train.Y, 30*trace.Day)
+	trainDS := eval.AggregateByDIMMWindow(sp.Train.DIMMs, sp.Train.Times, make([]float64, sp.Train.Len()), sp.Train.Y)
 	baseRate := eval.PositiveUnitRate(append(trainDS, valDS...))
 	testScores := make([]float64, len(testDS))
 	for i, d := range testDS {
 		testScores[i] = d.Score
 	}
-	th := eval.TuneThreshold(valDS, vp, 20, 1.6, baseRate, testScores)
-	_, bestVal := eval.BestF1Threshold(valDS, vp)
+	th := eval.TuneThreshold(valDS, baseRate, testScores)
+	_, bestVal := eval.BestF1Threshold(valDS)
 	fmt.Printf("tuned threshold %.3f (val max-F1 %.3f)\n", th, bestVal.F1)
-	fmt.Printf("test at val threshold: %s\n", eval.Compute(eval.ConfusionAt(testDS, th), vp))
-	_, bestTest := eval.BestF1Threshold(testDS, vp)
+	fmt.Printf("test at val threshold: %s\n", eval.Compute(eval.ConfusionAt(testDS, th)))
+	_, bestTest := eval.BestF1Threshold(testDS)
 	fmt.Printf("test oracle best:     F1=%.3f at threshold %.3f\n", bestTest.F1, bestTest.Threshold)
 
 	imp := model.FeatureImportance()

@@ -20,7 +20,8 @@ import (
 // at four, and pins the fleet's alarm, prediction and feedback lines, so a
 // change to how the stream reaches the engine cannot move the alarm
 // stream unnoticed. The dashboard's shard lines are wall-clock and are
-// not compared.
+// not compared. A one-shard run under a 1 MiB memory budget must emit the
+// same alarms and pins the eviction counts the budget produces.
 func TestRunServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model on a generated fleet")
@@ -50,6 +51,19 @@ func TestRunServeSmoke(t *testing.T) {
 			want = got
 		} else if got != want {
 			t.Errorf("shards=%d report:\n%s\nwant (shards=1):\n%s", shards, got, want)
+		}
+	}
+
+	var out bytes.Buffer
+	set := memfp.Figure6{Platform: platform.Purley, Trainer: model.NameGBDT, Shards: 1, MemoryBudgetMiB: 1}
+	if err := memfp.RunFigure6(context.Background(), cfg, set, &out); err != nil {
+		t.Fatalf("memory budget 1 MiB: %v", err)
+	}
+	lines := strings.Split(out.String(), "\n")
+	for _, p := range append(pinned,
+		"memory budget 1 MiB: resident=11845144B (1 DIMMs live, 1522 frozen), evictions=11685 rehydrations=10163 compactions=13887") {
+		if !slices.Contains(lines, p) {
+			t.Errorf("memory budget 1 MiB: no line %q in:\n%s", p, out.String())
 		}
 	}
 }

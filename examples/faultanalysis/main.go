@@ -26,7 +26,7 @@ func main() {
 		}
 		st := analysis.TableI(res.Store)
 		fmt.Print(analysis.FormatTableI([]analysis.DatasetStats{st}))
-		fmt.Print(analysis.FormatFigure4(string(id), analysis.Figure4(res.Store, analysis.DefaultThresholds())))
+		fmt.Print(analysis.FormatFigure4(string(id), analysis.Figure4(res.Store)))
 		if id != platform.K920 { // Figure 5 is Intel-only in the paper
 			fmt.Print(analysis.FormatFigure5(string(id), analysis.Figure5(res.Store)))
 		}

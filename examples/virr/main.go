@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	fmt.Printf("VIRR = (1 − yc/precision) · recall   (paper §IV, yc=%.1f default)\n", eval.DefaultVIRRParams().YC)
+	fmt.Printf("VIRR = (1 − yc/precision) · recall   (paper §IV, yc=%.1f default)\n", eval.YC)
 	fmt.Println()
 
 	// The paper's best Table II cell per platform, then its rule baseline.

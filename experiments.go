@@ -11,7 +11,6 @@ import (
 	"memfp/internal/ml/model"
 	"memfp/internal/par"
 	"memfp/internal/platform"
-	"memfp/internal/trace"
 )
 
 // The experiment runners below all share one shape: fan the run's cells
@@ -38,7 +37,7 @@ type Figure4Result struct {
 // RunFigure4 computes the fault-mode/UE correlation for each platform.
 func RunFigure4(ctx context.Context, cfg Config) ([]Figure4Result, error) {
 	return perPlatform(ctx, cfg, "fig4", platform.All(), func(id platform.ID, res *faultsim.Result) Figure4Result {
-		return Figure4Result{Platform: id, Cats: analysis.Figure4(res.Store, analysis.DefaultThresholds())}
+		return Figure4Result{Platform: id, Cats: analysis.Figure4(res.Store)}
 	})
 }
 
@@ -150,7 +149,6 @@ func RunTableII(ctx context.Context, cfg Config) (*TableII, error) {
 // Table II) with no changes to this function.
 func EvaluateAlgo(ctx context.Context, cfg Config, fleet *Fleet, a Algo) (Cell, error) {
 	cfg = cfg.withDefaults()
-	vp := eval.DefaultVIRRParams()
 	cell := Cell{Applicable: true}
 
 	trainer, ok := model.Get(string(a))
@@ -178,8 +176,8 @@ func EvaluateAlgo(ctx context.Context, cfg Config, fleet *Fleet, a Algo) (Cell, 
 	// Models emitting calibrated decisions (the rule baseline) carry
 	// their own threshold; everything else tunes one on validation.
 	if ft, ok := m.(model.FixedThresholder); ok {
-		ds := eval.AggregateByDIMMWindow(test.DIMMs, test.Times, testScores, test.Y, 30*trace.Day)
-		cell.Metrics = eval.Compute(eval.ConfusionAt(ds, ft.FixedThreshold()), vp)
+		ds := eval.AggregateByDIMMWindow(test.DIMMs, test.Times, testScores, test.Y)
+		cell.Metrics = eval.Compute(eval.ConfusionAt(ds, ft.FixedThreshold()))
 		return cell, nil
 	}
 
@@ -188,8 +186,7 @@ func EvaluateAlgo(ctx context.Context, cfg Config, fleet *Fleet, a Algo) (Cell, 
 	cell.Metrics = eval.EvaluateWindowed(
 		eval.Series{DIMMs: tr.DIMMs, Times: tr.Times, Y: tr.Y},
 		eval.Series{DIMMs: val.DIMMs, Times: val.Times, Scores: m.ScoreBatch(fleet.batch(val)), Y: val.Y},
-		eval.Series{DIMMs: test.DIMMs, Times: test.Times, Scores: testScores, Y: test.Y},
-		eval.DefaultWindowedConfig(), vp)
+		eval.Series{DIMMs: test.DIMMs, Times: test.Times, Scores: testScores, Y: test.Y})
 	return cell, nil
 }
 

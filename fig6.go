@@ -24,8 +24,8 @@ const (
 	retrainPrecision = 0.2
 )
 
-// month is the Figure 6 loop's feedback and retraining period, and the
-// window an alarm's DIMM has to fail in to count as a true positive.
+// month is the Figure 6 loop's retraining cadence: with Cycles set, the
+// stream is served, resolved and retrained on one month at a time.
 const month = 30 * trace.Day
 
 // Figure6 is what a caller sets on the paper's Figure 6 loop: gated
@@ -182,7 +182,7 @@ func (l *Figure6Loop) Serve(ctx context.Context) error {
 					failedSince[id] = ue
 				}
 			}
-			pipe.ResolveAlarms(alarms, failedSince, month)
+			pipe.ResolveAlarms(alarms, failedSince)
 			prec, rec := pipe.Monitor.LivePrecisionRecall()
 			dec := pipe.Monitor.ShouldRetrain(cp.Fleet().PSI, retrainPSI, retrainPrecision)
 			fmt.Fprintf(w, "[month %d] alarms=%d  live P=%.2f R=%.2f  PSI=%.3f  retrain=%v (%s)\n",
@@ -212,7 +212,7 @@ func (l *Figure6Loop) Serve(ctx context.Context) error {
 		time.Sleep(250 * time.Millisecond)
 	}
 	if !l.set.Cycles {
-		pipe.ResolveAlarms(alarms, failed, month)
+		pipe.ResolveAlarms(alarms, failed)
 		fmt.Fprintf(w, "replayed stream: %d alarms emitted\n", len(alarms))
 	}
 

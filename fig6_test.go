@@ -62,3 +62,19 @@ func TestFigure6Cycles(t *testing.T) {
 		t.Errorf("%d alarms through the callback, want 1865 (history and months)", called)
 	}
 }
+
+// TestFigure6BootstrapBelowFloor: the first model is served even when its
+// benchmark misses the gate's precision floor — there is no other model to
+// serve. Whitley at scale 0.03, seed 1 trains such a model.
+func TestFigure6BootstrapBelowFloor(t *testing.T) {
+	var out bytes.Buffer
+	cfg := Config{Scale: 0.03, Seed: 1, Fleets: pipeline.NewFleetCache()}
+	set := Figure6{Platform: platform.Whitley, Trainer: model.NameGBDT, Shards: 1}
+	if err := RunFigure6(context.Background(), cfg, set, &out); err != nil {
+		t.Fatalf("%v after:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "promoted=true (no production model; bootstrapping despite precision") ||
+		!strings.Contains(out.String(), "replayed stream: ") {
+		t.Errorf("bootstrap below the floor not served:\n%s", out.String())
+	}
+}

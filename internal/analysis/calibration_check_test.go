@@ -40,7 +40,7 @@ func TestCalibrationShapes(t *testing.T) {
 		}
 		rates[id] = st.TotalUERatePct
 
-		cats := analysis.Figure4(res.Store, analysis.DefaultThresholds())
+		cats := analysis.Figure4(res.Store)
 		t.Logf("\n%s", analysis.FormatFigure4(string(id), cats))
 		byCat := map[analysis.FaultCategory]analysis.CategoryStats{}
 		for _, c := range cats {

@@ -3,46 +3,39 @@
 // single-device / multi-device) using threshold rules in the style of
 // Beigi et al. (HPCA'23) and Yu et al. (DSN'23/ICCAD'23), and computing the
 // statistics behind Table I, Figure 4, and Figure 5. The classifier works
-// only from logs — it never sees simulator ground truth.
+// only from logs — it never sees simulator ground truth. Its six
+// thresholds are the paper's protocol, declared once below as constants:
+// nothing configures them, and a serialized classifier does not carry
+// them.
 package analysis
 
 import (
 	"memfp/internal/trace"
 )
 
-// Thresholds configures fault-mode classification.
-type Thresholds struct {
-	// CellCEs: a cell is faulty when it accumulates at least this many CEs.
-	CellCEs int
-	// RowDistinctCols: a row is faulty when CEs appear on at least this
-	// many distinct columns of the row.
-	RowDistinctCols int
-	// ColDistinctRows: a column is faulty when CEs appear on at least
-	// this many distinct rows of the column.
-	ColDistinctRows int
-	// BankFaultyRows/BankFaultyCols: a bank is faulty when it contains at
-	// least this many faulty rows AND faulty columns (paper §V: "Bank
-	// faults arise when thresholds for both row and column faults within
-	// a bank are exceeded").
-	BankFaultyRows int
-	BankFaultyCols int
-	// DeviceMinCEs: a device participates in a multi-device fault only
+// The §V fault-mode thresholds, single-digit like those of the fault
+// taxonomies the paper cites. Every rule below is "count >= threshold",
+// and the incremental classifier relies on each being at least 1.
+const (
+	// minCellCEs: a cell is faulty when it accumulates at least this many
+	// CEs.
+	minCellCEs = 2
+	// minRowCols: a row is faulty when CEs appear on at least this many
+	// distinct columns of the row.
+	minRowCols = 3
+	// minColRows: a column is faulty when CEs appear on at least this many
+	// distinct rows of the column.
+	minColRows = 3
+	// minBankRows/minBankCols: a bank is faulty when it contains at least
+	// this many faulty rows AND faulty columns (paper §V: "Bank faults
+	// arise when thresholds for both row and column faults within a bank
+	// are exceeded").
+	minBankRows = 2
+	minBankCols = 2
+	// minDeviceCEs: a device participates in a multi-device fault only
 	// when it logged at least this many CEs (guards against stray noise).
-	DeviceMinCEs int
-}
-
-// DefaultThresholds follows the single-digit thresholds used in the fault
-// taxonomies the paper cites.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		CellCEs:         2,
-		RowDistinctCols: 3,
-		ColDistinctRows: 3,
-		BankFaultyRows:  2,
-		BankFaultyCols:  2,
-		DeviceMinCEs:    2,
-	}
-}
+	minDeviceCEs = 2
+)
 
 // Class is the classification outcome for one DIMM.
 type Class struct {
@@ -53,7 +46,7 @@ type Class struct {
 	// errors.
 	MultiDevice bool
 	// FaultyDevices is the number of devices with at least
-	// DeviceMinCEs CEs.
+	// minDeviceCEs CEs.
 	FaultyDevices int
 	// Per-level fault counts across the DIMM (features for the models).
 	FaultyCells, FaultyRows, FaultyCols, FaultyBanks int
@@ -107,7 +100,7 @@ type cellKey struct {
 
 // Classify runs threshold classification over a set of CE events (already
 // restricted to whatever window the caller wants).
-func Classify(ces []trace.Event, th Thresholds) Class {
+func Classify(ces []trace.Event) Class {
 	cellCEs := map[cellKey]int{}
 	rowCols := map[rowKey]map[int]struct{}{}
 	colRows := map[colKey]map[int]struct{}{}
@@ -133,7 +126,7 @@ func Classify(ces []trace.Event, th Thresholds) Class {
 
 	var c Class
 	for _, n := range cellCEs {
-		if n >= th.CellCEs {
+		if n >= minCellCEs {
 			c.FaultyCells++
 		}
 	}
@@ -142,24 +135,24 @@ func Classify(ces []trace.Event, th Thresholds) Class {
 	bankFaultyRows := map[bankKey]int{}
 	bankFaultyCols := map[bankKey]int{}
 	for rk, cols := range rowCols {
-		if len(cols) >= th.RowDistinctCols {
+		if len(cols) >= minRowCols {
 			c.FaultyRows++
 			bankFaultyRows[rk.bankKey]++
 		}
 	}
 	for lk, rows := range colRows {
-		if len(rows) >= th.ColDistinctRows {
+		if len(rows) >= minColRows {
 			c.FaultyCols++
 			bankFaultyCols[lk.bankKey]++
 		}
 	}
 	for bk, nr := range bankFaultyRows {
-		if nr >= th.BankFaultyRows && bankFaultyCols[bk] >= th.BankFaultyCols {
+		if nr >= minBankRows && bankFaultyCols[bk] >= minBankCols {
 			c.FaultyBanks++
 		}
 	}
 	for _, n := range devCEs {
-		if n >= th.DeviceMinCEs {
+		if n >= minDeviceCEs {
 			c.FaultyDevices++
 		}
 	}

@@ -15,7 +15,7 @@ func ce(dev, bank, row, col int) trace.Event {
 }
 
 func TestClassifyEmpty(t *testing.T) {
-	c := Classify(nil, DefaultThresholds())
+	c := Classify(nil)
 	if c.Mode != CompSporadic || c.MultiDevice {
 		t.Errorf("empty input: %+v", c)
 	}
@@ -26,7 +26,7 @@ func TestClassifyCellFault(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ces = append(ces, ce(0, 1, 100, 200))
 	}
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.Mode != CompCell {
 		t.Errorf("mode %v, want cell", c.Mode)
 	}
@@ -40,7 +40,7 @@ func TestClassifyRowFault(t *testing.T) {
 	for col := 0; col < 6; col++ {
 		ces = append(ces, ce(2, 3, 500, col*10))
 	}
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.Mode != CompRow {
 		t.Errorf("mode %v, want row", c.Mode)
 	}
@@ -54,7 +54,7 @@ func TestClassifyColumnFault(t *testing.T) {
 	for row := 0; row < 6; row++ {
 		ces = append(ces, ce(2, 3, row*7, 123))
 	}
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.Mode != CompColumn {
 		t.Errorf("mode %v, want column", c.Mode)
 	}
@@ -71,7 +71,7 @@ func TestClassifyBankFault(t *testing.T) {
 		ces = append(ces, ce(1, 5, 100+row*9, 700))
 		ces = append(ces, ce(1, 5, 200+row*11, 800))
 	}
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.Mode != CompBank {
 		t.Errorf("mode %v, want bank (%+v)", c.Mode, c)
 	}
@@ -86,7 +86,7 @@ func TestClassifyRowNotBank(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ces = append(ces, ce(0, 2, 1000+i*37, 500+i*13))
 	}
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.Mode != CompRow {
 		t.Errorf("mode %v, want row (bank overtriggered: %+v)", c.Mode, c)
 	}
@@ -98,7 +98,7 @@ func TestClassifyMultiDevice(t *testing.T) {
 		ces = append(ces, ce(0, 1, 10, i*5))
 		ces = append(ces, ce(7, 2, 20, i*5))
 	}
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if !c.MultiDevice || c.FaultyDevices != 2 {
 		t.Errorf("multi-device not detected: %+v", c)
 	}
@@ -110,7 +110,7 @@ func TestClassifySingleStrayNotMultiDevice(t *testing.T) {
 		ces = append(ces, ce(0, 1, 10, i*3))
 	}
 	ces = append(ces, ce(9, 4, 77, 88)) // one stray CE on another device
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.MultiDevice {
 		t.Errorf("one stray CE should not make multi-device: %+v", c)
 	}
@@ -128,7 +128,7 @@ func TestClassifyPriorityOrder(t *testing.T) {
 		ces = append(ces, ce(1, 5, 200+row*11, 800))
 	}
 	ces = append(ces, ce(3, 0, 1, 1), ce(3, 0, 1, 1), ce(3, 0, 1, 1))
-	c := Classify(ces, DefaultThresholds())
+	c := Classify(ces)
 	if c.Mode != CompBank {
 		t.Errorf("priority: got %v, want bank", c.Mode)
 	}

@@ -15,8 +15,7 @@ import (
 // (crossed), whichever way the count moved: the rules are written once,
 // in addCell, for insertion, removal and bulk rebuild alike. For any
 // multiset, however it was reached, Class() is identical to Classify over
-// the same events (thresholds must be >= 1, as all sane configurations
-// are), and the state is a function of the per-cell counts alone — which
+// the same events (the thresholds are all >= 1), and the state is a function of the per-cell counts alone — which
 // is all AppendBinary writes.
 //
 // Beyond Classify's outputs, it tracks the distinct-structure counts and
@@ -30,8 +29,6 @@ import (
 // the device index alone, as Classify's rule does. The decoders of foreign
 // bytes refuse addresses outside those widths, so no two cells share a key.
 type Incremental struct {
-	th Thresholds
-
 	cellCEs map[uint64]int
 	// The number of distinct columns hit in each row and rows hit in each
 	// column. A row's distinct columns are exactly its cells held in
@@ -57,8 +54,8 @@ type Incremental struct {
 type bankTally struct{ cells, faultyRows, faultyCols int }
 
 // faulty evaluates the §V bank rule as 0 or 1.
-func (b bankTally) faulty(th *Thresholds) int {
-	if b.faultyRows >= th.BankFaultyRows && b.faultyCols >= th.BankFaultyCols {
+func (b bankTally) faulty() int {
+	if b.faultyRows >= minBankRows && b.faultyCols >= minBankCols {
 		return 1
 	}
 	return 0
@@ -111,9 +108,8 @@ func (x *Incremental) tallyCells(c, n int) (now int) {
 }
 
 // NewIncremental returns an empty classifier.
-func NewIncremental(th Thresholds) *Incremental {
+func NewIncremental() *Incremental {
 	return &Incremental{
-		th:      th,
 		cellCEs: map[uint64]int{},
 		rowCols: map[uint64]int{},
 		colRows: map[uint64]int{},
@@ -134,7 +130,7 @@ func (x *Incremental) Remove(e trace.Event) { x.addCell(e.Addr.CellID(), -1) }
 // per-cursor lifetime state from a shared compaction fold without the
 // cursors aliasing each other's maps.
 func (x *Incremental) Clone() *Incremental {
-	c := NewIncremental(x.th)
+	c := NewIncremental()
 	for k, n := range x.cellCEs {
 		c.addCell(k, n)
 	}
@@ -144,13 +140,12 @@ func (x *Incremental) Clone() *Incremental {
 // addCell moves cell k's CE count by n (-1 to remove; the count must stay
 // >= 0) and settles every tally that depends on it.
 func (x *Incremental) addCell(k uint64, n int) {
-	th := &x.th
 	old, now := move(x.cellCEs, k, n)
 	x.events += n
-	x.faultyCells += crossed(old, now, th.CellCEs)
+	x.faultyCells += crossed(old, now, minCellCEs)
 
 	d, dn := move(x.devCEs, dram.CellAddr(k).Device, n)
-	x.faultyDevices += crossed(d, dn, th.DeviceMinCEs)
+	x.faultyDevices += crossed(d, dn, minDeviceCEs)
 
 	if old > 0 && x.tallyCells(old, -1) == 0 && old == x.maxCellCEs {
 		x.maxCellCEs = now // no cell is left above now: a removal moves a count by one
@@ -171,17 +166,17 @@ func (x *Incremental) addCell(k uint64, n int) {
 	}
 	bank := k &^ (dram.RowIDMask | dram.ColumnIDMask)
 	b := x.banks[bank]
-	was := b.faulty(th)
+	was := b.faulty()
 	b.cells += sign
 	cols, colsNow := move(x.rowCols, k&^dram.ColumnIDMask, sign)
-	dr := crossed(cols, colsNow, th.RowDistinctCols)
+	dr := crossed(cols, colsNow, minRowCols)
 	rows, rowsNow := move(x.colRows, k&^dram.RowIDMask, sign)
-	dc := crossed(rows, rowsNow, th.ColDistinctRows)
+	dc := crossed(rows, rowsNow, minColRows)
 	b.faultyRows += dr
 	b.faultyCols += dc
 	x.faultyRows += dr
 	x.faultyCols += dc
-	x.faultyBanks += b.faulty(th) - was
+	x.faultyBanks += b.faulty() - was
 	if b.cells == 0 {
 		delete(x.banks, bank)
 	} else {

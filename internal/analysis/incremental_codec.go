@@ -9,24 +9,16 @@ import (
 )
 
 // Binary serialization of the classifier, used when serving state crosses
-// a process boundary (node checkpoints) or spills to disk. The form is
-// the thresholds — the restored classifier must keep classifying under
-// the rules it accumulated under — and the (cell, count) list in
-// (rank, device, bank, row, column) order, which is ascending cell-ID
-// order, so equal state encodes to equal bytes however it was reached.
-// Nothing derived is written: the decoder rebuilds every other map and
-// tally through addCell, so no input can describe a classifier whose
-// counters disagree with its cells.
+// a process boundary (node checkpoints) or spills to disk. The form is the
+// (cell, count) list in (rank, device, bank, row, column) order, which is
+// ascending cell-ID order, so equal state encodes to equal bytes however
+// it was reached. The §V thresholds are constants of the package and are
+// not written. Nothing derived is written either: the decoder rebuilds
+// every other map and tally through addCell, so no input can describe a
+// classifier whose counters disagree with its cells.
 
 // AppendBinary serializes the classifier onto w.
 func (x *Incremental) AppendBinary(w *trace.BinWriter) {
-	w.Varint(int64(x.th.CellCEs))
-	w.Varint(int64(x.th.RowDistinctCols))
-	w.Varint(int64(x.th.ColDistinctRows))
-	w.Varint(int64(x.th.BankFaultyRows))
-	w.Varint(int64(x.th.BankFaultyCols))
-	w.Varint(int64(x.th.DeviceMinCEs))
-
 	cells := make([]uint64, 0, len(x.cellCEs))
 	for k := range x.cellCEs {
 		cells = append(cells, k)
@@ -45,25 +37,12 @@ func (x *Incremental) AppendBinary(w *trace.BinWriter) {
 }
 
 // DecodeIncremental reads a classifier serialized by AppendBinary. Errors
-// latch on r; the caller checks r.Err(). The bytes may be foreign: a
-// threshold below 1 (the rules assume >= 1), a cell outside the cell-ID
-// field widths (dram.Addr.CheckFits), a cell listed twice or with no CEs,
-// and a cell count the remaining bytes cannot hold (a cell is six varints)
-// are refused.
+// latch on r; the caller checks r.Err(). The bytes may be foreign: a cell
+// outside the cell-ID field widths (dram.Addr.CheckFits), a cell listed
+// twice or with no CEs, and a cell count the remaining bytes cannot hold
+// (a cell is six varints) are refused.
 func DecodeIncremental(r *trace.BinReader) *Incremental {
-	th := Thresholds{
-		CellCEs:         int(r.Varint()),
-		RowDistinctCols: int(r.Varint()),
-		ColDistinctRows: int(r.Varint()),
-		BankFaultyRows:  int(r.Varint()),
-		BankFaultyCols:  int(r.Varint()),
-		DeviceMinCEs:    int(r.Varint()),
-	}
-	if r.Err() == nil && min(th.CellCEs, th.RowDistinctCols, th.ColDistinctRows,
-		th.BankFaultyRows, th.BankFaultyCols, th.DeviceMinCEs) < 1 {
-		r.Failf("analysis: threshold below 1 in %+v", th)
-	}
-	x := NewIncremental(th)
+	x := NewIncremental()
 	cells := r.Uvarint()
 	if r.Err() == nil && cells > uint64(r.Remaining()/6) {
 		r.Failf("analysis: %d cells declared in %d bytes", cells, r.Remaining())

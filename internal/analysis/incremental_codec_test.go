@@ -47,7 +47,7 @@ func assertIncrementalEqual(t *testing.T, got, want *Incremental, when string) {
 func TestIncrementalCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		x := NewIncremental(DefaultThresholds())
+		x := NewIncremental()
 		for i := 0; i < rng.Intn(400); i++ {
 			x.Add(randCE(rng))
 		}
@@ -82,7 +82,7 @@ func TestIncrementalCodecRoundTrip(t *testing.T) {
 // TestIncrementalCodecTruncation latches errors instead of panicking on
 // truncated input.
 func TestIncrementalCodecTruncation(t *testing.T) {
-	x := NewIncremental(DefaultThresholds())
+	x := NewIncremental()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
 		x.Add(randCE(rng))
@@ -112,9 +112,6 @@ func TestIncrementalCodecRefusesUnpackableCell(t *testing.T) {
 		{[5]int64{0, 0, 0, 0, 1 << 16}, "column 65536 outside its 16-bit cell-ID field"},
 	} {
 		var w trace.BinWriter
-		for range 6 {
-			w.Varint(1) // thresholds
-		}
 		w.Uvarint(1)
 		for _, v := range c.cell {
 			w.Varint(v)
@@ -128,14 +125,14 @@ func TestIncrementalCodecRefusesUnpackableCell(t *testing.T) {
 	}
 }
 
-// TestIncrementalCodecGoldenBytes pins the MFS3 cell list on one fixed
+// TestIncrementalCodecGoldenBytes pins the MFS4 cell list on one fixed
 // multiset spanning all five address fields, each at values that order
 // differently field by field than they would as one flat number (a high
 // row under a low bank, a high column under a low row, every field at its
 // widest): the cells must come out in (rank, device, bank, row, column)
 // order, byte for byte.
 func TestIncrementalCodecGoldenBytes(t *testing.T) {
-	x := NewIncremental(DefaultThresholds())
+	x := NewIncremental()
 	for _, c := range []struct{ rank, dev, bank, row, col, n int }{
 		{1, 17, 15, 1<<17 - 1, 1<<10 - 1, 3},
 		{0, 0, 0, 0, 0, 1},
@@ -153,8 +150,8 @@ func TestIncrementalCodecGoldenBytes(t *testing.T) {
 			x.Add(ceOn(c.rank, c.dev, c.bank, c.row, c.col))
 		}
 	}
-	const want = "0406060404040b00000000000200000000feff0702000000020008000000808080010002000002000002000200000002000a06e0c50882080400221efeff0ffe0f0202000000000402221efeff0ffe0f06fe03fe03fe03feffff0ffeff0702"
+	const want = "0b00000000000200000000feff0702000000020008000000808080010002000002000002000200000002000a06e0c50882080400221efeff0ffe0f0202000000000402221efeff0ffe0f06fe03fe03fe03feffff0ffeff0702"
 	if got := hex.EncodeToString(encodeIncremental(x)); got != want {
-		t.Fatalf("MFS3 cell bytes moved:\n got %s\nwant %s", got, want)
+		t.Fatalf("MFS4 cell bytes moved:\n got %s\nwant %s", got, want)
 	}
 }

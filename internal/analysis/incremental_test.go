@@ -37,23 +37,12 @@ func randomCEs(rng *xrand.RNG, n int) []trace.Event {
 
 // TestIncrementalMatchesClassify property-tests the O(1)-per-event
 // incremental classifier against the batch Classify oracle at every
-// prefix length, under both the default and randomized thresholds.
+// prefix length.
 func TestIncrementalMatchesClassify(t *testing.T) {
 	rng := xrand.New(21)
 	for trial := 0; trial < 30; trial++ {
-		th := DefaultThresholds()
-		if trial%2 == 1 {
-			th = Thresholds{
-				CellCEs:         1 + rng.Intn(4),
-				RowDistinctCols: 1 + rng.Intn(4),
-				ColDistinctRows: 1 + rng.Intn(4),
-				BankFaultyRows:  1 + rng.Intn(3),
-				BankFaultyCols:  1 + rng.Intn(3),
-				DeviceMinCEs:    1 + rng.Intn(4),
-			}
-		}
 		events := randomCEs(rng, 1+rng.Intn(300))
-		inc := NewIncremental(th)
+		inc := NewIncremental()
 		for i, e := range events {
 			inc.Add(e)
 			// Check every short prefix and a sample of long ones: the
@@ -61,10 +50,10 @@ func TestIncrementalMatchesClassify(t *testing.T) {
 			if i > 40 && i%17 != 0 && i != len(events)-1 {
 				continue
 			}
-			want := Classify(events[:i+1], th)
+			want := Classify(events[:i+1])
 			if got := inc.Class(); got != want {
-				t.Fatalf("trial %d prefix %d: incremental %+v != batch %+v (th=%+v)",
-					trial, i+1, got, want, th)
+				t.Fatalf("trial %d prefix %d: incremental %+v != batch %+v",
+					trial, i+1, got, want)
 			}
 		}
 
@@ -118,57 +107,52 @@ func TestIncrementalFieldBoundaries(t *testing.T) {
 		ce(1 << bit)
 		ce(^uint64(0) &^ (1 << bit))
 	}
-	for _, th := range []Thresholds{
-		{CellCEs: 1, RowDistinctCols: 1, ColDistinctRows: 1, BankFaultyRows: 1, BankFaultyCols: 1, DeviceMinCEs: 1},
-		{CellCEs: 2, RowDistinctCols: 2, ColDistinctRows: 2, BankFaultyRows: 2, BankFaultyCols: 1, DeviceMinCEs: 3},
-	} {
-		x := NewIncremental(th)
-		check := func(held []trace.Event, when string) {
-			t.Helper()
-			if got, want := x.Class(), Classify(held, th); got != want {
-				t.Fatalf("%s (th %+v): incremental %+v != batch %+v", when, th, got, want)
-			}
-			banks := map[[3]int]bool{}
-			rows := map[[4]int]bool{}
-			cols := map[[4]int]bool{}
-			cells := map[dram.Addr]int{}
-			maxCell := 0
-			for _, e := range held {
-				a := e.Addr
-				banks[[3]int{a.Rank, a.Device, a.Bank}] = true
-				rows[[4]int{a.Rank, a.Device, a.Bank, a.Row}] = true
-				cols[[4]int{a.Rank, a.Device, a.Bank, a.Column}] = true
-				cells[a]++
-				maxCell = max(maxCell, cells[a])
-			}
-			if x.DistinctBanks() != len(banks) || x.DistinctRows() != len(rows) ||
-				x.DistinctCols() != len(cols) || x.MaxCellCEs() != maxCell {
-				t.Fatalf("%s: distinct counts (%d,%d,%d,max %d) != (%d,%d,%d,max %d)", when,
-					x.DistinctBanks(), x.DistinctRows(), x.DistinctCols(), x.MaxCellCEs(),
-					len(banks), len(rows), len(cols), maxCell)
-			}
+	x := NewIncremental()
+	check := func(held []trace.Event, when string) {
+		t.Helper()
+		if got, want := x.Class(), Classify(held); got != want {
+			t.Fatalf("%s: incremental %+v != batch %+v", when, got, want)
 		}
-		for i, e := range events {
-			x.Add(e)
-			check(events[:i+1], fmt.Sprintf("after Add %d (%v)", i, e.Addr))
+		banks := map[[3]int]bool{}
+		rows := map[[4]int]bool{}
+		cols := map[[4]int]bool{}
+		cells := map[dram.Addr]int{}
+		maxCell := 0
+		for _, e := range held {
+			a := e.Addr
+			banks[[3]int{a.Rank, a.Device, a.Bank}] = true
+			rows[[4]int{a.Rank, a.Device, a.Bank, a.Row}] = true
+			cols[[4]int{a.Rank, a.Device, a.Bank, a.Column}] = true
+			cells[a]++
+			maxCell = max(maxCell, cells[a])
 		}
-		held := slices.Clone(events)
-		rand.New(rand.NewSource(int64(th.CellCEs))).Shuffle(len(held), func(i, j int) {
-			held[i], held[j] = held[j], held[i]
-		})
-		for len(held) > 0 {
-			e := held[len(held)-1]
-			held = held[:len(held)-1]
-			x.Remove(e)
-			check(held, fmt.Sprintf("after Remove (%v), %d held", e.Addr, len(held)))
+		if x.DistinctBanks() != len(banks) || x.DistinctRows() != len(rows) ||
+			x.DistinctCols() != len(cols) || x.MaxCellCEs() != maxCell {
+			t.Fatalf("%s: distinct counts (%d,%d,%d,max %d) != (%d,%d,%d,max %d)", when,
+				x.DistinctBanks(), x.DistinctRows(), x.DistinctCols(), x.MaxCellCEs(),
+				len(banks), len(rows), len(cols), maxCell)
 		}
+	}
+	for i, e := range events {
+		x.Add(e)
+		check(events[:i+1], fmt.Sprintf("after Add %d (%v)", i, e.Addr))
+	}
+	held := slices.Clone(events)
+	rand.New(rand.NewSource(2)).Shuffle(len(held), func(i, j int) {
+		held[i], held[j] = held[j], held[i]
+	})
+	for len(held) > 0 {
+		e := held[len(held)-1]
+		held = held[:len(held)-1]
+		x.Remove(e)
+		check(held, fmt.Sprintf("after Remove (%v), %d held", e.Addr, len(held)))
 	}
 }
 
 // TestIncrementalEmpty checks the zero-event classification.
 func TestIncrementalEmpty(t *testing.T) {
-	inc := NewIncremental(DefaultThresholds())
-	if got, want := inc.Class(), Classify(nil, DefaultThresholds()); got != want {
+	inc := NewIncremental()
+	if got, want := inc.Class(), Classify(nil); got != want {
 		t.Fatalf("empty incremental %+v != batch %+v", got, want)
 	}
 }
@@ -205,11 +189,10 @@ func encodeIncremental(x *Incremental) []byte {
 // be the one a classifier freshly built over those contents has — same
 // read-outs, same bytes — so nothing remembers the path that led there.
 func TestSlidingMatchesClassify(t *testing.T) {
-	th := DefaultThresholds()
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		events := randCEs(rng, 400)
-		s := NewIncremental(th)
+		s := NewIncremental()
 		lo, hi := 0, 0
 		for step := 0; step < 120; step++ {
 			// Advance the window by random amounts on both ends.
@@ -221,7 +204,7 @@ func TestSlidingMatchesClassify(t *testing.T) {
 			for ; lo < nlo; lo++ {
 				s.Remove(events[lo])
 			}
-			got, want := s.Class(), Classify(events[lo:hi], th)
+			got, want := s.Class(), Classify(events[lo:hi])
 			if got != want {
 				t.Fatalf("trial %d step %d window [%d,%d): sliding %+v != batch %+v",
 					trial, step, lo, hi, got, want)
@@ -230,7 +213,7 @@ func TestSlidingMatchesClassify(t *testing.T) {
 				t.Fatalf("trial %d step %d: events=%d, want %d", trial, step, s.events, hi-lo)
 			}
 
-			fresh := NewIncremental(th)
+			fresh := NewIncremental()
 			for _, e := range events[lo:hi] {
 				fresh.Add(e)
 			}
@@ -256,7 +239,7 @@ func TestSlidingMatchesClassify(t *testing.T) {
 		if got := s.Class(); got != (Class{Mode: CompSporadic}) {
 			t.Fatalf("trial %d: drained window classifies as %+v", trial, got)
 		}
-		if s.MemEstimate() != NewIncremental(th).MemEstimate() {
+		if s.MemEstimate() != NewIncremental().MemEstimate() {
 			t.Fatalf("trial %d: drained window retains map entries (est %d)", trial, s.MemEstimate())
 		}
 	}
@@ -300,7 +283,7 @@ func TestMemEstimatePinned(t *testing.T) {
 		{"multi-device after removals", multi, multi[:7], 4240},
 		{"faulty bank after removals", bank, bank[2:6], 1520},
 	} {
-		x := NewIncremental(DefaultThresholds())
+		x := NewIncremental()
 		for _, e := range tc.add {
 			x.Add(e)
 		}
@@ -319,7 +302,7 @@ func TestMemEstimatePinned(t *testing.T) {
 // and dropped each time) allocates nothing, and neither does another event
 // on a cell already held.
 func TestAddRemoveAllocFree(t *testing.T) {
-	x := NewIncremental(DefaultThresholds())
+	x := NewIncremental()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 2000; i++ {
 		x.Add(randCE(rng))
@@ -340,7 +323,7 @@ func TestAddRemoveAllocFree(t *testing.T) {
 // over the same counts has.
 func TestMaxCellCEsAboveDenseCounts(t *testing.T) {
 	a, b := ceOn(0, 0, 0, 1, 1), ceOn(0, 0, 0, 2, 2)
-	x := NewIncremental(DefaultThresholds())
+	x := NewIncremental()
 	na, nb := denseCounts+4, denseCounts-2
 	for i := 0; i < na; i++ {
 		x.Add(a)
@@ -349,7 +332,7 @@ func TestMaxCellCEsAboveDenseCounts(t *testing.T) {
 		x.Add(b)
 	}
 	for ; na > 0; na-- {
-		fresh := NewIncremental(DefaultThresholds())
+		fresh := NewIncremental()
 		fresh.addCell(a.Addr.CellID(), na)
 		fresh.addCell(b.Addr.CellID(), nb)
 		if x.MaxCellCEs() != max(na, nb) || x.MemEstimate() != fresh.MemEstimate() {
@@ -384,7 +367,7 @@ func BenchmarkIncrementalWindowChurn(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	x := NewIncremental(DefaultThresholds())
+	x := NewIncremental()
 	for _, e := range events[:window] {
 		x.Add(e)
 	}

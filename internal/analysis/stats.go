@@ -101,7 +101,7 @@ type CategoryStats struct {
 // Component-level categories (cell..bank) and device-span categories
 // (single/multi) are two projections of the same classification, exactly as
 // the paper plots them side by side.
-func Figure4(s *trace.Store, th Thresholds) []CategoryStats {
+func Figure4(s *trace.Store) []CategoryStats {
 	counts := map[FaultCategory]*CategoryStats{}
 	for _, c := range FaultCategories() {
 		counts[c] = &CategoryStats{Category: c}
@@ -120,7 +120,7 @@ func Figure4(s *trace.Store, th Thresholds) []CategoryStats {
 				continue
 			}
 		}
-		cl := Classify(ces, th)
+		cl := Classify(ces)
 		var cats []FaultCategory
 		switch cl.Mode {
 		case CompCell:
@@ -211,7 +211,7 @@ func Figure5(s *trace.Store) map[BitStat][]BitBucket {
 				continue
 			}
 		}
-		dq, beat, dqi, bi := dominantSignature(ces)
+		dq, beat, dqi, bi := trace.DominantSignature(ces)
 		for st, v := range map[BitStat]int{
 			StatDQCount: dq, StatBeatCount: beat,
 			StatDQInterval: dqi, StatBeatInterval: bi,
@@ -244,12 +244,6 @@ func Figure5(s *trace.Store) map[BitStat][]BitBucket {
 		}
 	}
 	return out
-}
-
-// dominantSignature is trace.DominantSignature; the shared helper keeps
-// Figure 5 bucketing and §VI feature extraction on one tie-break.
-func dominantSignature(ces []trace.Event) (dq, beat, dqi, bi int) {
-	return trace.DominantSignature(ces)
 }
 
 // FormatTableI renders Table I rows as an aligned text table.

@@ -85,7 +85,7 @@ func TestFigure4UsesPreUEEvidence(t *testing.T) {
 	// Benign cell-fault DIMM.
 	addDIMM(t, s, part, 1, ceAt(10, 9, 9), ceAt(20, 9, 9), ceAt(30, 9, 9))
 
-	cats := Figure4(s, DefaultThresholds())
+	cats := Figure4(s)
 	byCat := map[FaultCategory]CategoryStats{}
 	for _, c := range cats {
 		byCat[c.Category] = c
@@ -175,7 +175,7 @@ func TestFormatters(t *testing.T) {
 	if out := FormatTableI([]DatasetStats{st}); !strings.Contains(out, "Intel_Purley") {
 		t.Error("FormatTableI missing platform name")
 	}
-	if out := FormatFigure4("X", Figure4(s, DefaultThresholds())); !strings.Contains(out, "Single device") {
+	if out := FormatFigure4("X", Figure4(s)); !strings.Contains(out, "Single device") {
 		t.Error("FormatFigure4 missing category")
 	}
 	if out := FormatFigure5("X", Figure5(s)); !strings.Contains(out, "DQ count") {

@@ -9,6 +9,7 @@
 package baseline
 
 import (
+	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -35,8 +36,6 @@ type Predictor struct {
 	// dedicated rule, mirroring the per-part-number design of the paper.
 	Rules    map[platform.Manufacturer]Rule
 	Fallback Rule
-	// Window is the history window consulted at prediction time.
-	Window trace.Minutes
 }
 
 // New returns the reproduction tuned for the Purley platform: the risky
@@ -53,7 +52,6 @@ func New() *Predictor {
 			platform.VendorD: base,
 		},
 		Fallback: base,
-		Window:   5 * trace.Day,
 	}
 }
 
@@ -61,13 +59,14 @@ func New() *Predictor {
 // platform (Purley only, per Table II).
 func (p *Predictor) Applicable(id platform.ID) bool { return id == platform.Purley }
 
-// Predict returns the rule decision for DIMM l at time t.
+// Predict returns the rule decision for DIMM l at time t, from the events
+// of the observation window Δtd (features.ObservationWindow) before t.
 func (p *Predictor) Predict(l *trace.DIMMLog, t trace.Minutes) bool {
 	rule, ok := p.Rules[l.Part.Manufacturer]
 	if !ok {
 		rule = p.Fallback
 	}
-	winStart := t - p.Window
+	winStart := t - features.ObservationWindow
 	risky, storms := 0, 0
 	for _, e := range l.Events {
 		if e.Time > t {

@@ -231,7 +231,7 @@ const (
 //
 // maxBlobBytes caps an engine checkpoint (a node's /checkpoint, the
 // control plane's stored copy on a rejoin) and a model artifact. A
-// checkpoint is one MFS3 record per DIMM — about 300 bytes for the
+// checkpoint is one MFS4 record per DIMM — about 300 bytes for the
 // benchmark fleets' short histories, 1–2 KiB with a full observation
 // window retained — so 256 MiB admits a node serving well over 100k
 // DIMMs; the largest artifact here (the FT-Transformer) is under 1 MiB.

@@ -247,7 +247,7 @@ func (n *Node) handleIngest2(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCheckpoint snapshots the engine as the checkpoint frame for ?tick=:
-// a delta (mlops.AppendDelta) if ?head= names its last frame, else MFS3.
+// a delta (mlops.AppendDelta) if ?head= names its last frame, else MFS4.
 // The frame is assembled into a buffer the node keeps between checkpoints
 // and its length is declared, so the control plane reads it into one
 // exact-size buffer instead of a chunked stream.

@@ -791,7 +791,7 @@ func (s *Server) join(req JoinRequest) (JoinResponse, int, error) {
 	return resp, http.StatusOK, nil
 }
 
-// checkpointBlob returns a node's stored chain, merged into the one MFS3
+// checkpointBlob returns a node's stored chain, merged into the one MFS4
 // frame its rejoin restores. The chain is read under the lock, which every
 // change to it holds.
 func (s *Server) checkpointBlob(name string) ([]byte, error) {

@@ -39,7 +39,7 @@ const (
 	// ContentTypeAlarms marks an MFA1 alarm page; an ingest request that
 	// Accepts it gets the tick's alarms back in one.
 	ContentTypeAlarms = "application/x-memfp-alarms"
-	// ContentTypeSnapshot marks a serialized engine snapshot (MFS3).
+	// ContentTypeSnapshot marks a serialized engine snapshot (MFS4).
 	ContentTypeSnapshot = "application/x-memfp-snapshot"
 
 	// HeaderPending carries TickResponse.Pending on binary ingest

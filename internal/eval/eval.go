@@ -1,6 +1,10 @@
 // Package eval implements §IV's performance measures: windowed DIMM-level
 // confusion counting, precision/recall/F1, the VM Interruption Reduction
-// Rate (VIRR), threshold tuning on validation data, and PR sweeps.
+// Rate (VIRR), threshold tuning on validation data, and PR sweeps. The
+// protocol's values are constants: units span Δtp
+// (features.PredictionWindow), VIRR is taken at yc = YC, and the Table II
+// tuning rule's positive count and budget factor are declared below.
+// VIRR(p, r, yc) keeps yc as an argument for the Figure 2 sweep.
 package eval
 
 import (
@@ -8,7 +12,20 @@ import (
 	"math"
 	"sort"
 
+	"memfp/internal/features"
 	"memfp/internal/trace"
+)
+
+// YC is §IV's yc: the fraction of VMs that must cold-migrate when a
+// prediction fires (the paper sets a conservative 0.1).
+const YC = 0.1
+
+// The Table II tuning rule (TuneThreshold): validation max-F1 is trusted
+// alone from minValPositives positive units up; below that, the alarm
+// budget is alarmBudgetFactor × the pre-deployment positive-unit rate.
+const (
+	minValPositives   = 20
+	alarmBudgetFactor = 1.6
 )
 
 // Confusion is a DIMM-level confusion matrix.
@@ -49,16 +66,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// VIRRParams parameterize the cost model of §IV / Figure 2.
-type VIRRParams struct {
-	// YC is the fraction of VMs that must cold-migrate when a prediction
-	// fires (the paper sets a conservative 0.1).
-	YC float64
-}
-
-// DefaultVIRRParams returns the paper's yc = 0.1.
-func DefaultVIRRParams() VIRRParams { return VIRRParams{YC: 0.1} }
-
 // VIRR is the §IV closed form of the VM Interruption Reduction Rate,
 // (1 − yc/precision) · recall: negative when precision < yc, and 0 when
 // precision is 0 (no alarm fired, so nothing changed).
@@ -69,9 +76,10 @@ func VIRR(precision, recall, yc float64) float64 {
 	return (1 - yc/precision) * recall
 }
 
-// VIRR computes the VM Interruption Reduction Rate of the matrix.
-func (c Confusion) VIRR(p VIRRParams) float64 {
-	return VIRR(c.Precision(), c.Recall(), p.YC)
+// VIRR computes the VM Interruption Reduction Rate of the matrix at yc =
+// YC.
+func (c Confusion) VIRR() float64 {
+	return VIRR(c.Precision(), c.Recall(), YC)
 }
 
 // Metrics bundles the Table II cell values.
@@ -81,10 +89,10 @@ type Metrics struct {
 }
 
 // Compute derives metrics from a confusion matrix.
-func Compute(c Confusion, vp VIRRParams) Metrics {
+func Compute(c Confusion) Metrics {
 	return Metrics{
 		Precision: c.Precision(), Recall: c.Recall(), F1: c.F1(),
-		VIRR: c.VIRR(vp), Confusion: c,
+		VIRR: c.VIRR(), Confusion: c,
 	}
 }
 
@@ -113,14 +121,15 @@ func AggregateByDIMM(dimms []trace.DIMMID, scores []float64, labels []int) []DIM
 }
 
 // AggregateByDIMMWindow folds samples into (DIMM, window)-bucket units of
-// the given length (the paper's Δtp=30d evaluation granularity). Bucketing
+// length Δtp (features.PredictionWindow, the paper's evaluation
+// granularity). Bucketing
 // equalizes exposure between evaluation periods of different lengths: a
 // DIMM observed for three months contributes three units, so the max-score
 // statistic is comparable between a 30-day validation period and a 90-day
 // test period.
 func AggregateByDIMMWindow(dimms []trace.DIMMID, times []trace.Minutes,
-	scores []float64, labels []int, window trace.Minutes) []DIMMScore {
-	return aggregate(dimms, times, scores, labels, window)
+	scores []float64, labels []int) []DIMMScore {
+	return aggregate(dimms, times, scores, labels, features.PredictionWindow)
 }
 
 func aggregate(dimms []trace.DIMMID, times []trace.Minutes,
@@ -178,7 +187,7 @@ type PRPoint struct {
 }
 
 // PRSweep evaluates every distinct score as a threshold, high to low.
-func PRSweep(ds []DIMMScore, vp VIRRParams) []PRPoint {
+func PRSweep(ds []DIMMScore) []PRPoint {
 	set := map[float64]struct{}{}
 	for _, d := range ds {
 		set[d.Score] = struct{}{}
@@ -193,7 +202,7 @@ func PRSweep(ds []DIMMScore, vp VIRRParams) []PRPoint {
 		c := ConfusionAt(ds, t)
 		out = append(out, PRPoint{
 			Threshold: t, Precision: c.Precision(), Recall: c.Recall(),
-			F1: c.F1(), VIRR: c.VIRR(vp),
+			F1: c.F1(), VIRR: c.VIRR(),
 		})
 	}
 	return out
@@ -201,8 +210,8 @@ func PRSweep(ds []DIMMScore, vp VIRRParams) []PRPoint {
 
 // BestF1Threshold returns the threshold maximizing F1 over the sweep
 // (tuned on validation scores, then applied to test).
-func BestF1Threshold(ds []DIMMScore, vp VIRRParams) (float64, PRPoint) {
-	sweep := PRSweep(ds, vp)
+func BestF1Threshold(ds []DIMMScore) (float64, PRPoint) {
+	sweep := PRSweep(ds)
 	best := PRPoint{Threshold: 0.5}
 	for _, p := range sweep {
 		if p.F1 > best.F1 {
@@ -218,29 +227,29 @@ func BestF1Threshold(ds []DIMMScore, vp VIRRParams) (float64, PRPoint) {
 //     carries enough positive units but degenerates (usually too low)
 //     when positives are scarce; and
 //   - an alarm-budget threshold: the quantile of the deployment-period
-//     score distribution at budgetFactor × the base positive-unit rate.
+//     score distribution at alarmBudgetFactor × the base positive-unit
+//     rate.
 //     The rate comes from labels observed before deployment and the
 //     quantile uses only score *order* on the new period, so there is no
 //     label leakage. This mirrors production practice, where migration
 //     capacity bounds the alarm rate regardless of model calibration.
 //
-// With at least minPositives validation positives the max-F1 estimate is
+// With at least minValPositives validation positives the max-F1 estimate is
 // trusted alone; otherwise the more conservative (higher) of the two is
 // returned, since sparse-positive max-F1 errs toward over-alarming and
 // VIRR punishes precision collapse hardest.
-func TuneThreshold(valDS []DIMMScore, vp VIRRParams, minPositives int, budgetFactor float64,
-	baseRate float64, deployScores []float64) float64 {
+func TuneThreshold(valDS []DIMMScore, baseRate float64, deployScores []float64) float64 {
 	pos := 0
 	for _, d := range valDS {
 		if d.Actual {
 			pos++
 		}
 	}
-	th, _ := BestF1Threshold(valDS, vp)
-	if pos >= minPositives || len(deployScores) == 0 || baseRate <= 0 {
+	th, _ := BestF1Threshold(valDS)
+	if pos >= minValPositives || len(deployScores) == 0 || baseRate <= 0 {
 		return th
 	}
-	k := int(math.Ceil(budgetFactor * baseRate * float64(len(deployScores))))
+	k := int(math.Ceil(alarmBudgetFactor * baseRate * float64(len(deployScores))))
 	if k < 1 {
 		k = 1
 	}
@@ -272,8 +281,8 @@ func PositiveUnitRate(ds []DIMMScore) float64 {
 
 // AUPRC returns the area under the precision-recall curve via trapezoids
 // over the sweep (a threshold-free quality summary used in tests).
-func AUPRC(ds []DIMMScore, vp VIRRParams) float64 {
-	sweep := PRSweep(ds, vp)
+func AUPRC(ds []DIMMScore) float64 {
+	sweep := PRSweep(ds)
 	if len(sweep) == 0 {
 		return 0
 	}

@@ -13,41 +13,27 @@ type Series struct {
 	Y      []int
 }
 
-// WindowedConfig parameterizes EvaluateWindowed.
-type WindowedConfig struct {
-	// Window is the (DIMM, window)-bucket length (the paper's Δtp=30d).
-	Window trace.Minutes
-	// MinPositives / BudgetFactor feed TuneThreshold (see its doc).
-	MinPositives int
-	BudgetFactor float64
-}
-
-// DefaultWindowedConfig returns the Table II evaluation protocol.
-func DefaultWindowedConfig() WindowedConfig {
-	return WindowedConfig{Window: 30 * trace.Day, MinPositives: 20, BudgetFactor: 1.6}
-}
-
 // EvaluateWindowed is the shared tail of every tuned-threshold
 // experiment (Table II cells, transfer-matrix cells): aggregate each
 // partition into (DIMM, window) units, tune the decision threshold on
 // validation units with the train+val base rate as alarm budget, then
 // score the test units at that threshold.
-func EvaluateWindowed(train, val, test Series, cfg WindowedConfig, vp VIRRParams) Metrics {
-	valDS := AggregateByDIMMWindow(val.DIMMs, val.Times, val.Scores, val.Y, cfg.Window)
-	testDS := AggregateByDIMMWindow(test.DIMMs, test.Times, test.Scores, test.Y, cfg.Window)
+func EvaluateWindowed(train, val, test Series) Metrics {
+	valDS := AggregateByDIMMWindow(val.DIMMs, val.Times, val.Scores, val.Y)
+	testDS := AggregateByDIMMWindow(test.DIMMs, test.Times, test.Scores, test.Y)
 
 	// Base positive-unit rate from pre-deployment labels (train + val).
 	trainScores := train.Scores
 	if trainScores == nil {
 		trainScores = make([]float64, len(train.Y))
 	}
-	trainDS := AggregateByDIMMWindow(train.DIMMs, train.Times, trainScores, train.Y, cfg.Window)
+	trainDS := AggregateByDIMMWindow(train.DIMMs, train.Times, trainScores, train.Y)
 	baseRate := PositiveUnitRate(append(trainDS, valDS...))
 
 	testScores := make([]float64, len(testDS))
 	for i, d := range testDS {
 		testScores[i] = d.Score
 	}
-	th := TuneThreshold(valDS, vp, cfg.MinPositives, cfg.BudgetFactor, baseRate, testScores)
-	return Compute(ConfusionAt(testDS, th), vp)
+	th := TuneThreshold(valDS, baseRate, testScores)
+	return Compute(ConfusionAt(testDS, th))
 }

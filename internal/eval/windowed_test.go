@@ -32,21 +32,18 @@ func TestEvaluateWindowedMatchesManualSequence(t *testing.T) {
 	test := mkSeries(50, 10, 180*trace.Day,
 		func(i int) float64 { return float64(i%7) / 7 },
 		func(i int) int { return i % 11 / 10 })
-	cfg := DefaultWindowedConfig()
-	vp := DefaultVIRRParams()
+	got := EvaluateWindowed(train, val, test)
 
-	got := EvaluateWindowed(train, val, test, cfg, vp)
-
-	valDS := AggregateByDIMMWindow(val.DIMMs, val.Times, val.Scores, val.Y, cfg.Window)
-	testDS := AggregateByDIMMWindow(test.DIMMs, test.Times, test.Scores, test.Y, cfg.Window)
-	trainDS := AggregateByDIMMWindow(train.DIMMs, train.Times, make([]float64, len(train.Y)), train.Y, cfg.Window)
+	valDS := AggregateByDIMMWindow(val.DIMMs, val.Times, val.Scores, val.Y)
+	testDS := AggregateByDIMMWindow(test.DIMMs, test.Times, test.Scores, test.Y)
+	trainDS := AggregateByDIMMWindow(train.DIMMs, train.Times, make([]float64, len(train.Y)), train.Y)
 	baseRate := PositiveUnitRate(append(trainDS, valDS...))
 	testScores := make([]float64, len(testDS))
 	for i, d := range testDS {
 		testScores[i] = d.Score
 	}
-	th := TuneThreshold(valDS, vp, cfg.MinPositives, cfg.BudgetFactor, baseRate, testScores)
-	want := Compute(ConfusionAt(testDS, th), vp)
+	th := TuneThreshold(valDS, baseRate, testScores)
+	want := Compute(ConfusionAt(testDS, th))
 
 	if got != want {
 		t.Fatalf("EvaluateWindowed = %+v, manual sequence = %+v", got, want)
@@ -67,14 +64,12 @@ func TestEvaluateWindowedNilTrainScores(t *testing.T) {
 	test := mkSeries(20, 5, 180*trace.Day,
 		func(i int) float64 { return float64(i) / 20 },
 		func(i int) int { return i % 6 / 5 })
-	cfg := DefaultWindowedConfig()
-	vp := DefaultVIRRParams()
-	got := EvaluateWindowed(train, val, test, cfg, vp)
+	got := EvaluateWindowed(train, val, test)
 
 	// The train series only contributes labels (base rate); its scores
 	// must not change the result.
 	withScores.Scores = make([]float64, len(withScores.Y))
-	want := EvaluateWindowed(withScores, val, test, cfg, vp)
+	want := EvaluateWindowed(withScores, val, test)
 	if got != want {
 		t.Fatalf("nil train scores diverged: %+v vs %+v", got, want)
 	}
@@ -88,7 +83,7 @@ func TestEvaluateWindowedPerfectModel(t *testing.T) {
 	train := mkSeries(30, 30, 0, func(int) float64 { return 0 }, label)
 	val := mkSeries(30, 30, 150*trace.Day, score, label)
 	test := mkSeries(30, 30, 180*trace.Day, score, label)
-	m := EvaluateWindowed(train, val, test, DefaultWindowedConfig(), DefaultVIRRParams())
+	m := EvaluateWindowed(train, val, test)
 	if m.Precision != 1 || m.Recall != 1 || m.F1 != 1 {
 		t.Fatalf("perfect model scored %+v", m)
 	}

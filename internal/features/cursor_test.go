@@ -18,9 +18,9 @@ import (
 // Every extraction now runs through Cursor, so comparing a cursor against
 // another cursor alone would be circular — this copy pins the original
 // semantics.
-func naiveExtract(x *Extractor, l *trace.DIMMLog, t trace.Minutes) []float64 {
+func naiveExtract(l *trace.DIMMLog, t trace.Minutes) []float64 {
 	f := make([]float64, Dim())
-	w := x.Windows.Observation
+	w := ObservationWindow
 
 	var (
 		ce15m, ce1h, ce6h, ce1d, ce5d, ceTotal int
@@ -92,7 +92,7 @@ func naiveExtract(x *Extractor, l *trace.DIMMLog, t trace.Minutes) []float64 {
 	}
 	next(float64(len(activeDays)))
 
-	clsW := analysis.Classify(windowCEs, x.Thresholds)
+	clsW := analysis.Classify(windowCEs)
 	next(float64(clsW.FaultyCells))
 	next(float64(clsW.FaultyRows))
 	next(float64(clsW.FaultyCols))
@@ -100,7 +100,7 @@ func naiveExtract(x *Extractor, l *trace.DIMMLog, t trace.Minutes) []float64 {
 	next(float64(clsW.FaultyDevices))
 	next(boolf(clsW.MultiDevice))
 
-	clsL := analysis.Classify(lifeCEs, x.Thresholds)
+	clsL := analysis.Classify(lifeCEs)
 	next(float64(clsL.FaultyCells))
 	next(float64(clsL.FaultyRows))
 	next(float64(clsL.FaultyCols))
@@ -212,7 +212,6 @@ func TestCursorMatchesNaiveExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := NewExtractor()
 	cfg := DefaultSamplerConfig()
 	checked := 0
 	for _, l := range res.Store.DIMMs() {
@@ -220,10 +219,10 @@ func TestCursorMatchesNaiveExtract(t *testing.T) {
 		if len(instants) == 0 {
 			continue
 		}
-		cur := x.NewCursor(l)
+		cur := NewCursor(l)
 		for _, ti := range instants {
 			inc := cur.ExtractAt(ti)
-			want := naiveExtract(x, l, ti)
+			want := naiveExtract(l, ti)
 			if !reflect.DeepEqual(inc, want) {
 				for k := range inc {
 					if inc[k] != want[k] {
@@ -268,20 +267,18 @@ func TestCursorRepeatedAndDenseInstants(t *testing.T) {
 		ces[5].Time - 1, ces[5].Time, ces[5].Time + 1,
 		ces[len(ces)-1].Time, trace.ObservationSpan,
 	}
-	cur := x0.NewCursor(l)
+	cur := NewCursor(l)
 	last := trace.Minutes(-1)
 	for _, ti := range instants {
 		if ti < last {
 			continue // keep the nondecreasing contract
 		}
 		last = ti
-		if got, want := cur.ExtractAt(ti), naiveExtract(x0, l, ti); !reflect.DeepEqual(got, want) {
+		if got, want := cur.ExtractAt(ti), naiveExtract(l, ti); !reflect.DeepEqual(got, want) {
 			t.Fatalf("instant %v: incremental and fresh vectors differ", ti)
 		}
 	}
 }
-
-var x0 = NewExtractor()
 
 // TestInstantsMaxPerDIMMOne is the regression test for the even-spread
 // division by zero: MaxPerDIMM == 1 used to compute a NaN step and index
@@ -322,11 +319,10 @@ func TestBuildAllWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := NewExtractor()
 	cfg := DefaultSamplerConfig()
-	ref := BuildAll(x, cfg, res.Store)
+	ref := BuildAll(cfg, res.Store)
 	for _, workers := range []int{2, 8} {
-		got := BuildAllWorkers(x, cfg, res.Store, workers)
+		got := BuildAllWorkers(cfg, res.Store, workers)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d samples, want %d", workers, len(got), len(ref))
 		}

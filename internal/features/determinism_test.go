@@ -18,8 +18,8 @@ func TestBuildAllDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := BuildAll(NewExtractor(), DefaultSamplerConfig(), res.Store)
-	s2 := BuildAll(NewExtractor(), DefaultSamplerConfig(), res.Store)
+	s1 := BuildAll(DefaultSamplerConfig(), res.Store)
+	s2 := BuildAll(DefaultSamplerConfig(), res.Store)
 	if len(s1) != len(s2) {
 		t.Fatalf("sample counts differ: %d vs %d", len(s1), len(s2))
 	}

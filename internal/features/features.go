@@ -2,7 +2,11 @@
 // sample construction: at a prediction instant t, features summarize the
 // observation window [t−Δtd, t] of a DIMM's CE history (temporal, spatial,
 // bit-level, and static attributes), and the label states whether a UE
-// occurs inside the prediction validation window [t+Δtl, t+Δtl+Δtp].
+// occurs inside the prediction validation window [t+Δtl, t+Δtl+Δtp]. The
+// three windows are the paper's constants (ObservationWindow, LeadTime,
+// PredictionWindow), which evaluation, alarm resolution and the RAS
+// simulation read too; extraction, labelling and compaction are package
+// functions over them.
 package features
 
 import (
@@ -15,21 +19,17 @@ import (
 	"memfp/internal/trace"
 )
 
-// Windows holds the §IV problem-formulation parameters.
-type Windows struct {
-	Observation trace.Minutes // Δtd: history window (paper: 5 days)
-	Lead        trace.Minutes // Δtl: lead time before failure (paper: up to 3h)
-	Prediction  trace.Minutes // Δtp: prediction validation window (paper: 30 days)
-}
-
-// DefaultWindows returns the paper's settings: Δtd=5d, Δtl=3h, Δtp=30d.
-func DefaultWindows() Windows {
-	return Windows{
-		Observation: 5 * trace.Day,
-		Lead:        3 * trace.Hour,
-		Prediction:  30 * trace.Day,
-	}
-}
+// The §IV problem-formulation windows, at the paper's settings.
+const (
+	// ObservationWindow is Δtd, the history a prediction summarizes.
+	ObservationWindow = 5 * trace.Day
+	// LeadTime is Δtl, the lead time before failure: a UE inside
+	// (t, t+Δtl) strikes before any proactive action could complete.
+	LeadTime = 3 * trace.Hour
+	// PredictionWindow is Δtp, the prediction validation window: a UE in
+	// [t+Δtl, t+Δtl+Δtp] makes the prediction at t positive.
+	PredictionWindow = 30 * trace.Day
+)
 
 // Label is a sample's class.
 type Label int
@@ -73,18 +73,6 @@ func Names() []string {
 // Dim is the feature vector length.
 func Dim() int { return len(Names()) }
 
-// Extractor computes feature vectors and labels for one DIMM.
-type Extractor struct {
-	Windows    Windows
-	Thresholds analysis.Thresholds
-}
-
-// NewExtractor returns an extractor with the paper's default windows and
-// classification thresholds.
-func NewExtractor() *Extractor {
-	return &Extractor{Windows: DefaultWindows(), Thresholds: analysis.DefaultThresholds()}
-}
-
 // Cursor walks one DIMM's event history forward, extracting feature
 // vectors at a nondecreasing sequence of prediction instants in a single
 // pass: lifetime statistics (CE totals, first/last CE, the §V fault
@@ -97,7 +85,6 @@ func NewExtractor() *Extractor {
 // A Cursor reads the log but never mutates it, so concurrent cursors may
 // share one DIMM log; a single Cursor is not safe for concurrent use.
 type Cursor struct {
-	x      *Extractor
 	l      *trace.DIMMLog
 	ces    []trace.Event // time-sorted CE view (shared with the log's index)
 	storms []trace.Minutes
@@ -185,15 +172,14 @@ func (w *winBits) maxBits() int {
 // cursor seeds its lifetime accumulators from it, so extraction over a
 // compacted log equals extraction over the uncompacted original at every
 // instant whose observation window clears the compaction horizon.
-func (x *Extractor) NewCursor(l *trace.DIMMLog) *Cursor {
+func NewCursor(l *trace.DIMMLog) *Cursor {
 	c := &Cursor{
-		x:       x,
 		l:       l,
 		ces:     l.CEs(),
 		storms:  l.StormTimes(),
 		firstCE: -1,
 		lastCE:  -1,
-		win:     analysis.NewIncremental(x.Thresholds),
+		win:     analysis.NewIncremental(),
 		dayCEs:  map[trace.Minutes]int{},
 	}
 	c.bits.sigs = map[trace.Signature]int{}
@@ -202,7 +188,7 @@ func (x *Extractor) NewCursor(l *trace.DIMMLog) *Cursor {
 		c.firstCE, c.lastCE = fs.firstCE, fs.lastCE
 		c.life = fs.life.Clone()
 	} else {
-		c.life = analysis.NewIncremental(x.Thresholds)
+		c.life = analysis.NewIncremental()
 	}
 	return c
 }
@@ -222,7 +208,7 @@ func (c *Cursor) advance(t trace.Minutes) {
 		c.dayCEs[e.Time/trace.Day]++
 		c.pos++
 	}
-	for from := t - c.x.Windows.Observation; c.winStart < c.pos && c.ces[c.winStart].Time < from; c.winStart++ {
+	for from := t - ObservationWindow; c.winStart < c.pos && c.ces[c.winStart].Time < from; c.winStart++ {
 		e := c.ces[c.winStart]
 		c.win.Remove(e)
 		c.bits.update(e, -1)
@@ -247,9 +233,9 @@ func (c *Cursor) ceCountSince(from trace.Minutes) int {
 // passed in nondecreasing order over the life of the cursor.
 func (c *Cursor) ExtractAt(t trace.Minutes) []float64 {
 	c.advance(t)
-	l, x := c.l, c.x
+	l := c.l
 	f := make([]float64, Dim())
-	w := x.Windows.Observation
+	w := ObservationWindow
 
 	windowCEs := c.ces[c.winStart:c.pos]
 	ce5d := len(windowCEs)
@@ -348,7 +334,7 @@ func (c *Cursor) ExtractAt(t trace.Minutes) []float64 {
 }
 
 // Labelize returns the §IV label for a prediction made at t.
-func (x *Extractor) Labelize(l *trace.DIMMLog, t trace.Minutes) Label {
+func Labelize(l *trace.DIMMLog, t trace.Minutes) Label {
 	ue, ok := l.FirstUE()
 	if !ok || ue <= t {
 		// No UE, or prediction after the failure (callers should not
@@ -358,8 +344,8 @@ func (x *Extractor) Labelize(l *trace.DIMMLog, t trace.Minutes) Label {
 		}
 		return LabelNegative
 	}
-	start := t + x.Windows.Lead
-	end := start + x.Windows.Prediction
+	start := t + LeadTime
+	end := start + PredictionWindow
 	switch {
 	case ue < start:
 		return LabelDropped // UE inside the lead gap: too late to act

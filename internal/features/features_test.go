@@ -34,7 +34,7 @@ func addCE(l *trace.DIMMLog, tm trace.Minutes, row, col int) {
 func TestExtractDim(t *testing.T) {
 	l := testLog(t)
 	addCE(l, 100, 1, 1)
-	x := NewExtractor().NewCursor(l).ExtractAt(200)
+	x := NewCursor(l).ExtractAt(200)
 	if len(x) != Dim() {
 		t.Fatalf("vector length %d, want %d", len(x), Dim())
 	}
@@ -50,9 +50,8 @@ func TestExtractNoFuture(t *testing.T) {
 	l2 := testLog(t)
 	addCE(l2, 100, 1, 1)
 	addCE(l2, 5000, 2, 2) // future event
-	x := NewExtractor()
-	a := x.NewCursor(l1).ExtractAt(200)
-	b := x.NewCursor(l2).ExtractAt(200)
+	a := NewCursor(l1).ExtractAt(200)
+	b := NewCursor(l2).ExtractAt(200)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("feature %q leaked future data: %v vs %v", Names()[i], a[i], b[i])
@@ -62,7 +61,6 @@ func TestExtractNoFuture(t *testing.T) {
 
 func TestExtractWindowCounts(t *testing.T) {
 	l := testLog(t)
-	x := NewExtractor()
 	now := trace.Minutes(150 * trace.Day)
 	addCE(l, now-5, 1, 1)             // within 15m
 	addCE(l, now-50, 1, 2)            // within 1h
@@ -71,7 +69,7 @@ func TestExtractWindowCounts(t *testing.T) {
 	addCE(l, now-4*trace.Day, 1, 5)   // within 5d
 	addCE(l, now-100*trace.Day, 1, 6) // lifetime only
 	l.SortEvents()                    // a cursor requires a time-sorted log
-	v := x.NewCursor(l).ExtractAt(now)
+	v := NewCursor(l).ExtractAt(now)
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i
@@ -104,7 +102,7 @@ func TestExtractWindowCounts(t *testing.T) {
 
 func TestExtractNoHistory(t *testing.T) {
 	l := testLog(t)
-	v := NewExtractor().NewCursor(l).ExtractAt(1000)
+	v := NewCursor(l).ExtractAt(1000)
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i
@@ -128,7 +126,7 @@ func TestErrorBitFeatures(t *testing.T) {
 	l := testLog(t)
 	now := trace.Minutes(10 * trace.Day)
 	addCE(l, now-10, 1, 1) // signature: 2 DQs, 2 beats, beat interval 4
-	v := NewExtractor().NewCursor(l).ExtractAt(now)
+	v := NewCursor(l).ExtractAt(now)
 	idx := map[string]int{}
 	for i, n := range Names() {
 		idx[n] = i
@@ -145,8 +143,6 @@ func TestErrorBitFeatures(t *testing.T) {
 }
 
 func TestLabelize(t *testing.T) {
-	x := NewExtractor()
-	w := x.Windows
 	l := testLog(t)
 	addCE(l, 100, 1, 1)
 	ueTime := trace.Minutes(50 * trace.Day)
@@ -157,34 +153,33 @@ func TestLabelize(t *testing.T) {
 		t    trace.Minutes
 		want Label
 	}{
-		{ueTime - w.Lead - w.Prediction - 10, LabelNegative}, // UE beyond window
-		{ueTime - w.Lead - w.Prediction + 10, LabelPositive}, // UE at window far edge
-		{ueTime - w.Lead - 10, LabelPositive},                // UE right past lead
-		{ueTime - w.Lead + 10, LabelDropped},                 // inside lead gap
-		{ueTime + 10, LabelDropped},                          // after failure
+		{ueTime - LeadTime - PredictionWindow - 10, LabelNegative}, // UE beyond window
+		{ueTime - LeadTime - PredictionWindow + 10, LabelPositive}, // UE at window far edge
+		{ueTime - LeadTime - 10, LabelPositive},                    // UE right past lead
+		{ueTime - LeadTime + 10, LabelDropped},                     // inside lead gap
+		{ueTime + 10, LabelDropped},                                // after failure
 	}
 	for _, c := range cases {
-		if got := x.Labelize(l, c.t); got != c.want {
+		if got := Labelize(l, c.t); got != c.want {
 			t.Errorf("Labelize at %v = %v, want %v", c.t, got, c.want)
 		}
 	}
 
 	healthy := testLog(t)
 	addCE(healthy, 100, 1, 1)
-	if got := x.Labelize(healthy, 5000); got != LabelNegative {
+	if got := Labelize(healthy, 5000); got != LabelNegative {
 		t.Errorf("healthy DIMM label %v, want negative", got)
 	}
 }
 
 func TestDefaultWindowsMatchPaper(t *testing.T) {
-	w := DefaultWindows()
-	if w.Observation != 5*trace.Day {
-		t.Errorf("Δtd = %v, want 5d", w.Observation)
+	if ObservationWindow != 5*trace.Day {
+		t.Errorf("Δtd = %v, want 5d", ObservationWindow)
 	}
-	if w.Lead != 3*trace.Hour {
-		t.Errorf("Δtl = %v, want 3h", w.Lead)
+	if LeadTime != 3*trace.Hour {
+		t.Errorf("Δtl = %v, want 3h", LeadTime)
 	}
-	if w.Prediction != 30*trace.Day {
-		t.Errorf("Δtp = %v, want 30d", w.Prediction)
+	if PredictionWindow != 30*trace.Day {
+		t.Errorf("Δtp = %v, want 30d", PredictionWindow)
 	}
 }

@@ -60,17 +60,17 @@ func DecodeFoldState(r *trace.BinReader) *FoldState {
 // extraction over the compacted log stays exact. It returns the number of
 // events dropped. The
 // serving engine calls this behind each prediction with
-// cut = predictionTime - Observation: any later prediction's observation
+// cut = predictionTime - ObservationWindow: any later prediction's observation
 // window then starts at or above the compaction horizon, so window
 // features are computed over fully retained history while lifetime
 // features come from the fold seed plus the retained events. Such a cut
 // also lies at or below the window of the ServeCursor that made the
 // prediction, which therefore survives it (see ServeCursor).
-func (x *Extractor) CompactLog(l *trace.DIMMLog, cut trace.Minutes) int {
+func CompactLog(l *trace.DIMMLog, cut trace.Minutes) int {
 	fs, _ := l.FoldState().(*FoldState)
 	fresh := fs == nil
 	if fresh {
-		fs = &FoldState{firstCE: -1, lastCE: -1, life: analysis.NewIncremental(x.Thresholds)}
+		fs = &FoldState{firstCE: -1, lastCE: -1, life: analysis.NewIncremental()}
 	}
 	n := l.CompactBefore(cut, fs.fold)
 	if n > 0 && fresh {

@@ -17,11 +17,11 @@ import (
 // independent full-scan oracle over an uncompacted twin. Compaction must
 // be invisible to extraction.
 func TestCompactLogCursorEquivalence(t *testing.T) {
-	w := x0.Windows.Observation
+	w := ObservationWindow
 	for _, src := range busyLogs(t, 10, 5) {
 		live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
 		oracle := &trace.DIMMLog{ID: src.ID, Part: src.Part}
-		sc := x0.NewServeCursor(live)
+		sc := NewServeCursor(live)
 		checked, compactions := 0, 0
 		for _, e := range src.Events {
 			live.Append(e)
@@ -30,7 +30,7 @@ func TestCompactLogCursorEquivalence(t *testing.T) {
 				continue
 			}
 			got := sc.ExtractAt(e.Time)
-			want := naiveExtract(x0, oracle, e.Time)
+			want := naiveExtract(oracle, e.Time)
 			if !reflect.DeepEqual(got, want) {
 				for k := range got {
 					if got[k] != want[k] {
@@ -42,7 +42,7 @@ func TestCompactLogCursorEquivalence(t *testing.T) {
 			checked++
 			// Compact behind the observation window after every few
 			// predictions, like the engine does after each prediction.
-			if checked%3 == 0 && x0.CompactLog(live, e.Time-w) > 0 {
+			if checked%3 == 0 && CompactLog(live, e.Time-w) > 0 {
 				compactions++
 			}
 		}
@@ -61,11 +61,11 @@ func TestCompactLogCursorEquivalence(t *testing.T) {
 // cursor over the same compacted log — and from then on as the full-scan
 // oracle over the uncompacted log given the same events.
 func TestCompactLogOutOfOrderRecovery(t *testing.T) {
-	w := x0.Windows.Observation
+	w := ObservationWindow
 	src := busyLogs(t, 30, 1)[0]
 	live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
 	oracle := &trace.DIMMLog{ID: src.ID, Part: src.Part}
-	sc := x0.NewServeCursor(live)
+	sc := NewServeCursor(live)
 
 	ces := src.CEs()
 	half := len(src.Events) / 2
@@ -78,7 +78,7 @@ func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 			lastT = e.Time
 		}
 	}
-	if x0.CompactLog(live, lastT-w) == 0 {
+	if CompactLog(live, lastT-w) == 0 {
 		t.Fatal("compaction dropped nothing; pick a busier fixture")
 	}
 
@@ -90,10 +90,10 @@ func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 	if live.IndexGen() == gen {
 		t.Fatal("a late append must re-sort the log and advance IndexGen")
 	}
-	if got, want := sc.ExtractAt(lastT+1), x0.NewCursor(live).ExtractAt(lastT+1); !reflect.DeepEqual(got, want) {
+	if got, want := sc.ExtractAt(lastT+1), NewCursor(live).ExtractAt(lastT+1); !reflect.DeepEqual(got, want) {
 		t.Fatal("cursor diverged from offline extraction over the same compacted log")
 	}
-	if got, want := sc.ExtractAt(lastT+1), naiveExtract(x0, oracle, lastT+1); !reflect.DeepEqual(got, want) {
+	if got, want := sc.ExtractAt(lastT+1), naiveExtract(oracle, lastT+1); !reflect.DeepEqual(got, want) {
 		t.Fatal("cursor over the compacted log diverged from the uncompacted oracle")
 	}
 
@@ -104,7 +104,7 @@ func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 		if e.Type != trace.TypeCE || e.Time <= lastT {
 			continue
 		}
-		if got, want := sc.ExtractAt(e.Time), naiveExtract(x0, oracle, e.Time); !reflect.DeepEqual(got, want) {
+		if got, want := sc.ExtractAt(e.Time), naiveExtract(oracle, e.Time); !reflect.DeepEqual(got, want) {
 			for k := range got {
 				if got[k] != want[k] {
 					t.Fatalf("@%v post-recovery: feature %q compacted %v != oracle %v",
@@ -123,7 +123,7 @@ func TestCompactLogOutOfOrderRecovery(t *testing.T) {
 // cursor over a compacted log (the eviction-thaw case — no surviving
 // ServeCursor) must equal the oracle at the first instant it serves.
 func TestFoldStateSeedsFreshCursor(t *testing.T) {
-	w := x0.Windows.Observation
+	w := ObservationWindow
 	for _, src := range busyLogs(t, 20, 3) {
 		live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
 		for _, e := range src.Events {
@@ -131,11 +131,11 @@ func TestFoldStateSeedsFreshCursor(t *testing.T) {
 		}
 		ces := live.CEs()
 		at := ces[len(ces)-1].Time
-		if x0.CompactLog(live, at-w) == 0 {
+		if CompactLog(live, at-w) == 0 {
 			continue
 		}
-		got := x0.NewServeCursor(live).ExtractAt(at)
-		want := naiveExtract(x0, src, at)
+		got := NewServeCursor(live).ExtractAt(at)
+		want := naiveExtract(src, at)
 		if !reflect.DeepEqual(got, want) {
 			for k := range got {
 				if got[k] != want[k] {
@@ -156,7 +156,7 @@ func TestFoldStateSeedsFreshCursor(t *testing.T) {
 // the batch oracle does over the events its cells stand for.
 func FuzzDecodeFoldState(f *testing.F) {
 	empty := func() *FoldState {
-		return &FoldState{firstCE: -1, lastCE: -1, life: analysis.NewIncremental(analysis.DefaultThresholds())}
+		return &FoldState{firstCE: -1, lastCE: -1, life: analysis.NewIncremental()}
 	}
 	seed := empty()
 	for i := 0; i < 60; i++ {
@@ -202,9 +202,8 @@ func FuzzDecodeFoldState(f *testing.F) {
 		}
 		// Every cell accepted packs into its cell ID and back unchanged.
 		in := trace.NewBinReader(data)
-		for range 8 {
-			in.Varint() // two instants, six thresholds
-		}
+		in.Varint() // two instants
+		in.Varint()
 		for i, cells := uint64(0), in.Uvarint(); i < cells; i++ {
 			a := dram.Addr{Rank: int(in.Varint()), Device: int(in.Varint()), Bank: int(in.Varint()),
 				Row: int(in.Varint()), Column: int(in.Varint())}
@@ -223,15 +222,11 @@ func FuzzDecodeFoldState(f *testing.F) {
 			t.Fatalf("fold state does not round-trip:\n once %x\ntwice %x", once, twice)
 		}
 
-		// Read the canonical form by hand — two instants, six thresholds,
-		// the (cell, count) list — and expand each cell into its events.
+		// Read the canonical form by hand — two instants, the (cell, count)
+		// list — and expand each cell into its events.
 		p := trace.NewBinReader(once)
 		p.Varint()
 		p.Varint()
-		th := analysis.Thresholds{
-			CellCEs: int(p.Varint()), RowDistinctCols: int(p.Varint()), ColDistinctRows: int(p.Varint()),
-			BankFaultyRows: int(p.Varint()), BankFaultyCols: int(p.Varint()), DeviceMinCEs: int(p.Varint()),
-		}
 		var events []trace.Event
 		for i, cells := uint64(0), p.Uvarint(); i < cells; i++ {
 			e := trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: int(p.Varint()), Device: int(p.Varint()),
@@ -245,10 +240,10 @@ func FuzzDecodeFoldState(f *testing.F) {
 			}
 		}
 		if p.Err() != nil || p.Remaining() != 0 {
-			t.Fatalf("canonical form is not thresholds + cells: %v (%d bytes left)", p.Err(), p.Remaining())
+			t.Fatalf("canonical form is not instants + cells: %v (%d bytes left)", p.Err(), p.Remaining())
 		}
-		if got, want := fs.life.Class(), analysis.Classify(events, th); got != want {
-			t.Fatalf("decoded classifier says %+v, Classify over its %d events %+v (th=%+v)", got, len(events), want, th)
+		if got, want := fs.life.Class(), analysis.Classify(events); got != want {
+			t.Fatalf("decoded classifier says %+v, Classify over its %d events %+v", got, len(events), want)
 		}
 	})
 }

@@ -78,12 +78,12 @@ func (c SamplerConfig) Instants(l *trace.DIMMLog) []trace.Minutes {
 // (inside the lead gap) are excluded. The DIMM's instants are walked with
 // one extraction cursor, so the event history is consumed in a single
 // incremental pass instead of being re-scanned at every instant.
-func BuildSamples(x *Extractor, cfg SamplerConfig, l *trace.DIMMLog) []Sample {
+func BuildSamples(cfg SamplerConfig, l *trace.DIMMLog) []Sample {
 	ue, hasUE := l.FirstUE()
-	cur := x.NewCursor(l)
+	cur := NewCursor(l)
 	var out []Sample
 	for _, t := range cfg.Instants(l) {
-		lab := x.Labelize(l, t)
+		lab := Labelize(l, t)
 		if lab == LabelDropped {
 			continue
 		}
@@ -97,19 +97,19 @@ func BuildSamples(x *Extractor, cfg SamplerConfig, l *trace.DIMMLog) []Sample {
 }
 
 // BuildAll extracts samples for every DIMM in the store.
-func BuildAll(x *Extractor, cfg SamplerConfig, s *trace.Store) []Sample {
-	return BuildAllWorkers(x, cfg, s, 1)
+func BuildAll(cfg SamplerConfig, s *trace.Store) []Sample {
+	return BuildAllWorkers(cfg, s, 1)
 }
 
 // BuildAllWorkers is BuildAll sharded across a worker pool: one task per
 // DIMM, results concatenated in registration order, so the sample stream
 // is identical for any worker count; workers <= 0 uses one worker per CPU.
-// The extractor and the store are only read.
-func BuildAllWorkers(x *Extractor, cfg SamplerConfig, s *trace.Store, workers int) []Sample {
+// The store is only read.
+func BuildAllWorkers(cfg SamplerConfig, s *trace.Store, workers int) []Sample {
 	logs := s.DIMMs()
 	perDIMM := make([][]Sample, len(logs))
 	par.ForEachN(workers, len(logs), func(i int) {
-		perDIMM[i] = BuildSamples(x, cfg, logs[i])
+		perDIMM[i] = BuildSamples(cfg, logs[i])
 	})
 	n := 0
 	for _, ss := range perDIMM {

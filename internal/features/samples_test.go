@@ -51,7 +51,6 @@ func TestInstantsCap(t *testing.T) {
 }
 
 func TestBuildSamplesDropsLeadGap(t *testing.T) {
-	x := NewExtractor()
 	l := testLog(t)
 	ue := trace.Minutes(60 * trace.Day)
 	// One CE safely early, one inside the lead gap.
@@ -59,7 +58,7 @@ func TestBuildSamplesDropsLeadGap(t *testing.T) {
 	addCE(l, ue-30, 1, 2)
 	l.Events = append(l.Events, trace.Event{Time: ue, Type: trace.TypeUE, DIMM: l.ID})
 	l.SortEvents()
-	samples := BuildSamples(x, SamplerConfig{MinGap: 1}, l)
+	samples := BuildSamples(SamplerConfig{MinGap: 1}, l)
 	for _, s := range samples {
 		if s.Label == LabelDropped {
 			t.Fatal("dropped sample leaked into output")
@@ -74,11 +73,10 @@ func TestBuildSamplesDropsLeadGap(t *testing.T) {
 }
 
 func TestBuildSamplesNegativeDIMM(t *testing.T) {
-	x := NewExtractor()
 	l := testLog(t)
 	addCE(l, 1000, 1, 1)
 	addCE(l, 100000, 1, 2)
-	samples := BuildSamples(x, DefaultSamplerConfig(), l)
+	samples := BuildSamples(DefaultSamplerConfig(), l)
 	if len(samples) == 0 {
 		t.Fatal("no samples for healthy DIMM")
 	}

@@ -19,7 +19,7 @@ import (
 //   - A non-monotonic instant (t below the previous call's t) rebuilds
 //     the incremental state and replays the history up to t.
 //
-// A compaction (Extractor.CompactLog) is neither. It drops a prefix
+// A compaction (CompactLog) is neither. It drops a prefix
 // of the views the cursor indexes into and folds it into the log's
 // FoldState; when everything dropped had already been consumed into the
 // lifetime accumulators and expired from the window state — always, for a
@@ -34,7 +34,6 @@ import (
 // cost. A ServeCursor is not safe for concurrent use; the serving engine
 // guards each one with its shard lock.
 type ServeCursor struct {
-	x     *Extractor
 	l     *trace.DIMMLog
 	inner *Cursor
 	gen   uint64
@@ -43,8 +42,8 @@ type ServeCursor struct {
 }
 
 // NewServeCursor starts an online extraction stream over l.
-func (x *Extractor) NewServeCursor(l *trace.DIMMLog) *ServeCursor {
-	return &ServeCursor{x: x, l: l}
+func NewServeCursor(l *trace.DIMMLog) *ServeCursor {
+	return &ServeCursor{l: l}
 }
 
 // ExtractAt computes the feature vector at instant t, equal to a fresh
@@ -52,7 +51,7 @@ func (x *Extractor) NewServeCursor(l *trace.DIMMLog) *ServeCursor {
 // type comment for when the cursor starts over).
 func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 	if sc.inner == nil || sc.l.IndexGen() != sc.gen || (sc.begun && t < sc.lastT) || !sc.inner.rebase() {
-		sc.inner = sc.x.NewCursor(sc.l)
+		sc.inner = NewCursor(sc.l)
 		sc.gen = sc.l.IndexGen()
 	}
 	sc.begun, sc.lastT = true, t

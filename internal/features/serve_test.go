@@ -39,7 +39,7 @@ func busyLogs(t *testing.T, minCEs, max int) []*trace.DIMMLog {
 func TestServeCursorMatchesFreshExtract(t *testing.T) {
 	for _, src := range busyLogs(t, 10, 5) {
 		live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
-		sc := x0.NewServeCursor(live)
+		sc := NewServeCursor(live)
 		checked := 0
 		for _, e := range src.Events {
 			live.Append(e)
@@ -47,7 +47,7 @@ func TestServeCursorMatchesFreshExtract(t *testing.T) {
 				continue
 			}
 			got := sc.ExtractAt(e.Time)
-			want := naiveExtract(x0, live, e.Time)
+			want := naiveExtract(live, e.Time)
 			if !reflect.DeepEqual(got, want) {
 				for k := range got {
 					if got[k] != want[k] {
@@ -76,7 +76,7 @@ func TestServeCursorOutOfOrderFallback(t *testing.T) {
 	src := busyLogs(t, 20, 1)[0]
 	ces := src.CEs()
 	live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
-	sc := x0.NewServeCursor(live)
+	sc := NewServeCursor(live)
 	for _, e := range ces[:10] {
 		live.Append(e)
 		sc.ExtractAt(e.Time)
@@ -98,10 +98,10 @@ func TestServeCursorOutOfOrderFallback(t *testing.T) {
 			Events: append([]trace.Event{stale}, ces[:n]...)}
 		bulk.SortEvents()
 		got := sc.ExtractAt(at)
-		if want := x0.NewCursor(live).ExtractAt(at); !reflect.DeepEqual(got, want) {
+		if want := NewCursor(live).ExtractAt(at); !reflect.DeepEqual(got, want) {
 			t.Fatalf("@%v: cursor diverged from a fresh cursor", at)
 		}
-		if want := naiveExtract(x0, bulk, at); !reflect.DeepEqual(got, want) {
+		if want := naiveExtract(bulk, at); !reflect.DeepEqual(got, want) {
 			t.Fatalf("@%v: cursor diverged from the sorted bulk load", at)
 		}
 	}
@@ -125,10 +125,10 @@ func TestServeCursorNonMonotonicInstant(t *testing.T) {
 		live.Append(e)
 	}
 	ces := live.CEs()
-	sc := x0.NewServeCursor(live)
+	sc := NewServeCursor(live)
 	seq := []trace.Minutes{ces[10].Time, ces[3].Time, ces[15].Time, ces[15].Time, ces[2].Time - 1}
 	for _, at := range seq {
-		if got, want := sc.ExtractAt(at), naiveExtract(x0, live, at); !reflect.DeepEqual(got, want) {
+		if got, want := sc.ExtractAt(at), naiveExtract(live, at); !reflect.DeepEqual(got, want) {
 			t.Fatalf("@%v: rewound cursor diverged", at)
 		}
 	}
@@ -152,11 +152,11 @@ func sameVec(t *testing.T, got, want []float64, format string, args ...any) {
 // position shift, never the fold-state clone and window re-fold of a
 // rebuild.
 func TestServeCursorRebasesAcrossCompaction(t *testing.T) {
-	w := x0.Windows.Observation
+	w := ObservationWindow
 	for _, src := range busyLogs(t, 10, 5) {
 		live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
 		oracle := &trace.DIMMLog{ID: src.ID, Part: src.Part}
-		sc := x0.NewServeCursor(live)
+		sc := NewServeCursor(live)
 		var first *Cursor
 		compactions := 0
 		for _, e := range src.Events {
@@ -166,14 +166,14 @@ func TestServeCursorRebasesAcrossCompaction(t *testing.T) {
 				continue
 			}
 			got := sc.ExtractAt(e.Time)
-			sameVec(t, got, naiveExtract(x0, oracle, e.Time), "%s @%v after %d compactions", src.ID, e.Time, compactions)
+			sameVec(t, got, naiveExtract(oracle, e.Time), "%s @%v after %d compactions", src.ID, e.Time, compactions)
 			if first == nil {
 				first = sc.inner
 			}
 			if sc.inner != first {
 				t.Fatalf("%s @%v: cursor rebuilt after %d compactions", src.ID, e.Time, compactions)
 			}
-			if x0.CompactLog(live, e.Time-w) > 0 {
+			if CompactLog(live, e.Time-w) > 0 {
 				compactions++
 			}
 		}
@@ -190,7 +190,7 @@ func TestServeCursorRebasesAcrossCompaction(t *testing.T) {
 // compaction cannot be absorbed by shifting positions: each must rebuild
 // the cursor and still answer like a fresh cursor over the same log.
 func TestServeCursorCompactionFallbacks(t *testing.T) {
-	w := x0.Windows.Observation
+	w := ObservationWindow
 	src := busyLogs(t, 30, 1)[0]
 	ces := src.CEs()
 	// An instant whose window holds an earlier CE: cutting at the instant
@@ -207,7 +207,7 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 	// behind the window, and the cursor that served it.
 	serve := func() (*trace.DIMMLog, *ServeCursor) {
 		live := &trace.DIMMLog{ID: src.ID, Part: src.Part}
-		sc := x0.NewServeCursor(live)
+		sc := NewServeCursor(live)
 		for _, e := range src.Events {
 			if e.Time > lastT {
 				break
@@ -217,7 +217,7 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 				sc.ExtractAt(e.Time)
 			}
 		}
-		if x0.CompactLog(live, lastT-w) == 0 {
+		if CompactLog(live, lastT-w) == 0 {
 			t.Fatal("compaction dropped nothing; pick a busier fixture")
 		}
 		sc.ExtractAt(lastT)
@@ -227,10 +227,10 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 	t.Run("cut inside the window", func(t *testing.T) {
 		live, sc := serve()
 		before := sc.inner
-		if x0.CompactLog(live, lastT) == 0 {
+		if CompactLog(live, lastT) == 0 {
 			t.Fatal("compaction dropped nothing")
 		}
-		sameVec(t, sc.ExtractAt(lastT+1), x0.NewCursor(live).ExtractAt(lastT+1), "@%v", lastT+1)
+		sameVec(t, sc.ExtractAt(lastT+1), NewCursor(live).ExtractAt(lastT+1), "@%v", lastT+1)
 		if sc.inner == before {
 			t.Fatal("cursor kept window state over dropped events")
 		}
@@ -244,14 +244,14 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 		for ; fed < len(src.Events) && !again; fed++ {
 			live.Append(src.Events[fed])
 			now = src.Events[fed].Time
-			again = x0.CompactLog(live, now-w) > 0
+			again = CompactLog(live, now-w) > 0
 		}
 		if !again {
 			t.Fatal("no second compaction; pick a busier fixture")
 		}
 		oracle := &trace.DIMMLog{ID: src.ID, Part: src.Part, Events: src.Events[:fed]}
-		sameVec(t, sc.ExtractAt(now), x0.NewCursor(live).ExtractAt(now), "@%v", now)
-		sameVec(t, sc.ExtractAt(now), naiveExtract(x0, oracle, now), "@%v vs oracle", now)
+		sameVec(t, sc.ExtractAt(now), NewCursor(live).ExtractAt(now), "@%v", now)
+		sameVec(t, sc.ExtractAt(now), naiveExtract(oracle, now), "@%v vs oracle", now)
 		if sc.inner == before {
 			t.Fatal("cursor survived an index rebuild")
 		}
@@ -259,7 +259,7 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 	t.Run("instant goes backwards", func(t *testing.T) {
 		live, sc := serve()
 		before := sc.inner
-		sameVec(t, sc.ExtractAt(lastT-1), x0.NewCursor(live).ExtractAt(lastT-1), "@%v", lastT-1)
+		sameVec(t, sc.ExtractAt(lastT-1), NewCursor(live).ExtractAt(lastT-1), "@%v", lastT-1)
 		if sc.inner == before {
 			t.Fatal("cursor did not rewind")
 		}
@@ -279,13 +279,13 @@ func TestServeCursorUEOnlyCompaction(t *testing.T) {
 		oracle.Append(e)
 	}
 	at := ces[4].Time
-	sc := x0.NewServeCursor(live)
+	sc := NewServeCursor(live)
 	sc.ExtractAt(at)
 	before, state := sc.inner, *sc.inner
 	if n := live.CompactBefore(ces[0].Time-1, nil); n != 1 || live.Compaction().UEs != 1 {
 		t.Fatalf("dropped %d events, %d UEs; want the one UE", n, live.Compaction().UEs)
 	}
-	sameVec(t, sc.ExtractAt(at), naiveExtract(x0, oracle, at), "@%v", at)
+	sameVec(t, sc.ExtractAt(at), naiveExtract(oracle, at), "@%v", at)
 	c := sc.inner
 	if c != before || c.pos != state.pos || c.winStart != state.winStart || c.stormPos != state.stormPos ||
 		c.ceBase != state.ceBase || c.stormBase != state.stormBase {

@@ -16,7 +16,7 @@
 // one scoring path per model kind: vector models through that ScoreBatch,
 // rule models (model.LogScorer) against the live DIMM log. Serving-memory
 // counters live on the Server (MemoryStats), not the Monitor; frozen DIMM
-// state and engine snapshots (MFS3) hold their events in trace's log
+// state and engine snapshots (MFS4) hold their events in trace's log
 // form. IngestBatch is the one serving loop; its tick sources are the
 // control plane's node and the scenario runner. The package's tests keep
 // the pre-sharding sequential replay as the equivalence oracle.
@@ -29,21 +29,17 @@ import (
 
 // FeatureStore is the centralized feature store: it computes the §VI
 // features in batch for training and serves them per DIMM for online
-// prediction, both through one extractor. The extractor is fixed at
-// construction, so the store is safe for concurrent use.
-type FeatureStore struct {
-	extractor *features.Extractor
-}
+// prediction, both under the paper's fixed windows and thresholds. It
+// holds no state, so it is safe for concurrent use.
+type FeatureStore struct{}
 
-// NewFeatureStore builds the store over the default extractor.
-func NewFeatureStore() *FeatureStore {
-	return &FeatureStore{extractor: features.NewExtractor()}
-}
+// NewFeatureStore returns the feature store.
+func NewFeatureStore() *FeatureStore { return &FeatureStore{} }
 
 // BatchTransform computes training samples for a full store of logs — the
 // "batch" path feeding model training.
-func (fs *FeatureStore) BatchTransform(s *trace.Store, cfg features.SamplerConfig) []features.Sample {
-	return features.BuildAll(fs.extractor, cfg, s)
+func (*FeatureStore) BatchTransform(s *trace.Store, cfg features.SamplerConfig) []features.Sample {
+	return features.BuildAll(cfg, s)
 }
 
 // NewServeCursor returns the "stream" path feeding online prediction: an
@@ -51,22 +47,6 @@ func (fs *FeatureStore) BatchTransform(s *trace.Store, cfg features.SamplerConfi
 // full-history extraction at every instant, but which folds in only the
 // events appended since the previous prediction (see features.ServeCursor
 // for when it starts over). The sharded engine keeps one per served DIMM.
-func (fs *FeatureStore) NewServeCursor(l *trace.DIMMLog) *features.ServeCursor {
-	return fs.extractor.NewServeCursor(l)
-}
-
-// ObservationWindow returns the extractor's history window Δtd — the
-// furthest any served feature looks back from the prediction instant, and
-// therefore the minimum history the serving engine must retain when it
-// compacts logs.
-func (fs *FeatureStore) ObservationWindow() trace.Minutes {
-	return fs.extractor.Windows.Observation
-}
-
-// CompactLog drops l's events before cut, folding them into the log's
-// feature fold state so extraction over the compacted log stays exact for
-// every instant whose observation window clears cut (see
-// features.Extractor.CompactLog). Returns the number of events dropped.
-func (fs *FeatureStore) CompactLog(l *trace.DIMMLog, cut trace.Minutes) int {
-	return fs.extractor.CompactLog(l, cut)
+func (*FeatureStore) NewServeCursor(l *trace.DIMMLog) *features.ServeCursor {
+	return features.NewServeCursor(l)
 }

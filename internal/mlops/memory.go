@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -165,22 +166,21 @@ func (sh *shard) drop(st *dimmState) {
 
 // maybeCompact runs the post-prediction compaction policy for one DIMM:
 // at most once per quarter observation window of stream time, drop the
-// log prefix older than t minus the feature store's observation window —
-// the furthest back any feature reads. Shard lock held.
+// log prefix older than t minus the observation window Δtd — the furthest
+// back any feature reads. Shard lock held.
 func (s *Server) maybeCompact(st *dimmState, t trace.Minutes) {
-	if s.MemoryBudget <= 0 || s.Store == nil {
+	if s.MemoryBudget <= 0 {
 		return
 	}
 	if t < st.nextCompact {
 		return
 	}
-	retain := s.Store.ObservationWindow()
-	st.nextCompact = t + retain/4 + 1
-	cut := t - retain
+	st.nextCompact = t + features.ObservationWindow/4 + 1
+	cut := t - features.ObservationWindow
 	if cut <= 0 || len(st.log.Events) == 0 || st.log.Events[0].Time >= cut {
 		return
 	}
-	if n := s.Store.CompactLog(st.log, cut); n > 0 {
+	if n := features.CompactLog(st.log, cut); n > 0 {
 		st.recBlob = nil
 		s.compactions.Add(1)
 		s.compactedEvents.Add(int64(n))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memfp/internal/faultsim"
+	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -108,7 +109,6 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFeatureStore()
 	checked := 0
 	for _, l := range res.Store.DIMMs() {
 		if len(l.Events) < 20 {
@@ -119,7 +119,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 			st.log.Append(e)
 		}
 		mid := l.Events[len(l.Events)/2].Time
-		fs.CompactLog(st.log, mid)
+		features.CompactLog(st.log, mid)
 
 		fz := freezeDIMM(st, nil)
 		th, err := fz.thaw(l.ID)

@@ -2,10 +2,13 @@ package mlops
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"memfp/internal/eval"
 	"memfp/internal/faultsim"
+	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -64,6 +67,12 @@ func TestPromotionGate(t *testing.T) {
 	ok, reason := decide(cur, &ModelVersion{Metrics: eval.Metrics{F1: 0.9, Precision: 0.1}})
 	if ok {
 		t.Errorf("precision floor should block (%s)", reason)
+	}
+	// The first model is promoted below the floor too, and the reason
+	// says it missed the floor.
+	ok, reason = decide(nil, &ModelVersion{Metrics: eval.Metrics{}})
+	if !ok || !strings.Contains(reason, "below floor") {
+		t.Errorf("bootstrap at precision 0: promoted=%v (%s), want promoted naming the floor", ok, reason)
 	}
 }
 
@@ -148,7 +157,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			failed[l.ID] = ue
 		}
 	}
-	pipe.ResolveAlarms(alarms, failed, 30*trace.Day)
+	pipe.ResolveAlarms(alarms, failed)
 	prec, rec := pipe.Monitor.LivePrecisionRecall()
 	if prec == 0 && rec == 0 {
 		t.Error("feedback did not resolve any alarms")
@@ -169,17 +178,19 @@ func TestResolveAlarmsCountsEachOutcomeOnce(t *testing.T) {
 		{Time: 10, DIMM: id(1)}, {Time: 20, DIMM: id(1)}, // fails at 100: TP, lead 90
 		{Time: 50, DIMM: id(2)}, // never fails: FP
 		{Time: 80, DIMM: id(4)}, // failed at 60, before its alarm: FP
-		{Time: 90, DIMM: id(5)}, // fails at 400, past the window: FP
+		{Time: 90, DIMM: id(5)}, // fails one minute past the window: FP
+		{Time: 95, DIMM: id(6)}, // fails on the window's last minute: TP, lead Δtp
 	}
-	failed := map[trace.DIMMID]trace.Minutes{id(1): 100, id(3): 70, id(4): 60, id(5): 400}
+	failed := map[trace.DIMMID]trace.Minutes{id(1): 100, id(3): 70, id(4): 60,
+		id(5): 91 + features.PredictionWindow, id(6): 95 + features.PredictionWindow}
 	pipe := NewPipeline(platform.Purley)
 	for pass := 0; pass < 2; pass++ {
-		tp, fp, fn, leads := pipe.ResolveAlarms(alarms, failed, 200)
-		if tp != 1 || fp != 3 || fn != 1 || len(leads) != 1 || leads[0] != 90 {
-			t.Fatalf("pass %d: TP=%d FP=%d FN=%d leads=%v, want 1 3 1 [90]", pass, tp, fp, fn, leads)
+		tp, fp, fn, leads := pipe.ResolveAlarms(alarms, failed)
+		if tp != 2 || fp != 3 || fn != 1 || !slices.Equal(leads, []trace.Minutes{90, features.PredictionWindow}) {
+			t.Fatalf("pass %d: TP=%d FP=%d FN=%d leads=%v, want 2 3 1 [90 %d]", pass, tp, fp, fn, leads, features.PredictionWindow)
 		}
-		if tp, fp, fn := pipe.Monitor.FeedbackCounts(); tp != 1 || fp != 3 || fn != 1 {
-			t.Fatalf("pass %d: monitor holds TP=%d FP=%d FN=%d, want 1 3 1", pass, tp, fp, fn)
+		if tp, fp, fn := pipe.Monitor.FeedbackCounts(); tp != 2 || fp != 3 || fn != 1 {
+			t.Fatalf("pass %d: monitor holds TP=%d FP=%d FN=%d, want 2 3 1", pass, tp, fp, fn)
 		}
 	}
 }

@@ -99,7 +99,6 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 		return nil, err
 	}
 
-	vp := eval.DefaultVIRRParams()
 	valScores := m.ScoreBatch(model.Batch{
 		X: split.Val.X, DIMMs: split.Val.DIMMs, Times: split.Val.Times, Store: store,
 	})
@@ -108,9 +107,9 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 	if ft, ok := m.(model.FixedThresholder); ok {
 		th = ft.FixedThreshold()
 	} else {
-		th, _ = eval.BestF1Threshold(valDS, vp)
+		th, _ = eval.BestF1Threshold(valDS)
 	}
-	metrics := eval.Compute(eval.ConfusionAt(valDS, th), vp)
+	metrics := eval.Compute(eval.ConfusionAt(valDS, th))
 
 	mv, err := p.Registry.Register(p.ModelName, p.Platform, m, metrics, th)
 	if err != nil {
@@ -128,18 +127,19 @@ func (p *Pipeline) TrainAndMaybePromote(store *trace.Store, trainEnd, valEnd tra
 // ResolveAlarms resolves alarms (resolveAlarms) once their prediction
 // window has elapsed and makes the result the monitor's feedback, replacing
 // the previous one, so resolving a growing list counts each outcome once.
-func (p *Pipeline) ResolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes, window trace.Minutes) (tp, fp, fn int, leads []trace.Minutes) {
-	tp, fp, fn, leads = resolveAlarms(alarms, failed, window)
+func (p *Pipeline) ResolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes) (tp, fp, fn int, leads []trace.Minutes) {
+	tp, fp, fn, leads = resolveAlarms(alarms, failed)
 	p.Monitor.Feedback(tp, fp, fn)
 	return tp, fp, fn, leads
 }
 
 // resolveAlarms resolves alarms against failures: each alarmed DIMM, taken
-// at its first alarm, is a TP when it fails after the alarm and within
-// window of it, and an FP otherwise; a failed DIMM never alarmed is an FN.
+// at its first alarm, is a TP when it fails after the alarm and within Δtp
+// (features.PredictionWindow) of it, and an FP otherwise; a failed DIMM
+// never alarmed is an FN.
 // leads holds each TP's failure time minus its alarm time, in the order
 // the DIMMs first alarmed.
-func resolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes, window trace.Minutes) (tp, fp, fn int, leads []trace.Minutes) {
+func resolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes) (tp, fp, fn int, leads []trace.Minutes) {
 	first := map[trace.DIMMID]trace.Minutes{}
 	for _, a := range alarms {
 		if t, ok := first[a.DIMM]; !ok || a.Time < t {
@@ -157,7 +157,7 @@ func resolveAlarms(alarms []Alarm, failed map[trace.DIMMID]trace.Minutes, window
 		if ok {
 			fn--
 		}
-		if ok && ue > at && ue-at <= window {
+		if ok && ue > at && ue-at <= features.PredictionWindow {
 			tp++
 			leads = append(leads, ue-at)
 		} else {

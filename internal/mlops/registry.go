@@ -295,13 +295,21 @@ const (
 )
 
 // decide returns whether candidate should replace current (nil current
-// always promotes) and a human-readable reason.
+// always promotes: the first model is the only one there is to serve) and
+// a human-readable reason.
 func decide(current, candidate *ModelVersion) (bool, string) {
+	floor := ""
 	if candidate.Metrics.Precision < minPrecision {
-		return false, fmt.Sprintf("precision %.3f below floor %.3f", candidate.Metrics.Precision, minPrecision)
+		floor = fmt.Sprintf("precision %.3f below floor %.3f", candidate.Metrics.Precision, minPrecision)
 	}
 	if current == nil {
+		if floor != "" {
+			return true, "no production model; bootstrapping despite " + floor
+		}
 		return true, "no production model; bootstrapping"
+	}
+	if floor != "" {
+		return false, floor
 	}
 	gain := candidate.Metrics.F1 - current.Metrics.F1
 	if gain < minF1Gain {

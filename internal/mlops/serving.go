@@ -122,7 +122,7 @@ type dimmState struct {
 	// minute 0 suppress repeats like any other.
 	lastAlarm trace.Minutes
 	alarmed   bool
-	// rec is this DIMM's MFS3 record as the last snapshot frame encoded
+	// rec is this DIMM's MFS4 record as the last snapshot frame encoded
 	// it, stale (dirty) from its next event (ingestLocked — the one place
 	// any field it serializes can change). recBlob, the part of rec that
 	// encodes the log's first recEvents events, is kept while they are

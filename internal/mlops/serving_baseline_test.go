@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memfp/internal/features"
 	"memfp/internal/ml/model"
 	"memfp/internal/trace"
 )
@@ -82,7 +83,7 @@ func (s *Server) ReplayBaseline(ctx context.Context, st *trace.Store, onAlarm fu
 			score = ls.ScoreLog(l, e.Time)
 		} else {
 			// One row per call: the oracle never batches.
-			score = m.ScoreBatch(model.Batch{X: [][]float64{s.Store.extractor.NewCursor(l).ExtractAt(e.Time)}})[0]
+			score = m.ScoreBatch(model.Batch{X: [][]float64{features.NewCursor(l).ExtractAt(e.Time)}})[0]
 		}
 		if s.monitor != nil {
 			s.monitor.CountPrediction(score)

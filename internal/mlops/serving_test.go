@@ -10,6 +10,7 @@ import (
 
 	"memfp/internal/eval"
 	"memfp/internal/faultsim"
+	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
@@ -298,8 +299,7 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 	if err := reg.Promote("m", 1); err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFeatureStore()
-	server := NewShardedServer(platform.Purley, fs, reg, "m", nil, 2)
+	server := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
 	server.PredictEvery = 0
 	part, err := platform.PartByNumber("A4-2666-32")
 	if err != nil {
@@ -318,7 +318,7 @@ func TestIngestOutOfOrderRecovers(t *testing.T) {
 	for _, tm := range []trace.Minutes{100, 250, 400, 700} {
 		oracle.Append(trace.Event{Time: tm, Type: trace.TypeCE, DIMM: id})
 	}
-	want := fs.extractor.NewCursor(oracle).ExtractAt(700)
+	want := features.NewCursor(oracle).ExtractAt(700)
 	if len(lastVec) != len(want) {
 		t.Fatalf("vector length %d vs %d", len(lastVec), len(want))
 	}

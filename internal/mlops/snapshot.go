@@ -39,19 +39,20 @@ import (
 // writing only the stale records, and MergeSnapshot folds a full frame and
 // the deltas after it into the last one's full frame.
 
-// snapshotMagic versions the engine snapshot format. MFS3 records hold
+// snapshotMagic versions the engine snapshot format. MFS4 records hold
 // their events in the trace log form (trace.AppendLogEventsAfter) and their
-// fold state as first/last CE instants plus the classifier's thresholds
-// and cell counts. MFS2, whose fold state also wrote every map and tally
-// derived from those counts, and MFS1, whose blobs wrote address and bit
-// fields for every event type, are refused by name — a spill directory or
+// fold state as first/last CE instants plus the classifier's cell counts.
+// MFS3, whose fold state also wrote the six §V thresholds, MFS2, whose fold
+// state also wrote every map and tally derived from the counts, and MFS1,
+// whose blobs wrote address and bit fields for every event type, are
+// refused by name, as are MFS3's MFD1 deltas — a spill directory or
 // checkpoint written by such a binary must be emptied, not reread.
-const snapshotMagic = "MFS3"
+const snapshotMagic = "MFS4"
 
-// deltaMagic versions AppendDelta's frame: MFS3 records to the frame's
+// deltaMagic versions AppendDelta's frame: MFS4 records to the frame's
 // end, no count and no tombstones — between restores an engine's DIMM set
 // only grows, since nothing unregisters a DIMM.
-const deltaMagic = "MFD1"
+const deltaMagic = "MFD2"
 
 // frozenRec is one snapshot record: a DIMM and its frozen state.
 type frozenRec struct {
@@ -142,7 +143,7 @@ func decodeFrozenRec(r *trace.BinReader) (trace.DIMMID, *frozenDIMM, error) {
 func (s *Server) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
 
 // AppendSnapshot appends the engine's full serving state to dst as one
-// MFS3 frame, so a caller that checkpoints repeatedly can reuse one
+// MFS4 frame, so a caller that checkpoints repeatedly can reuse one
 // buffer. Only resident DIMMs that ingested since the previous snapshot
 // are re-encoded; the rest of the frame is copied from kept, frozen or
 // spilled records (see the file comment). The engine must be externally
@@ -152,7 +153,7 @@ func (s *Server) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
 // contents past its length are unspecified and nil is returned.
 func (s *Server) AppendSnapshot(dst []byte) ([]byte, error) { return s.appendFrame(dst, false) }
 
-// AppendDelta appends an MFD1 frame to dst: AppendSnapshot's records of
+// AppendDelta appends an MFD2 frame to dst: AppendSnapshot's records of
 // the DIMMs that ingested or registered since the previous frame. After an
 // error the next frame must be a full one.
 func (s *Server) AppendDelta(dst []byte) ([]byte, error) { return s.appendFrame(dst, true) }
@@ -330,8 +331,8 @@ func readFrame(data []byte, magic string) ([]frozenRec, error) {
 	r := trace.NewBinReader(data)
 	switch got := string(r.Raw(len(magic))); {
 	case got == magic:
-	case got == "MFS2" || got == "MFS1":
-		return nil, fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s", got, snapshotMagic)
+	case got == "MFS3" || got == "MFD1" || got == "MFS2" || got == "MFS1":
+		return nil, fmt.Errorf("mlops: %s engine snapshot: written by an older binary, this one reads %s and %s", got, snapshotMagic, deltaMagic)
 	case got == deltaMagic:
 		return nil, fmt.Errorf("mlops: %s snapshot delta where a full %s frame belongs: merge its chain first", got, magic)
 	default:

@@ -632,11 +632,11 @@ func smallSnapshot(tb testing.TB) (*Registry, []byte) {
 	return reg, blob
 }
 
-// TestSnapshotGoldenBytes pins the MFS3 layout on one tiny engine: a
+// TestSnapshotGoldenBytes pins the MFS4 layout on one tiny engine: a
 // single DIMM whose log (CEs on two cells, a storm, a UE) has been
 // compacted, so the frame carries the serving scalars, the compaction
-// bookkeeping, a fold state — two instants, six thresholds, the sorted
-// (cell, count) list — and the retained events in the trace log form.
+// bookkeeping, a fold state — two instants, the sorted (cell, count)
+// list — and the retained events in the trace log form.
 // Refactors of the snapshot, fold-state or classifier codecs must not move
 // a byte of it; a deliberate change takes a new magic.
 func TestSnapshotGoldenBytes(t *testing.T) {
@@ -644,9 +644,9 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "4d465333010c496e74656c5f5075726c657906020a41342d323636362d3332c0f70100000c0a000280870101010080e1010100c07004060604040402021208c8010004021208c80102060644c04300021208c801000840a00b00021208c80102088001a00b00021208c80100088002a00b00021208c80102088004a00b01021208c80100a00b00021208c80102088010"
+	const want = "4d465334010c496e74656c5f5075726c657906020a41342d323636362d3332c0f70100000c0a000280870101010080e1010100c07002021208c8010004021208c80102060644c04300021208c801000840a00b00021208c80102088001a00b00021208c80100088002a00b00021208c80102088004a00b01021208c80100a00b00021208c80102088010"
 	if got := hex.EncodeToString(blob); got != want {
-		t.Fatalf("MFS3 bytes moved:\n got %s\nwant %s", got, want)
+		t.Fatalf("MFS4 bytes moved:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -690,8 +690,8 @@ func goldenEngine(tb testing.TB) *Server {
 }
 
 // TestRestoreSnapshotRefusesBadRecords: a record whose count its blob
-// cannot hold is refused at restore time, and an MFS2 or MFS1 snapshot is
-// refused by name.
+// cannot hold is refused at restore time, and an MFS3, MFS2 or MFS1
+// snapshot or an MFD1 delta is refused by name, whether restored or merged.
 func TestRestoreSnapshotRefusesBadRecords(t *testing.T) {
 	reg, good := smallSnapshot(t)
 	s := NewShardedServer(platform.Purley, NewFeatureStore(), reg, "m", nil, 2)
@@ -702,10 +702,13 @@ func TestRestoreSnapshotRefusesBadRecords(t *testing.T) {
 	if err := s.RestoreSnapshot(lying); err == nil || !strings.Contains(err.Error(), "declares") {
 		t.Errorf("record declaring 1<<62 events in 3 bytes: %v", err)
 	}
-	for _, magic := range []string{"MFS2", "MFS1"} {
+	for _, magic := range []string{"MFS3", "MFD1", "MFS2", "MFS1"} {
 		old := append([]byte(magic), good[4:]...)
 		if err := s.RestoreSnapshot(old); err == nil || !strings.Contains(err.Error(), magic+" engine snapshot") {
 			t.Errorf("%s snapshot: %v", magic, err)
+		}
+		if _, err := MergeSnapshot(good, old); err == nil || !strings.Contains(err.Error(), magic+" engine snapshot") {
+			t.Errorf("%s delta merged: %v", magic, err)
 		}
 	}
 }

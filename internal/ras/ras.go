@@ -13,6 +13,8 @@ package ras
 import (
 	"fmt"
 
+	"memfp/internal/eval"
+	"memfp/internal/features"
 	"memfp/internal/trace"
 	"memfp/internal/xrand"
 )
@@ -42,9 +44,9 @@ type Config struct {
 	Seed               uint64
 }
 
-// DefaultConfig mirrors the paper's evaluation: Va=10, yc=0.1.
+// DefaultConfig mirrors the paper's evaluation: Va=10, yc=eval.YC.
 func DefaultConfig() Config {
-	return Config{VMsPerServer: 10, ColdFraction: 0.1, LiveCapacityPerDay: 1 << 30, Seed: 1}
+	return Config{VMsPerServer: 10, ColdFraction: eval.YC, LiveCapacityPerDay: 1 << 30, Seed: 1}
 }
 
 // Alarm is a prediction event for a DIMM at a given time.
@@ -97,11 +99,11 @@ func (o Outcome) Recall() float64 {
 }
 
 // Simulate replays alarms against failures through the mitigation
-// pipeline. An alarm covers a failure when it precedes it by at most
-// window. Each alarmed DIMM is mitigated once (first alarm); each failure
+// pipeline. An alarm covers a failure when it precedes it by at most Δtp
+// (features.PredictionWindow). Each alarmed DIMM is mitigated once (first alarm); each failure
 // is either covered (VMs already moved; only the cold-migrated fraction
 // was interrupted at mitigation time) or missed (all VMs interrupted).
-func Simulate(cfg Config, alarms []Alarm, failures []Failure, window trace.Minutes) (Outcome, error) {
+func Simulate(cfg Config, alarms []Alarm, failures []Failure) (Outcome, error) {
 	if cfg.VMsPerServer <= 0 {
 		return Outcome{}, fmt.Errorf("ras: VMsPerServer must be positive")
 	}
@@ -148,7 +150,7 @@ func Simulate(cfg Config, alarms []Alarm, failures []Failure, window trace.Minut
 			}
 		}
 		ue, failed := failAt[dimm]
-		if failed && ue > at && ue-at <= window {
+		if failed && ue > at && ue-at <= features.PredictionWindow {
 			out.TP++
 		} else {
 			out.FP++
@@ -157,7 +159,7 @@ func Simulate(cfg Config, alarms []Alarm, failures []Failure, window trace.Minut
 	for dimm := range failAt {
 		if at, ok := firstAlarm[dimm]; ok {
 			ue := failAt[dimm]
-			if ue > at && ue-at <= window {
+			if ue > at && ue-at <= features.PredictionWindow {
 				continue // covered
 			}
 		}

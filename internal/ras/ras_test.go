@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"memfp/internal/features"
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 	"memfp/internal/xrand"
@@ -38,7 +39,7 @@ func TestSimulateMatchesVIRRFormula(t *testing.T) {
 			fn++
 		}
 	}
-	out, err := Simulate(cfg, alarms, failures, 30*trace.Day)
+	out, err := Simulate(cfg, alarms, failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSimulateNegativeVIRRWhenPrecisionLow(t *testing.T) {
 			failures = append(failures, Failure{Time: 200, DIMM: dimm(i)})
 		}
 	}
-	out, err := Simulate(DefaultConfig(), alarms, failures, 30*trace.Day)
+	out, err := Simulate(DefaultConfig(), alarms, failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSimulateCapacityDegradesToCold(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		alarms = append(alarms, Alarm{Time: 100, DIMM: dimm(i)}) // all same day
 	}
-	out, err := Simulate(cfg, alarms, nil, 30*trace.Day)
+	out, err := Simulate(cfg, alarms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestSimulateLateAlarmNotCovered(t *testing.T) {
 	// Alarm after the failure: the failure is missed.
 	alarms := []Alarm{{Time: 500, DIMM: dimm(1)}}
 	failures := []Failure{{Time: 100, DIMM: dimm(1)}}
-	out, err := Simulate(DefaultConfig(), alarms, failures, 30*trace.Day)
+	out, err := Simulate(DefaultConfig(), alarms, failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,8 @@ func TestSimulateLateAlarmNotCovered(t *testing.T) {
 func TestSimulateWindowExpiry(t *testing.T) {
 	// Alarm far before the failure (beyond the prediction window).
 	alarms := []Alarm{{Time: 100, DIMM: dimm(1)}}
-	failures := []Failure{{Time: 100 + 60*trace.Day, DIMM: dimm(1)}}
-	out, err := Simulate(DefaultConfig(), alarms, failures, 30*trace.Day)
+	failures := []Failure{{Time: 100 + 2*features.PredictionWindow, DIMM: dimm(1)}}
+	out, err := Simulate(DefaultConfig(), alarms, failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +122,12 @@ func TestSimulateWindowExpiry(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VMsPerServer = 0
-	if _, err := Simulate(cfg, nil, nil, 1); err == nil {
+	if _, err := Simulate(cfg, nil, nil); err == nil {
 		t.Error("zero VMs should error")
 	}
 	cfg = DefaultConfig()
 	cfg.ColdFraction = 1.5
-	if _, err := Simulate(cfg, nil, nil, 1); err == nil {
+	if _, err := Simulate(cfg, nil, nil); err == nil {
 		t.Error("bad cold fraction should error")
 	}
 }

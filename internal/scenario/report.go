@@ -171,7 +171,7 @@ func buildReport(s *Scenario, st *runState, generated int, reporters []statsRepo
 				pa = append(pa, a)
 			}
 		}
-		ptp, pfp, pfn, pleads := pr.pipe.ResolveAlarms(pa, pr.failed, feedbackWindow)
+		ptp, pfp, pfn, pleads := pr.pipe.ResolveAlarms(pa, pr.failed)
 		tp, fp, fn = tp+ptp, fp+pfp, fn+pfn
 		for _, lead := range pleads {
 			leads = append(leads, float64(lead)/float64(trace.Day))

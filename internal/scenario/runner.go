@@ -148,13 +148,6 @@ func Run(ctx context.Context, s *Scenario, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: bootstrap training on %s: %w", pf, err)
 		}
-		if !tr.Promoted {
-			// The bootstrap model is the only candidate; serve it even if
-			// the gate would prefer a better history.
-			if err := pr.pipe.Registry.Promote(pr.pipe.ModelName, tr.Version.Version); err != nil {
-				return nil, err
-			}
-		}
 		pr.pipe.Shards = opt.Shards
 		if pr.cp, err = controlplane.New(controlplane.Config{Pipeline: pr.pipe}); err != nil {
 			return nil, fmt.Errorf("scenario: serving %s: %w", pf, err)

@@ -85,10 +85,6 @@ type TrainSpec struct {
 	TrainEndDay, ValEndDay int
 }
 
-// feedbackWindow is the prediction window alarms are resolved against
-// (TP/FP/lead time).
-const feedbackWindow = 30 * trace.Day
-
 // Action kinds of the chaos schedule.
 const (
 	ActionCEStorm      = "ce_storm"      // stream-layer CE flood on a DIMM fraction
@@ -380,8 +376,13 @@ func (d *decoder) fleet(n any, f *FleetGen) error {
 	}); err != nil {
 		return err
 	}
-	if f.Scale <= 0 {
+	switch {
+	case f.Scale <= 0:
 		return d.errf("scale must be a positive number")
+	case f.Scale > 1:
+		return d.errf("scale: %g is above 1, the paper's whole population", f.Scale)
+	case f.MaxEventsPerDIMM > faultsim.DefaultMaxEventsPerDIMM:
+		return d.errf("max_events_per_dimm: %d is above the generator's cap of %d", f.MaxEventsPerDIMM, faultsim.DefaultMaxEventsPerDIMM)
 	}
 	if len(f.Templates) == 0 {
 		return d.errf("templates must list at least one platform")

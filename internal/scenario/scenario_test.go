@@ -201,6 +201,8 @@ func TestParseScenarioErrors(t *testing.T) {
 		// Range checks.
 		{"negative seed", fleetDoc + "seed: -1", "seed must be non-negative"},
 		{"zero tick", fleetDoc + "tick_minutes: 0", "tick_minutes must be positive"},
+		{"scale above population", "name: x\nfleet:\n  scale: 1e9\n  templates:\n    - platform: K920", "fleet: scale: 1e+09 is above 1"},
+		{"cap above generator's", "name: x\nfleet:\n  scale: 0.01\n  max_events_per_dimm: 2501\n  templates:\n    - platform: K920", "fleet: max_events_per_dimm: 2501 is above the generator's cap of 2500"},
 		{"zero weight", "name: x\nfleet:\n  scale: 0.01\n  templates:\n    - platform: K920\n      weight: 0", "weight must be positive"},
 
 		// Either/or and required keys.

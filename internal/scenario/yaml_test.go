@@ -125,8 +125,10 @@ func FuzzParseYAML(f *testing.F) {
 
 // FuzzParseScenario extends the fuzz surface through the schema decoder:
 // arbitrary documents must produce a scenario or an error, never a panic;
-// an accepted scenario's times lie inside the observation span, and none
-// of its actions injects more CEs into one DIMM than the generator's cap.
+// an accepted scenario's times lie inside the observation span, its fleet
+// is at most the paper's population with a per-DIMM CE cap no higher than
+// the generator's, and none of its actions injects more CEs into one DIMM
+// than that cap.
 func FuzzParseScenario(f *testing.F) {
 	f.Add("name: x\nfleet:\n  scale: 0.01\n  templates:\n    - platform: Intel_Purley")
 	f.Add("name: x\nfleet:\n  scale: -3\n  templates:\n    - platform: bogus")
@@ -140,6 +142,9 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if s.Train.ValEndDay > int(trace.ObservationSpan/trace.Day) {
 			t.Fatalf("accepted a split past the observation span: %+v", s.Train)
+		}
+		if s.Fleet.Scale > 1 || s.Fleet.MaxEventsPerDIMM > faultsim.DefaultMaxEventsPerDIMM {
+			t.Fatalf("accepted a fleet past the paper's population or the generator's cap: %+v", s.Fleet)
 		}
 		limit := s.Fleet.MaxEventsPerDIMM
 		if limit <= 0 {

@@ -123,7 +123,7 @@ func BuildFleet(ctx context.Context, cfg Config, id platform.ID) (*Fleet, error)
 	if err != nil {
 		return nil, fmt.Errorf("memfp: generate %s: %w", id, err)
 	}
-	samples := features.BuildAllWorkers(features.NewExtractor(), features.DefaultSamplerConfig(), res.Store, cfg.Workers)
+	samples := features.BuildAllWorkers(features.DefaultSamplerConfig(), res.Store, cfg.Workers)
 	split, err := dataset.TimeSplit(dataset.FromSamples(samples),
 		dataset.TrainEndDay*trace.Day, dataset.ValEndDay*trace.Day)
 	if err != nil {

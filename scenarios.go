@@ -103,13 +103,13 @@ func runFig2(ctx context.Context, cfg Config, w io.Writer) error {
 			failures = append(failures, ras.Failure{Time: 500, DIMM: d})
 		}
 	}
-	out, err := ras.Simulate(ras.DefaultConfig(), alarms, failures, 30*trace.Day)
+	out, err := ras.Simulate(ras.DefaultConfig(), alarms, failures)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  simulated: P=%.2f R=%.2f VIRR=%.3f (closed form %.3f)\n",
 		out.Precision(), out.Recall(), out.VIRR(),
-		eval.VIRR(out.Precision(), out.Recall(), eval.DefaultVIRRParams().YC))
+		eval.VIRR(out.Precision(), out.Recall(), eval.YC))
 	fmt.Fprintf(w, "  actions: live=%d cold=%d offline=%d sparing=%d\n",
 		out.Actions[ras.ActionLiveMigration], out.Actions[ras.ActionColdMigration],
 		out.Actions[ras.ActionPageOffline], out.Actions[ras.ActionSparing])
@@ -117,11 +117,10 @@ func runFig2(ctx context.Context, cfg Config, w io.Writer) error {
 }
 
 func runFig3(ctx context.Context, cfg Config, w io.Writer) error {
-	win := features.DefaultWindows()
 	fmt.Fprintf(w, "Figure 3 — failure prediction problem definition (window configuration)\n")
-	fmt.Fprintf(w, "  observation window Δtd = %v\n", win.Observation)
-	fmt.Fprintf(w, "  lead window        Δtl = %v\n", win.Lead)
-	fmt.Fprintf(w, "  prediction window  Δtp = %v\n", win.Prediction)
+	fmt.Fprintf(w, "  observation window Δtd = %v\n", features.ObservationWindow)
+	fmt.Fprintf(w, "  lead window        Δtl = %v\n", features.LeadTime)
+	fmt.Fprintf(w, "  prediction window  Δtp = %v\n", features.PredictionWindow)
 	fmt.Fprintf(w, "  collection span        = %d days (paper: Jan–Oct 2023)\n", int(trace.ObservationSpan/trace.Day))
 	return nil
 }

@@ -71,7 +71,6 @@ func RunTransferMatrix(ctx context.Context, cfg Config) ([]TransferResult, error
 			pairs = append(pairs, pair{src, dst})
 		}
 	}
-	vp := eval.DefaultVIRRParams()
 	return par.Map(ctx, cfg.Workers, pairs,
 		func(p pair) string { return fmt.Sprintf("transfer/%s->%s", p.src, p.dst) },
 		func(ctx context.Context, p pair) (TransferResult, error) {
@@ -86,8 +85,7 @@ func RunTransferMatrix(ctx context.Context, cfg Config) ([]TransferResult, error
 				eval.Series{DIMMs: val.DIMMs, Times: val.Times,
 					Scores: srcT.model.ScoreBatch(srcT.fleet.batch(val)), Y: val.Y},
 				eval.Series{DIMMs: test.DIMMs, Times: test.Times,
-					Scores: srcT.model.ScoreBatch(dstT.fleet.batch(test)), Y: test.Y},
-				eval.DefaultWindowedConfig(), vp)
+					Scores: srcT.model.ScoreBatch(dstT.fleet.batch(test)), Y: test.Y})
 			return TransferResult{TrainOn: p.src, TestOn: p.dst, Metrics: metrics}, nil
 		})
 }
