@@ -175,6 +175,7 @@ type JournalInfo struct {
 	Truncations    int   `json:"truncations"`
 	TruncatedTicks int   `json:"truncated_ticks"`
 	SpillBytes     int64 `json:"spill_bytes"` // checkpoint bytes spilled
+	Bytes          int64 `json:"bytes"`       // MFE1 frame bytes of the ticks in memory
 }
 
 // StatusResponse summarizes the control plane.

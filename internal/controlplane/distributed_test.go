@@ -183,7 +183,9 @@ func TestDistributedByteIdenticalReplay(t *testing.T) {
 // ticks (one delivered batch); and a node's checkpoint lags emission by
 // up to CheckpointEvery−1 ticks, plus the batch of up to window ticks its
 // sender may be delivering when the request comes. Summed, that stays
-// below CheckpointEvery + 3·window ticks.
+// below CheckpointEvery + 3·window ticks. The journal's frame bytes, read
+// after every tick, are those of its resident ticks, so they stay below
+// that many of the largest tick's.
 func TestJournalBoundedOverLongRun(t *testing.T) {
 	f := fleet(t)
 	const every = 3
@@ -194,16 +196,38 @@ func TestJournalBoundedOverLongRun(t *testing.T) {
 	for id, part := range f.parts {
 		cp.RegisterDIMM(id, part)
 	}
-	if _, err := cp.ServeStream(context.Background(), f.all); err != nil {
-		t.Fatal(err)
+	var peakBytes, tickBytes int64
+	for lo := 0; lo < len(f.all); lo += streamTick { // ServeStream, sampled per tick
+		if _, err := cp.ingestTick(f.all[lo:min(lo+streamTick, len(f.all))]); err != nil {
+			t.Fatal(err)
+		}
+		cp.mu.Lock()
+		js := cp.journal.info()
+		var held int64
+		for _, rec := range cp.journal.recs {
+			held += rec.size
+		}
+		if last := cp.journal.at(cp.journal.end() - 1); last != nil {
+			tickBytes = max(tickBytes, last.size)
+		}
+		cp.mu.Unlock()
+		if js.Bytes != held {
+			t.Fatalf("journal reports %d frame bytes, its %d resident ticks hold %d", js.Bytes, js.Depth, held)
+		}
+		peakBytes = max(peakBytes, js.Bytes)
 	}
+	cp.Flush()
 	js := cp.JournalStats()
 	if js.Truncations == 0 {
 		t.Fatalf("journal never truncated over the run: %+v", js)
 	}
-	t.Logf("journal over the run: %+v", js)
-	if bound := every + 3*window; js.DepthHighWater > bound {
+	t.Logf("journal over the run: %+v, peak %d frame bytes, largest tick %d", js, peakBytes, tickBytes)
+	bound := every + 3*window
+	if js.DepthHighWater > bound {
 		t.Errorf("journal depth reached %d ticks, want at most %d: %+v", js.DepthHighWater, bound, js)
+	}
+	if peakBytes > int64(bound)*tickBytes {
+		t.Errorf("journal held %d frame bytes, want at most %d ticks of %d", peakBytes, bound, tickBytes)
 	}
 }
 

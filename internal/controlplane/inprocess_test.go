@@ -16,9 +16,9 @@ import (
 // plane's process, so nothing can rejoin as it and ask for a served tick
 // again. With checkpoints effectively off, a flushed local-mode run has
 // never checkpointed or spilled, and its journal has truncated every
-// tick it emitted: no record is left; and since the node sends no
-// heartbeats, status and MemoryStats report its engine's own counts, read
-// at call time.
+// tick it emitted: no record, and none of its frame bytes, is left; and
+// since the node sends no heartbeats, status and MemoryStats report its
+// engine's own counts, read at call time.
 func TestLocalModeKeepsNoServedTicks(t *testing.T) {
 	f := fleet(t)
 	pipe := mirror(t)
@@ -40,8 +40,8 @@ func TestLocalModeKeepsNoServedTicks(t *testing.T) {
 	if st.Pending != 0 {
 		t.Fatalf("%d ticks pending after the stream's flush", st.Pending)
 	}
-	if js := *st.Journal; js.Depth != 0 || js.TruncatedTicks != ticks || js.SpillBytes != 0 {
-		t.Errorf("journal %+v: want no resident record, %d ticks truncated, nothing spilled", js, ticks)
+	if js := *st.Journal; js.Depth != 0 || js.Bytes != 0 || js.TruncatedTicks != ticks || js.SpillBytes != 0 {
+		t.Errorf("journal %+v: want no resident record or byte, %d ticks truncated, nothing spilled", js, ticks)
 	}
 	if len(st.Nodes) != 1 || st.Nodes[0].Checkpoint != 0 || st.Nodes[0].CheckpointBytes != 0 {
 		t.Errorf("nodes %+v: want the one in-process node, never checkpointed", st.Nodes)

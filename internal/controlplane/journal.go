@@ -1,30 +1,29 @@
 package controlplane
 
-import (
-	"memfp/internal/mlops"
-	"memfp/internal/trace"
-)
+import "memfp/internal/mlops"
 
 // tickRec is one journaled ingest batch.
 type tickRec struct {
-	slices  [][]trace.Event // per node index
+	frames  [][]byte        // per node index: its events as the MFE1 frame it is sent
 	res     [][]mlops.Alarm // per node index, until emitted
 	served  []bool          // per node index
 	version int             // production model version pinned at append
+	size    int64           // frame bytes
 }
 
-// newTickRec builds the record for one partitioned batch. A node with no
-// events in the tick has nothing to serve and counts as served from the
-// start, so emission never waits on an empty delivery.
-func newTickRec(slices [][]trace.Event, version int) *tickRec {
+// newTickRec builds the record for one partitioned, encoded batch. A node
+// with no events in the tick has no frame and nothing to serve: it counts
+// as served from the start, so emission never waits on an empty delivery.
+func newTickRec(frames [][]byte, version int) *tickRec {
 	t := &tickRec{
-		slices:  slices,
-		res:     make([][]mlops.Alarm, len(slices)),
-		served:  make([]bool, len(slices)),
+		frames:  frames,
+		res:     make([][]mlops.Alarm, len(frames)),
+		served:  make([]bool, len(frames)),
 		version: version,
 	}
-	for i, sl := range slices {
-		t.served[i] = len(sl) == 0
+	for i, fr := range frames {
+		t.served[i] = len(fr) == 0
+		t.size += int64(len(fr))
 	}
 	return t
 }
@@ -40,12 +39,14 @@ type journal struct {
 	high        int        // high-water mark of len(recs)
 	nextEmit    int        // index of the next unemitted tick
 	truncations int
-	truncated   int // ticks dropped by truncateBelow
+	truncated   int   // ticks dropped by truncateBelow
+	bytes       int64 // frame bytes of the records in memory
 }
 
 // append adds a tick at index end().
 func (j *journal) append(t *tickRec) {
 	j.recs = append(j.recs, t)
+	j.bytes += t.size
 	if d := len(j.recs); d > j.high {
 		j.high = d
 	}
@@ -99,13 +100,16 @@ func (j *journal) nextReady() *tickRec {
 
 // truncateBelow drops the records below low — clamped to the emission
 // cursor, so an unemitted tick is never dropped. The survivors move to a
-// fresh slice so the prefix's event memory is actually released.
+// fresh slice so the prefix's frame memory is actually released.
 func (j *journal) truncateBelow(low int) {
 	if low > j.nextEmit {
 		low = j.nextEmit
 	}
 	if low <= j.base {
 		return
+	}
+	for _, t := range j.recs[:low-j.base] {
+		j.bytes -= t.size
 	}
 	j.truncated += low - j.base
 	j.recs = append([]*tickRec(nil), j.recs[low-j.base:]...)
@@ -122,5 +126,6 @@ func (j *journal) info() JournalInfo {
 		Base:           j.base,
 		Truncations:    j.truncations,
 		TruncatedTicks: j.truncated,
+		Bytes:          j.bytes,
 	}
 }

@@ -32,15 +32,16 @@ func TestJournal(t *testing.T) {
 			var all []*tickRec // all[i] is tick i, truncated or not
 			type delivery struct{ tick, node int }
 			var todo []delivery
+			partOf := func(trace.DIMMID) string { return "A4-2666-32" }
 			for i := 0; i < c.ticks; i++ {
-				slices := make([][]trace.Event, c.nodes)
-				for n := range slices {
-					if rng.Intn(4) > 0 { // a quarter of the slices are empty: served from the start
-						slices[n] = []trace.Event{{Time: trace.Minutes(i)}}
+				frames := make([][]byte, c.nodes)
+				for n := range frames {
+					if rng.Intn(4) > 0 { // a quarter of the frames are absent: served from the start
+						frames[n] = trace.AppendEventFrame(nil, []trace.Event{{Time: trace.Minutes(i)}}, partOf)
 						todo = append(todo, delivery{i, n})
 					}
 				}
-				rec := newTickRec(slices, 1+i%2)
+				rec := newTickRec(frames, 1+i%2)
 				j.append(rec)
 				all = append(all, rec)
 				if j.end() != len(all) {

@@ -171,6 +171,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.value("memfp_journal_depth_highwater", "gauge", "Peak resident journal depth.", float64(journal.DepthHighWater))
 	p.value("memfp_journal_truncations_total", "counter", "Journal truncation passes.", float64(journal.Truncations))
 	p.value("memfp_journal_truncated_ticks_total", "counter", "Ticks truncated out of the in-memory journal.", float64(journal.TruncatedTicks))
+	p.value("memfp_journal_bytes", "gauge", "MFE1 frame bytes of the journaled ticks resident in control-plane memory.", float64(journal.Bytes))
 	p.value("memfp_spill_bytes_total", "counter", "Node checkpoint bytes written to the spill store.", float64(journal.SpillBytes))
 
 	p.value("memfp_nodes_expected", "gauge", "Node daemons the fleet is partitioned across.", float64(s.cfg.ExpectNodes))

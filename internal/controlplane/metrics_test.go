@@ -122,7 +122,7 @@ func TestMetricsExposition(t *testing.T) {
 		"memfp_registry_epoch", "memfp_model_production_version",
 		"memfp_ticks_total", "memfp_ticks_pending", "memfp_paused",
 		"memfp_journal_depth", "memfp_journal_depth_highwater",
-		"memfp_journal_truncations_total", "memfp_journal_truncated_ticks_total",
+		"memfp_journal_truncations_total", "memfp_journal_truncated_ticks_total", "memfp_journal_bytes",
 		"memfp_spill_bytes_total",
 		"memfp_nodes_expected", "memfp_nodes_joined",
 	} {

@@ -26,7 +26,9 @@
 //     owns the contiguous slot range [i·S/N, (i+1)·S/N). Per-DIMM serving
 //     state is independent, so any partition emits the same alarms.
 //   - Tick journal: every ingested batch is appended to a journal with
-//     the production model version pinned at append time. Delivery to
+//     the production model version pinned at append time and each node's
+//     share encoded once as the MFE1 frame every delivery (a rejoin's
+//     replay too) ships unchanged, about 20 B per event. Delivery to
 //     each node is cursor-based and idempotent (journal index on the
 //     wire); a tick's alarms are emitted — merged in (Time, DIMM) order —
 //     only when every owning node has served it, strictly in journal
@@ -64,6 +66,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,7 +142,7 @@ type nodeRec struct {
 // or /api/v1/ingest, with Flush and Resume, serialize on the server
 // mutex; per-node sender goroutines deliver journal batches concurrently,
 // holding the mutex only to pick up work and record results — node
-// round-trips and frame codecs run off the lock.
+// round-trips and the tick-batch codecs run off the lock.
 type Server struct {
 	cfg    Config
 	pipe   *mlops.Pipeline
@@ -159,7 +162,8 @@ type Server struct {
 	paused     bool  // maintenance window: ticks journal but are not delivered
 	closed     bool
 	alarms     []mlops.Alarm
-	ownerBuf   []int32 // partitionLocked scratch: per-event owner node
+	ownerBuf   []int32       // partitionLocked scratch: per-event owner node
+	eventBuf   []trace.Event // partitionLocked scratch: the partition's backing
 }
 
 // New builds a control-plane server. With cfg.ExpectNodes == 0 it builds
@@ -219,7 +223,10 @@ func (s *Server) Close() {
 
 // RegisterDIMM announces a DIMM's static attributes before its events
 // can be served — the control plane records the part for wire encoding.
-// Nodes learn DIMMs from the part numbers on forwarded frames.
+// Nodes learn DIMMs from the part numbers on forwarded frames. A tick is
+// encoded when it is journaled, so it carries the part registered then:
+// registering the DIMM again with another part changes only the ticks
+// journaled after, never a delivery or rejoin replay of an earlier one.
 func (s *Server) RegisterDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,13 +291,13 @@ func (s *Server) ServeStream(ctx context.Context, events []trace.Event) ([]mlops
 }
 
 // ingestTick accepts one event micro-batch — the serving tick. The batch
-// is journaled with the current production model version for the
-// per-node senders to stream out, and the call returns every alarm whose
-// emission completed since the previous driver call (journal order is
-// preserved across calls; Flush collects the rest). Backpressure: the
-// call waits while any live node is more than window ticks behind. A dead
-// node leaves ticks pending (no error); they emit after the node rejoins
-// and Flush drains delivery.
+// is journaled as per-node MFE1 frames, with the current production model
+// version, for the per-node senders to stream out; the call returns every
+// alarm whose emission completed since the previous driver call (journal
+// order is preserved across calls; Flush collects the rest). Backpressure:
+// the call waits while any live node is more than window ticks behind. A
+// dead node leaves ticks pending (no error); they emit after the node
+// rejoins and Flush drains delivery.
 func (s *Server) ingestTick(events []trace.Event) (TickResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -311,7 +318,14 @@ func (s *Server) ingestTick(events []trace.Event) (TickResult, error) {
 			mon.CountEvent(e)
 		}
 	}
-	s.journal.append(newTickRec(s.partitionLocked(events), pv.Version))
+	partOf := func(id trace.DIMMID) string { return s.parts[id].PartNumber }
+	frames := make([][]byte, s.cfg.ExpectNodes)
+	for i, ev := range s.partitionLocked(events) {
+		if len(ev) > 0 {
+			frames[i] = trace.AppendEventFrame(nil, ev, partOf)
+		}
+	}
+	s.journal.append(newTickRec(frames, pv.Version))
 	s.emitLocked() // an all-empty tick emits immediately
 	s.cond.Broadcast()
 	for !s.closed && !s.paused && s.backloggedLocked() {
@@ -466,13 +480,16 @@ func (s *Server) journalInfoLocked() JournalInfo {
 	return ji
 }
 
-// partitionLocked splits a batch into per-node slices through the
-// slot assignment, preserving arrival order within each node. The
-// journal retains every tick's partition until truncation, so the
-// slices share one exactly-sized backing array instead of paying
-// append-growth garbage per tick.
+// partitionLocked splits a batch into per-node slices through the slot
+// assignment, preserving arrival order within each node. The slices share
+// one server-owned backing array that the next tick overwrites: the
+// journal keeps the frames ingestTick encodes from them, not the events.
+// A fleet of one node takes the batch as it is.
 func (s *Server) partitionLocked(events []trace.Event) [][]trace.Event {
 	n := s.cfg.ExpectNodes
+	if n == 1 {
+		return [][]trace.Event{events}
+	}
 	counts := make([]int, n)
 	s.ownerBuf = s.ownerBuf[:0]
 	for _, e := range events {
@@ -480,11 +497,11 @@ func (s *Server) partitionLocked(events []trace.Event) [][]trace.Event {
 		s.ownerBuf = append(s.ownerBuf, int32(ni))
 		counts[ni]++
 	}
-	backing := make([]trace.Event, len(events))
+	s.eventBuf = slices.Grow(s.eventBuf[:0], len(events))
 	out := make([][]trace.Event, n)
 	off := 0
 	for i, c := range counts {
-		out[i] = backing[off : off : off+c]
+		out[i] = s.eventBuf[off : off : off+c]
 		off += c
 	}
 	for k, e := range events {
@@ -664,17 +681,11 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 	start := n.sent
 	end := s.journal.end()
 	var batch []wireTick
-	parts := map[trace.DIMMID]platform.DIMMPart{}
 	upto := start
 	for upto < end && len(batch) < window {
 		t := s.journal.at(upto)
-		if ev := t.slices[n.index]; len(ev) > 0 {
-			batch = append(batch, wireTick{tick: upto, version: t.version, events: ev})
-			for _, e := range ev {
-				if _, ok := parts[e.DIMM]; !ok {
-					parts[e.DIMM] = s.parts[e.DIMM]
-				}
-			}
+		if fr := t.frames[n.index]; fr != nil {
+			batch = append(batch, wireTick{tick: upto, version: t.version, frame: fr})
 		}
 		upto++
 	}
@@ -689,7 +700,7 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 	name := n.name
 	n.inflight = true
 	s.mu.Unlock()
-	res, err := s.forwardFrame(name, addr, prune, batch, parts)
+	res, err := s.forwardFrame(name, addr, prune, batch)
 	s.mu.Lock()
 	n.inflight = false
 	if epoch != n.epoch {
@@ -713,13 +724,10 @@ func (s *Server) deliverBatchLocked(n *nodeRec) {
 
 // forwardFrame posts one MFT1 batch to the node's /ingest2 endpoint and
 // returns the alarms per tick, parallel to batch.
-func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick,
-	parts map[trace.DIMMID]platform.DIMMPart) ([][]mlops.Alarm, error) {
+func (s *Server) forwardFrame(name, addr string, prune int, batch []wireTick) ([][]mlops.Alarm, error) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
-	*buf = appendTickFrame((*buf)[:0], prune, batch, func(id trace.DIMMID) string {
-		return parts[id].PartNumber
-	})
+	*buf = appendTickFrame((*buf)[:0], prune, batch)
 	body, err := s.postNode(addr+"/ingest2", ContentTypeTicks, *buf, maxFrameBytes)
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: node %s: %w", name, err)

@@ -22,7 +22,7 @@ import (
 //	"MFT1" — tick batch (control plane → node): uvarint prune-below
 //	         journal index, uvarint tick count, per tick uvarint journal
 //	         index, uvarint pinned model version, length-prefixed MFE1
-//	         event frame.
+//	         event frame (the journal's bytes for that node and tick).
 //	"MFR1" — tick-batch response (node → control plane): uvarint tick
 //	         count, per tick uvarint journal index, length-prefixed MFA1
 //	         alarm frame.
@@ -129,28 +129,26 @@ func DecodeAlarmFrame(data []byte) ([]mlops.Alarm, error) {
 }
 
 // wireTick is one journal entry on the tick-batch wire: the journal
-// index, the pinned model version, and the node's event slice.
+// index, the pinned model version, and the node's MFE1 event frame as the
+// journal holds it.
 type wireTick struct {
 	tick    int
 	version int
-	events  []trace.Event
+	frame   []byte
 }
 
-// appendTickFrame encodes a tick batch into dst. partOf resolves event
-// DIMMs to part numbers for the embedded event frames.
-func appendTickFrame(dst []byte, pruneBelow int, ticks []wireTick, partOf func(trace.DIMMID) string) []byte {
+// appendTickFrame encodes a tick batch into dst. The event frames go on
+// the wire as they are.
+func appendTickFrame(dst []byte, pruneBelow int, ticks []wireTick) []byte {
 	w := trace.BinWriter{Buf: dst}
 	w.Raw([]byte(tickFrameMagic))
 	w.Uvarint(uint64(pruneBelow))
 	w.Uvarint(uint64(len(ticks)))
-	inner := getWireBuf()
 	for _, t := range ticks {
 		w.Uvarint(uint64(t.tick))
 		w.Uvarint(uint64(t.version))
-		*inner = trace.AppendEventFrame((*inner)[:0], t.events, partOf)
-		w.Bytes(*inner)
+		w.Bytes(t.frame)
 	}
-	putWireBuf(inner)
 	return w.Buf
 }
 

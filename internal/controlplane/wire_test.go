@@ -106,12 +106,13 @@ func TestTickAndRespFrameRoundTrip(t *testing.T) {
 	events := f.all[:200]
 	partOf := func(id trace.DIMMID) string { return f.parts[id].PartNumber }
 
+	spans := [][]trace.Event{events[:80], events[80:150], events[150:]}
 	ticks := []wireTick{
-		{tick: 7, version: 1, events: events[:80]},
-		{tick: 9, version: 1, events: events[80:150]},
-		{tick: 12, version: 2, events: events[150:]},
+		{tick: 7, version: 1, frame: trace.AppendEventFrame(nil, spans[0], partOf)},
+		{tick: 9, version: 1, frame: trace.AppendEventFrame(nil, spans[1], partOf)},
+		{tick: 12, version: 2, frame: trace.AppendEventFrame(nil, spans[2], partOf)},
 	}
-	frame := appendTickFrame(nil, 5, ticks, partOf)
+	frame := appendTickFrame(nil, 5, ticks)
 	prune, got, err := decodeTickFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +124,11 @@ func TestTickAndRespFrameRoundTrip(t *testing.T) {
 		if dt.tick != ticks[i].tick || dt.version != ticks[i].version {
 			t.Fatalf("tick %d header %d/v%d, want %d/v%d", i, dt.tick, dt.version, ticks[i].tick, ticks[i].version)
 		}
-		if len(dt.events) != len(ticks[i].events) {
-			t.Fatalf("tick %d: %d events, want %d", i, len(dt.events), len(ticks[i].events))
+		if len(dt.events) != len(spans[i]) {
+			t.Fatalf("tick %d: %d events, want %d", i, len(dt.events), len(spans[i]))
 		}
 		for j := range dt.events {
-			if dt.events[j] != ticks[i].events[j] {
+			if dt.events[j] != spans[i][j] {
 				t.Fatalf("tick %d event %d diverged", i, j)
 			}
 			if dt.parts[j] != partOf(dt.events[j].DIMM) {
@@ -137,9 +138,10 @@ func TestTickAndRespFrameRoundTrip(t *testing.T) {
 	}
 
 	// Non-ascending tick indices are a protocol violation.
+	empty := trace.AppendEventFrame(nil, nil, partOf)
 	if _, _, err := decodeTickFrame(appendTickFrame(nil, 0, []wireTick{
-		{tick: 9, version: 1}, {tick: 7, version: 1},
-	}, partOf)); err == nil {
+		{tick: 9, version: 1, frame: empty}, {tick: 7, version: 1, frame: empty},
+	})); err == nil {
 		t.Fatal("descending tick indices accepted")
 	}
 
@@ -194,8 +196,8 @@ func TestWireFramesGoldenBytes(t *testing.T) {
 	}{
 		{"MFA1", goldenMFA1, AppendAlarmFrame(nil, alarms)},
 		{"MFT1", goldenMFT1,
-			appendTickFrame(nil, 5, []wireTick{{tick: 7, version: 2, events: events}},
-				func(trace.DIMMID) string { return "A4-2666-32" })},
+			appendTickFrame(nil, 5, []wireTick{{tick: 7, version: 2,
+				frame: trace.AppendEventFrame(nil, events, func(trace.DIMMID) string { return "A4-2666-32" })}})},
 		{"MFR1", goldenMFR1, appendRespFrame(nil, []int{7}, [][]mlops.Alarm{alarms})},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {
@@ -227,20 +229,19 @@ func FuzzDecodeTickFrame(f *testing.F) {
 	// A column one past its cell-ID field and a negative rank: refused.
 	for _, a := range []dram.Addr{{Column: 1 << 16}, {Rank: -1}} {
 		e := trace.Event{Time: 9, Type: trace.TypeUE, DIMM: trace.DIMMID{Platform: platform.Purley}, Addr: a}
-		f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1, events: []trace.Event{e}}},
-			func(trace.DIMMID) string { return "A4-2666-32" }))
+		f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1,
+			frame: trace.AppendEventFrame(nil, []trace.Event{e}, func(trace.DIMMID) string { return "A4-2666-32" })}}))
 	}
 	reencode := func(prune int, ticks []decodedTick) []byte {
 		wire := make([]wireTick, len(ticks))
-		var parts []string
 		for i, dt := range ticks {
-			wire[i] = wireTick{tick: dt.tick, version: dt.version, events: dt.events}
-			parts = append(parts, dt.parts...)
+			// The encoder asks for one part number per event, in order; hand
+			// back the recorded ones (a fuzzed frame may give one DIMM two).
+			k := 0
+			frame := trace.AppendEventFrame(nil, dt.events, func(trace.DIMMID) string { k++; return dt.parts[k-1] })
+			wire[i] = wireTick{tick: dt.tick, version: dt.version, frame: frame}
 		}
-		// The encoder asks for one part number per event, in order; hand
-		// back the recorded ones (a fuzzed frame may give one DIMM two).
-		k := 0
-		return appendTickFrame(nil, prune, wire, func(trace.DIMMID) string { k++; return parts[k-1] })
+		return appendTickFrame(nil, prune, wire)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prune, ticks, err := decodeTickFrame(data)
