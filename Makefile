@@ -20,14 +20,19 @@ test-short:
 
 # Besides go vet: the naive references and the switches that selected
 # them live in _test.go files, so no production Go file outside bench/
-# may name Oracle or SetWorkers; and no exported declaration may go
-# unnamed by non-test code (bench/ counts as a user), which
-# TestNoUnusedExports (unused_test.go) lists by name.
+# may name Oracle or SetWorkers; every parallel stage runs one worker per
+# CPU (GOMAXPROCS, which tests pin), so no production Go file outside
+# bench/ may declare a Workers field or a *Workers( function twin; and no
+# exported declaration may go unnamed by non-test code (bench/ counts as
+# a user), which TestNoUnusedExports (unused_test.go) lists by name.
 vet:
 	$(GO) vet ./...
 	$(GO) test -run '^TestNoUnusedExports$$' .
 	@out=$$(grep -rnw --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e Oracle -e SetWorkers .); \
 	if [ -n "$$out" ]; then echo "test-only switch named in production code:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		-e '^[[:space:]]*Workers[[:space:]]+[^[:space:]]' -e '[[:alnum:]_]Workers\(' .); \
+	if [ -n "$$out" ]; then echo "worker-count knob in production code (parallel stages run GOMAXPROCS workers):"; echo "$$out"; exit 1; fi
 
 # Fails if any file needs gofmt.
 fmt:
@@ -151,17 +156,17 @@ examples-smoke:
 	cmp "$$d/cmp-1" "$$d/cmp-4" && echo "examples-smoke: mlops output identical at -shards 1 and 4"
 
 # The whole paper report at a small scale, at the default worker count
-# and on one worker: `memfp repro` promises the same bytes at any -workers,
-# so the two outputs must be identical once the dashboard's shard timing
-# lines are dropped.
+# and on one worker: every parallel stage runs GOMAXPROCS workers and
+# promises the same bytes at any count, so the two outputs must be
+# identical once the dashboard's shard timing lines are dropped.
 repro-smoke:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) build -o "$$d/memfp" ./cmd/memfp && \
 	"$$d/memfp" repro -scale 0.02 -seed 42 > "$$d/out-default" && \
-	"$$d/memfp" repro -scale 0.02 -seed 42 -workers 1 > "$$d/out-1" && \
+	GOMAXPROCS=1 "$$d/memfp" repro -scale 0.02 -seed 42 > "$$d/out-1" && \
 	grep -v '^shard [0-9]*:' "$$d/out-default" > "$$d/cmp-default" && \
 	grep -v '^shard [0-9]*:' "$$d/out-1" > "$$d/cmp-1" && \
-	cmp "$$d/cmp-default" "$$d/cmp-1" && echo "repro-smoke: report identical at default workers and -workers 1"
+	cmp "$$d/cmp-default" "$$d/cmp-1" && echo "repro-smoke: report identical at default workers and GOMAXPROCS=1"
 
 # Run every shipped chaos scenario through the real serving stack; fails
 # if any scenario misses its assertions. (TestShippedScenariosValidate

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	memfp repro  [-exp all|table1|fig2|fig3|fig4|fig5|table2|fig6|transfer] [-scale 0.25] [-seed 42] [-workers 0]
+//	memfp repro  [-exp all|table1|fig2|fig3|fig4|fig5|table2|fig6|transfer] [-scale 0.25] [-seed 42]
 //	memfp generate -platform Intel_Purley [-scale 0.1] [-out fleet.log]
 //	memfp analyze  -in fleet.log
 //	memfp algos

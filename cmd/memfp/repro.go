@@ -15,7 +15,6 @@ import (
 func cmdRepro(args []string) error {
 	fs := flag.NewFlagSet("repro", flag.ExitOnError)
 	scale, seed := commonFlags(fs)
-	workers := fs.Int("workers", 0, "experiment-cell concurrency (0 = one per CPU)")
 	exps := memfp.Experiments()
 	var names []string
 	for _, e := range exps {
@@ -28,7 +27,7 @@ func cmdRepro(args []string) error {
 	if *exp != "all" && !slices.Contains(names, *exp) {
 		return fmt.Errorf("repro: unknown experiment %q (want all|%s)", *exp, strings.Join(names, "|"))
 	}
-	cfg := memfp.Config{Scale: *scale, Seed: *seed, Workers: *workers}
+	cfg := memfp.Config{Scale: *scale, Seed: *seed}
 	ctx := context.Background()
 	for _, e := range exps {
 		if *exp != "all" && *exp != e.Name {

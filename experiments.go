@@ -61,7 +61,7 @@ func RunFigure5(ctx context.Context, cfg Config) ([]Figure5Result, error) {
 func perPlatform[T any](ctx context.Context, cfg Config, exp string, ids []platform.ID,
 	analyze func(platform.ID, *faultsim.Result) T) ([]T, error) {
 	cfg = cfg.withDefaults()
-	return par.Map(ctx, cfg.Workers, ids,
+	return par.Map(ctx, ids,
 		func(id platform.ID) string { return exp + "/" + string(id) },
 		func(ctx context.Context, id platform.ID) (T, error) {
 			res, err := cfg.generate(ctx, id)
@@ -93,7 +93,7 @@ type TableII struct {
 func RunTableII(ctx context.Context, cfg Config) (*TableII, error) {
 	cfg = cfg.withDefaults()
 	ids := platform.All()
-	fleets, err := par.Map(ctx, cfg.Workers, ids,
+	fleets, err := par.Map(ctx, ids,
 		func(id platform.ID) string { return "table2/fleet/" + string(id) },
 		func(ctx context.Context, id platform.ID) (*Fleet, error) {
 			return BuildFleet(ctx, cfg, id)
@@ -121,7 +121,7 @@ func RunTableII(ctx context.Context, cfg Config) (*TableII, error) {
 			})
 		}
 	}
-	cells, err := par.Run(ctx, cfg.Workers, tasks)
+	cells, err := par.Run(ctx, tasks)
 	if err != nil {
 		return nil, fmt.Errorf("memfp: evaluate: %w", err)
 	}

@@ -9,13 +9,9 @@
 // them.
 package analysis
 
-import (
-	"memfp/internal/trace"
-)
-
 // The §V fault-mode thresholds, single-digit like those of the fault
-// taxonomies the paper cites. Every rule below is "count >= threshold",
-// and the incremental classifier relies on each being at least 1.
+// taxonomies the paper cites. Every rule is "count >= threshold", and the
+// incremental classifier relies on each being at least 1.
 const (
 	// minCellCEs: a cell is faulty when it accumulates at least this many
 	// CEs.
@@ -82,86 +78,10 @@ func (c ComponentMode) String() string {
 	}
 }
 
-// bankKey identifies a bank on a device; rowKey/colKey identify a row or
-// column within a bank.
-type bankKey struct{ rank, dev, bank int }
-type rowKey struct {
-	bankKey
-	row int
-}
-type colKey struct {
-	bankKey
-	col int
-}
-type cellKey struct {
-	bankKey
-	row, col int
-}
-
-// Classify runs threshold classification over a set of CE events (already
-// restricted to whatever window the caller wants).
-func Classify(ces []trace.Event) Class {
-	cellCEs := map[cellKey]int{}
-	rowCols := map[rowKey]map[int]struct{}{}
-	colRows := map[colKey]map[int]struct{}{}
-	devCEs := map[int]int{}
-
-	for _, e := range ces {
-		a := e.Addr
-		bk := bankKey{a.Rank, a.Device, a.Bank}
-		ck := cellKey{bk, a.Row, a.Column}
-		rk := rowKey{bk, a.Row}
-		lk := colKey{bk, a.Column}
-		cellCEs[ck]++
-		if rowCols[rk] == nil {
-			rowCols[rk] = map[int]struct{}{}
-		}
-		rowCols[rk][a.Column] = struct{}{}
-		if colRows[lk] == nil {
-			colRows[lk] = map[int]struct{}{}
-		}
-		colRows[lk][a.Row] = struct{}{}
-		devCEs[a.Device]++
-	}
-
-	var c Class
-	for _, n := range cellCEs {
-		if n >= minCellCEs {
-			c.FaultyCells++
-		}
-	}
-	// Faulty rows/columns, tallied per bank so the bank rule can require
-	// both thresholds inside the same bank.
-	bankFaultyRows := map[bankKey]int{}
-	bankFaultyCols := map[bankKey]int{}
-	for rk, cols := range rowCols {
-		if len(cols) >= minRowCols {
-			c.FaultyRows++
-			bankFaultyRows[rk.bankKey]++
-		}
-	}
-	for lk, rows := range colRows {
-		if len(rows) >= minColRows {
-			c.FaultyCols++
-			bankFaultyCols[lk.bankKey]++
-		}
-	}
-	for bk, nr := range bankFaultyRows {
-		if nr >= minBankRows && bankFaultyCols[bk] >= minBankCols {
-			c.FaultyBanks++
-		}
-	}
-	for _, n := range devCEs {
-		if n >= minDeviceCEs {
-			c.FaultyDevices++
-		}
-	}
-	return c.finish()
-}
-
 // finish derives MultiDevice and Mode from the tallies: the one place the
 // bank > row > column > cell > sporadic ladder is written, shared by the
-// batch oracle above and the stateful classifier (Incremental.Class).
+// stateful classifier (Incremental.Class) and the batch reference the
+// tests hold it to (Classify, classify_test.go).
 func (c Class) finish() Class {
 	c.MultiDevice = c.FaultyDevices >= 2
 	switch {

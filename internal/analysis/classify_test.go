@@ -7,6 +7,86 @@ import (
 	"memfp/internal/trace"
 )
 
+// bankKey identifies a bank on a device; rowKey/colKey identify a row or
+// column within a bank.
+type bankKey struct{ rank, dev, bank int }
+type rowKey struct {
+	bankKey
+	row int
+}
+type colKey struct {
+	bankKey
+	col int
+}
+type cellKey struct {
+	bankKey
+	row, col int
+}
+
+// Classify is the batch reference for the §V rules: it classifies a set of
+// CE events from scratch, with struct-keyed maps and no shared state.
+// Production code classifies through Incremental, which
+// TestIncrementalMatchesClassify and TestSlidingMatchesClassify hold to
+// this function.
+func Classify(ces []trace.Event) Class {
+	cellCEs := map[cellKey]int{}
+	rowCols := map[rowKey]map[int]struct{}{}
+	colRows := map[colKey]map[int]struct{}{}
+	devCEs := map[int]int{}
+
+	for _, e := range ces {
+		a := e.Addr
+		bk := bankKey{a.Rank, a.Device, a.Bank}
+		ck := cellKey{bk, a.Row, a.Column}
+		rk := rowKey{bk, a.Row}
+		lk := colKey{bk, a.Column}
+		cellCEs[ck]++
+		if rowCols[rk] == nil {
+			rowCols[rk] = map[int]struct{}{}
+		}
+		rowCols[rk][a.Column] = struct{}{}
+		if colRows[lk] == nil {
+			colRows[lk] = map[int]struct{}{}
+		}
+		colRows[lk][a.Row] = struct{}{}
+		devCEs[a.Device]++
+	}
+
+	var c Class
+	for _, n := range cellCEs {
+		if n >= minCellCEs {
+			c.FaultyCells++
+		}
+	}
+	// Faulty rows/columns, tallied per bank so the bank rule can require
+	// both thresholds inside the same bank.
+	bankFaultyRows := map[bankKey]int{}
+	bankFaultyCols := map[bankKey]int{}
+	for rk, cols := range rowCols {
+		if len(cols) >= minRowCols {
+			c.FaultyRows++
+			bankFaultyRows[rk.bankKey]++
+		}
+	}
+	for lk, rows := range colRows {
+		if len(rows) >= minColRows {
+			c.FaultyCols++
+			bankFaultyCols[lk.bankKey]++
+		}
+	}
+	for bk, nr := range bankFaultyRows {
+		if nr >= minBankRows && bankFaultyCols[bk] >= minBankCols {
+			c.FaultyBanks++
+		}
+	}
+	for _, n := range devCEs {
+		if n >= minDeviceCEs {
+			c.FaultyDevices++
+		}
+	}
+	return c.finish()
+}
+
 func ce(dev, bank, row, col int) trace.Event {
 	return trace.Event{
 		Type: trace.TypeCE,

@@ -10,15 +10,17 @@ import (
 // Remove folds one out. It is the only stateful classifier — the feature
 // extractor keeps one over each DIMM's lifetime prefix (Adds only) and
 // one over its sliding observation window (Add on entry, Remove on
-// expiry). Every rule in Classify is a threshold on a count, so an update
+// expiry). Every §V rule is a threshold on a count, so an update
 // moves each tally by the difference the changed count makes to its rule
 // (crossed), whichever way the count moved: the rules are written once,
 // in addCell, for insertion, removal and bulk rebuild alike. For any
-// multiset, however it was reached, Class() is identical to Classify over
-// the same events (the thresholds are all >= 1), and the state is a function of the per-cell counts alone — which
-// is all AppendBinary writes.
+// multiset, however it was reached, Class() is identical to classifying the
+// same events from scratch (the tests hold it to such a batch reference,
+// Classify in classify_test.go; the thresholds are all >= 1), and the
+// state is a function of the per-cell counts alone — which is all
+// AppendBinary writes.
 //
-// Beyond Classify's outputs, it tracks the distinct-structure counts and
+// Beyond Class, it tracks the distinct-structure counts and
 // the per-cell CE maximum that the feature extractor needs; these too are
 // exact after a Remove.
 //
@@ -26,7 +28,7 @@ import (
 // address packed rank 8 bits, device 8, bank 8, row 24, column 16, rank
 // highest. A row's key is its cells' IDs with the column field cleared, a
 // column's with the row field cleared, a bank's with both. devCEs keys on
-// the device index alone, as Classify's rule does. The decoders of foreign
+// the device index alone, as the §V device rule does. The decoders of foreign
 // bytes refuse addresses outside those widths, so no two cells share a key.
 type Incremental struct {
 	cellCEs map[uint64]int
@@ -184,8 +186,7 @@ func (x *Incremental) addCell(k uint64, n int) {
 	}
 }
 
-// Class returns the classification of the current contents; it matches
-// Classify over the same events.
+// Class returns the classification of the current contents.
 func (x *Incremental) Class() Class {
 	return Class{
 		FaultyCells:   x.faultyCells,

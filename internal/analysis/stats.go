@@ -108,19 +108,15 @@ func Figure4(s *trace.Store) []CategoryStats {
 	}
 	totalUE := 0
 	for _, l := range s.DIMMs() {
-		ces := l.CEs()
+		ces, hasUE := preUECEs(l)
 		if len(ces) == 0 {
-			continue // sudden-UE DIMMs carry no fault evidence
+			continue
 		}
-		ueTime, hasUE := l.FirstUE()
-		// Classify on pre-UE evidence only, as a deployed analysis would.
-		if hasUE {
-			ces = l.CEsBetween(0, ueTime)
-			if len(ces) == 0 {
-				continue
-			}
+		inc := NewIncremental()
+		for _, e := range ces {
+			inc.Add(e)
 		}
-		cl := Classify(ces)
+		cl := inc.Class()
 		var cats []FaultCategory
 		switch cl.Mode {
 		case CompCell:
@@ -159,6 +155,18 @@ func Figure4(s *trace.Store) []CategoryStats {
 		out = append(out, *cs)
 	}
 	return out
+}
+
+// preUECEs returns the CE evidence Figures 4 and 5 read from one DIMM:
+// its CEs before its first UE (all of them if it never failed), as a
+// deployed analysis would see them, and whether it failed. An empty
+// result (a sudden UE, or no CE at all) carries no fault evidence.
+func preUECEs(l *trace.DIMMLog) (ces []trace.Event, hasUE bool) {
+	ueTime, hasUE := l.FirstUE()
+	if hasUE {
+		return l.CEsBetween(0, ueTime), true
+	}
+	return l.CEs(), false
 }
 
 // BitStat is one Figure-5 panel.
@@ -200,16 +208,9 @@ func Figure5(s *trace.Store) map[BitStat][]BitBucket {
 		if l.Part.Width != dram.X4 {
 			continue // the paper's Figure 5 covers x4 devices
 		}
-		ces := l.CEs()
+		ces, hasUE := preUECEs(l)
 		if len(ces) == 0 {
 			continue
-		}
-		ueTime, hasUE := l.FirstUE()
-		if hasUE {
-			ces = l.CEsBetween(0, ueTime)
-			if len(ces) == 0 {
-				continue
-			}
 		}
 		dq, beat, dqi, bi := trace.DominantSignature(ces)
 		for st, v := range map[BitStat]int{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"memfp/internal/platform"
@@ -21,25 +22,38 @@ func fleetBytes(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
+// withProcs runs fn with GOMAXPROCS pinned to n — the generator's worker
+// count — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// generateAt generates cfg's fleet on procs workers.
+func generateAt(t *testing.T, procs int, cfg Config) *Result {
+	t.Helper()
+	var res *Result
+	var err error
+	withProcs(procs, func() { res, err = GenerateCtx(context.Background(), cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestGenerateParallelByteIdentical is the determinism contract of the
 // sharded generator: for the same (platform, scale, seed), every worker
-// count must produce a byte-identical event stream and identical ground
-// truth — each DIMM draws from an index-addressable xrand.Derive stream
-// and shards are merged in DIMM order, so scheduling cannot leak in.
+// count (GOMAXPROCS) must produce a byte-identical event stream and
+// identical ground truth — each DIMM draws from an index-addressable
+// xrand.Derive stream and shards are merged in DIMM order, so scheduling
+// cannot leak in.
 func TestGenerateParallelByteIdentical(t *testing.T) {
 	for _, id := range platform.All() {
-		cfg := Config{Platform: id, Scale: 0.01, Seed: 42, Workers: 1}
-		seq, err := GenerateCtx(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := Config{Platform: id, Scale: 0.01, Seed: 42}
+		seq := generateAt(t, 1, cfg)
 		want := fleetBytes(t, seq)
 		for _, workers := range []int{2, 4, 8} {
-			cfg.Workers = workers
-			par, err := GenerateCtx(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			par := generateAt(t, workers, cfg)
 			if got := fleetBytes(t, par); !bytes.Equal(got, want) {
 				t.Fatalf("%s: workers=%d event stream diverged from sequential (%d vs %d bytes)",
 					id, workers, len(got), len(want))

@@ -39,7 +39,7 @@ func TestRegimeMult(t *testing.T) {
 // late-window regime must raise the CE volume landing inside its window,
 // and an empty regime list must reproduce the historical fleet exactly.
 func TestRegimeShiftsRates(t *testing.T) {
-	base := Config{Platform: platform.Purley, Scale: 0.005, Seed: 7, Workers: 1}
+	base := Config{Platform: platform.Purley, Scale: 0.005, Seed: 7}
 	clean, err := GenerateCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestRegimeValidate(t *testing.T) {
 // TestServerBaseOffsetsIDs checks that ServerBase relocates DIMM
 // identities without disturbing anything else.
 func TestServerBaseOffsetsIDs(t *testing.T) {
-	cfg := Config{Platform: platform.Whitley, Scale: 0.01, Seed: 3, Workers: 1}
+	cfg := Config{Platform: platform.Whitley, Scale: 0.01, Seed: 3}
 	a, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

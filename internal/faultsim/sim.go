@@ -30,11 +30,6 @@ type Config struct {
 	// Calib overrides the default calibration when non-nil (used by
 	// calibration tests and ablations).
 	Calib *Calibration
-	// Workers bounds generation concurrency: 0 runs one worker per CPU,
-	// 1 forces the sequential path. Each DIMM draws its randomness from an
-	// index-addressable stream (xrand.Derive), so the generated fleet is
-	// byte-identical for every worker count.
-	Workers int
 	// Regimes applies timed per-mode CE-rate multipliers (firmware waves,
 	// environmental shifts). Empty means the historical stationary rates.
 	Regimes []Regime
@@ -191,8 +186,8 @@ func suddenCount(calib *Calibration, predictableUEs int) int {
 	return int(math.Round(float64(predictableUEs) * calib.SuddenShare / (1 - calib.SuddenShare)))
 }
 
-// GenerateCtx simulates one platform fleet. DIMMs are sharded across a
-// worker pool (cfg.Workers); each DIMM's randomness comes from
+// GenerateCtx simulates one platform fleet. DIMMs are sharded across one
+// worker per CPU; each DIMM's randomness comes from
 // xrand.Derive(base, dimmIndex), so the output is independent of worker
 // count and scheduling order.
 func GenerateCtx(ctx context.Context, cfg Config) (*Result, error) {
@@ -220,7 +215,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	shardName := func(i int) string { return fmt.Sprintf("gen/%s/dimm%06d", cfg.Platform, i) }
-	shards, err := par.MapN(ctx, cfg.Workers, nCE, shardName,
+	shards, err := par.MapN(ctx, nCE, shardName,
 		func(_ context.Context, i int) (*dimmShard, error) {
 			return genCEDIMM(env, i)
 		})
@@ -240,7 +235,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// Sudden-UE DIMMs: UEs with no CE history. Their stream indices start
 	// at nCE, after the CE DIMMs'.
 	nSudden := suddenCount(calib, predictableUEs)
-	sudden, err := par.MapN(ctx, cfg.Workers, nSudden, shardName,
+	sudden, err := par.MapN(ctx, nSudden, shardName,
 		func(_ context.Context, i int) (*dimmShard, error) {
 			return genSuddenDIMM(env, nCE, i)
 		})
@@ -251,8 +246,8 @@ func GenerateCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	store.SortAllWorkers(cfg.Workers)
-	trace.AnnotateStormsWorkers(store, trace.DefaultStormConfig(), cfg.Workers)
+	store.SortAll()
+	trace.AnnotateStorms(store, trace.DefaultStormConfig())
 	return &Result{Platform: p, Calib: calib, Store: store, Truth: truth}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"memfp/internal/analysis"
@@ -12,6 +13,24 @@ import (
 	"memfp/internal/platform"
 	"memfp/internal/trace"
 )
+
+// withProcs runs fn with GOMAXPROCS pinned to n — BuildAll's worker
+// count — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// classify runs the §V classification over ces from scratch, through a
+// fresh analysis.Incremental (which the analysis tests hold to a batch
+// reference).
+func classify(ces []trace.Event) analysis.Class {
+	x := analysis.NewIncremental()
+	for _, e := range ces {
+		x.Add(e)
+	}
+	return x.Class()
+}
 
 // naiveExtract is the pre-cursor linear extractor, preserved verbatim as
 // an independent oracle: one full scan of the event history per instant.
@@ -92,7 +111,7 @@ func naiveExtract(l *trace.DIMMLog, t trace.Minutes) []float64 {
 	}
 	next(float64(len(activeDays)))
 
-	clsW := analysis.Classify(windowCEs)
+	clsW := classify(windowCEs)
 	next(float64(clsW.FaultyCells))
 	next(float64(clsW.FaultyRows))
 	next(float64(clsW.FaultyCols))
@@ -100,7 +119,7 @@ func naiveExtract(l *trace.DIMMLog, t trace.Minutes) []float64 {
 	next(float64(clsW.FaultyDevices))
 	next(boolf(clsW.MultiDevice))
 
-	clsL := analysis.Classify(lifeCEs)
+	clsL := classify(lifeCEs)
 	next(float64(clsL.FaultyCells))
 	next(float64(clsL.FaultyRows))
 	next(float64(clsL.FaultyCols))
@@ -313,16 +332,19 @@ func TestInstantsMaxPerDIMMOne(t *testing.T) {
 }
 
 // TestBuildAllWorkersDeterministic checks that the sharded extraction
-// produces the identical sample stream for every worker count.
+// produces the identical sample stream at every worker count
+// (GOMAXPROCS).
 func TestBuildAllWorkersDeterministic(t *testing.T) {
 	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Whitley, Scale: 0.01, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultSamplerConfig()
-	ref := BuildAll(cfg, res.Store)
+	var ref []Sample
+	withProcs(1, func() { ref = BuildAll(cfg, res.Store) })
 	for _, workers := range []int{2, 8} {
-		got := BuildAllWorkers(cfg, res.Store, workers)
+		var got []Sample
+		withProcs(workers, func() { got = BuildAll(cfg, res.Store) })
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d samples, want %d", workers, len(got), len(ref))
 		}

@@ -242,8 +242,8 @@ func FuzzDecodeFoldState(f *testing.F) {
 		if p.Err() != nil || p.Remaining() != 0 {
 			t.Fatalf("canonical form is not instants + cells: %v (%d bytes left)", p.Err(), p.Remaining())
 		}
-		if got, want := fs.life.Class(), analysis.Classify(events); got != want {
-			t.Fatalf("decoded classifier says %+v, Classify over its %d events %+v", got, len(events), want)
+		if got, want := fs.life.Class(), classify(events); got != want {
+			t.Fatalf("decoded classifier says %+v, a fresh classifier over its %d events %+v", got, len(events), want)
 		}
 	})
 }

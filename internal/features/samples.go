@@ -96,19 +96,14 @@ func BuildSamples(cfg SamplerConfig, l *trace.DIMMLog) []Sample {
 	return out
 }
 
-// BuildAll extracts samples for every DIMM in the store.
+// BuildAll extracts samples for every DIMM in the store, sharded across
+// one worker per CPU: one task per DIMM, results concatenated in
+// registration order, so the sample stream is identical for any worker
+// count. The store is only read.
 func BuildAll(cfg SamplerConfig, s *trace.Store) []Sample {
-	return BuildAllWorkers(cfg, s, 1)
-}
-
-// BuildAllWorkers is BuildAll sharded across a worker pool: one task per
-// DIMM, results concatenated in registration order, so the sample stream
-// is identical for any worker count; workers <= 0 uses one worker per CPU.
-// The store is only read.
-func BuildAllWorkers(cfg SamplerConfig, s *trace.Store, workers int) []Sample {
 	logs := s.DIMMs()
 	perDIMM := make([][]Sample, len(logs))
-	par.ForEachN(workers, len(logs), func(i int) {
+	par.ForEachN(0, len(logs), func(i int) {
 		perDIMM[i] = BuildSamples(cfg, logs[i])
 	})
 	n := 0

@@ -2,8 +2,16 @@ package forest
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
+
+// withProcs runs fn with GOMAXPROCS pinned to n — the number of trees Fit
+// grows at once — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
 
 // serialize flattens a forest to bytes for exact model comparison.
 func serialize(t *testing.T, m *Model) []byte {
@@ -17,8 +25,8 @@ func serialize(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// TestForestWorkerCountInvariant trains at worker counts {1, 2, 8} and
-// requires byte-identical serialized models: per-tree RNG streams are
+// TestForestWorkerCountInvariant trains at worker counts (GOMAXPROCS)
+// {1, 2, 8} and requires byte-identical serialized models: per-tree RNG streams are
 // index-derived, so scheduling cannot leak into the output.
 func TestForestWorkerCountInvariant(t *testing.T) {
 	X, y := synth(1200, 22)
@@ -27,8 +35,9 @@ func TestForestWorkerCountInvariant(t *testing.T) {
 		p := DefaultParams()
 		p.Trees = 25
 		p.Seed = 5
-		p.Workers = workers
-		m, err := Fit(X, y, p)
+		var m *Model
+		var err error
+		withProcs(workers, func() { m, err = Fit(X, y, p) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ type Params struct {
 	FeatureFrac float64 // per-split feature fraction (√d/d is the classic default)
 	SampleFrac  float64 // bootstrap size relative to the training set
 	Seed        uint64
-	Workers     int // tree-level parallelism (<=0 = one per CPU)
 }
 
 // DefaultParams mirrors common production settings.
@@ -62,9 +61,9 @@ func Fit(X [][]float64, y []int, p Params) (*Model, error) {
 	tp := tree.Params{MaxDepth: p.MaxDepth, MinLeaf: p.MinLeaf, FeatureFrac: p.FeatureFrac,
 		MinGain: 1e-7}
 
-	// Trees already saturate the worker pool, so each tree builds its
-	// histograms serially (tp.Workers left at 0).
-	par.ForEachN(par.Workers(p.Workers), p.Trees, func(t int) {
+	// Trees are spread across one worker per CPU, which they already
+	// saturate, so each tree builds its histograms serially (BuildShared).
+	par.ForEachN(0, p.Trees, func(t int) {
 		// Per-tree RNG keyed by (seed, tree index): determinism does not
 		// depend on goroutine scheduling or worker count.
 		rng := xrand.Derive(p.Seed, uint64(t))

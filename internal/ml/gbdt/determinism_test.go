@@ -2,12 +2,20 @@ package gbdt
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"testing"
 
 	"memfp/internal/ml/tree"
 	"memfp/internal/xrand"
 )
+
+// withProcs runs fn with GOMAXPROCS pinned to n — the histogram fan-out
+// Fit uses — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
 
 func encode(t *testing.T, m *Model) []byte {
 	t.Helper()
@@ -18,10 +26,10 @@ func encode(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// TestGBDTWorkerCountInvariant trains at worker counts {1, 2, 8} and
-// requires byte-identical serialized models: feature-parallel histogram
-// construction accumulates exact integers into disjoint slab regions, so
-// worker count cannot leak into the output.
+// TestGBDTWorkerCountInvariant trains at worker counts (GOMAXPROCS)
+// {1, 2, 8} and requires byte-identical serialized models:
+// feature-parallel histogram construction accumulates exact integers into
+// disjoint slab regions, so worker count cannot leak into the output.
 func TestGBDTWorkerCountInvariant(t *testing.T) {
 	// Big enough that nodes cross the feature-parallel threshold.
 	X, y := synth(6000, 33)
@@ -30,8 +38,9 @@ func TestGBDTWorkerCountInvariant(t *testing.T) {
 		p := DefaultParams()
 		p.Rounds = 25
 		p.Seed = 4
-		p.Workers = workers
-		m, err := Fit(X, y, nil, nil, p)
+		var m *Model
+		var err error
+		withProcs(workers, func() { m, err = Fit(X, y, nil, nil, p) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,6 @@ type Params struct {
 	SampleFrac   float64 // per-tree row subsample
 	EarlyStop    int     // stop after this many rounds without val improvement (0 = off)
 	Seed         uint64
-	Workers      int // feature-parallel histogram workers for large nodes (<=0 = one per CPU)
 }
 
 // DefaultParams mirrors LightGBM's common defaults scaled to our datasets.
@@ -104,7 +103,7 @@ func Fit(X [][]float64, y []int, Xval [][]float64, yval []int, p Params) (*Model
 	m := &Model{Shrink: p.LearningRate, BasePred: base, Dim: len(X[0])}
 	gq := make([]int64, n)
 	hq := make([]int64, n)
-	hb := tree.NewHistBuilder(cols, mapper, gq, hq, par.Workers(p.Workers))
+	hb := tree.NewHistBuilder(cols, mapper, gq, hq, par.Workers(0))
 	// seen[i] == round marks rows covered by this round's leaf spans, so
 	// only out-of-sample rows pay a tree walk.
 	seen := make([]int, n)

@@ -32,7 +32,6 @@ type Params struct {
 	MinLeaf     int     // minimum samples per leaf
 	FeatureFrac float64 // fraction of features considered per split (1 = all)
 	MinGain     float64 // minimum variance reduction to accept a split
-	Workers     int     // feature-parallel histogram workers for large nodes (<=1 serial)
 }
 
 // BuildShared grows a variance-reduction CART on column-major binned
@@ -45,11 +44,12 @@ type Params struct {
 // Split finding is histogram-based with node-level subtraction: the
 // parent's per-feature histograms are built once, and each larger child's
 // histograms are derived by subtracting the smaller sibling's from the
-// parent's instead of re-scanning rows. Fixed-point accumulation (see
-// hist.go) keeps the output independent of Workers and bit-identical to
-// a row-scanning grower that shares none of the subtraction or
-// feature-parallel machinery; the tests keep that grower
-// (rowscan_test.go) and hold this one to it.
+// parent's instead of re-scanning rows. The histograms are built serially:
+// the forest, the only caller, already fills the CPUs with whole trees.
+// Fixed-point accumulation (see hist.go) keeps the output independent of
+// the histogram fan-out and bit-identical to a row-scanning grower that
+// shares none of the subtraction or feature-parallel machinery; the tests
+// keep that grower (rowscan_test.go) and hold this one to it.
 func BuildShared(m *ColMatrix, y []float64, yq []int64, idx []int, bm *BinMapper, p Params, rng *xrand.RNG) *Node {
 	if len(idx) == 0 || len(m.Cols) == 0 {
 		return &Node{Leaf: true, Value: 0}
@@ -57,7 +57,7 @@ func BuildShared(m *ColMatrix, y []float64, yq []int64, idx []int, bm *BinMapper
 	if yq == nil {
 		yq = QuantizeSlice(nil, y)
 	}
-	b := &builder{m: m, y: y, mapper: bm, p: p, rng: rng, hb: NewHistBuilder(m, bm, yq, nil, p.Workers)}
+	b := &builder{m: m, y: y, mapper: bm, p: p, rng: rng, hb: NewHistBuilder(m, bm, yq, nil, 1)}
 	return b.grow(idx, 0, nil)
 }
 

@@ -70,29 +70,29 @@ const parallelRows = 4096
 // are pooled and reused, so a builder allocates O(tree depth) slabs over
 // a whole training run. A builder is not safe for concurrent use by
 // multiple goroutines, but Build itself fans out across features when
-// Workers > 1.
+// built with workers > 1.
 type HistBuilder struct {
-	M       *ColMatrix
-	Mapper  *BinMapper
-	Gq      []int64
-	Hq      []int64
-	Workers int
+	M      *ColMatrix
+	Mapper *BinMapper
+	Gq     []int64
+	Hq     []int64
 
-	off  []int // per-feature slab offsets, len dim+1
-	free []*Hist
+	workers int
+	off     []int // per-feature slab offsets, len dim+1
+	free    []*Hist
 }
 
 // NewHistBuilder prepares a builder for the given matrix and targets.
+// workers is the feature fan-out for large nodes (< 2 builds serially):
+// GBDT passes one per CPU, while the forest's per-tree CARTs pass 1
+// because the trees themselves already fill the CPUs.
 func NewHistBuilder(m *ColMatrix, mapper *BinMapper, gq, hq []int64, workers int) *HistBuilder {
 	dim := len(m.Cols)
 	off := make([]int, dim+1)
 	for f := 0; f < dim; f++ {
 		off[f+1] = off[f] + mapper.Bins(f)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &HistBuilder{M: m, Mapper: mapper, Gq: gq, Hq: hq, Workers: workers, off: off}
+	return &HistBuilder{M: m, Mapper: mapper, Gq: gq, Hq: hq, workers: workers, off: off}
 }
 
 func (b *HistBuilder) alloc() *Hist {
@@ -113,7 +113,7 @@ func (b *HistBuilder) Release(h *Hist) {
 
 // Build accumulates the histogram for the rows in idx (duplicates allowed
 // — bootstrap samples count a row once per occurrence). Large nodes fan
-// the per-feature scans out across Workers goroutines; because each
+// the per-feature scans out across the builder's workers; because each
 // feature owns a disjoint slab region and int64 accumulation is exact,
 // the result is bit-identical at every worker count.
 func (b *HistBuilder) Build(idx []int) *Hist {
@@ -138,8 +138,8 @@ func (b *HistBuilder) Build(idx []int) *Hist {
 			c.N++
 		}
 	}
-	if b.Workers > 1 && len(idx) >= parallelRows && dim > 1 {
-		par.ForEachN(b.Workers, dim, scan)
+	if b.workers > 1 && len(idx) >= parallelRows && dim > 1 {
+		par.ForEachN(b.workers, dim, scan)
 	} else {
 		for f := 0; f < dim; f++ {
 			scan(f)

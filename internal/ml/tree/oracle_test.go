@@ -231,11 +231,14 @@ func TestBuildWorkerIndependence(t *testing.T) {
 	m := FitBins(X, MaxBins)
 	cm := m.BinColumns(X)
 	var ref []byte
+	p := defaultParams()
+	p.FeatureFrac = 0.75
 	for _, workers := range []int{1, 2, 8} {
-		p := defaultParams()
-		p.Workers = workers
-		p.FeatureFrac = 0.75
-		root := BuildShared(cm, y, nil, idx, m, p, xrand.New(7))
+		// BuildShared builds serially; this builder sets the fan-out
+		// explicitly.
+		b := &builder{m: cm, y: y, mapper: m, p: p, rng: xrand.New(7),
+			hb: NewHistBuilder(cm, m, QuantizeSlice(nil, y), nil, workers)}
+		root := b.grow(idx, 0, nil)
 		var buf bytes.Buffer
 		if err := root.Encode(&buf); err != nil {
 			t.Fatal(err)

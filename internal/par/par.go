@@ -39,17 +39,17 @@ func Workers(n int) int {
 	return n
 }
 
-// Run fans tasks out across a pool of at most `workers` goroutines and
+// Run fans tasks out across one goroutine per CPU (GOMAXPROCS) and
 // returns results in task order, regardless of completion order — with the
 // same inputs the output is identical to running the tasks sequentially.
 // The first task error cancels everything still queued and is returned
 // wrapped with the task's name; an already-canceled ctx returns ctx.Err()
 // without starting any task.
-func Run[T any](ctx context.Context, workers int, tasks []Task[T]) ([]T, error) {
+func Run[T any](ctx context.Context, tasks []Task[T]) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers = Workers(workers)
+	workers := Workers(0)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -112,7 +112,7 @@ feed:
 
 // Map is a convenience wrapper over Run for the common fan-out shape: one
 // task per item, results in item order.
-func Map[I, T any](ctx context.Context, workers int, items []I,
+func Map[I, T any](ctx context.Context, items []I,
 	name func(I) string, fn func(ctx context.Context, item I) (T, error)) ([]T, error) {
 	tasks := make([]Task[T], len(items))
 	for i, item := range items {
@@ -120,12 +120,12 @@ func Map[I, T any](ctx context.Context, workers int, items []I,
 			return fn(ctx, item)
 		}}
 	}
-	return Run(ctx, workers, tasks)
+	return Run(ctx, tasks)
 }
 
 // MapN is Map over the index range [0, n): the sharded-loop shape used by
 // the parallel fleet generator, where the item *is* its index.
-func MapN[T any](ctx context.Context, workers, n int,
+func MapN[T any](ctx context.Context, n int,
 	name func(int) string, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	tasks := make([]Task[T], n)
 	for i := 0; i < n; i++ {
@@ -134,7 +134,7 @@ func MapN[T any](ctx context.Context, workers, n int,
 			return fn(ctx, i)
 		}}
 	}
-	return Run(ctx, workers, tasks)
+	return Run(ctx, tasks)
 }
 
 // ForEachN runs fn(i) for every i in [0, n) across at most `workers`

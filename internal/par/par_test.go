@@ -4,10 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// withProcs runs fn with GOMAXPROCS pinned to n — the worker count Run
+// fans out to — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
 
 func TestRunStableOrder(t *testing.T) {
 	for _, n := range []int{0, 100} {
@@ -21,7 +29,9 @@ func TestRunStableOrder(t *testing.T) {
 			}}
 		}
 		for _, workers := range []int{1, 3, 16} {
-			out, err := Run(context.Background(), workers, tasks)
+			var out []int
+			var err error
+			withProcs(workers, func() { out, err = Run(context.Background(), tasks) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +67,8 @@ func TestRunFirstErrorCancels(t *testing.T) {
 				return 0, nil
 			}}
 		}
-		_, err := Run(context.Background(), workers, tasks)
+		var err error
+		withProcs(workers, func() { _, err = Run(context.Background(), tasks) })
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
@@ -79,7 +90,7 @@ func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := Run(ctx, 2, []Task[int]{{Name: "t", Run: func(context.Context) (int, error) {
+	_, err := Run(ctx, []Task[int]{{Name: "t", Run: func(context.Context) (int, error) {
 		ran = true
 		return 0, nil
 	}}})
@@ -92,7 +103,7 @@ func TestRunCanceledContext(t *testing.T) {
 }
 
 func TestMapN(t *testing.T) {
-	out, err := MapN(context.Background(), 0, 10,
+	out, err := MapN(context.Background(), 10,
 		func(i int) string { return fmt.Sprintf("n%d", i) },
 		func(_ context.Context, i int) (int, error) { return i + 1, nil })
 	if err != nil {

@@ -77,8 +77,8 @@ func Generate(ctx context.Context, cfg faultsim.Config) (*faultsim.Result, error
 // Get returns the fleet for cfg, generating it on first use. Configs
 // carrying knobs outside the cache key (a calibration override or event
 // cap) bypass the cache and generate directly, so ablations can never be
-// served a mismatched fleet. cfg.Workers deliberately does NOT bypass or
-// key the cache: the parallel generator is byte-identical for every worker
+// served a mismatched fleet. The worker count (GOMAXPROCS) is not part of
+// the key: the parallel generator is byte-identical for every worker
 // count, so fleets generated at different concurrency are interchangeable.
 // Waiting on an in-flight generation respects ctx; the generation itself
 // is charged to the first caller.

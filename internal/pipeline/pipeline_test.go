@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,13 @@ import (
 // Runner (internal/par, as the experiment cells use it)
 // ---------------------------------------------------------------------------
 
+// withProcs runs fn with GOMAXPROCS pinned to n — the worker count par.Run
+// fans out to — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 func TestRunStableOrder(t *testing.T) {
 	// Later tasks finish first; results must still come back in task order.
 	const n = 16
@@ -29,7 +37,9 @@ func TestRunStableOrder(t *testing.T) {
 			return i * i, nil
 		}}
 	}
-	got, err := par.Run(context.Background(), 8, tasks)
+	var got []int
+	var err error
+	withProcs(8, func() { got, err = par.Run(context.Background(), tasks) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +58,13 @@ func TestRunMatchesSequential(t *testing.T) {
 			return 3*i + 1, nil
 		}}
 	}
-	seq, err := par.Run(context.Background(), 1, tasks)
+	var seq, got []int
+	var err error
+	withProcs(1, func() { seq, err = par.Run(context.Background(), tasks) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := par.Run(context.Background(), 8, tasks)
+	withProcs(8, func() { got, err = par.Run(context.Background(), tasks) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,8 @@ func TestRunErrorCancelsSiblings(t *testing.T) {
 			return 0, nil
 		}})
 	}
-	_, err := par.Run(context.Background(), 1, tasks)
+	var err error
+	withProcs(1, func() { _, err = par.Run(context.Background(), tasks) })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -92,7 +105,7 @@ func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := par.Run(ctx, 4, []par.Task[int]{{Name: "t", Run: func(ctx context.Context) (int, error) {
+	_, err := par.Run(ctx, []par.Task[int]{{Name: "t", Run: func(ctx context.Context) (int, error) {
 		ran = true
 		return 1, nil
 	}}})
@@ -105,7 +118,7 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	got, err := par.Run[int](context.Background(), 4, nil)
+	got, err := par.Run[int](context.Background(), nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: %v, %v", got, err)
 	}

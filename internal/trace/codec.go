@@ -357,15 +357,22 @@ func ReadLogEvents(r *BinReader, n int, id DIMMID) ([]Event, error) {
 	return events, nil
 }
 
+// maxEventBytes bounds one event's encoding in a frame body: the type
+// byte and at most twelve varints (time, platform, server, slot, part,
+// five address fields, bit width and mask).
+const maxEventBytes = 1 + 12*binary.MaxVarintLen64
+
 // AppendEventFrame encodes a batch of events into dst (which may be nil
 // or a recycled buffer) and returns the extended buffer. partOf resolves
 // each event's DIMM to the part number recorded alongside it, exactly as
-// the text log lines do.
+// the text log lines do. The body is encoded into a scratch buffer sized
+// from maxEventBytes, so it never regrows; only the frame appended to dst
+// is returned, so a retained frame carries none of that scratch.
 func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []byte {
 	var tab StringTable
 	// Body first: interning assigns string indices as events are walked,
 	// and the table must precede the events on the wire.
-	body := BinWriter{Buf: make([]byte, 0, 8+6*len(events))}
+	body := BinWriter{Buf: make([]byte, 0, binary.MaxVarintLen64+maxEventBytes*len(events))}
 	body.Uvarint(uint64(len(events)))
 	var prev Minutes
 	for i := range events {

@@ -209,6 +209,43 @@ func TestEventFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestEventFrameAllocsFlatInSize encodes frames shaped like a served
+// tick (one platform, a few dozen DIMMs over three parts, CEs only) at 64
+// and 1,024 events. Both carry the same string table, so the allocations
+// must be the same: the body is sized once from maxEventBytes. The frame
+// must also keep its tight capacity, since the control plane's journal
+// retains it.
+func TestEventFrameAllocsFlatInSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	catalog := platform.Catalog()
+	ids := make([]DIMMID, 32)
+	partOf := map[DIMMID]string{}
+	for i := range ids {
+		ids[i] = DIMMID{Platform: platform.Purley, Server: 1000 + i/8, Slot: i % 8}
+		partOf[ids[i]] = catalog[i%3].PartNumber
+	}
+	events := make([]Event, 1024)
+	tm := Minutes(200000)
+	for i := range events {
+		tm += Minutes(rng.Intn(30))
+		events[i] = Event{Time: tm, Type: TypeCE, DIMM: ids[i%len(ids)], Addr: dram.Addr{
+			Rank: rng.Intn(2), Device: rng.Intn(18), Bank: rng.Intn(16),
+			Row: rng.Intn(1 << 17), Column: rng.Intn(1 << 10)}}
+		events[i].Bits = dram.NewErrorBits(dram.X4)
+		events[i].Bits.Set(rng.Intn(4), rng.Intn(dram.BurstLength))
+	}
+	f := func(id DIMMID) string { return partOf[id] }
+	var frame []byte
+	small := testing.AllocsPerRun(20, func() { frame = AppendEventFrame(nil, events[:64], f) })
+	large := testing.AllocsPerRun(20, func() { frame = AppendEventFrame(nil, events, f) })
+	if large != small {
+		t.Errorf("a 1,024-event frame costs %v allocations, a 64-event frame %v: the buffers regrow", large, small)
+	}
+	if c, n := cap(frame), len(frame); c > n+n/8+8 {
+		t.Errorf("frame of %d bytes keeps capacity %d", n, c)
+	}
+}
+
 // unpackable is an event on a Purley DIMM whose address is outside the
 // cell-ID fields.
 func unpackable(typ EventType, a dram.Addr) Event {

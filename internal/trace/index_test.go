@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -243,7 +244,7 @@ func TestCountEventsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SortAll()
-	want[TypeStorm] = AnnotateStormsWorkers(s, DefaultStormConfig(), 1)
+	want[TypeStorm] = AnnotateStorms(s, DefaultStormConfig())
 
 	for _, typ := range []EventType{TypeCE, TypeUE, TypeStorm} {
 		recount := 0
@@ -281,7 +282,8 @@ func TestAppendEventsRejectsForeignDIMM(t *testing.T) {
 }
 
 // TestSortAllWorkersDeterministic checks that the sharded sort+index pass
-// produces the same store state as the sequential one.
+// produces the same store state at every worker count (GOMAXPROCS) as on
+// one worker.
 func TestSortAllWorkersDeterministic(t *testing.T) {
 	build := func() *Store {
 		s := NewStore()
@@ -306,13 +308,23 @@ func TestSortAllWorkersDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	seq, par4 := build(), build()
-	seq.SortAll()
-	par4.SortAllWorkers(4)
-	la, lb := seq.DIMMs(), par4.DIMMs()
-	for i := range la {
-		if !sameEvents(la[i].Events, lb[i].Events) {
-			t.Fatalf("DIMM %d events differ between sequential and parallel sort", i)
+	seq := build()
+	withProcs(1, seq.SortAll)
+	for _, procs := range []int{2, 8} {
+		s := build()
+		withProcs(procs, s.SortAll)
+		la, lb := seq.DIMMs(), s.DIMMs()
+		for i := range la {
+			if !sameEvents(la[i].Events, lb[i].Events) {
+				t.Fatalf("GOMAXPROCS=%d: DIMM %d events differ from the one-worker sort", procs, i)
+			}
 		}
 	}
+}
+
+// withProcs runs fn with GOMAXPROCS pinned to n — the worker count the
+// store's sharded passes fan out to — and restores the previous value.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
 }

@@ -53,16 +53,16 @@ func DetectStorms(ces []Event, cfg StormConfig) []Event {
 	return storms
 }
 
-// AnnotateStormsWorkers runs storm detection over every DIMM in the store
-// and appends the detected storm events to the logs, resorting each log.
-// It returns the number of storm episodes added. The work is sharded across
-// a worker pool: detection, the storm append and the per-log resort are all
-// confined to a single DIMM, so the result is identical for any worker
-// count; workers <= 0 uses one worker per CPU.
-func AnnotateStormsWorkers(s *Store, cfg StormConfig, workers int) int {
+// AnnotateStorms runs storm detection over every DIMM in the store and
+// appends the detected storm events to the logs, resorting each log. It
+// returns the number of storm episodes added. The work is sharded across
+// one worker per CPU: detection, the storm append and the per-log resort
+// are all confined to a single DIMM, so the result is identical for any
+// worker count.
+func AnnotateStorms(s *Store, cfg StormConfig) int {
 	logs := s.DIMMs()
 	counts := make([]int, len(logs))
-	par.ForEachN(workers, len(logs), func(i int) {
+	par.ForEachN(0, len(logs), func(i int) {
 		l := logs[i]
 		storms := DetectStorms(l.CEs(), cfg)
 		if len(storms) == 0 {

@@ -75,7 +75,7 @@ func TestAnnotateStorms(t *testing.T) {
 		}
 	}
 	s.SortAll()
-	n := AnnotateStormsWorkers(s, DefaultStormConfig(), 1)
+	n := AnnotateStorms(s, DefaultStormConfig())
 	if n != 1 {
 		t.Fatalf("annotated %d storms, want 1", n)
 	}

@@ -442,15 +442,12 @@ func (s *Store) Stream() (all []Event, firstUE map[DIMMID]Minutes) {
 }
 
 // SortAll sorts every DIMM's events by time and builds each log's query
-// index; call once after bulk loading.
-func (s *Store) SortAll() { s.SortAllWorkers(1) }
-
-// SortAllWorkers is SortAll sharded across a worker pool. Sorting and
-// indexing are per-log operations, so the result is identical for any
-// worker count; workers <= 0 uses one worker per CPU.
-func (s *Store) SortAllWorkers(workers int) {
+// index; call once after bulk loading. The logs are sharded across one
+// worker per CPU; sorting and indexing are per-log operations, so the
+// result is identical for any worker count.
+func (s *Store) SortAll() {
 	logs := s.DIMMs()
-	par.ForEachN(workers, len(logs), func(i int) { logs[i].SortEvents() })
+	par.ForEachN(0, len(logs), func(i int) { logs[i].SortEvents() })
 }
 
 // CountEvents returns the total number of events of the given type that

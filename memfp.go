@@ -56,9 +56,6 @@ type Config struct {
 	Scale float64
 	// Seed drives every random choice. Default 42.
 	Seed uint64
-	// Workers bounds experiment-cell concurrency: 0 runs one worker per
-	// CPU, 1 forces the sequential path. Results are identical either way.
-	Workers int
 	// Fleets overrides the fleet cache; nil uses the process-wide shared
 	// cache, so every runner touching the same (platform, scale, seed)
 	// generates the fleet exactly once.
@@ -82,14 +79,9 @@ func (c Config) FleetCache() *pipeline.FleetCache {
 	return pipeline.Shared
 }
 
-// generate fetches one platform's fleet through the configured cache. The
-// Workers knob rides along to the parallel generator; it is not part of
-// the cache key because the generated fleet is byte-identical for every
-// worker count.
+// generate fetches one platform's fleet through the configured cache.
 func (c Config) generate(ctx context.Context, id platform.ID) (*faultsim.Result, error) {
-	return c.FleetCache().Get(ctx, faultsim.Config{
-		Platform: id, Scale: c.Scale, Seed: c.Seed, Workers: c.Workers,
-	})
+	return c.FleetCache().Get(ctx, faultsim.Config{Platform: id, Scale: c.Scale, Seed: c.Seed})
 }
 
 // withDefaults fills zero values.
@@ -123,7 +115,7 @@ func BuildFleet(ctx context.Context, cfg Config, id platform.ID) (*Fleet, error)
 	if err != nil {
 		return nil, fmt.Errorf("memfp: generate %s: %w", id, err)
 	}
-	samples := features.BuildAllWorkers(features.DefaultSamplerConfig(), res.Store, cfg.Workers)
+	samples := features.BuildAll(features.DefaultSamplerConfig(), res.Store)
 	split, err := dataset.TimeSplit(dataset.FromSamples(samples),
 		dataset.TrainEndDay*trace.Day, dataset.ValEndDay*trace.Day)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -73,13 +74,22 @@ func TestRunnersCancelledContext(t *testing.T) {
 	}
 }
 
+// withProcs runs fn with GOMAXPROCS pinned to n — the worker count every
+// parallel stage fans out to — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestWorkersKnobDeterminism runs a cheap analysis experiment at several
-// worker counts and requires identical output.
+// worker counts (GOMAXPROCS) and requires identical output.
 func TestWorkersKnobDeterminism(t *testing.T) {
 	var ref []Figure4Result
 	for _, workers := range []int{1, 2, 8} {
-		cfg := Config{Scale: 0.005, Seed: 17, Workers: workers, Fleets: pipeline.NewFleetCache()}
-		out, err := RunFigure4(context.Background(), cfg)
+		cfg := Config{Scale: 0.005, Seed: 17, Fleets: pipeline.NewFleetCache()}
+		var out []Figure4Result
+		var err error
+		withProcs(workers, func() { out, err = RunFigure4(context.Background(), cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestCaptureTableII(t *testing.T) {
 		t.Skip("set MEMFP_CAPTURE=1 to regenerate Table II pins")
 	}
 	ctx := context.Background()
-	cfg := Config{Scale: 0.02, Seed: 42, Workers: 1}
+	cfg := Config{Scale: 0.02, Seed: 42}
 	for _, id := range platform.All() {
 		fleet, err := BuildFleet(ctx, cfg, id)
 		if err != nil {

@@ -30,9 +30,8 @@ func TestTableIIGrid(t *testing.T) {
 	cfg := Config{Scale: 0.02, Seed: 42}
 
 	// Old sequential path: one platform at a time, one algorithm at a
-	// time, single worker, private cache.
+	// time, private cache.
 	seqCfg := cfg
-	seqCfg.Workers = 1
 	seqCfg.Fleets = pipeline.NewFleetCache()
 	seq := &TableII{Cells: map[platform.ID]map[Algo]Cell{}}
 	for _, id := range platform.All() {
@@ -55,7 +54,6 @@ func TestTableIIGrid(t *testing.T) {
 	// Concurrent pipeline, fresh cache so nothing is shared with the
 	// sequential run.
 	parCfg := cfg
-	parCfg.Workers = 8
 	parCfg.Fleets = pipeline.NewFleetCache()
 	t2, err := RunTableII(ctx, parCfg)
 	if err != nil {

@@ -80,7 +80,7 @@ func TestTableIIPinnedFast(t *testing.T) {
 		t.Skip("trains models on full fleets")
 	}
 	ctx := context.Background()
-	cfg := Config{Scale: 0.02, Seed: 42, Workers: 1}
+	cfg := Config{Scale: 0.02, Seed: 42}
 	for _, id := range platform.All() {
 		fleet, err := BuildFleet(ctx, cfg, id)
 		if err != nil {

@@ -43,7 +43,7 @@ func RunTransferMatrix(ctx context.Context, cfg Config) ([]TransferResult, error
 		fleet *Fleet
 		model model.Model
 	}
-	ts, err := par.Map(ctx, cfg.Workers, ids,
+	ts, err := par.Map(ctx, ids,
 		func(id platform.ID) string { return "transfer/train/" + string(id) },
 		func(ctx context.Context, id platform.ID) (trained, error) {
 			fleet, err := BuildFleet(ctx, cfg, id)
@@ -71,7 +71,7 @@ func RunTransferMatrix(ctx context.Context, cfg Config) ([]TransferResult, error
 			pairs = append(pairs, pair{src, dst})
 		}
 	}
-	return par.Map(ctx, cfg.Workers, pairs,
+	return par.Map(ctx, pairs,
 		func(p pair) string { return fmt.Sprintf("transfer/%s->%s", p.src, p.dst) },
 		func(ctx context.Context, p pair) (TransferResult, error) {
 			srcT, dstT := models[p.src], models[p.dst]
