@@ -61,7 +61,7 @@ func TestRunServeSmoke(t *testing.T) {
 	}
 	lines := strings.Split(out.String(), "\n")
 	for _, p := range append(pinned,
-		"memory budget 1 MiB: resident=11845144B (1 DIMMs live, 1522 frozen), evictions=11685 rehydrations=10163 compactions=13887") {
+		"memory budget 1 MiB: resident=11844960B (1 DIMMs live, 1522 frozen), evictions=11673 rehydrations=10151 compactions=13888") {
 		if !slices.Contains(lines, p) {
 			t.Errorf("memory budget 1 MiB: no line %q in:\n%s", p, out.String())
 		}

@@ -36,20 +36,21 @@ func Classify(ces []trace.Event) Class {
 
 	for _, e := range ces {
 		a := e.Addr
-		bk := bankKey{a.Rank, a.Device, a.Bank}
-		ck := cellKey{bk, a.Row, a.Column}
-		rk := rowKey{bk, a.Row}
-		lk := colKey{bk, a.Column}
+		row, col := int(a.Row), int(a.Column)
+		bk := bankKey{int(a.Rank), int(a.Device), int(a.Bank)}
+		ck := cellKey{bk, row, col}
+		rk := rowKey{bk, row}
+		lk := colKey{bk, col}
 		cellCEs[ck]++
 		if rowCols[rk] == nil {
 			rowCols[rk] = map[int]struct{}{}
 		}
-		rowCols[rk][a.Column] = struct{}{}
+		rowCols[rk][col] = struct{}{}
 		if colRows[lk] == nil {
 			colRows[lk] = map[int]struct{}{}
 		}
-		colRows[lk][a.Row] = struct{}{}
-		devCEs[a.Device]++
+		colRows[lk][row] = struct{}{}
+		devCEs[int(a.Device)]++
 	}
 
 	var c Class
@@ -90,7 +91,7 @@ func Classify(ces []trace.Event) Class {
 func ce(dev, bank, row, col int) trace.Event {
 	return trace.Event{
 		Type: trace.TypeCE,
-		Addr: dram.Addr{Rank: 0, Device: dev, Bank: bank, Row: row, Column: col},
+		Addr: dram.Addr{Rank: 0, Device: uint8(dev), Bank: uint8(bank), Row: uint32(row), Column: uint16(col)},
 	}
 }
 

@@ -146,7 +146,7 @@ func (x *Incremental) addCell(k uint64, n int) {
 	x.events += n
 	x.faultyCells += crossed(old, now, minCellCEs)
 
-	d, dn := move(x.devCEs, dram.CellAddr(k).Device, n)
+	d, dn := move(x.devCEs, int(dram.CellAddr(k).Device), n)
 	x.faultyDevices += crossed(d, dn, minDeviceCEs)
 
 	if old > 0 && x.tallyCells(old, -1) == 0 && old == x.maxCellCEs {

@@ -38,7 +38,7 @@ func (x *Incremental) AppendBinary(w *trace.BinWriter) {
 
 // DecodeIncremental reads a classifier serialized by AppendBinary. Errors
 // latch on r; the caller checks r.Err(). The bytes may be foreign: a cell
-// outside the cell-ID field widths (dram.Addr.CheckFits), a cell listed
+// outside the cell-ID field widths (dram.MakeAddr), a cell listed
 // twice or with no CEs, and a cell count the remaining bytes cannot hold
 // (a cell is six varints) are refused.
 func DecodeIncremental(r *trace.BinReader) *Incremental {
@@ -48,13 +48,14 @@ func DecodeIncremental(r *trace.BinReader) *Incremental {
 		r.Failf("analysis: %d cells declared in %d bytes", cells, r.Remaining())
 	}
 	for i := uint64(0); i < cells && r.Err() == nil; i++ {
-		a := dram.Addr{Rank: int(r.Varint()), Device: int(r.Varint()), Bank: int(r.Varint()),
-			Row: int(r.Varint()), Column: int(r.Varint())}
+		rank, device, bank := int(r.Varint()), int(r.Varint()), int(r.Varint())
+		row, column := int(r.Varint()), int(r.Varint())
 		n := r.Varint()
 		if r.Err() != nil {
 			break
 		}
-		if err := a.CheckFits(); err != nil {
+		a, err := dram.MakeAddr(rank, device, bank, row, column)
+		if err != nil {
 			r.Failf("analysis: cell %d: %v", i, err)
 			break
 		}

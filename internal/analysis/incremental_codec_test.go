@@ -15,11 +15,11 @@ func randCE(rng *rand.Rand) trace.Event {
 	return trace.Event{
 		Type: trace.TypeCE,
 		Addr: dram.Addr{
-			Rank:   rng.Intn(2),
-			Device: rng.Intn(6),
-			Bank:   rng.Intn(4),
-			Row:    rng.Intn(32),
-			Column: rng.Intn(32),
+			Rank:   uint8(rng.Intn(2)),
+			Device: uint8(rng.Intn(6)),
+			Bank:   uint8(rng.Intn(4)),
+			Row:    uint32(rng.Intn(32)),
+			Column: uint16(rng.Intn(32)),
 		},
 	}
 }

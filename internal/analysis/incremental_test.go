@@ -24,11 +24,11 @@ func randomCEs(rng *xrand.RNG, n int) []trace.Event {
 			Time: trace.Minutes(i),
 			Type: trace.TypeCE,
 			Addr: dram.Addr{
-				Rank:   rng.Intn(2),
-				Device: rng.Intn(4),
-				Bank:   rng.Intn(3),
-				Row:    rng.Intn(6),
-				Column: rng.Intn(6),
+				Rank:   uint8(rng.Intn(2)),
+				Device: uint8(rng.Intn(4)),
+				Bank:   uint8(rng.Intn(3)),
+				Row:    uint32(rng.Intn(6)),
+				Column: uint16(rng.Intn(6)),
 			},
 		})
 	}
@@ -65,10 +65,11 @@ func TestIncrementalMatchesClassify(t *testing.T) {
 		maxCell := 0
 		for _, e := range events {
 			a := e.Addr
-			banks[[3]int{a.Rank, a.Device, a.Bank}] = struct{}{}
-			rows[[4]int{a.Rank, a.Device, a.Bank, a.Row}] = struct{}{}
-			cols[[4]int{a.Rank, a.Device, a.Bank, a.Column}] = struct{}{}
-			k := [5]int{a.Rank, a.Device, a.Bank, a.Row, a.Column}
+			r, d, b, row, col := int(a.Rank), int(a.Device), int(a.Bank), int(a.Row), int(a.Column)
+			banks[[3]int{r, d, b}] = struct{}{}
+			rows[[4]int{r, d, b, row}] = struct{}{}
+			cols[[4]int{r, d, b, col}] = struct{}{}
+			k := [5]int{r, d, b, row, col}
 			cells[k]++
 			if cells[k] > maxCell {
 				maxCell = cells[k]
@@ -120,9 +121,10 @@ func TestIncrementalFieldBoundaries(t *testing.T) {
 		maxCell := 0
 		for _, e := range held {
 			a := e.Addr
-			banks[[3]int{a.Rank, a.Device, a.Bank}] = true
-			rows[[4]int{a.Rank, a.Device, a.Bank, a.Row}] = true
-			cols[[4]int{a.Rank, a.Device, a.Bank, a.Column}] = true
+			r, d, b := int(a.Rank), int(a.Device), int(a.Bank)
+			banks[[3]int{r, d, b}] = true
+			rows[[4]int{r, d, b, int(a.Row)}] = true
+			cols[[4]int{r, d, b, int(a.Column)}] = true
 			cells[a]++
 			maxCell = max(maxCell, cells[a])
 		}
@@ -166,11 +168,11 @@ func randCEs(rng *rand.Rand, n int) []trace.Event {
 			Time: trace.Minutes(i),
 			Type: trace.TypeCE,
 			Addr: dram.Addr{
-				Rank:   rng.Intn(2),
-				Device: rng.Intn(4),
-				Bank:   rng.Intn(3),
-				Row:    rng.Intn(5),
-				Column: rng.Intn(5),
+				Rank:   uint8(rng.Intn(2)),
+				Device: uint8(rng.Intn(4)),
+				Bank:   uint8(rng.Intn(3)),
+				Row:    uint32(rng.Intn(5)),
+				Column: uint16(rng.Intn(5)),
 			},
 		}
 	}
@@ -247,7 +249,7 @@ func TestSlidingMatchesClassify(t *testing.T) {
 
 // ceOn is one CE on the given cell.
 func ceOn(rank, dev, bank, row, col int) trace.Event {
-	return trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: rank, Device: dev, Bank: bank, Row: row, Column: col}}
+	return trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: uint8(rank), Device: uint8(dev), Bank: uint8(bank), Row: uint32(row), Column: uint16(col)}}
 }
 
 // TestMemEstimatePinned pins MemEstimate on hand-built multisets. It is the
@@ -309,7 +311,8 @@ func TestAddRemoveAllocFree(t *testing.T) {
 	}
 	held := randCE(rng)
 	x.Add(held)
-	fresh := ceOn(held.Addr.Rank, held.Addr.Device, held.Addr.Bank, 1000, 1000)
+	fresh := held
+	fresh.Addr.Row, fresh.Addr.Column = 1000, 1000
 	for name, e := range map[string]trace.Event{"fresh cell": fresh, "held cell": held} {
 		if n := testing.AllocsPerRun(1000, func() { x.Add(e); x.Remove(e) }); n != 0 {
 			t.Errorf("%s: Add+Remove allocates %v times, want 0", name, n)

@@ -38,7 +38,7 @@ func ceAt(tm trace.Minutes, row, col int) trace.Event {
 	bits := dram.NewErrorBits(dram.X4)
 	bits.Set(0, 0)
 	return trace.Event{Time: tm, Type: trace.TypeCE,
-		Addr: dram.Addr{Rank: 0, Device: 1, Bank: 1, Row: row, Column: col}, Bits: bits}
+		Addr: dram.Addr{Rank: 0, Device: 1, Bank: 1, Row: uint32(row), Column: uint16(col)}, Bits: bits}
 }
 
 func ueAt(tm trace.Minutes) trace.Event {
@@ -113,7 +113,7 @@ func TestFigure5BucketsByDominantSignature(t *testing.T) {
 		bits.Set(0, 1)
 		bits.Set(2, 5)
 		events = append(events, trace.Event{Time: trace.Minutes(10 + i), Type: trace.TypeCE,
-			Addr: dram.Addr{Rank: 0, Device: 1, Bank: 1, Row: 1, Column: i}, Bits: bits})
+			Addr: dram.Addr{Rank: 0, Device: 1, Bank: 1, Row: 1, Column: uint16(i)}, Bits: bits})
 	}
 	events = append(events, ueAt(100))
 	addDIMM(t, s, part, 0, events...)

@@ -162,8 +162,9 @@ type Server struct {
 	paused     bool  // maintenance window: ticks journal but are not delivered
 	closed     bool
 	alarms     []mlops.Alarm
-	ownerBuf   []int32       // partitionLocked scratch: per-event owner node
-	eventBuf   []trace.Event // partitionLocked scratch: the partition's backing
+	ownerBuf   []int32                 // partitionLocked scratch: per-event owner node
+	eventBuf   []trace.Event           // partitionLocked scratch: the partition's backing
+	frameEnc   trace.EventFrameEncoder // ingestTick's MFE1 body scratch
 }
 
 // New builds a control-plane server. With cfg.ExpectNodes == 0 it builds
@@ -322,7 +323,7 @@ func (s *Server) ingestTick(events []trace.Event) (TickResult, error) {
 	frames := make([][]byte, s.cfg.ExpectNodes)
 	for i, ev := range s.partitionLocked(events) {
 		if len(ev) > 0 {
-			frames[i] = trace.AppendEventFrame(nil, ev, partOf)
+			frames[i] = s.frameEnc.Append(nil, ev, partOf)
 		}
 	}
 	s.journal.append(newTickRec(frames, pv.Version))

@@ -226,11 +226,16 @@ func seedFrames(f *testing.F, golden string) {
 // bytes could have held.
 func FuzzDecodeTickFrame(f *testing.F) {
 	seedFrames(f, goldenMFT1)
-	// A column one past its cell-ID field and a negative rank: refused.
-	for _, a := range []dram.Addr{{Column: 1 << 16}, {Rank: -1}} {
-		e := trace.Event{Time: 9, Type: trace.TypeUE, DIMM: trace.DIMMID{Platform: platform.Purley}, Addr: a}
-		f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1,
-			frame: trace.AppendEventFrame(nil, []trace.Event{e}, func(trace.DIMMID) string { return "A4-2666-32" })}}))
+	// A column one past its cell-ID field and a negative rank, written over
+	// the five zero address varints that end a one-UE frame: refused.
+	ue := trace.Event{Time: 9, Type: trace.TypeUE, DIMM: trace.DIMMID{Platform: platform.Purley}}
+	valid := trace.AppendEventFrame(nil, []trace.Event{ue}, func(trace.DIMMID) string { return "A4-2666-32" })
+	for _, addr := range [][5]int64{{0, 0, 0, 0, 1 << 16}, {-1, 0, 0, 0, 0}} {
+		w := trace.BinWriter{Buf: bytes.Clone(valid[:len(valid)-5])}
+		for _, v := range addr {
+			w.Varint(v)
+		}
+		f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1, frame: w.Buf}}))
 	}
 	reencode := func(prune int, ticks []decodedTick) []byte {
 		wire := make([]wireTick, len(ticks))
@@ -254,6 +259,9 @@ func FuzzDecodeTickFrame(f *testing.F) {
 			for _, e := range dt.events {
 				if (e.Type == trace.TypeCE || e.Type == trace.TypeUE) && dram.CellAddr(e.Addr.CellID()) != e.Addr {
 					t.Fatalf("accepted %v address %v unpacks to %v", e.Type, e.Addr, dram.CellAddr(e.Addr.CellID()))
+				}
+				if e.Type == trace.TypeCE && e.Bits.Width != dram.X4 && e.Bits.Width != dram.X8 {
+					t.Fatalf("accepted CE with bit width %d", e.Bits.Width)
 				}
 			}
 		}

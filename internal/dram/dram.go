@@ -11,8 +11,9 @@ package dram
 
 import "fmt"
 
-// Width is the data width of a DRAM device (chip).
-type Width int
+// Width is the data width of a DRAM device (chip): X4 or X8. The binary
+// event decoders refuse any other value before narrowing it to a byte.
+type Width uint8
 
 // Supported device widths.
 const (
@@ -72,13 +73,16 @@ func (g Geometry) Banks() int { return g.BankGroups * g.BanksPerGroup }
 // TotalDevices returns data+ECC devices per rank.
 func (g Geometry) TotalDevices() int { return g.DevicesPerRank + g.ECCDevices }
 
-// Addr locates a memory cell inside one DIMM.
+// Addr locates a memory cell inside one DIMM. Each field is as wide as its
+// cell-ID field (see Cell IDs below) or the next wider integer type, so
+// every address the type can hold packs except a row past 24 bits; the
+// fields are ordered widest first, leaving no padding (12 bytes).
 type Addr struct {
-	Rank   int
-	Device int // chip index within the rank, 0-based
-	Bank   int // flat bank index: group*BanksPerGroup + bank
-	Row    int
-	Column int
+	Row    uint32
+	Column uint16
+	Rank   uint8
+	Device uint8 // chip index within the rank, 0-based
+	Bank   uint8 // flat bank index: group*BanksPerGroup + bank
 }
 
 // String implements fmt.Stringer.
@@ -109,42 +113,43 @@ const (
 )
 
 // CellID returns a single comparable identifier for the cell: its fields
-// packed as the Cell IDs layout above gives. The address must pass
-// CheckFits (decoders of foreign bytes refuse those that do not); a field
-// outside its width would spill into its neighbour.
+// packed as the Cell IDs layout above gives. The row must fit its 24 bits
+// (MakeAddr, through which decoders of foreign bytes build addresses,
+// refuses one that does not); a wider row would spill into the bank.
 func (a Addr) CellID() uint64 {
 	return uint64(a.Rank)<<rankShift | uint64(a.Device)<<deviceShift |
 		uint64(a.Bank)<<bankShift | uint64(a.Row)<<rowShift | uint64(a.Column)
 }
 
 // CellAddr unpacks a cell ID: CellAddr(a.CellID()) == a for every address
-// that passes CheckFits.
+// MakeAddr accepts.
 func CellAddr(id uint64) Addr {
 	return Addr{
-		Rank:   int(id >> rankShift),
-		Device: int(id >> deviceShift & (1<<deviceBits - 1)),
-		Bank:   int(id >> bankShift & (1<<bankBits - 1)),
-		Row:    int(id >> rowShift & (1<<rowBits - 1)),
-		Column: int(id & ColumnIDMask),
+		Rank:   uint8(id >> rankShift),
+		Device: uint8(id >> deviceShift),
+		Bank:   uint8(id >> bankShift),
+		Row:    uint32(id >> rowShift & (1<<rowBits - 1)),
+		Column: uint16(id),
 	}
 }
 
-// CheckFits returns an error naming the first field that is negative or
-// too wide for its cell-ID field, with its value and the width, or nil
-// when the address packs.
-func (a Addr) CheckFits() error {
+// MakeAddr builds an address from integer fields, checking each before it
+// narrows: a field that is negative or too wide for its cell-ID field is
+// refused with an error naming the first such field, its value and the
+// width, so an out-of-range value never wraps into range.
+func MakeAddr(rank, device, bank, row, column int) (Addr, error) {
 	fields := [...]struct {
 		name string
 		v    int
 		bits uint
 	}{
-		{"rank", a.Rank, rankBits}, {"device", a.Device, deviceBits}, {"bank", a.Bank, bankBits},
-		{"row", a.Row, rowBits}, {"column", a.Column, columnBits},
+		{"rank", rank, rankBits}, {"device", device, deviceBits}, {"bank", bank, bankBits},
+		{"row", row, rowBits}, {"column", column, columnBits},
 	}
 	for _, f := range fields {
 		if uint(f.v) >= 1<<f.bits {
-			return fmt.Errorf("dram: %s %d outside its %d-bit cell-ID field", f.name, f.v, f.bits)
+			return Addr{}, fmt.Errorf("dram: %s %d outside its %d-bit cell-ID field", f.name, f.v, f.bits)
 		}
 	}
-	return nil
+	return Addr{Rank: uint8(rank), Device: uint8(device), Bank: uint8(bank), Row: uint32(row), Column: uint16(column)}, nil
 }

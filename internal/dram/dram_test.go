@@ -51,7 +51,7 @@ func TestCellIDUnique(t *testing.T) {
 			for _, bank := range []int{0, 15} {
 				for _, row := range []int{0, 1, g.Rows - 1} {
 					for _, col := range []int{0, g.Columns - 1} {
-						a := Addr{rank, dev, bank, row, col}
+						a := mustAddr(t, rank, dev, bank, row, col)
 						id := a.CellID()
 						if prev, ok := seen[id]; ok {
 							t.Fatalf("CellID collision: %v and %v → %d", prev, a, id)
@@ -71,10 +71,10 @@ func TestCellIDInjectiveQuick(t *testing.T) {
 	// must not collide.
 	g.Ranks, g.Rows, g.Columns = 1<<8, 1<<16, 1<<16
 	f := func(r1, d1, b1, w1, c1, r2, d2, b2, w2, c2 uint16) bool {
-		a1 := Addr{int(r1) % g.Ranks, int(d1) % g.TotalDevices(), int(b1) % g.Banks(),
-			int(w1) % g.Rows, int(c1) % g.Columns}
-		a2 := Addr{int(r2) % g.Ranks, int(d2) % g.TotalDevices(), int(b2) % g.Banks(),
-			int(w2) % g.Rows, int(c2) % g.Columns}
+		a1 := mustAddr(t, int(r1)%g.Ranks, int(d1)%g.TotalDevices(), int(b1)%g.Banks(),
+			int(w1)%g.Rows, int(c1)%g.Columns)
+		a2 := mustAddr(t, int(r2)%g.Ranks, int(d2)%g.TotalDevices(), int(b2)%g.Banks(),
+			int(w2)%g.Rows, int(c2)%g.Columns)
 		if CellAddr(a1.CellID()) != a1 || CellAddr(a2.CellID()) != a2 {
 			return false
 		}
@@ -89,44 +89,50 @@ func TestCellIDInjectiveQuick(t *testing.T) {
 }
 
 // TestCellIDFields checks the cell-ID widths: DefaultGeometry fits for both
-// device widths, a field one past its width or negative is refused by
-// name, and ascending IDs order cells as (rank, device, bank, row, column)
-// does.
+// device widths, MakeAddr refuses a field one past its width or negative
+// by name, and ascending IDs order cells as (rank, device, bank, row,
+// column) does.
 func TestCellIDFields(t *testing.T) {
 	for _, w := range []Width{X4, X8} {
 		g := DefaultGeometry(w)
-		top := Addr{g.Ranks - 1, g.TotalDevices() - 1, g.Banks() - 1, g.Rows - 1, g.Columns - 1}
-		if err := top.CheckFits(); err != nil {
+		if _, err := MakeAddr(g.Ranks-1, g.TotalDevices()-1, g.Banks()-1, g.Rows-1, g.Columns-1); err != nil {
 			t.Errorf("%v geometry does not fit the cell-ID fields: %v", w, err)
 		}
 	}
 	widest := CellAddr(^uint64(0))
-	if widest != (Addr{1<<8 - 1, 1<<8 - 1, 1<<8 - 1, 1<<24 - 1, 1<<16 - 1}) {
-		t.Fatalf("all-ones cell ID unpacks to %v", widest)
-	}
-	if err := widest.CheckFits(); err != nil || widest.CellID() != ^uint64(0) {
-		t.Fatalf("widest address: %v, ID %#x", err, widest.CellID())
+	if widest != mustAddr(t, 1<<8-1, 1<<8-1, 1<<8-1, 1<<24-1, 1<<16-1) || widest.CellID() != ^uint64(0) {
+		t.Fatalf("all-ones cell ID unpacks to %v, ID %#x", widest, widest.CellID())
 	}
 	for _, c := range []struct {
-		a    Addr
+		f    [5]int // rank, device, bank, row, column
 		want string
 	}{
-		{Addr{Rank: 1 << 8}, "rank 256 outside its 8-bit"},
-		{Addr{Device: 1 << 8}, "device 256 outside its 8-bit"},
-		{Addr{Bank: 1 << 8}, "bank 256 outside its 8-bit"},
-		{Addr{Row: 1 << 24}, "row 16777216 outside its 24-bit"},
-		{Addr{Column: 1 << 16}, "column 65536 outside its 16-bit"},
-		{Addr{Column: -1}, "column -1 outside its 16-bit"},
-		{Addr{Rank: -3, Row: 1 << 30}, "rank -3 outside"},
+		{[5]int{1 << 8, 0, 0, 0, 0}, "rank 256 outside its 8-bit"},
+		{[5]int{0, 1 << 8, 0, 0, 0}, "device 256 outside its 8-bit"},
+		{[5]int{0, 0, 1 << 8, 0, 0}, "bank 256 outside its 8-bit"},
+		{[5]int{0, 0, 0, 1 << 24, 0}, "row 16777216 outside its 24-bit"},
+		{[5]int{0, 0, 0, 0, 1 << 16}, "column 65536 outside its 16-bit"},
+		{[5]int{0, 0, 0, 0, -1}, "column -1 outside its 16-bit"},
+		{[5]int{-3, 0, 0, 1 << 30, 0}, "rank -3 outside"},
 	} {
-		if err := c.a.CheckFits(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("CheckFits(%v) = %v, want %q", c.a, err, c.want)
+		if a, err := MakeAddr(c.f[0], c.f[1], c.f[2], c.f[3], c.f[4]); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("MakeAddr%v = %v, %v, want %q", c.f, a, err, c.want)
 		}
 	}
-	lo, hi := Addr{0, 1, 1 << 7, 1<<24 - 1, 1<<16 - 1}, Addr{0, 1, 1<<7 + 1, 0, 0}
+	lo, hi := mustAddr(t, 0, 1, 1<<7, 1<<24-1, 1<<16-1), mustAddr(t, 0, 1, 1<<7+1, 0, 0)
 	if lo.CellID() >= hi.CellID() {
 		t.Errorf("%v packs above %v", lo, hi)
 	}
+}
+
+// mustAddr is MakeAddr for fields a test knows to fit.
+func mustAddr(t testing.TB, rank, device, bank, row, column int) Addr {
+	t.Helper()
+	a, err := MakeAddr(rank, device, bank, row, column)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestWidthString(t *testing.T) {

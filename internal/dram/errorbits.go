@@ -12,8 +12,8 @@ import (
 // 4 (DQ) × 8 (beat) grid, stored as a 32-bit mask with bit index
 // beat*4 + dq. This is the structure analyzed in paper Figure 5.
 type ErrorBits struct {
-	Width Width  // device width the signature belongs to
 	Mask  uint64 // bit (beat*int(Width) + dq) set when that (beat, dq) position saw an error
+	Width Width  // device width the signature belongs to
 }
 
 // NewErrorBits returns an empty signature for the given device width.

@@ -80,65 +80,72 @@ func (f *Fault) SampleAddr(rng *xrand.RNG) dram.Addr {
 	if len(f.Regions) > 1 {
 		reg = f.Regions[rng.Intn(len(f.Regions))]
 	}
-	a := dram.Addr{Rank: f.Rank, Device: reg.device, Bank: reg.bank, Row: reg.row, Column: reg.col}
+	dev, bank, row, col := reg.device, reg.bank, reg.row, reg.col
 	switch f.Mode {
 	case ModeSporadic:
 		// Scattered: random location, usually on the fault's device.
 		if rng.Bool(0.25) {
-			a.Device = rng.Intn(f.geo.TotalDevices())
+			dev = rng.Intn(f.geo.TotalDevices())
 		}
-		a.Bank = rng.Intn(f.geo.Banks())
-		a.Row = rng.Intn(f.geo.Rows)
-		a.Column = rng.Intn(f.geo.Columns)
+		bank = rng.Intn(f.geo.Banks())
+		row = rng.Intn(f.geo.Rows)
+		col = rng.Intn(f.geo.Columns)
 	case ModeCell:
 		// Dominantly the same cell; occasional fully scattered noise
 		// (kept off the fault row so noise cannot mimic a row fault).
 		if rng.Bool(0.08) {
-			a.Bank = rng.Intn(f.geo.Banks())
-			a.Row = rng.Intn(f.geo.Rows)
-			a.Column = rng.Intn(f.geo.Columns)
+			bank = rng.Intn(f.geo.Banks())
+			row = rng.Intn(f.geo.Rows)
+			col = rng.Intn(f.geo.Columns)
 		}
 	case ModeColumn:
-		a.Row = rng.Intn(f.geo.Rows)
+		row = rng.Intn(f.geo.Rows)
 		if rng.Bool(0.10) {
-			a.Column = rng.Intn(f.geo.Columns)
+			col = rng.Intn(f.geo.Columns)
 		}
 	case ModeRow:
-		a.Column = rng.Intn(f.geo.Columns)
+		col = rng.Intn(f.geo.Columns)
 		if rng.Bool(0.10) {
-			a.Row = rng.Intn(f.geo.Rows)
+			row = rng.Intn(f.geo.Rows)
 		}
 	case ModeBank, ModeMultiDevice:
-		a = f.sampleRegion(reg, rng)
+		return f.sampleRegion(reg, rng)
 	}
-	return a
+	return f.addr(dev, bank, row, col)
 }
 
 // sampleRegion draws a CE location within one region, honoring bank-wide
 // structure (anchored rows and columns) when present.
 func (f *Fault) sampleRegion(reg region, rng *xrand.RNG) dram.Addr {
-	a := dram.Addr{Rank: f.Rank, Device: reg.device, Bank: reg.bank}
+	var row, col int
 	if !reg.bankWide {
 		// Row-structured region: fixed row, random columns.
-		a.Row = reg.row
-		a.Column = rng.Intn(f.geo.Columns)
+		row = reg.row
+		col = rng.Intn(f.geo.Columns)
 		if rng.Bool(0.10) {
-			a.Row = rng.Intn(f.geo.Rows)
+			row = rng.Intn(f.geo.Rows)
 		}
-		return a
+		return f.addr(reg.device, reg.bank, row, col)
 	}
 	switch {
 	case rng.Bool(0.5):
-		a.Row = reg.anchorRows[rng.Intn(len(reg.anchorRows))]
-		a.Column = rng.Intn(f.geo.Columns)
+		row = reg.anchorRows[rng.Intn(len(reg.anchorRows))]
+		col = rng.Intn(f.geo.Columns)
 	case rng.Bool(0.8):
-		a.Row = rng.Intn(f.geo.Rows)
-		a.Column = reg.anchorCols[rng.Intn(len(reg.anchorCols))]
+		row = rng.Intn(f.geo.Rows)
+		col = reg.anchorCols[rng.Intn(len(reg.anchorCols))]
 	default:
-		a.Row = rng.Intn(f.geo.Rows)
-		a.Column = rng.Intn(f.geo.Columns)
+		row = rng.Intn(f.geo.Rows)
+		col = rng.Intn(f.geo.Columns)
 	}
-	return a
+	return f.addr(reg.device, reg.bank, row, col)
+}
+
+// addr narrows a location on the fault's rank to a dram.Addr. Every draw
+// is inside the fault's geometry, which fits the address fields
+// (TestCellIDFields checks DefaultGeometry).
+func (f *Fault) addr(dev, bank, row, col int) dram.Addr {
+	return dram.Addr{Rank: uint8(f.Rank), Device: uint8(dev), Bank: uint8(bank), Row: uint32(row), Column: uint16(col)}
 }
 
 // SampleCEBits draws the bit-level signature of one CE and verifies the

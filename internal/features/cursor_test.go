@@ -134,10 +134,11 @@ func naiveExtract(l *trace.DIMMLog, t trace.Minutes) []float64 {
 	maxCell := 0
 	for _, e := range lifeCEs {
 		a := e.Addr
-		banks[[3]int{a.Rank, a.Device, a.Bank}] = struct{}{}
-		rows[[4]int{a.Rank, a.Device, a.Bank, a.Row}] = struct{}{}
-		cols[[4]int{a.Rank, a.Device, a.Bank, a.Column}] = struct{}{}
-		k := [5]int{a.Rank, a.Device, a.Bank, a.Row, a.Column}
+		r, d, b, row, col := int(a.Rank), int(a.Device), int(a.Bank), int(a.Row), int(a.Column)
+		banks[[3]int{r, d, b}] = struct{}{}
+		rows[[4]int{r, d, b, row}] = struct{}{}
+		cols[[4]int{r, d, b, col}] = struct{}{}
+		k := [5]int{r, d, b, row, col}
 		cellCE[k]++
 		if cellCE[k] > maxCell {
 			maxCell = cellCE[k]

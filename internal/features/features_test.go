@@ -26,7 +26,7 @@ func addCE(l *trace.DIMMLog, tm trace.Minutes, row, col int) {
 	bits.Set(1, 4)
 	l.Append(trace.Event{
 		Time: tm, Type: trace.TypeCE, DIMM: l.ID,
-		Addr: dram.Addr{Rank: 0, Device: 3, Bank: 2, Row: row, Column: col},
+		Addr: dram.Addr{Rank: 0, Device: 3, Bank: 2, Row: uint32(row), Column: uint16(col)},
 		Bits: bits,
 	})
 }

@@ -161,7 +161,7 @@ func FuzzDecodeFoldState(f *testing.F) {
 	seed := empty()
 	for i := 0; i < 60; i++ {
 		seed.fold(trace.Event{Time: trace.Minutes(10 * i), Type: trace.TypeCE,
-			Addr: dram.Addr{Rank: i % 2, Device: i % 3, Bank: i % 2, Row: i % 5, Column: i % 7}})
+			Addr: dram.Addr{Rank: uint8(i % 2), Device: uint8(i % 3), Bank: uint8(i % 2), Row: uint32(i % 5), Column: uint16(i % 7)}})
 	}
 	encode := func(fs *FoldState) []byte {
 		var w trace.BinWriter
@@ -205,9 +205,12 @@ func FuzzDecodeFoldState(f *testing.F) {
 		in.Varint() // two instants
 		in.Varint()
 		for i, cells := uint64(0), in.Uvarint(); i < cells; i++ {
-			a := dram.Addr{Rank: int(in.Varint()), Device: int(in.Varint()), Bank: int(in.Varint()),
-				Row: int(in.Varint()), Column: int(in.Varint())}
+			a, err := dram.MakeAddr(int(in.Varint()), int(in.Varint()), int(in.Varint()),
+				int(in.Varint()), int(in.Varint()))
 			in.Varint()
+			if err != nil {
+				t.Fatalf("accepted cell %d: %v", i, err)
+			}
 			if dram.CellAddr(a.CellID()) != a {
 				t.Fatalf("accepted cell %v unpacks to %v", a, dram.CellAddr(a.CellID()))
 			}
@@ -229,8 +232,8 @@ func FuzzDecodeFoldState(f *testing.F) {
 		p.Varint()
 		var events []trace.Event
 		for i, cells := uint64(0), p.Uvarint(); i < cells; i++ {
-			e := trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: int(p.Varint()), Device: int(p.Varint()),
-				Bank: int(p.Varint()), Row: int(p.Varint()), Column: int(p.Varint())}}
+			e := trace.Event{Type: trace.TypeCE, Addr: dram.Addr{Rank: uint8(p.Varint()), Device: uint8(p.Varint()),
+				Bank: uint8(p.Varint()), Row: uint32(p.Varint()), Column: uint16(p.Varint())}}
 			n := p.Varint()
 			if n > 1<<12 || len(events) > 1<<16 {
 				return // too many events to expand; the small cases carry the property

@@ -79,8 +79,8 @@ func bucket(score float64) int {
 
 // CountEvent tallies one ingested event. Lock-free.
 func (m *Monitor) CountEvent(e trace.Event) {
-	if t := int(e.Type); t >= 0 && t < len(m.events) {
-		m.events[t].Add(1)
+	if int(e.Type) < len(m.events) {
+		m.events[e.Type].Add(1)
 	}
 }
 
@@ -95,8 +95,8 @@ func (m *Monitor) CountAlarm(Alarm) { m.alarms.Add(1) }
 
 // EventCount returns the number of ingested events of one type.
 func (m *Monitor) EventCount(t trace.EventType) int {
-	if i := int(t); i >= 0 && i < len(m.events) {
-		return int(m.events[i].Load())
+	if int(t) < len(m.events) {
+		return int(m.events[t].Load())
 	}
 	return 0
 }

@@ -599,7 +599,7 @@ func smallEngine(tb testing.TB) (*Registry, *Server) {
 		s.RegisterDIMM(id, part)
 		for i := 0; i < 30*(d+1); i++ {
 			e := trace.Event{Time: trace.Minutes(i)*trace.Day/2 + trace.Minutes(d), Type: trace.TypeCE, DIMM: id,
-				Addr: dram.Addr{Rank: i % 2, Device: i % 18, Bank: i % 16, Row: 100 + i%3, Column: i % 7},
+				Addr: dram.Addr{Rank: uint8(i % 2), Device: uint8(i % 18), Bank: uint8(i % 16), Row: uint32(100 + i%3), Column: uint16(i % 7)},
 				Bits: dram.ErrorBits{Width: part.Width, Mask: 1 << (i % 32)}}
 			switch {
 			case i == 17:
@@ -670,7 +670,7 @@ func goldenEngine(tb testing.TB) *Server {
 	var events []trace.Event
 	for i := 0; i < 12; i++ {
 		e := trace.Event{Time: trace.Minutes(i) * trace.Day, Type: trace.TypeCE, DIMM: id,
-			Addr: dram.Addr{Rank: 1, Device: 9, Bank: 4, Row: 100, Column: i % 2},
+			Addr: dram.Addr{Rank: 1, Device: 9, Bank: 4, Row: 100, Column: uint16(i % 2)},
 			Bits: dram.ErrorBits{Width: part.Width, Mask: 1 << i}}
 		switch i {
 		case 2:

@@ -26,8 +26,8 @@ func randomEvent(rng *xrand.RNG, id DIMMID, span int64) Event {
 		Type: typ,
 		DIMM: id,
 		Addr: dram.Addr{
-			Rank: rng.Intn(2), Device: rng.Intn(16), Bank: rng.Intn(16),
-			Row: rng.Intn(1 << 12), Column: rng.Intn(1 << 8),
+			Rank: uint8(rng.Intn(2)), Device: uint8(rng.Intn(16)), Bank: uint8(rng.Intn(16)),
+			Row: uint32(rng.Intn(1 << 12)), Column: uint16(rng.Intn(1 << 8)),
 		},
 	}
 }

@@ -141,7 +141,7 @@ func TestCEViewIsTheLog(t *testing.T) {
 func TestCEViewKeepsContents(t *testing.T) {
 	ce := func(m Minutes, row int) Event {
 		e := Event{Time: m, Type: TypeCE}
-		e.Addr.Row = row
+		e.Addr.Row = uint32(row)
 		return e
 	}
 	fresh := func() *DIMMLog {

@@ -298,22 +298,26 @@ func readEventType(r *BinReader) EventType {
 	return t
 }
 
-// readEventFields reads what appendEventFields wrote for e.Type. An
-// address that does not pack into a cell ID (dram.Addr.CheckFits) is
+// readEventFields reads what appendEventFields wrote for e.Type. Each
+// field is checked before it narrows: an address that does not pack into
+// a cell ID (dram.MakeAddr) and a CE bit width other than x4 or x8 are
 // refused.
 func readEventFields(r *BinReader, e *Event) {
 	if e.Type == TypeCE || e.Type == TypeUE {
-		e.Addr.Rank = int(r.Varint())
-		e.Addr.Device = int(r.Varint())
-		e.Addr.Bank = int(r.Varint())
-		e.Addr.Row = int(r.Varint())
-		e.Addr.Column = int(r.Varint())
-		if err := e.Addr.CheckFits(); err != nil {
+		rank, device, bank := int(r.Varint()), int(r.Varint()), int(r.Varint())
+		row, column := int(r.Varint()), int(r.Varint())
+		a, err := dram.MakeAddr(rank, device, bank, row, column)
+		if err != nil {
 			r.Failf("trace: %v", err)
 		}
+		e.Addr = a
 	}
 	if e.Type == TypeCE {
-		e.Bits.Width = dram.Width(r.Varint())
+		w := r.Varint()
+		if w != int64(dram.X4) && w != int64(dram.X8) {
+			r.Failf("trace: CE bit width %d is neither x4 nor x8", w)
+		}
+		e.Bits.Width = dram.Width(w)
 		e.Bits.Mask = r.Uvarint()
 	}
 }
@@ -365,14 +369,40 @@ const maxEventBytes = 1 + 12*binary.MaxVarintLen64
 // AppendEventFrame encodes a batch of events into dst (which may be nil
 // or a recycled buffer) and returns the extended buffer. partOf resolves
 // each event's DIMM to the part number recorded alongside it, exactly as
-// the text log lines do. The body is encoded into a scratch buffer sized
-// from maxEventBytes, so it never regrows; only the frame appended to dst
-// is returned, so a retained frame carries none of that scratch.
+// the text log lines do. It encodes through an EventFrameEncoder of its
+// own, so its body scratch is garbage on return; a caller that encodes
+// frame after frame keeps an encoder instead.
 func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []byte {
+	var enc EventFrameEncoder
+	return enc.Append(dst, events, partOf)
+}
+
+// EventFrameEncoder encodes event frames and keeps its body scratch from
+// one frame to the next, so a caller that encodes frames over and over
+// (the control plane: one per node per tick) allocates only the frames.
+// A scratch grown past a keptFrameEvents-event frame is let go after the
+// call, so one outsized batch is not held. The zero value is ready to use;
+// an encoder is not safe for concurrent use.
+type EventFrameEncoder struct {
+	body []byte
+}
+
+// keptFrameEvents bounds the frame an EventFrameEncoder keeps scratch
+// for: a served tick (controlplane's streamTick) or any share of one.
+const keptFrameEvents = 1024
+
+// Append is AppendEventFrame with enc's scratch. The body is encoded
+// into that scratch with room for maxEventBytes per event, so it never
+// regrows; only the frame appended to dst is returned, so a retained
+// frame carries none of the scratch.
+func (enc *EventFrameEncoder) Append(dst []byte, events []Event, partOf func(DIMMID) string) []byte {
+	if need := binary.MaxVarintLen64 + maxEventBytes*len(events); cap(enc.body) < need {
+		enc.body = make([]byte, 0, need)
+	}
 	var tab StringTable
 	// Body first: interning assigns string indices as events are walked,
 	// and the table must precede the events on the wire.
-	body := BinWriter{Buf: make([]byte, 0, binary.MaxVarintLen64+maxEventBytes*len(events))}
+	body := BinWriter{Buf: enc.body[:0]}
 	body.Uvarint(uint64(len(events)))
 	var prev Minutes
 	for i := range events {
@@ -390,6 +420,9 @@ func AppendEventFrame(dst []byte, events []Event, partOf func(DIMMID) string) []
 	w.Raw([]byte(eventFrameMagic))
 	tab.Encode(&w)
 	w.Raw(body.Buf)
+	if len(events) > keptFrameEvents {
+		enc.body = nil
+	}
 	return w.Buf
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -91,11 +92,11 @@ func randomEvents(rng *rand.Rand, n int) ([]Event, []string) {
 		}
 		if e.Type == TypeCE || e.Type == TypeUE {
 			e.Addr = dram.Addr{
-				Rank:   rng.Intn(4),
-				Device: rng.Intn(18),
-				Bank:   rng.Intn(16),
-				Row:    rng.Intn(1 << 17),
-				Column: rng.Intn(1 << 10),
+				Rank:   uint8(rng.Intn(4)),
+				Device: uint8(rng.Intn(18)),
+				Bank:   uint8(rng.Intn(16)),
+				Row:    uint32(rng.Intn(1 << 17)),
+				Column: uint16(rng.Intn(1 << 10)),
 			}
 		}
 		if e.Type == TypeCE {
@@ -194,17 +195,22 @@ func TestEventFrameRejectsCorruption(t *testing.T) {
 		t.Fatalf("10 events declared in 30 bytes: %v", err)
 	}
 	// An address that does not pack into a cell ID is refused by field,
-	// value and width, whatever the event type carrying it.
+	// value and width, whatever the event type carrying it; so is a CE bit
+	// width other than x4 or x8, by value.
 	for _, c := range []struct {
-		e    Event
-		want string
+		typ   EventType
+		addr  [5]int64 // rank, device, bank, row, column
+		width int64
+		want  string
 	}{
-		{unpackable(TypeCE, dram.Addr{Row: 1 << 24}), "row 16777216 outside its 24-bit cell-ID field"},
-		{unpackable(TypeUE, dram.Addr{Column: -1}), "column -1 outside its 16-bit cell-ID field"},
+		{TypeCE, [5]int64{0, 0, 0, 1 << 24, 0}, 4, "row 16777216 outside its 24-bit cell-ID field"},
+		{TypeUE, [5]int64{0, 0, 0, 0, -1}, 0, "column -1 outside its 16-bit cell-ID field"},
+		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 0, "CE bit width 0 is neither x4 nor x8"},
+		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 1000, "CE bit width 1000 is neither x4 nor x8"},
 	} {
-		frame := AppendEventFrame(nil, append(events[:3:3], c.e), func(id DIMMID) string { return partOf[id] })
+		frame := hostileFrame(events[:3], func(id DIMMID) string { return partOf[id] }, c.typ, c.addr, c.width)
 		if _, _, err := DecodeEventFrame(frame); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v address %v: %v, want %q", c.e.Type, c.e.Addr, err, c.want)
+			t.Errorf("%v address %v width %d: %v, want %q", c.typ, c.addr, c.width, err, c.want)
 		}
 	}
 }
@@ -216,6 +222,46 @@ func TestEventFrameRejectsCorruption(t *testing.T) {
 // must also keep its tight capacity, since the control plane's journal
 // retains it.
 func TestEventFrameAllocsFlatInSize(t *testing.T) {
+	events, f := servedTick()
+	var frame []byte
+	small := testing.AllocsPerRun(20, func() { frame = AppendEventFrame(nil, events[:64], f) })
+	large := testing.AllocsPerRun(20, func() { frame = AppendEventFrame(nil, events, f) })
+	if large != small {
+		t.Errorf("a 1,024-event frame costs %v allocations, a 64-event frame %v: the buffers regrow", large, small)
+	}
+	if c, n := cap(frame), len(frame); c > n+n/8+8 {
+		t.Errorf("frame of %d bytes keeps capacity %d", n, c)
+	}
+}
+
+// TestEventFrameEncoderReusesScratch: an encoder kept from frame to frame,
+// as the control plane keeps one, allocates about the frames it returns
+// and not its worst-case body scratch (about six times a served frame),
+// and what it encodes does not depend on what it encoded before.
+func TestEventFrameEncoderReusesScratch(t *testing.T) {
+	events, f := servedTick()
+	var enc EventFrameEncoder
+	for _, n := range []int{1024, 64, 1024} {
+		if got, want := enc.Append(nil, events[:n], f), AppendEventFrame(nil, events[:n], f); !bytes.Equal(got, want) {
+			t.Fatalf("%d events: a kept encoder's frame differs from a fresh one's", n)
+		}
+	}
+	var frame []byte
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		frame = enc.Append(nil, events, f)
+	}
+	runtime.ReadMemStats(&after)
+	if perFrame, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(cap(frame)+cap(frame)/2); perFrame > limit {
+		t.Errorf("a kept encoder allocates %d bytes per %d-byte frame, want at most %d", perFrame, len(frame), limit)
+	}
+}
+
+// servedTick is 1,024 events shaped like a served tick (one platform, 32
+// DIMMs over three parts, CEs only) and the part lookup to encode them.
+func servedTick() ([]Event, func(DIMMID) string) {
 	rng := rand.New(rand.NewSource(5))
 	catalog := platform.Catalog()
 	ids := make([]DIMMID, 32)
@@ -229,31 +275,33 @@ func TestEventFrameAllocsFlatInSize(t *testing.T) {
 	for i := range events {
 		tm += Minutes(rng.Intn(30))
 		events[i] = Event{Time: tm, Type: TypeCE, DIMM: ids[i%len(ids)], Addr: dram.Addr{
-			Rank: rng.Intn(2), Device: rng.Intn(18), Bank: rng.Intn(16),
-			Row: rng.Intn(1 << 17), Column: rng.Intn(1 << 10)}}
+			Rank: uint8(rng.Intn(2)), Device: uint8(rng.Intn(18)), Bank: uint8(rng.Intn(16)),
+			Row: uint32(rng.Intn(1 << 17)), Column: uint16(rng.Intn(1 << 10))}}
 		events[i].Bits = dram.NewErrorBits(dram.X4)
 		events[i].Bits.Set(rng.Intn(4), rng.Intn(dram.BurstLength))
 	}
-	f := func(id DIMMID) string { return partOf[id] }
-	var frame []byte
-	small := testing.AllocsPerRun(20, func() { frame = AppendEventFrame(nil, events[:64], f) })
-	large := testing.AllocsPerRun(20, func() { frame = AppendEventFrame(nil, events, f) })
-	if large != small {
-		t.Errorf("a 1,024-event frame costs %v allocations, a 64-event frame %v: the buffers regrow", large, small)
-	}
-	if c, n := cap(frame), len(frame); c > n+n/8+8 {
-		t.Errorf("frame of %d bytes keeps capacity %d", n, c)
-	}
+	return events, func(id DIMMID) string { return partOf[id] }
 }
 
-// unpackable is an event on a Purley DIMM whose address is outside the
-// cell-ID fields.
-func unpackable(typ EventType, a dram.Addr) Event {
-	e := Event{Time: 5000, Type: typ, DIMM: DIMMID{Platform: platform.Purley, Server: 1, Slot: 2}, Addr: a}
+// hostileFrame encodes events followed by one more event of type typ on a
+// Purley DIMM, then writes that last event's address varints (and, for a
+// CE, its bit width) as given: the bytes of a peer that lies, which no
+// Event can hold.
+func hostileFrame(events []Event, partOf func(DIMMID) string, typ EventType, addr [5]int64, width int64) []byte {
+	e := Event{Time: 5000, Type: typ, DIMM: DIMMID{Platform: platform.Purley, Server: 1, Slot: 2}}
 	if typ == TypeCE {
 		e.Bits = dram.ErrorBits{Width: dram.X4, Mask: 1}
 	}
-	return e
+	frame := AppendEventFrame(nil, append(events[:len(events):len(events)], e), partOf)
+	w := BinWriter{Buf: frame[:len(frame)-len(appendEventFields(nil, &e))]}
+	for _, v := range addr {
+		w.Varint(v)
+	}
+	if typ == TypeCE {
+		w.Varint(width)
+		w.Uvarint(e.Bits.Mask)
+	}
+	return w.Buf
 }
 
 func FuzzDecodeEventFrame(f *testing.F) {
@@ -266,9 +314,10 @@ func FuzzDecodeEventFrame(f *testing.F) {
 	f.Add(AppendEventFrame(nil, events, func(id DIMMID) string { return partOf[id] }))
 	f.Add([]byte(eventFrameMagic))
 	f.Add([]byte{})
-	for _, e := range []Event{unpackable(TypeCE, dram.Addr{Bank: 1 << 8}), unpackable(TypeUE, dram.Addr{Device: -1})} {
-		f.Add(AppendEventFrame(nil, []Event{e}, func(DIMMID) string { return "A4-2666-32" }))
-	}
+	part := func(DIMMID) string { return "A4-2666-32" }
+	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 1 << 8, 0, 0}, 4))
+	f.Add(hostileFrame(nil, part, TypeUE, [5]int64{0, -1, 0, 0, 0}, 0))
+	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 0, 0, 0}, 1000))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, ps, err := DecodeEventFrame(data)
 		if err != nil {
@@ -278,7 +327,7 @@ func FuzzDecodeEventFrame(f *testing.F) {
 			t.Fatalf("events/parts length skew: %d vs %d", len(evs), len(ps))
 		}
 		for _, e := range evs {
-			checkCellID(t, e)
+			checkDecoded(t, e)
 		}
 	})
 }

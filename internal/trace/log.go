@@ -41,7 +41,7 @@ func EncodeEvent(e Event, part platform.DIMMPart) string {
 
 // DecodeEvent parses one BMC log line produced by EncodeEvent. It returns
 // the event and the part number recorded on the line. An address that
-// does not pack into a cell ID (dram.Addr.CheckFits) is refused.
+// does not pack into a cell ID (dram.MakeAddr) is refused.
 func DecodeEvent(line string) (Event, string, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 7 || fields[0] != "MEM" {
@@ -81,31 +81,21 @@ func DecodeEvent(line string) (Event, string, error) {
 		kv[f[:eq]] = f[eq+1:]
 	}
 	if e.Type == TypeCE || e.Type == TypeUE {
-		for _, key := range []string{"rank", "dev", "bank", "row", "col"} {
+		var f [5]int
+		for i, key := range []string{"rank", "dev", "bank", "row", "col"} {
 			v, ok := kv[key]
 			if !ok {
 				return Event{}, "", fmt.Errorf("trace: missing %s in %q", key, line)
 			}
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
+			if _, err := fmt.Sscanf(v, "%d", &f[i]); err != nil {
 				return Event{}, "", fmt.Errorf("trace: bad %s in %q: %w", key, line, err)
 			}
-			switch key {
-			case "rank":
-				e.Addr.Rank = n
-			case "dev":
-				e.Addr.Device = n
-			case "bank":
-				e.Addr.Bank = n
-			case "row":
-				e.Addr.Row = n
-			case "col":
-				e.Addr.Column = n
-			}
 		}
-		if err := e.Addr.CheckFits(); err != nil {
+		a, err := dram.MakeAddr(f[0], f[1], f[2], f[3], f[4])
+		if err != nil {
 			return Event{}, "", fmt.Errorf("trace: %w in %q", err, line)
 		}
+		e.Addr = a
 	}
 	if e.Type == TypeCE {
 		sig, ok := kv["bits"]

@@ -44,7 +44,7 @@ func (m Minutes) String() string {
 }
 
 // EventType distinguishes log record kinds.
-type EventType int
+type EventType uint8
 
 // Event kinds recorded by the BMC.
 const (
@@ -92,13 +92,15 @@ func (id DIMMID) Less(o DIMMID) bool {
 
 // Event is one BMC log record. CE events carry the full decoded location
 // and bit signature; UE events carry the location only (the data was lost);
-// storm events mark suppression episodes.
+// storm events mark suppression episodes. A served DIMM's log holds every
+// event it was sent, so the fields are ordered to leave no padding
+// (72 bytes; TestEventLayout pins it).
 type Event struct {
 	Time Minutes
-	Type EventType
 	DIMM DIMMID
-	Addr dram.Addr      // error location (CE and UE)
 	Bits dram.ErrorBits // decoded DQ/beat signature (CE only)
+	Addr dram.Addr      // error location (CE and UE)
+	Type EventType
 }
 
 // ByTime sorts events by (Time, DIMM, Type) for deterministic iteration.
@@ -407,7 +409,7 @@ func (s *Store) AppendEvents(id DIMMID, events []Event) error {
 
 // count bumps the per-type counter, ignoring unknown types defensively.
 func (s *Store) count(t EventType, n int) {
-	if t >= 0 && int(t) < len(s.counts) {
+	if int(t) < len(s.counts) {
 		s.counts[t] += int64(n)
 	}
 }
@@ -454,7 +456,7 @@ func (s *Store) SortAll() {
 // were appended through Store methods. O(1): the store maintains per-type
 // counters on Append instead of rescanning the fleet.
 func (s *Store) CountEvents(t EventType) int {
-	if t >= 0 && int(t) < len(s.counts) {
+	if int(t) < len(s.counts) {
 		return int(s.counts[t])
 	}
 	return 0

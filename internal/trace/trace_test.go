@@ -6,11 +6,32 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"memfp/internal/dram"
 	"memfp/internal/platform"
 	"memfp/internal/xrand"
 )
+
+// TestEventLayout pins the in-memory size of a served event: a DIMM's log
+// holds every event it was sent, so a field widened past what the decoders
+// admit, or a reorder that brings padding back, is a heap regression on
+// every served DIMM. It fails by name instead of as a quiet one.
+func TestEventLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+		layout    string
+	}{
+		{"trace.Event", unsafe.Sizeof(Event{}), 72, "Time int64, DIMM {Platform string, Server, Slot int}, Bits, Addr, Type uint8"},
+		{"dram.Addr", unsafe.Sizeof(dram.Addr{}), 12, "Row uint32, Column uint16, Rank, Device, Bank uint8"},
+		{"dram.ErrorBits", unsafe.Sizeof(dram.ErrorBits{}), 16, "Mask uint64, Width uint8"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d: keep its fields at %s, in that order", c.name, c.got, c.want, c.layout)
+		}
+	}
+}
 
 func testPart(t *testing.T) platform.DIMMPart {
 	t.Helper()
@@ -25,7 +46,7 @@ func mkCE(t Minutes, id DIMMID, row, col int) Event {
 	bits := dram.NewErrorBits(dram.X4)
 	bits.Set(0, 0)
 	return Event{Time: t, Type: TypeCE, DIMM: id,
-		Addr: dram.Addr{Rank: 0, Device: 1, Bank: 2, Row: row, Column: col}, Bits: bits}
+		Addr: dram.Addr{Rank: 0, Device: 1, Bank: 2, Row: uint32(row), Column: uint16(col)}, Bits: bits}
 }
 
 func TestStoreRegisterAppend(t *testing.T) {
@@ -124,12 +145,16 @@ func TestEncodeDecodeEvent(t *testing.T) {
 	}
 }
 
-// checkCellID fails t unless an accepted CE or UE address round-trips
-// through its cell ID unchanged.
-func checkCellID(t *testing.T, e Event) {
+// checkDecoded fails t unless an accepted CE or UE address round-trips
+// through its cell ID unchanged and an accepted CE's bit width is x4 or
+// x8.
+func checkDecoded(t *testing.T, e Event) {
 	t.Helper()
 	if (e.Type == TypeCE || e.Type == TypeUE) && dram.CellAddr(e.Addr.CellID()) != e.Addr {
 		t.Fatalf("accepted %v address %v unpacks to %v", e.Type, e.Addr, dram.CellAddr(e.Addr.CellID()))
+	}
+	if e.Type == TypeCE && e.Bits.Width != dram.X4 && e.Bits.Width != dram.X8 {
+		t.Fatalf("accepted CE with bit width %d", e.Bits.Width)
 	}
 }
 
@@ -142,11 +167,18 @@ func TestDecodeEventRejectsMalformed(t *testing.T) {
 		"MEM 1 CE Intel_Purley 0 0 A4-2666-32", // missing addr fields
 		"MEM 1 CE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=0 col=0", // missing bits
 		"MEM 1 CE Intel_Purley 0 0 NOPE rank=0 dev=0 bank=0 row=0 col=0 bits=b0:0001",
-		"MEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=16777216 col=0", // row past its cell-ID field
-		"MEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=0 col=-1",       // negative column
 	} {
 		if _, _, err := DecodeEvent(line); err == nil {
 			t.Errorf("DecodeEvent(%q) should fail", line)
+		}
+	}
+	// An address outside the cell-ID fields is refused by field and value.
+	for line, want := range map[string]string{
+		"MEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=16777216 col=0": "row 16777216 outside its 24-bit",
+		"MEM 1 UE Intel_Purley 0 0 A4-2666-32 rank=0 dev=0 bank=0 row=0 col=-1":       "column -1 outside its 16-bit",
+	} {
+		if _, _, err := DecodeEvent(line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeEvent(%q) = %v, want %q", line, err, want)
 		}
 	}
 }
@@ -166,19 +198,19 @@ func FuzzDecodeEvent(f *testing.F) {
 	bits.Set(2, 7)
 	for _, e := range []Event{
 		{Time: 1234, Type: TypeCE, DIMM: id, Addr: dram.Addr{Rank: 1, Device: 4, Bank: 15, Row: 99, Column: 3}, Bits: bits},
-		{Time: 77, Type: TypeCE, DIMM: id, Addr: dram.Addr{Row: -1}, Bits: dram.NewErrorBits(part.Width)},
 		{Time: 99999, Type: TypeUE, DIMM: id, Addr: dram.Addr{Device: 2, Bank: 1, Row: 7, Column: 8}},
 		{Time: 5, Type: TypeStorm, DIMM: id},
 		{Time: 8, Type: TypeUE, DIMM: id, Addr: dram.Addr{Row: 1 << 24}},
 	} {
 		f.Add(EncodeEvent(e, part))
 	}
+	f.Add("MEM 77 CE Intel_Purley 3 11 A4-2666-32 rank=0 dev=0 bank=0 row=-1 col=0 bits=none")
 	f.Fuzz(func(t *testing.T, line string) {
 		e, pn, err := DecodeEvent(line)
 		if err != nil {
 			return
 		}
-		checkCellID(t, e)
+		checkDecoded(t, e)
 		again := EncodeEvent(e, platform.DIMMPart{PartNumber: pn})
 		back, pn2, err := DecodeEvent(again)
 		if err != nil {
