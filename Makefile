@@ -95,16 +95,18 @@ cross-check:
 
 # Race-detector pass over the packages that share state between
 # goroutines: the worker pool and parallel generator, the indexed trace
-# store, sharded feature extraction, the fleet cache, the parallel
-# trainers and tensor kernels, the predictor registry, the serving engine
-# (shard locks, promotion under concurrent ingest, compaction and
-# freeze/thaw churn), the scenario runner and the control plane (handlers,
-# heartbeats and per-node senders on one journal lock). The control
-# plane's node router, which kills and rejoins change under the senders,
-# gets ten more passes.
+# store, the DRAM address and bit helpers and the §V classifier every
+# feature cursor and fold state holds, sharded feature extraction, the
+# fleet cache, the parallel trainers and tensor kernels, the predictor
+# registry, the serving engine (shard locks, promotion under concurrent
+# ingest, compaction and freeze/thaw churn), the scenario runner and the
+# control plane (handlers, heartbeats and per-node senders on one journal
+# lock). The control plane's node router, which kills and rejoins change
+# under the senders, gets ten more passes.
 test-race:
 	$(GO) test -race -timeout 20m ./internal/par/ ./internal/faultsim/ \
-		./internal/trace/ ./internal/features/ ./internal/pipeline/ \
+		./internal/trace/ ./internal/dram/ ./internal/analysis/ \
+		./internal/features/ ./internal/pipeline/ \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/gbdt/ \
 		./internal/ml/tensor/ ./internal/ml/ftt/ \
 		./internal/ml/model/ ./internal/mlops/ ./internal/scenario/ \

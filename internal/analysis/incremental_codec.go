@@ -17,11 +17,13 @@ import (
 // every other map and tally through addCell, so no input can describe a
 // classifier whose counters disagree with its cells.
 
-// AppendBinary serializes the classifier onto w.
+// AppendBinary serializes the classifier's lifetime lane onto w.
 func (x *Incremental) AppendBinary(w *trace.BinWriter) {
-	cells := make([]uint64, 0, len(x.cellCEs))
-	for k := range x.cellCEs {
-		cells = append(cells, k)
+	cells := make([]uint64, 0, x.lanes[lifetime].cells)
+	for k, p := range x.cellCEs {
+		if p[lifetime] > 0 {
+			cells = append(cells, k)
+		}
 	}
 	slices.Sort(cells)
 	w.Uvarint(uint64(len(cells)))
@@ -32,15 +34,18 @@ func (x *Incremental) AppendBinary(w *trace.BinWriter) {
 		w.Varint(int64(a.Bank))
 		w.Varint(int64(a.Row))
 		w.Varint(int64(a.Column))
-		w.Varint(int64(x.cellCEs[k]))
+		w.Varint(int64(x.cellCEs[k][lifetime]))
 	}
 }
 
-// DecodeIncremental reads a classifier serialized by AppendBinary. Errors
-// latch on r; the caller checks r.Err(). The bytes may be foreign: a cell
-// outside the cell-ID field widths (dram.MakeAddr), a cell listed
-// twice or with no CEs, and a cell count the remaining bytes cannot hold
-// (a cell is six varints) are refused.
+// DecodeIncremental reads a classifier serialized by AppendBinary into the
+// lifetime lane of a classifier whose window lane is empty. Errors latch on
+// r; the caller checks r.Err(). The bytes may be foreign: a cell outside
+// the cell-ID field widths (dram.MakeAddr), a cell listed twice or with no
+// CEs, a cell count the remaining bytes cannot hold (a cell is six
+// varints), and CE counts a lane's int32 counts cannot hold (more than
+// math.MaxInt32 in all, the most one device's count can reach) are
+// refused.
 func DecodeIncremental(r *trace.BinReader) *Incremental {
 	x := NewIncremental()
 	cells := r.Uvarint()
@@ -59,13 +64,15 @@ func DecodeIncremental(r *trace.BinReader) *Incremental {
 			r.Failf("analysis: cell %d: %v", i, err)
 			break
 		}
-		switch k := a.CellID(); {
-		case n < 1 || n > int64(math.MaxInt-x.events):
+		switch k, held := a.CellID(), int64(x.lanes[lifetime].events); {
+		case n < 1:
 			r.Failf("analysis: cell %v holds %d CEs", a, n)
-		case x.cellCEs[k] != 0:
+		case n > math.MaxInt32-held:
+			r.Failf("analysis: cell %v holds %d CEs, which with the %d listed before it pass math.MaxInt32", a, n, held)
+		case x.cellCEs[k][lifetime] != 0:
 			r.Failf("analysis: cell %v listed twice", a)
 		default:
-			x.addCell(k, int(n))
+			x.addCell(lifetime, k, int(n))
 		}
 	}
 	return x

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func assertIncrementalEqual(t *testing.T, got, want *Incremental, when string) {
 		got.DistinctRows() != want.DistinctRows() ||
 		got.DistinctCols() != want.DistinctCols() ||
 		got.MaxCellCEs() != want.MaxCellCEs() ||
-		got.events != want.events {
+		got.lanes[lifetime].events != want.lanes[lifetime].events {
 		t.Fatalf("%s: distinct counts diverge", when)
 	}
 }
@@ -153,5 +154,36 @@ func TestIncrementalCodecGoldenBytes(t *testing.T) {
 	const want = "0b00000000000200000000feff0702000000020008000000808080010002000002000002000200000002000a06e0c50882080400221efeff0ffe0f0202000000000402221efeff0ffe0f06fe03fe03fe03feffff0ffeff0702"
 	if got := hex.EncodeToString(encodeIncremental(x)); got != want {
 		t.Fatalf("MFS4 cell bytes moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestIncrementalCodecRefusesCountPastInt32: a lane counts in int32, so
+// the decoder refuses by name CE counts that pass math.MaxInt32, alone or
+// in all (one device's count is their sum), and takes the largest.
+func TestIncrementalCodecRefusesCountPastInt32(t *testing.T) {
+	for _, c := range []struct {
+		counts []int64
+		want   string // "" when accepted
+	}{
+		{[]int64{math.MaxInt32}, ""},
+		{[]int64{math.MaxInt32 + 1}, "holds 2147483648 CEs, which with the 0 listed before it pass math.MaxInt32"},
+		{[]int64{1 << 40}, "holds 1099511627776 CEs"},
+		{[]int64{math.MaxInt32, 1}, "holds 1 CEs, which with the 2147483647 listed before it pass math.MaxInt32"},
+	} {
+		var w trace.BinWriter
+		w.Uvarint(uint64(len(c.counts)))
+		for i, n := range c.counts {
+			for _, v := range []int64{0, 0, 0, int64(i), 0, n} {
+				w.Varint(v)
+			}
+		}
+		r := trace.NewBinReader(w.Buf)
+		x := DecodeIncremental(r)
+		switch err := r.Err(); {
+		case c.want == "" && (err != nil || x.MaxCellCEs() != math.MaxInt32):
+			t.Errorf("counts %v: %v, MaxCellCEs %d", c.counts, err, x.MaxCellCEs())
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("counts %v: %v, want %q", c.counts, err, c.want)
+		}
 	}
 }

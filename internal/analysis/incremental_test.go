@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"memfp/internal/dram"
 	"memfp/internal/trace"
@@ -81,8 +82,8 @@ func TestIncrementalMatchesClassify(t *testing.T) {
 				trial, inc.DistinctBanks(), inc.DistinctRows(), inc.DistinctCols(), inc.MaxCellCEs(),
 				len(banks), len(rows), len(cols), maxCell)
 		}
-		if inc.events != len(events) {
-			t.Fatalf("trial %d: events = %d, want %d", trial, inc.events, len(events))
+		if inc.lanes[lifetime].events != len(events) {
+			t.Fatalf("trial %d: events = %d, want %d", trial, inc.lanes[lifetime].events, len(events))
 		}
 	}
 }
@@ -211,8 +212,8 @@ func TestSlidingMatchesClassify(t *testing.T) {
 				t.Fatalf("trial %d step %d window [%d,%d): sliding %+v != batch %+v",
 					trial, step, lo, hi, got, want)
 			}
-			if s.events != hi-lo {
-				t.Fatalf("trial %d step %d: events=%d, want %d", trial, step, s.events, hi-lo)
+			if s.lanes[lifetime].events != hi-lo {
+				t.Fatalf("trial %d step %d: events=%d, want %d", trial, step, s.lanes[lifetime].events, hi-lo)
 			}
 
 			fresh := NewIncremental()
@@ -336,8 +337,8 @@ func TestMaxCellCEsAboveDenseCounts(t *testing.T) {
 	}
 	for ; na > 0; na-- {
 		fresh := NewIncremental()
-		fresh.addCell(a.Addr.CellID(), na)
-		fresh.addCell(b.Addr.CellID(), nb)
+		fresh.addCell(lifetime, a.Addr.CellID(), na)
+		fresh.addCell(lifetime, b.Addr.CellID(), nb)
 		if x.MaxCellCEs() != max(na, nb) || x.MemEstimate() != fresh.MemEstimate() {
 			t.Fatalf("a=%d b=%d: MaxCellCEs %d, MemEstimate %d (fresh %d)", na, nb, x.MaxCellCEs(), x.MemEstimate(), fresh.MemEstimate())
 		}
@@ -382,4 +383,94 @@ func BenchmarkIncrementalWindowChurn(b *testing.B) {
 		x.Remove(events[i%stream])
 	}
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc), "held-B")
+}
+
+// TestLanesMatchSeparateClassifiers: the two lanes share their maps'
+// keys and nothing else. Random lifetime Adds interleaved with window
+// Adds and the Removes that pair with them, over a clustered address range
+// so the lanes keep landing on each other's cells, leave each lane's read-outs
+// equal after every step to those of a separate classifier fed only that
+// lane's operations, and the shared maps holding exactly the keys either
+// of those holds.
+func TestLanesMatchSeparateClassifiers(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(300 + trial)))
+		pool := randCEs(rng, 200)
+		x, life, win := NewIncremental(), NewIncremental(), NewIncremental()
+		var held []trace.Event // the window lane's events
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(3); {
+			case op == 0:
+				e := pool[rng.Intn(len(pool))]
+				x.Add(e)
+				life.Add(e)
+			case op == 1 || len(held) == 0:
+				e := pool[rng.Intn(len(pool))]
+				x.AddWindow(e)
+				win.Add(e)
+				held = append(held, e)
+			default:
+				i := rng.Intn(len(held))
+				e := held[i]
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+				x.RemoveWindow(e)
+				win.Remove(e)
+			}
+			when := fmt.Sprintf("trial %d step %d", trial, step)
+			assertIncrementalEqual(t, x, life, when+": lifetime lane")
+			if x.MemEstimate() != life.MemEstimate() {
+				t.Fatalf("%s: lifetime MemEstimate %d, separate classifier %d", when, x.MemEstimate(), life.MemEstimate())
+			}
+			w, ref := &x.lanes[window], &win.lanes[lifetime]
+			if x.WindowClass() != win.Class() || w.banks != ref.banks || w.rows != ref.rows ||
+				w.cols != ref.cols || w.maxCellCEs != ref.maxCellCEs || w.events != ref.events {
+				t.Fatalf("%s: window lane %+v, separate classifier %+v", when, *w, *ref)
+			}
+			if x.WindowMemEstimate() != win.MemEstimate() {
+				t.Fatalf("%s: WindowMemEstimate %d, separate classifier %d", when, x.WindowMemEstimate(), win.MemEstimate())
+			}
+			for name, lens := range map[string][3]int{
+				"cellCEs": {len(x.cellCEs), unionLen(life.cellCEs, win.cellCEs)},
+				"rowCols": {len(x.rowCols), unionLen(life.rowCols, win.rowCols)},
+				"colRows": {len(x.colRows), unionLen(life.colRows, win.colRows)},
+				"devCEs":  {len(x.devCEs), unionLen(life.devCEs, win.devCEs)},
+				"banks":   {len(x.banks), unionLen(life.banks, win.banks)},
+			} {
+				if lens[0] != lens[1] {
+					t.Fatalf("%s: %s holds %d keys, the lanes' union is %d", when, name, lens[0], lens[1])
+				}
+			}
+		}
+	}
+}
+
+// unionLen is the number of keys in a or b.
+func unionLen[K comparable, V any](a, b map[K]V) int {
+	n := len(a)
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLanePairLayout pins what one shared key costs: the count pair is the
+// 8 bytes one int32 count per lane takes, and the bank pair holds two
+// three-int32 tallies in 24 bytes, so a slot of either map is the size
+// that one lane's map slot was before the lanes shared them.
+func TestLanePairLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+		layout    string
+	}{
+		{"pair", unsafe.Sizeof(pair{}), 8, "[2]int32"},
+		{"bankPair", unsafe.Sizeof(bankPair{}), 24, "[2]bankTally, bankTally {cells, faultyRows, faultyCols int32}"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d: keep it at %s", c.name, c.got, c.want, c.layout)
+		}
+	}
 }

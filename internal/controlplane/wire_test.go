@@ -237,6 +237,10 @@ func FuzzDecodeTickFrame(f *testing.F) {
 		}
 		f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1, frame: w.Buf}}))
 	}
+	// An x4 CE whose mask has a bit past the 32 of its burst: refused.
+	ce := trace.Event{Time: 9, Type: trace.TypeCE, DIMM: ue.DIMM, Bits: dram.ErrorBits{Width: dram.X4, Mask: 1 << 40}}
+	wide := trace.AppendEventFrame(nil, []trace.Event{ce}, func(trace.DIMMID) string { return "A4-2666-32" })
+	f.Add(appendTickFrame(nil, 0, []wireTick{{tick: 1, frame: wide}}))
 	reencode := func(prune int, ticks []decodedTick) []byte {
 		wire := make([]wireTick, len(ticks))
 		for i, dt := range ticks {
@@ -262,6 +266,13 @@ func FuzzDecodeTickFrame(f *testing.F) {
 				}
 				if e.Type == trace.TypeCE && e.Bits.Width != dram.X4 && e.Bits.Width != dram.X8 {
 					t.Fatalf("accepted CE with bit width %d", e.Bits.Width)
+				}
+				if e.Type == trace.TypeCE {
+					// The bits render as a beat × DQ grid that parses back.
+					s := e.Bits.String()
+					if back, err := dram.ParseErrorBits(e.Bits.Width, s); s == "" || err != nil || back != e.Bits {
+						t.Fatalf("accepted CE bits %#x (%v) render as %q", e.Bits.Mask, e.Bits.Width, s)
+					}
 				}
 			}
 		}

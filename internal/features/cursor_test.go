@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"memfp/internal/analysis"
@@ -354,5 +355,104 @@ func TestBuildAllWorkersDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: sample %d differs", workers, i)
 			}
 		}
+	}
+}
+
+// TestCursorActiveDaysAcrossDayBoundaries: active_days_5d, which the
+// cursor keeps in a fixed six-slot day table, equals a direct count of the
+// distinct day indices among the CEs of [t−Δtd, t], at instants on, just
+// before and just after day boundaries, with t−Δtd on a boundary too, and
+// across jumps that empty the window or skip whole windows of CEs. A log
+// shifted to negative times (a foreign frame's deltas may go below zero)
+// checks the slot a negative day index falls on.
+func TestCursorActiveDaysAcrossDayBoundaries(t *testing.T) {
+	active := slices.Index(Names(), "active_days_5d")
+	for _, shift := range []trace.Minutes{0, -20 * trace.Day} {
+		l := &trace.DIMMLog{ID: trace.DIMMID{Platform: platform.Purley}}
+		ce := func(tm trace.Minutes) {
+			l.Events = append(l.Events, trace.Event{Time: shift + tm, Type: trace.TypeCE, DIMM: l.ID,
+				Addr: dram.Addr{Row: uint32(len(l.Events) % 7), Column: uint16(len(l.Events) % 5)}})
+		}
+		for d := trace.Minutes(0); d < 40; d++ {
+			if d%9 == 4 {
+				continue // a day without CEs
+			}
+			ce(d * trace.Day)
+			ce(d*trace.Day + 7*trace.Hour)
+			ce((d+1)*trace.Day - 1)
+		}
+		l.SortEvents()
+		var instants []trace.Minutes
+		for d := trace.Minutes(0); d < 48; d++ {
+			for _, off := range []trace.Minutes{0, 1, 7 * trace.Hour, trace.Day - 1} {
+				instants = append(instants, shift+d*trace.Day+off)
+			}
+		}
+		for _, stride := range []int{1, 3, 11, 29} {
+			c := NewCursor(l)
+			for i := 0; i < len(instants); i += stride {
+				at := instants[i]
+				days := map[trace.Minutes]bool{}
+				for _, e := range l.Events {
+					if e.Time >= at-ObservationWindow && e.Time <= at {
+						days[e.Time/trace.Day] = true
+					}
+				}
+				got := c.ExtractAt(at)
+				if int(got[active]) != len(days) {
+					t.Fatalf("shift %v stride %d @%v: active_days_5d %v, want %d", shift, stride, at, got[active], len(days))
+				}
+				if want := naiveExtract(l, at); shift == 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("stride %d @%v: cursor and naive vectors differ", stride, at)
+				}
+			}
+		}
+	}
+}
+
+// TestCursorKeepsOneCellTable: a cursor's lifetime and window
+// classifications share one cell table. Advanced over 2,400 CEs on
+// distinct cells, all inside one observation window, a cursor allocates at
+// most 1.25 times what one classifier over the same CEs does — where a
+// second table for the window would double it.
+func TestCursorKeepsOneCellTable(t *testing.T) {
+	l := &trace.DIMMLog{ID: trace.DIMMID{Platform: platform.Purley}}
+	bits := dram.NewErrorBits(dram.X4)
+	bits.Set(1, 2)
+	for i := 0; i < 2400; i++ {
+		l.Events = append(l.Events, trace.Event{Time: trace.Minutes(i), Type: trace.TypeCE, DIMM: l.ID, Bits: bits,
+			Addr: dram.Addr{Device: uint8(i % 18), Bank: uint8(i % 16), Row: uint32(i), Column: uint16(i % 1000)}})
+	}
+	l.SortEvents()
+	ces := l.CEs()
+	last := ces[len(ces)-1].Time
+	if last-ces[0].Time >= ObservationWindow {
+		t.Fatal("the CEs do not fit in one window")
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var c *Cursor
+	cursor := allocated(func() {
+		c = NewCursor(l)
+		c.ExtractAt(last)
+	})
+	var x *analysis.Incremental
+	one := allocated(func() {
+		x = analysis.NewIncremental()
+		for _, e := range ces {
+			x.Add(e)
+		}
+	})
+	if c.life.Class() != x.Class() || c.life.DistinctRows() != 2400 {
+		t.Fatalf("cursor classifies %+v over %d rows, one classifier %+v", c.life.Class(), c.life.DistinctRows(), x.Class())
+	}
+	t.Logf("a cursor over %d distinct cells allocated %d bytes, one classifier %d", len(ces), cursor, one)
+	if limit := one + one/4; cursor > limit {
+		t.Errorf("a cursor over %d distinct cells allocated %d bytes, one classifier %d: want at most %d", len(ces), cursor, one, limit)
 	}
 }

@@ -80,7 +80,9 @@ func Dim() int { return len(Names()) }
 // as each CE is consumed exactly once, while window-bounded features are
 // computed over binary-searched subslices of the time-sorted CE view.
 // BuildSamples replaces its per-instant full-history re-extraction (up to
-// 48 scans per DIMM) with one cursor walk.
+// 48 scans per DIMM) with one cursor walk. The lifetime and the window
+// classification are the two lanes of one analysis.Incremental, life: a
+// window CE is a lifetime CE, so the window's keys are stored once.
 //
 // A Cursor reads the log but never mutates it, so concurrent cursors may
 // share one DIMM log; a single Cursor is not safe for concurrent use.
@@ -96,19 +98,52 @@ type Cursor struct {
 	// the counts a compacted-away prefix contributes.
 	ceBase, stormBase int
 
-	// Lifetime accumulators over the fold seed plus ces[:pos].
+	// Lifetime accumulators over the fold seed plus ces[:pos]; life's
+	// lifetime lane is the lifetime classification.
 	firstCE, lastCE trace.Minutes
 	life            *analysis.Incremental
 
 	// Observation-window state over ces[winStart:pos]: the §V
-	// classification and the per-day CE tallies, folded in as events enter
-	// the window and folded out as they expire past t−Δtd — so the
-	// window-bounded features cost O(events entering + leaving) per
-	// instant instead of a rebuild over the whole window.
+	// classification (life's window lane), the per-day CE tallies and the
+	// bit-level statistics, folded in as events enter the window and
+	// folded out as they expire past t−Δtd — so the window-bounded
+	// features cost O(events entering + leaving) per instant instead of a
+	// rebuild over the whole window.
 	winStart int
-	win      *analysis.Incremental
-	dayCEs   map[trace.Minutes]int
+	days     windowDays
 	bits     winBits
+}
+
+// windowDays counts the window's CEs per day index (Time / trace.Day), a
+// day in the slot its index falls on modulo the slot count: the window
+// [t−Δtd, t] spans ObservationWindow / trace.Day + 1 consecutive day
+// indices at most, so no two of its days share a slot. A slot whose count
+// is zero is free.
+type windowDays [ObservationWindow/trace.Day + 1]struct {
+	day trace.Minutes
+	n   int32
+}
+
+// move moves day's count by n (+1 as a CE enters the window, -1 as it
+// expires).
+func (d *windowDays) move(day trace.Minutes, n int32) {
+	k := trace.Minutes(len(d))
+	s := &d[(day%k+k)%k] // Time may be negative: the slot is day's residue
+	if s.n != 0 && s.day != day || s.n+n < 0 {
+		panic(fmt.Sprintf("features: day %d moved by %d in a window holding %v", day, n, *d))
+	}
+	s.day, s.n = day, s.n+n
+}
+
+// active returns the number of days with a CE in the window.
+func (d *windowDays) active() int {
+	n := 0
+	for i := range d {
+		if d[i].n > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // winBits maintains the window's bit-level signature statistics under the
@@ -117,7 +152,7 @@ type Cursor struct {
 // argmax over the (few) distinct tuples present instead of a rescan.
 type winBits struct {
 	nBits, dq1, dq2, dq4, dq3p, beat2, beat5, bint4, sumBits int
-	bitCounts                                                [65]int // histogram over BitCount (mask is 64-bit)
+	bitCounts                                                [65]int32 // histogram over BitCount (mask is 64-bit)
 	sigs                                                     map[trace.Signature]int
 }
 
@@ -151,7 +186,7 @@ func (w *winBits) update(e trace.Event, n int) {
 	}
 	b := e.Bits.BitCount()
 	w.sumBits += n * b
-	w.bitCounts[b] += n
+	w.bitCounts[b] += int32(n)
 	if w.sigs[s] += n; w.sigs[s] == 0 {
 		delete(w.sigs, s)
 	}
@@ -179,8 +214,6 @@ func NewCursor(l *trace.DIMMLog) *Cursor {
 		storms:  l.StormTimes(),
 		firstCE: -1,
 		lastCE:  -1,
-		win:     analysis.NewIncremental(),
-		dayCEs:  map[trace.Minutes]int{},
 	}
 	c.bits.sigs = map[trace.Signature]int{}
 	c.ceBase, c.stormBase = l.CompactedCEs(), l.CompactedStorms()
@@ -194,8 +227,17 @@ func NewCursor(l *trace.DIMMLog) *Cursor {
 }
 
 // advance consumes events up to and including instant t, and expires
-// window state for events that fell out of [t−Δtd, t].
+// window state for events that fell out of [t−Δtd, t]. Expiry comes first,
+// and a consumed CE already older than t−Δtd never enters the window
+// state, so that state only ever holds CEs of [t−Δtd, t].
 func (c *Cursor) advance(t trace.Minutes) {
+	from := t - ObservationWindow
+	for ; c.winStart < c.pos && c.ces[c.winStart].Time < from; c.winStart++ {
+		e := c.ces[c.winStart]
+		c.life.RemoveWindow(e)
+		c.bits.update(e, -1)
+		c.days.move(e.Time/trace.Day, -1)
+	}
 	for c.pos < len(c.ces) && c.ces[c.pos].Time <= t {
 		e := c.ces[c.pos]
 		if c.firstCE < 0 {
@@ -203,20 +245,14 @@ func (c *Cursor) advance(t trace.Minutes) {
 		}
 		c.lastCE = e.Time
 		c.life.Add(e)
-		c.win.Add(e)
-		c.bits.update(e, 1)
-		c.dayCEs[e.Time/trace.Day]++
 		c.pos++
-	}
-	for from := t - ObservationWindow; c.winStart < c.pos && c.ces[c.winStart].Time < from; c.winStart++ {
-		e := c.ces[c.winStart]
-		c.win.Remove(e)
-		c.bits.update(e, -1)
-		if day := e.Time / trace.Day; c.dayCEs[day] == 1 {
-			delete(c.dayCEs, day)
-		} else {
-			c.dayCEs[day]--
+		if e.Time < from {
+			c.winStart = c.pos // the window held nothing older: ces is time-sorted
+			continue
 		}
+		c.life.AddWindow(e)
+		c.bits.update(e, 1)
+		c.days.move(e.Time/trace.Day, 1)
 	}
 	for c.stormPos < len(c.storms) && c.storms[c.stormPos] <= t {
 		c.stormPos++
@@ -269,9 +305,9 @@ func (c *Cursor) ExtractAt(t trace.Minutes) []float64 {
 		next(-1)
 		next(-1)
 	}
-	next(float64(len(c.dayCEs)))
+	next(float64(c.days.active()))
 
-	clsW := c.win.Class()
+	clsW := c.life.WindowClass()
 	next(float64(clsW.FaultyCells))
 	next(float64(clsW.FaultyRows))
 	next(float64(clsW.FaultyCols))

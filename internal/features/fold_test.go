@@ -185,6 +185,17 @@ func FuzzDecodeFoldState(f *testing.F) {
 		w.Varint(1)
 		f.Add(w.Buf)
 	}
+	// A cell of 2³¹ CEs, one past what a classifier's int32 counts hold:
+	// refused.
+	{
+		w := trace.BinWriter{Buf: bytes.Clone(encode(empty()))}
+		w.Buf = w.Buf[:len(w.Buf)-1]
+		w.Uvarint(1)
+		for _, v := range []int64{0, 1, 2, 3, 4, 1 << 31} {
+			w.Varint(v)
+		}
+		f.Add(w.Buf)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

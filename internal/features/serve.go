@@ -63,11 +63,12 @@ func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 // CompactedCEs and CompactedStorms as of the views the cursor holds, so
 // their distance to the log's counts now is the prefix compacted away
 // since. In-order appends only grow the views, so with nothing dropped
-// renewing the slice headers is all there is to do. A dropped prefix that lies wholly below the window start
-// (and below the consumed storms) is already in life and no longer in
-// win, bits or dayCEs, exactly as in a cursor rebuilt from the FoldState
-// and advanced to the same instant, so only the positions move. Otherwise
-// it reports false and the cursor must be rebuilt.
+// renewing the slice headers is all there is to do. A dropped prefix that
+// lies wholly below the window start (and below the consumed storms) is
+// already in life's lifetime lane and no longer in its window lane, bits
+// or days, exactly as in a cursor rebuilt from the FoldState and advanced
+// to the same instant, so only the positions move. Otherwise it reports
+// false and the cursor must be rebuilt.
 func (c *Cursor) rebase() bool {
 	ces, storms := c.l.CompactedCEs()-c.ceBase, c.l.CompactedStorms()-c.stormBase
 	if ces > c.winStart || storms > c.stormPos {
@@ -86,10 +87,13 @@ func (c *Cursor) rebase() bool {
 // MemEstimate returns a rough heap-footprint estimate in bytes for
 // serving-side memory accounting. The per-type views are shared with the
 // log's index and not counted; the dominant owned state is the lifetime
-// fault-analysis accumulators.
+// fault-analysis accumulators. The classifier is charged as the sum of its
+// two lanes' estimates, each as if it kept maps of its own, and the day
+// tallies per day held: the charge of the layout with a classifier and a
+// day map for the window, which the memory budget's evictions rest on.
 func (c *Cursor) MemEstimate() int64 {
-	return 128 + c.life.MemEstimate() + c.win.MemEstimate() +
-		int64(len(c.dayCEs))*24 + 520 + int64(len(c.bits.sigs))*48
+	return 128 + c.life.MemEstimate() + c.life.WindowMemEstimate() +
+		int64(c.days.active())*24 + 520 + int64(len(c.bits.sigs))*48
 }
 
 // MemEstimate returns a rough heap-footprint estimate in bytes of the

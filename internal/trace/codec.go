@@ -301,7 +301,8 @@ func readEventType(r *BinReader) EventType {
 // readEventFields reads what appendEventFields wrote for e.Type. Each
 // field is checked before it narrows: an address that does not pack into
 // a cell ID (dram.MakeAddr) and a CE bit width other than x4 or x8 are
-// refused.
+// refused, and so is a CE mask with a bit at or above Width ×
+// dram.BurstLength, which no (beat, DQ) position of the device has.
 func readEventFields(r *BinReader, e *Event) {
 	if e.Type == TypeCE || e.Type == TypeUE {
 		rank, device, bank := int(r.Varint()), int(r.Varint()), int(r.Varint())
@@ -319,6 +320,9 @@ func readEventFields(r *BinReader, e *Event) {
 		}
 		e.Bits.Width = dram.Width(w)
 		e.Bits.Mask = r.Uvarint()
+		if n := uint(w) * dram.BurstLength; n < 64 && e.Bits.Mask>>n != 0 {
+			r.Failf("trace: CE mask %#x has bits past the %d of an %v burst", e.Bits.Mask, n, e.Bits.Width)
+		}
 	}
 }
 

@@ -196,21 +196,35 @@ func TestEventFrameRejectsCorruption(t *testing.T) {
 	}
 	// An address that does not pack into a cell ID is refused by field,
 	// value and width, whatever the event type carrying it; so is a CE bit
-	// width other than x4 or x8, by value.
+	// width other than x4 or x8, by value, and a CE mask with a bit past
+	// its width's burst (32 bits for x4), by mask and width.
 	for _, c := range []struct {
 		typ   EventType
 		addr  [5]int64 // rank, device, bank, row, column
 		width int64
+		mask  uint64
 		want  string
 	}{
-		{TypeCE, [5]int64{0, 0, 0, 1 << 24, 0}, 4, "row 16777216 outside its 24-bit cell-ID field"},
-		{TypeUE, [5]int64{0, 0, 0, 0, -1}, 0, "column -1 outside its 16-bit cell-ID field"},
-		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 0, "CE bit width 0 is neither x4 nor x8"},
-		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 1000, "CE bit width 1000 is neither x4 nor x8"},
+		{TypeCE, [5]int64{0, 0, 0, 1 << 24, 0}, 4, 1, "row 16777216 outside its 24-bit cell-ID field"},
+		{TypeUE, [5]int64{0, 0, 0, 0, -1}, 0, 0, "column -1 outside its 16-bit cell-ID field"},
+		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 0, 1, "CE bit width 0 is neither x4 nor x8"},
+		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 1000, 1, "CE bit width 1000 is neither x4 nor x8"},
+		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 4, 1 << 40, "CE mask 0x10000000000 has bits past the 32 of an x4 burst"},
+		{TypeCE, [5]int64{1, 2, 3, 4, 5}, 4, 1 << 32, "CE mask 0x100000000 has bits past the 32 of an x4 burst"},
 	} {
-		frame := hostileFrame(events[:3], func(id DIMMID) string { return partOf[id] }, c.typ, c.addr, c.width)
+		frame := hostileFrame(events[:3], func(id DIMMID) string { return partOf[id] }, c.typ, c.addr, c.width, c.mask)
 		if _, _, err := DecodeEventFrame(frame); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v address %v width %d: %v, want %q", c.typ, c.addr, c.width, err, c.want)
+			t.Errorf("%v address %v width %d mask %#x: %v, want %q", c.typ, c.addr, c.width, c.mask, err, c.want)
+		}
+	}
+	// The widest masks each width carries are accepted.
+	for _, c := range []struct {
+		width int64
+		mask  uint64
+	}{{4, 1<<32 - 1}, {8, ^uint64(0)}} {
+		frame := hostileFrame(events[:3], func(id DIMMID) string { return partOf[id] }, TypeCE, [5]int64{1, 2, 3, 4, 5}, c.width, c.mask)
+		if _, _, err := DecodeEventFrame(frame); err != nil {
+			t.Errorf("x%d mask %#x refused: %v", c.width, c.mask, err)
 		}
 	}
 }
@@ -285,9 +299,9 @@ func servedTick() ([]Event, func(DIMMID) string) {
 
 // hostileFrame encodes events followed by one more event of type typ on a
 // Purley DIMM, then writes that last event's address varints (and, for a
-// CE, its bit width) as given: the bytes of a peer that lies, which no
-// Event can hold.
-func hostileFrame(events []Event, partOf func(DIMMID) string, typ EventType, addr [5]int64, width int64) []byte {
+// CE, its bit width and mask) as given: the bytes of a peer that lies,
+// which no Event can hold or no device can have produced.
+func hostileFrame(events []Event, partOf func(DIMMID) string, typ EventType, addr [5]int64, width int64, mask uint64) []byte {
 	e := Event{Time: 5000, Type: typ, DIMM: DIMMID{Platform: platform.Purley, Server: 1, Slot: 2}}
 	if typ == TypeCE {
 		e.Bits = dram.ErrorBits{Width: dram.X4, Mask: 1}
@@ -299,7 +313,7 @@ func hostileFrame(events []Event, partOf func(DIMMID) string, typ EventType, add
 	}
 	if typ == TypeCE {
 		w.Varint(width)
-		w.Uvarint(e.Bits.Mask)
+		w.Uvarint(mask)
 	}
 	return w.Buf
 }
@@ -315,9 +329,10 @@ func FuzzDecodeEventFrame(f *testing.F) {
 	f.Add([]byte(eventFrameMagic))
 	f.Add([]byte{})
 	part := func(DIMMID) string { return "A4-2666-32" }
-	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 1 << 8, 0, 0}, 4))
-	f.Add(hostileFrame(nil, part, TypeUE, [5]int64{0, -1, 0, 0, 0}, 0))
-	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 0, 0, 0}, 1000))
+	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 1 << 8, 0, 0}, 4, 1))
+	f.Add(hostileFrame(nil, part, TypeUE, [5]int64{0, -1, 0, 0, 0}, 0, 0))
+	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 0, 0, 0}, 1000, 1))
+	f.Add(hostileFrame(nil, part, TypeCE, [5]int64{0, 0, 0, 0, 0}, 4, 1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, ps, err := DecodeEventFrame(data)
 		if err != nil {

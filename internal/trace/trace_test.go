@@ -147,7 +147,7 @@ func TestEncodeDecodeEvent(t *testing.T) {
 
 // checkDecoded fails t unless an accepted CE or UE address round-trips
 // through its cell ID unchanged and an accepted CE's bit width is x4 or
-// x8.
+// x8 and its bits a grid (checkGrid).
 func checkDecoded(t *testing.T, e Event) {
 	t.Helper()
 	if (e.Type == TypeCE || e.Type == TypeUE) && dram.CellAddr(e.Addr.CellID()) != e.Addr {
@@ -155,6 +155,20 @@ func checkDecoded(t *testing.T, e Event) {
 	}
 	if e.Type == TypeCE && e.Bits.Width != dram.X4 && e.Bits.Width != dram.X8 {
 		t.Fatalf("accepted CE with bit width %d", e.Bits.Width)
+	}
+	if e.Type == TypeCE {
+		checkGrid(t, e.Bits)
+	}
+}
+
+// checkGrid fails unless b renders as a beat × DQ grid ("none" when
+// empty) that parses back to b: a mask bit past the width's burst would
+// render as no grid cell at all.
+func checkGrid(t *testing.T, b dram.ErrorBits) {
+	t.Helper()
+	s := b.String()
+	if back, err := dram.ParseErrorBits(b.Width, s); s == "" || err != nil || back != b {
+		t.Fatalf("accepted CE bits %#x (%v) render as %q, which parses back to %#x (%v)", b.Mask, b.Width, s, back.Mask, err)
 	}
 }
 
