@@ -20,9 +20,10 @@ test-short:
 
 # Besides go vet: the naive references and the switches that selected
 # them live in _test.go files, so no production Go file outside bench/
-# may name Oracle or SetWorkers; every parallel stage runs one worker per
-# CPU (GOMAXPROCS, which tests pin), so no production Go file outside
-# bench/ may declare a Workers field or a *Workers( function twin; and no
+# may name Oracle or SetWorkers; every parallel loop borrows from
+# internal/par's pool at one worker per CPU (GOMAXPROCS, which tests pin),
+# so no production Go file outside bench/ may declare a Workers field, a
+# *Workers( function twin, or a function named or taking workers; and no
 # exported declaration may go unnamed by non-test code (bench/ counts as
 # a user), which TestNoUnusedExports (unused_test.go) lists by name.
 vet:
@@ -33,6 +34,8 @@ vet:
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
 		-e '^[[:space:]]*Workers[[:space:]]+[^[:space:]]' -e '[[:alnum:]_]Workers\(' .); \
 	if [ -n "$$out" ]; then echo "worker-count knob in production code (parallel stages run GOMAXPROCS workers):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'func [^{]*\b[wW]orkers\b' .); \
+	if [ -n "$$out" ]; then echo "function with a worker count in production code (parallel loops borrow GOMAXPROCS workers from internal/par's pool):"; echo "$$out"; exit 1; fi
 
 # Fails if any file needs gofmt.
 fmt:

@@ -103,7 +103,7 @@ func BuildSamples(cfg SamplerConfig, l *trace.DIMMLog) []Sample {
 func BuildAll(cfg SamplerConfig, s *trace.Store) []Sample {
 	logs := s.DIMMs()
 	perDIMM := make([][]Sample, len(logs))
-	par.ForEachN(0, len(logs), func(i int) {
+	par.ForEachN(len(logs), func(i int) {
 		perDIMM[i] = BuildSamples(cfg, logs[i])
 	})
 	n := 0

@@ -27,9 +27,11 @@ func serialize(t *testing.T, m *Model) []byte {
 
 // TestForestWorkerCountInvariant trains at worker counts (GOMAXPROCS)
 // {1, 2, 8} and requires byte-identical serialized models: per-tree RNG streams are
-// index-derived, so scheduling cannot leak into the output.
+// index-derived, so scheduling cannot leak into the output. The training
+// set is above the tree package's parallelRows (4096), so each tree's top
+// nodes also fan their histogram features out on the pool its tree runs on.
 func TestForestWorkerCountInvariant(t *testing.T) {
-	X, y := synth(1200, 22)
+	X, y := synth(6000, 22)
 	var ref []byte
 	for _, workers := range []int{1, 2, 8} {
 		p := DefaultParams()

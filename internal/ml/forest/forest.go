@@ -61,9 +61,10 @@ func Fit(X [][]float64, y []int, p Params) (*Model, error) {
 	tp := tree.Params{MaxDepth: p.MaxDepth, MinLeaf: p.MinLeaf, FeatureFrac: p.FeatureFrac,
 		MinGain: 1e-7}
 
-	// Trees are spread across one worker per CPU, which they already
-	// saturate, so each tree builds its histograms serially (BuildShared).
-	par.ForEachN(0, p.Trees, func(t int) {
+	// Trees run on internal/par's pool, one worker per CPU, and each
+	// tree's large nodes fan their histogram features out on the same
+	// pool (BuildShared); the pool's size bounds the nesting.
+	par.ForEachN(p.Trees, func(t int) {
 		// Per-tree RNG keyed by (seed, tree index): determinism does not
 		// depend on goroutine scheduling or worker count.
 		rng := xrand.Derive(p.Seed, uint64(t))

@@ -94,7 +94,7 @@ func TestGBDTSplitMatchesBruteForce(t *testing.T) {
 			sumH += hq[i]
 		}
 
-		hb := tree.NewHistBuilder(cols, mapper, gq, hq, 1)
+		hb := tree.NewHistBuilder(cols, mapper, gq, hq)
 		node := &tree.Node{Leaf: true}
 		c := evalLeaf(hb, idx, feats, mapper, p, node, 0, sumG, sumH)
 
@@ -157,7 +157,7 @@ func TestGBDTLeafSpansMatchPredict(t *testing.T) {
 		gq[i] = tree.Quantize(0.5 - float64(y[i]))
 		hq[i] = tree.Quantize(0.25)
 	}
-	hb := tree.NewHistBuilder(cols, mapper, gq, hq, 1)
+	hb := tree.NewHistBuilder(cols, mapper, gq, hq)
 	p := DefaultParams()
 	idx := make([]int, n)
 	feats := make([]int, len(X[0]))

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"memfp/internal/ml/tree"
-	"memfp/internal/par"
 	"memfp/internal/xrand"
 )
 
@@ -103,7 +102,7 @@ func Fit(X [][]float64, y []int, Xval [][]float64, yval []int, p Params) (*Model
 	m := &Model{Shrink: p.LearningRate, BasePred: base, Dim: len(X[0])}
 	gq := make([]int64, n)
 	hq := make([]int64, n)
-	hb := tree.NewHistBuilder(cols, mapper, gq, hq, par.Workers(0))
+	hb := tree.NewHistBuilder(cols, mapper, gq, hq)
 	// seen[i] == round marks rows covered by this round's leaf spans, so
 	// only out-of-sample rows pay a tree walk.
 	seen := make([]int, n)

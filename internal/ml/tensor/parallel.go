@@ -4,15 +4,14 @@ import "memfp/internal/par"
 
 // parallelRows fans fn out over [0, rows) in contiguous chunks through
 // internal/par's shared resident worker pool, at one worker per CPU
-// (GOMAXPROCS; serving and training both run the default). The chunk
-// size depends only on the per-row work estimate — never on the worker
-// count — which is half of the determinism contract; the other half is
-// that kernels write disjoint rows per chunk. Kernel results are
-// therefore bit-identical for every worker count: the oracle tests pin
-// GOMAXPROCS to {1, 2, 8} and compare bytes (at 1, kernels run fully
+// (GOMAXPROCS). The chunk size depends only on the per-row work estimate
+// — never on GOMAXPROCS — which is half of the determinism contract; the
+// other half is that kernels write disjoint rows per chunk. Kernel
+// results are therefore bit-identical at every GOMAXPROCS: the oracle
+// tests pin it to {1, 2, 8} and compare bytes (at 1, kernels run fully
 // inline with zero synchronization).
 func parallelRows(rows, workPerRow int, fn func(lo, hi int)) {
-	par.ForEachChunk(0, rows, chunkRows(workPerRow), fn)
+	par.ForEachChunk(rows, chunkRows(workPerRow), fn)
 }
 
 // chunkRows is parallelRows' chunk size: as many rows as reach a work

@@ -44,12 +44,13 @@ type Params struct {
 // Split finding is histogram-based with node-level subtraction: the
 // parent's per-feature histograms are built once, and each larger child's
 // histograms are derived by subtracting the smaller sibling's from the
-// parent's instead of re-scanning rows. The histograms are built serially:
-// the forest, the only caller, already fills the CPUs with whole trees.
-// Fixed-point accumulation (see hist.go) keeps the output independent of
-// the histogram fan-out and bit-identical to a row-scanning grower that
-// shares none of the subtraction or feature-parallel machinery; the tests
-// keep that grower (rowscan_test.go) and hold this one to it.
+// parent's instead of re-scanning rows. Large nodes fan their features
+// out on internal/par's pool like any HistBuilder; the forest, the only
+// caller, runs whole trees on that pool too. Fixed-point accumulation (see
+// hist.go) keeps the output independent of the histogram fan-out and
+// bit-identical to a row-scanning grower that shares none of the
+// subtraction or feature-parallel machinery; the tests keep that grower
+// (rowscan_test.go) and hold this one to it.
 func BuildShared(m *ColMatrix, y []float64, yq []int64, idx []int, bm *BinMapper, p Params, rng *xrand.RNG) *Node {
 	if len(idx) == 0 || len(m.Cols) == 0 {
 		return &Node{Leaf: true, Value: 0}
@@ -57,7 +58,7 @@ func BuildShared(m *ColMatrix, y []float64, yq []int64, idx []int, bm *BinMapper
 	if yq == nil {
 		yq = QuantizeSlice(nil, y)
 	}
-	b := &builder{m: m, y: y, mapper: bm, p: p, rng: rng, hb: NewHistBuilder(m, bm, yq, nil, 1)}
+	b := &builder{m: m, y: y, mapper: bm, p: p, rng: rng, hb: NewHistBuilder(m, bm, yq, nil)}
 	return b.grow(idx, 0, nil)
 }
 

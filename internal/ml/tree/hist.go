@@ -59,9 +59,9 @@ type Hist struct {
 	Tot  HistBin
 }
 
-// parallelRows is the node size above which histogram construction fans
-// out across features ("large nodes"); below it the goroutine handoff
-// costs more than the scan.
+// parallelRows is the node size from which histogram construction fans
+// out across features ("large nodes"); below it the handoff to a pool
+// worker costs more than the scan.
 const parallelRows = 4096
 
 // HistBuilder builds node histograms over a fixed binned matrix. Gq/Hq
@@ -69,30 +69,26 @@ const parallelRows = 4096
 // may be nil for count-hessian (variance) training. Released histograms
 // are pooled and reused, so a builder allocates O(tree depth) slabs over
 // a whole training run. A builder is not safe for concurrent use by
-// multiple goroutines, but Build itself fans out across features when
-// built with workers > 1.
+// multiple goroutines, but Build itself fans a large node's features out
+// on internal/par's pool.
 type HistBuilder struct {
 	M      *ColMatrix
 	Mapper *BinMapper
 	Gq     []int64
 	Hq     []int64
 
-	workers int
-	off     []int // per-feature slab offsets, len dim+1
-	free    []*Hist
+	off  []int // per-feature slab offsets, len dim+1
+	free []*Hist
 }
 
 // NewHistBuilder prepares a builder for the given matrix and targets.
-// workers is the feature fan-out for large nodes (< 2 builds serially):
-// GBDT passes one per CPU, while the forest's per-tree CARTs pass 1
-// because the trees themselves already fill the CPUs.
-func NewHistBuilder(m *ColMatrix, mapper *BinMapper, gq, hq []int64, workers int) *HistBuilder {
+func NewHistBuilder(m *ColMatrix, mapper *BinMapper, gq, hq []int64) *HistBuilder {
 	dim := len(m.Cols)
 	off := make([]int, dim+1)
 	for f := 0; f < dim; f++ {
 		off[f+1] = off[f] + mapper.Bins(f)
 	}
-	return &HistBuilder{M: m, Mapper: mapper, Gq: gq, Hq: hq, workers: workers, off: off}
+	return &HistBuilder{M: m, Mapper: mapper, Gq: gq, Hq: hq, off: off}
 }
 
 func (b *HistBuilder) alloc() *Hist {
@@ -112,10 +108,11 @@ func (b *HistBuilder) Release(h *Hist) {
 }
 
 // Build accumulates the histogram for the rows in idx (duplicates allowed
-// — bootstrap samples count a row once per occurrence). Large nodes fan
-// the per-feature scans out across the builder's workers; because each
-// feature owns a disjoint slab region and int64 accumulation is exact,
-// the result is bit-identical at every worker count.
+// — bootstrap samples count a row once per occurrence). Large nodes (at
+// least parallelRows rows, more than one feature) fan the per-feature
+// scans out on internal/par's pool; because each feature owns a disjoint
+// slab region and int64 accumulation is exact, the result is
+// bit-identical at every GOMAXPROCS.
 func (b *HistBuilder) Build(idx []int) *Hist {
 	h := b.alloc()
 	dim := len(b.M.Cols)
@@ -138,8 +135,8 @@ func (b *HistBuilder) Build(idx []int) *Hist {
 			c.N++
 		}
 	}
-	if b.workers > 1 && len(idx) >= parallelRows && dim > 1 {
-		par.ForEachN(b.workers, dim, scan)
+	if len(idx) >= parallelRows && dim > 1 {
+		par.ForEachN(dim, scan)
 	} else {
 		for f := 0; f < dim; f++ {
 			scan(f)

@@ -3,6 +3,7 @@ package tree
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"memfp/internal/xrand"
@@ -93,7 +94,7 @@ func TestBestSplitMatchesOracle(t *testing.T) {
 		cm := m.BinColumns(tc.X)
 
 		b := &builder{m: cm, y: tc.y, mapper: m, p: tc.p}
-		b.hb = NewHistBuilder(cm, m, QuantizeSlice(nil, tc.y), nil, 1)
+		b.hb = NewHistBuilder(cm, m, QuantizeSlice(nil, tc.y), nil)
 
 		feats := make([]int, len(cm.Cols))
 		for i := range feats {
@@ -147,7 +148,7 @@ func TestSubtractionMatchesRebuild(t *testing.T) {
 				hq[i] = Quantize(rng.Float64())
 			}
 		}
-		hb := NewHistBuilder(cm, m, gq, hq, 1)
+		hb := NewHistBuilder(cm, m, gq, hq)
 
 		// Partition on an arbitrary feature/bin cut.
 		rng := xrand.Derive(0xabad, trial)
@@ -211,9 +212,16 @@ func TestBuildMatchesOracle(t *testing.T) {
 	}
 }
 
+// withProcs runs fn with GOMAXPROCS pinned to n — the histogram feature
+// fan-out — and restores the previous value on return.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestBuildWorkerIndependence pins the determinism contract: the
 // feature-parallel histogram path returns byte-identical trees at every
-// worker count.
+// worker count (GOMAXPROCS).
 func TestBuildWorkerIndependence(t *testing.T) {
 	rng := xrand.New(11)
 	n := 6000 // above parallelRows so the fan-out actually engages
@@ -234,11 +242,10 @@ func TestBuildWorkerIndependence(t *testing.T) {
 	p := defaultParams()
 	p.FeatureFrac = 0.75
 	for _, workers := range []int{1, 2, 8} {
-		// BuildShared builds serially; this builder sets the fan-out
-		// explicitly.
 		b := &builder{m: cm, y: y, mapper: m, p: p, rng: xrand.New(7),
-			hb: NewHistBuilder(cm, m, QuantizeSlice(nil, y), nil, workers)}
-		root := b.grow(idx, 0, nil)
+			hb: NewHistBuilder(cm, m, QuantizeSlice(nil, y), nil)}
+		var root *Node
+		withProcs(workers, func() { root = b.grow(idx, 0, nil) })
 		var buf bytes.Buffer
 		if err := root.Encode(&buf); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package mlops
 import (
 	"container/list"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,7 +167,10 @@ const cooldown = 12 * trace.Hour
 // fan-out, never the results.
 func NewShardedServer(pf platform.ID, fs *FeatureStore, reg *Registry, model string,
 	mon *Monitor, shards int) *Server {
-	n := par.Workers(shards)
+	n := shards
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
 	s := &Server{
 		Platform:     pf,
 		Store:        fs,
@@ -403,7 +407,7 @@ func (s *Server) IngestBatch(events []trace.Event) ([]Alarm, error) {
 	}
 	alarms := make([][]Alarm, len(s.shards))
 	errs := make([]error, len(s.shards))
-	par.ForEachN(0, len(s.shards), func(i int) {
+	par.ForEachN(len(s.shards), func(i int) {
 		if len(perShard[i]) == 0 {
 			return
 		}

@@ -116,11 +116,99 @@ func TestMapN(t *testing.T) {
 	}
 }
 
-func TestWorkers(t *testing.T) {
-	if Workers(5) != 5 {
-		t.Error("explicit worker count not honored")
+// TestMapNNamesOnlyTheFailure: MapN formats the name of the failing
+// index alone, not one per index up front.
+func TestMapNNamesOnlyTheFailure(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		var named atomic.Int64
+		var err error
+		withProcs(workers, func() {
+			_, err = MapN(context.Background(), 100,
+				func(i int) string { named.Add(1); return fmt.Sprintf("n%d", i) },
+				func(_ context.Context, i int) (int, error) {
+					if i == 37 {
+						return 0, boom
+					}
+					return i, nil
+				})
+		})
+		if err == nil || err.Error() != "n37: boom" {
+			t.Fatalf("workers=%d: err = %v, want n37: boom", workers, err)
+		}
+		if got := named.Load(); got != 1 {
+			t.Errorf("workers=%d: name called %d times, want 1", workers, got)
+		}
 	}
-	if Workers(0) < 1 || Workers(-1) < 1 {
-		t.Error("defaulted worker count must be positive")
+}
+
+// inFlight records the most calls running at once.
+type inFlight struct{ cur, peak atomic.Int64 }
+
+func (f *inFlight) enter() {
+	c := f.cur.Add(1)
+	for {
+		p := f.peak.Load()
+		if c <= p || f.peak.CompareAndSwap(p, c) {
+			return
+		}
+	}
+}
+
+func (f *inFlight) leave() { f.cur.Add(-1) }
+
+// TestWorkers: the worker count is GOMAXPROCS, so at GOMAXPROCS=3 neither
+// ForEachN nor Run ever has more than 3 calls in flight.
+func TestWorkers(t *testing.T) {
+	const procs, n = 3, 48
+	withProcs(procs, func() {
+		var f inFlight
+		ForEachN(n, func(int) {
+			f.enter()
+			time.Sleep(200 * time.Microsecond)
+			f.leave()
+		})
+		if got := f.peak.Load(); got > procs {
+			t.Errorf("ForEachN: %d calls in flight at GOMAXPROCS=%d", got, procs)
+		}
+
+		var g inFlight
+		tasks := make([]Task[int], n)
+		for i := range tasks {
+			tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(context.Context) (int, error) {
+				g.enter()
+				time.Sleep(200 * time.Microsecond)
+				g.leave()
+				return 0, nil
+			}}
+		}
+		if _, err := Run(context.Background(), tasks); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.peak.Load(); got > procs {
+			t.Errorf("Run: %d calls in flight at GOMAXPROCS=%d", got, procs)
+		}
+	})
+}
+
+// TestForEachNNested: a ForEachN inside a ForEachN — the forest's trees
+// each fanning out their histogram features — visits every inner index
+// exactly once and returns, at every GOMAXPROCS.
+func TestForEachNNested(t *testing.T) {
+	const outer, inner = 25, 40
+	for _, procs := range []int{1, 2, 8} {
+		hits := make([]int32, outer*inner)
+		withProcs(procs, func() {
+			ForEachN(outer, func(o int) {
+				ForEachN(inner, func(i int) {
+					atomic.AddInt32(&hits[o*inner+i], 1)
+				})
+			})
+		})
+		for k, h := range hits {
+			if h != 1 {
+				t.Fatalf("GOMAXPROCS=%d: inner index %d/%d visited %d times", procs, k/inner, k%inner, h)
+			}
+		}
 	}
 }

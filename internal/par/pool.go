@@ -6,29 +6,31 @@ import (
 	"sync/atomic"
 )
 
-// This file adds the shared persistent worker pool behind ForEachChunk —
-// the hot-kernel fan-out shape. Run/Map/ForEachN spawn goroutines per
-// call, which is fine for coarse tasks (a Table II cell, a fleet shard)
-// but too heavy for kernels invoked tens of thousands of times per
-// second (one matmul per transformer op). ForEachChunk instead hands
-// chunks to a lazily-started, process-wide pool of resident workers, so
-// a matmul costs one channel send per borrowed worker instead of a
-// goroutine spawn — and zero synchronization when workers <= 1.
+// This file holds the shared persistent worker pool behind every fan-out
+// in the package. Kernels invoke it tens of thousands of times per second
+// (one matmul per transformer op), so ForEachChunk hands chunks to a
+// lazily-started, process-wide pool of resident workers: a call costs one
+// channel send per offered worker instead of a goroutine spawn, and zero
+// synchronization at GOMAXPROCS=1. An offer is queued, not handed to an
+// idle worker or dropped: a coarse loop (experiment cells, forest trees)
+// that starts while the workers are still starting up, or busy, is joined
+// by each worker as it frees up, instead of running on its caller alone.
 
 // poolJob is one ForEachChunk invocation. Workers claim fixed-size chunks
 // through the shared atomic cursor; which worker runs which chunk is
 // scheduling-dependent, but chunk boundaries are not, so kernels that
-// write disjoint per-chunk outputs produce identical bytes for every
-// worker count.
+// write disjoint per-chunk outputs produce identical bytes at every
+// GOMAXPROCS.
 type poolJob struct {
 	fn    func(lo, hi int)
 	chunk int
 	n     int
 	next  atomic.Int64
-	wg    sync.WaitGroup
+	wg    sync.WaitGroup // one count per chunk, all added before any offer
 }
 
-// run claims chunks until the job is exhausted.
+// run claims chunks until the job is exhausted. A worker that takes an
+// offer after the job is done claims nothing and returns at once.
 func (j *poolJob) run() {
 	for {
 		c := int(j.next.Add(1)) - 1
@@ -36,11 +38,8 @@ func (j *poolJob) run() {
 		if lo >= j.n {
 			return
 		}
-		hi := lo + j.chunk
-		if hi > j.n {
-			hi = j.n
-		}
-		j.fn(lo, hi)
+		j.fn(lo, min(lo+j.chunk, j.n))
+		j.wg.Done()
 	}
 }
 
@@ -49,10 +48,10 @@ var (
 	poolJobs chan *poolJob
 )
 
-// poolSize is the resident worker count: GOMAXPROCS, floored at 8 so
-// worker-count determinism (callers pinning workers ∈ {1, 2, 8}) stays
-// exercisable on small CI boxes. Idle workers cost only a parked
-// goroutine.
+// poolSize is the resident worker count: GOMAXPROCS when the pool
+// starts, floored at 8 so worker-count determinism (tests pinning
+// GOMAXPROCS ∈ {1, 2, 8}) stays exercisable on small CI boxes. Idle
+// workers cost only a parked goroutine.
 func poolSize() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 8 {
@@ -61,39 +60,44 @@ func poolSize() int {
 	return n
 }
 
+// startPool starts the workers. The offer queue holds one offer per
+// worker: when it is full, every worker already has work waiting.
 func startPool() {
-	poolJobs = make(chan *poolJob)
-	for w := 0; w < poolSize(); w++ {
+	size := poolSize()
+	poolJobs = make(chan *poolJob, size)
+	for w := 0; w < size; w++ {
 		go func() {
 			for j := range poolJobs {
 				j.run()
-				j.wg.Done()
 			}
 		}()
 	}
 }
 
 // ForEachChunk runs fn over [0, n) split into fixed chunks of the given
-// size, fanning the chunks across at most `workers` goroutines (0 = one
-// per CPU) borrowed from the shared resident pool. The calling goroutine
-// always participates as one worker, so the call makes progress even when
-// every pool worker is busy (nested parallelism cannot deadlock: borrows
-// are non-blocking and simply fall back to the caller).
+// size, fanning the chunks across at most GOMAXPROCS goroutines: the
+// caller plus workers of the shared resident pool, each of which joins
+// when it takes the call's offer. The calling goroutine always
+// participates and waits only for chunks a worker has claimed, so the
+// call makes progress even when every pool worker is busy (nested loops
+// cannot deadlock: offers never block, and an offer taken late finds the
+// chunks gone).
 //
 // Determinism contract: chunk boundaries depend only on n and chunk —
-// never on workers or on which worker claims which chunk — so a fn whose
-// chunks write disjoint output regions yields byte-identical results for
-// every worker count, including 1 (where fn runs inline on the caller
-// with no synchronization at all).
-func ForEachChunk(workers, n, chunk int, fn func(lo, hi int)) {
+// never on GOMAXPROCS or on which worker claims which chunk — so a fn
+// whose chunks write disjoint output regions yields byte-identical results
+// at every GOMAXPROCS, including 1, where fn(0, n) runs inline on the
+// caller with no synchronization at all (so fn must loop over [lo, hi)).
+func ForEachChunk(n, chunk int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if chunk <= 0 {
 		chunk = 1
 	}
-	workers = Workers(workers)
-	if nChunks := (n + chunk - 1) / chunk; workers > nChunks {
+	workers := runtime.GOMAXPROCS(0)
+	nChunks := (n + chunk - 1) / chunk
+	if workers > nChunks {
 		workers = nChunks
 	}
 	if workers <= 1 {
@@ -102,14 +106,13 @@ func ForEachChunk(workers, n, chunk int, fn func(lo, hi int)) {
 	}
 	poolOnce.Do(startPool)
 	j := &poolJob{fn: fn, chunk: chunk, n: n}
+	j.wg.Add(nChunks)
 	for i := 0; i < workers-1; i++ {
-		j.wg.Add(1)
 		select {
 		case poolJobs <- j:
 		default:
-			// No pool worker is idle right now; the caller absorbs the
-			// remaining chunks instead of blocking on a borrow.
-			j.wg.Done()
+			// The queue is full, so every worker has work waiting; the
+			// caller absorbs the chunks instead of blocking on an offer.
 		}
 	}
 	j.run()

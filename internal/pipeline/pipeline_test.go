@@ -124,12 +124,29 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
+// TestWorkers: the runner's worker count is GOMAXPROCS, so at
+// GOMAXPROCS=3 no more than 3 experiment cells are ever in flight.
 func TestWorkers(t *testing.T) {
-	if par.Workers(3) != 3 {
-		t.Error("explicit worker count not honored")
+	const procs, n = 3, 32
+	var cur, peak atomic.Int32
+	tasks := make([]par.Task[int], n)
+	for i := range tasks {
+		tasks[i] = par.Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+			c := cur.Add(1)
+			for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+			return 0, nil
+		}}
 	}
-	if par.Workers(0) < 1 || par.Workers(-1) < 1 {
-		t.Error("defaulted worker count must be at least 1")
+	var err error
+	withProcs(procs, func() { _, err = par.Run(context.Background(), tasks) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > procs {
+		t.Errorf("%d cells in flight at GOMAXPROCS=%d", got, procs)
 	}
 }
 

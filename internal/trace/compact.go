@@ -17,7 +17,7 @@ import "sort"
 //     firsts are captured and merged back by every index rebuild, so a
 //     late event that Append sorts in cannot lose them.
 //   - The per-type index stays current: the compaction advances each view
-//     (CEs, UEs, StormTimes) past the dropped counts into a fresh array, so
+//     (CEs, StormTimes) past the dropped counts into a fresh array, so
 //     a view handed out earlier keeps its old contents. When every
 //     retained event is a CE, the CE view is the fresh retained array
 //     itself, as in any all-CE log. No event is
@@ -71,7 +71,6 @@ func (d *DIMMLog) CompactBefore(cut Minutes, fold func(Event)) int {
 	} else {
 		d.ces = dropPrefix(d.ces, nCE)
 	}
-	d.ues = dropPrefix(d.ues, nUE)
 	d.storms = dropPrefix(d.storms, nStorm)
 	d.idxLen = len(d.Events)
 	return k

@@ -62,7 +62,7 @@ func DetectStorms(ces []Event, cfg StormConfig) []Event {
 func AnnotateStorms(s *Store, cfg StormConfig) int {
 	logs := s.DIMMs()
 	counts := make([]int, len(logs))
-	par.ForEachN(0, len(logs), func(i int) {
+	par.ForEachN(len(logs), func(i int) {
 		l := logs[i]
 		storms := DetectStorms(l.CEs(), cfg)
 		if len(storms) == 0 {

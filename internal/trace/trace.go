@@ -122,9 +122,10 @@ func (s ByTime) Less(i, j int) bool {
 // static part attributes — the unit of analysis for fault classification,
 // feature extraction, and labeling.
 //
-// A log keeps a per-type index — cached CE/UE subsets and first-CE/UE
-// instants — that turns the window queries (CEsBetween, FirstUE, FirstCE,
-// CEs, UEs, StormTimes) into O(log n) or O(1) lookups with no allocation.
+// A log keeps a per-type index — the cached CE subset, storm times and
+// first-CE/UE instants — that turns the window queries (CEsBetween,
+// FirstUE, FirstCE, CEs, StormTimes) into O(log n) or O(1) lookups with no
+// allocation.
 // Append keeps the log sorted and indexed whatever order events arrive in.
 // A bulk load (Store.AppendEvents, a direct write to Events) leaves the
 // index behind until SortEvents (Store.SortAll) rebuilds it, and a query
@@ -144,7 +145,6 @@ type DIMMLog struct {
 	idxLen  int
 	idxGen  uint64    // bumped on every full index rebuild (buildIndex)
 	ces     []Event   // CE events in time order; Events[:n:n] while all are CEs
-	ues     []Event   // UE events in time order
 	storms  []Minutes // storm event times in order
 	firstCE Minutes
 	firstUE Minutes
@@ -177,10 +177,10 @@ func (d *DIMMLog) SortEvents() {
 	d.buildIndex()
 }
 
-// buildIndex recomputes the cached per-type views from Events. The UE,
-// storm and (in a log that holds anything but CEs) CE views are allocated
+// buildIndex recomputes the cached per-type views from Events. The storm
+// and (in a log that holds anything but CEs) CE views are allocated
 // fresh rather than reusing the old backing arrays: views handed out
-// before a re-sort (CEs, UEs, CEsBetween, StormTimes) then stay
+// before a re-sort (CEs, CEsBetween, StormTimes) then stay
 // stale-but-consistent snapshots instead of being overwritten in place
 // under the holder. An all-CE log's view is Events itself, which
 // SortEvents has already made fresh when an earlier view shared it.
@@ -200,7 +200,6 @@ func (d *DIMMLog) buildIndex() {
 	default:
 		d.ces = make([]Event, 0, nCE)
 	}
-	d.ues = nil
 	d.storms = nil
 	d.hasCE, d.hasUE = false, false
 	d.firstCE, d.firstUE = 0, 0
@@ -217,7 +216,6 @@ func (d *DIMMLog) buildIndex() {
 			if !d.hasUE {
 				d.hasUE, d.firstUE = true, e.Time
 			}
-			d.ues = append(d.ues, e)
 		case TypeStorm:
 			d.storms = append(d.storms, e.Time)
 		}
@@ -287,7 +285,6 @@ func (d *DIMMLog) Append(e Event) {
 		if !d.hasUE {
 			d.hasUE, d.firstUE = true, e.Time
 		}
-		d.ues = append(d.ues, e)
 	case TypeStorm:
 		d.storms = append(d.storms, e.Time)
 	}
@@ -299,13 +296,6 @@ func (d *DIMMLog) Append(e Event) {
 func (d *DIMMLog) CEs() []Event {
 	d.mustBeIndexed()
 	return d.ces
-}
-
-// UEs returns the UE events in time order. The slice is cached and shared
-// — callers must treat it as read-only.
-func (d *DIMMLog) UEs() []Event {
-	d.mustBeIndexed()
-	return d.ues
 }
 
 // FirstUE returns the time of the first UE and true, or (0, false) when the
@@ -449,7 +439,7 @@ func (s *Store) Stream() (all []Event, firstUE map[DIMMID]Minutes) {
 // result is identical for any worker count.
 func (s *Store) SortAll() {
 	logs := s.DIMMs()
-	par.ForEachN(0, len(logs), func(i int) { logs[i].SortEvents() })
+	par.ForEachN(len(logs), func(i int) { logs[i].SortEvents() })
 }
 
 // CountEvents returns the total number of events of the given type that

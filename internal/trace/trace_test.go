@@ -94,8 +94,8 @@ func TestDIMMLogQueries(t *testing.T) {
 	if got := len(l.CEs()); got != 2 {
 		t.Errorf("CEs() = %d, want 2", got)
 	}
-	if got := len(l.UEs()); got != 1 {
-		t.Errorf("UEs() = %d, want 1", got)
+	if got := len(allOf(l, TypeUE)); got != 1 {
+		t.Errorf("UEs = %d, want 1", got)
 	}
 }
 
