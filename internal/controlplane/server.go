@@ -151,8 +151,8 @@ type Server struct {
 	mux    *http.ServeMux
 
 	mu         sync.Mutex
-	cond       *sync.Cond // delivery/emission progress; senders park here
-	parts      map[trace.DIMMID]platform.DIMMPart
+	cond       *sync.Cond              // delivery/emission progress; senders park here
+	parts      map[trace.DIMMID]string // part number per registered DIMM, as the wire carries it
 	nodes      []*nodeRec
 	byName     map[string]*nodeRec
 	journal    journal
@@ -187,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		pipe:   cfg.Pipeline,
-		parts:  map[trace.DIMMID]platform.DIMMPart{},
+		parts:  map[trace.DIMMID]string{},
 		byName: map[string]*nodeRec{},
 	}
 	s.client = &http.Client{Transport: &s.hosts, Timeout: nodeTimeout}
@@ -223,15 +223,16 @@ func (s *Server) Close() {
 }
 
 // RegisterDIMM announces a DIMM's static attributes before its events
-// can be served — the control plane records the part for wire encoding.
-// Nodes learn DIMMs from the part numbers on forwarded frames. A tick is
-// encoded when it is journaled, so it carries the part registered then:
-// registering the DIMM again with another part changes only the ticks
-// journaled after, never a delivery or rejoin replay of an earlier one.
+// can be served — the control plane keeps only the part number, which is
+// all wire encoding reads. Nodes learn DIMMs from the part numbers on
+// forwarded frames. A tick is encoded when it is journaled, so it carries
+// the part registered then: registering the DIMM again with another part
+// changes only the ticks journaled after, never a delivery or rejoin
+// replay of an earlier one.
 func (s *Server) RegisterDIMM(id trace.DIMMID, part platform.DIMMPart) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.parts[id] = part
+	s.parts[id] = part.PartNumber
 }
 
 // registerUnknown registers every DIMM in events the control plane has
@@ -249,7 +250,7 @@ func (s *Server) registerUnknown(events []trace.Event, parts []string) (int, err
 		if err != nil {
 			return i, err
 		}
-		s.parts[e.DIMM] = part
+		s.parts[e.DIMM] = part.PartNumber
 	}
 	return 0, nil
 }
@@ -319,7 +320,7 @@ func (s *Server) ingestTick(events []trace.Event) (TickResult, error) {
 			mon.CountEvent(e)
 		}
 	}
-	partOf := func(id trace.DIMMID) string { return s.parts[id].PartNumber }
+	partOf := func(id trace.DIMMID) string { return s.parts[id] }
 	frames := make([][]byte, s.cfg.ExpectNodes)
 	for i, ev := range s.partitionLocked(events) {
 		if len(ev) > 0 {

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"reflect"
@@ -224,11 +225,112 @@ func naiveExtract(l *trace.DIMMLog, t trace.Minutes) []float64 {
 	return f
 }
 
+// mixedRow is a hand-built DIMM history that interleaves UE and storm
+// records with its CEs, the instants to extract at (nondecreasing), and the
+// CompactLog cuts a serving log takes right after the instant they are
+// keyed by.
+type mixedRow struct {
+	name     string
+	events   []trace.Event
+	instants []trace.Minutes
+	cuts     map[trace.Minutes]trace.Minutes
+}
+
+// mixedRows covers what a cursor walking Events steps over: a CE after a
+// UE, a storm inside each of ceCountSince's 15-minute, 1-hour, 6-hour and
+// 1-day windows as the instants sweep past that window's edge, and
+// compactions that cut between a storm and its CEs — behind the window,
+// through it, and dropping only a storm from inside it.
+func mixedRows() []mixedRow {
+	ev := func(tm trace.Minutes, typ trace.EventType) trace.Event {
+		e := trace.Event{Time: tm, Type: typ, Addr: dram.Addr{Bank: uint8(tm % 3), Row: uint32(tm % 5), Column: uint16(tm % 2)}}
+		if typ == trace.TypeCE {
+			e.Bits = dram.NewErrorBits(dram.X4)
+			e.Bits.Set(int(tm%4), int(tm/7%8))
+		}
+		return e
+	}
+	ces := func(from, to, step trace.Minutes) []trace.Event {
+		var out []trace.Event
+		for tm := from; tm <= to; tm += step {
+			out = append(out, ev(tm, trace.TypeCE))
+		}
+		return out
+	}
+	at := func(events []trace.Event, extra ...trace.Minutes) []trace.Minutes {
+		out := extra
+		for _, e := range events {
+			out = append(out, e.Time)
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	const T = 20 * trace.Day
+	var rows []mixedRow
+
+	ue := slices.Concat(ces(T-2*trace.Day, T, 7*trace.Hour), []trace.Event{ev(T+10, trace.TypeUE)}, ces(T+20, T+2*trace.Day, 5*trace.Hour))
+	rows = append(rows, mixedRow{name: "CE after a UE", events: ue, instants: at(ue, T+15, T+2*trace.Day+trace.Hour)})
+
+	for _, w := range []struct {
+		name string
+		span trace.Minutes
+	}{{"15 minutes", 15}, {"1 hour", trace.Hour}, {"6 hours", 6 * trace.Hour}, {"1 day", trace.Day}} {
+		s := T - w.span/2 // inside the window of an instant at T
+		events := slices.Concat(ces(T-3*trace.Day, s-1, 3*trace.Hour+1), []trace.Event{ev(s, trace.TypeStorm)}, ces(s, T+2*w.span, w.span/5+1))
+		var sweep []trace.Minutes
+		for _, d := range []trace.Minutes{0, 15, trace.Hour, 6 * trace.Hour, trace.Day, ObservationWindow} {
+			sweep = append(sweep, s+d-1, s+d, s+d+1)
+		}
+		rows = append(rows, mixedRow{name: "storm inside " + w.name, events: events, instants: at(events, sweep...)})
+	}
+
+	// A storm at S ends the ten CEs that raised it; its episode's CEs
+	// follow, with two more storms among them.
+	const S = T
+	storm := slices.Concat(ces(S-9, S, 1), []trace.Event{ev(S, trace.TypeStorm)}, ces(S+1, S+9, 1), ces(S+6*trace.Day, S+6*trace.Day+4, 1),
+		[]trace.Event{ev(S+2, trace.TypeStorm), ev(S+4, trace.TypeStorm)})
+	slices.SortStableFunc(storm, func(a, b trace.Event) int { return cmp.Compare(a.Time, b.Time) })
+	rows = append(rows,
+		mixedRow{name: "CompactLog behind the window, between a storm and its CEs", events: storm,
+			instants: at(storm), cuts: map[trace.Minutes]trace.Minutes{S + 6*trace.Day: S + 1}},
+		mixedRow{name: "CompactLog through the window, between a storm and its CEs", events: storm,
+			instants: at(storm), cuts: map[trace.Minutes]trace.Minutes{S + 3: S, S + 6: S + 1}})
+	alone := slices.Concat(ces(S-6*trace.Day, S-6*trace.Day, 1), []trace.Event{ev(S, trace.TypeStorm)}, ces(S+1, S+9, 1))
+	rows = append(rows, mixedRow{name: "CompactLog drops only a storm the window holds", events: alone,
+		instants: at(alone), cuts: map[trace.Minutes]trace.Minutes{S + 1: S + 1}})
+	return rows
+}
+
 // TestCursorMatchesNaiveExtract checks the incremental path against the
 // preserved pre-cursor linear extractor on a real generated fleet:
 // walking a DIMM's instants with one cursor must produce exactly the
-// vectors the original per-instant full-history scan produced.
+// vectors the original per-instant full-history scan produced. The hand-
+// built mixedRows add histories whose UE and storm records sit among the
+// CEs: there a cursor must match the scan too, and a ServeCursor fed the
+// events as they arrive, compacted at the row's cuts, must match a fresh
+// NewCursor(l).ExtractAt(t) over its log at every instant.
 func TestCursorMatchesNaiveExtract(t *testing.T) {
+	for _, row := range mixedRows() {
+		full := &trace.DIMMLog{ID: trace.DIMMID{Platform: platform.Purley}}
+		for _, e := range row.events {
+			full.Append(e)
+		}
+		cur := NewCursor(full)
+		live := &trace.DIMMLog{ID: full.ID}
+		sc := NewServeCursor(live)
+		next := 0
+		for _, ti := range row.instants {
+			sameVec(t, cur.ExtractAt(ti), naiveExtract(full, ti), "%s @%v", row.name, ti)
+			for ; next < len(row.events) && row.events[next].Time <= ti; next++ {
+				live.Append(row.events[next])
+			}
+			sameVec(t, sc.ExtractAt(ti), NewCursor(live).ExtractAt(ti), "%s: ServeCursor @%v", row.name, ti)
+			if cut, ok := row.cuts[ti]; ok && CompactLog(live, cut) == 0 {
+				t.Fatalf("%s: the cut at %v after @%v dropped nothing", row.name, cut, ti)
+			}
+		}
+	}
+
 	res, err := faultsim.GenerateCtx(context.Background(), faultsim.Config{Platform: platform.Purley, Scale: 0.01, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -78,38 +78,47 @@ func Dim() int { return len(Names()) }
 // pass: lifetime statistics (CE totals, first/last CE, the §V fault
 // classification, distinct-structure counts) are folded in incrementally
 // as each CE is consumed exactly once, while window-bounded features are
-// computed over binary-searched subslices of the time-sorted CE view.
-// BuildSamples replaces its per-instant full-history re-extraction (up to
-// 48 scans per DIMM) with one cursor walk. The lifetime and the window
-// classification are the two lanes of one analysis.Incremental, life: a
-// window CE is a lifetime CE, so the window's keys are stored once.
+// kept as events enter and leave the window. The cursor keeps positions
+// in the log's Events, steps over its UE and storm records, and holds no
+// view of its own: it reads each CE where the log holds it. BuildSamples
+// replaces its per-instant full-history re-extraction (up to 48 scans per
+// DIMM) with one cursor walk. The lifetime and the window classification
+// are the two lanes of one analysis.Incremental, life: a window CE is a
+// lifetime CE, so the window's keys are stored once.
 //
 // A Cursor reads the log but never mutates it, so concurrent cursors may
 // share one DIMM log; a single Cursor is not safe for concurrent use.
+// In-order Appends between calls are read like any other event; a log
+// that is re-sorted or compacted under a cursor needs a ServeCursor,
+// which notices both.
 type Cursor struct {
-	l      *trace.DIMMLog
-	ces    []trace.Event // time-sorted CE view (shared with the log's index)
-	storms []trace.Minutes
+	l *trace.DIMMLog
 
-	pos      int // CEs consumed so far: ces[:pos] all have Time <= last t
-	stormPos int // storms consumed so far
+	pos      int // l.Events consumed so far: Events[:pos] all have Time <= last t
+	stormPos int // l.StormTimes() consumed so far
 
-	// The log's CompactedCEs and CompactedStorms as of the views above:
-	// the counts a compacted-away prefix contributes.
-	ceBase, stormBase int
+	// The log's CompactedEvents and CompactedStorms as of pos and
+	// stormPos: how far those sit from their places in the uncompacted log.
+	evBase, stormBase int
 
-	// Lifetime accumulators over the fold seed plus ces[:pos]; life's
-	// lifetime lane is the lifetime classification.
+	// Lifetime accumulators over the fold seed plus the CEs of
+	// Events[:pos]; ceTotal counts them (the log's CompactedCEs when the
+	// cursor started, plus every CE consumed since), and life's lifetime
+	// lane is the lifetime classification.
+	ceTotal         int
 	firstCE, lastCE trace.Minutes
 	life            *analysis.Incremental
 
-	// Observation-window state over ces[winStart:pos]: the §V
+	// Observation-window state over Events[winStart:pos]: its CE count,
+	// the positions of its UE and storm records (ascending, few), the §V
 	// classification (life's window lane), the per-day CE tallies and the
 	// bit-level statistics, folded in as events enter the window and
 	// folded out as they expire past t−Δtd — so the window-bounded
 	// features cost O(events entering + leaving) per instant instead of a
 	// rebuild over the whole window.
 	winStart int
+	winCEs   int
+	winOther []int
 	days     windowDays
 	bits     winBits
 }
@@ -210,13 +219,12 @@ func (w *winBits) maxBits() int {
 func NewCursor(l *trace.DIMMLog) *Cursor {
 	c := &Cursor{
 		l:       l,
-		ces:     l.CEs(),
-		storms:  l.StormTimes(),
 		firstCE: -1,
 		lastCE:  -1,
 	}
 	c.bits.sigs = map[trace.Signature]int{}
-	c.ceBase, c.stormBase = l.CompactedCEs(), l.CompactedStorms()
+	c.evBase, c.stormBase = l.CompactedEvents(), l.CompactedStorms()
+	c.ceTotal = l.CompactedCEs()
 	if fs, ok := l.FoldState().(*FoldState); ok {
 		c.firstCE, c.lastCE = fs.firstCE, fs.lastCE
 		c.life = fs.life.Clone()
@@ -232,37 +240,59 @@ func NewCursor(l *trace.DIMMLog) *Cursor {
 // state, so that state only ever holds CEs of [t−Δtd, t].
 func (c *Cursor) advance(t trace.Minutes) {
 	from := t - ObservationWindow
-	for ; c.winStart < c.pos && c.ces[c.winStart].Time < from; c.winStart++ {
-		e := c.ces[c.winStart]
+	events := c.l.Events
+	for ; c.winStart < c.pos && events[c.winStart].Time < from; c.winStart++ {
+		e := events[c.winStart]
+		if e.Type != trace.TypeCE {
+			c.winOther = c.winOther[1:] // the window's oldest non-CE record
+			continue
+		}
+		c.winCEs--
 		c.life.RemoveWindow(e)
 		c.bits.update(e, -1)
 		c.days.move(e.Time/trace.Day, -1)
 	}
-	for c.pos < len(c.ces) && c.ces[c.pos].Time <= t {
-		e := c.ces[c.pos]
+	for c.pos < len(events) && events[c.pos].Time <= t {
+		e := events[c.pos]
+		c.pos++
+		inWindow := e.Time >= from
+		if !inWindow {
+			c.winStart = c.pos // the window held nothing older: events is time-sorted
+		}
+		if e.Type != trace.TypeCE {
+			if inWindow {
+				c.winOther = append(c.winOther, c.pos-1)
+			}
+			continue
+		}
 		if c.firstCE < 0 {
 			c.firstCE = e.Time
 		}
 		c.lastCE = e.Time
+		c.ceTotal++
 		c.life.Add(e)
-		c.pos++
-		if e.Time < from {
-			c.winStart = c.pos // the window held nothing older: ces is time-sorted
+		if !inWindow {
 			continue
 		}
+		c.winCEs++
 		c.life.AddWindow(e)
 		c.bits.update(e, 1)
 		c.days.move(e.Time/trace.Day, 1)
 	}
-	for c.stormPos < len(c.storms) && c.storms[c.stormPos] <= t {
+	storms := c.l.StormTimes()
+	for c.stormPos < len(storms) && storms[c.stormPos] <= t {
 		c.stormPos++
 	}
 }
 
 // ceCountSince returns the number of consumed CEs with Time >= from, i.e.
-// CEs in [from, t] after advance(t).
+// CEs in [from, t] after advance(t), for a from inside the window
+// (from >= t−Δtd): the window's events from the first at or after from,
+// less its UE and storm records among them.
 func (c *Cursor) ceCountSince(from trace.Minutes) int {
-	return c.pos - sort.Search(c.pos, func(i int) bool { return c.ces[i].Time >= from })
+	window := c.l.Events[c.winStart:c.pos]
+	lo := c.winStart + sort.Search(len(window), func(i int) bool { return window[i].Time >= from })
+	return c.pos - lo - (len(c.winOther) - sort.SearchInts(c.winOther, lo))
 }
 
 // ExtractAt computes the feature vector at instant t. Instants must be
@@ -273,12 +303,12 @@ func (c *Cursor) ExtractAt(t trace.Minutes) []float64 {
 	f := make([]float64, Dim())
 	w := ObservationWindow
 
-	windowCEs := c.ces[c.winStart:c.pos]
-	ce5d := len(windowCEs)
-	ceTotal := c.ceBase + c.pos
+	ce5d := c.winCEs
+	ceTotal := c.ceTotal
 
 	stormsTotal := c.stormBase + c.stormPos
-	storms5d := c.stormPos - sort.Search(c.stormPos, func(i int) bool { return c.storms[i] >= t-w })
+	storms := c.l.StormTimes()
+	storms5d := c.stormPos - sort.Search(c.stormPos, func(i int) bool { return storms[i] >= t-w })
 
 	i := 0
 	next := func(v float64) { f[i] = v; i++ }

@@ -58,36 +58,36 @@ func (sc *ServeCursor) ExtractAt(t trace.Minutes) []float64 {
 	return sc.inner.ExtractAt(t)
 }
 
-// rebase renews the cursor's views of a log whose index was not rebuilt
-// since the cursor last read it. ceBase and stormBase are the log's
-// CompactedCEs and CompactedStorms as of the views the cursor holds, so
-// their distance to the log's counts now is the prefix compacted away
-// since. In-order appends only grow the views, so with nothing dropped
-// renewing the slice headers is all there is to do. A dropped prefix that
-// lies wholly below the window start (and below the consumed storms) is
-// already in life's lifetime lane and no longer in its window lane, bits
-// or days, exactly as in a cursor rebuilt from the FoldState and advanced
-// to the same instant, so only the positions move. Otherwise it reports
-// false and the cursor must be rebuilt.
+// rebase renews the cursor's positions in a log whose index was not
+// rebuilt since the cursor last read it. evBase and stormBase are the
+// log's CompactedEvents and CompactedStorms as of the positions the
+// cursor holds, so their distance to the log's counts now is the prefix
+// compacted away since. In-order appends only grow Events and the storm
+// view, so with nothing dropped there is nothing to do. A dropped prefix
+// that lies wholly below the window start (and below the consumed storms)
+// is already in life's lifetime lane and ceTotal and no longer in the
+// window state, exactly as in a cursor rebuilt from the FoldState and
+// advanced to the same instant, so only the positions move. Otherwise it
+// reports false and the cursor must be rebuilt.
 func (c *Cursor) rebase() bool {
-	ces, storms := c.l.CompactedCEs()-c.ceBase, c.l.CompactedStorms()-c.stormBase
-	if ces > c.winStart || storms > c.stormPos {
+	events, storms := c.l.CompactedEvents()-c.evBase, c.l.CompactedStorms()-c.stormBase
+	if events > c.winStart || storms > c.stormPos {
 		return false
 	}
-	c.pos -= ces
-	c.winStart -= ces
-	c.ceBase += ces
+	c.pos -= events
+	c.winStart -= events
+	for i := range c.winOther {
+		c.winOther[i] -= events
+	}
+	c.evBase += events
 	c.stormPos -= storms
 	c.stormBase += storms
-	c.ces = c.l.CEs()
-	c.storms = c.l.StormTimes()
 	return true
 }
 
 // MemEstimate returns a rough heap-footprint estimate in bytes for
-// serving-side memory accounting. The per-type views are shared with the
-// log's index and not counted; the dominant owned state is the lifetime
-// fault-analysis accumulators. The classifier is charged as the sum of its
+// serving-side memory accounting. The log's events are not counted; the
+// dominant owned state is the lifetime fault-analysis accumulators. The classifier is charged as the sum of its
 // two lanes' estimates, each as if it kept maps of its own, and the day
 // tallies per day held: the charge of the layout with a classifier and a
 // day map for the window, which the memory budget's evictions rest on.

@@ -180,8 +180,8 @@ func TestServeCursorRebasesAcrossCompaction(t *testing.T) {
 		if compactions < 2 {
 			t.Fatalf("%s: %d compactions; test proves nothing", src.ID, compactions)
 		}
-		if got := sc.inner.ceBase + len(sc.inner.ces); got != len(oracle.CEs()) {
-			t.Fatalf("%s: rebased cursor accounts for %d CEs, log saw %d", src.ID, got, len(oracle.CEs()))
+		if got := sc.inner.ceTotal; got != len(oracle.CEs()) {
+			t.Fatalf("%s: rebased cursor consumed %d CEs, log saw %d", src.ID, got, len(oracle.CEs()))
 		}
 	}
 }
@@ -266,8 +266,9 @@ func TestServeCursorCompactionFallbacks(t *testing.T) {
 	})
 }
 
-// TestServeCursorUEOnlyCompaction: a compaction that drops only UEs moves
-// nothing the cursor indexes, so the cursor is left exactly as it was.
+// TestServeCursorUEOnlyCompaction: a compaction that drops only a UE
+// touches none of the cursor's CE state, so the cursor survives it and
+// only its positions in Events shift.
 func TestServeCursorUEOnlyCompaction(t *testing.T) {
 	src := busyLogs(t, 10, 1)[0]
 	ces := src.CEs()
@@ -287,8 +288,8 @@ func TestServeCursorUEOnlyCompaction(t *testing.T) {
 	}
 	sameVec(t, sc.ExtractAt(at), naiveExtract(oracle, at), "@%v", at)
 	c := sc.inner
-	if c != before || c.pos != state.pos || c.winStart != state.winStart || c.stormPos != state.stormPos ||
-		c.ceBase != state.ceBase || c.stormBase != state.stormBase {
-		t.Fatal("UE-only compaction moved the cursor")
+	if c != before || c.pos != state.pos-1 || c.winStart != state.winStart-1 || c.evBase != state.evBase+1 ||
+		c.stormPos != state.stormPos || c.stormBase != state.stormBase || c.ceTotal != state.ceTotal || c.winCEs != state.winCEs {
+		t.Fatal("UE-only compaction did more than shift the cursor's positions by the one dropped event")
 	}
 }

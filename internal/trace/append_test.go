@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -233,5 +234,56 @@ func TestStoreAppendKeepsIndexAndCounters(t *testing.T) {
 		if got := s.CountEvents(typ); got != want[typ] {
 			t.Errorf("CountEvents(%v) = %d, want %d", typ, got, want[typ])
 		}
+	}
+}
+
+// TestLogHoldsEachCEOnce pins that a log holding a storm record keeps its
+// CEs once, in Events: a storm followed by N CEs through Append allocates
+// what an all-CE log of the same length does, plus the storm's one entry
+// in StormTimes. CEsBetween still answers with the right CEs over ranges
+// with and without the storm, and a slice it returned keeps its contents
+// across a late Append that re-sorts the log.
+func TestLogHoldsEachCEOnce(t *testing.T) {
+	const n = 64
+	ce := func(m Minutes, row int) Event {
+		e := Event{Time: m, Type: TypeCE}
+		e.Addr.Row = uint32(row)
+		return e
+	}
+	stormed := func() *DIMMLog {
+		l := &DIMMLog{}
+		l.Append(Event{Time: 0, Type: TypeStorm})
+		for i := 1; i <= n; i++ {
+			l.Append(ce(Minutes(i), i))
+		}
+		return l
+	}
+	var sink *DIMMLog
+	allCE := testing.AllocsPerRun(20, func() {
+		sink = &DIMMLog{}
+		for i := 0; i <= n; i++ {
+			sink.Append(ce(Minutes(i), i))
+		}
+	})
+	if got := testing.AllocsPerRun(20, func() { sink = stormed() }); got != allCE+1 {
+		t.Fatalf("a storm and %d CEs allocated %v times, %d CEs %v: the log copies its CEs", n, got, n+1, allCE)
+	}
+
+	l := stormed()
+	for _, r := range []struct{ from, to Minutes }{{0, n + 1}, {1, n + 1}, {10, 20}, {0, 1}, {n, n + 1}} {
+		got := l.CEsBetween(r.from, r.to)
+		if want := filterEvents(l, TypeCE, r.from, r.to); !slices.Equal(got, want) {
+			t.Fatalf("CEsBetween(%v, %v) has %d events, filtering Events gives %d", r.from, r.to, len(got), len(want))
+		}
+	}
+
+	view := l.CEsBetween(1, n+1) // CEs only: a subslice of Events
+	was := slices.Clone(view)
+	l.Append(ce(5, n+1)) // late: the log re-sorts
+	if !slices.Equal(view, was) {
+		t.Fatal("a CEsBetween result changed under a late Append")
+	}
+	if got := l.CEs(); len(got) != n+1 || !slices.Equal(got, filterEvents(l, TypeCE, 0, n+1)) {
+		t.Fatalf("after the late Append the log has %d CEs, want %d in time order", len(got), n+1)
 	}
 }

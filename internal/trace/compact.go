@@ -16,14 +16,12 @@ import "sort"
 //   - FirstCE and FirstUE remain exact lifetime answers: the pre-drop
 //     firsts are captured and merged back by every index rebuild, so a
 //     late event that Append sorts in cannot lose them.
-//   - The per-type index stays current: the compaction advances each view
-//     (CEs, StormTimes) past the dropped counts into a fresh array, so
-//     a view handed out earlier keeps its old contents. When every
-//     retained event is a CE, the CE view is the fresh retained array
-//     itself, as in any all-CE log. No event is
-//     reordered, so IndexGen does not advance; a consumer holding positions
-//     into the views (features.ServeCursor) shifts them by the change in
-//     CompactedCEs and CompactedStorms since it last looked.
+//   - The index stays current: the retained events and storm times move
+//     to fresh arrays, so a view handed out earlier keeps its old
+//     contents. No event is reordered, so IndexGen does not advance; a
+//     consumer holding positions into Events and StormTimes
+//     (features.ServeCursor) shifts them by the change in CompactedEvents
+//     and CompactedStorms since it last looked.
 
 // CompactBefore drops all events with Time < cut from the log, invoking
 // fold (when non-nil) for each dropped event in time order first, and
@@ -63,23 +61,16 @@ func (d *DIMMLog) CompactBefore(cut Minutes, fold func(Event)) int {
 	if cut > d.compBefore {
 		d.compBefore = cut
 	}
-	retained := make([]Event, len(d.Events)-k)
-	copy(retained, d.Events[k:])
-	d.Events = retained
-	if n := len(retained); len(d.ces)-nCE == n && n > 0 {
-		d.ces = retained[:n:n] // every retained event is a CE: the view is the log
-	} else {
-		d.ces = dropPrefix(d.ces, nCE)
-	}
+	d.Events = dropPrefix(d.Events, k)
 	d.storms = dropPrefix(d.storms, nStorm)
 	d.idxLen = len(d.Events)
 	return k
 }
 
-// dropPrefix advances an index view past its first n entries: s[n:] copied
-// into a fresh exact-size array (nil when nothing remains, as buildIndex
-// leaves an absent type), so holders of s are not written under and the
-// dropped prefix becomes collectable.
+// dropPrefix advances a slice past its first n entries: s[n:] copied into
+// a fresh exact-size array (nil when nothing remains, as buildIndex leaves
+// an absent type), so holders of s are not written under and the dropped
+// prefix becomes collectable.
 func dropPrefix[T any](s []T, n int) []T {
 	if n == 0 {
 		return s

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,31 +182,43 @@ func sameEvents(a, b []Event) bool {
 }
 
 // TestCEsBetweenSharesIndex checks the documented no-allocation contract:
-// on an indexed log the returned window is a subslice of the cached CE
-// view, not a copy.
+// on an indexed log a range that holds only CEs comes back as a subslice
+// of Events, capped at its length, without allocating; a range that holds
+// a UE or storm record comes back as a filtered copy.
 func TestCEsBetweenSharesIndex(t *testing.T) {
 	rng := xrand.New(7)
 	idx := randomLog(t, rng, 200)
-	ces := idx.CEs()
-	if len(ces) < 3 {
+	ev := idx.Events
+	// ev[lo:hi] is the log's longest run of CEs. A UE or storm sorts after
+	// a CE of equal time, so ev[lo-1] is strictly earlier than ev[lo].
+	lo, hi := 0, 0
+	for i := 0; i < len(ev); i++ {
+		j := i
+		for j < len(ev) && ev[j].Type == TypeCE {
+			j++
+		}
+		if j-i > hi-lo {
+			lo, hi = i, j
+		}
+		i = j
+	}
+	if hi-lo < 3 || hi == len(ev) {
 		t.Skip("log too small")
 	}
-	from, to := ces[1].Time, ces[len(ces)-1].Time
+	from, to := ev[lo].Time, ev[hi-1].Time
 	win := idx.CEsBetween(from, to)
-	if len(win) == 0 {
-		t.Fatal("expected a non-empty window")
+	if len(win) == 0 || &win[0] != &ev[lo] || cap(win) != len(win) {
+		t.Error("CEsBetween copied a range that holds only CEs, or left its capacity open")
 	}
-	// win[0] must alias the cached backing array rather than a fresh
-	// allocation.
-	found := false
-	for i := range ces {
-		if &ces[i] == &win[0] {
-			found = true
-			break
-		}
+	if n := testing.AllocsPerRun(10, func() { idx.CEsBetween(from, to) }); n != 0 {
+		t.Errorf("CEsBetween over a range of CEs allocated %v times", n)
 	}
-	if !found {
-		t.Error("CEsBetween allocated a copy on an indexed log")
+	mixed := idx.CEsBetween(from, ev[hi].Time+1) // ev[hi] is a UE or storm
+	if want := filterEvents(idx, TypeCE, from, ev[hi].Time+1); !slices.Equal(mixed, want) {
+		t.Fatalf("CEsBetween over a UE or storm has %d events, filtering Events gives %d", len(mixed), len(want))
+	}
+	if &mixed[0] == &ev[lo] {
+		t.Error("CEsBetween handed out Events over a range that holds a UE or storm")
 	}
 }
 

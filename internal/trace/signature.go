@@ -2,8 +2,9 @@ package trace
 
 // Signature is a CE bit signature's (DQ count, beat count, DQ interval,
 // beat interval) tuple — the bucket key of the Figure 5 analysis and the
-// §VI dominant-signature features.
-type Signature struct{ DQ, Beat, DQI, BI int }
+// §VI dominant-signature features. A mask has 64 bits, so every count
+// and interval fits a byte; the serving cursor keys a map by it per DIMM.
+type Signature struct{ DQ, Beat, DQI, BI uint8 }
 
 // Signature returns the event's signature tuple, and false when the event
 // carries no bit information (zero mask).
@@ -11,7 +12,8 @@ func (e Event) Signature() (Signature, bool) {
 	if e.Bits.IsZero() {
 		return Signature{}, false
 	}
-	return Signature{e.Bits.DQCount(), e.Bits.BeatCount(), e.Bits.DQInterval(), e.Bits.BeatInterval()}, true
+	b := e.Bits
+	return Signature{uint8(b.DQCount()), uint8(b.BeatCount()), uint8(b.DQInterval()), uint8(b.BeatInterval())}, true
 }
 
 // less orders signatures by complexity (more DQs, then more beats, then
@@ -64,5 +66,5 @@ func DominantSignature(ces []Event) (dq, beat, dqi, bi int) {
 		}
 	}
 	best := DominantOf(counts)
-	return best.DQ, best.Beat, best.DQI, best.BI
+	return int(best.DQ), int(best.Beat), int(best.DQI), int(best.BI)
 }

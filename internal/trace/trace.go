@@ -122,19 +122,16 @@ func (s ByTime) Less(i, j int) bool {
 // static part attributes — the unit of analysis for fault classification,
 // feature extraction, and labeling.
 //
-// A log keeps a per-type index — the cached CE subset, storm times and
-// first-CE/UE instants — that turns the window queries (CEsBetween,
-// FirstUE, FirstCE, CEs, StormTimes) into O(log n) or O(1) lookups with no
-// allocation.
+// A log holds each event once, in Events. A small index — storm times and
+// first-CE/UE instants — answers FirstUE, FirstCE and StormTimes in O(1)
+// with no allocation; CEs and CEsBetween binary-search Events and hand out
+// a subslice of it while the range holds only CEs, or a filtered copy
+// when it holds a UE or storm record.
 // Append keeps the log sorted and indexed whatever order events arrive in.
 // A bulk load (Store.AppendEvents, a direct write to Events) leaves the
 // index behind until SortEvents (Store.SortAll) rebuilds it, and a query
-// in between panics. While every event in the log is a CE, the CE view is
-// the event array itself (Events[:n:n]), so the log holds each event
-// once. The view's capacity ends at its length, so after the first UE or
-// storm the next CE's append copies it into an array of its own, once: a
-// copy of what is then the log's CE prefix. Queries never mutate the log,
-// so a sorted log is safe for concurrent readers.
+// in between panics. Queries never mutate the log, so a sorted log is
+// safe for concurrent readers.
 type DIMMLog struct {
 	ID     DIMMID
 	Part   platform.DIMMPart
@@ -144,7 +141,6 @@ type DIMMLog struct {
 	// valid index for an empty log.
 	idxLen  int
 	idxGen  uint64    // bumped on every full index rebuild (buildIndex)
-	ces     []Event   // CE events in time order; Events[:n:n] while all are CEs
 	storms  []Minutes // storm event times in order
 	firstCE Minutes
 	firstUE Minutes
@@ -162,13 +158,12 @@ type DIMMLog struct {
 	foldState                                FoldState
 }
 
-// SortEvents sorts the events by time and rebuilds the query index. The
-// sort is in place, except when the CE view shares the event array: then
-// it sorts a copy of the same capacity, so a CE view handed out earlier
-// keeps its contents. A log that was never indexed (a bulk load) pays no
-// copy.
+// SortEvents sorts the events by time and rebuilds the query index. A log
+// that was indexed may have handed out subslices of Events (CEs,
+// CEsBetween), so it sorts a copy of the same capacity and those keep
+// their contents; a log that never was (a bulk load) sorts in place.
 func (d *DIMMLog) SortEvents() {
-	if len(d.ces) > 0 && len(d.Events) > 0 && &d.ces[0] == &d.Events[0] {
+	if d.idxLen > 0 {
 		events := make([]Event, len(d.Events), cap(d.Events))
 		copy(events, d.Events)
 		d.Events = events
@@ -177,29 +172,11 @@ func (d *DIMMLog) SortEvents() {
 	d.buildIndex()
 }
 
-// buildIndex recomputes the cached per-type views from Events. The storm
-// and (in a log that holds anything but CEs) CE views are allocated
-// fresh rather than reusing the old backing arrays: views handed out
-// before a re-sort (CEs, CEsBetween, StormTimes) then stay
-// stale-but-consistent snapshots instead of being overwritten in place
-// under the holder. An all-CE log's view is Events itself, which
-// SortEvents has already made fresh when an earlier view shared it.
+// buildIndex recomputes the cached index from Events. The storm view is
+// allocated fresh rather than reusing the old backing array, so a view
+// handed out before a re-sort stays a stale-but-consistent snapshot
+// instead of being overwritten in place under the holder.
 func (d *DIMMLog) buildIndex() {
-	nCE := 0
-	for i := range d.Events {
-		if d.Events[i].Type == TypeCE {
-			nCE++
-		}
-	}
-	n := len(d.Events)
-	switch {
-	case nCE == 0:
-		d.ces = nil
-	case nCE == n:
-		d.ces = d.Events[:n:n]
-	default:
-		d.ces = make([]Event, 0, nCE)
-	}
 	d.storms = nil
 	d.hasCE, d.hasUE = false, false
 	d.firstCE, d.firstUE = 0, 0
@@ -208,9 +185,6 @@ func (d *DIMMLog) buildIndex() {
 		case TypeCE:
 			if !d.hasCE {
 				d.hasCE, d.firstCE = true, e.Time
-			}
-			if nCE < n {
-				d.ces = append(d.ces, e)
 			}
 		case TypeUE:
 			if !d.hasUE {
@@ -252,16 +226,10 @@ func (d *DIMMLog) IndexGen() uint64 { return d.idxGen }
 
 // Append adds one event to the log and leaves it sorted and indexed. An
 // event in time order (e.Time >= the last event's time) extends the
-// per-type index incrementally, so streaming ingestion keeps every query
-// at its indexed O(1)/O(log n) cost. A late event — or any event appended
+// index incrementally, so streaming ingestion never re-sorts. A late event — or any event appended
 // to a bulk-loaded log that was never sorted — is appended and then
-// SortEvents runs, which advances IndexGen.
-//
-// While the log holds only CEs, an in-order CE re-slices the CE view over
-// Events instead of copying the event a second time. The view's capacity
-// ends at its length, so after the first UE or storm the next CE's append
-// copies it into an array of its own, once, and nothing written to Events
-// ever lands inside a view handed out earlier.
+// SortEvents runs, which advances IndexGen. An in-order append writes
+// past every view handed out earlier, whose capacity ends at its length.
 func (d *DIMMLog) Append(e Event) {
 	n := len(d.Events)
 	if d.idxLen != n || (n > 0 && e.Time < d.Events[n-1].Time) {
@@ -269,17 +237,11 @@ func (d *DIMMLog) Append(e Event) {
 		d.SortEvents()
 		return
 	}
-	allCE := len(d.ces) == n
 	d.Events = append(d.Events, e)
 	switch e.Type {
 	case TypeCE:
 		if !d.hasCE {
 			d.hasCE, d.firstCE = true, e.Time
-		}
-		if allCE {
-			d.ces = d.Events[: n+1 : n+1]
-		} else {
-			d.ces = append(d.ces, e)
 		}
 	case TypeUE:
 		if !d.hasUE {
@@ -291,11 +253,12 @@ func (d *DIMMLog) Append(e Event) {
 	d.idxLen = len(d.Events)
 }
 
-// CEs returns the CE events in time order. The slice is cached and shared
-// — callers must treat it as read-only.
+// CEs returns the CE events in time order, as CEsBetween does over the
+// whole log: Events itself while the log holds only CEs (read-only), a
+// fresh copy otherwise.
 func (d *DIMMLog) CEs() []Event {
 	d.mustBeIndexed()
-	return d.ces
+	return onlyCEs(d.Events)
 }
 
 // FirstUE returns the time of the first UE and true, or (0, false) when the
@@ -312,15 +275,35 @@ func (d *DIMMLog) FirstCE() (Minutes, bool) {
 	return d.firstCE, d.hasCE
 }
 
-// CEsBetween returns CE events with Time in [from, to): a binary-searched
-// subslice of the cached CE view — O(log n), no allocation — that must be
-// treated as read-only.
+// CEsBetween returns CE events with Time in [from, to). When the range
+// holds only CEs the result is a binary-searched subslice of Events with
+// its capacity capped at its length, which allocates nothing and must be
+// treated as read-only; when it holds a UE or storm record the result is
+// a fresh copy of the range's CEs.
 func (d *DIMMLog) CEsBetween(from, to Minutes) []Event {
 	d.mustBeIndexed()
-	ces := d.ces
-	lo := sort.Search(len(ces), func(i int) bool { return ces[i].Time >= from })
-	hi := sort.Search(len(ces), func(i int) bool { return ces[i].Time >= to })
-	return ces[lo:hi]
+	ev := d.Events
+	lo := sort.Search(len(ev), func(i int) bool { return ev[i].Time >= from })
+	hi := sort.Search(len(ev), func(i int) bool { return ev[i].Time >= to })
+	return onlyCEs(ev[lo:hi])
+}
+
+// onlyCEs returns s's CE events: s itself, capacity capped at its length,
+// when every event in it is a CE, else a fresh array of them.
+func onlyCEs(s []Event) []Event {
+	for i := range s {
+		if s[i].Type != TypeCE {
+			out := make([]Event, i, len(s)-1)
+			copy(out, s[:i])
+			for _, e := range s[i+1:] {
+				if e.Type == TypeCE {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
+	}
+	return s[:len(s):len(s)]
 }
 
 // StormTimes returns the times of the DIMM's storm events in time order.

@@ -26,6 +26,7 @@ func TestEventLayout(t *testing.T) {
 		{"trace.Event", unsafe.Sizeof(Event{}), 72, "Time int64, DIMM {Platform string, Server, Slot int}, Bits, Addr, Type uint8"},
 		{"dram.Addr", unsafe.Sizeof(dram.Addr{}), 12, "Row uint32, Column uint16, Rank, Device, Bank uint8"},
 		{"dram.ErrorBits", unsafe.Sizeof(dram.ErrorBits{}), 16, "Mask uint64, Width uint8"},
+		{"trace.Signature", unsafe.Sizeof(Signature{}), 4, "DQ, Beat, DQI, BI uint8"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d: keep its fields at %s, in that order", c.name, c.got, c.want, c.layout)
